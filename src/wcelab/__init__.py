@@ -18,7 +18,6 @@ from .errors import (
     NonpositiveWeightError,
     NotAPartitionError,
     NotFiberMeasurableError,
-    NotMeasurableError,
     NotNormalError,
     NotPositiveError,
     NotSelfAdjointError,
@@ -78,14 +77,12 @@ from .spectral import (
     reconstruct_from_measure,
     spectral_decomposition,
     spectral_measure,
-    star_poly_calc,
 )
 from .suite import VerificationReport, run_suite
 from .wce import (
     PolarParts,
     WceInstance,
     build_operator,
-    check_vanishing,
     closed_abs_sqrt,
     closed_aluthge,
     closed_func_calc_cogram,

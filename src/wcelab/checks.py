@@ -205,12 +205,22 @@ def _random_complex(rng: np.random.Generator, n: int, cap: float = 4.0) -> np.nd
     return rng.uniform(0.0, cap, n) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, n))
 
 
+def _first_points(partition: Partition) -> np.ndarray:
+    """Index of the first point of every block."""
+    return np.unique(partition.block_of, return_index=True)[1]
+
+
+def _random_phases(rng: np.random.Generator, count: int, low: float,
+                   high: float) -> np.ndarray:
+    """count values uniform(low, high) * exp(i uniform(0, 2 pi)), drawn in
+    the same order as one (magnitude, phase) pair after another."""
+    r = rng.random((count, 2))
+    return (low + (high - low) * r[:, 0]) * np.exp(1j * (2 * np.pi * r[:, 1]))
+
+
 def _random_blockwise(rng: np.random.Generator, partition: Partition,
                       cap: float = 4.0) -> np.ndarray:
-    out = np.empty(partition.space.n, dtype=complex)
-    for b in partition.blocks:
-        out[list(b)] = rng.uniform(0.0, cap) * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
-    return out
+    return _random_phases(rng, partition.block_count, 0.0, cap)[partition.block_of]
 
 
 def condexp_property_residuals(
@@ -226,6 +236,7 @@ def condexp_property_residuals(
     e = CondExp(partition)
     space = partition.space
     w = space.weights
+    first = _first_points(partition)
 
     def ev(x: np.ndarray) -> np.ndarray:
         return cond_exp_values(e, x)
@@ -248,10 +259,7 @@ def condexp_property_residuals(
         )
 
         # E(f) is blockwise constant; E fixes blockwise-constant functions.
-        worst_dev = 0.0
-        for k, b in enumerate(partition.blocks):
-            idx = list(b)
-            worst_dev = max(worst_dev, float(np.abs(ef[idx] - ef[idx[0]]).max()))
+        worst_dev = float(np.abs(ef - ef[first][partition.block_of]).max())
         fix_dev = float(np.abs(ev(g_meas) - g_meas).max())
         res["range"] = max(
             res["range"],
@@ -356,15 +364,15 @@ def check_vanishing(ctx: CheckContext) -> list[CheckRecord]:
     rng = ctx.rng("vanishing")
     t = ctx.operator()
     t_norm = operator_norm(t)
-    block_in_sg = [k for k, b in enumerate(inst.partition.blocks)
-                   if inst.sg_mask[b[0]]]
+    blocks = inst.partition.block_of
+    in_sg = inst.sg_mask[_first_points(inst.partition)]
+    block_in_sg = np.flatnonzero(in_sg)
     records: list[CheckRecord] = []
 
     # g supported off the product support forces M_g T = 0.
-    g1 = np.zeros(inst.space.n, dtype=complex)
-    for k, b in enumerate(inst.partition.blocks):
-        if k not in block_in_sg:
-            g1[list(b)] = rng.uniform(0.5, 2.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    g_blocks = np.zeros(in_sg.size, dtype=complex)
+    g_blocks[~in_sg] = _random_phases(rng, int((~in_sg).sum()), 0.5, 2.0)
+    g1 = g_blocks[blocks]
     res1 = operator_norm(WeightedOperator(inst.space, g1[:, None] * t.matrix))
     res1 /= (1.0 + t_norm) * (1.0 + float(np.abs(g1).max(initial=0.0)))
     records.append(ctx.record(
@@ -374,10 +382,9 @@ def check_vanishing(ctx: CheckContext) -> list[CheckRecord]:
     ))
 
     # g alive on the product support keeps M_g T away from zero.
-    if block_in_sg:
-        g2 = np.zeros(inst.space.n, dtype=complex)
-        pick = block_in_sg[int(rng.integers(0, len(block_in_sg)))]
-        g2[list(inst.partition.blocks[pick])] = rng.uniform(0.5, 2.0)
+    if block_in_sg.size:
+        pick = block_in_sg[int(rng.integers(0, block_in_sg.size))]
+        g2 = np.where(blocks == pick, rng.uniform(0.5, 2.0), 0.0)
         res2 = operator_norm(WeightedOperator(inst.space, g2[:, None] * t.matrix))
         records.append(ctx.record(
             "vanishing_meets",
@@ -506,6 +513,13 @@ def _set_match_residual(
     return max(fwd, bwd) / scale
 
 
+def _eigvals_match_residual(expected: list[complex], m: WeightedOperator) -> float:
+    """Set distance from expected to the numerical eigenvalues of m."""
+    computed = [complex(z) for z in np.linalg.eigvals(m.matrix)]
+    scale = 1.0 + max((abs(z) for z in computed), default=0.0)
+    return _set_match_residual(expected, computed, scale)
+
+
 def check_normality(ctx: CheckContext) -> list[CheckRecord]:
     inst = ctx.instance
     m = avg_mult_operator(inst.u, inst.partition)
@@ -535,9 +549,7 @@ def check_spectrum(ctx: CheckContext) -> list[CheckRecord]:
         np.abs(inst.u.values) > ctx.tols.op_tol * (1.0 + umax)
     ):
         expected = [z for z in expected if z != 0]
-    computed = [complex(z) for z in np.linalg.eigvals(m.matrix)]
-    scale = 1.0 + max((abs(z) for z in computed), default=0.0)
-    residual = _set_match_residual(expected, computed, scale)
+    residual = _eigvals_match_residual(expected, m)
     return [ctx.record(
         "spectrum",
         "spectrum of E M_u is the set of block means of u together with 0",
@@ -586,12 +598,7 @@ def check_spectral_decomp(ctx: CheckContext) -> list[CheckRecord]:
 
     recon_res = op_deviation(WeightedOperator(inst.space, recon), m)
 
-    expected = list(avg_mult_spectrum(inst.u, inst.partition))
-    eigs = list(decomp.eigenvalues)
-    if not any(z == 0 for z in eigs):
-        expected = [z for z in expected if z != 0]
-    umax = float(np.abs(inst.u.values).max(initial=0.0))
-    eig_res = _set_match_residual(expected, eigs, 1.0 + umax)
+    eig_res = _eigvals_match_residual(list(decomp.eigenvalues), m)
 
     return [
         ctx.record("sd_projections", _SD_STATEMENTS["sd_projections"],

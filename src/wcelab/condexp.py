@@ -39,13 +39,8 @@ def cond_exp_values(e: CondExp, values: np.ndarray) -> np.ndarray:
     Pure array workhorse behind cond_exp; preserves real input dtype so
     aggregates like E(|u|^2) stay real.
     """
-    vals = np.asarray(values)
-    w = e.space.weights
-    out = np.empty_like(vals, dtype=complex if np.iscomplexobj(vals) else float)
-    for k, b in enumerate(e.partition.blocks):
-        idx = list(b)
-        out[idx] = np.sum(vals[idx] * w[idx]) / e.block_masses[k]
-    return out
+    p = e.partition
+    return p.block_means(values)[p.block_of]
 
 
 def cond_exp(e: CondExp, f: MeasurableFunction) -> MeasurableFunction:
@@ -62,10 +57,7 @@ def cond_exp(e: CondExp, f: MeasurableFunction) -> MeasurableFunction:
 
 def cond_exp_operator(e: CondExp) -> WeightedOperator:
     """Matrix form: M[i, j] = mu_j / mu(B(i)) for j in the block of i, else 0."""
-    n = e.space.n
+    b = e.partition.block_of
     w = e.space.weights
-    m = np.zeros((n, n), dtype=complex)
-    for k, b in enumerate(e.partition.blocks):
-        idx = list(b)
-        m[np.ix_(idx, idx)] = w[idx][None, :] / e.block_masses[k]
+    m = (b[:, None] == b[None, :]) * w[None, :] / e.block_masses[b][:, None]
     return WeightedOperator(e.space, m)

@@ -31,10 +31,6 @@ class NotPositiveError(WceLabError):
     negative spectrum."""
 
 
-class NotMeasurableError(WceLabError):
-    """A function required to be constant on partition blocks is not."""
-
-
 class NotNormalError(WceLabError):
     """A normal-only routine received a non-normal operator."""
 

@@ -63,6 +63,9 @@ def _complex_pairs(raw: object, field: str, n: int) -> np.ndarray:
         ):
             raise ParseError(f"field '{field}' entry {i} is not a [re, im] pair")
         out[i] = complex(float(pair[0]), float(pair[1]))
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise ParseError(f"field '{field}' entry {bad[0]} is not finite")
     return out
 
 

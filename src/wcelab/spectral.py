@@ -25,7 +25,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .condexp import CondExp, cond_exp_operator, cond_exp_values
+from .condexp import CondExp, cond_exp_operator
 from .errors import NotFiberMeasurableError, NotNormalError, SpaceMismatchError
 from .measure import (
     DEFAULT_SUPPORT_TOL,
@@ -107,6 +107,31 @@ def is_normal_avg_mult(
     return is_measurable(u, partition, tol)
 
 
+def _eigenvalue_groups(
+    u: MeasurableFunction, partition: Partition, group_tol: float
+) -> tuple[list[complex], np.ndarray]:
+    """Group the block means of u into the distinct eigenvalues of E M_u.
+
+    Representatives are 0 followed by block means in block order; a
+    mean joins the first representative within group_tol * (1 + max
+    |block mean|) and otherwise becomes a new representative. Returns the
+    representatives (0 first) and the group index of every block.
+    """
+    means = partition.block_means(u.values)
+    tol = group_tol * (1.0 + float(np.abs(means).max(initial=0.0)))
+    reps = [0j]
+    group = np.where(np.abs(means) <= tol, 0, -1)
+    while (free := np.flatnonzero(group < 0)).size:
+        rep = means[free[0]]
+        group[free[np.abs(means[free] - rep) <= tol]] = len(reps)
+        reps.append(complex(rep))
+    return reps, group
+
+
+def _by_value(z: complex) -> tuple[float, float]:
+    return (z.real, z.imag)
+
+
 def avg_mult_spectrum(
     u: MeasurableFunction,
     partition: Partition,
@@ -117,46 +142,12 @@ def avg_mult_spectrum(
     0 is always adjoined; when the partition is all singletons and u
     vanishes nowhere the operator is invertible and callers comparing
     against numerical eigenvalues must drop that adjoined 0 themselves.
-    Values within group_tol * (1 + max block mean) merge.
+    Block means merge by the first-representative rule of
+    _eigenvalue_groups, the same rule spectral_decomposition uses: each
+    eigenvalue is the first block mean (or 0) of its group.
     """
-    eu = cond_exp_values(CondExp(partition), u.values)
-    block_means = [complex(eu[b[0]]) for b in partition.blocks]
-    tol = group_tol * (1.0 + max((abs(z) for z in block_means), default=0.0))
-    distinct: list[complex] = [0j]
-    for z in block_means:
-        if all(abs(z - d) > tol for d in distinct):
-            distinct.append(z)
-    return tuple(sorted(distinct, key=lambda z: (z.real, z.imag)))
-
-
-def star_poly_calc(
-    u: MeasurableFunction,
-    partition: Partition,
-    coeffs: np.ndarray,
-    tol: float = DEFAULT_SUPPORT_TOL,
-) -> WeightedOperator:
-    """Bivariate polynomial calculus p(A, A*) for the normal operator
-    A: f -> E(u f).
-
-    coeffs[n, m] multiplies A^m (A*)^n, equivalently u^m conj(u)^n; the
-    result is multiplication by p(u, conj(u)) followed by averaging.
-    Note the constant term acts through the averaging projection, not
-    the identity, so certifications against directly assembled operator
-    powers should use polynomials with zero constant term.
-    """
-    if not is_normal_avg_mult(u, partition, tol):
-        raise NotNormalError("symbol must be blockwise constant")
-    c = np.asarray(coeffs, dtype=complex)
-    if c.ndim != 2:
-        raise ValueError("coeffs must be a 2-d array")
-    vals = u.values
-    pvals = np.zeros(u.space.n, dtype=complex)
-    for n_bar in range(c.shape[0]):
-        for m in range(c.shape[1]):
-            if c[n_bar, m] != 0:
-                pvals += c[n_bar, m] * vals**m * np.conj(vals) ** n_bar
-    e = cond_exp_operator(CondExp(partition))
-    return WeightedOperator(partition.space, pvals[:, None] * e.matrix)
+    reps, _ = _eigenvalue_groups(u, partition, group_tol)
+    return tuple(sorted(reps, key=_by_value))
 
 
 def cont_func_calc(
@@ -168,9 +159,9 @@ def cont_func_calc(
     """Continuous calculus f(A) = M_{f o u} E for the normal operator
     A: f -> E(u f).
 
-    As with star_poly_calc, a constant term in f acts through the
-    averaging projection; comparisons against the eigenvalue-based
-    calculus need f(0) = 0 unless the partition is all singletons.
+    A constant term in f acts through the averaging projection, not the
+    identity; comparisons against the eigenvalue-based calculus need
+    f(0) = 0 unless the partition is all singletons.
     """
     if not is_normal_avg_mult(u, partition, tol):
         raise NotNormalError("symbol must be blockwise constant")
@@ -196,32 +187,15 @@ def spectral_decomposition(
         raise NotNormalError("symbol must be blockwise constant")
     space = partition.space
     e_matrix = cond_exp_operator(CondExp(partition)).matrix
-    eu = cond_exp_values(CondExp(partition), u.values)
-    block_means = [complex(eu[b[0]]) for b in partition.blocks]
-    merge_tol = group_tol * (1.0 + max((abs(z) for z in block_means), default=0.0))
-
-    groups: list[tuple[complex, list[int]]] = []  # (running mean, block ids)
-    for k, z in enumerate(block_means):
-        for idx, (rep, members) in enumerate(groups):
-            if abs(z - rep) <= merge_tol:
-                members.append(k)
-                rep = sum(block_means[m] for m in members) / len(members)
-                groups[idx] = (rep, members)
-                break
-        else:
-            groups.append((z, [k]))
+    reps, group = _eigenvalue_groups(u, partition, group_tol)
+    point_group = group[partition.block_of]
 
     eigenvalues: list[complex] = []
     projections: list[WeightedOperator] = []
     accumulated = np.zeros((space.n, space.n), dtype=complex)
-    nonzero = [(rep, members) for rep, members in groups if abs(rep) > merge_tol]
-    nonzero.sort(key=lambda g: (g[0].real, g[0].imag))
-    for rep, members in nonzero:
-        mask = np.zeros(space.n, dtype=float)
-        for k in members:
-            mask[list(partition.blocks[k])] = 1.0
-        p = mask[:, None] * e_matrix
-        eigenvalues.append(rep)
+    for g in sorted(range(1, len(reps)), key=lambda g: _by_value(reps[g])):
+        p = (point_group == g)[:, None] * e_matrix
+        eigenvalues.append(reps[g])
         projections.append(WeightedOperator(space, p))
         accumulated += p
 
@@ -244,9 +218,7 @@ def fiber_cond_exp(phi: PointMap) -> CondExp:
 def pushforward_density(phi: PointMap) -> MeasurableFunction:
     """Density of the pushforward measure: h(x) = mu(preimage of x) / mu(x)."""
     w = phi.space.weights
-    h = np.zeros(phi.space.n, dtype=float)
-    for s, fiber in phi.fibers:
-        h[s] = float(w[list(fiber)].sum())
+    h = np.bincount(phi.images, w, phi.space.n)
     return MeasurableFunction(phi.space, h / w)
 
 
@@ -311,11 +283,8 @@ class SpectralAxiomReport:
 def _fiber_basis(phi: PointMap) -> np.ndarray:
     """Weighted-orthonormal basis of fiber indicators, as columns."""
     fp = fiber_partition(phi)
-    n = phi.space.n
-    cols = np.zeros((n, fp.block_count), dtype=complex)
-    for k, b in enumerate(fp.blocks):
-        cols[list(b), k] = 1.0 / np.sqrt(fp.block_masses[k])
-    return cols
+    indicators = fp.block_of[:, None] == np.arange(fp.block_count)[None, :]
+    return indicators / np.sqrt(fp.block_masses)[None, :]
 
 
 def check_spectral_axioms(

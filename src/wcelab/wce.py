@@ -25,16 +25,14 @@ from typing import Callable
 import numpy as np
 
 from .condexp import CondExp, cond_exp_operator, cond_exp_values
-from .errors import NotMeasurableError, SpaceMismatchError
+from .errors import SpaceMismatchError
 from .measure import (
     DEFAULT_SUPPORT_TOL,
     FiniteMeasureSpace,
     MeasurableFunction,
     Partition,
-    is_measurable,
-    support,
 )
-from .opalgebra import WeightedOperator, operator_norm
+from .opalgebra import WeightedOperator
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,15 +68,10 @@ class WceInstance:
         return cond_exp_values(self.expectation, self.u.values * self.w.values)
 
     def _block_support_mask(self, aggregate: np.ndarray) -> np.ndarray:
-        peak = float(aggregate.max(initial=0.0))
-        if peak <= 0.0:
-            return np.zeros(self.space.n, dtype=bool)
-        mask = np.zeros(self.space.n, dtype=bool)
-        for b in self.partition.blocks:
-            idx = list(b)
-            if aggregate[idx[0]] > self.support_tol * peak:
-                mask[idx] = True
-        return mask
+        """Points where the nonnegative aggregate exceeds support_tol times
+        its peak; empty when the aggregate vanishes. The aggregate is
+        blockwise constant, so the result is a union of blocks."""
+        return aggregate > self.support_tol * float(aggregate.max(initial=0.0))
 
     @cached_property
     def s_mask(self) -> np.ndarray:
@@ -152,31 +145,6 @@ def norm_formula(inst: WceInstance) -> float:
     positive mass.
     """
     return float(np.sqrt((inst.ew2 * inst.eu2).max()))
-
-
-def check_vanishing(
-    inst: WceInstance,
-    g: MeasurableFunction,
-    zero_tol: float = 1e-10,
-    support_tol: float | None = None,
-) -> bool:
-    """Test the implication: if M_g T vanishes then g vanishes on the
-    support of E(|w|^2) E(|u|^2).
-
-    g must be blockwise constant. Returns True when the implication
-    holds for this g (vacuously when M_g T is not numerically zero).
-    """
-    if not is_measurable(g, inst.partition):
-        raise NotMeasurableError("g must be constant on the partition blocks")
-    stol = inst.support_tol if support_tol is None else support_tol
-    t = build_operator(inst)
-    mg_t = WeightedOperator(inst.space, g.values[:, None] * t.matrix)
-    scale = (1.0 + operator_norm(t)) * (1.0 + float(np.abs(g.values).max()))
-    antecedent = operator_norm(mg_t) <= zero_tol * scale
-    if not antecedent:
-        return True
-    product = MeasurableFunction(inst.space, inst.ew2 * inst.eu2)
-    return support(g, stol).isdisjoint(support(product, stol))
 
 
 def partial_isometry_criterion(

@@ -4,12 +4,15 @@ Each test prints one line on success; together they certify the closed
 forms against the dense-linear-algebra oracles at desk scale.
 """
 
+import json
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from wcelab.checks import (
+    GROUP_RECORD_NAMES,
     CheckContext,
     Tolerances,
     calculus_test_functions,
@@ -302,5 +305,19 @@ def test_criterion_10_determinism(tmp_path):
     assert cli_main(["suite", "--seeds", "1..200", "--full",
                      "--report", str(rep_b)]) == 0
     assert rep_a.read_bytes() == rep_b.read_bytes()
+
+    # The verdict set is pinned by per-record-name (pass, fail, skip)
+    # counts; digests and residuals are platform-dependent, counts are not.
+    records = json.loads(rep_a.read_text())["records"]
+    counts = Counter((r["name"], r["status"]) for r in records)
+    expected = {name: (200, 0, 0)
+                for names in GROUP_RECORD_NAMES.values() for name in names}
+    expected.update({name: (102, 0, 98)
+                     for name in GROUP_RECORD_NAMES["spectral_decomp"]})
+    expected["vanishing_meets"] = (196, 0, 4)
+    got = {name: tuple(counts[name, s] for s in ("pass", "fail", "skip"))
+           for name in {r["name"] for r in records} | set(expected)}
+    assert got == expected
+    assert tuple(map(sum, zip(*got.values()))) == (7306, 0, 494)
     print(f"\nACCEPTANCE 10 determinism: PASS "
           f"(byte-identical reports, full suite in {elapsed:.1f} s)")

@@ -11,6 +11,7 @@ from wcelab.measure import (
     make_space,
 )
 from wcelab.opalgebra import op_deviation, weighted_adjoint
+from wcelab.wce import make_instance
 
 from conftest import generated_partitions, random_complex
 
@@ -106,3 +107,46 @@ def test_property_suite_over_random_partitions():
         for key, val in res.items():
             worst[key] = max(worst.get(key, 0.0), val)
     assert max(worst.values()) <= 1e-12, worst
+
+
+def loop_block_means(partition, values):
+    """Per-block loop reference for the weighted block means."""
+    w = partition.space.weights
+    return np.array([np.sum(values[list(b)] * w[list(b)]) / np.sum(w[list(b)])
+                     for b in partition.blocks])
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_block_means_match_loop_reference(kind):
+    rng = np.random.default_rng(7)
+    for partition in generated_partitions(30, seed0=700):
+        n = partition.space.n
+        f = rng.normal(size=n) if kind == "real" else random_complex(rng, n)
+        ref = loop_block_means(partition, f)
+        means = partition.block_means(f)
+        np.testing.assert_allclose(means, ref, rtol=1e-13, atol=1e-15)
+        ef = cond_exp_values(CondExp(partition), f)
+        for k, b in enumerate(partition.blocks):
+            np.testing.assert_allclose(ef[list(b)], ref[k], rtol=1e-13, atol=1e-15)
+        assert np.iscomplexobj(means) == np.iscomplexobj(ef) == (kind == "complex")
+
+
+def test_real_input_stays_real():
+    # Support masks compare aggregates like E(|u|^2) with ">", which
+    # needs a real dtype.
+    rng = np.random.default_rng(8)
+    for partition in generated_partitions(10, seed0=800):
+        sp = partition.space
+        # Zero the first block so the support is proper when there is
+        # more than one block.
+        zeroed = partition.block_of == 0 if partition.block_count > 1 else False
+        u = MeasurableFunction(sp, np.where(zeroed, 0.0, random_complex(rng, sp.n)))
+        f = np.abs(u.values) ** 2
+        assert cond_exp_values(CondExp(partition), f).dtype == np.float64
+        inst = make_instance(partition, u, u)
+        assert inst.eu2.dtype == np.float64
+        ref = loop_block_means(partition, f)
+        expected = np.empty(sp.n, dtype=bool)
+        for k, b in enumerate(partition.blocks):
+            expected[list(b)] = ref[k] > inst.support_tol * ref.max()
+        np.testing.assert_array_equal(inst.s_mask, expected)

@@ -28,7 +28,6 @@ from wcelab.spectral import (
     reconstruct_from_measure,
     spectral_decomposition,
     spectral_measure,
-    star_poly_calc,
 )
 
 from conftest import random_complex
@@ -97,31 +96,29 @@ class TestSpectrum:
 
 
 class TestStarPolyCalc:
+    """Polynomials in A and A* through the continuous calculus."""
+
     def test_linear_term(self, uniform4):
         sp, p = uniform4
         u = MeasurableFunction(sp, [2, 2, 5, 5])
-        coeffs = np.zeros((1, 2))
-        coeffs[0, 1] = 1.0
         m = avg_mult_operator(u, p)
-        assert op_deviation(star_poly_calc(u, p, coeffs), m) < 1e-13
+        assert op_deviation(cont_func_calc(u, p, lambda z: z), m) < 1e-13
 
     def test_mixed_term_matches_product(self, uniform4):
         sp, p = uniform4
         u = MeasurableFunction(sp, [1 + 2j, 1 + 2j, 3 - 1j, 3 - 1j])
-        coeffs = np.zeros((2, 2))
-        coeffs[1, 1] = 1.0  # z * zbar
         m = avg_mult_operator(u, p)
         assembled = m @ weighted_adjoint(m)
-        assert op_deviation(star_poly_calc(u, p, coeffs), assembled) < 1e-12
+        out = cont_func_calc(u, p, lambda z: z * np.conj(z))
+        assert op_deviation(out, assembled) < 1e-12
 
     def test_constant_goes_through_projection(self, uniform4):
         from wcelab.condexp import CondExp, cond_exp_operator
 
         sp, p = uniform4
         u = MeasurableFunction(sp, [2, 2, 5, 5])
-        coeffs = np.array([[1.0]])
         e = cond_exp_operator(CondExp(p))
-        assert op_deviation(star_poly_calc(u, p, coeffs), e) < 1e-14
+        assert op_deviation(cont_func_calc(u, p, lambda z: 1.0), e) < 1e-14
 
     def test_zero_constant_polynomials_match_assembly(self, uniform4, rng):
         sp, p = uniform4
@@ -142,13 +139,18 @@ class TestStarPolyCalc:
                     term = adj @ term
                 term = coeffs[n_bar, k] * term
                 assembled = term if assembled is None else assembled + term
-        assert op_deviation(star_poly_calc(u, p, coeffs), assembled) < 1e-11
+
+        def poly(z):
+            return sum(coeffs[n_bar, k] * z**k * np.conj(z) ** n_bar
+                       for n_bar in range(3) for k in range(3))
+
+        assert op_deviation(cont_func_calc(u, p, poly), assembled) < 1e-11
 
     def test_rejects_nonnormal(self, uniform4):
         sp, p = uniform4
         u = MeasurableFunction(sp, [1, 2, 3, 4])
         with pytest.raises(NotNormalError):
-            star_poly_calc(u, p, np.array([[0.0, 1.0]]))
+            cont_func_calc(u, p, lambda z: z * np.conj(z))
 
 
 class TestContFuncCalc:

@@ -91,6 +91,18 @@ class TestCli:
         assert main(["verify", str(bad)]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("field", ["u", "w"])
+    def test_verify_nonfinite_symbol_exits_2(self, tmp_path, capsys, field, token):
+        doc = {"weights": [1.0, 2.0], "partition": [[0, 1]],
+               "u": [[1.0, 0.0], [2.0, 0.0]], "w": [[1.0, 0.0], [1.0, 0.0]]}
+        doc[field][1] = [0.0, 1.0]
+        text = json.dumps(doc).replace("[0.0, 1.0]", f"[0.0, {token}]")
+        bad = tmp_path / "nonfinite.json"
+        bad.write_text(text)
+        assert main(["verify", str(bad)]) == 2
+        assert f"field '{field}' entry 1 is not finite" in capsys.readouterr().err
+
     def test_verify_unknown_check_exits_2(self, tmp_path, capsys):
         inst_file = tmp_path / "inst.json"
         main(["gen", "--seed", "5", "-o", str(inst_file)])

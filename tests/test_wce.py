@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from wcelab.condexp import CondExp, cond_exp_operator
-from wcelab.errors import NotMeasurableError
 from wcelab.generator import GeneratorConfig, gen_instance
 from wcelab.measure import (
     MeasurableFunction,
@@ -24,7 +23,6 @@ from wcelab.opalgebra import (
 )
 from wcelab.wce import (
     build_operator,
-    check_vanishing,
     closed_abs_sqrt,
     closed_aluthge,
     closed_func_calc_cogram,
@@ -124,37 +122,6 @@ class TestNormFormula:
             inst = random_instance(seed, n=7 + seed % 6, block_count=1 + seed % 4)
             nf = norm_formula(inst)
             assert abs(nf - operator_norm(build_operator(inst))) <= 1e-8 * (1 + nf)
-
-
-class TestCheckVanishing:
-    def test_zero_g(self, example_instance):
-        g = MeasurableFunction.constant(example_instance.space, 0.0)
-        assert check_vanishing(example_instance, g)
-
-    def test_nonvanishing_antecedent_false(self):
-        inst = ones_instance([1.0, 2.0])
-        g = MeasurableFunction.constant(inst.space, 1.0)
-        assert check_vanishing(inst, g)
-
-    def test_disjoint_supports(self):
-        # u, w live in block 0 only; g lives in block 1 only, so M_g T
-        # vanishes and g vanishes on the product support.
-        sp = make_space([1.0, 1.0, 2.0, 1.0])
-        part = make_partition(sp, [[0, 1], [2, 3]])
-        u = MeasurableFunction(sp, [2, 1, 0, 0])
-        w = MeasurableFunction(sp, [1, 1, 0, 0])
-        inst = make_instance(part, u, w)
-        g = MeasurableFunction(sp, [0, 0, 1, 1])
-        t = build_operator(inst)
-        assert operator_norm(
-            type(t)(sp, g.values[:, None] * t.matrix)
-        ) == pytest.approx(0.0, abs=1e-15)
-        assert check_vanishing(inst, g)
-
-    def test_requires_measurable_g(self, example_instance):
-        g = MeasurableFunction(example_instance.space, [1, 2])
-        with pytest.raises(NotMeasurableError):
-            check_vanishing(example_instance, g)
 
 
 class TestPartialIsometry:
