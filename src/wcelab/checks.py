@@ -129,11 +129,14 @@ class CheckContext:
     def instance(self) -> WceInstance:
         return self.bundle.instance
 
-    def rng(self, salt: str) -> np.random.Generator:
-        seed = int.from_bytes(
+    def seed(self, salt: str) -> int:
+        """Seed derived from the instance digest and a per-check salt."""
+        return int.from_bytes(
             hashlib.sha256((self.digest + ":" + salt).encode()).digest()[:8], "big"
         )
-        return np.random.default_rng(seed)
+
+    def rng(self, salt: str) -> np.random.Generator:
+        return np.random.default_rng(self.seed(salt))
 
     def operator(self) -> WeightedOperator:
         if "T" not in self._op_cache:
@@ -639,8 +642,7 @@ def check_measure_axioms(ctx: CheckContext) -> list[CheckRecord]:
     if phi is None:
         return [ctx.skip(name, _SM_STATEMENTS[name], "no point map on this instance")
                 for name in _SM_NAMES]
-    seed = int.from_bytes(
-        hashlib.sha256((ctx.digest + ":axioms").encode()).digest()[:8], "big")
+    seed = ctx.seed("axioms")
     ambient = check_spectral_axioms(phi, on_subspace=False, seed=seed)
     compressed = check_spectral_axioms(phi, on_subspace=True, seed=seed)
     h = pushforward_density(phi)

@@ -51,6 +51,14 @@ def _is_number(x: object) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _to_float(x: int | float, field: str, i: int) -> float:
+    # float() of an integer literal beyond the float range overflows.
+    try:
+        return float(x)
+    except OverflowError:
+        raise ParseError(f"field '{field}' entry {i} is too large for a float") from None
+
+
 def _complex_pairs(raw: object, field: str, n: int) -> np.ndarray:
     if not isinstance(raw, list) or len(raw) != n:
         raise ParseError(f"field '{field}' must be a list of {n} [re, im] pairs")
@@ -62,7 +70,7 @@ def _complex_pairs(raw: object, field: str, n: int) -> np.ndarray:
             or not all(_is_number(x) for x in pair)
         ):
             raise ParseError(f"field '{field}' entry {i} is not a [re, im] pair")
-        out[i] = complex(float(pair[0]), float(pair[1]))
+        out[i] = complex(_to_float(pair[0], field, i), _to_float(pair[1], field, i))
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
         raise ParseError(f"field '{field}' entry {bad[0]} is not finite")
@@ -98,6 +106,9 @@ def parse_instance(text: str) -> InstanceBundle:
         raise ParseError(
             f"invalid JSON: {e.msg} at line {e.lineno} column {e.colno}"
         ) from None
+    except ValueError as e:
+        # An integer literal past Python's int-string digit limit.
+        raise ParseError(f"invalid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object")
 
@@ -117,7 +128,8 @@ def parse_instance(text: str) -> InstanceBundle:
     ):
         raise ParseError("field 'labels' must be a list of strings")
     try:
-        space = make_space([float(x) for x in raw_weights], labels)
+        space = make_space(
+            [_to_float(x, "weights", i) for i, x in enumerate(raw_weights)], labels)
     except (EmptySpaceError, NonpositiveWeightError, ValueError) as e:
         raise ParseError(f"field 'weights'/'labels': {e}") from None
     n = space.n

@@ -225,10 +225,10 @@ def pushforward_density(phi: PointMap) -> MeasurableFunction:
 class SpectralMeasureTable:
     """Projection-valued set function S -> E_phi M_{chi_preimage(S)}.
 
-    Built once per point map; the singleton operators form a partition
-    of unity over the image points and arbitrary sets are assembled by
-    summation, which is exact because the singleton column supports are
-    disjoint.
+    Built once per point map. The value of a set keeps the columns of the
+    fiber average E_phi at the points mapped into the set, so the
+    singleton values have disjoint column supports and sum to E_phi;
+    values() evaluates a whole stack of sets at once.
     """
 
     def __init__(self, phi: PointMap):
@@ -243,6 +243,17 @@ class SpectralMeasureTable:
 
     def singleton(self, s: int) -> WeightedOperator:
         return self.measure_of((s,))
+
+    def values(self, sets: np.ndarray) -> np.ndarray:
+        """Stacked matrices of measure(S), one per row of a (k, n)
+        boolean array of target-point sets."""
+        return _masked_columns(self._e_matrix, sets[:, self._images])
+
+
+def _masked_columns(matrix: np.ndarray, point_masks: np.ndarray) -> np.ndarray:
+    """One copy of matrix per row of the (k, n) point_masks, keeping only
+    the columns the row selects: matrix @ M_{chi_row}, stacked."""
+    return matrix[None] * point_masks[:, None, :]
 
 
 def spectral_measure(phi: PointMap, members: Iterable[int]) -> WeightedOperator:
@@ -287,6 +298,27 @@ def _fiber_basis(phi: PointMap) -> np.ndarray:
     return indicators / np.sqrt(fp.block_masses)[None, :]
 
 
+def _axiom_sets(
+    rng: np.random.Generator, n: int, n_random: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The set family and the intersection pairs of check_spectral_axioms.
+
+    Returns a (n + n_random, n) boolean array, one row per set of target
+    points: the n singletons, then n_random random sets, each drawn as
+    rng.random(n) then rng.uniform(0.2, 0.8). Then max(n_random, 4) index
+    pairs into that family, drawn as one rng.integers call.
+    """
+    sets = np.vstack([np.eye(n, dtype=bool)]
+                     + [rng.random(n) < rng.uniform(0.2, 0.8) for _ in range(n_random)])
+    pairs = rng.integers(0, len(sets), size=(max(n_random, 4), 2))
+    return sets, pairs
+
+
+def _max_norm(stack: np.ndarray) -> float:
+    """Largest spectral norm over a stack of matrices."""
+    return float(np.linalg.norm(stack, 2, axis=(1, 2)).max())
+
+
 def check_spectral_axioms(
     phi: PointMap,
     on_subspace: bool,
@@ -299,61 +331,67 @@ def check_spectral_axioms(
     (a) every value is an orthogonal projection, (b) the empty set maps
     to 0 and the whole set to the identity, (c) intersections map to
     products, (d) disjoint unions map to sums. Residuals are spectral
-    norms on the selected space.
+    norms on the selected space, taken over stacks of the dense measure
+    values of the whole set family at once.
+
+    The draws from the seeded generator come in a fixed order: the
+    random sets and the intersection pairs (see _axiom_sets), then for
+    each of the max(n_random, 4) additivity rounds the index of the
+    whole set, the number of pieces, and the piece of every point.
     """
     n = phi.space.n
-    table = SpectralMeasureTable(phi)
     rng = np.random.default_rng(seed)
+    table = SpectralMeasureTable(phi)
+    images = table._images
 
+    # measure(S) = E_phi M_{chi_preimage(S)} only masks the columns of
+    # E_phi, so the frame change is applied to E_phi once and the column
+    # masks of a whole stack of sets go on afterwards.
     if on_subspace:
         basis = _fiber_basis(phi)
         db = phi.space.weights[:, None] * basis
         dim = basis.shape[1]
+        frame = db.conj().T @ table._e_matrix
 
-        def rep(op: WeightedOperator) -> np.ndarray:
-            return db.conj().T @ op.matrix @ basis
+        def measure(sets: np.ndarray) -> np.ndarray:
+            return _masked_columns(frame, sets[:, images]) @ basis
 
     else:
         dim = n
+        s = phi.space.sqrt_weights
+        frame = table._e_matrix * s[:, None] / s[None, :]
 
-        def rep(op: WeightedOperator) -> np.ndarray:
-            s = phi.space.sqrt_weights
-            return op.matrix * s[:, None] / s[None, :]
+        def measure(sets: np.ndarray) -> np.ndarray:
+            return _masked_columns(frame, sets[:, images])
 
-    def dist(x: np.ndarray, y: np.ndarray) -> float:
-        return float(np.linalg.norm(x - y, 2))
+    sets, pairs = _axiom_sets(rng, n, n_random)
+    k = len(sets)
+    # The family is followed by the empty set (row k) and the whole set
+    # (row k + 1), which the identity and intersection axioms use.
+    family = np.vstack([sets, np.zeros(n, dtype=bool), np.ones(n, dtype=bool)])
+    values = measure(family)
 
-    sets: list[frozenset] = [frozenset((s,)) for s in range(n)]
-    for _ in range(n_random):
-        keep = rng.random(n) < rng.uniform(0.2, 0.8)
-        sets.append(frozenset(int(i) for i in np.flatnonzero(keep)))
+    v = values[:k]
+    # Differences in place: each extra stack raises the peak memory.
+    squared = v @ v
+    squared -= v
+    adjoint = v.conj().transpose(0, 2, 1)
+    adjoint -= v
+    proj_res = max(_max_norm(squared), _max_norm(adjoint))
+    empty_res = _max_norm(values[k:k + 1])
+    full_res = _max_norm(values[k + 1:] - np.eye(dim))
 
-    eye = np.eye(dim)
-    proj_res = 0.0
-    for s in sets:
-        m = rep(table.measure_of(s))
-        proj_res = max(proj_res, dist(m @ m, m), dist(m.conj().T, m))
+    i, j = np.vstack([pairs, [[0, k + 1], [0, k]]]).T
+    inter_res = _max_norm(measure(family[i] & family[j]) - values[i] @ values[j])
 
-    empty_res = float(np.linalg.norm(rep(table.measure_of(())), 2))
-    full_res = dist(rep(table.measure_of(range(n))), eye)
-
-    inter_res = 0.0
-    pairs = [(sets[i], sets[j]) for i, j in
-             rng.integers(0, len(sets), size=(max(n_random, 4), 2))]
-    pairs += [(sets[0], frozenset(range(n))), (sets[0], frozenset())]
-    for s1, s2 in pairs:
-        lhs = rep(table.measure_of(s1 & s2))
-        rhs = rep(table.measure_of(s1)) @ rep(table.measure_of(s2))
-        inter_res = max(inter_res, dist(lhs, rhs))
-
-    add_res = 0.0
+    sums = []
     for _ in range(max(n_random, 4)):
-        whole = sets[int(rng.integers(0, len(sets)))]
+        whole = int(rng.integers(0, k))
         parts = int(rng.integers(2, 5))
         assignment = rng.integers(0, parts, size=n)
-        pieces = [frozenset(i for i in whole if assignment[i] == p) for p in range(parts)]
-        total = sum((rep(table.measure_of(p)) for p in pieces), np.zeros((dim, dim), complex))
-        add_res = max(add_res, dist(rep(table.measure_of(whole)), total))
+        pieces = sets[whole] & (assignment[None, :] == np.arange(parts)[:, None])
+        sums.append(values[whole] - measure(pieces).sum(axis=0))
+    add_res = _max_norm(np.stack(sums))
 
     return SpectralAxiomReport(
         on_subspace=on_subspace,
@@ -376,7 +414,9 @@ def reconstruct_from_measure(
     if not is_measurable(u, fp, tol):
         raise NotFiberMeasurableError("u must be constant on the fibers of phi")
     table = SpectralMeasureTable(phi)
-    acc = np.zeros((phi.space.n, phi.space.n), dtype=complex)
-    for s, fiber in phi.fibers:
-        acc += u.values[fiber[0]] * table.singleton(s).matrix
-    return WeightedOperator(phi.space, acc)
+    targets = np.array([s for s, _ in phi.fibers])
+    coeffs = u.values[[fiber[0] for _, fiber in phi.fibers]]
+    singletons = table.values(targets[:, None] == np.arange(phi.space.n)[None, :])
+    # einsum without optimize sums in its own loop; a BLAS contraction of
+    # the flattened stack would wake the BLAS worker threads.
+    return WeightedOperator(phi.space, np.einsum("s,sij->ij", coeffs, singletons))

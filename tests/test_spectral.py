@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from wcelab import spectral
+from wcelab.condexp import cond_exp_operator
 from wcelab.errors import NotFiberMeasurableError, NotNormalError
 from wcelab.generator import GeneratorConfig, gen_instance, perturb_nonmeasurable
 from wcelab.measure import (
@@ -10,6 +12,7 @@ from wcelab.measure import (
     make_space,
 )
 from wcelab.opalgebra import (
+    WeightedOperator,
     normal_func_calc_oracle,
     op_deviation,
     operator_norm,
@@ -346,6 +349,146 @@ class TestSpectralAxioms:
         assert report.passes(1e-9, include_full=False)
 
 
+def reference_spectral_axioms(phi, on_subspace, n_random=12, seed=0):
+    """Per-set loop over the seeded set family: one operator, one
+    np.isin and one spectral norm per set. Returns the five residuals
+    in SpectralAxiomReport field order."""
+    n = phi.space.n
+    table = SpectralMeasureTable(phi)
+    rng = np.random.default_rng(seed)
+
+    if on_subspace:
+        basis = spectral._fiber_basis(phi)
+        db = phi.space.weights[:, None] * basis
+        dim = basis.shape[1]
+
+        def rep(op):
+            return db.conj().T @ op.matrix @ basis
+
+    else:
+        dim = n
+
+        def rep(op):
+            s = phi.space.sqrt_weights
+            return op.matrix * s[:, None] / s[None, :]
+
+    def dist(x, y):
+        return float(np.linalg.norm(x - y, 2))
+
+    sets = [frozenset((s,)) for s in range(n)]
+    for _ in range(n_random):
+        keep = rng.random(n) < rng.uniform(0.2, 0.8)
+        sets.append(frozenset(int(i) for i in np.flatnonzero(keep)))
+
+    proj_res = 0.0
+    for s in sets:
+        m = rep(table.measure_of(s))
+        proj_res = max(proj_res, dist(m @ m, m), dist(m.conj().T, m))
+
+    empty_res = float(np.linalg.norm(rep(table.measure_of(())), 2))
+    full_res = dist(rep(table.measure_of(range(n))), np.eye(dim))
+
+    inter_res = 0.0
+    pairs = [(sets[i], sets[j]) for i, j in
+             rng.integers(0, len(sets), size=(max(n_random, 4), 2))]
+    pairs += [(sets[0], frozenset(range(n))), (sets[0], frozenset())]
+    for s1, s2 in pairs:
+        lhs = rep(table.measure_of(s1 & s2))
+        rhs = rep(table.measure_of(s1)) @ rep(table.measure_of(s2))
+        inter_res = max(inter_res, dist(lhs, rhs))
+
+    add_res = 0.0
+    for _ in range(max(n_random, 4)):
+        whole = sets[int(rng.integers(0, len(sets)))]
+        parts = int(rng.integers(2, 5))
+        assignment = rng.integers(0, parts, size=n)
+        pieces = [frozenset(i for i in whole if assignment[i] == p) for p in range(parts)]
+        total = sum((rep(table.measure_of(p)) for p in pieces), np.zeros((dim, dim), complex))
+        add_res = max(add_res, dist(rep(table.measure_of(whole)), total))
+
+    return proj_res, empty_res, full_res, inter_res, add_res
+
+
+def generated_point_maps(count=30, seed0=700):
+    """Deterministic point maps from the generator, n = 2..24."""
+    maps = []
+    for s in range(seed0, seed0 + count):
+        n = 2 + s % 23
+        cfg = GeneratorConfig(seed=s, n=n, block_count=1 + (s * 31) % n,
+                              with_point_map=True)
+        maps.append(gen_instance(cfg).point_map)
+    return maps
+
+
+def report_residuals(report):
+    return (report.projection_residual, report.empty_residual, report.full_residual,
+            report.intersection_residual, report.additivity_residual)
+
+
+def perturbed_cond_exp_operator(e):
+    """The fiber average with its first nonzero off-diagonal entry scaled
+    by 1 + 1e-6: no longer a projection."""
+    m = cond_exp_operator(e).matrix.copy()
+    off = np.argwhere((m != 0) & ~np.eye(len(m), dtype=bool))[0]
+    m[tuple(off)] *= 1 + 1e-6
+    return WeightedOperator(e.space, m)
+
+
+class TestBatchedSpectralAxioms:
+    def test_set_family_and_pairs_pinned(self):
+        sets, pairs = spectral._axiom_sets(np.random.default_rng(7), 5, 3)
+        np.testing.assert_array_equal(sets[:5], np.eye(5, dtype=bool))
+        np.testing.assert_array_equal(
+            sets[5:].astype(int), [[1, 0, 0, 1, 1], [1, 0, 0, 0, 1], [1, 1, 1, 1, 0]])
+        np.testing.assert_array_equal(pairs, [[5, 4], [2, 7], [3, 1], [6, 1]])
+
+    def test_set_family_matches_reference_draw_order(self):
+        for seed in range(20):
+            n, n_random = 2 + seed % 9, seed % 14
+            rng = np.random.default_rng(seed)
+            ref_sets = [rng.random(n) < rng.uniform(0.2, 0.8) for _ in range(n_random)]
+            ref_pairs = rng.integers(0, n + n_random, size=(max(n_random, 4), 2))
+            sets, pairs = spectral._axiom_sets(np.random.default_rng(seed), n, n_random)
+            np.testing.assert_array_equal(sets[n:], np.reshape(ref_sets, (n_random, n)))
+            np.testing.assert_array_equal(pairs, ref_pairs)
+
+    @pytest.mark.parametrize("on_subspace", [False, True])
+    def test_matches_per_set_reference(self, on_subspace):
+        for k, phi in enumerate(generated_point_maps()):
+            batched = report_residuals(check_spectral_axioms(phi, on_subspace, seed=k))
+            reference = reference_spectral_axioms(phi, on_subspace, seed=k)
+            np.testing.assert_allclose(batched, reference, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("on_subspace", [False, True])
+    def test_perturbed_fiber_average_fails(self, monkeypatch, on_subspace):
+        sp = make_space([1.0, 2.0, 1.5, 0.5, 3.0])
+        phi = PointMap(sp, (1, 1, 1, 4, 4))
+        assert check_spectral_axioms(phi, on_subspace).passes(1e-12, include_full=on_subspace)
+        monkeypatch.setattr(spectral, "cond_exp_operator", perturbed_cond_exp_operator)
+        report = check_spectral_axioms(phi, on_subspace)
+        assert report.projection_residual > 1e-9
+        assert report.intersection_residual > 1e-9
+        # Masking columns is linear in the set indicator, so a wrong
+        # fiber average still adds up exactly.
+        assert report.additivity_residual < 1e-12
+
+    @pytest.mark.parametrize("on_subspace", [False, True])
+    def test_nonadditive_set_function_fails(self, monkeypatch, on_subspace):
+        sp = make_space([1.0, 2.0, 1.5, 0.5, 3.0])
+        phi = PointMap(sp, (1, 1, 1, 4, 4))
+        masked = spectral._masked_columns
+
+        def grown_by_size(matrix, point_masks):
+            size = point_masks.sum(axis=1)[:, None, None]
+            return masked(matrix, point_masks) * (1 + 1e-6 * size)
+
+        monkeypatch.setattr(spectral, "_masked_columns", grown_by_size)
+        report = check_spectral_axioms(phi, on_subspace)
+        assert report.projection_residual > 1e-9
+        assert report.intersection_residual > 1e-9
+        assert report.additivity_residual > 1e-9
+
+
 class TestReconstruction:
     def test_unit_symbol(self):
         from wcelab.condexp import CondExp, cond_exp_operator
@@ -373,6 +516,15 @@ class TestReconstruction:
         np.testing.assert_allclose(rebuilt.matrix, expected, atol=1e-14)
         direct = avg_mult_operator(u, fiber_partition(phi))
         assert op_deviation(rebuilt, direct) < 1e-13
+
+    def test_perturbed_fiber_average_fails(self, monkeypatch):
+        sp = make_space([1.0, 2.0, 1.5, 0.5, 3.0])
+        phi = PointMap(sp, (1, 1, 1, 4, 4))
+        u = MeasurableFunction(sp, [2.0, 2.0, 2.0, -1.0 + 1.0j, -1.0 + 1.0j])
+        direct = avg_mult_operator(u, fiber_partition(phi))
+        assert op_deviation(reconstruct_from_measure(phi, u), direct) < 1e-13
+        monkeypatch.setattr(spectral, "cond_exp_operator", perturbed_cond_exp_operator)
+        assert op_deviation(reconstruct_from_measure(phi, u), direct) > 1e-9
 
     def test_rejects_nonfiber_measurable(self):
         sp = make_space([1.0, 1.0, 2.0])

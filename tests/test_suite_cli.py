@@ -103,6 +103,23 @@ class TestCli:
         assert main(["verify", str(bad)]) == 2
         assert f"field '{field}' entry 1 is not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["weights", "u", "w"])
+    def test_verify_oversized_integer_exits_2(self, tmp_path, capsys, field):
+        doc = {"weights": [1.0, 2.0], "partition": [[0, 1]],
+               "u": [[1.0, 0.0], [2.0, 0.0]], "w": [[1.0, 0.0], [1.0, 0.0]]}
+        doc[field][1] = 10**400 if field == "weights" else [10**400, 0.0]
+        bad = tmp_path / "oversized.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["verify", str(bad)]) == 2
+        assert f"field '{field}' entry 1 is too large for a float" in capsys.readouterr().err
+
+    def test_verify_integer_past_digit_limit_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "digits.json"
+        bad.write_text('{"weights": [1.0, ' + "1" * 5000 + '], "partition": [[0, 1]], '
+                       '"u": [[1, 0], [2, 0]], "w": [[1, 0], [1, 0]]}')
+        assert main(["verify", str(bad)]) == 2
+        assert "invalid JSON" in capsys.readouterr().err
+
     def test_verify_unknown_check_exits_2(self, tmp_path, capsys):
         inst_file = tmp_path / "inst.json"
         main(["gen", "--seed", "5", "-o", str(inst_file)])
