@@ -57,6 +57,7 @@ from .opalgebra import (
     kernel_projection,
     normal_func_calc_oracle,
     op_deviation,
+    op_deviations,
     operator_norm,
     polar_oracle,
     positive_sqrt,

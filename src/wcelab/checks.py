@@ -13,9 +13,11 @@ against. For most checks the bound is an upper bound; separation checks
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -25,9 +27,12 @@ from .instance_io import InstanceBundle, serialize_instance
 from .measure import MeasurableFunction, Partition, support
 from .opalgebra import (
     CLAMP_TOL,
+    EigenSystem,
     WeightedOperator,
+    hermitian_eig,
     kernel_projection,
     op_deviation,
+    op_deviations,
     operator_norm,
     polar_oracle,
     positive_sqrt,
@@ -111,13 +116,18 @@ class CheckRecord:
 
 @dataclass
 class CheckContext:
-    """Everything a check needs for one instance."""
+    """Everything a check needs for one instance.
+
+    The dense operator T, its adjoint, both Gram products, their
+    eigensystems and the SVD polar factors are each computed once, on
+    first use, and shared by every check group. The oracles still see
+    only these dense matrices, never the partition.
+    """
 
     bundle: InstanceBundle
     tols: Tolerances
     digest: str = ""
     doc: str = ""
-    _op_cache: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.doc:
@@ -125,9 +135,14 @@ class CheckContext:
         if not self.digest:
             self.digest = hashlib.sha256(self.doc.encode()).hexdigest()
 
-    @property
+    @cached_property
     def instance(self) -> WceInstance:
-        return self.bundle.instance
+        """The bundle's instance, with supports cut at the run's support_tol
+        (a field the instance document does not carry)."""
+        inst = self.bundle.instance
+        if inst.support_tol == self.tols.support_tol:
+            return inst
+        return dataclasses.replace(inst, support_tol=self.tols.support_tol)
 
     def seed(self, salt: str) -> int:
         """Seed derived from the instance digest and a per-check salt."""
@@ -138,10 +153,37 @@ class CheckContext:
     def rng(self, salt: str) -> np.random.Generator:
         return np.random.default_rng(self.seed(salt))
 
-    def operator(self) -> WeightedOperator:
-        if "T" not in self._op_cache:
-            self._op_cache["T"] = build_operator(self.instance)
-        return self._op_cache["T"]
+    @cached_property
+    def t(self) -> WeightedOperator:
+        """The operator f -> w E(u f) as a dense matrix."""
+        return build_operator(self.instance)
+
+    @cached_property
+    def t_adj(self) -> WeightedOperator:
+        return weighted_adjoint(self.t)
+
+    @cached_property
+    def gram(self) -> WeightedOperator:
+        """T* T."""
+        return self.t_adj @ self.t
+
+    @cached_property
+    def cogram(self) -> WeightedOperator:
+        """T T*."""
+        return self.t @ self.t_adj
+
+    @cached_property
+    def gram_eig(self) -> EigenSystem:
+        return hermitian_eig(self.gram)
+
+    @cached_property
+    def cogram_eig(self) -> EigenSystem:
+        return hermitian_eig(self.cogram)
+
+    @cached_property
+    def polar(self) -> tuple[WeightedOperator, WeightedOperator]:
+        """SVD polar factors (U, |T|) of T."""
+        return polar_oracle(self.t)
 
     def record(
         self,
@@ -163,6 +205,19 @@ class CheckContext:
             instance_digest=self.digest,
             bound=bound,
             instance_doc="" if ok else self.doc,
+        )
+
+    def breakdown(self, name: str, reason: str) -> CheckRecord:
+        """Failing record for a check whose group raised before measuring."""
+        return CheckRecord(
+            name=name,
+            statement="the check group ran to completion",
+            status="fail",
+            residual=None,
+            tol=None,
+            instance_digest=self.digest,
+            reason=reason,
+            instance_doc=self.doc,
         )
 
     def skip(self, name: str, statement: str, reason: str) -> CheckRecord:
@@ -353,7 +408,7 @@ def check_condexp(ctx: CheckContext) -> list[CheckRecord]:
 
 def check_norm(ctx: CheckContext) -> list[CheckRecord]:
     nf = norm_formula(ctx.instance)
-    on = operator_norm(ctx.operator())
+    on = operator_norm(ctx.t)
     residual = abs(nf - on) / (1.0 + nf)
     return [ctx.record(
         "norm_formula",
@@ -365,7 +420,7 @@ def check_norm(ctx: CheckContext) -> list[CheckRecord]:
 def check_vanishing(ctx: CheckContext) -> list[CheckRecord]:
     inst = ctx.instance
     rng = ctx.rng("vanishing")
-    t = ctx.operator()
+    t = ctx.t
     t_norm = operator_norm(t)
     blocks = inst.partition.block_of
     in_sg = inst.sg_mask[_first_points(inst.partition)]
@@ -405,9 +460,9 @@ def check_vanishing(ctx: CheckContext) -> list[CheckRecord]:
 
 def check_partial_isometry(ctx: CheckContext) -> list[CheckRecord]:
     inst = ctx.instance
-    t = ctx.operator()
+    t = ctx.t
     is_pi, members = partial_isometry_criterion(inst, ctx.tols.op_tol)
-    residual = operator_norm(t @ weighted_adjoint(t) @ t - t) / max(
+    residual = operator_norm(ctx.cogram @ t - t) / max(
         1.0, operator_norm(t)
     )
     support_ok = members == (inst.s_set & inst.g_set)
@@ -424,21 +479,19 @@ def check_partial_isometry(ctx: CheckContext) -> list[CheckRecord]:
 
 
 def check_func_calc(ctx: CheckContext) -> list[CheckRecord]:
-    from .opalgebra import func_calc_oracle
-
     inst = ctx.instance
-    t = ctx.operator()
-    t_adj = weighted_adjoint(t)
     records: list[CheckRecord] = []
-    for name, closed_fn, product in (
-        ("func_calc_gram", closed_func_calc_gram, t_adj @ t),
-        ("func_calc_cogram", closed_func_calc_cogram, t @ t_adj),
+    for name, closed_fn, eig in (
+        ("func_calc_gram", closed_func_calc_gram, ctx.gram_eig),
+        ("func_calc_cogram", closed_func_calc_cogram, ctx.cogram_eig),
     ):
-        snap = CLAMP_TOL * operator_norm(product)
-        worst = 0.0
-        for _, f in calculus_test_functions(snap):
-            worst = max(worst, op_deviation(closed_fn(inst, f),
-                                            func_calc_oracle(product, f)))
+        fns = [f for _, f in calculus_test_functions(CLAMP_TOL * eig.scale)]
+        closed = np.empty((len(fns),) + eig.basis.shape, dtype=complex)
+        for i, f in enumerate(fns):
+            closed[i] = closed_fn(inst, f).matrix
+        fvals = np.asarray([[f(float(v)) for v in eig.values] for f in fns],
+                           dtype=complex)
+        worst = op_deviations(inst.space, closed, eig.calc_stack(fvals)).max()
         records.append(ctx.record(
             name,
             "closed functional calculus equals the eigendecomposition calculus "
@@ -450,18 +503,14 @@ def check_func_calc(ctx: CheckContext) -> list[CheckRecord]:
 
 def check_polar(ctx: CheckContext) -> list[CheckRecord]:
     inst = ctx.instance
-    t = ctx.operator()
+    t = ctx.t
     parts = closed_polar(inst)
-    gram = weighted_adjoint(t) @ t
-    abs_ref = positive_sqrt(gram)
-    u_ref, _ = polar_oracle(t)
+    abs_ref = ctx.gram_eig.sqrt()
+    u_ref, _ = ctx.polar
     uu = weighted_adjoint(parts.U) @ parts.U
-    kernels = [kernel_projection(op) for op in (parts.U, parts.absT, t)]
-    kernel_res = max(
-        op_deviation(kernels[0], kernels[1]),
-        op_deviation(kernels[1], kernels[2]),
-        op_deviation(kernels[0], kernels[2]),
-    )
+    k_u, k_abs, k_t = (kernel_projection(op).matrix for op in (parts.U, parts.absT, t))
+    kernel_res = op_deviations(inst.space, np.stack((k_u, k_abs, k_u)),
+                               np.stack((k_abs, k_t, k_t))).max()
     return [
         ctx.record("polar_abs",
                    "closed |T| equals the eigendecomposition root of T* T",
@@ -483,8 +532,7 @@ def check_polar(ctx: CheckContext) -> list[CheckRecord]:
 
 def check_aluthge(ctx: CheckContext) -> list[CheckRecord]:
     inst = ctx.instance
-    t = ctx.operator()
-    u_ref, p_ref = polar_oracle(t)
+    u_ref, p_ref = ctx.polar
     sqrt_ref = positive_sqrt(p_ref)
     oracle = sqrt_ref @ u_ref @ sqrt_ref
     closed = closed_aluthge(inst)

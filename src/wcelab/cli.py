@@ -16,7 +16,7 @@ from .checks import BASIC_GROUPS, CHECK_GROUPS, FULL_GROUPS, Tolerances
 from .errors import ConfigInvalidError, ParseError
 from .generator import GeneratorConfig, gen_instance, rotation_config
 from .instance_io import parse_instance, serialize_instance
-from .suite import run_suite
+from .suite import resolve_groups, run_suite
 
 _MODES = ("measurable_u", "partial_isometry", "zero_blocks", "constant_u",
           "point_map")
@@ -115,14 +115,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         except ParseError as e:
             print(f"error: {path}: {e}", file=sys.stderr)
             return 2
-    checks = None if args.checks is None else args.checks.split(",")
-    tols = Tolerances.scaled(args.tol, args.support_tol)
-    start = time.perf_counter()
     try:
-        report = run_suite(bundles, checks, tols)
+        groups = resolve_groups(None if args.checks is None else args.checks.split(","))
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    tols = Tolerances.scaled(args.tol, args.support_tol)
+    start = time.perf_counter()
+    report = run_suite(bundles, groups, tols)
     return _emit(report, args.report, time.perf_counter() - start)
 
 

@@ -99,19 +99,6 @@ class WeightedOperator:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True, eq=False)
-class EigenSystem:
-    """Real spectrum and orthonormal eigenbasis of a self-adjoint operator.
-
-    values are ascending; vectors holds the eigenvectors as columns,
-    orthonormal in the weighted inner product.
-    """
-
-    space: FiniteMeasureSpace
-    values: np.ndarray
-    vectors: np.ndarray
-
-
 def to_euclidean(a: WeightedOperator) -> np.ndarray:
     """Conjugated matrix D^(1/2) A D^(-1/2); Euclidean-frame representative."""
     s = a.space.sqrt_weights
@@ -137,37 +124,98 @@ def operator_norm(a: WeightedOperator) -> float:
     return float(np.linalg.svd(e, compute_uv=False)[0])
 
 
+def op_deviations(space: FiniteMeasureSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Slice-wise relative distance ||a_k - b_k|| / (1 + max(||a_k||, ||b_k||))
+    of two (k, n, n) stacks of operator matrices, weighted norms.
+
+    The differences and each side go through one batched spectral norm
+    apiece. Each stack is a fresh copy taken to the Euclidean frame in
+    place, so at most one extra (k, n, n) array is alive at a time.
+    """
+    s = space.sqrt_weights
+
+    def norms(m: np.ndarray) -> np.ndarray:
+        m *= s[:, None]
+        m /= s[None, :]
+        return np.linalg.norm(m, 2, axis=(1, 2))
+
+    diff = norms(np.subtract(a, b, dtype=complex))
+    return diff / (1.0 + np.maximum(norms(np.array(a, dtype=complex)),
+                                    norms(np.array(b, dtype=complex))))
+
+
 def op_deviation(a: WeightedOperator, b: WeightedOperator) -> float:
     """Relative distance ||a - b|| / (1 + max(||a||, ||b||)), weighted norms."""
-    return operator_norm(a - b) / (1.0 + max(operator_norm(a), operator_norm(b)))
+    a._check_space(b)
+    return float(op_deviations(a.space, a.matrix[None], b.matrix[None])[0])
 
 
-def _eigh_euclidean(
-    a: WeightedOperator, sym_tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and Euclidean-frame orthonormal eigenvectors.
+@dataclass(frozen=True, eq=False)
+class EigenSystem:
+    """Real spectrum and eigenbasis of a self-adjoint operator.
 
-    Rejects operators whose weighted asymmetry exceeds sym_tol * ||a||;
-    the accepted asymmetry is folded away by symmetrizing the conjugated
-    matrix before factorization.
+    values are ascending; basis holds the eigenvectors as columns in the
+    Euclidean frame, where they are orthonormal. Every function of the
+    operator is an application of this one factorization.
     """
-    dev = operator_norm(a - weighted_adjoint(a))
-    if dev > sym_tol * operator_norm(a):
-        raise NotSelfAdjointError(
-            f"asymmetry {dev:.3e} exceeds {sym_tol:.1e} * norm"
-        )
-    h = to_euclidean(a)
-    h = 0.5 * (h + h.conj().T)
-    vals, vecs = scipy.linalg.eigh(h)
-    return vals, vecs
+
+    space: FiniteMeasureSpace
+    values: np.ndarray
+    basis: np.ndarray
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """Eigenvectors as columns, orthonormal in the weighted inner product."""
+        return self.basis / self.space.sqrt_weights[:, None]
+
+    @property
+    def scale(self) -> float:
+        """Largest eigenvalue magnitude, the operator norm."""
+        return float(np.abs(self.values).max()) if self.values.size else 0.0
+
+    def calc_stack(self, fvals: np.ndarray) -> np.ndarray:
+        """Matrices of sum_k f(lambda_k) v_k <v_k, .>, one per row of the
+        (m, n) array of function values at the eigenvalues; shape (m, n, n)."""
+        m = (self.basis * fvals[:, None, :]) @ self.basis.conj().T
+        s = self.space.sqrt_weights
+        m /= s[:, None]
+        m *= s[None, :]
+        return m
+
+    def apply(self, f: Callable[[float], complex]) -> WeightedOperator:
+        """Continuous functional calculus f(A)."""
+        fvals = np.asarray([f(float(v)) for v in self.values], dtype=complex)
+        return WeightedOperator(self.space, self.calc_stack(fvals[None])[0])
+
+    def sqrt(self, clamp_tol: float = CLAMP_TOL) -> WeightedOperator:
+        """Positive square root; see positive_sqrt."""
+        vals = self.values
+        scale = self.scale
+        if float(vals.min()) < -clamp_tol * scale:
+            raise NotPositiveError(
+                f"minimum eigenvalue {vals.min():.3e} below -{clamp_tol:.1e} * norm"
+            )
+        snapped = np.where(vals <= clamp_tol * scale, 0.0, vals)
+        return WeightedOperator(self.space, self.calc_stack(np.sqrt(snapped)[None])[0])
 
 
 def hermitian_eig(a: WeightedOperator, sym_tol: float = SELF_ADJOINT_TOL) -> EigenSystem:
-    """Full spectrum and weighted-orthonormal eigenbasis of a self-adjoint
-    operator. Raises NotSelfAdjointError when the asymmetry check fails."""
-    vals, vecs = _eigh_euclidean(a, sym_tol)
-    v = vecs / a.space.sqrt_weights[:, None]
-    return EigenSystem(a.space, vals, v)
+    """Full spectrum and eigenbasis of a self-adjoint operator; the one
+    eigendecomposition path of the oracles.
+
+    Rejects operators whose weighted asymmetry exceeds sym_tol * ||a||
+    with NotSelfAdjointError; the accepted asymmetry is folded away by
+    symmetrizing the conjugated matrix before factorization.
+    """
+    h = to_euclidean(a)
+    hh = h.conj().T
+    dev, norm = np.linalg.norm(np.stack((h - hh, h)), 2, axis=(1, 2))
+    if dev > sym_tol * norm:
+        raise NotSelfAdjointError(
+            f"asymmetry {dev:.3e} exceeds {sym_tol:.1e} * norm"
+        )
+    vals, vecs = scipy.linalg.eigh(0.5 * (h + hh))
+    return EigenSystem(a.space, vals, vecs)
 
 
 def positive_sqrt(
@@ -182,15 +230,7 @@ def positive_sqrt(
     root of a singular operator has a clean kernel instead of spurious
     sqrt(rounding) eigenvalues.
     """
-    vals, vecs = _eigh_euclidean(a, sym_tol)
-    scale = float(np.abs(vals).max()) if vals.size else 0.0
-    if float(vals.min()) < -clamp_tol * scale:
-        raise NotPositiveError(
-            f"minimum eigenvalue {vals.min():.3e} below -{clamp_tol:.1e} * norm"
-        )
-    snapped = np.where(vals <= clamp_tol * scale, 0.0, vals)
-    root = (vecs * np.sqrt(snapped)[None, :]) @ vecs.conj().T
-    return from_euclidean(a.space, root)
+    return hermitian_eig(a, sym_tol).sqrt(clamp_tol)
 
 
 def func_calc_oracle(
@@ -200,10 +240,7 @@ def func_calc_oracle(
 ) -> WeightedOperator:
     """Continuous functional calculus of a self-adjoint operator by full
     eigendecomposition: sum_k f(lambda_k) v_k <v_k, .>."""
-    vals, vecs = _eigh_euclidean(a, sym_tol)
-    fvals = np.asarray([f(float(v)) for v in vals], dtype=complex)
-    m = (vecs * fvals[None, :]) @ vecs.conj().T
-    return from_euclidean(a.space, m)
+    return hermitian_eig(a, sym_tol).apply(f)
 
 
 def polar_oracle(

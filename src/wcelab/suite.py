@@ -18,6 +18,7 @@ from .checks import (
     CheckContext,
     CheckRecord,
     FULL_GROUPS,
+    GROUP_RECORD_NAMES,
     Tolerances,
 )
 from .instance_io import InstanceBundle
@@ -61,7 +62,7 @@ class VerificationReport:
         lines = []
         for r in self.records:
             head = f"{r.status.upper():<4} {r.instance_digest[:8]} {r.name:<24}"
-            if r.status == "skip":
+            if r.residual is None:
                 lines.append(f"{head} ({r.reason})")
             else:
                 rel = "<=" if r.bound == "upper" else ">"
@@ -97,7 +98,9 @@ def run_suite(
     """Run the selected check groups over every instance.
 
     Failures are data, not exceptions; the exit status of the CLI is the
-    only place they escalate.
+    only place they escalate. A group that raises on an instance (say, a
+    numerical breakdown on overflowing entries) yields a failing record
+    for each of its names on that instance, and the run goes on.
     """
     groups = resolve_groups(checks)
     tols = tols or Tolerances()
@@ -105,6 +108,11 @@ def run_suite(
     for bundle in bundles:
         ctx = CheckContext(bundle, tols)
         for group in groups:
-            records.extend(CHECK_GROUPS[group](ctx))
+            try:
+                records.extend(CHECK_GROUPS[group](ctx))
+            except Exception as e:
+                reason = f"{group} raised {type(e).__name__}: {e}"
+                records.extend(ctx.breakdown(name, reason)
+                               for name in GROUP_RECORD_NAMES[group])
     records.sort(key=lambda r: (r.instance_digest, r.name))
     return VerificationReport(records)

@@ -1,0 +1,132 @@
+"""Per-instance factorization caching in CheckContext, and the run's
+support tolerance reaching the closed forms."""
+
+import json
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from wcelab import checks
+from wcelab.checks import (
+    CheckContext,
+    Tolerances,
+    calculus_test_functions,
+    check_aluthge,
+    check_func_calc,
+    check_polar,
+)
+from wcelab.cli import main
+from wcelab.generator import GeneratorConfig, gen_instance
+from wcelab.instance_io import InstanceBundle, serialize_instance
+from wcelab.measure import MeasurableFunction, make_partition, make_space
+from wcelab.opalgebra import (
+    CLAMP_TOL,
+    func_calc_oracle,
+    operator_norm,
+    weighted_adjoint,
+)
+from wcelab.wce import (
+    build_operator,
+    closed_func_calc_cogram,
+    closed_func_calc_gram,
+    make_instance,
+)
+
+_MODES = ({}, {"zero_blocks": True}, {"constant_u": True},
+          {"measurable_u": True}, {"partial_isometry": True})
+
+
+def generated_bundles():
+    """One instance per n = 2..64, block counts and modes cycling."""
+    return [gen_instance(GeneratorConfig(seed=700 + n, n=n,
+                                         block_count=1 + (31 * (700 + n)) % n,
+                                         **_MODES[n % 5]))
+            for n in range(2, 65)]
+
+
+def reference_func_calc(inst):
+    """The per-function loop: a fresh eigendecomposition and three SVD
+    norms for each test function."""
+    t = build_operator(inst)
+    t_adj = weighted_adjoint(t)
+    out = {}
+    for name, closed_fn, product in (
+        ("func_calc_gram", closed_func_calc_gram, t_adj @ t),
+        ("func_calc_cogram", closed_func_calc_cogram, t @ t_adj),
+    ):
+        worst = 0.0
+        for _, f in calculus_test_functions(CLAMP_TOL * operator_norm(product)):
+            a, b = closed_fn(inst, f), func_calc_oracle(product, f)
+            dev = operator_norm(a - b) / (1.0 + max(operator_norm(a), operator_norm(b)))
+            worst = max(worst, dev)
+        out[name] = worst
+    return out
+
+
+def test_func_calc_matches_per_function_reference():
+    for bundle in generated_bundles():
+        ctx = CheckContext(bundle, Tolerances())
+        expected = reference_func_calc(ctx.instance)
+        for rec in check_func_calc(ctx):
+            assert rec.residual == pytest.approx(expected[rec.name], rel=0, abs=1e-13)
+
+
+def test_one_factorization_per_operator(monkeypatch):
+    counts = {"eigh": 0, "polar": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counting("eigh", scipy.linalg.eigh))
+    monkeypatch.setattr(checks, "polar_oracle", counting("polar", checks.polar_oracle))
+    bundle = gen_instance(GeneratorConfig(seed=11, n=16, block_count=4))
+    ctx = CheckContext(bundle, Tolerances())
+    for group in (check_func_calc, check_polar, check_aluthge):
+        assert all(r.status == "pass" for r in group(ctx))
+    assert counts["eigh"] <= 3
+    assert counts["polar"] == 1
+
+
+def test_func_calc_catches_one_perturbed_function(monkeypatch):
+    original = checks.closed_func_calc_gram
+
+    def perturbed(inst, f):
+        out = original(inst, f)
+        # Only the constant function 1 is perturbed.
+        return out * (1.0 + 1e-6) if f(0.0) == f(3.0) == 1.0 else out
+
+    monkeypatch.setattr(checks, "closed_func_calc_gram", perturbed)
+    bundle = gen_instance(GeneratorConfig(seed=12, n=10, block_count=3))
+    status = {r.name: r.status for r in check_func_calc(CheckContext(bundle, Tolerances()))}
+    assert status == {"func_calc_gram": "fail", "func_calc_cogram": "pass"}
+
+
+def faint_block_bundle():
+    """Two blocks; E(|u|^2) on the second is 1e-6 of the first."""
+    sp = make_space([1.0, 2.0, 1.0, 3.0])
+    part = make_partition(sp, [[0, 1], [2, 3]])
+    u = MeasurableFunction(sp, np.array([1.0, 1.0, 1e-3, 1e-3], dtype=complex))
+    w = MeasurableFunction.constant(sp, 1.0)
+    return InstanceBundle(make_instance(part, u, w))
+
+
+def test_support_tol_reaches_closed_forms(tmp_path):
+    bundle = faint_block_bundle()
+    default = CheckContext(bundle, Tolerances())
+    coarse = CheckContext(bundle, Tolerances(support_tol=1e-5))
+    assert default.instance.s_mask.tolist() == [True] * 4
+    assert coarse.instance.s_mask.tolist() == [True, True, False, False]
+    assert coarse.digest == default.digest
+
+    inst_file = tmp_path / "faint.json"
+    inst_file.write_text(serialize_instance(bundle))
+    assert main(["verify", str(inst_file), "--checks", "polar"]) == 0
+    report_file = tmp_path / "report.json"
+    assert main(["verify", str(inst_file), "--checks", "polar",
+                 "--support-tol", "1e-5", "--report", str(report_file)]) == 1
+    status = {r["name"]: r["status"] for r in json.loads(report_file.read_text())["records"]}
+    assert status["polar_abs"] == "fail"

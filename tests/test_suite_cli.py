@@ -120,6 +120,26 @@ class TestCli:
         assert main(["verify", str(bad)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
 
+    def test_verify_overflowing_instance_fails_its_groups(self, tmp_path, capsys):
+        # Valid input whose operator entries overflow: the groups that
+        # build the operator fail on this instance, the rest still run.
+        big = [[1e200, 0.0], [2e200, 0.0], [-1e200, 1e200], [3e200, 0.0]]
+        doc = {"weights": [1.0, 2.0, 0.5, 1.5], "partition": [[0, 1], [2, 3]],
+               "u": big, "w": big}
+        inst_file = tmp_path / "overflow.json"
+        inst_file.write_text(json.dumps(doc))
+        report_file = tmp_path / "report.json"
+        assert main(["verify", str(inst_file), "--report", str(report_file)]) == 1
+        records = json.loads(report_file.read_text())["records"]
+        status = {r["name"]: r["status"] for r in records}
+        assert set(status) == {n for names in GROUP_RECORD_NAMES.values() for n in names}
+        assert all(status[n] == "pass" for n in GROUP_RECORD_NAMES["condexp"])
+        broken = [r for r in records if r["residual"] is None and r["status"] == "fail"]
+        assert {r["name"] for r in broken} >= set(GROUP_RECORD_NAMES["norm"])
+        assert all("raised ValueError: operator entries must be finite" in r["reason"]
+                   for r in broken)
+        assert "operator entries must be finite" in capsys.readouterr().out
+
     def test_verify_unknown_check_exits_2(self, tmp_path, capsys):
         inst_file = tmp_path / "inst.json"
         main(["gen", "--seed", "5", "-o", str(inst_file)])
