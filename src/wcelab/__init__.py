@@ -11,7 +11,7 @@ induced by point maps.
 """
 
 from .checks import CHECK_GROUPS, CheckRecord, Tolerances
-from .condexp import CondExp, cond_exp, cond_exp_operator, cond_exp_values
+from .condexp import cond_exp_operator, cond_exp_values
 from .errors import (
     ConfigInvalidError,
     EmptySpaceError,
@@ -55,7 +55,6 @@ from .opalgebra import (
     func_calc_oracle,
     hermitian_eig,
     kernel_projection,
-    normal_func_calc_oracle,
     op_deviation,
     op_deviations,
     operator_norm,
@@ -71,13 +70,11 @@ from .spectral import (
     avg_mult_operator,
     avg_mult_spectrum,
     check_spectral_axioms,
-    cont_func_calc,
     fiber_partition,
     is_normal_avg_mult,
     pushforward_density,
     reconstruct_from_measure,
     spectral_decomposition,
-    spectral_measure,
 )
 from .suite import VerificationReport, run_suite
 from .wce import (
@@ -92,7 +89,6 @@ from .wce import (
     make_instance,
     norm_formula,
     partial_isometry_criterion,
-    w_algebra_norm,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -120,7 +120,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    tols = Tolerances.scaled(args.tol, args.support_tol)
+    tols = Tolerances(args.tol, args.support_tol)
     start = time.perf_counter()
     report = run_suite(bundles, groups, tols)
     return _emit(report, args.report, time.perf_counter() - start)
@@ -135,7 +135,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     bundles = [gen_instance(rotation_config(s, with_point_map=args.full))
                for s in seeds]
     groups = FULL_GROUPS if args.full else BASIC_GROUPS
-    tols = Tolerances.scaled(args.tol, args.support_tol)
+    tols = Tolerances(args.tol, args.support_tol)
     start = time.perf_counter()
     report = run_suite(bundles, groups, tols)
     return _emit(report, args.report, time.perf_counter() - start)

@@ -27,8 +27,6 @@ from .errors import (
 # support detection has to be robust against rounding.
 DEFAULT_SUPPORT_TOL = 1e-10
 
-IndexSet = frozenset
-
 
 @dataclass(frozen=True, eq=False)
 class FiniteMeasureSpace:

@@ -21,12 +21,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    NotNormalError,
-    NotPositiveError,
-    NotSelfAdjointError,
-    SpaceMismatchError,
-)
+from .errors import NotPositiveError, NotSelfAdjointError, SpaceMismatchError
 from .measure import FiniteMeasureSpace, MeasurableFunction
 
 # Relative singular-value cutoff deciding numerical kernels.
@@ -187,113 +182,84 @@ class EigenSystem:
         fvals = np.asarray([f(float(v)) for v in self.values], dtype=complex)
         return WeightedOperator(self.space, self.calc_stack(fvals[None])[0])
 
-    def sqrt(self, clamp_tol: float = CLAMP_TOL) -> WeightedOperator:
+    def sqrt(self) -> WeightedOperator:
         """Positive square root; see positive_sqrt."""
         vals = self.values
         scale = self.scale
-        if float(vals.min()) < -clamp_tol * scale:
+        if float(vals.min()) < -CLAMP_TOL * scale:
             raise NotPositiveError(
-                f"minimum eigenvalue {vals.min():.3e} below -{clamp_tol:.1e} * norm"
+                f"minimum eigenvalue {vals.min():.3e} below -{CLAMP_TOL:.1e} * norm"
             )
-        snapped = np.where(vals <= clamp_tol * scale, 0.0, vals)
+        snapped = np.where(vals <= CLAMP_TOL * scale, 0.0, vals)
         return WeightedOperator(self.space, self.calc_stack(np.sqrt(snapped)[None])[0])
 
 
-def hermitian_eig(a: WeightedOperator, sym_tol: float = SELF_ADJOINT_TOL) -> EigenSystem:
+def hermitian_eig(a: WeightedOperator) -> EigenSystem:
     """Full spectrum and eigenbasis of a self-adjoint operator; the one
     eigendecomposition path of the oracles.
 
-    Rejects operators whose weighted asymmetry exceeds sym_tol * ||a||
-    with NotSelfAdjointError; the accepted asymmetry is folded away by
+    Rejects operators whose weighted asymmetry exceeds SELF_ADJOINT_TOL *
+    ||a|| with NotSelfAdjointError; the accepted asymmetry is folded away by
     symmetrizing the conjugated matrix before factorization.
     """
     h = to_euclidean(a)
     hh = h.conj().T
     dev, norm = np.linalg.norm(np.stack((h - hh, h)), 2, axis=(1, 2))
-    if dev > sym_tol * norm:
+    if dev > SELF_ADJOINT_TOL * norm:
         raise NotSelfAdjointError(
-            f"asymmetry {dev:.3e} exceeds {sym_tol:.1e} * norm"
+            f"asymmetry {dev:.3e} exceeds {SELF_ADJOINT_TOL:.1e} * norm"
         )
     vals, vecs = scipy.linalg.eigh(0.5 * (h + hh))
     return EigenSystem(a.space, vals, vecs)
 
 
-def positive_sqrt(
-    a: WeightedOperator,
-    clamp_tol: float = CLAMP_TOL,
-    sym_tol: float = SELF_ADJOINT_TOL,
-) -> WeightedOperator:
+def positive_sqrt(a: WeightedOperator) -> WeightedOperator:
     """Positive square root of a positive self-adjoint operator.
 
-    Eigenvalues below -clamp_tol * ||a|| raise NotPositiveError; values
-    within clamp_tol * ||a|| of zero are treated as exact kernel, so the
+    Eigenvalues below -CLAMP_TOL * ||a|| raise NotPositiveError; values
+    within CLAMP_TOL * ||a|| of zero are treated as exact kernel, so the
     root of a singular operator has a clean kernel instead of spurious
     sqrt(rounding) eigenvalues.
     """
-    return hermitian_eig(a, sym_tol).sqrt(clamp_tol)
+    return hermitian_eig(a).sqrt()
 
 
 def func_calc_oracle(
-    a: WeightedOperator,
-    f: Callable[[float], complex],
-    sym_tol: float = SELF_ADJOINT_TOL,
+    a: WeightedOperator, f: Callable[[float], complex]
 ) -> WeightedOperator:
     """Continuous functional calculus of a self-adjoint operator by full
     eigendecomposition: sum_k f(lambda_k) v_k <v_k, .>."""
-    return hermitian_eig(a, sym_tol).apply(f)
+    return hermitian_eig(a).apply(f)
 
 
-def polar_oracle(
-    a: WeightedOperator, rank_tol: float = RANK_TOL
-) -> tuple[WeightedOperator, WeightedOperator]:
+def polar_oracle(a: WeightedOperator) -> tuple[WeightedOperator, WeightedOperator]:
     """Polar decomposition a = U P via SVD in the conjugated frame.
 
     P is the positive factor (A* A)^(1/2); U is the partial isometry that
     agrees with A P^+ on the orthogonal complement of ker P and vanishes
     on ker P, so ker U = ker P = ker A. Singular values at or below
-    rank_tol * sigma_max count as kernel.
+    RANK_TOL * sigma_max count as kernel.
     """
     e = to_euclidean(a)
     left, sig, right_h = np.linalg.svd(e)
     smax = float(sig.max()) if sig.size else 0.0
-    keep = sig > rank_tol * smax if smax > 0.0 else np.zeros_like(sig, dtype=bool)
+    keep = sig > RANK_TOL * smax if smax > 0.0 else np.zeros_like(sig, dtype=bool)
     u_eu = left[:, keep] @ right_h[keep, :]
     p_eu = (right_h.conj().T * np.where(keep, sig, 0.0)[None, :]) @ right_h
     return from_euclidean(a.space, u_eu), from_euclidean(a.space, p_eu)
 
 
-def kernel_projection(a: WeightedOperator, rank_tol: float = RANK_TOL) -> WeightedOperator:
+def kernel_projection(a: WeightedOperator) -> WeightedOperator:
     """Orthogonal projection onto the numerical kernel of a.
 
     The kernel is spanned by the right singular vectors whose singular
-    values are at most rank_tol * sigma_max; the zero operator maps to
+    values are at most RANK_TOL * sigma_max; the zero operator maps to
     the identity.
     """
     e = to_euclidean(a)
     _, sig, right_h = np.linalg.svd(e)
     smax = float(sig.max()) if sig.size else 0.0
-    null = sig <= rank_tol * smax if smax > 0.0 else np.ones_like(sig, dtype=bool)
+    null = sig <= RANK_TOL * smax if smax > 0.0 else np.ones_like(sig, dtype=bool)
     v0 = right_h[null, :].conj().T
     return from_euclidean(a.space, v0 @ v0.conj().T)
 
-
-def normal_func_calc_oracle(
-    a: WeightedOperator,
-    f: Callable[[complex], complex],
-    normal_tol: float = SELF_ADJOINT_TOL,
-) -> WeightedOperator:
-    """Functional calculus of a normal operator via complex Schur form.
-
-    For a normal matrix the Schur factor is diagonal up to rounding; f is
-    applied to the diagonal and the strictly triangular residue dropped.
-    Raises NotNormalError when the commutator [A, A*] is not negligible.
-    """
-    e = to_euclidean(a)
-    comm = e @ e.conj().T - e.conj().T @ e
-    scale = 1.0 + float(np.linalg.norm(e, 2)) ** 2
-    if float(np.linalg.norm(comm, 2)) > normal_tol * scale:
-        raise NotNormalError("operator is not normal within tolerance")
-    tri, q = scipy.linalg.schur(e, output="complex")
-    fdiag = np.asarray([f(complex(z)) for z in np.diag(tri)], dtype=complex)
-    m = (q * fdiag[None, :]) @ q.conj().T
-    return from_euclidean(a.space, m)

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
-from .condexp import CondExp, cond_exp_operator
+from .condexp import cond_exp_operator
 from .errors import NotFiberMeasurableError, NotNormalError, SpaceMismatchError
 from .measure import (
     DEFAULT_SUPPORT_TOL,
@@ -96,7 +96,7 @@ def avg_mult_operator(u: MeasurableFunction, partition: Partition) -> WeightedOp
     """Matrix of f -> E(u f)."""
     if u.space != partition.space:
         raise SpaceMismatchError("symbol and partition live on different spaces")
-    e = cond_exp_operator(CondExp(partition))
+    e = cond_exp_operator(partition)
     return WeightedOperator(partition.space, e.matrix * u.values[None, :])
 
 
@@ -108,17 +108,18 @@ def is_normal_avg_mult(
 
 
 def _eigenvalue_groups(
-    u: MeasurableFunction, partition: Partition, group_tol: float
+    u: MeasurableFunction, partition: Partition
 ) -> tuple[list[complex], np.ndarray]:
     """Group the block means of u into the distinct eigenvalues of E M_u.
 
     Representatives are 0 followed by block means in block order; a
-    mean joins the first representative within group_tol * (1 + max
-    |block mean|) and otherwise becomes a new representative. Returns the
-    representatives (0 first) and the group index of every block.
+    mean joins the first representative within EIGENVALUE_GROUP_TOL *
+    (1 + max |block mean|) and otherwise becomes a new representative.
+    Returns the representatives (0 first) and the group index of every
+    block.
     """
     means = partition.block_means(u.values)
-    tol = group_tol * (1.0 + float(np.abs(means).max(initial=0.0)))
+    tol = EIGENVALUE_GROUP_TOL * (1.0 + float(np.abs(means).max(initial=0.0)))
     reps = [0j]
     group = np.where(np.abs(means) <= tol, 0, -1)
     while (free := np.flatnonzero(group < 0)).size:
@@ -132,11 +133,7 @@ def _by_value(z: complex) -> tuple[float, float]:
     return (z.real, z.imag)
 
 
-def avg_mult_spectrum(
-    u: MeasurableFunction,
-    partition: Partition,
-    group_tol: float = EIGENVALUE_GROUP_TOL,
-) -> tuple[complex, ...]:
+def avg_mult_spectrum(u: MeasurableFunction, partition: Partition) -> tuple[complex, ...]:
     """Spectrum of f -> E(u f): the block means of u together with 0.
 
     0 is always adjoined; when the partition is all singletons and u
@@ -146,35 +143,12 @@ def avg_mult_spectrum(
     _eigenvalue_groups, the same rule spectral_decomposition uses: each
     eigenvalue is the first block mean (or 0) of its group.
     """
-    reps, _ = _eigenvalue_groups(u, partition, group_tol)
+    reps, _ = _eigenvalue_groups(u, partition)
     return tuple(sorted(reps, key=_by_value))
 
 
-def cont_func_calc(
-    u: MeasurableFunction,
-    partition: Partition,
-    f: Callable[[complex], complex],
-    tol: float = DEFAULT_SUPPORT_TOL,
-) -> WeightedOperator:
-    """Continuous calculus f(A) = M_{f o u} E for the normal operator
-    A: f -> E(u f).
-
-    A constant term in f acts through the averaging projection, not the
-    identity; comparisons against the eigenvalue-based calculus need
-    f(0) = 0 unless the partition is all singletons.
-    """
-    if not is_normal_avg_mult(u, partition, tol):
-        raise NotNormalError("symbol must be blockwise constant")
-    fu = np.asarray([f(complex(z)) for z in u.values], dtype=complex)
-    e = cond_exp_operator(CondExp(partition))
-    return WeightedOperator(partition.space, fu[:, None] * e.matrix)
-
-
 def spectral_decomposition(
-    u: MeasurableFunction,
-    partition: Partition,
-    group_tol: float = EIGENVALUE_GROUP_TOL,
-    tol: float = DEFAULT_SUPPORT_TOL,
+    u: MeasurableFunction, partition: Partition, tol: float = DEFAULT_SUPPORT_TOL
 ) -> SpectralDecomp:
     """Diagonalize the normal operator f -> E(u f) over its level sets.
 
@@ -186,8 +160,8 @@ def spectral_decomposition(
     if not is_normal_avg_mult(u, partition, tol):
         raise NotNormalError("symbol must be blockwise constant")
     space = partition.space
-    e_matrix = cond_exp_operator(CondExp(partition)).matrix
-    reps, group = _eigenvalue_groups(u, partition, group_tol)
+    e_matrix = cond_exp_operator(partition).matrix
+    reps, group = _eigenvalue_groups(u, partition)
     point_group = group[partition.block_of]
 
     eigenvalues: list[complex] = []
@@ -211,10 +185,6 @@ def fiber_partition(phi: PointMap) -> Partition:
     return Partition(phi.space, tuple(fiber for _, fiber in phi.fibers))
 
 
-def fiber_cond_exp(phi: PointMap) -> CondExp:
-    return CondExp(fiber_partition(phi))
-
-
 def pushforward_density(phi: PointMap) -> MeasurableFunction:
     """Density of the pushforward measure: h(x) = mu(preimage of x) / mu(x)."""
     w = phi.space.weights
@@ -234,15 +204,12 @@ class SpectralMeasureTable:
     def __init__(self, phi: PointMap):
         self.phi = phi
         self.space = phi.space
-        self._e_matrix = cond_exp_operator(fiber_cond_exp(phi)).matrix
+        self._e_matrix = cond_exp_operator(fiber_partition(phi)).matrix
         self._images = np.asarray(phi.images, dtype=np.intp)
 
     def measure_of(self, members: Iterable[int]) -> WeightedOperator:
         mask = np.isin(self._images, np.fromiter(members, dtype=np.intp, count=-1))
         return WeightedOperator(self.space, self._e_matrix * mask[None, :])
-
-    def singleton(self, s: int) -> WeightedOperator:
-        return self.measure_of((s,))
 
     def values(self, sets: np.ndarray) -> np.ndarray:
         """Stacked matrices of measure(S), one per row of a (k, n)
@@ -254,11 +221,6 @@ def _masked_columns(matrix: np.ndarray, point_masks: np.ndarray) -> np.ndarray:
     """One copy of matrix per row of the (k, n) point_masks, keeping only
     the columns the row selects: matrix @ M_{chi_row}, stacked."""
     return matrix[None] * point_masks[:, None, :]
-
-
-def spectral_measure(phi: PointMap, members: Iterable[int]) -> WeightedOperator:
-    """The operator E_phi M_{chi_preimage(members)}."""
-    return SpectralMeasureTable(phi).measure_of(members)
 
 
 @dataclass(frozen=True)
@@ -278,17 +240,6 @@ class SpectralAxiomReport:
     full_residual: float
     intersection_residual: float
     additivity_residual: float
-
-    def passes(self, tol: float, include_full: bool = True) -> bool:
-        residuals = [
-            self.projection_residual,
-            self.empty_residual,
-            self.intersection_residual,
-            self.additivity_residual,
-        ]
-        if include_full:
-            residuals.append(self.full_residual)
-        return max(residuals) <= tol
 
 
 def _fiber_basis(phi: PointMap) -> np.ndarray:

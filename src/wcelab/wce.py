@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .condexp import CondExp, cond_exp_operator, cond_exp_values
+from .condexp import cond_exp_operator, cond_exp_values
 from .errors import SpaceMismatchError
 from .measure import (
     DEFAULT_SUPPORT_TOL,
@@ -49,23 +49,19 @@ class WceInstance:
         return self.partition.space
 
     @cached_property
-    def expectation(self) -> CondExp:
-        return CondExp(self.partition)
-
-    @cached_property
     def eu2(self) -> np.ndarray:
         """E(|u|^2), blockwise constant, nonnegative."""
-        return cond_exp_values(self.expectation, np.abs(self.u.values) ** 2)
+        return cond_exp_values(self.partition, np.abs(self.u.values) ** 2)
 
     @cached_property
     def ew2(self) -> np.ndarray:
         """E(|w|^2), blockwise constant, nonnegative."""
-        return cond_exp_values(self.expectation, np.abs(self.w.values) ** 2)
+        return cond_exp_values(self.partition, np.abs(self.w.values) ** 2)
 
     @cached_property
     def euw(self) -> np.ndarray:
         """E(u w), blockwise constant, complex."""
-        return cond_exp_values(self.expectation, self.u.values * self.w.values)
+        return cond_exp_values(self.partition, self.u.values * self.w.values)
 
     def _block_support_mask(self, aggregate: np.ndarray) -> np.ndarray:
         """Points where the nonnegative aggregate exceeds support_tol times
@@ -86,18 +82,6 @@ class WceInstance:
     @cached_property
     def sg_mask(self) -> np.ndarray:
         return self.s_mask & self.g_mask
-
-    @cached_property
-    def s_set(self) -> frozenset:
-        return frozenset(int(i) for i in np.flatnonzero(self.s_mask))
-
-    @cached_property
-    def g_set(self) -> frozenset:
-        return frozenset(int(i) for i in np.flatnonzero(self.g_mask))
-
-    @cached_property
-    def sg_set(self) -> frozenset:
-        return frozenset(int(i) for i in np.flatnonzero(self.sg_mask))
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,7 +113,7 @@ def _sandwich(
     inst: WceInstance, left: np.ndarray, right: np.ndarray
 ) -> WeightedOperator:
     """Matrix of diag(left) @ E @ diag(right)."""
-    e = cond_exp_operator(inst.expectation)
+    e = cond_exp_operator(inst.partition)
     return WeightedOperator(inst.space, left[:, None] * e.matrix * right[None, :])
 
 
@@ -149,17 +133,19 @@ def norm_formula(inst: WceInstance) -> float:
 
 def partial_isometry_criterion(
     inst: WceInstance, tol: float = 1e-8
-) -> tuple[bool, frozenset]:
+) -> tuple[bool, np.ndarray]:
     """Whether E(|w|^2) E(|u|^2) is an indicator function, and of which set.
 
-    Returns (is_pi, A) with A the support of the product. is_pi is True
-    iff every value of the product is within tol * (1 + max) of 0 or 1,
-    which happens exactly when the operator is a partial isometry.
+    Returns (is_pi, A) with A the boolean mask of the points where the
+    product is within tol * (1 + max) of 1. is_pi is True iff every value
+    of the product is within that distance of 0 or 1, which happens
+    exactly when the operator is a partial isometry; the indicator set A
+    must then be S and G.
     """
     p = inst.ew2 * inst.eu2
-    deviation = float(np.minimum(np.abs(p), np.abs(p - 1.0)).max())
-    is_pi = deviation <= tol * (1.0 + float(p.max(initial=0.0)))
-    return is_pi, inst.sg_set
+    bound = tol * (1.0 + float(p.max(initial=0.0)))
+    near_one = np.abs(p - 1.0) <= bound
+    return bool(np.all(near_one | (np.abs(p) <= bound))), near_one
 
 
 def closed_func_calc_gram(
@@ -234,10 +220,3 @@ def closed_aluthge(inst: WceInstance) -> WeightedOperator:
     coef = inst.euw * _masked_recip(inst.eu2, inst.s_mask)
     return _sandwich(inst, coef * np.conj(inst.u.values), inst.u.values)
 
-
-def w_algebra_norm(u: MeasurableFunction, partition: Partition) -> float:
-    """Norm max_x sqrt(E(|u|^2))(x) of the algebra of symbols with bounded
-    quadratic block aggregate."""
-    e = CondExp(partition)
-    agg = cond_exp_values(e, np.abs(u.values) ** 2)
-    return float(np.sqrt(agg.max()))

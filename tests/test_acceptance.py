@@ -151,7 +151,7 @@ def test_criterion_5_partial_isometry():
         inst = gen_instance(cfg).instance
         is_pi, members = partial_isometry_criterion(inst)
         assert is_pi
-        assert members == (inst.s_set & inst.g_set)
+        np.testing.assert_array_equal(members, inst.s_mask & inst.g_mask)
         t = build_operator(inst)
         residual = operator_norm(t @ weighted_adjoint(t) @ t - t)
         assert residual <= 1e-8 * max(1.0, operator_norm(t))
@@ -259,10 +259,13 @@ def test_criterion_8_spectral_measure():
         phi = random_point_map(space, seed)
 
         ambient = check_spectral_axioms(phi, on_subspace=False, seed=seed)
-        assert ambient.passes(1e-9, include_full=False)
-        assert ambient.empty_residual <= 1e-9
         compressed = check_spectral_axioms(phi, on_subspace=True, seed=seed)
-        assert compressed.passes(1e-9)
+        for report in (ambient, compressed):
+            assert max(report.projection_residual, report.empty_residual,
+                       report.intersection_residual, report.additivity_residual) <= 1e-9
+        # The identity axiom holds only on the fiber subspace when the
+        # point map is not injective.
+        assert compressed.full_residual <= 1e-9
 
         fp = fiber_partition(phi)
         rng = np.random.default_rng(seed)

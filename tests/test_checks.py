@@ -1,5 +1,6 @@
-"""Per-instance factorization caching in CheckContext, and the run's
-support tolerance reaching the closed forms."""
+"""Per-instance factorization caching in CheckContext, the run's support
+tolerance reaching the closed forms and the spectral decomposition, and
+the indicator-set test of the partial-isometry check."""
 
 import json
 
@@ -14,6 +15,7 @@ from wcelab.checks import (
     calculus_test_functions,
     check_aluthge,
     check_func_calc,
+    check_partial_isometry,
     check_polar,
 )
 from wcelab.cli import main
@@ -73,7 +75,7 @@ def test_func_calc_matches_per_function_reference():
 
 
 def test_one_factorization_per_operator(monkeypatch):
-    counts = {"eigh": 0, "polar": 0}
+    counts = {"eigh": 0, "polar": 0, "kernel": 0}
 
     def counting(key, fn):
         def wrapped(*args, **kwargs):
@@ -83,12 +85,16 @@ def test_one_factorization_per_operator(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "eigh", counting("eigh", scipy.linalg.eigh))
     monkeypatch.setattr(checks, "polar_oracle", counting("polar", checks.polar_oracle))
+    monkeypatch.setattr(checks, "kernel_projection",
+                        counting("kernel", checks.kernel_projection))
     bundle = gen_instance(GeneratorConfig(seed=11, n=16, block_count=4))
     ctx = CheckContext(bundle, Tolerances())
     for group in (check_func_calc, check_polar, check_aluthge):
         assert all(r.status == "pass" for r in group(ctx))
     assert counts["eigh"] <= 3
     assert counts["polar"] == 1
+    # Closed U and closed |T| only; ker T comes from the cached SVD.
+    assert counts["kernel"] == 2
 
 
 def test_func_calc_catches_one_perturbed_function(monkeypatch):
@@ -130,3 +136,52 @@ def test_support_tol_reaches_closed_forms(tmp_path):
                  "--support-tol", "1e-5", "--report", str(report_file)]) == 1
     status = {r["name"]: r["status"] for r in json.loads(report_file.read_text())["records"]}
     assert status["polar_abs"] == "fail"
+
+
+def test_partial_isometry_indicator_set_must_be_s_and_g():
+    # E(|u|^2) = (1, 1, 1e-11, 1e-11) puts S on the first block and
+    # E(|w|^2) = (1, 1, 1e11, 1e11) puts G on the second, yet the
+    # product is 1 everywhere: an indicator, but of the whole space, not
+    # of S and G = {}.
+    sp = make_space([1.0] * 4)
+    part = make_partition(sp, [[0, 1], [2, 3]])
+    small, large = np.sqrt(1e-11), np.sqrt(1e11)
+    u = MeasurableFunction(sp, [1.0, 1.0, small, small])
+    w = MeasurableFunction(sp, [1.0, 1.0, large, large])
+    ctx = CheckContext(InstanceBundle(make_instance(part, u, w)), Tolerances())
+    assert ctx.instance.s_mask.tolist() == [True, True, False, False]
+    assert ctx.instance.g_mask.tolist() == [False, False, True, True]
+    [record] = check_partial_isometry(ctx)
+    assert record.bound == "upper"
+    assert record.status == "fail"
+
+
+def near_normal_instance_file(tmp_path):
+    """u is blockwise constant up to a 1e-7 relative step in its first
+    block: normal at support_tol 1e-5, not at the default 1e-10."""
+    sp = make_space([1.0, 2.0, 0.5, 1.5])
+    part = make_partition(sp, [[0, 1], [2, 3]])
+    u = MeasurableFunction(sp, [2.0, 2.0000002, -1 + 0.5j, -1 + 0.5j])
+    w = MeasurableFunction(sp, [1.0, 0.5, 1 + 1j, 2.0])
+    path = tmp_path / "near_normal.json"
+    path.write_text(serialize_instance(InstanceBundle(make_instance(part, u, w))))
+    return path
+
+
+@pytest.mark.parametrize("support_tol", [None, "1e-5"])
+def test_spectral_decomp_uses_run_support_tol(tmp_path, support_tol):
+    inst_file = near_normal_instance_file(tmp_path)
+    report_file = tmp_path / "report.json"
+    args = ["verify", str(inst_file), "--checks", "normality,spectral_decomp",
+            "--report", str(report_file)]
+    if support_tol is not None:
+        args += ["--support-tol", support_tol]
+    main(args)
+    records = [r for r in json.loads(report_file.read_text())["records"]
+               if r["name"].startswith("sd_")]
+    assert len(records) == 5
+    if support_tol is None:
+        assert all(r["status"] == "skip" for r in records)
+    else:
+        # Measured, not a breakdown; pass or fail is not pinned here.
+        assert all(r["residual"] is not None and "reason" not in r for r in records)

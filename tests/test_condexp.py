@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from wcelab.condexp import CondExp, cond_exp, cond_exp_operator, cond_exp_values
-from wcelab.errors import SpaceMismatchError
+from wcelab.condexp import cond_exp_operator, cond_exp_values
 from wcelab.measure import (
     MeasurableFunction,
     coarsest_partition,
@@ -21,28 +20,24 @@ class TestCondExp:
         # One block, mu = (1, 3), f = (4, 0): the constant c with
         # 4*1 + 0*3 = c*4 is c = 1.
         sp = make_space([1.0, 3.0])
-        e = CondExp(coarsest_partition(sp))
-        g = cond_exp(e, MeasurableFunction(sp, [4, 0]))
-        np.testing.assert_allclose(g.values, [1, 1])
+        g = cond_exp_values(coarsest_partition(sp), np.array([4.0, 0.0]))
+        np.testing.assert_allclose(g, [1, 1])
 
     def test_finest_is_identity(self, rng):
         sp = make_space([1.0, 2.0, 3.0])
-        e = CondExp(finest_partition(sp))
-        f = MeasurableFunction(sp, random_complex(rng, 3))
-        np.testing.assert_allclose(cond_exp(e, f).values, f.values)
+        f = random_complex(rng, 3)
+        np.testing.assert_allclose(cond_exp_values(finest_partition(sp), f), f)
 
     def test_preserves_constants(self):
         sp = make_space([2.0, 1.0, 5.0])
-        e = CondExp(coarsest_partition(sp))
-        one = MeasurableFunction.constant(sp, 1.0)
-        np.testing.assert_allclose(cond_exp(e, one).values, one.values)
+        one = np.ones(sp.n)
+        np.testing.assert_allclose(cond_exp_values(coarsest_partition(sp), one), one)
 
     def test_block_integrals_match(self, rng):
         sp = make_space([1.0, 2.0, 0.5, 3.0])
         p = make_partition(sp, [[0, 2], [1, 3]])
-        e = CondExp(p)
         f = random_complex(rng, 4)
-        ef = cond_exp_values(e, f)
+        ef = cond_exp_values(p, f)
         for b in p.blocks:
             idx = list(b)
             assert np.isclose(
@@ -50,50 +45,43 @@ class TestCondExp:
                 np.sum(ef[idx] * sp.weights[idx]),
             )
 
-    def test_space_mismatch(self):
-        e = CondExp(coarsest_partition(make_space([1.0, 1.0])))
-        f = MeasurableFunction(make_space([2.0, 2.0]), [1, 2])
-        with pytest.raises(SpaceMismatchError):
-            cond_exp(e, f)
-
 
 class TestCondExpOperator:
     def test_uniform_two_points(self):
         sp = make_space([1.0, 1.0])
-        m = cond_exp_operator(CondExp(coarsest_partition(sp)))
+        m = cond_exp_operator(coarsest_partition(sp))
         np.testing.assert_allclose(m.matrix, np.full((2, 2), 0.5))
 
     def test_finest_identity(self):
         sp = make_space([1.0, 3.0, 2.0])
-        m = cond_exp_operator(CondExp(finest_partition(sp)))
+        m = cond_exp_operator(finest_partition(sp))
         np.testing.assert_allclose(m.matrix, np.eye(3))
 
     def test_weighted_rows(self):
         # mu = (1, 3), one block: every row is (1/4, 3/4).
         sp = make_space([1.0, 3.0])
-        m = cond_exp_operator(CondExp(coarsest_partition(sp)))
+        m = cond_exp_operator(coarsest_partition(sp))
         np.testing.assert_allclose(m.matrix, [[0.25, 0.75], [0.25, 0.75]])
 
     def test_matrix_matches_cond_exp_on_basis(self, rng):
         sp = make_space([1.0, 2.0, 0.5, 4.0])
         p = make_partition(sp, [[0, 3], [1], [2]])
-        e = CondExp(p)
-        m = cond_exp_operator(e)
+        m = cond_exp_operator(p)
         for i in range(sp.n):
             basis = np.zeros(sp.n, dtype=complex)
             basis[i] = 1.0
-            np.testing.assert_allclose(m.apply(basis), cond_exp_values(e, basis),
+            np.testing.assert_allclose(m.apply(basis), cond_exp_values(p, basis),
                                        atol=1e-15)
 
     def test_weighted_self_adjoint(self):
         sp = make_space([1.0, 3.0, 2.0, 0.7])
         p = make_partition(sp, [[0, 1, 3], [2]])
-        m = cond_exp_operator(CondExp(p))
+        m = cond_exp_operator(p)
         assert op_deviation(weighted_adjoint(m), m) < 1e-15
 
     def test_idempotent_matrix(self):
         sp = make_space([1.0, 3.0, 2.0])
-        m = cond_exp_operator(CondExp(coarsest_partition(sp)))
+        m = cond_exp_operator(coarsest_partition(sp))
         assert op_deviation(m @ m, m) < 1e-15
 
 
@@ -125,7 +113,7 @@ def test_block_means_match_loop_reference(kind):
         ref = loop_block_means(partition, f)
         means = partition.block_means(f)
         np.testing.assert_allclose(means, ref, rtol=1e-13, atol=1e-15)
-        ef = cond_exp_values(CondExp(partition), f)
+        ef = cond_exp_values(partition, f)
         for k, b in enumerate(partition.blocks):
             np.testing.assert_allclose(ef[list(b)], ref[k], rtol=1e-13, atol=1e-15)
         assert np.iscomplexobj(means) == np.iscomplexobj(ef) == (kind == "complex")
@@ -142,7 +130,7 @@ def test_real_input_stays_real():
         zeroed = partition.block_of == 0 if partition.block_count > 1 else False
         u = MeasurableFunction(sp, np.where(zeroed, 0.0, random_complex(rng, sp.n)))
         f = np.abs(u.values) ** 2
-        assert cond_exp_values(CondExp(partition), f).dtype == np.float64
+        assert cond_exp_values(partition, f).dtype == np.float64
         inst = make_instance(partition, u, u)
         assert inst.eu2.dtype == np.float64
         ref = loop_block_means(partition, f)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wcelab.condexp import CondExp, cond_exp_operator
+from wcelab.condexp import cond_exp_operator
 from wcelab.generator import GeneratorConfig, gen_instance
 from wcelab.measure import (
     MeasurableFunction,
@@ -31,7 +31,6 @@ from wcelab.wce import (
     make_instance,
     norm_formula,
     partial_isometry_criterion,
-    w_algebra_norm,
 )
 
 from conftest import random_complex
@@ -64,7 +63,7 @@ def random_instance(seed, **kwargs):
 class TestBuildOperator:
     def test_unit_symbols_give_projection(self):
         inst = ones_instance([1.0, 2.0, 0.5], blocks=[[0, 2], [1]])
-        e = cond_exp_operator(CondExp(inst.partition))
+        e = cond_exp_operator(inst.partition)
         assert op_deviation(build_operator(inst), e) < 1e-15
 
     def test_finest_partition_is_multiplication(self, rng):
@@ -129,7 +128,7 @@ class TestPartialIsometry:
         inst = ones_instance([1.0, 2.0, 0.5])
         is_pi, members = partial_isometry_criterion(inst)
         assert is_pi
-        assert members == frozenset(range(3))
+        assert members.tolist() == [True] * 3
 
     def test_exact_unit_product(self):
         # mu = (1, 3), u = w = (2, 0): E(|u|^2) = E(|w|^2) = 1.
@@ -138,7 +137,7 @@ class TestPartialIsometry:
         inst = make_instance(coarsest_partition(sp), f, f)
         is_pi, members = partial_isometry_criterion(inst)
         assert is_pi
-        assert members == frozenset({0, 1})
+        assert members.tolist() == [True, True]
         t = build_operator(inst)
         residual = operator_norm(t @ weighted_adjoint(t) @ t - t)
         assert residual <= 1e-12
@@ -149,7 +148,8 @@ class TestPartialIsometry:
         inst = make_instance(coarsest_partition(sp), two, two)
         is_pi, members = partial_isometry_criterion(inst)
         assert not is_pi
-        assert members == frozenset(range(3))
+        # The product is 16 everywhere, nowhere near 1.
+        assert members.tolist() == [False] * 3
         t = build_operator(inst)
         assert operator_norm(t @ weighted_adjoint(t) @ t - t) > 1e-2
 
@@ -173,7 +173,7 @@ class TestClosedFuncCalc:
         closed = closed_func_calc_gram(inst, lambda t_: t_ * t_)
         assert op_deviation(closed, gram @ gram) < 1e-12
         # Power formula: conj(u) E(|w|^2)^2 E(|u|^2) E(u .)
-        e = cond_exp_operator(CondExp(inst.partition))
+        e = cond_exp_operator(inst.partition)
         coef = np.conj(inst.u.values) * inst.ew2**2 * inst.eu2
         direct = type(t)(inst.space, coef[:, None] * e.matrix * inst.u.values[None, :])
         assert op_deviation(closed, direct) < 1e-12
@@ -208,7 +208,7 @@ class TestClosedFuncCalc:
 class TestClosedPolar:
     def test_projection_polar(self):
         inst = ones_instance([1.0, 2.0, 0.5], blocks=[[0, 1], [2]])
-        e = cond_exp_operator(CondExp(inst.partition))
+        e = cond_exp_operator(inst.partition)
         parts = closed_polar(inst)
         assert op_deviation(parts.U, e) < 1e-13
         assert op_deviation(parts.absT, e) < 1e-13
@@ -252,7 +252,7 @@ class TestClosedPolar:
 class TestClosedAluthge:
     def test_projection_fixed_point(self):
         inst = ones_instance([1.0, 2.0, 0.5], blocks=[[0, 1], [2]])
-        e = cond_exp_operator(CondExp(inst.partition))
+        e = cond_exp_operator(inst.partition)
         assert op_deviation(closed_aluthge(inst), e) < 1e-13
 
     def test_example_matrix(self):
@@ -284,36 +284,3 @@ class TestClosedAluthge:
         v = closed_abs_sqrt(inst)
         assert op_deviation(v @ v, closed_polar(inst).absT) < 1e-8
 
-
-class TestWAlgebraNorm:
-    def test_unit(self):
-        sp = make_space([1.0, 2.0])
-        part = coarsest_partition(sp)
-        assert w_algebra_norm(MeasurableFunction.constant(sp, 1.0), part) == 1.0
-
-    def test_example(self):
-        sp = make_space([1.0, 3.0])
-        part = coarsest_partition(sp)
-        u = MeasurableFunction(sp, [2, 0])
-        assert w_algebra_norm(u, part) == pytest.approx(1.0)
-
-    def test_zero(self):
-        sp = make_space([1.0, 3.0])
-        part = coarsest_partition(sp)
-        assert w_algebra_norm(MeasurableFunction.constant(sp, 0.0), part) == 0.0
-
-    def test_norm_axioms(self, rng):
-        sp = make_space([1.0, 3.0, 0.5, 2.0, 1.5])
-        part = make_partition(sp, [[0, 2], [1, 3, 4]])
-        for _ in range(20):
-            u = MeasurableFunction(sp, random_complex(rng, 5))
-            v = MeasurableFunction(sp, random_complex(rng, 5))
-            c = complex(rng.normal(), rng.normal())
-            nu = w_algebra_norm(u, part)
-            nv = w_algebra_norm(v, part)
-            scaled = MeasurableFunction(sp, c * u.values)
-            assert w_algebra_norm(scaled, part) == pytest.approx(abs(c) * nu, rel=1e-12)
-            total = MeasurableFunction(sp, u.values + v.values)
-            assert w_algebra_norm(total, part) <= nu + nv + 1e-12
-            starred = MeasurableFunction(sp, np.conj(u.values))
-            assert w_algebra_norm(starred, part) == nu
