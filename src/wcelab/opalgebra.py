@@ -119,13 +119,16 @@ def operator_norm(a: WeightedOperator) -> float:
     return float(np.linalg.svd(e, compute_uv=False)[0])
 
 
-def op_deviations(space: FiniteMeasureSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def op_deviations(space: FiniteMeasureSpace, a: np.ndarray, b: np.ndarray,
+                  b_norms: np.ndarray | None = None) -> np.ndarray:
     """Slice-wise relative distance ||a_k - b_k|| / (1 + max(||a_k||, ||b_k||))
     of two (k, n, n) stacks of operator matrices, weighted norms.
 
     The differences and each side go through one batched spectral norm
-    apiece. Each stack is a fresh copy taken to the Euclidean frame in
-    place, so at most one extra (k, n, n) array is alive at a time.
+    apiece; a caller that already holds the norms of b passes them as
+    b_norms, and they are not taken again. Each stack is a fresh copy
+    taken to the Euclidean frame in place, so at most one extra (k, n, n)
+    array is alive at a time.
     """
     s = space.sqrt_weights
 
@@ -135,8 +138,9 @@ def op_deviations(space: FiniteMeasureSpace, a: np.ndarray, b: np.ndarray) -> np
         return np.linalg.norm(m, 2, axis=(1, 2))
 
     diff = norms(np.subtract(a, b, dtype=complex))
-    return diff / (1.0 + np.maximum(norms(np.array(a, dtype=complex)),
-                                    norms(np.array(b, dtype=complex))))
+    if b_norms is None:
+        b_norms = norms(np.array(b, dtype=complex))
+    return diff / (1.0 + np.maximum(norms(np.array(a, dtype=complex)), b_norms))
 
 
 def op_deviation(a: WeightedOperator, b: WeightedOperator) -> float:

@@ -50,13 +50,17 @@ class WceInstance:
 
     @cached_property
     def eu2(self) -> np.ndarray:
-        """E(|u|^2), blockwise constant, nonnegative."""
-        return cond_exp_values(self.partition, np.abs(self.u.values) ** 2)
+        """E(|u|^2), blockwise constant, nonnegative; inf where |u|^2
+        overflows."""
+        with np.errstate(over="ignore"):
+            return cond_exp_values(self.partition, np.abs(self.u.values) ** 2)
 
     @cached_property
     def ew2(self) -> np.ndarray:
-        """E(|w|^2), blockwise constant, nonnegative."""
-        return cond_exp_values(self.partition, np.abs(self.w.values) ** 2)
+        """E(|w|^2), blockwise constant, nonnegative; inf where |w|^2
+        overflows."""
+        with np.errstate(over="ignore"):
+            return cond_exp_values(self.partition, np.abs(self.w.values) ** 2)
 
     @cached_property
     def euw(self) -> np.ndarray:

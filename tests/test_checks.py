@@ -15,8 +15,10 @@ from wcelab.checks import (
     calculus_test_functions,
     check_aluthge,
     check_func_calc,
+    check_norm,
     check_partial_isometry,
     check_polar,
+    check_vanishing,
 )
 from wcelab.cli import main
 from wcelab.generator import GeneratorConfig, gen_instance
@@ -95,6 +97,39 @@ def test_one_factorization_per_operator(monkeypatch):
     assert counts["polar"] == 1
     # Closed U and closed |T| only; ker T comes from the cached SVD.
     assert counts["kernel"] == 2
+
+
+def test_norms_already_held_are_not_taken_again(monkeypatch):
+    bundle = gen_instance(GeneratorConfig(seed=11, n=16, block_count=4))
+    ctx = CheckContext(bundle, Tolerances())
+    t_norms = []
+    original = checks.operator_norm
+
+    def counting(a):
+        if a is ctx.t:
+            t_norms.append(a)
+        return original(a)
+
+    monkeypatch.setattr(checks, "operator_norm", counting)
+    for group in (check_norm, check_vanishing, check_partial_isometry):
+        assert all(r.status == "pass" for r in group(ctx))
+    assert len(t_norms) == 1
+
+    spectral_norms = []
+    norm = np.linalg.norm
+
+    def counting_norm(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            spectral_norms.append(x.shape)
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    fresh = CheckContext(bundle, Tolerances())
+    assert all(r.status == "pass" for r in check_func_calc(fresh))
+    # The asymmetry test of each Gram product's eigh, then per product the
+    # stacked differences and closed forms. The oracle side's norms are
+    # its largest |f(lambda_k)|, read off the eigenvalues.
+    assert spectral_norms == [(2, 16, 16)] * 2 + [(6, 16, 16)] * 4
 
 
 def test_func_calc_catches_one_perturbed_function(monkeypatch):

@@ -1,14 +1,17 @@
 import json
+import os
+import warnings
 
 import pytest
 
+from wcelab import checks, cli
 from wcelab.checks import CHECK_GROUPS, GROUP_RECORD_NAMES, Tolerances
 from wcelab.cli import main
 from wcelab.generator import GeneratorConfig, gen_instance
 from wcelab.instance_io import InstanceBundle, serialize_instance
 from wcelab.measure import MeasurableFunction, coarsest_partition, make_space
 from wcelab.suite import run_suite
-from wcelab.wce import make_instance
+from wcelab.wce import build_operator, make_instance
 
 
 def trivial_bundle():
@@ -120,16 +123,30 @@ class TestCli:
         assert main(["verify", str(bad)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
 
-    def test_verify_overflowing_instance_fails_its_groups(self, tmp_path, capsys):
+    def test_verify_overflowing_instance_fails_its_groups(self, tmp_path, capfd,
+                                                           monkeypatch):
         # Valid input whose operator entries overflow: the groups that
         # build the operator fail on this instance, the rest still run.
+        # T is built once, and the failure reaches the user as records,
+        # not as numpy overflow warnings.
+        builds = []
+
+        def counting_build(inst):
+            builds.append(inst)
+            return build_operator(inst)
+
+        monkeypatch.setattr(checks, "build_operator", counting_build)
         big = [[1e200, 0.0], [2e200, 0.0], [-1e200, 1e200], [3e200, 0.0]]
         doc = {"weights": [1.0, 2.0, 0.5, 1.5], "partition": [[0, 1], [2, 3]],
                "u": big, "w": big}
         inst_file = tmp_path / "overflow.json"
         inst_file.write_text(json.dumps(doc))
         report_file = tmp_path / "report.json"
-        assert main(["verify", str(inst_file), "--report", str(report_file)]) == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["verify", str(inst_file), "--report", str(report_file)]) == 1
+        assert [str(w.message) for w in caught] == []
+        assert len(builds) == 1
         records = json.loads(report_file.read_text())["records"]
         status = {r["name"]: r["status"] for r in records}
         assert set(status) == {n for names in GROUP_RECORD_NAMES.values() for n in names}
@@ -138,7 +155,9 @@ class TestCli:
         assert {r["name"] for r in broken} >= set(GROUP_RECORD_NAMES["norm"])
         assert all("raised ValueError: operator entries must be finite" in r["reason"]
                    for r in broken)
-        assert "operator entries must be finite" in capsys.readouterr().out
+        out, err = capfd.readouterr()
+        assert "operator entries must be finite" in out
+        assert err == ""
 
     def test_verify_unknown_check_exits_2(self, tmp_path, capsys):
         inst_file = tmp_path / "inst.json"
@@ -166,3 +185,64 @@ class TestCli:
 
     def test_suite_bad_range_exits_2(self, capsys):
         assert main(["suite", "--seeds", "5"]) == 2
+
+
+def thread_counts(controls):
+    return [get() for get, _ in controls]
+
+
+@pytest.fixture
+def blas_controls(monkeypatch):
+    """The bundled OpenBLAS thread controls, with no user thread variable
+    set; the counts they had are put back afterwards."""
+    controls = cli._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no bundled OpenBLAS with thread-count symbols")
+    for var in cli._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    before = thread_counts(controls)
+    yield controls
+    for (_, put), count in zip(controls, before):
+        put(count)
+
+
+def counts_inside_command(monkeypatch, controls):
+    """Thread counts seen while `wcelab suite` runs its checks."""
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(thread_counts(controls))
+        return run_suite(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_suite", spy)
+    assert main(["suite", "--seeds", "1..2"]) == 0
+    assert len(seen) == 1
+    return seen[0]
+
+
+class TestBlasThreads:
+    def test_command_runs_on_one_thread(self, blas_controls, monkeypatch, capsys):
+        assert counts_inside_command(monkeypatch, blas_controls) == [1] * len(blas_controls)
+
+    def test_previous_counts_come_back(self, blas_controls, capsys):
+        count = min(2, os.cpu_count() or 1)
+        for _, put in blas_controls:
+            put(count)
+        assert main(["suite", "--seeds", "1..2"]) == 0
+        assert thread_counts(blas_controls) == [count] * len(blas_controls)
+
+    @pytest.mark.parametrize("var", cli._BLAS_THREAD_VARS)
+    def test_user_thread_variable_is_left_alone(self, blas_controls, monkeypatch,
+                                                capsys, var):
+        if (os.cpu_count() or 1) < 2:
+            pytest.skip("one core: the user's count and the command's are both 1")
+        for _, put in blas_controls:
+            put(2)
+        monkeypatch.setenv(var, "2")
+        assert counts_inside_command(monkeypatch, blas_controls) == [2] * len(blas_controls)
+
+    def test_no_library_found_is_a_noop(self, blas_controls, monkeypatch, capsys):
+        before = thread_counts(blas_controls)
+        monkeypatch.setattr(cli, "_openblas_thread_controls", lambda: ())
+        assert counts_inside_command(monkeypatch, blas_controls) == before
+        assert thread_counts(blas_controls) == before
