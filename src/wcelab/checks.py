@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .condexp import cond_exp_values
+from .condexp import cond_exp_operator, cond_exp_values
 from .instance_io import InstanceBundle, serialize_instance
 from .measure import MeasurableFunction, Partition, support
 from .opalgebra import (
@@ -31,21 +31,20 @@ from .opalgebra import (
     WeightedOperator,
     hermitian_eig,
     kernel_projection,
-    op_deviation,
     op_deviations,
     operator_norm,
+    operator_norms,
     polar_oracle,
     positive_sqrt,
     weighted_adjoint,
 )
 from .spectral import (
+    SpectralMeasureTable,
     avg_mult_operator,
     avg_mult_spectrum,
     check_spectral_axioms,
-    fiber_partition,
     is_normal_avg_mult,
     pushforward_density,
-    reconstruct_from_measure,
     spectral_decomposition,
 )
 from .wce import (
@@ -120,9 +119,10 @@ class CheckContext:
     """Everything a check needs for one instance.
 
     The dense operator T, its norm, its adjoint, both Gram products, their
-    eigensystems and the SVD polar factors are each computed once, on
-    first use, and shared by every check group. The oracles still see
-    only these dense matrices, never the partition.
+    eigensystems, the SVD polar factors and the spectral measure table of
+    the point map are each computed once, on first use, and shared by
+    every check group. The oracles still see only these dense matrices,
+    never the partition.
     """
 
     bundle: InstanceBundle
@@ -205,6 +205,13 @@ class CheckContext:
     def polar(self) -> tuple[WeightedOperator, WeightedOperator]:
         """SVD polar factors (U, |T|) of T."""
         return polar_oracle(self.t)
+
+    @cached_property
+    def measure_table(self) -> SpectralMeasureTable:
+        """The spectral measure of the point map (fiber partition and fiber
+        average), shared by both frames of measure_axioms and by
+        reconstruction."""
+        return SpectralMeasureTable(self.bundle.point_map)
 
     def record(
         self,
@@ -449,23 +456,24 @@ def check_vanishing(ctx: CheckContext) -> list[CheckRecord]:
     g_blocks = np.zeros(in_sg.size, dtype=complex)
     g_blocks[~in_sg] = _random_phases(rng, int((~in_sg).sum()), 0.5, 2.0)
     g1 = g_blocks[blocks]
-    res1 = operator_norm(WeightedOperator(inst.space, g1[:, None] * t.matrix))
-    res1 /= (1.0 + t_norm) * (1.0 + float(np.abs(g1).max(initial=0.0)))
+    # g alive on the product support keeps M_g T away from zero.
+    gs = [g1]
+    if block_in_sg.size:
+        pick = block_in_sg[int(rng.integers(0, block_in_sg.size))]
+        gs.append(np.where(blocks == pick, rng.uniform(0.5, 2.0), 0.0))
+    norms = operator_norms(inst.space, np.stack([g[:, None] * t.matrix for g in gs]))
+
+    res1 = norms[0] / ((1.0 + t_norm) * (1.0 + float(np.abs(g1).max(initial=0.0))))
     records.append(ctx.record(
         "vanishing_disjoint",
         "M_g T = 0 when g lives off the support of E(|w|^2) E(|u|^2)",
         res1, ctx.tols.support_tol,
     ))
-
-    # g alive on the product support keeps M_g T away from zero.
     if block_in_sg.size:
-        pick = block_in_sg[int(rng.integers(0, block_in_sg.size))]
-        g2 = np.where(blocks == pick, rng.uniform(0.5, 2.0), 0.0)
-        res2 = operator_norm(WeightedOperator(inst.space, g2[:, None] * t.matrix))
         records.append(ctx.record(
             "vanishing_meets",
             "M_g T stays away from 0 when g is alive on the product support",
-            res2, SEPARATION, bound="lower",
+            norms[1], SEPARATION, bound="lower",
         ))
     else:
         records.append(ctx.skip(
@@ -532,14 +540,21 @@ def check_polar(ctx: CheckContext) -> list[CheckRecord]:
     # The SVD polar factor has ker U = ker T, so I - U*U projects onto
     # ker T without a second SVD of T.
     k_t = np.eye(inst.space.n) - (weighted_adjoint(u_ref) @ u_ref).matrix
-    kernel_res = op_deviations(inst.space, np.stack((k_u, k_abs, k_u)),
-                               np.stack((k_abs, k_t, k_t))).max()
+    k_ref = np.stack((k_abs, k_t, k_t))
+    # An orthogonal projection has norm 1, or 0 when its trace (its rank)
+    # is 0.
+    k_norms = (np.trace(k_ref, axis1=1, axis2=2).real > 0.5).astype(float)
+    kernel_res = op_deviations(inst.space, np.stack((k_u, k_abs, k_u)), k_ref,
+                               k_norms).max()
     # The kernel comparisons are a stack of their own: one stack of all six
     # pairs raised the peak memory of a dense n = 64 run by 0.4-0.7 MB.
+    # The oracle norms: ||T|| is the root of the top eigenvalue of T*T,
+    # and the SVD partial isometry has norm 1 unless T = 0.
     abs_res, iso_res, fact_res = op_deviations(
         inst.space,
         np.stack((parts.absT.matrix, parts.U.matrix, (parts.U @ parts.absT).matrix)),
-        np.stack((abs_ref.matrix, u_ref.matrix, t.matrix)))
+        np.stack((abs_ref.matrix, u_ref.matrix, t.matrix)),
+        np.array([np.sqrt(ctx.gram_eig.scale), float(ctx.t_norm > 0.0), ctx.t_norm]))
     return [
         ctx.record("polar_abs",
                    "closed |T| equals the eigendecomposition root of T* T",
@@ -610,8 +625,10 @@ def check_normality(ctx: CheckContext) -> list[CheckRecord]:
     # Entries that overflow fail the build of the products; numpy's
     # overflow warning would only repeat that error.
     with np.errstate(over="ignore", invalid="ignore"):
-        commutator = operator_norm(m @ m_adj - m_adj @ m)
-    residual = commutator / (1.0 + operator_norm(m) ** 2)
+        commutator = m @ m_adj - m_adj @ m
+    comm_norm, m_norm = operator_norms(inst.space,
+                                       np.stack((commutator.matrix, m.matrix)))
+    residual = comm_norm / (1.0 + m_norm ** 2)
     normal = is_normal_avg_mult(inst.u, inst.partition, ctx.tols.support_tol)
     # Equivalence: a blockwise-constant symbol must commute, any other
     # symbol must not.
@@ -662,27 +679,26 @@ def check_spectral_decomp(ctx: CheckContext) -> list[CheckRecord]:
                 for name in _SD_NAMES]
     decomp = spectral_decomposition(inst.u, inst.partition, ctx.tols.support_tol)
     m = avg_mult_operator(inst.u, inst.partition)
-    n = inst.space.n
+    space = inst.space
+    n = space.n
+    p = decomp.stack
+    w = space.weights
 
-    proj_res = 0.0
-    total_rank = 0
-    recon = np.zeros((n, n), dtype=complex)
-    for lam, p in zip(decomp.eigenvalues, decomp.projections):
-        proj_res = max(
-            proj_res,
-            op_deviation(p @ p, p),
-            operator_norm(p - weighted_adjoint(p)) / (1.0 + operator_norm(p)),
-        )
-        total_rank += round(float(np.trace(p.matrix).real))
-        recon += lam * p.matrix
-
-    orth_res = 0.0
-    for i in range(len(decomp.projections)):
-        for j in range(i + 1, len(decomp.projections)):
-            orth_res = max(orth_res, operator_norm(
-                decomp.projections[i] @ decomp.projections[j]))
-
-    recon_res = op_deviation(WeightedOperator(inst.space, recon), m)
+    # ||P|| is taken once and is the reference norm of both projection
+    # identities.
+    p_norms = operator_norms(space, p.copy())
+    adjoint = p.conj().transpose(0, 2, 1) * (w[None, :] / w[:, None])
+    proj_res = max(
+        op_deviations(space, p @ p, p, p_norms).max(),
+        (operator_norms(space, p - adjoint) / (1.0 + p_norms)).max(),
+    )
+    # One stack P_i P_j (j > i) per i; a stack of all pairs at once would
+    # hold m^2 / 2 matrices.
+    orth_res = max((operator_norms(space, p[i] @ p[i + 1:]).max()
+                    for i in range(len(p) - 1)), default=0.0)
+    total_rank = int(np.rint(np.trace(p, axis1=1, axis2=2).real).sum())
+    recon = np.einsum("k,kij->ij", np.array(decomp.eigenvalues), p)
+    recon_res = op_deviations(space, recon[None], m.matrix[None])[0]
 
     eig_res = _eigvals_match_residual(list(decomp.eigenvalues), m)
 
@@ -726,8 +742,9 @@ def check_measure_axioms(ctx: CheckContext) -> list[CheckRecord]:
         return [ctx.skip(name, _SM_STATEMENTS[name], "no point map on this instance")
                 for name in _SM_NAMES]
     seed = ctx.seed("axioms")
-    ambient = check_spectral_axioms(phi, on_subspace=False, seed=seed)
-    compressed = check_spectral_axioms(phi, on_subspace=True, seed=seed)
+    table = ctx.measure_table
+    ambient = check_spectral_axioms(table, on_subspace=False, seed=seed)
+    compressed = check_spectral_axioms(table, on_subspace=True, seed=seed)
     h = pushforward_density(phi)
     total = phi.space.total_mass
     mass_res = abs(float(np.sum(h.values.real * phi.space.weights)) - total) / total
@@ -762,13 +779,12 @@ def check_reconstruction(ctx: CheckContext) -> list[CheckRecord]:
         return [ctx.skip("sm_reconstruction", statement,
                          "no point map on this instance")]
     rng = ctx.rng("reconstruction")
-    fp = fiber_partition(phi)
-    worst = 0.0
-    for _ in range(3):
-        u = MeasurableFunction(phi.space, _random_blockwise(rng, fp))
-        rebuilt = reconstruct_from_measure(phi, u)
-        direct = avg_mult_operator(u, fp)
-        worst = max(worst, op_deviation(rebuilt, direct))
+    table = ctx.measure_table
+    # Three seeded symbols, constant on the fibers by construction.
+    symbols = np.stack([_random_blockwise(rng, table.partition) for _ in range(3)])
+    # f -> E_phi(u f), one matrix per symbol.
+    direct = cond_exp_operator(table.partition).matrix[None] * symbols[:, None, :]
+    worst = op_deviations(phi.space, table.reconstruct(symbols), direct).max()
     return [ctx.record("sm_reconstruction", statement, worst, AXIOM_TOL)]
 
 

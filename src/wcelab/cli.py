@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import ctypes
 import functools
+import math
 import os
 import sys
 import time
@@ -43,6 +44,19 @@ _OPENBLAS_THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_",
                             "openblas_{}_num_threads64_", "openblas_{}_num_threads")
 
 
+def _tolerance(text: str) -> float:
+    """A --tol or --support-tol value: a finite number, zero or more.
+    argparse reports a rejected value with the flag's name and exit 2."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value) or value < 0.0:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wcelab",
@@ -66,9 +80,9 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--checks", default=None,
                         help="comma-separated check groups "
                              f"(default: all; known: {','.join(CHECK_GROUPS)})")
-    verify.add_argument("--tol", type=float, default=1e-8,
+    verify.add_argument("--tol", type=_tolerance, default=1e-8,
                         help="relative operator comparison tolerance")
-    verify.add_argument("--support-tol", type=float, default=1e-10,
+    verify.add_argument("--support-tol", type=_tolerance, default=1e-10,
                         help="support / zero detection tolerance")
     verify.add_argument("--report", type=Path, default=None,
                         help="write the machine-readable JSON report here")
@@ -78,8 +92,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="inclusive seed range A..B (default 1..200)")
     suite.add_argument("--full", action="store_true",
                        help="include the spectral checks and point maps")
-    suite.add_argument("--tol", type=float, default=1e-8)
-    suite.add_argument("--support-tol", type=float, default=1e-10)
+    suite.add_argument("--tol", type=_tolerance, default=1e-8)
+    suite.add_argument("--support-tol", type=_tolerance, default=1e-10)
     suite.add_argument("--report", type=Path, default=None)
     return parser
 

@@ -119,32 +119,36 @@ def operator_norm(a: WeightedOperator) -> float:
     return float(np.linalg.svd(e, compute_uv=False)[0])
 
 
+def operator_norms(space: FiniteMeasureSpace, stack: np.ndarray) -> np.ndarray:
+    """Weighted operator norms of a (k, n, n) stack of operator matrices,
+    one batched spectral norm. The stack is taken to the Euclidean frame
+    in place, so pass a fresh array."""
+    s = space.sqrt_weights
+    stack *= s[:, None]
+    stack /= s[None, :]
+    return np.linalg.norm(stack, 2, axis=(1, 2))
+
+
 def op_deviations(space: FiniteMeasureSpace, a: np.ndarray, b: np.ndarray,
                   b_norms: np.ndarray | None = None) -> np.ndarray:
-    """Slice-wise relative distance ||a_k - b_k|| / (1 + max(||a_k||, ||b_k||))
-    of two (k, n, n) stacks of operator matrices, weighted norms.
+    """Slice-wise relative distance ||a_k - b_k|| / (1 + ||b_k||) of two
+    (k, n, n) stacks of operator matrices, weighted norms, with b the
+    reference side.
 
-    The differences and each side go through one batched spectral norm
-    apiece; a caller that already holds the norms of b passes them as
-    b_norms, and they are not taken again. Each stack is a fresh copy
-    taken to the Euclidean frame in place, so at most one extra (k, n, n)
-    array is alive at a time.
+    A caller that already holds the norms of b (read off an oracle's
+    eigenvalues or singular values) passes them as b_norms; otherwise they
+    are taken with one more batched spectral norm. The value is never
+    below the symmetric ||a - b|| / (1 + max(||a||, ||b||)), since
+    ||a|| <= ||b|| + ||a - b||.
     """
-    s = space.sqrt_weights
-
-    def norms(m: np.ndarray) -> np.ndarray:
-        m *= s[:, None]
-        m /= s[None, :]
-        return np.linalg.norm(m, 2, axis=(1, 2))
-
-    diff = norms(np.subtract(a, b, dtype=complex))
+    diff = operator_norms(space, np.subtract(a, b, dtype=complex))
     if b_norms is None:
-        b_norms = norms(np.array(b, dtype=complex))
-    return diff / (1.0 + np.maximum(norms(np.array(a, dtype=complex)), b_norms))
+        b_norms = operator_norms(space, np.array(b, dtype=complex))
+    return diff / (1.0 + b_norms)
 
 
 def op_deviation(a: WeightedOperator, b: WeightedOperator) -> float:
-    """Relative distance ||a - b|| / (1 + max(||a||, ||b||)), weighted norms."""
+    """Relative distance ||a - b|| / (1 + ||b||), weighted norms."""
     a._check_space(b)
     return float(op_deviations(a.space, a.matrix[None], b.matrix[None])[0])
 
@@ -202,18 +206,21 @@ def hermitian_eig(a: WeightedOperator) -> EigenSystem:
     """Full spectrum and eigenbasis of a self-adjoint operator; the one
     eigendecomposition path of the oracles.
 
-    Rejects operators whose weighted asymmetry exceeds SELF_ADJOINT_TOL *
-    ||a|| with NotSelfAdjointError; the accepted asymmetry is folded away by
-    symmetrizing the conjugated matrix before factorization.
+    Rejects operators whose weighted asymmetry exceeds SELF_ADJOINT_TOL
+    times the norm of their self-adjoint part with NotSelfAdjointError; the
+    accepted asymmetry is folded away by symmetrizing the conjugated matrix
+    before factorization.
     """
     h = to_euclidean(a)
     hh = h.conj().T
-    dev, norm = np.linalg.norm(np.stack((h - hh, h)), 2, axis=(1, 2))
-    if dev > SELF_ADJOINT_TOL * norm:
+    vals, vecs = scipy.linalg.eigh(0.5 * (h + hh))
+    # The norm of the symmetrized matrix is its largest |eigenvalue|; it
+    # differs from ||a|| by at most half the asymmetry.
+    dev = float(np.linalg.norm(h - hh, 2))
+    if dev > SELF_ADJOINT_TOL * float(np.abs(vals).max(initial=0.0)):
         raise NotSelfAdjointError(
             f"asymmetry {dev:.3e} exceeds {SELF_ADJOINT_TOL:.1e} * norm"
         )
-    vals, vecs = scipy.linalg.eigh(0.5 * (h + hh))
     return EigenSystem(a.space, vals, vecs)
 
 

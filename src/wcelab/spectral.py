@@ -85,11 +85,17 @@ class SpectralDecomp:
 
     Contains 0 (last) exactly when the operator has nontrivial kernel;
     the projections are mutually orthogonal and reconstruct the operator
-    as sum_n lambda_n P_n.
+    as sum_n lambda_n P_n. stack holds the projection matrices as one
+    (m, n, n) array, in eigenvalue order.
     """
 
+    space: FiniteMeasureSpace
     eigenvalues: tuple[complex, ...]
-    projections: tuple[WeightedOperator, ...]
+    stack: np.ndarray
+
+    @property
+    def projections(self) -> tuple[WeightedOperator, ...]:
+        return tuple(WeightedOperator(self.space, p) for p in self.stack)
 
 
 def avg_mult_operator(u: MeasurableFunction, partition: Partition) -> WeightedOperator:
@@ -162,22 +168,17 @@ def spectral_decomposition(
     space = partition.space
     e_matrix = cond_exp_operator(partition).matrix
     reps, group = _eigenvalue_groups(u, partition)
-    point_group = group[partition.block_of]
-
-    eigenvalues: list[complex] = []
-    projections: list[WeightedOperator] = []
-    accumulated = np.zeros((space.n, space.n), dtype=complex)
-    for g in sorted(range(1, len(reps)), key=lambda g: _by_value(reps[g])):
-        p = (point_group == g)[:, None] * e_matrix
-        eigenvalues.append(reps[g])
-        projections.append(WeightedOperator(space, p))
-        accumulated += p
-
-    kernel = np.eye(space.n, dtype=complex) - accumulated
+    order = sorted(range(1, len(reps)), key=lambda g: _by_value(reps[g]))
+    eigenvalues = [reps[g] for g in order]
+    # The rows of each projection are those of E on its level set; the
+    # level sets are disjoint, so the sum of the stack is exact.
+    rows = group[partition.block_of][None, :] == np.array(order, dtype=int)[:, None]
+    stack = rows[:, :, None] * e_matrix[None]
+    kernel = np.eye(space.n, dtype=complex) - stack.sum(axis=0)
     if float(np.trace(kernel).real) > 0.5:
         eigenvalues.append(0j)
-        projections.append(WeightedOperator(space, kernel))
-    return SpectralDecomp(tuple(eigenvalues), tuple(projections))
+        stack = np.concatenate((stack, kernel[None]))
+    return SpectralDecomp(space, tuple(eigenvalues), stack)
 
 
 def fiber_partition(phi: PointMap) -> Partition:
@@ -195,16 +196,18 @@ def pushforward_density(phi: PointMap) -> MeasurableFunction:
 class SpectralMeasureTable:
     """Projection-valued set function S -> E_phi M_{chi_preimage(S)}.
 
-    Built once per point map. The value of a set keeps the columns of the
-    fiber average E_phi at the points mapped into the set, so the
-    singleton values have disjoint column supports and sum to E_phi;
-    values() evaluates a whole stack of sets at once.
+    Built once per point map: it holds the fiber partition and the fiber
+    average E_phi. The value of a set keeps the columns of E_phi at the
+    points mapped into the set, so the singleton values have disjoint
+    column supports and sum to E_phi; values() evaluates a whole stack of
+    sets at once.
     """
 
     def __init__(self, phi: PointMap):
         self.phi = phi
         self.space = phi.space
-        self._e_matrix = cond_exp_operator(fiber_partition(phi)).matrix
+        self.partition = fiber_partition(phi)
+        self._e_matrix = cond_exp_operator(self.partition).matrix
         self._images = np.asarray(phi.images, dtype=np.intp)
 
     def measure_of(self, members: Iterable[int]) -> WeightedOperator:
@@ -215,6 +218,18 @@ class SpectralMeasureTable:
         """Stacked matrices of measure(S), one per row of a (k, n)
         boolean array of target-point sets."""
         return _masked_columns(self._e_matrix, sets[:, self._images])
+
+    def reconstruct(self, symbols: np.ndarray) -> np.ndarray:
+        """Stacked matrices of sum_s v(s) measure({s}), one per row of a
+        (k, n) array of fiber-measurable symbols u, where v o phi = u (v is
+        zero on points with empty fiber); each must equal the matrix of
+        f -> E_phi(u f)."""
+        targets = np.array([s for s, _ in self.phi.fibers])
+        coeffs = symbols[:, [fiber[0] for _, fiber in self.phi.fibers]]
+        singletons = self.values(targets[:, None] == np.arange(self.space.n)[None, :])
+        # einsum without optimize sums in its own loop; a BLAS contraction of
+        # the flattened stack would wake the BLAS worker threads.
+        return np.einsum("ks,sij->kij", coeffs, singletons)
 
 
 def _masked_columns(matrix: np.ndarray, point_masks: np.ndarray) -> np.ndarray:
@@ -242,9 +257,9 @@ class SpectralAxiomReport:
     additivity_residual: float
 
 
-def _fiber_basis(phi: PointMap) -> np.ndarray:
-    """Weighted-orthonormal basis of fiber indicators, as columns."""
-    fp = fiber_partition(phi)
+def _fiber_basis(fp: Partition) -> np.ndarray:
+    """Weighted-orthonormal basis of the indicators of the fiber
+    partition's blocks, as columns."""
     indicators = fp.block_of[:, None] == np.arange(fp.block_count)[None, :]
     return indicators / np.sqrt(fp.block_masses)[None, :]
 
@@ -271,7 +286,7 @@ def _max_norm(stack: np.ndarray) -> float:
 
 
 def check_spectral_axioms(
-    phi: PointMap,
+    table: SpectralMeasureTable,
     on_subspace: bool,
     n_random: int = 12,
     seed: int = 0,
@@ -290,17 +305,17 @@ def check_spectral_axioms(
     each of the max(n_random, 4) additivity rounds the index of the
     whole set, the number of pieces, and the piece of every point.
     """
-    n = phi.space.n
+    space = table.space
+    n = space.n
     rng = np.random.default_rng(seed)
-    table = SpectralMeasureTable(phi)
     images = table._images
 
     # measure(S) = E_phi M_{chi_preimage(S)} only masks the columns of
     # E_phi, so the frame change is applied to E_phi once and the column
     # masks of a whole stack of sets go on afterwards.
     if on_subspace:
-        basis = _fiber_basis(phi)
-        db = phi.space.weights[:, None] * basis
+        basis = _fiber_basis(table.partition)
+        db = space.weights[:, None] * basis
         dim = basis.shape[1]
         frame = db.conj().T @ table._e_matrix
 
@@ -309,7 +324,7 @@ def check_spectral_axioms(
 
     else:
         dim = n
-        s = phi.space.sqrt_weights
+        s = space.sqrt_weights
         frame = table._e_matrix * s[:, None] / s[None, :]
 
         def measure(sets: np.ndarray) -> np.ndarray:
@@ -335,14 +350,19 @@ def check_spectral_axioms(
     i, j = np.vstack([pairs, [[0, k + 1], [0, k]]]).T
     inter_res = _max_norm(measure(family[i] & family[j]) - values[i] @ values[j])
 
-    sums = []
+    # Every round's pieces go into one measure call; round r owns the
+    # rows starts[r]:starts[r + 1] of the piece stack.
+    wholes, pieces = [], []
     for _ in range(max(n_random, 4)):
         whole = int(rng.integers(0, k))
         parts = int(rng.integers(2, 5))
         assignment = rng.integers(0, parts, size=n)
-        pieces = sets[whole] & (assignment[None, :] == np.arange(parts)[:, None])
-        sums.append(values[whole] - measure(pieces).sum(axis=0))
-    add_res = _max_norm(np.stack(sums))
+        wholes.append(whole)
+        pieces.append(sets[whole] & (assignment[None, :] == np.arange(parts)[:, None]))
+    starts = np.cumsum([0] + [len(p) for p in pieces[:-1]])
+    sums = np.add.reduceat(measure(np.vstack(pieces)), starts, axis=0)
+    sums -= values[wholes]
+    add_res = _max_norm(sums)
 
     return SpectralAxiomReport(
         on_subspace=on_subspace,
@@ -361,13 +381,7 @@ def reconstruct_from_measure(
     where v is the point function with v o phi = u (zero on points with
     empty fiber). The result must agree with the matrix of f -> E_phi(u f).
     """
-    fp = fiber_partition(phi)
-    if not is_measurable(u, fp, tol):
-        raise NotFiberMeasurableError("u must be constant on the fibers of phi")
     table = SpectralMeasureTable(phi)
-    targets = np.array([s for s, _ in phi.fibers])
-    coeffs = u.values[[fiber[0] for _, fiber in phi.fibers]]
-    singletons = table.values(targets[:, None] == np.arange(phi.space.n)[None, :])
-    # einsum without optimize sums in its own loop; a BLAS contraction of
-    # the flattened stack would wake the BLAS worker threads.
-    return WeightedOperator(phi.space, np.einsum("s,sij->ij", coeffs, singletons))
+    if not is_measurable(u, table.partition, tol):
+        raise NotFiberMeasurableError("u must be constant on the fibers of phi")
+    return WeightedOperator(phi.space, table.reconstruct(u.values[None])[0])

@@ -40,6 +40,7 @@ from wcelab.opalgebra import (
     weighted_adjoint,
 )
 from wcelab.spectral import (
+    SpectralMeasureTable,
     avg_mult_operator,
     check_spectral_axioms,
     fiber_partition,
@@ -258,8 +259,9 @@ def test_criterion_8_spectral_measure():
         space = gen_instance(cfg).instance.space
         phi = random_point_map(space, seed)
 
-        ambient = check_spectral_axioms(phi, on_subspace=False, seed=seed)
-        compressed = check_spectral_axioms(phi, on_subspace=True, seed=seed)
+        table = SpectralMeasureTable(phi)
+        ambient = check_spectral_axioms(table, on_subspace=False, seed=seed)
+        compressed = check_spectral_axioms(table, on_subspace=True, seed=seed)
         for report in (ambient, compressed):
             assert max(report.projection_residual, report.empty_residual,
                        report.intersection_residual, report.additivity_residual) <= 1e-9

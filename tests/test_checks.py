@@ -1,4 +1,6 @@
-"""Per-instance factorization caching in CheckContext, the run's support
+"""Per-instance factorization caching in CheckContext, the oracle norms
+the checks hold instead of taking, the stacked spectral checks against
+their per-eigenvalue and per-round references, the run's support
 tolerance reaching the closed forms and the spectral decomposition, and
 the indicator-set test of the partial-isometry check."""
 
@@ -15,20 +17,36 @@ from wcelab.checks import (
     calculus_test_functions,
     check_aluthge,
     check_func_calc,
+    check_measure_axioms,
     check_norm,
     check_partial_isometry,
     check_polar,
+    check_reconstruction,
+    check_spectral_decomp,
     check_vanishing,
 )
 from wcelab.cli import main
+from wcelab.condexp import cond_exp_operator
 from wcelab.generator import GeneratorConfig, gen_instance
 from wcelab.instance_io import InstanceBundle, serialize_instance
-from wcelab.measure import MeasurableFunction, make_partition, make_space
+from wcelab.measure import (
+    MeasurableFunction,
+    coarsest_partition,
+    make_partition,
+    make_space,
+)
 from wcelab.opalgebra import (
     CLAMP_TOL,
+    WeightedOperator,
     func_calc_oracle,
     operator_norm,
     weighted_adjoint,
+)
+from wcelab.spectral import (
+    SpectralMeasureTable,
+    _eigenvalue_groups,
+    avg_mult_operator,
+    fiber_partition,
 )
 from wcelab.wce import (
     build_operator,
@@ -126,10 +144,157 @@ def test_norms_already_held_are_not_taken_again(monkeypatch):
     monkeypatch.setattr(np.linalg, "norm", counting_norm)
     fresh = CheckContext(bundle, Tolerances())
     assert all(r.status == "pass" for r in check_func_calc(fresh))
-    # The asymmetry test of each Gram product's eigh, then per product the
-    # stacked differences and closed forms. The oracle side's norms are
-    # its largest |f(lambda_k)|, read off the eigenvalues.
-    assert spectral_norms == [(2, 16, 16)] * 2 + [(6, 16, 16)] * 4
+    # The asymmetry test of each Gram product's eigh (its norm is read off
+    # the eigenvalues), then per product the stacked differences. The
+    # oracle side's norms are its largest |f(lambda_k)|, read off the
+    # eigenvalues.
+    assert spectral_norms == [(16, 16)] * 2 + [(6, 16, 16)] * 2
+
+
+def zero_operator_bundle():
+    """T = 0: u vanishes everywhere."""
+    sp = make_space([1.0, 2.0, 0.5])
+    u = MeasurableFunction.constant(sp, 0.0)
+    w = MeasurableFunction.constant(sp, 1.0)
+    return InstanceBundle(make_instance(coarsest_partition(sp), u, w))
+
+
+@pytest.mark.parametrize("group, tol", [
+    (check_polar, 1e-13),
+    (check_spectral_decomp, 1e-13),
+    # max |f(lambda_k)| is the norm of the operator the eigenbasis stands
+    # for; the assembled matrix carries eigh's loss of orthogonality
+    # (3.0e-13 relative for f = 1 at n = 57).
+    (check_func_calc, 1e-12),
+])
+def test_held_norms_agree_with_svd_norms(monkeypatch, group, tol):
+    # Every reference norm a check passes to op_deviations instead of
+    # taking it (eigenvalues, the SVD, ranks read off traces) is the
+    # spectral norm of that reference matrix.
+    held = []
+    original = checks.op_deviations
+
+    def spy(space, a, b, b_norms=None):
+        if b_norms is not None:
+            held.append((space, np.array(b), np.array(b_norms, dtype=float)))
+        return original(space, a, b, b_norms)
+
+    monkeypatch.setattr(checks, "op_deviations", spy)
+    bundles = generated_bundles() + [zero_operator_bundle()]
+    for bundle in bundles:
+        group(CheckContext(bundle, Tolerances()))
+    assert len(held) >= len(bundles) // 3
+    for space, b, norms in held:
+        svd = [operator_norm(WeightedOperator(space, m)) for m in b]
+        np.testing.assert_allclose(norms, svd, rtol=tol, atol=tol)
+
+
+def two_sided_deviation(a, b):
+    """||a - b|| / (1 + max(||a||, ||b||)), three separate SVD norms."""
+    return operator_norm(a - b) / (1.0 + max(operator_norm(a), operator_norm(b)))
+
+
+def reference_spectral_decomp(inst):
+    """The per-eigenvalue loop: the projections one at a time, five norms
+    per projection, one norm per pair of projections."""
+    space, n = inst.space, inst.space.n
+    e_matrix = cond_exp_operator(inst.partition).matrix
+    reps, group = _eigenvalue_groups(inst.u, inst.partition)
+    point_group = group[inst.partition.block_of]
+    eigenvalues, projections = [], []
+    accumulated = np.zeros((n, n), dtype=complex)
+    for g in sorted(range(1, len(reps)), key=lambda g: (reps[g].real, reps[g].imag)):
+        p = (point_group == g)[:, None] * e_matrix
+        eigenvalues.append(reps[g])
+        projections.append(WeightedOperator(space, p))
+        accumulated += p
+    kernel = np.eye(n, dtype=complex) - accumulated
+    if float(np.trace(kernel).real) > 0.5:
+        eigenvalues.append(0j)
+        projections.append(WeightedOperator(space, kernel))
+
+    m = avg_mult_operator(inst.u, inst.partition)
+    proj_res, total_rank = 0.0, 0
+    recon = np.zeros((n, n), dtype=complex)
+    for lam, p in zip(eigenvalues, projections):
+        proj_res = max(proj_res, two_sided_deviation(p @ p, p),
+                       operator_norm(p - weighted_adjoint(p)) / (1.0 + operator_norm(p)))
+        total_rank += round(float(np.trace(p.matrix).real))
+        recon += lam * p.matrix
+    orth_res = 0.0
+    for i in range(len(projections)):
+        for j in range(i + 1, len(projections)):
+            orth_res = max(orth_res, operator_norm(projections[i] @ projections[j]))
+    return {
+        "sd_projections": proj_res,
+        "sd_orthogonality": orth_res,
+        "sd_reconstruction": two_sided_deviation(WeightedOperator(space, recon), m),
+        "sd_rank_sum": float(abs(total_rank - n)),
+        "sd_eigs_match": checks._eigvals_match_residual(eigenvalues, m),
+    }
+
+
+def reference_reconstruction(ctx):
+    """The per-round loop: per seeded symbol, sum_s v(s) measure({s}) one
+    singleton at a time against E_phi M_u, three norms per round."""
+    phi = ctx.bundle.point_map
+    rng = ctx.rng("reconstruction")
+    fp = fiber_partition(phi)
+    table = SpectralMeasureTable(phi)
+    worst = 0.0
+    for _ in range(3):
+        u = MeasurableFunction(phi.space, checks._random_blockwise(rng, fp))
+        rebuilt = sum((u.values[fiber[0]] * table.measure_of((s,)).matrix
+                       for s, fiber in phi.fibers),
+                      np.zeros((phi.space.n, phi.space.n), dtype=complex))
+        worst = max(worst, two_sided_deviation(WeightedOperator(phi.space, rebuilt),
+                                               avg_mult_operator(u, fp)))
+    return worst
+
+
+def spectral_bundles():
+    """Blockwise-constant symbols with point maps, n = 2..24."""
+    return [gen_instance(GeneratorConfig(seed=900 + n, n=n,
+                                         block_count=1 + (31 * (900 + n)) % n,
+                                         with_point_map=True,
+                                         **({"constant_u": True} if n % 4 == 0
+                                            else {"measurable_u": True})))
+            for n in range(2, 25)]
+
+
+def test_spectral_decomp_matches_per_eigenvalue_reference():
+    for bundle in spectral_bundles():
+        ctx = CheckContext(bundle, Tolerances())
+        expected = reference_spectral_decomp(ctx.instance)
+        records = check_spectral_decomp(ctx)
+        assert all(r.status == "pass" for r in records)
+        for rec in records:
+            assert rec.residual == pytest.approx(expected[rec.name], rel=0, abs=1e-13)
+
+
+def test_reconstruction_matches_per_round_reference():
+    for bundle in spectral_bundles():
+        ctx = CheckContext(bundle, Tolerances())
+        [rec] = check_reconstruction(ctx)
+        assert rec.status == "pass"
+        assert rec.residual == pytest.approx(reference_reconstruction(ctx), rel=0, abs=1e-13)
+
+
+def test_one_measure_table_per_instance(monkeypatch):
+    # Both frames of the measure axioms and the reconstruction share the
+    # table CheckContext builds.
+    tables = []
+
+    def counting(phi):
+        tables.append(phi)
+        return SpectralMeasureTable(phi)
+
+    monkeypatch.setattr(checks, "SpectralMeasureTable", counting)
+    ctx = CheckContext(gen_instance(GeneratorConfig(seed=13, n=9, block_count=3,
+                                                    with_point_map=True)), Tolerances())
+    for group in (check_measure_axioms, check_reconstruction):
+        assert all(r.status == "pass" for r in group(ctx))
+    assert len(tables) == 1
 
 
 def test_func_calc_catches_one_perturbed_function(monkeypatch):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wcelab.condexp import cond_exp_operator
 from wcelab.errors import NotPositiveError, NotSelfAdjointError
@@ -10,6 +12,7 @@ from wcelab.opalgebra import (
     hermitian_eig,
     kernel_projection,
     op_deviation,
+    op_deviations,
     operator_norm,
     polar_oracle,
     positive_sqrt,
@@ -271,3 +274,33 @@ class TestKernelProjection:
         eye = WeightedOperator.identity(space)
         assert op_deviation(k + e, eye) < 1e-12
 
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 4), st.integers(1, 8),
+       st.sampled_from([0.0, 1e-9, 1e-3, 1.0, 1e3]))
+def test_op_deviations_is_one_sided(seed, k, n, gap):
+    # op_deviations is ||a - b|| / (1 + ||b||), b the reference, and is
+    # never below the symmetric ||a - b|| / (1 + max(||a||, ||b||)).
+    rng = np.random.default_rng(seed)
+    space = make_space(rng.uniform(0.1, 10.0, n))
+
+    def stack():
+        scale = 10.0 ** rng.uniform(-3, 3, (k, 1, 1))
+        return scale * (rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n)))
+
+    b = stack()
+    a = b + gap * stack()
+    if seed % 5 == 0:
+        b[0] = 0.0
+    dev = op_deviations(space, a, b)
+
+    def norm(m):
+        return operator_norm(WeightedOperator(space, m))
+
+    for i in range(k):
+        diff, na, nb = norm(a[i] - b[i]), norm(a[i]), norm(b[i])
+        assert dev[i] == pytest.approx(diff / (1.0 + nb), rel=1e-12, abs=0.0)
+        assert dev[i] >= diff / (1.0 + max(na, nb)) * (1.0 - 1e-12)
+    held = np.array([norm(m) for m in b])
+    np.testing.assert_allclose(op_deviations(space, a, b, held), dev, rtol=1e-12, atol=0.0)

@@ -231,19 +231,19 @@ class TestSpectralAxioms:
     def test_identity_map_ambient(self):
         sp = make_space([1.0, 2.0, 0.5])
         phi = PointMap(sp, (0, 1, 2))
-        report = check_spectral_axioms(phi, on_subspace=False)
+        report = check_spectral_axioms(SpectralMeasureTable(phi), on_subspace=False)
         assert max(report_residuals(report)) <= 1e-12
 
     def test_noninjective_subspace(self):
         sp = make_space([1.0, 1.0, 2.0])
         phi = PointMap(sp, (0, 0, 2))
-        report = check_spectral_axioms(phi, on_subspace=True)
+        report = check_spectral_axioms(SpectralMeasureTable(phi), on_subspace=True)
         assert max(report_residuals(report)) <= 1e-12
 
     def test_noninjective_ambient_identity_fails(self):
         sp = make_space([1.0, 1.0, 2.0])
         phi = PointMap(sp, (0, 0, 2))
-        report = check_spectral_axioms(phi, on_subspace=False)
+        report = check_spectral_axioms(SpectralMeasureTable(phi), on_subspace=False)
         assert report.full_residual == pytest.approx(1.0)
         assert max(report_residuals(report, include_full=False)) <= 1e-9
 
@@ -257,7 +257,7 @@ def reference_spectral_axioms(phi, on_subspace, n_random=12, seed=0):
     rng = np.random.default_rng(seed)
 
     if on_subspace:
-        basis = spectral._fiber_basis(phi)
+        basis = spectral._fiber_basis(table.partition)
         db = phi.space.weights[:, None] * basis
         dim = basis.shape[1]
 
@@ -349,7 +349,8 @@ class TestBatchedSpectralAxioms:
     @pytest.mark.parametrize("on_subspace", [False, True])
     def test_matches_per_set_reference(self, on_subspace):
         for k, phi in enumerate(generated_point_maps()):
-            batched = report_residuals(check_spectral_axioms(phi, on_subspace, seed=k))
+            table = SpectralMeasureTable(phi)
+            batched = report_residuals(check_spectral_axioms(table, on_subspace, seed=k))
             reference = reference_spectral_axioms(phi, on_subspace, seed=k)
             np.testing.assert_allclose(batched, reference, rtol=0, atol=1e-13)
 
@@ -357,10 +358,10 @@ class TestBatchedSpectralAxioms:
     def test_perturbed_fiber_average_fails(self, monkeypatch, on_subspace):
         sp = make_space([1.0, 2.0, 1.5, 0.5, 3.0])
         phi = PointMap(sp, (1, 1, 1, 4, 4))
-        unperturbed = check_spectral_axioms(phi, on_subspace)
+        unperturbed = check_spectral_axioms(SpectralMeasureTable(phi), on_subspace)
         assert max(report_residuals(unperturbed, include_full=on_subspace)) <= 1e-12
         monkeypatch.setattr(spectral, "cond_exp_operator", perturbed_cond_exp_operator)
-        report = check_spectral_axioms(phi, on_subspace)
+        report = check_spectral_axioms(SpectralMeasureTable(phi), on_subspace)
         assert report.projection_residual > 1e-9
         assert report.intersection_residual > 1e-9
         # Masking columns is linear in the set indicator, so a wrong
@@ -378,7 +379,7 @@ class TestBatchedSpectralAxioms:
             return masked(matrix, point_masks) * (1 + 1e-6 * size)
 
         monkeypatch.setattr(spectral, "_masked_columns", grown_by_size)
-        report = check_spectral_axioms(phi, on_subspace)
+        report = check_spectral_axioms(SpectralMeasureTable(phi), on_subspace)
         assert report.projection_residual > 1e-9
         assert report.intersection_residual > 1e-9
         assert report.additivity_residual > 1e-9

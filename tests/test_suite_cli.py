@@ -186,6 +186,29 @@ class TestCli:
     def test_suite_bad_range_exits_2(self, capsys):
         assert main(["suite", "--seeds", "5"]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-300"])
+    @pytest.mark.parametrize("flag", ["--tol", "--support-tol"])
+    @pytest.mark.parametrize("command", ["suite", "verify"])
+    def test_malformed_tolerance_exits_2(self, tmp_path, capsys, command, flag, value):
+        inst_file = tmp_path / "inst.json"
+        main(["gen", "--seed", "5", "-o", str(inst_file)])
+        args = ["suite", "--seeds", "1..2"] if command == "suite" else ["verify", str(inst_file)]
+        with pytest.raises(SystemExit) as exit_info:
+            main(args + [f"{flag}={value}"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be a finite number >= 0, got '{value}'" in err
+
+    def test_negative_tolerance_as_separate_word_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["suite", "--seeds", "1..2", "--tol", "-1"])
+        assert exit_info.value.code == 2
+        assert "argument --tol: must be a finite number >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--tol", "--support-tol"])
+    def test_zero_tolerance_is_accepted(self, capsys, flag):
+        assert main(["suite", "--seeds", "1..2", flag, "0"]) in (0, 1)
+
 
 def thread_counts(controls):
     return [get() for get, _ in controls]
