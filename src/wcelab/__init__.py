@@ -2,8 +2,8 @@
 on finite measure spaces.
 
 Closed-form results about operators of the shape f -> w * E(u f), with E
-the block-averaging conditional expectation, are built as dense matrices
-and certified against independent dense linear-algebra oracles: norm
+the block-averaging conditional expectation, are built as M_a E M_b values
+whose dense matrices are certified against independent dense oracles: norm
 formula, partial-isometry criterion, functional calculus of the Gram
 products, polar decomposition, Aluthge transform, spectral decomposition
 of averaged multiplication operators, and the projection-valued measures
@@ -11,7 +11,7 @@ induced by point maps.
 """
 
 from .checks import CHECK_GROUPS, CheckRecord, Tolerances
-from .condexp import cond_exp_operator, cond_exp_values
+from .condexp import Sandwich, cond_exp_values
 from .errors import (
     ConfigInvalidError,
     EmptySpaceError,
@@ -78,7 +78,6 @@ from .spectral import (
 )
 from .suite import VerificationReport, run_suite
 from .wce import (
-    PolarParts,
     WceInstance,
     build_operator,
     closed_abs_sqrt,

@@ -104,6 +104,8 @@ def _parse_seed_range(text: str) -> range:
         raise ValueError(f"seed range must look like A..B, got {text!r}")
     lo_text, hi_text = text.split(sep, 1)
     lo, hi = int(lo_text), int(hi_text)
+    if lo < 0:
+        raise ValueError(f"seeds must be >= 0, got {text!r}")
     if hi < lo:
         raise ValueError(f"empty seed range {text!r}")
     return range(lo, hi + 1)

@@ -4,11 +4,13 @@ On a finite space the conditional expectation onto a partition algebra
 replaces a function on each block by its weighted mean. That is the
 unique blockwise-constant function with the same block integrals, and as
 an operator it is the orthogonal projection of the weighted L2 space
-onto the blockwise-constant functions. Both functions here take the
-partition that generates the algebra.
+onto the blockwise-constant functions. Both the function and the
+operator type here take the partition that generates the algebra.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,9 +28,24 @@ def cond_exp_values(partition: Partition, values: np.ndarray) -> np.ndarray:
     return partition.block_means(values)[partition.block_of]
 
 
-def cond_exp_operator(partition: Partition) -> WeightedOperator:
-    """Matrix form: M[i, j] = mu_j / mu(B(i)) for j in the block of i, else 0."""
-    b = partition.block_of
-    w = partition.space.weights
-    m = (b[:, None] == b[None, :]) * w[None, :] / partition.block_masses[b][:, None]
-    return WeightedOperator(partition.space, m)
+@dataclass(frozen=True, eq=False)
+class Sandwich:
+    """f -> left * E(right * f), the shape M_a E M_b of every closed form."""
+
+    partition: Partition
+    left: np.ndarray
+    right: np.ndarray
+
+    def adjoint(self) -> Sandwich:
+        """E* = E, so (M_a E M_b)* = M_conj(b) E M_conj(a) (weighted inner product)."""
+        return Sandwich(self.partition, np.conj(self.right), np.conj(self.left))
+
+    def __matmul__(self, other: Sandwich) -> Sandwich:
+        """E M_g E = M_E(g) E, so M_a E M_b M_c E M_d = M_{a E(b c)} E M_d (one partition)."""
+        middle = cond_exp_values(self.partition, self.right * other.left)
+        return Sandwich(self.partition, self.left * middle, other.right)
+
+    def dense(self) -> WeightedOperator:
+        """The dense matrix for the oracles, the one place a closed form gets one."""
+        p = self.partition
+        return WeightedOperator(p.space, self.left[:, None] * p.cond_exp_matrix * self.right)

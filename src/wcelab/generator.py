@@ -44,6 +44,8 @@ class GeneratorConfig:
     with_point_map: bool = False
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ConfigInvalidError(f"seed={self.seed} must be >= 0")
         if not (2 <= self.n <= 64):
             raise ConfigInvalidError(f"n={self.n} out of range 2..64")
         if not (1 <= self.block_count <= self.n):

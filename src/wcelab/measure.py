@@ -132,6 +132,16 @@ class Partition:
         m.setflags(write=False)
         return m
 
+    @cached_property
+    def cond_exp_matrix(self) -> np.ndarray:
+        """E as a complex matrix, M[i, j] = mu_j / mu(B(i)) for j in the
+        block of i, else 0; the one place it is formed, once per partition."""
+        b = self.block_of
+        m = (b[:, None] == b[None, :]) * self.space.weights / self.block_masses[b][:, None]
+        m = m.astype(complex)
+        m.setflags(write=False)
+        return m
+
     def block_means(self, values: np.ndarray) -> np.ndarray:
         """Weighted mean of values over each block, one entry per block.
 

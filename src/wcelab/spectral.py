@@ -25,7 +25,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .condexp import cond_exp_operator
 from .errors import NotFiberMeasurableError, NotNormalError, SpaceMismatchError
 from .measure import (
     DEFAULT_SUPPORT_TOL,
@@ -102,8 +101,7 @@ def avg_mult_operator(u: MeasurableFunction, partition: Partition) -> WeightedOp
     """Matrix of f -> E(u f)."""
     if u.space != partition.space:
         raise SpaceMismatchError("symbol and partition live on different spaces")
-    e = cond_exp_operator(partition)
-    return WeightedOperator(partition.space, e.matrix * u.values[None, :])
+    return WeightedOperator(partition.space, partition.cond_exp_matrix * u.values[None, :])
 
 
 def is_normal_avg_mult(
@@ -122,9 +120,12 @@ def _eigenvalue_groups(
     mean joins the first representative within EIGENVALUE_GROUP_TOL *
     (1 + max |block mean|) and otherwise becomes a new representative.
     Returns the representatives (0 first) and the group index of every
-    block.
+    block. A block mean that is not finite (a block integral beyond the
+    float range) would join no group, so it raises ValueError.
     """
     means = partition.block_means(u.values)
+    if not np.all(np.isfinite(means)):
+        raise ValueError("a block mean of u is not finite")
     tol = EIGENVALUE_GROUP_TOL * (1.0 + float(np.abs(means).max(initial=0.0)))
     reps = [0j]
     group = np.where(np.abs(means) <= tol, 0, -1)
@@ -166,14 +167,13 @@ def spectral_decomposition(
     if not is_normal_avg_mult(u, partition, tol):
         raise NotNormalError("symbol must be blockwise constant")
     space = partition.space
-    e_matrix = cond_exp_operator(partition).matrix
     reps, group = _eigenvalue_groups(u, partition)
     order = sorted(range(1, len(reps)), key=lambda g: _by_value(reps[g]))
     eigenvalues = [reps[g] for g in order]
     # The rows of each projection are those of E on its level set; the
     # level sets are disjoint, so the sum of the stack is exact.
     rows = group[partition.block_of][None, :] == np.array(order, dtype=int)[:, None]
-    stack = rows[:, :, None] * e_matrix[None]
+    stack = rows[:, :, None] * partition.cond_exp_matrix[None]
     kernel = np.eye(space.n, dtype=complex) - stack.sum(axis=0)
     if float(np.trace(kernel).real) > 0.5:
         eigenvalues.append(0j)
@@ -196,28 +196,27 @@ def pushforward_density(phi: PointMap) -> MeasurableFunction:
 class SpectralMeasureTable:
     """Projection-valued set function S -> E_phi M_{chi_preimage(S)}.
 
-    Built once per point map: it holds the fiber partition and the fiber
-    average E_phi. The value of a set keeps the columns of E_phi at the
-    points mapped into the set, so the singleton values have disjoint
-    column supports and sum to E_phi; values() evaluates a whole stack of
-    sets at once.
+    Built once per point map on its fiber partition, whose cached matrix
+    is the fiber average E_phi. A set's value keeps the columns of E_phi
+    at the points mapped into the set, so the singleton values have
+    disjoint column supports and sum to E_phi; values() evaluates a stack
+    of sets at once.
     """
 
     def __init__(self, phi: PointMap):
         self.phi = phi
         self.space = phi.space
         self.partition = fiber_partition(phi)
-        self._e_matrix = cond_exp_operator(self.partition).matrix
         self._images = np.asarray(phi.images, dtype=np.intp)
 
     def measure_of(self, members: Iterable[int]) -> WeightedOperator:
         mask = np.isin(self._images, np.fromiter(members, dtype=np.intp, count=-1))
-        return WeightedOperator(self.space, self._e_matrix * mask[None, :])
+        return WeightedOperator(self.space, self.partition.cond_exp_matrix * mask[None, :])
 
     def values(self, sets: np.ndarray) -> np.ndarray:
         """Stacked matrices of measure(S), one per row of a (k, n)
         boolean array of target-point sets."""
-        return _masked_columns(self._e_matrix, sets[:, self._images])
+        return _masked_columns(self.partition.cond_exp_matrix, sets[:, self._images])
 
     def reconstruct(self, symbols: np.ndarray) -> np.ndarray:
         """Stacked matrices of sum_s v(s) measure({s}), one per row of a
@@ -317,7 +316,7 @@ def check_spectral_axioms(
         basis = _fiber_basis(table.partition)
         db = space.weights[:, None] * basis
         dim = basis.shape[1]
-        frame = db.conj().T @ table._e_matrix
+        frame = db.conj().T @ table.partition.cond_exp_matrix
 
         def measure(sets: np.ndarray) -> np.ndarray:
             return _masked_columns(frame, sets[:, images]) @ basis
@@ -325,7 +324,7 @@ def check_spectral_axioms(
     else:
         dim = n
         s = space.sqrt_weights
-        frame = table._e_matrix * s[:, None] / s[None, :]
+        frame = table.partition.cond_exp_matrix * s[:, None] / s[None, :]
 
         def measure(sets: np.ndarray) -> np.ndarray:
             return _masked_columns(frame, sets[:, images])

@@ -5,8 +5,8 @@ operator under study sends f to w * E(u f), where E averages over the
 partition blocks. Its norm, polar decomposition, Aluthge transform, and
 the functional calculus of the two Gram-type products all reduce to
 algebraic expressions in the block aggregates E(|u|^2), E(|w|^2) and
-E(u w); this module builds those expressions as dense matrices so the
-oracles in opalgebra can certify them.
+E(u w); this module builds them as factored M_a E M_b values (Sandwich)
+whose dense matrices, with the dense T, the oracles in opalgebra certify.
 
 Quotients such as E(|w|^2) / E(|u|^2) appearing under an indicator of
 the support are evaluated as "reciprocal on the support, zero off it".
@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .condexp import cond_exp_operator, cond_exp_values
+from .condexp import Sandwich, cond_exp_values
 from .errors import SpaceMismatchError
 from .measure import (
     DEFAULT_SUPPORT_TOL,
@@ -88,14 +88,6 @@ class WceInstance:
         return self.s_mask & self.g_mask
 
 
-@dataclass(frozen=True, eq=False)
-class PolarParts:
-    """Partial isometry and positive factor with T = U @ absT."""
-
-    U: WeightedOperator
-    absT: WeightedOperator
-
-
 def make_instance(
     partition: Partition,
     u: MeasurableFunction,
@@ -113,17 +105,9 @@ def _masked_recip(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.where(mask, 1.0 / safe, 0.0)
 
 
-def _sandwich(
-    inst: WceInstance, left: np.ndarray, right: np.ndarray
-) -> WeightedOperator:
-    """Matrix of diag(left) @ E @ diag(right)."""
-    e = cond_exp_operator(inst.partition)
-    return WeightedOperator(inst.space, left[:, None] * e.matrix * right[None, :])
-
-
 def build_operator(inst: WceInstance) -> WeightedOperator:
-    """The operator f -> w * E(u f) as a dense matrix."""
-    return _sandwich(inst, inst.w.values, inst.u.values)
+    """The operator f -> w * E(u f) as a dense matrix, for the oracles."""
+    return Sandwich(inst.partition, inst.w.values, inst.u.values).dense()
 
 
 def norm_formula(inst: WceInstance) -> float:
@@ -152,43 +136,38 @@ def partial_isometry_criterion(
     return bool(np.all(near_one | (np.abs(p) <= bound))), near_one
 
 
-def closed_func_calc_gram(
-    inst: WceInstance, f: Callable[[float], complex]
-) -> WeightedOperator:
-    """f applied to T* T in closed form.
-
-    f(T*T) = f(0) I + M_{chi_S / E(|u|^2)} (M_{f o (E(|u|^2) E(|w|^2))}
-    - f(0) I) M_conj(u) E M_u. For f(t) = t^n this reduces to the power
-    formula conj(u) E(|w|^2)^n E(|u|^2)^(n-1) E(u .).
-    """
+def _func_calc(inst: WceInstance, f: Callable[[float], complex], r: np.ndarray,
+               r_agg: np.ndarray, r_mask: np.ndarray) -> WeightedOperator:
+    """f(X) for X = M_{c conj(r)} E M_r, c E(|r|^2) = E(|u|^2) E(|w|^2), with
+    r_agg = E(|r|^2) and r_mask its support: f(X) = f(0) I + M_{chi / E(|r|^2)}
+    (M_{f o (E(|u|^2) E(|w|^2))} - f(0) I) M_conj(r) E M_r."""
     f0 = complex(f(0.0))
     p = inst.eu2 * inst.ew2
     fp = np.asarray([f(float(v)) for v in p], dtype=complex)
-    d = _masked_recip(inst.eu2, inst.s_mask) * (fp - f0)
-    core = _sandwich(inst, d * np.conj(inst.u.values), inst.u.values)
+    d = _masked_recip(r_agg, r_mask) * (fp - f0)
+    core = Sandwich(inst.partition, d * np.conj(r), r).dense()
     return WeightedOperator(
         inst.space, f0 * np.eye(inst.space.n, dtype=complex) + core.matrix
     )
 
 
+def closed_func_calc_gram(
+    inst: WceInstance, f: Callable[[float], complex]
+) -> WeightedOperator:
+    """f(T* T) in closed form, _func_calc with r = u. For f(t) = t^n this is
+    the power formula conj(u) E(|w|^2)^n E(|u|^2)^(n-1) E(u .)."""
+    return _func_calc(inst, f, inst.u.values, inst.eu2, inst.s_mask)
+
+
 def closed_func_calc_cogram(
     inst: WceInstance, g: Callable[[float], complex]
 ) -> WeightedOperator:
-    """g applied to T T* in closed form; mirror of closed_func_calc_gram
-    with the roles of u and w exchanged and conjugation on the right:
-    g(TT*) = g(0) I + M_{chi_G / E(|w|^2)} (...) M_w E M_conj(w)."""
-    g0 = complex(g(0.0))
-    p = inst.eu2 * inst.ew2
-    gp = np.asarray([g(float(v)) for v in p], dtype=complex)
-    d = _masked_recip(inst.ew2, inst.g_mask) * (gp - g0)
-    core = _sandwich(inst, d * inst.w.values, np.conj(inst.w.values))
-    return WeightedOperator(
-        inst.space, g0 * np.eye(inst.space.n, dtype=complex) + core.matrix
-    )
+    """g(T T*) in closed form, _func_calc with r = conj(w)."""
+    return _func_calc(inst, g, np.conj(inst.w.values), inst.ew2, inst.g_mask)
 
 
-def closed_polar(inst: WceInstance) -> PolarParts:
-    """Closed-form polar decomposition T = U |T|.
+def closed_polar(inst: WceInstance) -> tuple[Sandwich, Sandwich]:
+    """Closed-form polar decomposition T = U |T|, returned as (U, |T|).
 
     |T| f = sqrt(E(|w|^2) / E(|u|^2)) chi_S conj(u) E(u f)
     U f   = sqrt(chi_{S and G} / (E(|w|^2) E(|u|^2))) w E(u f)
@@ -198,13 +177,12 @@ def closed_polar(inst: WceInstance) -> PolarParts:
     decomposition the unique one.
     """
     abs_coef = np.sqrt(inst.ew2 * _masked_recip(inst.eu2, inst.s_mask))
-    abs_t = _sandwich(inst, abs_coef * np.conj(inst.u.values), inst.u.values)
     u_coef = np.sqrt(_masked_recip(inst.ew2 * inst.eu2, inst.sg_mask))
-    u_op = _sandwich(inst, u_coef * inst.w.values, inst.u.values)
-    return PolarParts(U=u_op, absT=abs_t)
+    return (Sandwich(inst.partition, u_coef * inst.w.values, inst.u.values),
+            Sandwich(inst.partition, abs_coef * np.conj(inst.u.values), inst.u.values))
 
 
-def closed_abs_sqrt(inst: WceInstance) -> WeightedOperator:
+def closed_abs_sqrt(inst: WceInstance) -> Sandwich:
     """Closed-form square root of |T|:
 
     V f = (E(|w|^2) / E(|u|^2)^3)^(1/4) chi_S conj(u) E(u f)
@@ -213,14 +191,13 @@ def closed_abs_sqrt(inst: WceInstance) -> WeightedOperator:
     half-power factor entering the Aluthge transform.
     """
     coef = (inst.ew2 * _masked_recip(inst.eu2, inst.s_mask) ** 3) ** 0.25
-    return _sandwich(inst, coef * np.conj(inst.u.values), inst.u.values)
+    return Sandwich(inst.partition, coef * np.conj(inst.u.values), inst.u.values)
 
 
-def closed_aluthge(inst: WceInstance) -> WeightedOperator:
+def closed_aluthge(inst: WceInstance) -> Sandwich:
     """Closed-form Aluthge transform |T|^(1/2) U |T|^(1/2):
 
     f -> (chi_S E(u w) / E(|u|^2)) conj(u) E(u f)
     """
     coef = inst.euw * _masked_recip(inst.eu2, inst.s_mask)
-    return _sandwich(inst, coef * np.conj(inst.u.values), inst.u.values)
-
+    return Sandwich(inst.partition, coef * np.conj(inst.u.values), inst.u.values)

@@ -2,10 +2,17 @@ import numpy as np
 import pytest
 
 from wcelab.generator import GeneratorConfig, gen_instance
+from wcelab.opalgebra import WeightedOperator
 
 
 def random_complex(rng, n, cap=4.0):
     return rng.uniform(0.0, cap, n) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, n))
+
+
+def e_operator(partition):
+    """The conditional expectation as an operator: the partition's cached
+    matrix of E."""
+    return WeightedOperator(partition.space, partition.cond_exp_matrix)
 
 
 def generated_partitions(count, seed0=500, n_max=16):

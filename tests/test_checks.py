@@ -5,12 +5,13 @@ tolerance reaching the closed forms and the spectral decomposition, and
 the indicator-set test of the partial-isometry check."""
 
 import json
+from functools import cached_property
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from wcelab import checks
+from wcelab import checks, spectral
 from wcelab.checks import (
     CheckContext,
     Tolerances,
@@ -26,11 +27,11 @@ from wcelab.checks import (
     check_vanishing,
 )
 from wcelab.cli import main
-from wcelab.condexp import cond_exp_operator
 from wcelab.generator import GeneratorConfig, gen_instance
 from wcelab.instance_io import InstanceBundle, serialize_instance
 from wcelab.measure import (
     MeasurableFunction,
+    Partition,
     coarsest_partition,
     make_partition,
     make_space,
@@ -48,6 +49,7 @@ from wcelab.spectral import (
     avg_mult_operator,
     fiber_partition,
 )
+from wcelab.suite import run_suite
 from wcelab.wce import (
     build_operator,
     closed_func_calc_cogram,
@@ -115,6 +117,66 @@ def test_one_factorization_per_operator(monkeypatch):
     assert counts["polar"] == 1
     # Closed U and closed |T| only; ker T comes from the cached SVD.
     assert counts["kernel"] == 2
+
+
+def test_one_cond_exp_matrix_per_partition(monkeypatch):
+    # E's matrix is built by one cached property, once per partition: the
+    # instance's partition and the point map's fiber partition.
+    built = []
+    build = Partition.cond_exp_matrix.func
+
+    def counting(partition):
+        built.append(partition)
+        return build(partition)
+
+    prop = cached_property(counting)
+    prop.__set_name__(Partition, "cond_exp_matrix")
+    monkeypatch.setattr(Partition, "cond_exp_matrix", prop)
+    bundle = gen_instance(GeneratorConfig(seed=17, n=12, block_count=4,
+                                          measurable_u=True, with_point_map=True))
+    report = run_suite([bundle])
+    assert report.failed == 0 and report.skipped == 0
+    assert len(built) <= 2
+    assert len({id(p) for p in built}) == len(built)
+
+
+def test_closed_identities_take_no_dense_products(monkeypatch):
+    # U |T|, U* U, (U* U)^2 and V^2 are formed in the Sandwich algebra; the
+    # dense products left are the oracle's: U_ref* U_ref in check_polar and
+    # the two factors of |T|^(1/2) U |T|^(1/2) in check_aluthge.
+    ctx = CheckContext(gen_instance(GeneratorConfig(seed=11, n=16, block_count=4)),
+                       Tolerances())
+    # The shared factorizations come first; their own products are not counted.
+    _ = ctx.gram_eig, ctx.polar
+    products = []
+    matmul = WeightedOperator.__matmul__
+
+    def counting(a, b):
+        products.append((a, b))
+        return matmul(a, b)
+
+    monkeypatch.setattr(WeightedOperator, "__matmul__", counting)
+    assert all(r.status == "pass" for r in check_polar(ctx))
+    assert len(products) == 1
+    assert all(r.status == "pass" for r in check_aluthge(ctx))
+    assert len(products) == 3
+
+
+@pytest.mark.parametrize("measurable_u", [True, False])
+def test_spectral_decomp_tests_normality_once(monkeypatch, measurable_u):
+    calls = []
+    is_measurable = spectral.is_measurable
+
+    def counting(*args):
+        calls.append(args)
+        return is_measurable(*args)
+
+    monkeypatch.setattr(spectral, "is_measurable", counting)
+    bundle = gen_instance(GeneratorConfig(seed=19, n=10, block_count=3,
+                                          measurable_u=measurable_u))
+    records = check_spectral_decomp(CheckContext(bundle, Tolerances()))
+    assert {r.status for r in records} == {"pass" if measurable_u else "skip"}
+    assert len(calls) == 1
 
 
 def test_norms_already_held_are_not_taken_again(monkeypatch):
@@ -198,7 +260,7 @@ def reference_spectral_decomp(inst):
     """The per-eigenvalue loop: the projections one at a time, five norms
     per projection, one norm per pair of projections."""
     space, n = inst.space, inst.space.n
-    e_matrix = cond_exp_operator(inst.partition).matrix
+    e_matrix = inst.partition.cond_exp_matrix
     reps, group = _eigenvalue_groups(inst.u, inst.partition)
     point_group = group[inst.partition.block_of]
     eigenvalues, projections = [], []

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wcelab.condexp import cond_exp_operator, cond_exp_values
+from wcelab.condexp import Sandwich, cond_exp_values
 from wcelab.measure import (
     MeasurableFunction,
     coarsest_partition,
@@ -12,7 +14,7 @@ from wcelab.measure import (
 from wcelab.opalgebra import op_deviation, weighted_adjoint
 from wcelab.wce import make_instance
 
-from conftest import generated_partitions, random_complex
+from conftest import e_operator, generated_partitions, random_complex
 
 
 class TestCondExp:
@@ -49,24 +51,24 @@ class TestCondExp:
 class TestCondExpOperator:
     def test_uniform_two_points(self):
         sp = make_space([1.0, 1.0])
-        m = cond_exp_operator(coarsest_partition(sp))
+        m = e_operator(coarsest_partition(sp))
         np.testing.assert_allclose(m.matrix, np.full((2, 2), 0.5))
 
     def test_finest_identity(self):
         sp = make_space([1.0, 3.0, 2.0])
-        m = cond_exp_operator(finest_partition(sp))
+        m = e_operator(finest_partition(sp))
         np.testing.assert_allclose(m.matrix, np.eye(3))
 
     def test_weighted_rows(self):
         # mu = (1, 3), one block: every row is (1/4, 3/4).
         sp = make_space([1.0, 3.0])
-        m = cond_exp_operator(coarsest_partition(sp))
+        m = e_operator(coarsest_partition(sp))
         np.testing.assert_allclose(m.matrix, [[0.25, 0.75], [0.25, 0.75]])
 
     def test_matrix_matches_cond_exp_on_basis(self, rng):
         sp = make_space([1.0, 2.0, 0.5, 4.0])
         p = make_partition(sp, [[0, 3], [1], [2]])
-        m = cond_exp_operator(p)
+        m = e_operator(p)
         for i in range(sp.n):
             basis = np.zeros(sp.n, dtype=complex)
             basis[i] = 1.0
@@ -76,12 +78,12 @@ class TestCondExpOperator:
     def test_weighted_self_adjoint(self):
         sp = make_space([1.0, 3.0, 2.0, 0.7])
         p = make_partition(sp, [[0, 1, 3], [2]])
-        m = cond_exp_operator(p)
+        m = e_operator(p)
         assert op_deviation(weighted_adjoint(m), m) < 1e-15
 
     def test_idempotent_matrix(self):
         sp = make_space([1.0, 3.0, 2.0])
-        m = cond_exp_operator(coarsest_partition(sp))
+        m = e_operator(coarsest_partition(sp))
         assert op_deviation(m @ m, m) < 1e-15
 
 
@@ -138,3 +140,44 @@ def test_real_input_stays_real():
         for k, b in enumerate(partition.blocks):
             expected[list(b)] = ref[k] > inst.support_tol * ref.max()
         np.testing.assert_array_equal(inst.s_mask, expected)
+
+
+def random_sandwich(rng, partition):
+    """M_a E M_b with complex symbols; each block of a and of b is zeroed
+    with probability 1/4."""
+    def symbol():
+        alive = rng.random(partition.block_count) >= 0.25
+        return np.where(alive[partition.block_of], random_complex(rng, partition.space.n), 0.0)
+
+    return Sandwich(partition, symbol(), symbol())
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 24), st.integers(1, 24))
+def test_sandwich_algebra_matches_dense_products(seed, n, k):
+    # E M_g E = M_E(g) E and E* = E, checked against the dense products.
+    rng = np.random.default_rng(seed)
+    sp = make_space(rng.uniform(0.1, 10.0, n))
+    labels = np.concatenate((np.arange(min(k, n)), rng.integers(0, min(k, n), n - min(k, n))))
+    rng.shuffle(labels)
+    partition = make_partition(sp, [np.flatnonzero(labels == b) for b in range(min(k, n))])
+    a, b = random_sandwich(rng, partition), random_sandwich(rng, partition)
+    dense_a, dense_b = a.dense(), b.dense()
+    assert op_deviation((a @ b).dense(), dense_a @ dense_b) <= 1e-12
+    assert op_deviation(a.adjoint().dense(), weighted_adjoint(dense_a)) <= 1e-12
+
+
+def test_sandwich_dense_is_the_scaled_cond_exp_matrix():
+    sp = make_space([1.0, 3.0, 2.0])
+    p = make_partition(sp, [[0, 2], [1]])
+    s = Sandwich(p, np.array([2.0, 1j, 0.5]), np.array([1.0, 3.0, -1.0]))
+    np.testing.assert_allclose(
+        s.dense().matrix, np.diag(s.left) @ p.cond_exp_matrix @ np.diag(s.right),
+        rtol=1e-15, atol=0)
+
+
+def test_cond_exp_matrix_is_cached_and_read_only():
+    p = make_partition(make_space([1.0, 3.0, 2.0]), [[0, 2], [1]])
+    assert p.cond_exp_matrix is p.cond_exp_matrix
+    with pytest.raises(ValueError):
+        p.cond_exp_matrix[0, 0] = 1.0

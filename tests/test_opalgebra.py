@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wcelab.condexp import cond_exp_operator
 from wcelab.errors import NotPositiveError, NotSelfAdjointError
 from wcelab.measure import coarsest_partition, make_partition, make_space
 from wcelab.opalgebra import (
@@ -19,7 +18,7 @@ from wcelab.opalgebra import (
     weighted_adjoint,
 )
 
-from conftest import random_complex
+from conftest import e_operator, random_complex
 
 
 def random_operator(rng, space):
@@ -67,7 +66,7 @@ class TestWeightedAdjoint:
 
     def test_cond_exp_is_self_adjoint(self, space):
         p = make_partition(space, [[0, 2], [1, 3]])
-        e = cond_exp_operator(p)
+        e = e_operator(p)
         assert operator_norm(weighted_adjoint(e) - e) < 1e-14
 
     def test_defining_identity(self, space, rng):
@@ -119,7 +118,7 @@ class TestOperatorNorm:
         # Pins the weighting convention: in the Euclidean norm this matrix
         # has largest singular value sqrt(1.25).
         sp = make_space([1.0, 3.0])
-        e = cond_exp_operator(coarsest_partition(sp))
+        e = e_operator(coarsest_partition(sp))
         assert operator_norm(e) == pytest.approx(1.0)
         assert np.linalg.svd(e.matrix, compute_uv=False)[0] == pytest.approx(
             np.sqrt(1.25)
@@ -137,7 +136,7 @@ class TestHermitianEig:
         # the trace.
         sp = make_space([1.0, 2.0, 0.5, 3.0, 1.5])
         p = make_partition(sp, [[0, 1], [2, 4], [3]])
-        e = cond_exp_operator(p)
+        e = e_operator(p)
         es = hermitian_eig(e)
         ones = np.sum(np.abs(es.values - 1) < 1e-10)
         zeros = np.sum(np.abs(es.values) < 1e-10)
@@ -183,7 +182,7 @@ class TestPositiveSqrt:
 
     def test_projection_is_own_root(self, space):
         p = make_partition(space, [[0, 1, 3], [2]])
-        e = cond_exp_operator(p)
+        e = e_operator(p)
         root = positive_sqrt(e)
         assert op_deviation(root, e) < 1e-12
         assert op_deviation(root @ root, e) < 1e-12
@@ -209,7 +208,7 @@ class TestPolarOracle:
     def test_scaled_projection(self, space):
         # A = 3E: A*A = 9E, so P = 3E and U = E.
         part = make_partition(space, [[0, 2], [1, 3]])
-        e = cond_exp_operator(part)
+        e = e_operator(part)
         u, p = polar_oracle(3.0 * e)
         assert op_deviation(p, 3.0 * e) < 1e-12
         assert op_deviation(u, e) < 1e-12
@@ -269,7 +268,7 @@ class TestKernelProjection:
         # ker E is the complement of the blockwise-constant functions, so
         # the kernel projection must be I - E.
         p = make_partition(space, [[0, 1], [2, 3]])
-        e = cond_exp_operator(p)
+        e = e_operator(p)
         k = kernel_projection(e)
         eye = WeightedOperator.identity(space)
         assert op_deviation(k + e, eye) < 1e-12

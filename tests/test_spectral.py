@@ -1,12 +1,14 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
 from wcelab import spectral
-from wcelab.condexp import cond_exp_operator
 from wcelab.errors import NotFiberMeasurableError, NotNormalError
 from wcelab.generator import GeneratorConfig, gen_instance, perturb_nonmeasurable
 from wcelab.measure import (
     MeasurableFunction,
+    Partition,
     finest_partition,
     make_partition,
     make_space,
@@ -30,7 +32,7 @@ from wcelab.spectral import (
     spectral_decomposition,
 )
 
-from conftest import random_complex
+from conftest import e_operator, random_complex
 
 
 @pytest.fixture
@@ -123,7 +125,7 @@ class TestSpectralDecomposition:
         u = MeasurableFunction.constant(sp, 3.0)
         decomp = spectral_decomposition(u, p)
         assert [complex(z) for z in decomp.eigenvalues] == [3 + 0j, 0j]
-        e = cond_exp_operator(p)
+        e = e_operator(p)
         assert op_deviation(decomp.projections[0], e) < 1e-13
 
     def test_zero_symbol(self, uniform4):
@@ -203,7 +205,7 @@ class TestSpectralMeasure:
     def test_whole_set_is_fiber_average(self):
         sp = make_space([1.0, 1.0, 2.0])
         phi = PointMap(sp, (0, 0, 2))
-        e = cond_exp_operator(fiber_partition(phi))
+        e = e_operator(fiber_partition(phi))
         assert op_deviation(SpectralMeasureTable(phi).measure_of(range(3)), e) < 1e-14
 
     def test_singleton_example(self):
@@ -319,13 +321,21 @@ def generated_point_maps(count=30, seed0=700):
     return maps
 
 
-def perturbed_cond_exp_operator(partition):
-    """The fiber average with its first nonzero off-diagonal entry scaled
-    by 1 + 1e-6: no longer a projection."""
-    m = cond_exp_operator(partition).matrix.copy()
-    off = np.argwhere((m != 0) & ~np.eye(len(m), dtype=bool))[0]
-    m[tuple(off)] *= 1 + 1e-6
-    return WeightedOperator(partition.space, m)
+def perturb_fiber_average(monkeypatch):
+    """Patch the one builder of E's matrix: its first nonzero off-diagonal
+    entry is scaled by 1 + 1e-6, so it is no longer a projection. Partitions
+    made after the patch get the perturbed matrix."""
+    build = Partition.cond_exp_matrix.func
+
+    def perturbed(partition):
+        m = build(partition).copy()
+        off = np.argwhere((m != 0) & ~np.eye(len(m), dtype=bool))[0]
+        m[tuple(off)] *= 1 + 1e-6
+        return m
+
+    prop = cached_property(perturbed)
+    prop.__set_name__(Partition, "cond_exp_matrix")
+    monkeypatch.setattr(Partition, "cond_exp_matrix", prop)
 
 
 class TestBatchedSpectralAxioms:
@@ -360,7 +370,7 @@ class TestBatchedSpectralAxioms:
         phi = PointMap(sp, (1, 1, 1, 4, 4))
         unperturbed = check_spectral_axioms(SpectralMeasureTable(phi), on_subspace)
         assert max(report_residuals(unperturbed, include_full=on_subspace)) <= 1e-12
-        monkeypatch.setattr(spectral, "cond_exp_operator", perturbed_cond_exp_operator)
+        perturb_fiber_average(monkeypatch)
         report = check_spectral_axioms(SpectralMeasureTable(phi), on_subspace)
         assert report.projection_residual > 1e-9
         assert report.intersection_residual > 1e-9
@@ -391,7 +401,7 @@ class TestReconstruction:
         phi = PointMap(sp, (0, 0, 2))
         u = MeasurableFunction.constant(sp, 1.0)
         rebuilt = reconstruct_from_measure(phi, u)
-        e = cond_exp_operator(fiber_partition(phi))
+        e = e_operator(fiber_partition(phi))
         assert op_deviation(rebuilt, e) < 1e-14
 
     def test_zero_symbol(self):
@@ -417,7 +427,7 @@ class TestReconstruction:
         u = MeasurableFunction(sp, [2.0, 2.0, 2.0, -1.0 + 1.0j, -1.0 + 1.0j])
         direct = avg_mult_operator(u, fiber_partition(phi))
         assert op_deviation(reconstruct_from_measure(phi, u), direct) < 1e-13
-        monkeypatch.setattr(spectral, "cond_exp_operator", perturbed_cond_exp_operator)
+        perturb_fiber_average(monkeypatch)
         assert op_deviation(reconstruct_from_measure(phi, u), direct) > 1e-9
 
     def test_rejects_nonfiber_measurable(self):

@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import wcelab
 from wcelab import checks, cli
 from wcelab.checks import CHECK_GROUPS, GROUP_RECORD_NAMES, Tolerances
 from wcelab.cli import main
@@ -159,6 +163,32 @@ class TestCli:
         assert "operator entries must be finite" in out
         assert err == ""
 
+    def test_verify_nonfinite_block_mean_fails_in_time(self, tmp_path):
+        # The block integral of u overflows to inf - inf, a NaN block mean.
+        # It joined no eigenvalue group, so the grouping loop never ended;
+        # now the groups that need it become failing records. The command
+        # runs in a subprocess with a timeout, so a regression fails here
+        # instead of hanging the suite.
+        doc = {"weights": [1e10, 1e10], "partition": [[0, 1]],
+               "u": [[1e300, 0], [-1e300, 0]], "w": [[1, 0], [1, 0]]}
+        inst_file = tmp_path / "nan_mean.json"
+        inst_file.write_text(json.dumps(doc))
+        report_file = tmp_path / "report.json"
+        src = str(Path(wcelab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "wcelab.cli", "verify", str(inst_file),
+             "--report", str(report_file)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        records = {r["name"]: r for r in json.loads(report_file.read_text())["records"]}
+        assert records["spectrum"]["status"] == "fail"
+        assert records["spectrum"]["reason"] == (
+            "spectrum raised ValueError: a block mean of u is not finite")
+        assert all(records[n]["status"] in ("fail", "skip")
+                   for n in GROUP_RECORD_NAMES["spectral_decomp"])
+
     def test_verify_unknown_check_exits_2(self, tmp_path, capsys):
         inst_file = tmp_path / "inst.json"
         main(["gen", "--seed", "5", "-o", str(inst_file)])
@@ -166,6 +196,12 @@ class TestCli:
 
     def test_gen_bad_config_exits_2(self, capsys):
         assert main(["gen", "--seed", "1", "--n", "1"]) == 2
+
+    def test_gen_negative_seed_exits_2(self, capsys):
+        assert main(["gen", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed=-1 must be >= 0\n"
+        assert captured.out == ""
 
     def test_tight_tolerance_exits_1(self, tmp_path):
         inst_file = tmp_path / "inst.json"
@@ -185,6 +221,11 @@ class TestCli:
 
     def test_suite_bad_range_exits_2(self, capsys):
         assert main(["suite", "--seeds", "5"]) == 2
+
+    @pytest.mark.parametrize("seeds", ["-3..-1", "-1..2"])
+    def test_suite_negative_seed_exits_2(self, capsys, seeds):
+        assert main(["suite", f"--seeds={seeds}"]) == 2
+        assert capsys.readouterr().err == f"error: seeds must be >= 0, got '{seeds}'\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-300"])
     @pytest.mark.parametrize("flag", ["--tol", "--support-tol"])

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from wcelab.condexp import cond_exp_operator
 from wcelab.generator import GeneratorConfig, gen_instance
 from wcelab.measure import (
     MeasurableFunction,
@@ -13,6 +12,7 @@ from wcelab.measure import (
     make_space,
 )
 from wcelab.opalgebra import (
+    WeightedOperator,
     func_calc_oracle,
     kernel_projection,
     op_deviation,
@@ -33,7 +33,7 @@ from wcelab.wce import (
     partial_isometry_criterion,
 )
 
-from conftest import random_complex
+from conftest import e_operator, random_complex
 
 
 def ones_instance(weights, blocks=None):
@@ -63,7 +63,7 @@ def random_instance(seed, **kwargs):
 class TestBuildOperator:
     def test_unit_symbols_give_projection(self):
         inst = ones_instance([1.0, 2.0, 0.5], blocks=[[0, 2], [1]])
-        e = cond_exp_operator(inst.partition)
+        e = e_operator(inst.partition)
         assert op_deviation(build_operator(inst), e) < 1e-15
 
     def test_finest_partition_is_multiplication(self, rng):
@@ -173,7 +173,7 @@ class TestClosedFuncCalc:
         closed = closed_func_calc_gram(inst, lambda t_: t_ * t_)
         assert op_deviation(closed, gram @ gram) < 1e-12
         # Power formula: conj(u) E(|w|^2)^2 E(|u|^2) E(u .)
-        e = cond_exp_operator(inst.partition)
+        e = e_operator(inst.partition)
         coef = np.conj(inst.u.values) * inst.ew2**2 * inst.eu2
         direct = type(t)(inst.space, coef[:, None] * e.matrix * inst.u.values[None, :])
         assert op_deviation(closed, direct) < 1e-12
@@ -208,18 +208,18 @@ class TestClosedFuncCalc:
 class TestClosedPolar:
     def test_projection_polar(self):
         inst = ones_instance([1.0, 2.0, 0.5], blocks=[[0, 1], [2]])
-        e = cond_exp_operator(inst.partition)
-        parts = closed_polar(inst)
-        assert op_deviation(parts.U, e) < 1e-13
-        assert op_deviation(parts.absT, e) < 1e-13
+        e = e_operator(inst.partition)
+        u_op, abs_t = closed_polar(inst)
+        assert op_deviation(u_op.dense(), e) < 1e-13
+        assert op_deviation(abs_t.dense(), e) < 1e-13
 
     def test_example_matrices(self, example_instance):
-        parts = closed_polar(example_instance)
+        u_op, abs_t = closed_polar(example_instance)
         np.testing.assert_allclose(
-            parts.absT.matrix, [[math.sqrt(3) / 2, 0], [0, 0]], atol=1e-14
+            abs_t.dense().matrix, [[math.sqrt(3) / 2, 0], [0, 0]], atol=1e-14
         )
         np.testing.assert_allclose(
-            parts.U.matrix, [[0, 0], [1 / math.sqrt(3), 0]], atol=1e-14
+            u_op.dense().matrix, [[0, 0], [1 / math.sqrt(3), 0]], atol=1e-14
         )
 
     def test_zero_symbol(self):
@@ -229,31 +229,53 @@ class TestClosedPolar:
             MeasurableFunction.constant(sp, 0.0),
             MeasurableFunction(sp, [1, 2]),
         )
-        parts = closed_polar(inst)
-        assert operator_norm(parts.U) == 0.0
-        assert operator_norm(parts.absT) == 0.0
+        u_op, abs_t = closed_polar(inst)
+        assert operator_norm(u_op.dense()) == 0.0
+        assert operator_norm(abs_t.dense()) == 0.0
 
     @pytest.mark.parametrize("seed", [41, 42, 43, 44])
     def test_certification(self, seed):
         inst = random_instance(seed, zero_blocks=(seed % 2 == 0))
         t = build_operator(inst)
-        parts = closed_polar(inst)
+        u_op, abs_t = closed_polar(inst)
         gram = weighted_adjoint(t) @ t
-        assert op_deviation(parts.absT, positive_sqrt(gram)) < 1e-8
+        assert op_deviation(abs_t.dense(), positive_sqrt(gram)) < 1e-8
         u_ref, _ = polar_oracle(t)
-        assert op_deviation(parts.U, u_ref) < 1e-8
-        assert op_deviation(parts.U @ parts.absT, t) < 1e-8
-        kernels = [kernel_projection(x) for x in (parts.U, parts.absT, t)]
+        assert op_deviation(u_op.dense(), u_ref) < 1e-8
+        assert op_deviation((u_op @ abs_t).dense(), t) < 1e-8
+        kernels = [kernel_projection(x) for x in (u_op.dense(), abs_t.dense(), t)]
         for i in range(3):
             for j in range(i + 1, 3):
                 assert op_deviation(kernels[i], kernels[j]) < 1e-7
 
 
+def test_closed_forms_stay_factored_until_dense(monkeypatch):
+    # The closed forms and their products and adjoints build no operator
+    # matrix; dense() builds one.
+    built = []
+    post_init = WeightedOperator.__post_init__
+
+    def counting(op):
+        built.append(op)
+        post_init(op)
+
+    inst = random_instance(45)
+    monkeypatch.setattr(WeightedOperator, "__post_init__", counting)
+    u_op, abs_t = closed_polar(inst)
+    v = closed_abs_sqrt(inst)
+    uu = u_op.adjoint() @ u_op
+    products = (u_op @ abs_t, uu @ uu, v @ v, closed_aluthge(inst))
+    assert built == []
+    assert all(p.partition is inst.partition for p in products)
+    products[0].dense()
+    assert len(built) == 1
+
+
 class TestClosedAluthge:
     def test_projection_fixed_point(self):
         inst = ones_instance([1.0, 2.0, 0.5], blocks=[[0, 1], [2]])
-        e = cond_exp_operator(inst.partition)
-        assert op_deviation(closed_aluthge(inst), e) < 1e-13
+        e = e_operator(inst.partition)
+        assert op_deviation(closed_aluthge(inst).dense(), e) < 1e-13
 
     def test_example_matrix(self):
         # mu = (1, 3), u = w = (2, 0): E(u w) = E(|u|^2) = 1, so the
@@ -262,7 +284,7 @@ class TestClosedAluthge:
         f = MeasurableFunction(sp, [2, 0])
         inst = make_instance(coarsest_partition(sp), f, f)
         np.testing.assert_allclose(
-            closed_aluthge(inst).matrix, [[1, 0], [0, 0]], atol=1e-14
+            closed_aluthge(inst).dense().matrix, [[1, 0], [0, 0]], atol=1e-14
         )
 
     def test_zero_symbol(self):
@@ -272,7 +294,7 @@ class TestClosedAluthge:
             MeasurableFunction.constant(sp, 0.0),
             MeasurableFunction(sp, [1, 2]),
         )
-        assert operator_norm(closed_aluthge(inst)) == 0.0
+        assert operator_norm(closed_aluthge(inst).dense()) == 0.0
 
     @pytest.mark.parametrize("seed", [51, 52, 53])
     def test_certification(self, seed):
@@ -280,7 +302,7 @@ class TestClosedAluthge:
         t = build_operator(inst)
         u_ref, p_ref = polar_oracle(t)
         oracle = positive_sqrt(p_ref) @ u_ref @ positive_sqrt(p_ref)
-        assert op_deviation(closed_aluthge(inst), oracle) < 1e-8
+        assert op_deviation(closed_aluthge(inst).dense(), oracle) < 1e-8
         v = closed_abs_sqrt(inst)
-        assert op_deviation(v @ v, closed_polar(inst).absT) < 1e-8
+        assert op_deviation((v @ v).dense(), closed_polar(inst)[1].dense()) < 1e-8
 
