@@ -19,13 +19,14 @@ from .opalgebra import WeightedOperator
 
 
 def cond_exp_values(partition: Partition, values: np.ndarray) -> np.ndarray:
-    """Blockwise weighted means, assigned back to every point of the block.
+    """Blockwise weighted means, assigned back to every point of the block;
+    values may be a (..., n) stack of point functions, one row each.
 
     The result is blockwise constant with the same block integrals as
     values. Real input stays real, so aggregates like E(|u|^2) can be
     compared with thresholds.
     """
-    return partition.block_means(values)[partition.block_of]
+    return partition.block_means(values)[..., partition.block_of]
 
 
 @dataclass(frozen=True, eq=False)

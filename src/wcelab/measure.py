@@ -143,19 +143,28 @@ class Partition:
         return m
 
     def block_means(self, values: np.ndarray) -> np.ndarray:
-        """Weighted mean of values over each block, one entry per block.
+        """Weighted mean of values over each block: one entry per block, per
+        row of a (..., n) stack of point functions.
 
         This is the one block reduction every closed form is built on.
         Real input gives real output, so aggregates like E(|u|^2) stay
-        real and can be compared with thresholds.
+        real and can be compared with thresholds. Each row is summed in
+        point order, as a single function would be. A block integral
+        beyond the float range gives a mean that is not finite, without a
+        warning; callers that need finite means test for them.
         """
         v = np.asarray(values)
         w = self.space.weights
         k = self.block_count
-        total = np.bincount(self.block_of, v.real * w, k)
-        if np.iscomplexobj(v):
-            total = total + 1j * np.bincount(self.block_of, v.imag * w, k)
-        return total / self.block_masses
+        rows = v.size // self.space.n
+        bins = self.block_of
+        if v.ndim > 1:
+            bins = (k * np.arange(rows)[:, None] + bins).ravel()
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.bincount(bins, (v.real * w).ravel(), k * rows)
+            if np.iscomplexobj(v):
+                total = total + 1j * np.bincount(bins, (v.imag * w).ravel(), k * rows)
+            return total.reshape(v.shape[:-1] + (k,)) / self.block_masses
 
     def is_finest(self) -> bool:
         return self.block_count == self.space.n
@@ -259,7 +268,9 @@ def is_measurable(
     """True iff f is constant on every block of the partition up to tol.
 
     Constancy is measured against the weighted block mean; the allowed
-    deviation is tol * (1 + max|f|).
+    deviation is tol * (1 + max|f|). A block mean that is not finite (a
+    block integral beyond the float range) decides nothing, so it raises
+    ValueError.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
@@ -267,5 +278,7 @@ def is_measurable(
         raise SpaceMismatchError("function and partition live on different spaces")
     vals = f.values
     scale = 1.0 + float(np.abs(vals).max())
-    means = partition.block_means(vals)[partition.block_of]
-    return float(np.abs(vals - means).max()) <= tol * scale
+    means = partition.block_means(vals)
+    if not np.all(np.isfinite(means)):
+        raise ValueError("a block mean is not finite")
+    return float(np.abs(vals - means[partition.block_of]).max()) <= tol * scale

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .measure import (
     Partition,
     is_measurable,
 )
-from .opalgebra import WeightedOperator
+from .opalgebra import WeightedOperator, spectral_norms
 
 # Block means closer than this (relative) are merged into one eigenvalue.
 EIGENVALUE_GROUP_TOL = 1e-8
@@ -281,17 +281,51 @@ def _axiom_sets(
 
 def _max_norm(stack: np.ndarray) -> float:
     """Largest spectral norm over a stack of matrices."""
-    return float(np.linalg.norm(stack, 2, axis=(1, 2)).max())
+    return float(spectral_norms(stack).max())
+
+
+def _frame_measure(
+    table: SpectralMeasureTable, on_subspace: bool
+) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
+    """The set function S -> measure(S) of one frame, on a (k, n) boolean
+    array of target-point sets, and the dimension of its space.
+
+    measure(S) = E_phi M_{chi_preimage(S)} only masks the columns of E_phi,
+    so the frame change is applied to E_phi once and the column masks of a
+    whole stack of sets go on afterwards: conjugation by the square-root
+    weights on the ambient space, compression to the weighted-orthonormal
+    fiber indicators on the fiber subspace.
+    """
+    space = table.space
+    images = table._images
+    if on_subspace:
+        basis = _fiber_basis(table.partition)
+        db = space.weights[:, None] * basis
+        frame = db.conj().T @ table.partition.cond_exp_matrix
+
+        def measure(sets: np.ndarray) -> np.ndarray:
+            return _masked_columns(frame, sets[:, images]) @ basis
+
+        return measure, basis.shape[1]
+
+    s = space.sqrt_weights
+    frame = table.partition.cond_exp_matrix * s[:, None] / s[None, :]
+
+    def measure(sets: np.ndarray) -> np.ndarray:
+        return _masked_columns(frame, sets[:, images])
+
+    return measure, space.n
 
 
 def check_spectral_axioms(
     table: SpectralMeasureTable,
-    on_subspace: bool,
     n_random: int = 12,
     seed: int = 0,
-) -> SpectralAxiomReport:
+) -> tuple[SpectralAxiomReport, SpectralAxiomReport]:
     """Evaluate the spectral-measure axioms over all singletons and a
-    seeded family of random subsets.
+    seeded family of random subsets, on the ambient space and on the
+    fiber subspace; returns the two reports in that order, so indexing
+    the pair by on_subspace picks a frame.
 
     (a) every value is an orthogonal projection, (b) the empty set maps
     to 0 and the whole set to the identity, (c) intersections map to
@@ -299,55 +333,21 @@ def check_spectral_axioms(
     norms on the selected space, taken over stacks of the dense measure
     values of the whole set family at once.
 
-    The draws from the seeded generator come in a fixed order: the
-    random sets and the intersection pairs (see _axiom_sets), then for
-    each of the max(n_random, 4) additivity rounds the index of the
-    whole set, the number of pieces, and the piece of every point.
+    The family is drawn once and both frames are checked on it. The draws
+    from the seeded generator come in a fixed order: the random sets and
+    the intersection pairs (see _axiom_sets), then for each of the
+    max(n_random, 4) additivity rounds the index of the whole set, the
+    number of pieces, and the piece of every point.
     """
-    space = table.space
-    n = space.n
+    n = table.space.n
     rng = np.random.default_rng(seed)
-    images = table._images
-
-    # measure(S) = E_phi M_{chi_preimage(S)} only masks the columns of
-    # E_phi, so the frame change is applied to E_phi once and the column
-    # masks of a whole stack of sets go on afterwards.
-    if on_subspace:
-        basis = _fiber_basis(table.partition)
-        db = space.weights[:, None] * basis
-        dim = basis.shape[1]
-        frame = db.conj().T @ table.partition.cond_exp_matrix
-
-        def measure(sets: np.ndarray) -> np.ndarray:
-            return _masked_columns(frame, sets[:, images]) @ basis
-
-    else:
-        dim = n
-        s = space.sqrt_weights
-        frame = table.partition.cond_exp_matrix * s[:, None] / s[None, :]
-
-        def measure(sets: np.ndarray) -> np.ndarray:
-            return _masked_columns(frame, sets[:, images])
-
     sets, pairs = _axiom_sets(rng, n, n_random)
     k = len(sets)
     # The family is followed by the empty set (row k) and the whole set
     # (row k + 1), which the identity and intersection axioms use.
     family = np.vstack([sets, np.zeros(n, dtype=bool), np.ones(n, dtype=bool)])
-    values = measure(family)
-
-    v = values[:k]
-    # Differences in place: each extra stack raises the peak memory.
-    squared = v @ v
-    squared -= v
-    adjoint = v.conj().transpose(0, 2, 1)
-    adjoint -= v
-    proj_res = max(_max_norm(squared), _max_norm(adjoint))
-    empty_res = _max_norm(values[k:k + 1])
-    full_res = _max_norm(values[k + 1:] - np.eye(dim))
-
     i, j = np.vstack([pairs, [[0, k + 1], [0, k]]]).T
-    inter_res = _max_norm(measure(family[i] & family[j]) - values[i] @ values[j])
+    meets = family[i] & family[j]
 
     # Every round's pieces go into one measure call; round r owns the
     # rows starts[r]:starts[r + 1] of the piece stack.
@@ -359,18 +359,33 @@ def check_spectral_axioms(
         wholes.append(whole)
         pieces.append(sets[whole] & (assignment[None, :] == np.arange(parts)[:, None]))
     starts = np.cumsum([0] + [len(p) for p in pieces[:-1]])
-    sums = np.add.reduceat(measure(np.vstack(pieces)), starts, axis=0)
-    sums -= values[wholes]
-    add_res = _max_norm(sums)
+    pieces = np.vstack(pieces)
 
-    return SpectralAxiomReport(
-        on_subspace=on_subspace,
-        projection_residual=proj_res,
-        empty_residual=empty_res,
-        full_residual=full_res,
-        intersection_residual=inter_res,
-        additivity_residual=add_res,
-    )
+    # One frame's stacks are freed before the next frame's are built: each
+    # extra stack raises the peak memory.
+    def frame_report(on_subspace: bool) -> SpectralAxiomReport:
+        measure, dim = _frame_measure(table, on_subspace)
+        values = measure(family)
+        v = values[:k]
+        # Differences in place, for the same reason.
+        squared = v @ v
+        squared -= v
+        adjoint = v.conj().transpose(0, 2, 1)
+        adjoint -= v
+        proj_res = max(_max_norm(squared), _max_norm(adjoint))
+        inter_res = _max_norm(measure(meets) - values[i] @ values[j])
+        sums = np.add.reduceat(measure(pieces), starts, axis=0)
+        sums -= values[wholes]
+        return SpectralAxiomReport(
+            on_subspace=on_subspace,
+            projection_residual=proj_res,
+            empty_residual=_max_norm(values[k:k + 1]),
+            full_residual=_max_norm(values[k + 1:] - np.eye(dim)),
+            intersection_residual=inter_res,
+            additivity_residual=_max_norm(sums),
+        )
+
+    return frame_report(False), frame_report(True)
 
 
 def reconstruct_from_measure(

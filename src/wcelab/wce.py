@@ -18,6 +18,7 @@ by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -114,9 +115,14 @@ def norm_formula(inst: WceInstance) -> float:
     """Closed-form operator norm: max_x sqrt(E(|w|^2) E(|u|^2))(x).
 
     The essential supremum is a plain maximum because every point has
-    positive mass.
+    positive mass. An aggregate product beyond the float range leaves no
+    norm to compare, so it raises ValueError.
     """
-    return float(np.sqrt((inst.ew2 * inst.eu2).max()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        peak = float((inst.ew2 * inst.eu2).max())
+    if not math.isfinite(peak):
+        raise ValueError("E(|w|^2) E(|u|^2) is not finite")
+    return math.sqrt(peak)
 
 
 def partial_isometry_criterion(

@@ -260,8 +260,7 @@ def test_criterion_8_spectral_measure():
         phi = random_point_map(space, seed)
 
         table = SpectralMeasureTable(phi)
-        ambient = check_spectral_axioms(table, on_subspace=False, seed=seed)
-        compressed = check_spectral_axioms(table, on_subspace=True, seed=seed)
+        ambient, compressed = check_spectral_axioms(table, seed=seed)
         for report in (ambient, compressed):
             assert max(report.projection_residual, report.empty_residual,
                        report.intersection_residual, report.additivity_residual) <= 1e-9

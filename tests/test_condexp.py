@@ -181,3 +181,113 @@ def test_cond_exp_matrix_is_cached_and_read_only():
     assert p.cond_exp_matrix is p.cond_exp_matrix
     with pytest.raises(ValueError):
         p.cond_exp_matrix[0, 0] = 1.0
+
+
+def per_sample_condexp_residuals(partition, rng, samples=3):
+    """The property suite one sample at a time: each sample drawn and
+    checked before the next, one block reduction per application of E."""
+    from wcelab.checks import _first_points, _random_blockwise
+    from wcelab.measure import support
+
+    space = partition.space
+    w = space.weights
+    first = _first_points(partition)
+
+    def ev(x):
+        return cond_exp_values(partition, x)
+
+    res = {k: 0.0 for k in ("idempotent", "range", "module", "jensen",
+                            "positive", "hoelder", "support", "selfadjoint")}
+    for _ in range(samples):
+        f = random_complex(rng, space.n)
+        g = random_complex(rng, space.n)
+        g_meas = _random_blockwise(rng, partition)
+        ef = ev(f)
+        scale_f = 1.0 + float(np.abs(f).max())
+        res["idempotent"] = max(res["idempotent"],
+                                float(np.abs(ev(ef) - ef).max()) / scale_f)
+        worst_dev = float(np.abs(ef - ef[first][partition.block_of]).max())
+        fix_dev = float(np.abs(ev(g_meas) - g_meas).max())
+        res["range"] = max(res["range"], worst_dev / scale_f,
+                           fix_dev / (1.0 + float(np.abs(g_meas).max())))
+        res["module"] = max(
+            res["module"],
+            float(np.abs(ev(f * g_meas) - ef * g_meas).max())
+            / (1.0 + float(np.abs(f).max()) * float(np.abs(g_meas).max())))
+        for p in (1, 2, 4):
+            left = np.abs(ef) ** p
+            right = ev(np.abs(f) ** p).real
+            res["jensen"] = max(res["jensen"],
+                                float((left - right).max()) / (1.0 + float(right.max())))
+        f_nonneg = np.abs(f).astype(float)
+        ef_nonneg = ev(f_nonneg).real
+        res["positive"] = max(res["positive"],
+                              float(-ef_nonneg.min()) / (1.0 + float(f_nonneg.max())))
+        f_pos = f_nonneg + rng.uniform(0.05, 0.5)
+        if float(ev(f_pos).real.min()) <= 0.0:
+            res["positive"] = max(res["positive"], 1.0)
+        for p, q in ((2.0, 2.0), (4.0, 4.0 / 3.0)):
+            left = np.abs(ev(f * g))
+            right = ev(np.abs(f) ** p).real ** (1 / p) * ev(np.abs(g) ** q).real ** (1 / q)
+            res["hoelder"] = max(res["hoelder"],
+                                 float((left - right).max()) / (1.0 + float(right.max())))
+        f_sparse = f_nonneg.copy()
+        f_sparse[rng.random(space.n) < 0.4] = 0.0
+        sf = support(MeasurableFunction(space, f_sparse), 0.0)
+        sef = support(MeasurableFunction(space, ev(f_sparse)), 0.0)
+        if not sf.issubset(sef):
+            res["support"] = max(res["support"], 1.0)
+        a = complex(np.sum(ef * np.conj(g) * w))
+        b = complex(np.sum(f * np.conj(ev(g)) * w))
+        res["selfadjoint"] = max(res["selfadjoint"], abs(a - b) / (1.0 + abs(a) + abs(b)))
+    return res
+
+
+def small_partitions():
+    """Three random partitions for every n = 1..24: the coarsest, the
+    finest and one in between."""
+    rng = np.random.default_rng(4242)
+    parts = []
+    for n in range(1, 25):
+        sp = make_space(rng.uniform(0.1, 10.0, n))
+        labels = rng.integers(0, max(1, n // 3), n)
+        middle = [np.flatnonzero(labels == b) for b in np.unique(labels)]
+        parts += [coarsest_partition(sp), finest_partition(sp), make_partition(sp, middle)]
+    return parts
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_stacked_condexp_matches_per_sample_reference_exactly(monkeypatch, perturbed):
+    from wcelab.checks import condexp_property_residuals
+    from wcelab.measure import Partition
+
+    if perturbed:
+        # Block means below 1 in magnitude become 0, so strict positivity
+        # and support growth fail or hold depending on the drawn shift and
+        # sparsity mask; for the true E both are 0 whatever the draw.
+        means = Partition.block_means
+        monkeypatch.setattr(Partition, "block_means", lambda self, values: np.where(
+            np.abs(means(self, values)) < 1.0, 0.0, means(self, values)))
+    for k, partition in enumerate(small_partitions()):
+        for samples in (1, 3):
+            stacked = condexp_property_residuals(
+                partition, np.random.default_rng(k), samples)
+            reference = per_sample_condexp_residuals(
+                partition, np.random.default_rng(k), samples)
+            assert stacked == reference, (partition.space.n, partition.block_count)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_stacked_block_means_equal_row_by_row(kind):
+    rng = np.random.default_rng(9)
+    for partition in small_partitions():
+        n = partition.space.n
+        rows = rng.normal(size=(4, n)) if kind == "real" else np.stack(
+            [random_complex(rng, n) for _ in range(4)])
+        stacked = partition.block_means(rows)
+        assert stacked.shape == (4, partition.block_count)
+        for row, means in zip(rows, stacked):
+            np.testing.assert_array_equal(means, partition.block_means(row))
+        np.testing.assert_array_equal(
+            cond_exp_values(partition, rows[None])[0],
+            np.stack([cond_exp_values(partition, row) for row in rows]))

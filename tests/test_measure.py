@@ -145,6 +145,16 @@ class TestIsMeasurable:
         with pytest.raises(SpaceMismatchError):
             is_measurable(f, p)
 
+    @pytest.mark.parametrize("second", [1e300, -1e300])
+    def test_overflowing_block_mean_raises(self, second):
+        # The block integral is inf (or inf - inf): constancy cannot be
+        # decided, and the reduction itself warns nothing.
+        sp = make_space([1e10, 1e10])
+        f = MeasurableFunction(sp, [1e300, second])
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match="not finite"):
+                is_measurable(f, coarsest_partition(sp))
+
 
 # Hypothesis strategies for small weighted spaces with a partition.
 

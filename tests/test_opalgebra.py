@@ -15,6 +15,7 @@ from wcelab.opalgebra import (
     operator_norm,
     polar_oracle,
     positive_sqrt,
+    spectral_norms,
     weighted_adjoint,
 )
 
@@ -303,3 +304,42 @@ def test_op_deviations_is_one_sided(seed, k, n, gap):
         assert dev[i] >= diff / (1.0 + max(na, nb)) * (1.0 - 1e-12)
     held = np.array([norm(m) for m in b])
     np.testing.assert_allclose(op_deviations(space, a, b, held), dev, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 6),
+       st.one_of(st.integers(1, 24), st.just(64)), st.floats(0.0, 1.0))
+def test_spectral_norms_match_numpy_norm_bit_for_bit(seed, k, n, zero_share):
+    # Random complex stacks with exact-zero slices mixed in: the kernel's
+    # norms are np.linalg.norm's, bit for bit, zero slices included.
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-8, 8, (k, 1, 1))
+    stack = scale * (rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n)))
+    stack[rng.random(k) < zero_share] = 0.0
+    expected = np.linalg.norm(stack, 2, axis=(1, 2))
+    np.testing.assert_array_equal(spectral_norms(stack), expected)
+    for m, norm in zip(stack, expected):
+        assert spectral_norms(m) == norm
+
+
+def test_zero_slices_reach_no_svd(monkeypatch):
+    svd_slices = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        svd_slices.append(np.asarray(a).reshape(-1, *a.shape[-2:]).any(axis=(1, 2)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    rng = np.random.default_rng(3)
+    stack = rng.normal(size=(5, 4, 4)) + 0j
+    stack[[1, 3]] = 0.0
+    norms = spectral_norms(stack)
+    assert norms[1] == norms[3] == 0.0 and np.all(norms[[0, 2, 4]] > 0.0)
+    # One SVD call, over the three nonzero slices only.
+    assert len(svd_slices) == 1 and svd_slices[0].tolist() == [True] * 3
+    # An all-zero stack and the zero operator take no SVD at all.
+    assert spectral_norms(np.zeros((3, 4, 4), dtype=complex)).tolist() == [0.0] * 3
+    space = make_space([1.0, 2.0, 0.5])
+    assert operator_norm(WeightedOperator.zero(space)) == 0.0
+    assert len(svd_slices) == 1

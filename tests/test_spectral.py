@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wcelab import spectral
+from wcelab.checks import CheckContext, Tolerances, check_measure_axioms
 from wcelab.errors import NotFiberMeasurableError, NotNormalError
 from wcelab.generator import GeneratorConfig, gen_instance, perturb_nonmeasurable
 from wcelab.measure import (
@@ -233,19 +234,19 @@ class TestSpectralAxioms:
     def test_identity_map_ambient(self):
         sp = make_space([1.0, 2.0, 0.5])
         phi = PointMap(sp, (0, 1, 2))
-        report = check_spectral_axioms(SpectralMeasureTable(phi), on_subspace=False)
+        report, _ = check_spectral_axioms(SpectralMeasureTable(phi))
         assert max(report_residuals(report)) <= 1e-12
 
     def test_noninjective_subspace(self):
         sp = make_space([1.0, 1.0, 2.0])
         phi = PointMap(sp, (0, 0, 2))
-        report = check_spectral_axioms(SpectralMeasureTable(phi), on_subspace=True)
+        _, report = check_spectral_axioms(SpectralMeasureTable(phi))
         assert max(report_residuals(report)) <= 1e-12
 
     def test_noninjective_ambient_identity_fails(self):
         sp = make_space([1.0, 1.0, 2.0])
         phi = PointMap(sp, (0, 0, 2))
-        report = check_spectral_axioms(SpectralMeasureTable(phi), on_subspace=False)
+        report, _ = check_spectral_axioms(SpectralMeasureTable(phi))
         assert report.full_residual == pytest.approx(1.0)
         assert max(report_residuals(report, include_full=False)) <= 1e-9
 
@@ -338,6 +339,67 @@ def perturb_fiber_average(monkeypatch):
     monkeypatch.setattr(Partition, "cond_exp_matrix", prop)
 
 
+def per_frame_spectral_axioms(table, on_subspace, n_random=12, seed=0):
+    """The stacked axioms one frame per call, each call drawing the seeded
+    set family anew, with one np.linalg.norm per residual stack. Returns
+    the five residuals in SpectralAxiomReport field order."""
+    space, n = table.space, table.space.n
+    rng = np.random.default_rng(seed)
+    images = table._images
+    if on_subspace:
+        basis = spectral._fiber_basis(table.partition)
+        dim = basis.shape[1]
+        frame = (space.weights[:, None] * basis).conj().T @ table.partition.cond_exp_matrix
+
+        def measure(sets):
+            return spectral._masked_columns(frame, sets[:, images]) @ basis
+
+    else:
+        dim = n
+        s = space.sqrt_weights
+        frame = table.partition.cond_exp_matrix * s[:, None] / s[None, :]
+
+        def measure(sets):
+            return spectral._masked_columns(frame, sets[:, images])
+
+    def max_norm(stack):
+        return float(np.linalg.norm(stack, 2, axis=(1, 2)).max())
+
+    sets, pairs = spectral._axiom_sets(rng, n, n_random)
+    k = len(sets)
+    family = np.vstack([sets, np.zeros(n, dtype=bool), np.ones(n, dtype=bool)])
+    values = measure(family)
+    v = values[:k]
+    proj_res = max(max_norm(v @ v - v), max_norm(v.conj().transpose(0, 2, 1) - v))
+    empty_res = max_norm(values[k:k + 1])
+    full_res = max_norm(values[k + 1:] - np.eye(dim))
+    i, j = np.vstack([pairs, [[0, k + 1], [0, k]]]).T
+    inter_res = max_norm(measure(family[i] & family[j]) - values[i] @ values[j])
+    wholes, pieces = [], []
+    for _ in range(max(n_random, 4)):
+        whole = int(rng.integers(0, k))
+        parts = int(rng.integers(2, 5))
+        assignment = rng.integers(0, parts, size=n)
+        wholes.append(whole)
+        pieces.append(sets[whole] & (assignment[None, :] == np.arange(parts)[:, None]))
+    starts = np.cumsum([0] + [len(p) for p in pieces[:-1]])
+    sums = np.add.reduceat(measure(np.vstack(pieces)), starts, axis=0)
+    add_res = max_norm(sums - values[wholes])
+    return proj_res, empty_res, full_res, inter_res, add_res
+
+
+def small_point_maps():
+    """Two random point maps for every n = 1..24, plus the identity map."""
+    rng = np.random.default_rng(2024)
+    maps = []
+    for n in range(1, 25):
+        sp = make_space(rng.uniform(0.1, 10.0, n))
+        maps.append(PointMap(sp, tuple(range(n))))
+        for _ in range(2):
+            maps.append(PointMap(sp, tuple(int(i) for i in rng.integers(0, n, n))))
+    return maps
+
+
 class TestBatchedSpectralAxioms:
     def test_set_family_and_pairs_pinned(self):
         sets, pairs = spectral._axiom_sets(np.random.default_rng(7), 5, 3)
@@ -360,18 +422,52 @@ class TestBatchedSpectralAxioms:
     def test_matches_per_set_reference(self, on_subspace):
         for k, phi in enumerate(generated_point_maps()):
             table = SpectralMeasureTable(phi)
-            batched = report_residuals(check_spectral_axioms(table, on_subspace, seed=k))
+            batched = report_residuals(check_spectral_axioms(table, seed=k)[on_subspace])
             reference = reference_spectral_axioms(phi, on_subspace, seed=k)
             np.testing.assert_allclose(batched, reference, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_shared_draw_matches_per_frame_reference_exactly(self, monkeypatch, perturbed):
+        if perturbed:
+            # A set function that is not additive, so the additivity
+            # residual depends on which wholes and pieces were drawn; for
+            # the true measure it is exactly 0 whatever the draw.
+            masked = spectral._masked_columns
+
+            def grown_by_size(matrix, point_masks):
+                size = point_masks.sum(axis=1)[:, None, None]
+                return masked(matrix, point_masks) * (1 + 1e-6 * size)
+
+            monkeypatch.setattr(spectral, "_masked_columns", grown_by_size)
+        for k, phi in enumerate(small_point_maps()):
+            table = SpectralMeasureTable(phi)
+            for report in check_spectral_axioms(table, seed=k):
+                reference = per_frame_spectral_axioms(table, report.on_subspace, seed=k)
+                assert report_residuals(report) == reference
+
+    def test_measure_axioms_draw_the_family_once(self, monkeypatch):
+        draws = []
+        axiom_sets = spectral._axiom_sets
+
+        def counting(rng, n, n_random):
+            draws.append(n)
+            return axiom_sets(rng, n, n_random)
+
+        monkeypatch.setattr(spectral, "_axiom_sets", counting)
+        for seed in (13, 14):
+            ctx = CheckContext(gen_instance(GeneratorConfig(
+                seed=seed, n=9, block_count=3, with_point_map=True)), Tolerances())
+            assert all(r.status == "pass" for r in check_measure_axioms(ctx))
+        assert draws == [9, 9]
 
     @pytest.mark.parametrize("on_subspace", [False, True])
     def test_perturbed_fiber_average_fails(self, monkeypatch, on_subspace):
         sp = make_space([1.0, 2.0, 1.5, 0.5, 3.0])
         phi = PointMap(sp, (1, 1, 1, 4, 4))
-        unperturbed = check_spectral_axioms(SpectralMeasureTable(phi), on_subspace)
+        unperturbed = check_spectral_axioms(SpectralMeasureTable(phi))[on_subspace]
         assert max(report_residuals(unperturbed, include_full=on_subspace)) <= 1e-12
         perturb_fiber_average(monkeypatch)
-        report = check_spectral_axioms(SpectralMeasureTable(phi), on_subspace)
+        report = check_spectral_axioms(SpectralMeasureTable(phi))[on_subspace]
         assert report.projection_residual > 1e-9
         assert report.intersection_residual > 1e-9
         # Masking columns is linear in the set indicator, so a wrong
@@ -389,7 +485,7 @@ class TestBatchedSpectralAxioms:
             return masked(matrix, point_masks) * (1 + 1e-6 * size)
 
         monkeypatch.setattr(spectral, "_masked_columns", grown_by_size)
-        report = check_spectral_axioms(SpectralMeasureTable(phi), on_subspace)
+        report = check_spectral_axioms(SpectralMeasureTable(phi))[on_subspace]
         assert report.projection_residual > 1e-9
         assert report.intersection_residual > 1e-9
         assert report.additivity_residual > 1e-9

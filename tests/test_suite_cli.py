@@ -189,6 +189,32 @@ class TestCli:
         assert all(records[n]["status"] in ("fail", "skip")
                    for n in GROUP_RECORD_NAMES["spectral_decomp"])
 
+    def test_verify_overflowing_block_integral_breaks_down_quietly(self, tmp_path, capfd):
+        # u is constant on its one block, but its block integral overflows:
+        # the normality test and the norm formula have nothing finite to
+        # decide on, so their groups fail as breakdowns, not as five "not
+        # blockwise constant" skips and a NaN residual, and nothing goes
+        # to stderr.
+        doc = {"weights": [1e10, 1e10], "partition": [[0, 1]],
+               "u": [[1e300, 0], [1e300, 0]], "w": [[1, 0], [1, 0]]}
+        inst_file = tmp_path / "inf_mean.json"
+        inst_file.write_text(json.dumps(doc))
+        report_file = tmp_path / "report.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["verify", str(inst_file), "--report", str(report_file)]) == 1
+        assert [str(w.message) for w in caught] == []
+        _, err = capfd.readouterr()
+        assert err == ""
+        records = {r["name"]: r for r in json.loads(report_file.read_text())["records"]}
+        for name in GROUP_RECORD_NAMES["spectral_decomp"]:
+            assert records[name]["status"] == "fail"
+            assert records[name]["reason"] == (
+                "spectral_decomp raised ValueError: a block mean is not finite")
+        assert records["norm_formula"]["residual"] is None
+        assert records["norm_formula"]["reason"] == (
+            "norm raised ValueError: E(|w|^2) E(|u|^2) is not finite")
+
     def test_verify_unknown_check_exits_2(self, tmp_path, capsys):
         inst_file = tmp_path / "inst.json"
         main(["gen", "--seed", "5", "-o", str(inst_file)])
