@@ -512,10 +512,8 @@ def check_func_calc(ctx: CheckContext) -> list[CheckRecord]:
         ("func_calc_gram", closed_func_calc_gram, ctx.gram_eig),
         ("func_calc_cogram", closed_func_calc_cogram, ctx.cogram_eig),
     ):
-        fns = [f for _, f in calculus_test_functions(CLAMP_TOL * eig.scale)]
-        closed = np.empty((len(fns),) + eig.basis.shape, dtype=complex)
-        for i, f in enumerate(fns):
-            closed[i] = closed_fn(inst, f).matrix
+        fns = tuple(f for _, f in calculus_test_functions(CLAMP_TOL * eig.scale))
+        closed = closed_fn(inst, fns)
         fvals = np.asarray([[f(float(v)) for v in eig.values] for f in fns],
                            dtype=complex)
         # The eigenbasis is orthonormal, so max_k |f(lambda_k)| is the

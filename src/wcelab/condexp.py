@@ -46,7 +46,12 @@ class Sandwich:
         middle = cond_exp_values(self.partition, self.right * other.left)
         return Sandwich(self.partition, self.left * middle, other.right)
 
+    def matrices(self) -> np.ndarray:
+        """left[..., i] E[i, j] right[j], the one place a closed form becomes
+        a matrix: one (n, n) matrix, or a (m, n, n) stack of them when left is
+        a (m, n) stack of symbols."""
+        return self.left[..., :, None] * self.partition.cond_exp_matrix * self.right
+
     def dense(self) -> WeightedOperator:
-        """The dense matrix for the oracles, the one place a closed form gets one."""
-        p = self.partition
-        return WeightedOperator(p.space, self.left[:, None] * p.cond_exp_matrix * self.right)
+        """The dense matrix for the oracles."""
+        return WeightedOperator(self.partition.space, self.matrices())

@@ -134,11 +134,16 @@ class Partition:
 
     @cached_property
     def cond_exp_matrix(self) -> np.ndarray:
-        """E as a complex matrix, M[i, j] = mu_j / mu(B(i)) for j in the
-        block of i, else 0; the one place it is formed, once per partition."""
+        """E as a real float64 matrix, M[i, j] = mu_j / mu(B(i)) for j in the
+        block of i, else 0; the one place it is formed, once per partition,
+        and read-only.
+
+        E is a positive real projection, so the matrix stays real: products
+        with complex symbols broadcast against it and come out complex, with
+        the values a complex copy of it would give.
+        """
         b = self.block_of
         m = (b[:, None] == b[None, :]) * self.space.weights / self.block_masses[b][:, None]
-        m = m.astype(complex)
         m.setflags(write=False)
         return m
 

@@ -80,18 +80,9 @@ class WeightedOperator:
         self._check_space(other)
         return WeightedOperator(self.space, self.matrix @ other.matrix)
 
-    def __add__(self, other: "WeightedOperator") -> "WeightedOperator":
-        self._check_space(other)
-        return WeightedOperator(self.space, self.matrix + other.matrix)
-
     def __sub__(self, other: "WeightedOperator") -> "WeightedOperator":
         self._check_space(other)
         return WeightedOperator(self.space, self.matrix - other.matrix)
-
-    def __mul__(self, scalar: complex) -> "WeightedOperator":
-        return WeightedOperator(self.space, self.matrix * scalar)
-
-    __rmul__ = __mul__
 
 
 def to_euclidean(a: WeightedOperator) -> np.ndarray:
@@ -149,7 +140,7 @@ def op_deviations(space: FiniteMeasureSpace, a: np.ndarray, b: np.ndarray,
                   b_norms: np.ndarray | None = None) -> np.ndarray:
     """Slice-wise relative distance ||a_k - b_k|| / (1 + ||b_k||) of two
     (k, n, n) stacks of operator matrices, weighted norms, with b the
-    reference side.
+    reference side. Real stacks stay real, so their norms take real SVDs.
 
     A caller that already holds the norms of b (read off an oracle's
     eigenvalues or singular values) passes them as b_norms; otherwise they
@@ -157,9 +148,9 @@ def op_deviations(space: FiniteMeasureSpace, a: np.ndarray, b: np.ndarray,
     below the symmetric ||a - b|| / (1 + max(||a||, ||b||)), since
     ||a|| <= ||b|| + ||a - b||.
     """
-    diff = operator_norms(space, np.subtract(a, b, dtype=complex))
+    diff = operator_norms(space, np.subtract(a, b, dtype=np.result_type(a, b, float)))
     if b_norms is None:
-        b_norms = operator_norms(space, np.array(b, dtype=complex))
+        b_norms = operator_norms(space, np.array(b, dtype=np.result_type(b, float)))
     return diff / (1.0 + b_norms)
 
 

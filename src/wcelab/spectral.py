@@ -84,7 +84,7 @@ class SpectralDecomp:
 
     Contains 0 (last) exactly when the operator has nontrivial kernel;
     the projections are mutually orthogonal and reconstruct the operator
-    as sum_n lambda_n P_n. stack holds the projection matrices as one
+    as sum_n lambda_n P_n. stack holds the projection matrices as one real
     (m, n, n) array, in eigenvalue order.
     """
 
@@ -174,7 +174,7 @@ def spectral_decomposition(
     # level sets are disjoint, so the sum of the stack is exact.
     rows = group[partition.block_of][None, :] == np.array(order, dtype=int)[:, None]
     stack = rows[:, :, None] * partition.cond_exp_matrix[None]
-    kernel = np.eye(space.n, dtype=complex) - stack.sum(axis=0)
+    kernel = np.eye(space.n) - stack.sum(axis=0)
     if float(np.trace(kernel).real) > 0.5:
         eigenvalues.append(0j)
         stack = np.concatenate((stack, kernel[None]))
@@ -200,7 +200,7 @@ class SpectralMeasureTable:
     is the fiber average E_phi. A set's value keeps the columns of E_phi
     at the points mapped into the set, so the singleton values have
     disjoint column supports and sum to E_phi; values() evaluates a stack
-    of sets at once.
+    of sets at once, as a real stack.
     """
 
     def __init__(self, phi: PointMap):
@@ -367,11 +367,11 @@ def check_spectral_axioms(
         measure, dim = _frame_measure(table, on_subspace)
         values = measure(family)
         v = values[:k]
-        # Differences in place, for the same reason.
+        # Differences in place, for the same reason. For a real v, v.conj()
+        # is v itself, so the adjoint difference must be a new array.
         squared = v @ v
         squared -= v
-        adjoint = v.conj().transpose(0, 2, 1)
-        adjoint -= v
+        adjoint = np.subtract(v.conj().transpose(0, 2, 1), v)
         proj_res = max(_max_norm(squared), _max_norm(adjoint))
         inter_res = _max_norm(measure(meets) - values[i] @ values[j])
         sums = np.add.reduceat(measure(pieces), starts, axis=0)

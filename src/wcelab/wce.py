@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -68,21 +68,26 @@ class WceInstance:
         """E(u w), blockwise constant, complex."""
         return cond_exp_values(self.partition, self.u.values * self.w.values)
 
-    def _block_support_mask(self, aggregate: np.ndarray) -> np.ndarray:
-        """Points where the nonnegative aggregate exceeds support_tol times
-        its peak; empty when the aggregate vanishes. The aggregate is
-        blockwise constant, so the result is a union of blocks."""
-        return aggregate > self.support_tol * float(aggregate.max(initial=0.0))
+    def _block_support_mask(self, aggregate: np.ndarray, name: str) -> np.ndarray:
+        """Points where the nonnegative aggregate (called name) exceeds
+        support_tol times its peak; empty when the aggregate vanishes. The
+        aggregate is blockwise constant, so the result is a union of blocks.
+        An aggregate that is not finite has no peak to cut at, so it raises
+        ValueError."""
+        peak = float(aggregate.max(initial=0.0))
+        if not math.isfinite(peak):
+            raise ValueError(f"{name} is not finite")
+        return aggregate > self.support_tol * peak
 
     @cached_property
     def s_mask(self) -> np.ndarray:
         """Indicator of S, the support of E(|u|^2), as a block union."""
-        return self._block_support_mask(self.eu2)
+        return self._block_support_mask(self.eu2, "E(|u|^2)")
 
     @cached_property
     def g_mask(self) -> np.ndarray:
         """Indicator of G, the support of E(|w|^2), as a block union."""
-        return self._block_support_mask(self.ew2)
+        return self._block_support_mask(self.ew2, "E(|w|^2)")
 
     @cached_property
     def sg_mask(self) -> np.ndarray:
@@ -142,34 +147,42 @@ def partial_isometry_criterion(
     return bool(np.all(near_one | (np.abs(p) <= bound))), near_one
 
 
-def _func_calc(inst: WceInstance, f: Callable[[float], complex], r: np.ndarray,
-               r_agg: np.ndarray, r_mask: np.ndarray) -> WeightedOperator:
+def _func_calc(inst: WceInstance, fns: Sequence[Callable[[float], complex]],
+               r: np.ndarray, r_agg: np.ndarray, r_mask: np.ndarray) -> np.ndarray:
     """f(X) for X = M_{c conj(r)} E M_r, c E(|r|^2) = E(|u|^2) E(|w|^2), with
     r_agg = E(|r|^2) and r_mask its support: f(X) = f(0) I + M_{chi / E(|r|^2)}
-    (M_{f o (E(|u|^2) E(|w|^2))} - f(0) I) M_conj(r) E M_r."""
-    f0 = complex(f(0.0))
+    (M_{f o (E(|u|^2) E(|w|^2))} - f(0) I) M_conj(r) E M_r.
+
+    Returns the matrices of f(X) for every f in fns as one (m, n, n) stack.
+    Entries that are not finite raise ValueError.
+    """
+    f0 = np.asarray([complex(f(0.0)) for f in fns])
     p = inst.eu2 * inst.ew2
-    fp = np.asarray([f(float(v)) for v in p], dtype=complex)
-    d = _masked_recip(r_agg, r_mask) * (fp - f0)
-    core = Sandwich(inst.partition, d * np.conj(r), r).dense()
-    return WeightedOperator(
-        inst.space, f0 * np.eye(inst.space.n, dtype=complex) + core.matrix
-    )
+    fp = np.asarray([[f(float(v)) for v in p] for f in fns], dtype=complex)
+    d = _masked_recip(r_agg, r_mask) * (fp - f0[:, None])
+    stack = Sandwich(inst.partition, d * np.conj(r), r).matrices()
+    diag = np.arange(inst.space.n)
+    stack[:, diag, diag] += f0[:, None]
+    if not np.all(np.isfinite(stack)):
+        raise ValueError("operator entries must be finite")
+    return stack
 
 
 def closed_func_calc_gram(
-    inst: WceInstance, f: Callable[[float], complex]
-) -> WeightedOperator:
-    """f(T* T) in closed form, _func_calc with r = u. For f(t) = t^n this is
-    the power formula conj(u) E(|w|^2)^n E(|u|^2)^(n-1) E(u .)."""
-    return _func_calc(inst, f, inst.u.values, inst.eu2, inst.s_mask)
+    inst: WceInstance, fns: Sequence[Callable[[float], complex]]
+) -> np.ndarray:
+    """f(T* T) in closed form for each f in fns, as an (m, n, n) stack;
+    _func_calc with r = u. For f(t) = t^n this is the power formula
+    conj(u) E(|w|^2)^n E(|u|^2)^(n-1) E(u .)."""
+    return _func_calc(inst, fns, inst.u.values, inst.eu2, inst.s_mask)
 
 
 def closed_func_calc_cogram(
-    inst: WceInstance, g: Callable[[float], complex]
-) -> WeightedOperator:
-    """g(T T*) in closed form, _func_calc with r = conj(w)."""
-    return _func_calc(inst, g, np.conj(inst.w.values), inst.ew2, inst.g_mask)
+    inst: WceInstance, fns: Sequence[Callable[[float], complex]]
+) -> np.ndarray:
+    """g(T T*) in closed form for each g in fns, as an (m, n, n) stack;
+    _func_calc with r = conj(w)."""
+    return _func_calc(inst, fns, np.conj(inst.w.values), inst.ew2, inst.g_mask)
 
 
 def closed_polar(inst: WceInstance) -> tuple[Sandwich, Sandwich]:

@@ -15,6 +15,12 @@ def e_operator(partition):
     return WeightedOperator(partition.space, partition.cond_exp_matrix)
 
 
+def closed_calc(closed_fn, inst, f):
+    """One function's closed calculus as an operator: the only slice of the
+    stack closed_fn builds for the tuple (f,)."""
+    return WeightedOperator(inst.space, closed_fn(inst, (f,))[0])
+
+
 def generated_partitions(count, seed0=500, n_max=16):
     """Deterministic family of random partitions for property suites."""
     parts = []

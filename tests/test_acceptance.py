@@ -59,7 +59,7 @@ from wcelab.wce import (
     partial_isometry_criterion,
 )
 
-from conftest import generated_partitions
+from conftest import closed_calc, generated_partitions
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +135,8 @@ def test_criterion_4_functional_calculus(family200):
         ):
             snap = CLAMP_TOL * operator_norm(product)
             for name, f in calculus_test_functions(snap):
-                dev = op_deviation(closed_fn(inst, f), func_calc_oracle(product, f))
+                dev = op_deviation(closed_calc(closed_fn, inst, f),
+                                   func_calc_oracle(product, f))
                 assert dev <= 1e-7, name
                 worst = max(worst, dev)
     print(f"\nACCEPTANCE 4 functional calculus: PASS (worst {worst:.2e})")

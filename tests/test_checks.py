@@ -57,6 +57,8 @@ from wcelab.wce import (
     make_instance,
 )
 
+from conftest import closed_calc
+
 _MODES = ({}, {"zero_blocks": True}, {"constant_u": True},
           {"measurable_u": True}, {"partial_isometry": True})
 
@@ -81,7 +83,7 @@ def reference_func_calc(inst):
     ):
         worst = 0.0
         for _, f in calculus_test_functions(CLAMP_TOL * operator_norm(product)):
-            a, b = closed_fn(inst, f), func_calc_oracle(product, f)
+            a, b = closed_calc(closed_fn, inst, f), func_calc_oracle(product, f)
             dev = operator_norm(a - b) / (1.0 + max(operator_norm(a), operator_norm(b)))
             worst = max(worst, dev)
         out[name] = worst
@@ -362,10 +364,13 @@ def test_one_measure_table_per_instance(monkeypatch):
 def test_func_calc_catches_one_perturbed_function(monkeypatch):
     original = checks.closed_func_calc_gram
 
-    def perturbed(inst, f):
-        out = original(inst, f)
-        # Only the constant function 1 is perturbed.
-        return out * (1.0 + 1e-6) if f(0.0) == f(3.0) == 1.0 else out
+    def perturbed(inst, fns):
+        out = original(inst, fns)
+        # Only the slice of the constant function 1 is perturbed.
+        for k, f in enumerate(fns):
+            if f(0.0) == f(3.0) == 1.0:
+                out[k] *= 1.0 + 1e-6
+        return out
 
     monkeypatch.setattr(checks, "closed_func_calc_gram", perturbed)
     bundle = gen_instance(GeneratorConfig(seed=12, n=10, block_count=3))

@@ -179,6 +179,9 @@ def test_sandwich_dense_is_the_scaled_cond_exp_matrix():
 def test_cond_exp_matrix_is_cached_and_read_only():
     p = make_partition(make_space([1.0, 3.0, 2.0]), [[0, 2], [1]])
     assert p.cond_exp_matrix is p.cond_exp_matrix
+    # E is a real projection: its matrix is float64, not a complex copy.
+    assert p.cond_exp_matrix.dtype == np.float64
+    assert not p.cond_exp_matrix.flags.writeable
     with pytest.raises(ValueError):
         p.cond_exp_matrix[0, 0] = 1.0
 

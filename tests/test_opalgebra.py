@@ -30,7 +30,7 @@ def random_operator(rng, space):
 
 def random_self_adjoint(rng, space):
     a = random_operator(rng, space)
-    return 0.5 * (a + weighted_adjoint(a))
+    return WeightedOperator(space, 0.5 * (a.matrix + weighted_adjoint(a).matrix))
 
 
 def power_iteration_norm(a, iters=2000, seed=3):
@@ -178,7 +178,7 @@ class TestPositiveSqrt:
         np.testing.assert_allclose(root.matrix, np.eye(space.n), atol=1e-14)
 
     def test_scaled_identity(self, space):
-        root = positive_sqrt(4.0 * WeightedOperator.identity(space))
+        root = positive_sqrt(WeightedOperator(space, 4.0 * np.eye(space.n)))
         np.testing.assert_allclose(root.matrix, 2.0 * np.eye(space.n), atol=1e-13)
 
     def test_projection_is_own_root(self, space):
@@ -197,7 +197,7 @@ class TestPositiveSqrt:
 
     def test_rejects_negative(self, space):
         with pytest.raises(NotPositiveError):
-            positive_sqrt(-1.0 * WeightedOperator.identity(space))
+            positive_sqrt(WeightedOperator(space, -np.eye(space.n)))
 
 
 class TestPolarOracle:
@@ -210,8 +210,9 @@ class TestPolarOracle:
         # A = 3E: A*A = 9E, so P = 3E and U = E.
         part = make_partition(space, [[0, 2], [1, 3]])
         e = e_operator(part)
-        u, p = polar_oracle(3.0 * e)
-        assert op_deviation(p, 3.0 * e) < 1e-12
+        three_e = WeightedOperator(space, 3.0 * e.matrix)
+        u, p = polar_oracle(three_e)
+        assert op_deviation(p, three_e) < 1e-12
         assert op_deviation(u, e) < 1e-12
 
     def test_zero(self, space):
@@ -272,7 +273,7 @@ class TestKernelProjection:
         e = e_operator(p)
         k = kernel_projection(e)
         eye = WeightedOperator.identity(space)
-        assert op_deviation(k + e, eye) < 1e-12
+        assert op_deviation(WeightedOperator(space, k.matrix + e.matrix), eye) < 1e-12
 
 
 

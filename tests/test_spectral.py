@@ -142,6 +142,8 @@ class TestSpectralDecomposition:
                 seed=seed, n=6 + seed % 8, block_count=2 + seed % 3,
                 measurable_u=True)).instance
             decomp = spectral_decomposition(inst.u, inst.partition)
+            # The projections, the kernel's included, are real.
+            assert decomp.stack.dtype == np.float64
             m = avg_mult_operator(inst.u, inst.partition)
             n = inst.space.n
             recon = np.zeros((n, n), dtype=complex)
@@ -242,6 +244,24 @@ class TestSpectralAxioms:
         phi = PointMap(sp, (0, 0, 2))
         _, report = check_spectral_axioms(SpectralMeasureTable(phi))
         assert max(report_residuals(report)) <= 1e-12
+
+    def test_real_measure_values_survive_a_second_run(self):
+        # The measure values are real stacks, and for a real array v.conj()
+        # is v itself: an adjoint difference taken in place would overwrite
+        # the values the later axioms read, and every intersection and
+        # additivity residual would be of order one.
+        bundle = gen_instance(GeneratorConfig(seed=13, n=9, block_count=3,
+                                              with_point_map=True))
+        phi = bundle.point_map
+        assert len(phi.fibers) < phi.space.n
+        table = SpectralMeasureTable(phi)
+        first = check_spectral_axioms(table)
+        assert check_spectral_axioms(table) == first
+        ctx = CheckContext(bundle, Tolerances())
+        records = check_measure_axioms(ctx)
+        assert len(records) == 10
+        assert all(r.residual <= 1e-12 for r in records), [r.to_doc() for r in records]
+        assert [r.to_doc() for r in check_measure_axioms(ctx)] == [r.to_doc() for r in records]
 
     def test_noninjective_ambient_identity_fails(self):
         sp = make_space([1.0, 1.0, 2.0])

@@ -214,6 +214,12 @@ class TestCli:
         assert records["norm_formula"]["residual"] is None
         assert records["norm_formula"]["reason"] == (
             "norm raised ValueError: E(|w|^2) E(|u|^2) is not finite")
+        # E(|u|^2) is inf, so it has no support to cut: both vanishing
+        # records break down, rather than a false FAIL and a SKIP.
+        for name in GROUP_RECORD_NAMES["vanishing"]:
+            assert records[name]["status"] == "fail"
+            assert records[name]["reason"] == (
+                "vanishing raised ValueError: E(|u|^2) is not finite")
 
     def test_verify_unknown_check_exits_2(self, tmp_path, capsys):
         inst_file = tmp_path / "inst.json"

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from wcelab.checks import calculus_test_functions
+from wcelab.condexp import Sandwich
 from wcelab.generator import GeneratorConfig, gen_instance
 from wcelab.measure import (
     MeasurableFunction,
@@ -12,6 +14,7 @@ from wcelab.measure import (
     make_space,
 )
 from wcelab.opalgebra import (
+    CLAMP_TOL,
     WeightedOperator,
     func_calc_oracle,
     kernel_projection,
@@ -31,9 +34,10 @@ from wcelab.wce import (
     make_instance,
     norm_formula,
     partial_isometry_criterion,
+    _masked_recip,
 )
 
-from conftest import e_operator, random_complex
+from conftest import closed_calc, e_operator, random_complex
 
 
 def ones_instance(weights, blocks=None):
@@ -159,18 +163,19 @@ class TestClosedFuncCalc:
         inst = random_instance(21)
         t = build_operator(inst)
         gram = weighted_adjoint(t) @ t
-        assert op_deviation(closed_func_calc_gram(inst, lambda t_: t_), gram) < 1e-12
+        assert op_deviation(closed_calc(closed_func_calc_gram, inst, lambda t_: t_),
+                            gram) < 1e-12
 
     def test_constant_one_gives_identity(self, rng):
         inst = random_instance(22)
-        out = closed_func_calc_gram(inst, lambda t_: 1.0)
+        out = closed_calc(closed_func_calc_gram, inst, lambda t_: 1.0)
         np.testing.assert_allclose(out.matrix, np.eye(inst.space.n), atol=1e-13)
 
     def test_square_matches_power_formula_and_matrix(self):
         inst = random_instance(23)
         t = build_operator(inst)
         gram = weighted_adjoint(t) @ t
-        closed = closed_func_calc_gram(inst, lambda t_: t_ * t_)
+        closed = closed_calc(closed_func_calc_gram, inst, lambda t_: t_ * t_)
         assert op_deviation(closed, gram @ gram) < 1e-12
         # Power formula: conj(u) E(|w|^2)^2 E(|u|^2) E(u .)
         e = e_operator(inst.partition)
@@ -182,15 +187,13 @@ class TestClosedFuncCalc:
         inst = random_instance(24)
         t = build_operator(inst)
         cogram = t @ weighted_adjoint(t)
-        assert op_deviation(closed_func_calc_cogram(inst, lambda t_: t_), cogram) < 1e-12
-        closed = closed_func_calc_cogram(inst, lambda t_: t_**3)
+        assert op_deviation(closed_calc(closed_func_calc_cogram, inst, lambda t_: t_),
+                            cogram) < 1e-12
+        closed = closed_calc(closed_func_calc_cogram, inst, lambda t_: t_**3)
         assert op_deviation(closed, cogram @ cogram @ cogram) < 1e-11
 
     @pytest.mark.parametrize("seed", [31, 32, 33])
     def test_full_suite_against_oracle(self, seed):
-        from wcelab.checks import calculus_test_functions
-        from wcelab.opalgebra import CLAMP_TOL
-
         inst = random_instance(seed, zero_blocks=(seed % 2 == 0))
         t = build_operator(inst)
         gram = weighted_adjoint(t) @ t
@@ -201,8 +204,82 @@ class TestClosedFuncCalc:
         ):
             snap = CLAMP_TOL * operator_norm(product)
             for name, f in calculus_test_functions(snap):
-                dev = op_deviation(closed_fn(inst, f), func_calc_oracle(product, f))
+                dev = op_deviation(closed_calc(closed_fn, inst, f),
+                                   func_calc_oracle(product, f))
                 assert dev < 1e-7, (name, dev)
+
+
+def per_function_calc(inst, f, r, r_agg, r_mask):
+    """One function's closed calculus built on its own: f(0) I plus the
+    dense sandwich core M_d E M_r, d = chi / E(|r|^2) (f o p - f(0)) conj(r)."""
+    f0 = complex(f(0.0))
+    fp = np.asarray([f(float(v)) for v in inst.eu2 * inst.ew2], dtype=complex)
+    d = _masked_recip(r_agg, r_mask) * (fp - f0)
+    core = Sandwich(inst.partition, d * np.conj(r), r).dense()
+    return f0 * np.eye(inst.space.n, dtype=complex) + core.matrix
+
+
+def zeroed_block_instance(rng, n):
+    """Random weights, blocks and complex symbols on n points; each block of
+    u and of w is zeroed with probability 1/4."""
+    sp = make_space(rng.uniform(0.1, 10.0, n))
+    labels = rng.integers(0, rng.integers(1, n + 1), n)
+    part = make_partition(sp, [np.flatnonzero(labels == b) for b in np.unique(labels)])
+
+    def symbol():
+        alive = rng.random(part.block_count) >= 0.25
+        return MeasurableFunction(sp, np.where(alive[part.block_of],
+                                               random_complex(rng, n), 0.0))
+
+    return make_instance(part, symbol(), symbol())
+
+
+def test_stacked_calculus_matches_per_function_reference():
+    # Bit for bit from n = 2 on. At n = 1 numpy merges the (m, 1) products
+    # of the stack into one length-m loop, which it runs through its SIMD
+    # complex multiply, while a single function's length-1 product takes
+    # the scalar one; the two differ in the last bit of f(0) + core.
+    rng = np.random.default_rng(2610)
+    for n in range(1, 25):
+        for _ in range(3):
+            inst = zeroed_block_instance(rng, n)
+            snap = CLAMP_TOL * norm_formula(inst) ** 2
+            fns = tuple(f for _, f in calculus_test_functions(snap))
+            for closed_fn, r, r_agg, r_mask in (
+                (closed_func_calc_gram, inst.u.values, inst.eu2, inst.s_mask),
+                (closed_func_calc_cogram, np.conj(inst.w.values), inst.ew2, inst.g_mask),
+            ):
+                stack = closed_fn(inst, fns)
+                assert stack.shape == (len(fns), n, n)
+                for k, f in enumerate(fns):
+                    reference = per_function_calc(inst, f, r, r_agg, r_mask)
+                    if n == 1:
+                        scale = 1.0 + abs(f(0.0)) + float(np.abs(reference).max())
+                        np.testing.assert_allclose(stack[k], reference, rtol=0,
+                                                   atol=4 * np.finfo(float).eps * scale)
+                    else:
+                        assert np.array_equal(stack[k], reference)
+
+
+def test_stacked_calculus_rejects_non_finite_entries():
+    inst = random_instance(21)
+    fns = (lambda t_: 1.0, lambda t_: math.nan if t_ > 0.0 else 0.0)
+    for closed_fn in (closed_func_calc_gram, closed_func_calc_cogram):
+        with pytest.raises(ValueError, match="operator entries must be finite"):
+            closed_fn(inst, fns)
+
+
+def test_support_of_a_non_finite_aggregate_raises():
+    # |u|^2 overflows, so E(|u|^2) is inf: there is no peak to cut the
+    # support at, and inf > tol * inf would give an empty support.
+    sp = make_space([1.0, 2.0])
+    part = coarsest_partition(sp)
+    big = MeasurableFunction(sp, [1e300, 1e300])
+    one = MeasurableFunction.constant(sp, 1.0)
+    with pytest.raises(ValueError, match=r"E\(\|u\|\^2\) is not finite"):
+        make_instance(part, big, one).s_mask
+    with pytest.raises(ValueError, match=r"E\(\|w\|\^2\) is not finite"):
+        make_instance(part, one, big).g_mask
 
 
 class TestClosedPolar:
