@@ -4,10 +4,10 @@ seeded acceptance suite.
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
 parse error.
 
-While a command runs, numpy's and scipy's bundled OpenBLAS libraries are
-held at one thread: every matrix here is 64 x 64 or smaller, and on those
-a second BLAS thread only spins. A user who sets OPENBLAS_NUM_THREADS,
-GOTO_NUM_THREADS or OMP_NUM_THREADS keeps their own setting.
+While a command runs, numpy's bundled OpenBLAS is held at one thread:
+every matrix here is 64 x 64 or smaller, and on those a second BLAS thread
+only spins. A user who sets OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+OMP_NUM_THREADS keeps their own setting.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 import numpy
-import scipy
 
 from .checks import BASIC_GROUPS, CHECK_GROUPS, FULL_GROUPS, Tolerances
 from .errors import ConfigInvalidError, ParseError
@@ -37,8 +36,9 @@ _MODES = ("measurable_u", "partial_isometry", "zero_blocks", "constant_u",
 
 # Environment variables through which a user picks the OpenBLAS thread count.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-# Thread-count symbols of the scipy-openblas builds (64-bit and 32-bit
-# integer interface) and of a plain OpenBLAS, "{}" being "get" or "set".
+# Thread-count symbols of the prefixed OpenBLAS builds that numpy 2.x
+# bundles (64-bit and 32-bit integer interface) and of a plain OpenBLAS,
+# "{}" being "get" or "set".
 _OPENBLAS_THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_",
                             "scipy_openblas_{}_num_threads",
                             "openblas_{}_num_threads64_", "openblas_{}_num_threads")
@@ -181,32 +181,30 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 @functools.cache
 def _openblas_thread_controls() -> tuple[tuple[Callable[[], int],
                                                Callable[[int], None]], ...]:
-    """(get, set) thread-count functions of the OpenBLAS libraries bundled
-    with numpy and scipy (`<pkg>.libs/*openblas*`); empty for any other BLAS.
-    """
+    """(get, set) thread-count functions of the OpenBLAS bundled with numpy
+    (`numpy.libs/*openblas*`); empty for any other BLAS."""
     controls = []
-    for pkg in (numpy, scipy):
-        libs = Path(pkg.__file__).resolve().parent.parent / f"{pkg.__name__}.libs"
-        for lib in sorted(libs.glob("*openblas*")):
-            try:
-                handle = ctypes.CDLL(str(lib))
-            except OSError:
-                continue
-            for symbol in _OPENBLAS_THREAD_SYMBOLS:
-                get = getattr(handle, symbol.format("get"), None)
-                put = getattr(handle, symbol.format("set"), None)
-                if get is not None and put is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    put.argtypes, put.restype = [ctypes.c_int], None
-                    controls.append((get, put))
-                    break
+    libs = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for symbol in _OPENBLAS_THREAD_SYMBOLS:
+            get = getattr(handle, symbol.format("get"), None)
+            put = getattr(handle, symbol.format("set"), None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((get, put))
+                break
     return tuple(controls)
 
 
 @contextlib.contextmanager
 def _one_blas_thread() -> Iterator[None]:
-    """Hold the bundled OpenBLAS libraries at one thread, then restore the
-    counts they had; a no-op when the user set a thread variable."""
+    """Hold numpy's bundled OpenBLAS at one thread, then restore the count
+    it had; a no-op when the user set a thread variable."""
     if any(var in os.environ for var in _BLAS_THREAD_VARS):
         yield
         return

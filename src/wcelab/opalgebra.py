@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotPositiveError, NotSelfAdjointError, SpaceMismatchError
 from .measure import FiniteMeasureSpace, MeasurableFunction
@@ -220,7 +219,7 @@ def hermitian_eig(a: WeightedOperator) -> EigenSystem:
     """
     h = to_euclidean(a)
     hh = h.conj().T
-    vals, vecs = scipy.linalg.eigh(0.5 * (h + hh))
+    vals, vecs = np.linalg.eigh(0.5 * (h + hh))
     # The norm of the symmetrized matrix is its largest |eigenvalue|; it
     # differs from ||a|| by at most half the asymmetry.
     dev = float(spectral_norms(h - hh))

@@ -342,3 +342,23 @@ class TestBlasThreads:
         monkeypatch.setattr(cli, "_openblas_thread_controls", lambda: ())
         assert counts_inside_command(monkeypatch, blas_controls) == before
         assert thread_counts(blas_controls) == before
+
+
+def test_a_run_leaves_scipy_unimported():
+    # The oracles need only numpy's eigh and SVD, and the thread hold only
+    # numpy's OpenBLAS. scipy is no dependency and would double start-up,
+    # so a fresh interpreter must finish a full suite without loading it.
+    src = str(Path(wcelab.__file__).resolve().parents[1])
+    script = "\n".join((
+        "import contextlib, io, json, sys",
+        "sys.path.insert(0, sys.argv[1])",
+        "import wcelab.cli",
+        "imported = 'scipy' in sys.modules",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    status = wcelab.cli.main(['suite', '--seeds', '1..3', '--full'])",
+        "print(json.dumps([imported, status, 'scipy' in sys.modules]))",
+    ))
+    proc = subprocess.run([sys.executable, "-c", script, src],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, 0, False]
