@@ -17,7 +17,6 @@ from .errors import (
     EmptySpaceError,
     NonpositiveWeightError,
     NotAPartitionError,
-    NotFiberMeasurableError,
     NotNormalError,
     NotPositiveError,
     NotSelfAdjointError,
@@ -29,7 +28,6 @@ from .generator import (
     GeneratorConfig,
     gen_instance,
     perturb_nonmeasurable,
-    random_point_map,
     rotation_config,
 )
 from .instance_io import (
@@ -47,15 +45,12 @@ from .measure import (
     is_measurable,
     make_partition,
     make_space,
-    support,
 )
 from .opalgebra import (
     EigenSystem,
     WeightedOperator,
-    func_calc_oracle,
     hermitian_eig,
     kernel_projection,
-    op_deviation,
     op_deviations,
     operator_norm,
     polar_oracle,
@@ -71,9 +66,7 @@ from .spectral import (
     avg_mult_spectrum,
     check_spectral_axioms,
     fiber_partition,
-    is_normal_avg_mult,
     pushforward_density,
-    reconstruct_from_measure,
     spectral_decomposition,
 )
 from .suite import VerificationReport, run_suite

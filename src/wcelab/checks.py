@@ -24,8 +24,8 @@ import numpy as np
 
 from .condexp import cond_exp_values
 from .errors import NotNormalError
-from .instance_io import InstanceBundle, serialize_instance
-from .measure import Partition
+from .instance_io import InstanceBundle, instance_digest, serialize_instance
+from .measure import Partition, is_measurable
 from .opalgebra import (
     CLAMP_TOL,
     EigenSystem,
@@ -44,7 +44,6 @@ from .spectral import (
     avg_mult_operator,
     avg_mult_spectrum,
     check_spectral_axioms,
-    is_normal_avg_mult,
     pushforward_density,
     spectral_decomposition,
 )
@@ -135,7 +134,7 @@ class CheckContext:
         if not self.doc:
             self.doc = serialize_instance(self.bundle)
         if not self.digest:
-            self.digest = hashlib.sha256(self.doc.encode()).hexdigest()
+            self.digest = instance_digest(self.doc)
 
     @cached_property
     def instance(self) -> WceInstance:
@@ -630,7 +629,7 @@ def check_normality(ctx: CheckContext) -> list[CheckRecord]:
     comm_norm, m_norm = operator_norms(inst.space,
                                        np.stack((commutator.matrix, m.matrix)))
     residual = comm_norm / (1.0 + m_norm ** 2)
-    normal = is_normal_avg_mult(inst.u, inst.partition, ctx.tols.support_tol)
+    normal = is_measurable(inst.u, inst.partition, ctx.tols.support_tol)
     # Equivalence: a blockwise-constant symbol must commute, any other
     # symbol must not.
     return [ctx.record(

@@ -2,7 +2,7 @@
 seeded acceptance suite.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
-parse error.
+parse error, or an input or output file that cannot be read or written.
 
 While a command runs, numpy's bundled OpenBLAS is held at one thread:
 every matrix here is 64 x 64 or smaller, and on those a second BLAS thread
@@ -111,10 +111,20 @@ def _parse_seed_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
+def _write(path: Path, text: str) -> bool:
+    """Write text to path; on failure print an error naming the path."""
+    try:
+        path.write_text(text)
+    except OSError as e:
+        print(f"error: cannot write {path}: {e}", file=sys.stderr)
+        return False
+    return True
+
+
 def _emit(report, report_path: Path | None, wall: float) -> int:
     print(report.render_text(wall))
-    if report_path is not None:
-        report_path.write_text(report.to_json())
+    if report_path is not None and not _write(report_path, report.to_json()):
+        return 2
     return 0 if report.all_passed else 1
 
 
@@ -136,8 +146,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         return 2
     if args.output is None:
         print(doc)
-    else:
-        args.output.write_text(doc + "\n")
+    elif not _write(args.output, doc + "\n"):
+        return 2
     return 0
 
 
@@ -146,7 +156,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for path in args.files:
         try:
             bundles.append(parse_instance(path.read_text()))
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             print(f"error: cannot read {path}: {e}", file=sys.stderr)
             return 2
         except ParseError as e:

@@ -35,10 +35,6 @@ class NotNormalError(WceLabError):
     """A normal-only routine received a non-normal operator."""
 
 
-class NotFiberMeasurableError(WceLabError):
-    """A symbol is not constant on the fibers of a point map."""
-
-
 class ConfigInvalidError(WceLabError):
     """Generator configuration out of range."""
 

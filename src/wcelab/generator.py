@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigInvalidError
 from .instance_io import InstanceBundle
-from .measure import FiniteMeasureSpace, MeasurableFunction, Partition, make_space
+from .measure import MeasurableFunction, Partition, make_space
 from .spectral import PointMap
 from .wce import WceInstance, make_instance
 
@@ -185,11 +185,6 @@ def gen_instance(cfg: GeneratorConfig) -> InstanceBundle:
     if cfg.with_point_map:
         point_map = PointMap(space, tuple(int(i) for i in rng.integers(0, n, n)))
     return InstanceBundle(instance, point_map)
-
-
-def random_point_map(space: FiniteMeasureSpace, seed: int) -> PointMap:
-    rng = np.random.default_rng(seed)
-    return PointMap(space, tuple(int(i) for i in rng.integers(0, space.n, space.n)))
 
 
 def perturb_nonmeasurable(instance: WceInstance, seed: int) -> WceInstance:

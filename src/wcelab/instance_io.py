@@ -93,8 +93,10 @@ def serialize_instance(bundle: InstanceBundle) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def instance_digest(bundle: InstanceBundle) -> str:
-    return hashlib.sha256(serialize_instance(bundle).encode()).hexdigest()
+def instance_digest(doc: str) -> str:
+    """Digest of a serialized instance document; the instance's identity in
+    every report."""
+    return hashlib.sha256(doc.encode()).hexdigest()
 
 
 def parse_instance(text: str) -> InstanceBundle:

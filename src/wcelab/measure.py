@@ -208,12 +208,6 @@ class MeasurableFunction:
     def constant(cls, space: FiniteMeasureSpace, value: complex) -> "MeasurableFunction":
         return cls(space, np.full(space.n, value, dtype=complex))
 
-    @classmethod
-    def indicator(cls, space: FiniteMeasureSpace, members: Iterable[int]) -> "MeasurableFunction":
-        v = np.zeros(space.n, dtype=complex)
-        v[list(members)] = 1.0
-        return cls(space, v)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, MeasurableFunction)
@@ -249,22 +243,6 @@ def finest_partition(space: FiniteMeasureSpace) -> Partition:
 def coarsest_partition(space: FiniteMeasureSpace) -> Partition:
     """One block; the trivial sub-algebra."""
     return Partition(space, (tuple(range(space.n)),))
-
-
-def support(f: MeasurableFunction, tol: float = DEFAULT_SUPPORT_TOL) -> frozenset:
-    """Indices where f is nonzero, with relative thresholding.
-
-    Returns {i : |f_i| > tol * max_j |f_j|}; the empty set when f is
-    identically zero. With tol = 0 this is the exact set of nonzero
-    entries.
-    """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    mags = np.abs(f.values)
-    peak = float(mags.max())
-    if peak == 0.0:
-        return frozenset()
-    return frozenset(int(i) for i in np.flatnonzero(mags > tol * peak))
 
 
 def is_measurable(

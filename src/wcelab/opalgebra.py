@@ -16,12 +16,11 @@ nothing about conditional-expectation structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import NotPositiveError, NotSelfAdjointError, SpaceMismatchError
-from .measure import FiniteMeasureSpace, MeasurableFunction
+from .measure import FiniteMeasureSpace
 
 # Relative singular-value cutoff deciding numerical kernels.
 RANK_TOL = 1e-9
@@ -50,26 +49,6 @@ class WeightedOperator:
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def identity(cls, space: FiniteMeasureSpace) -> "WeightedOperator":
-        return cls(space, np.eye(space.n, dtype=complex))
-
-    @classmethod
-    def zero(cls, space: FiniteMeasureSpace) -> "WeightedOperator":
-        return cls(space, np.zeros((space.n, space.n), dtype=complex))
-
-    @classmethod
-    def multiplication(
-        cls, space: FiniteMeasureSpace, symbol: "MeasurableFunction | np.ndarray"
-    ) -> "WeightedOperator":
-        """Diagonal operator f -> symbol * f."""
-        vals = symbol.values if isinstance(symbol, MeasurableFunction) else np.asarray(symbol)
-        return cls(space, np.diag(np.asarray(vals, dtype=complex)))
-
-    def apply(self, f: "MeasurableFunction | np.ndarray") -> np.ndarray:
-        vals = f.values if isinstance(f, MeasurableFunction) else np.asarray(f, dtype=complex)
-        return self.matrix @ vals
 
     def _check_space(self, other: "WeightedOperator") -> None:
         if self.space != other.space:
@@ -153,29 +132,18 @@ def op_deviations(space: FiniteMeasureSpace, a: np.ndarray, b: np.ndarray,
     return diff / (1.0 + b_norms)
 
 
-def op_deviation(a: WeightedOperator, b: WeightedOperator) -> float:
-    """Relative distance ||a - b|| / (1 + ||b||), weighted norms."""
-    a._check_space(b)
-    return float(op_deviations(a.space, a.matrix[None], b.matrix[None])[0])
-
-
 @dataclass(frozen=True, eq=False)
 class EigenSystem:
     """Real spectrum and eigenbasis of a self-adjoint operator.
 
     values are ascending; basis holds the eigenvectors as columns in the
     Euclidean frame, where they are orthonormal. Every function of the
-    operator is an application of this one factorization.
+    operator is built from this one factorization by calc_stack.
     """
 
     space: FiniteMeasureSpace
     values: np.ndarray
     basis: np.ndarray
-
-    @property
-    def vectors(self) -> np.ndarray:
-        """Eigenvectors as columns, orthonormal in the weighted inner product."""
-        return self.basis / self.space.sqrt_weights[:, None]
 
     @property
     def scale(self) -> float:
@@ -190,11 +158,6 @@ class EigenSystem:
         m /= s[:, None]
         m *= s[None, :]
         return m
-
-    def apply(self, f: Callable[[float], complex]) -> WeightedOperator:
-        """Continuous functional calculus f(A)."""
-        fvals = np.asarray([f(float(v)) for v in self.values], dtype=complex)
-        return WeightedOperator(self.space, self.calc_stack(fvals[None])[0])
 
     def sqrt(self) -> WeightedOperator:
         """Positive square root; see positive_sqrt."""
@@ -239,14 +202,6 @@ def positive_sqrt(a: WeightedOperator) -> WeightedOperator:
     sqrt(rounding) eigenvalues.
     """
     return hermitian_eig(a).sqrt()
-
-
-def func_calc_oracle(
-    a: WeightedOperator, f: Callable[[float], complex]
-) -> WeightedOperator:
-    """Continuous functional calculus of a self-adjoint operator by full
-    eigendecomposition: sum_k f(lambda_k) v_k <v_k, .>."""
-    return hermitian_eig(a).apply(f)
 
 
 def polar_oracle(a: WeightedOperator) -> tuple[WeightedOperator, WeightedOperator]:

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
-from .errors import NotFiberMeasurableError, NotNormalError, SpaceMismatchError
+from .errors import NotNormalError, SpaceMismatchError
 from .measure import (
     DEFAULT_SUPPORT_TOL,
     FiniteMeasureSpace,
@@ -37,6 +37,8 @@ from .opalgebra import WeightedOperator, spectral_norms
 
 # Block means closer than this (relative) are merged into one eigenvalue.
 EIGENVALUE_GROUP_TOL = 1e-8
+# Random sets, and additivity rounds, in check_spectral_axioms' family.
+AXIOM_RANDOM_SETS = 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,23 +94,12 @@ class SpectralDecomp:
     eigenvalues: tuple[complex, ...]
     stack: np.ndarray
 
-    @property
-    def projections(self) -> tuple[WeightedOperator, ...]:
-        return tuple(WeightedOperator(self.space, p) for p in self.stack)
-
 
 def avg_mult_operator(u: MeasurableFunction, partition: Partition) -> WeightedOperator:
     """Matrix of f -> E(u f)."""
     if u.space != partition.space:
         raise SpaceMismatchError("symbol and partition live on different spaces")
     return WeightedOperator(partition.space, partition.cond_exp_matrix * u.values[None, :])
-
-
-def is_normal_avg_mult(
-    u: MeasurableFunction, partition: Partition, tol: float = DEFAULT_SUPPORT_TOL
-) -> bool:
-    """f -> E(u f) is normal iff u is blockwise constant."""
-    return is_measurable(u, partition, tol)
 
 
 def _eigenvalue_groups(
@@ -164,7 +155,7 @@ def spectral_decomposition(
     projection (eigenvalue 0) is the complement of all of them and is
     included only when it is nonzero.
     """
-    if not is_normal_avg_mult(u, partition, tol):
+    if not is_measurable(u, partition, tol):
         raise NotNormalError("symbol must be blockwise constant")
     space = partition.space
     reps, group = _eigenvalue_groups(u, partition)
@@ -208,10 +199,6 @@ class SpectralMeasureTable:
         self.space = phi.space
         self.partition = fiber_partition(phi)
         self._images = np.asarray(phi.images, dtype=np.intp)
-
-    def measure_of(self, members: Iterable[int]) -> WeightedOperator:
-        mask = np.isin(self._images, np.fromiter(members, dtype=np.intp, count=-1))
-        return WeightedOperator(self.space, self.partition.cond_exp_matrix * mask[None, :])
 
     def values(self, sets: np.ndarray) -> np.ndarray:
         """Stacked matrices of measure(S), one per row of a (k, n)
@@ -318,9 +305,7 @@ def _frame_measure(
 
 
 def check_spectral_axioms(
-    table: SpectralMeasureTable,
-    n_random: int = 12,
-    seed: int = 0,
+    table: SpectralMeasureTable, seed: int = 0
 ) -> tuple[SpectralAxiomReport, SpectralAxiomReport]:
     """Evaluate the spectral-measure axioms over all singletons and a
     seeded family of random subsets, on the ambient space and on the
@@ -336,12 +321,12 @@ def check_spectral_axioms(
     The family is drawn once and both frames are checked on it. The draws
     from the seeded generator come in a fixed order: the random sets and
     the intersection pairs (see _axiom_sets), then for each of the
-    max(n_random, 4) additivity rounds the index of the whole set, the
+    AXIOM_RANDOM_SETS additivity rounds the index of the whole set, the
     number of pieces, and the piece of every point.
     """
     n = table.space.n
     rng = np.random.default_rng(seed)
-    sets, pairs = _axiom_sets(rng, n, n_random)
+    sets, pairs = _axiom_sets(rng, n, AXIOM_RANDOM_SETS)
     k = len(sets)
     # The family is followed by the empty set (row k) and the whole set
     # (row k + 1), which the identity and intersection axioms use.
@@ -352,7 +337,7 @@ def check_spectral_axioms(
     # Every round's pieces go into one measure call; round r owns the
     # rows starts[r]:starts[r + 1] of the piece stack.
     wholes, pieces = [], []
-    for _ in range(max(n_random, 4)):
+    for _ in range(AXIOM_RANDOM_SETS):
         whole = int(rng.integers(0, k))
         parts = int(rng.integers(2, 5))
         assignment = rng.integers(0, parts, size=n)
@@ -386,16 +371,3 @@ def check_spectral_axioms(
         )
 
     return frame_report(False), frame_report(True)
-
-
-def reconstruct_from_measure(
-    phi: PointMap, u: MeasurableFunction, tol: float = DEFAULT_SUPPORT_TOL
-) -> WeightedOperator:
-    """Assemble sum_s v(s) * measure({s}) for the fiber-measurable symbol u,
-    where v is the point function with v o phi = u (zero on points with
-    empty fiber). The result must agree with the matrix of f -> E_phi(u f).
-    """
-    table = SpectralMeasureTable(phi)
-    if not is_measurable(u, table.partition, tol):
-        raise NotFiberMeasurableError("u must be constant on the fibers of phi")
-    return WeightedOperator(phi.space, table.reconstruct(u.values[None])[0])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wcelab.generator import GeneratorConfig, gen_instance
-from wcelab.opalgebra import WeightedOperator
+from wcelab.opalgebra import WeightedOperator, hermitian_eig, op_deviations
 
 
 def random_complex(rng, n, cap=4.0):
@@ -13,6 +13,21 @@ def e_operator(partition):
     """The conditional expectation as an operator: the partition's cached
     matrix of E."""
     return WeightedOperator(partition.space, partition.cond_exp_matrix)
+
+
+def deviation(a, b):
+    """||a - b|| / (1 + ||b||) of two operators, weighted norms: the
+    one-slice case of op_deviations, b the reference side."""
+    assert a.space == b.space
+    return float(op_deviations(a.space, a.matrix[None], b.matrix[None])[0])
+
+
+def eig_calc(a, f):
+    """f(a) for a self-adjoint operator and a scalar function, through the
+    oracle's calculus: hermitian_eig, then EigenSystem.calc_stack."""
+    es = hermitian_eig(a)
+    fvals = np.array([[f(float(v)) for v in es.values]], dtype=complex)
+    return WeightedOperator(a.space, es.calc_stack(fvals)[0])
 
 
 def closed_calc(closed_fn, inst, f):

@@ -24,16 +24,14 @@ from wcelab.generator import (
     GeneratorConfig,
     gen_instance,
     perturb_nonmeasurable,
-    random_point_map,
     rotation_config,
 )
-from wcelab.measure import MeasurableFunction
+from wcelab.measure import MeasurableFunction, is_measurable
 from wcelab.opalgebra import (
     CLAMP_TOL,
     WeightedOperator,
-    func_calc_oracle,
     kernel_projection,
-    op_deviation,
+    op_deviations,
     operator_norm,
     polar_oracle,
     positive_sqrt,
@@ -44,9 +42,7 @@ from wcelab.spectral import (
     avg_mult_operator,
     check_spectral_axioms,
     fiber_partition,
-    is_normal_avg_mult,
     pushforward_density,
-    reconstruct_from_measure,
 )
 from wcelab.wce import (
     build_operator,
@@ -59,7 +55,7 @@ from wcelab.wce import (
     partial_isometry_criterion,
 )
 
-from conftest import closed_calc, generated_partitions
+from conftest import closed_calc, deviation, eig_calc, generated_partitions
 
 
 @pytest.fixture(scope="module")
@@ -89,18 +85,18 @@ def test_criterion_2_polar_decomposition(family200):
     for inst in family200:
         t = build_operator(inst)
         u_op, abs_t = closed_polar(inst)
-        dev_abs = op_deviation(abs_t.dense(), positive_sqrt(weighted_adjoint(t) @ t))
+        dev_abs = deviation(abs_t.dense(), positive_sqrt(weighted_adjoint(t) @ t))
         u_ref, _ = polar_oracle(t)
-        dev_u = op_deviation(u_op.dense(), u_ref)
-        dev_fact = op_deviation((u_op @ abs_t).dense(), t)
+        dev_u = deviation(u_op.dense(), u_ref)
+        dev_fact = deviation((u_op @ abs_t).dense(), t)
         assert dev_abs <= 1e-8
         assert dev_u <= 1e-8
         assert dev_fact <= 1e-8
         kernels = [kernel_projection(x) for x in (u_op.dense(), abs_t.dense(), t)]
         dev_ker = max(
-            op_deviation(kernels[0], kernels[1]),
-            op_deviation(kernels[1], kernels[2]),
-            op_deviation(kernels[0], kernels[2]),
+            deviation(kernels[0], kernels[1]),
+            deviation(kernels[1], kernels[2]),
+            deviation(kernels[0], kernels[2]),
         )
         assert dev_ker <= 1e-7
         worst_op = max(worst_op, dev_abs, dev_u, dev_fact)
@@ -115,9 +111,9 @@ def test_criterion_3_aluthge(family200):
         t = build_operator(inst)
         u_ref, p_ref = polar_oracle(t)
         half = positive_sqrt(p_ref)
-        dev_main = op_deviation(closed_aluthge(inst).dense(), half @ u_ref @ half)
+        dev_main = deviation(closed_aluthge(inst).dense(), half @ u_ref @ half)
         v = closed_abs_sqrt(inst)
-        dev_root = op_deviation((v @ v).dense(), closed_polar(inst)[1].dense())
+        dev_root = deviation((v @ v).dense(), closed_polar(inst)[1].dense())
         assert dev_main <= 1e-8
         assert dev_root <= 1e-8
         worst = max(worst, dev_main, dev_root)
@@ -135,8 +131,8 @@ def test_criterion_4_functional_calculus(family200):
         ):
             snap = CLAMP_TOL * operator_norm(product)
             for name, f in calculus_test_functions(snap):
-                dev = op_deviation(closed_calc(closed_fn, inst, f),
-                                   func_calc_oracle(product, f))
+                dev = deviation(closed_calc(closed_fn, inst, f),
+                                eig_calc(product, f))
                 assert dev <= 1e-7, name
                 worst = max(worst, dev)
     print(f"\nACCEPTANCE 4 functional calculus: PASS (worst {worst:.2e})")
@@ -244,7 +240,7 @@ def test_criterion_7_spectral_decomposition():
             adj = weighted_adjoint(m)
             commutator = operator_norm(m @ adj - adj @ m)
             oracle_normal = commutator <= 1e-8 * (1.0 + operator_norm(m) ** 2)
-            declared = is_normal_avg_mult(candidate.u, candidate.partition)
+            declared = is_measurable(candidate.u, candidate.partition)
             if declared != oracle_normal or declared != expected_normal:
                 disagreements += 1
     assert disagreements == 0
@@ -256,9 +252,10 @@ def test_criterion_8_spectral_measure():
     for k in range(100):
         seed = 600 + k
         n = 2 + seed % 15
-        cfg = GeneratorConfig(seed=seed, n=n, block_count=1 + seed % n)
-        space = gen_instance(cfg).instance.space
-        phi = random_point_map(space, seed)
+        cfg = GeneratorConfig(seed=seed, n=n, block_count=1 + seed % n,
+                              with_point_map=True)
+        phi = gen_instance(cfg).point_map
+        space = phi.space
 
         table = SpectralMeasureTable(phi)
         ambient, compressed = check_spectral_axioms(table, seed=seed)
@@ -271,15 +268,14 @@ def test_criterion_8_spectral_measure():
 
         fp = fiber_partition(phi)
         rng = np.random.default_rng(seed)
-        for _ in range(3):
-            vals = np.empty(space.n, dtype=complex)
+        symbols = np.empty((3, space.n), dtype=complex)
+        for vals in symbols:
             for b in fp.blocks:
                 vals[list(b)] = rng.uniform(0.0, 4.0) * np.exp(
                     1j * rng.uniform(0.0, 2 * np.pi))
-            u = MeasurableFunction(space, vals)
-            dev = op_deviation(reconstruct_from_measure(phi, u),
-                               avg_mult_operator(u, fp))
-            assert dev <= 1e-9
+        direct = np.stack([avg_mult_operator(MeasurableFunction(space, vals), fp).matrix
+                           for vals in symbols])
+        assert op_deviations(space, table.reconstruct(symbols), direct).max() <= 1e-9
 
         h = pushforward_density(phi)
         mass = float(np.sum(h.values.real * space.weights))

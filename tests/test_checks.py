@@ -27,7 +27,7 @@ from wcelab.checks import (
 )
 from wcelab.cli import main
 from wcelab.generator import GeneratorConfig, gen_instance
-from wcelab.instance_io import InstanceBundle, serialize_instance
+from wcelab.instance_io import InstanceBundle, parse_instance, serialize_instance
 from wcelab.measure import (
     MeasurableFunction,
     Partition,
@@ -38,7 +38,7 @@ from wcelab.measure import (
 from wcelab.opalgebra import (
     CLAMP_TOL,
     WeightedOperator,
-    func_calc_oracle,
+    hermitian_eig,
     operator_norm,
     weighted_adjoint,
 )
@@ -70,9 +70,21 @@ def generated_bundles():
             for n in range(2, 65)]
 
 
+def eigen_sum(a, f):
+    """sum_k f(lambda_k) v_k <v_k, .> for a self-adjoint operator, one
+    rank-one term per eigenpair, from a fresh eigendecomposition."""
+    es = hermitian_eig(a)
+    s = a.space.sqrt_weights
+    vectors = es.basis / s[:, None]
+    total = sum((f(float(lam)) * np.outer(v, v.conj() * s * s)
+                 for lam, v in zip(es.values, vectors.T)),
+                np.zeros((a.space.n, a.space.n), dtype=complex))
+    return WeightedOperator(a.space, total)
+
+
 def reference_func_calc(inst):
-    """The per-function loop: a fresh eigendecomposition and three SVD
-    norms for each test function."""
+    """The per-function loop: a fresh eigendecomposition, an eigen-sum and
+    three SVD norms for each test function."""
     t = build_operator(inst)
     t_adj = weighted_adjoint(t)
     out = {}
@@ -82,7 +94,7 @@ def reference_func_calc(inst):
     ):
         worst = 0.0
         for _, f in calculus_test_functions(CLAMP_TOL * operator_norm(product)):
-            a, b = closed_calc(closed_fn, inst, f), func_calc_oracle(product, f)
+            a, b = closed_calc(closed_fn, inst, f), eigen_sum(product, f)
             dev = operator_norm(a - b) / (1.0 + max(operator_norm(a), operator_norm(b)))
             worst = max(worst, dev)
         out[name] = worst
@@ -306,10 +318,11 @@ def reference_reconstruction(ctx):
     rng = ctx.rng("reconstruction")
     fp = fiber_partition(phi)
     table = SpectralMeasureTable(phi)
+    singletons = np.eye(phi.space.n, dtype=bool)
     worst = 0.0
     for _ in range(3):
         u = MeasurableFunction(phi.space, checks._random_blockwise(rng, fp))
-        rebuilt = sum((u.values[fiber[0]] * table.measure_of((s,)).matrix
+        rebuilt = sum((u.values[fiber[0]] * table.values(singletons[s][None])[0]
                        for s, fiber in phi.fibers),
                       np.zeros((phi.space.n, phi.space.n), dtype=complex))
         worst = max(worst, two_sided_deviation(WeightedOperator(phi.space, rebuilt),
@@ -424,15 +437,19 @@ def test_partial_isometry_indicator_set_must_be_s_and_g():
     assert record.status == "fail"
 
 
-def near_normal_instance_file(tmp_path):
+def near_normal_bundle():
     """u is blockwise constant up to a 1e-7 relative step in its first
     block: normal at support_tol 1e-5, not at the default 1e-10."""
     sp = make_space([1.0, 2.0, 0.5, 1.5])
     part = make_partition(sp, [[0, 1], [2, 3]])
     u = MeasurableFunction(sp, [2.0, 2.0000002, -1 + 0.5j, -1 + 0.5j])
     w = MeasurableFunction(sp, [1.0, 0.5, 1 + 1j, 2.0])
+    return InstanceBundle(make_instance(part, u, w))
+
+
+def near_normal_instance_file(tmp_path):
     path = tmp_path / "near_normal.json"
-    path.write_text(serialize_instance(InstanceBundle(make_instance(part, u, w))))
+    path.write_text(serialize_instance(near_normal_bundle()))
     return path
 
 
@@ -453,3 +470,37 @@ def test_spectral_decomp_uses_run_support_tol(tmp_path, support_tol):
     else:
         # Measured, not a breakdown; pass or fail is not pinned here.
         assert all(r["residual"] is not None and "reason" not in r for r in records)
+
+
+# Known threshold defects, pinned until one scale decides every support,
+# rank and separation. The closed forms cut S and G where the quadratic
+# aggregate E(|u|^2) exceeds support_tol times its peak, while the oracles
+# cut rank on singular values at RANK_TOL; and normality is decided at
+# support_tol while the operator comparisons run at tol. Each test asserts
+# that no record fails; the fix makes them pass and removes the marks.
+SMALL_AGGREGATE_DOC = (
+    '{"weights":[1,1,1,1,1,1],"partition":[[0,1],[2,3],[4,5]],'
+    '"u":[[1,0],[0.5,0.2],[1e-6,0],[2e-6,0],[0.7,-0.3],[1.3,0]],'
+    '"w":[[1,0],[0.8,0.1],[1.2,0],[0.9,0.4],[1,1],[0.6,0]]}')
+
+
+def failing_records(report):
+    return [r.name for r in report.records if r.status == "fail"]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a block with E(|u|^2) ~ 1e-12 of the peak is cut out of S "
+                          "but stays in the oracle's range: polar_isometry, "
+                          "polar_kernels, polar_factorization, aluthge_closed and "
+                          "vanishing_disjoint fail")
+def test_small_block_aggregate_gives_no_false_fail():
+    assert failing_records(run_suite([parse_instance(SMALL_AGGREGATE_DOC)])) == []
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="at support_tol 1e-5 a 1e-7 step in u counts as blockwise "
+                          "constant, but the comparisons at tol 1e-8 see it: "
+                          "normality and sd_reconstruction fail")
+def test_near_normal_symbol_at_loose_support_tol_gives_no_false_fail():
+    report = run_suite([near_normal_bundle()], tols=Tolerances(support_tol=1e-5))
+    assert failing_records(report) == []

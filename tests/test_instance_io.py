@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from wcelab.checks import CheckContext, Tolerances
 from wcelab.errors import ParseError
 from wcelab.generator import GeneratorConfig, gen_instance
 from wcelab.instance_io import (
@@ -48,10 +49,15 @@ class TestRoundTrip:
         assert again.instance.space.labels == ("a", "b")
 
     def test_digest_tracks_content(self):
+        def digest(bundle):
+            return instance_digest(serialize_instance(bundle))
+
         a = parse_instance(small_doc())
         b = parse_instance(small_doc(u=[[2.0, 0.0], [0.5, 0.0]]))
-        assert instance_digest(a) != instance_digest(b)
-        assert instance_digest(a) == instance_digest(parse_instance(small_doc()))
+        assert digest(a) != digest(b)
+        assert digest(a) == digest(parse_instance(small_doc()))
+        # Reports name an instance by this same digest.
+        assert CheckContext(a, Tolerances()).digest == digest(a)
 
 
 class TestParseErrors:

@@ -16,8 +16,8 @@ from wcelab.measure import (
     is_measurable,
     make_partition,
     make_space,
-    support,
 )
+from wcelab.wce import make_instance
 
 
 class TestMakeSpace:
@@ -96,29 +96,28 @@ class TestMakePartition:
         assert p.block_of.tolist() == [0, 1, 0, 1]
 
 
+def support_points(values, tol):
+    """The points of S, the support of E(|u|^2) that the closed forms cut
+    at the relative tolerance tol, for u = values on unit weights and the
+    finest partition, where E(|u|^2) = |u|^2."""
+    sp = make_space([1.0] * len(values))
+    u = MeasurableFunction(sp, values)
+    inst = make_instance(finest_partition(sp), u, u, tol)
+    return frozenset(np.flatnonzero(inst.s_mask).tolist())
+
+
 class TestSupport:
     def test_zero_function(self):
-        sp = make_space([1.0] * 3)
-        f = MeasurableFunction(sp, [0, 0, 0])
-        assert support(f, 0.0) == frozenset()
-        assert support(f, 1e-10) == frozenset()
+        assert support_points([0, 0, 0], 0.0) == frozenset()
+        assert support_points([0, 0, 0], 1e-10) == frozenset()
 
     def test_exact_zero_excluded(self):
-        sp = make_space([1.0, 1.0])
-        f = MeasurableFunction(sp, [2, 0])
-        assert support(f, 1e-10) == frozenset({0})
+        assert support_points([2, 0], 1e-10) == frozenset({0})
 
     def test_relative_threshold(self):
-        # 1e-16 < 1e-10 * 1, so index 1 falls below the threshold
-        sp = make_space([1.0, 1.0])
-        f = MeasurableFunction(sp, [1, 1e-16])
-        assert support(f, 1e-10) == frozenset({0})
-        assert support(f, 0.0) == frozenset({0, 1})
-
-    def test_negative_tol_rejected(self):
-        sp = make_space([1.0])
-        with pytest.raises(ValueError):
-            support(MeasurableFunction(sp, [1]), -1.0)
+        # |1e-16|^2 < 1e-10 * 1, so point 1 falls below the threshold
+        assert support_points([1, 1e-16], 1e-10) == frozenset({0})
+        assert support_points([1, 1e-16], 0.0) == frozenset({0, 1})
 
 
 class TestIsMeasurable:
@@ -211,9 +210,13 @@ def test_measurability_survives_refinement(sp_and_p, split_seed):
 @settings(max_examples=40, deadline=None)
 @given(space_and_partition())
 def test_support_exact_semantics(sp_and_p):
-    sp, _ = sp_and_p
+    # At tol 0 a block is in the support of E(|u|^2) exactly when u is
+    # nonzero somewhere on it.
+    sp, p = sp_and_p
     rng = np.random.default_rng(0)
     vals = rng.normal(size=sp.n)
     vals[rng.random(sp.n) < 0.5] = 0.0
     f = MeasurableFunction(sp, vals)
-    assert support(f, 0.0) == frozenset(int(i) for i in np.flatnonzero(vals != 0))
+    inst = make_instance(p, f, f, 0.0)
+    nonzero_blocks = np.bincount(p.block_of, vals != 0, p.block_count) > 0
+    np.testing.assert_array_equal(inst.s_mask, nonzero_blocks[p.block_of])

@@ -5,18 +5,18 @@ import pytest
 
 from wcelab import spectral
 from wcelab.checks import CheckContext, Tolerances, check_measure_axioms
-from wcelab.errors import NotFiberMeasurableError, NotNormalError
+from wcelab.errors import NotNormalError
 from wcelab.generator import GeneratorConfig, gen_instance, perturb_nonmeasurable
 from wcelab.measure import (
     MeasurableFunction,
     Partition,
     finest_partition,
+    is_measurable,
     make_partition,
     make_space,
 )
 from wcelab.opalgebra import (
     WeightedOperator,
-    op_deviation,
     operator_norm,
     weighted_adjoint,
 )
@@ -27,13 +27,11 @@ from wcelab.spectral import (
     avg_mult_spectrum,
     check_spectral_axioms,
     fiber_partition,
-    is_normal_avg_mult,
     pushforward_density,
-    reconstruct_from_measure,
     spectral_decomposition,
 )
 
-from conftest import e_operator, random_complex
+from conftest import deviation, e_operator, random_complex
 
 
 @pytest.fixture
@@ -50,6 +48,28 @@ def report_residuals(report, include_full=True):
             report.intersection_residual, report.additivity_residual)
 
 
+def set_value(table, members):
+    """The matrix of measure(S) for one set S of target points."""
+    mask = np.zeros(table.space.n, dtype=bool)
+    mask[list(members)] = True
+    return table.values(mask[None])[0]
+
+
+def measure_op(table, members):
+    return WeightedOperator(table.space, set_value(table, members))
+
+
+def reconstructed(phi, u):
+    """sum_s v(s) measure({s}) for the fiber-measurable symbol u, where
+    v o phi = u."""
+    table = SpectralMeasureTable(phi)
+    return WeightedOperator(phi.space, table.reconstruct(u.values[None])[0])
+
+
+def projections(decomp):
+    return [WeightedOperator(decomp.space, p) for p in decomp.stack]
+
+
 def commutator_norm(u, partition):
     m = avg_mult_operator(u, partition)
     adj = weighted_adjoint(m)
@@ -60,19 +80,19 @@ class TestNormality:
     def test_blockwise_constant_is_normal(self, uniform4):
         sp, p = uniform4
         u = MeasurableFunction(sp, [5, 5, 7, 7])
-        assert is_normal_avg_mult(u, p)
+        assert is_measurable(u, p)
         assert commutator_norm(u, p) < 1e-13
 
     def test_nonconstant_is_not_normal(self, uniform4):
         sp, p = uniform4
         u = MeasurableFunction(sp, [5, 6, 7, 7])
-        assert not is_normal_avg_mult(u, p)
+        assert not is_measurable(u, p)
         assert commutator_norm(u, p) > 1e-3
 
     def test_finest_always_normal(self, rng):
         sp = make_space([1.0, 2.0, 0.5])
         u = MeasurableFunction(sp, random_complex(rng, 3))
-        assert is_normal_avg_mult(u, finest_partition(sp))
+        assert is_measurable(u, finest_partition(sp))
         assert commutator_norm(u, finest_partition(sp)) < 1e-12
 
 
@@ -116,9 +136,9 @@ class TestSpectralDecomposition:
         expected = np.zeros((4, 4))
         expected[0, :2] = 0.5
         expected[1, :2] = 0.5
-        np.testing.assert_allclose(decomp.projections[0].matrix, expected, atol=1e-14)
-        for proj in decomp.projections[:2]:
-            assert round(float(np.trace(proj.matrix).real)) == 1
+        np.testing.assert_allclose(decomp.stack[0], expected, atol=1e-14)
+        for proj in decomp.stack[:2]:
+            assert round(float(np.trace(proj).real)) == 1
 
     def test_constant_symbol(self):
         sp = make_space([1.0, 2.0, 0.5])
@@ -127,14 +147,14 @@ class TestSpectralDecomposition:
         decomp = spectral_decomposition(u, p)
         assert [complex(z) for z in decomp.eigenvalues] == [3 + 0j, 0j]
         e = e_operator(p)
-        assert op_deviation(decomp.projections[0], e) < 1e-13
+        assert deviation(projections(decomp)[0], e) < 1e-13
 
     def test_zero_symbol(self, uniform4):
         sp, p = uniform4
         u = MeasurableFunction.constant(sp, 0.0)
         decomp = spectral_decomposition(u, p)
         assert [complex(z) for z in decomp.eigenvalues] == [0j]
-        np.testing.assert_allclose(decomp.projections[0].matrix, np.eye(4), atol=1e-14)
+        np.testing.assert_allclose(decomp.stack[0], np.eye(4), atol=1e-14)
 
     def test_invariants_on_random_instances(self):
         for seed in range(60, 70):
@@ -148,16 +168,16 @@ class TestSpectralDecomposition:
             n = inst.space.n
             recon = np.zeros((n, n), dtype=complex)
             total_rank = 0
-            for lam, proj in zip(decomp.eigenvalues, decomp.projections):
-                assert op_deviation(proj @ proj, proj) < 1e-10
+            projs = projections(decomp)
+            for lam, proj in zip(decomp.eigenvalues, projs):
+                assert deviation(proj @ proj, proj) < 1e-10
                 assert operator_norm(proj - weighted_adjoint(proj)) < 1e-10
                 recon += lam * proj.matrix
                 total_rank += round(float(np.trace(proj.matrix).real))
-            for i in range(len(decomp.projections)):
-                for j in range(i + 1, len(decomp.projections)):
-                    assert operator_norm(
-                        decomp.projections[i] @ decomp.projections[j]) < 1e-10
-            assert op_deviation(type(m)(inst.space, recon), m) < 1e-10
+            for i in range(len(projs)):
+                for j in range(i + 1, len(projs)):
+                    assert operator_norm(projs[i] @ projs[j]) < 1e-10
+            assert deviation(type(m)(inst.space, recon), m) < 1e-10
             assert total_rank == n
 
     def test_rejects_nonnormal(self, uniform4):
@@ -203,21 +223,21 @@ class TestSpectralMeasure:
     def test_empty_set(self):
         sp = make_space([1.0, 1.0, 2.0])
         phi = PointMap(sp, (0, 0, 2))
-        assert operator_norm(SpectralMeasureTable(phi).measure_of(())) == 0.0
+        assert operator_norm(measure_op(SpectralMeasureTable(phi), ())) == 0.0
 
     def test_whole_set_is_fiber_average(self):
         sp = make_space([1.0, 1.0, 2.0])
         phi = PointMap(sp, (0, 0, 2))
         e = e_operator(fiber_partition(phi))
-        assert op_deviation(SpectralMeasureTable(phi).measure_of(range(3)), e) < 1e-14
+        assert deviation(measure_op(SpectralMeasureTable(phi), range(3)), e) < 1e-14
 
     def test_singleton_example(self):
         sp = make_space([1.0, 1.0, 2.0])
         phi = PointMap(sp, (0, 0, 2))
-        m = SpectralMeasureTable(phi).measure_of((0,))
+        m = measure_op(SpectralMeasureTable(phi), (0,))
         expected = np.array([[0.5, 0.5, 0], [0.5, 0.5, 0], [0, 0, 0]])
         np.testing.assert_allclose(m.matrix, expected, atol=1e-15)
-        assert op_deviation(m @ m, m) < 1e-14
+        assert deviation(m @ m, m) < 1e-14
         assert operator_norm(m - weighted_adjoint(m)) < 1e-14
 
     def test_summation_matches_direct(self, rng):
@@ -226,10 +246,10 @@ class TestSpectralMeasure:
         table = SpectralMeasureTable(phi)
         members = (0, 2, 5)
         total = sum(
-            (table.measure_of((s,)).matrix for s in members),
+            (set_value(table, (s,)) for s in members),
             np.zeros((6, 6), dtype=complex),
         )
-        np.testing.assert_allclose(total, table.measure_of(members).matrix, atol=1e-15)
+        np.testing.assert_allclose(total, set_value(table, members), atol=1e-15)
 
 
 class TestSpectralAxioms:
@@ -272,8 +292,8 @@ class TestSpectralAxioms:
 
 
 def reference_spectral_axioms(phi, on_subspace, n_random=12, seed=0):
-    """Per-set loop over the seeded set family: one operator, one
-    np.isin and one spectral norm per set. Returns the five residuals
+    """Per-set loop over the seeded set family: one measure value and one
+    spectral norm per set. Returns the five residuals
     in SpectralAxiomReport field order."""
     n = phi.space.n
     table = SpectralMeasureTable(phi)
@@ -284,15 +304,15 @@ def reference_spectral_axioms(phi, on_subspace, n_random=12, seed=0):
         db = phi.space.weights[:, None] * basis
         dim = basis.shape[1]
 
-        def rep(op):
-            return db.conj().T @ op.matrix @ basis
+        def rep(m):
+            return db.conj().T @ m @ basis
 
     else:
         dim = n
 
-        def rep(op):
+        def rep(m):
             s = phi.space.sqrt_weights
-            return op.matrix * s[:, None] / s[None, :]
+            return m * s[:, None] / s[None, :]
 
     def dist(x, y):
         return float(np.linalg.norm(x - y, 2))
@@ -304,19 +324,19 @@ def reference_spectral_axioms(phi, on_subspace, n_random=12, seed=0):
 
     proj_res = 0.0
     for s in sets:
-        m = rep(table.measure_of(s))
+        m = rep(set_value(table, s))
         proj_res = max(proj_res, dist(m @ m, m), dist(m.conj().T, m))
 
-    empty_res = float(np.linalg.norm(rep(table.measure_of(())), 2))
-    full_res = dist(rep(table.measure_of(range(n))), np.eye(dim))
+    empty_res = float(np.linalg.norm(rep(set_value(table, ())), 2))
+    full_res = dist(rep(set_value(table, range(n))), np.eye(dim))
 
     inter_res = 0.0
     pairs = [(sets[i], sets[j]) for i, j in
              rng.integers(0, len(sets), size=(max(n_random, 4), 2))]
     pairs += [(sets[0], frozenset(range(n))), (sets[0], frozenset())]
     for s1, s2 in pairs:
-        lhs = rep(table.measure_of(s1 & s2))
-        rhs = rep(table.measure_of(s1)) @ rep(table.measure_of(s2))
+        lhs = rep(set_value(table, s1 & s2))
+        rhs = rep(set_value(table, s1)) @ rep(set_value(table, s2))
         inter_res = max(inter_res, dist(lhs, rhs))
 
     add_res = 0.0
@@ -325,8 +345,8 @@ def reference_spectral_axioms(phi, on_subspace, n_random=12, seed=0):
         parts = int(rng.integers(2, 5))
         assignment = rng.integers(0, parts, size=n)
         pieces = [frozenset(i for i in whole if assignment[i] == p) for p in range(parts)]
-        total = sum((rep(table.measure_of(p)) for p in pieces), np.zeros((dim, dim), complex))
-        add_res = max(add_res, dist(rep(table.measure_of(whole)), total))
+        total = sum((rep(set_value(table, p)) for p in pieces), np.zeros((dim, dim), complex))
+        add_res = max(add_res, dist(rep(set_value(table, whole)), total))
 
     return proj_res, empty_res, full_res, inter_res, add_res
 
@@ -516,50 +536,43 @@ class TestReconstruction:
         sp = make_space([1.0, 1.0, 2.0])
         phi = PointMap(sp, (0, 0, 2))
         u = MeasurableFunction.constant(sp, 1.0)
-        rebuilt = reconstruct_from_measure(phi, u)
+        rebuilt = reconstructed(phi, u)
         e = e_operator(fiber_partition(phi))
-        assert op_deviation(rebuilt, e) < 1e-14
+        assert deviation(rebuilt, e) < 1e-14
 
     def test_zero_symbol(self):
         sp = make_space([1.0, 1.0, 2.0])
         phi = PointMap(sp, (0, 0, 2))
         u = MeasurableFunction.constant(sp, 0.0)
-        assert operator_norm(reconstruct_from_measure(phi, u)) == 0.0
+        assert operator_norm(reconstructed(phi, u)) == 0.0
 
     def test_example(self):
         sp = make_space([1.0, 1.0, 2.0])
         phi = PointMap(sp, (0, 0, 2))
         u = MeasurableFunction(sp, [3, 3, 7])
         table = SpectralMeasureTable(phi)
-        expected = 3 * table.measure_of((0,)).matrix + 7 * table.measure_of((2,)).matrix
-        rebuilt = reconstruct_from_measure(phi, u)
+        expected = 3 * set_value(table, (0,)) + 7 * set_value(table, (2,))
+        rebuilt = reconstructed(phi, u)
         np.testing.assert_allclose(rebuilt.matrix, expected, atol=1e-14)
         direct = avg_mult_operator(u, fiber_partition(phi))
-        assert op_deviation(rebuilt, direct) < 1e-13
+        assert deviation(rebuilt, direct) < 1e-13
 
     def test_perturbed_fiber_average_fails(self, monkeypatch):
         sp = make_space([1.0, 2.0, 1.5, 0.5, 3.0])
         phi = PointMap(sp, (1, 1, 1, 4, 4))
         u = MeasurableFunction(sp, [2.0, 2.0, 2.0, -1.0 + 1.0j, -1.0 + 1.0j])
         direct = avg_mult_operator(u, fiber_partition(phi))
-        assert op_deviation(reconstruct_from_measure(phi, u), direct) < 1e-13
+        assert deviation(reconstructed(phi, u), direct) < 1e-13
         perturb_fiber_average(monkeypatch)
-        assert op_deviation(reconstruct_from_measure(phi, u), direct) > 1e-9
-
-    def test_rejects_nonfiber_measurable(self):
-        sp = make_space([1.0, 1.0, 2.0])
-        phi = PointMap(sp, (0, 0, 2))
-        u = MeasurableFunction(sp, [3, 4, 7])
-        with pytest.raises(NotFiberMeasurableError):
-            reconstruct_from_measure(phi, u)
+        assert deviation(reconstructed(phi, u), direct) > 1e-9
 
 
 def test_normality_equivalence_with_perturbation():
     for seed in range(80, 90):
         inst = gen_instance(GeneratorConfig(
             seed=seed, n=8, block_count=3, measurable_u=True)).instance
-        assert is_normal_avg_mult(inst.u, inst.partition)
+        assert is_measurable(inst.u, inst.partition)
         assert commutator_norm(inst.u, inst.partition) < 1e-10
         bad = perturb_nonmeasurable(inst, seed)
-        assert not is_normal_avg_mult(bad.u, bad.partition)
+        assert not is_measurable(bad.u, bad.partition)
         assert commutator_norm(bad.u, bad.partition) > 1e-6

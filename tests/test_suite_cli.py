@@ -221,6 +221,25 @@ class TestCli:
             assert records[name]["reason"] == (
                 "vanishing raised ValueError: E(|u|^2) is not finite")
 
+    def test_verify_non_utf8_file_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{")
+        assert main(["verify", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {bad}: ")
+
+    @pytest.mark.parametrize("target", ["missing_dir", "directory"])
+    def test_suite_unwritable_report_exits_2(self, tmp_path, capsys, target):
+        path = tmp_path / "missing" / "r.json" if target == "missing_dir" else tmp_path
+        assert main(["suite", "--seeds", "1..2", "--report", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
+
+    def test_gen_unwritable_output_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.json"
+        assert main(["gen", "--seed", "1", "-o", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {path}: ")
+        assert captured.out == ""
+
     def test_verify_unknown_check_exits_2(self, tmp_path, capsys):
         inst_file = tmp_path / "inst.json"
         main(["gen", "--seed", "5", "-o", str(inst_file)])

@@ -16,9 +16,7 @@ from wcelab.measure import (
 from wcelab.opalgebra import (
     CLAMP_TOL,
     WeightedOperator,
-    func_calc_oracle,
     kernel_projection,
-    op_deviation,
     operator_norm,
     polar_oracle,
     positive_sqrt,
@@ -37,7 +35,7 @@ from wcelab.wce import (
     _masked_recip,
 )
 
-from conftest import closed_calc, e_operator, random_complex
+from conftest import closed_calc, deviation, e_operator, eig_calc, random_complex
 
 
 def ones_instance(weights, blocks=None):
@@ -68,7 +66,7 @@ class TestBuildOperator:
     def test_unit_symbols_give_projection(self):
         inst = ones_instance([1.0, 2.0, 0.5], blocks=[[0, 2], [1]])
         e = e_operator(inst.partition)
-        assert op_deviation(build_operator(inst), e) < 1e-15
+        assert deviation(build_operator(inst), e) < 1e-15
 
     def test_finest_partition_is_multiplication(self, rng):
         sp = make_space([1.0, 2.0, 3.0])
@@ -94,7 +92,7 @@ class TestBuildOperator:
             MeasurableFunction(inst.space, np.conj(inst.w.values)),
             MeasurableFunction(inst.space, np.conj(inst.u.values)),
         )
-        assert op_deviation(
+        assert deviation(
             weighted_adjoint(build_operator(inst)), build_operator(swapped)
         ) < 1e-13
 
@@ -163,8 +161,8 @@ class TestClosedFuncCalc:
         inst = random_instance(21)
         t = build_operator(inst)
         gram = weighted_adjoint(t) @ t
-        assert op_deviation(closed_calc(closed_func_calc_gram, inst, lambda t_: t_),
-                            gram) < 1e-12
+        assert deviation(closed_calc(closed_func_calc_gram, inst, lambda t_: t_),
+                         gram) < 1e-12
 
     def test_constant_one_gives_identity(self, rng):
         inst = random_instance(22)
@@ -176,21 +174,21 @@ class TestClosedFuncCalc:
         t = build_operator(inst)
         gram = weighted_adjoint(t) @ t
         closed = closed_calc(closed_func_calc_gram, inst, lambda t_: t_ * t_)
-        assert op_deviation(closed, gram @ gram) < 1e-12
+        assert deviation(closed, gram @ gram) < 1e-12
         # Power formula: conj(u) E(|w|^2)^2 E(|u|^2) E(u .)
         e = e_operator(inst.partition)
         coef = np.conj(inst.u.values) * inst.ew2**2 * inst.eu2
         direct = type(t)(inst.space, coef[:, None] * e.matrix * inst.u.values[None, :])
-        assert op_deviation(closed, direct) < 1e-12
+        assert deviation(closed, direct) < 1e-12
 
     def test_cogram_identity_and_cube(self):
         inst = random_instance(24)
         t = build_operator(inst)
         cogram = t @ weighted_adjoint(t)
-        assert op_deviation(closed_calc(closed_func_calc_cogram, inst, lambda t_: t_),
-                            cogram) < 1e-12
+        assert deviation(closed_calc(closed_func_calc_cogram, inst, lambda t_: t_),
+                         cogram) < 1e-12
         closed = closed_calc(closed_func_calc_cogram, inst, lambda t_: t_**3)
-        assert op_deviation(closed, cogram @ cogram @ cogram) < 1e-11
+        assert deviation(closed, cogram @ cogram @ cogram) < 1e-11
 
     @pytest.mark.parametrize("seed", [31, 32, 33])
     def test_full_suite_against_oracle(self, seed):
@@ -204,8 +202,7 @@ class TestClosedFuncCalc:
         ):
             snap = CLAMP_TOL * operator_norm(product)
             for name, f in calculus_test_functions(snap):
-                dev = op_deviation(closed_calc(closed_fn, inst, f),
-                                   func_calc_oracle(product, f))
+                dev = deviation(closed_calc(closed_fn, inst, f), eig_calc(product, f))
                 assert dev < 1e-7, (name, dev)
 
 
@@ -287,8 +284,8 @@ class TestClosedPolar:
         inst = ones_instance([1.0, 2.0, 0.5], blocks=[[0, 1], [2]])
         e = e_operator(inst.partition)
         u_op, abs_t = closed_polar(inst)
-        assert op_deviation(u_op.dense(), e) < 1e-13
-        assert op_deviation(abs_t.dense(), e) < 1e-13
+        assert deviation(u_op.dense(), e) < 1e-13
+        assert deviation(abs_t.dense(), e) < 1e-13
 
     def test_example_matrices(self, example_instance):
         u_op, abs_t = closed_polar(example_instance)
@@ -316,14 +313,14 @@ class TestClosedPolar:
         t = build_operator(inst)
         u_op, abs_t = closed_polar(inst)
         gram = weighted_adjoint(t) @ t
-        assert op_deviation(abs_t.dense(), positive_sqrt(gram)) < 1e-8
+        assert deviation(abs_t.dense(), positive_sqrt(gram)) < 1e-8
         u_ref, _ = polar_oracle(t)
-        assert op_deviation(u_op.dense(), u_ref) < 1e-8
-        assert op_deviation((u_op @ abs_t).dense(), t) < 1e-8
+        assert deviation(u_op.dense(), u_ref) < 1e-8
+        assert deviation((u_op @ abs_t).dense(), t) < 1e-8
         kernels = [kernel_projection(x) for x in (u_op.dense(), abs_t.dense(), t)]
         for i in range(3):
             for j in range(i + 1, 3):
-                assert op_deviation(kernels[i], kernels[j]) < 1e-7
+                assert deviation(kernels[i], kernels[j]) < 1e-7
 
 
 def test_closed_forms_stay_factored_until_dense(monkeypatch):
@@ -352,7 +349,7 @@ class TestClosedAluthge:
     def test_projection_fixed_point(self):
         inst = ones_instance([1.0, 2.0, 0.5], blocks=[[0, 1], [2]])
         e = e_operator(inst.partition)
-        assert op_deviation(closed_aluthge(inst).dense(), e) < 1e-13
+        assert deviation(closed_aluthge(inst).dense(), e) < 1e-13
 
     def test_example_matrix(self):
         # mu = (1, 3), u = w = (2, 0): E(u w) = E(|u|^2) = 1, so the
@@ -379,7 +376,7 @@ class TestClosedAluthge:
         t = build_operator(inst)
         u_ref, p_ref = polar_oracle(t)
         oracle = positive_sqrt(p_ref) @ u_ref @ positive_sqrt(p_ref)
-        assert op_deviation(closed_aluthge(inst).dense(), oracle) < 1e-8
+        assert deviation(closed_aluthge(inst).dense(), oracle) < 1e-8
         v = closed_abs_sqrt(inst)
-        assert op_deviation((v @ v).dense(), closed_polar(inst)[1].dense()) < 1e-8
+        assert deviation((v @ v).dense(), closed_polar(inst)[1].dense()) < 1e-8
 
