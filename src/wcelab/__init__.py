@@ -3,10 +3,11 @@ on finite measure spaces.
 
 Closed-form results about operators of the shape f -> w * E(u f), with E
 the block-averaging conditional expectation, are built as M_a E M_b values
-whose dense matrices are certified against independent dense oracles: norm
-formula, partial-isometry criterion, functional calculus of the Gram
-products, polar decomposition, Aluthge transform, spectral decomposition
-of averaged multiplication operators, and the projection-valued measures
+whose matrices, in the orthonormal basis of the weighted space, are
+certified against independent dense oracles: norm formula,
+partial-isometry criterion, functional calculus of the Gram products,
+polar decomposition, Aluthge transform, spectral decomposition of
+averaged multiplication operators, and the projection-valued measures
 induced by point maps.
 """
 
@@ -48,14 +49,11 @@ from .measure import (
 )
 from .opalgebra import (
     EigenSystem,
-    WeightedOperator,
     hermitian_eig,
     kernel_projection,
     op_deviations,
-    operator_norm,
     polar_oracle,
     positive_sqrt,
-    weighted_adjoint,
 )
 from .spectral import (
     PointMap,

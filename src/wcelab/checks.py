@@ -29,15 +29,13 @@ from .measure import Partition, is_measurable
 from .opalgebra import (
     CLAMP_TOL,
     EigenSystem,
-    WeightedOperator,
     hermitian_eig,
     kernel_projection,
     op_deviations,
-    operator_norm,
-    operator_norms,
     polar_oracle,
     positive_sqrt,
-    weighted_adjoint,
+    require_finite,
+    spectral_norms,
 )
 from .spectral import (
     SpectralMeasureTable,
@@ -118,10 +116,12 @@ class CheckRecord:
 class CheckContext:
     """Everything a check needs for one instance.
 
-    The dense operator T, its norm, its adjoint, both Gram products, their
+    The matrix of T, its norm, its adjoint, both Gram products, their
     eigensystems, the SVD polar factors and the spectral measure table of
     the point map are each computed once, on first use, and shared by
-    every check group. The oracles still see only these dense matrices,
+    every check group. Every matrix is in the orthonormal basis of the
+    weighted space (see Partition.cond_exp_matrix), so the adjoint is the
+    conjugate transpose. The oracles still see only these dense matrices,
     never the partition.
     """
 
@@ -155,18 +155,16 @@ class CheckContext:
         return np.random.default_rng(self.seed(salt))
 
     @cached_property
-    def _t_built(self) -> WeightedOperator | ValueError:
+    def _t_built(self) -> np.ndarray | ValueError:
         """T, or the error its build raised: entries that overflow make T
-        unrepresentable, and that error is the outcome numpy's overflow
-        warning would only repeat."""
+        unrepresentable."""
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                return build_operator(self.instance)
+            return build_operator(self.instance)
         except ValueError as e:
             return e
 
     @property
-    def t(self) -> WeightedOperator:
+    def t(self) -> np.ndarray:
         """The operator f -> w E(u f) as a dense matrix. It is built once; a
         failed build raises the same error in every group that needs T."""
         t = self._t_built
@@ -177,23 +175,23 @@ class CheckContext:
     @cached_property
     def t_norm(self) -> float:
         """The operator norm of T."""
-        return operator_norm(self.t)
+        return float(spectral_norms(self.t))
 
     @cached_property
-    def t_adj(self) -> WeightedOperator:
-        return weighted_adjoint(self.t)
+    def t_adj(self) -> np.ndarray:
+        return self.t.conj().T
 
     @cached_property
-    def gram(self) -> WeightedOperator:
+    def gram(self) -> np.ndarray:
         """T* T. Entries that overflow fail its build, as they do T's."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return self.t_adj @ self.t
+            return require_finite(self.t_adj @ self.t)
 
     @cached_property
-    def cogram(self) -> WeightedOperator:
+    def cogram(self) -> np.ndarray:
         """T T*. Entries that overflow fail its build, as they do T's."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return self.t @ self.t_adj
+            return require_finite(self.t @ self.t_adj)
 
     @cached_property
     def gram_eig(self) -> EigenSystem:
@@ -204,7 +202,7 @@ class CheckContext:
         return hermitian_eig(self.cogram)
 
     @cached_property
-    def polar(self) -> tuple[WeightedOperator, WeightedOperator]:
+    def polar(self) -> tuple[np.ndarray, np.ndarray]:
         """SVD polar factors (U, |T|) of T."""
         return polar_oracle(self.t)
 
@@ -462,7 +460,7 @@ def check_vanishing(ctx: CheckContext) -> list[CheckRecord]:
     if block_in_sg.size:
         pick = block_in_sg[int(rng.integers(0, block_in_sg.size))]
         gs.append(np.where(blocks == pick, rng.uniform(0.5, 2.0), 0.0))
-    norms = operator_norms(inst.space, np.stack([g[:, None] * t.matrix for g in gs]))
+    norms = spectral_norms(np.stack([g[:, None] * t for g in gs]))
 
     res1 = norms[0] / ((1.0 + t_norm) * (1.0 + float(np.abs(g1).max(initial=0.0))))
     records.append(ctx.record(
@@ -488,8 +486,10 @@ def check_vanishing(ctx: CheckContext) -> list[CheckRecord]:
 def check_partial_isometry(ctx: CheckContext) -> list[CheckRecord]:
     inst = ctx.instance
     t = ctx.t
+    # The oracle side first: Gram products that overflow break the group
+    # down there, as in every group that needs them.
+    residual = float(spectral_norms(ctx.cogram @ t - t)) / max(1.0, ctx.t_norm)
     is_pi, members = partial_isometry_criterion(inst, ctx.tols.op_tol)
-    residual = operator_norm(ctx.cogram @ t - t) / max(1.0, ctx.t_norm)
     # Equivalence: when the criterion says partial isometry the oracle
     # residual must vanish, otherwise it must not. A partial isometry
     # must also have S and G as its indicator set.
@@ -517,7 +517,7 @@ def check_func_calc(ctx: CheckContext) -> list[CheckRecord]:
                            dtype=complex)
         # The eigenbasis is orthonormal, so max_k |f(lambda_k)| is the
         # norm of each oracle matrix.
-        worst = op_deviations(inst.space, closed, eig.calc_stack(fvals),
+        worst = op_deviations(closed, eig.calc_stack(fvals),
                               np.abs(fvals).max(axis=1)).max()
         records.append(ctx.record(
             name,
@@ -532,28 +532,26 @@ def check_polar(ctx: CheckContext) -> list[CheckRecord]:
     inst = ctx.instance
     t = ctx.t
     u_closed, abs_closed = closed_polar(inst)
-    u_mat, abs_mat = u_closed.dense(), abs_closed.dense()
+    u_mat, abs_mat = u_closed.matrices(), abs_closed.matrices()
     abs_ref = ctx.gram_eig.sqrt()
     u_ref, _ = ctx.polar
     uu = u_closed.adjoint() @ u_closed
-    k_u, k_abs = (kernel_projection(op).matrix for op in (u_mat, abs_mat))
+    k_u, k_abs = kernel_projection(u_mat), kernel_projection(abs_mat)
     # The SVD polar factor has ker U = ker T, so I - U*U projects onto
     # ker T without a second SVD of T.
-    k_t = np.eye(inst.space.n) - (weighted_adjoint(u_ref) @ u_ref).matrix
+    k_t = np.eye(inst.space.n) - u_ref.conj().T @ u_ref
     k_ref = np.stack((k_abs, k_t, k_t))
     # An orthogonal projection has norm 1, or 0 when its trace (its rank)
     # is 0.
     k_norms = (np.trace(k_ref, axis1=1, axis2=2).real > 0.5).astype(float)
-    kernel_res = op_deviations(inst.space, np.stack((k_u, k_abs, k_u)), k_ref,
-                               k_norms).max()
+    kernel_res = op_deviations(np.stack((k_u, k_abs, k_u)), k_ref, k_norms).max()
     # The kernel comparisons are a stack of their own: one stack of all six
     # pairs raised the peak memory of a dense n = 64 run by 0.4-0.7 MB.
     # The oracle norms: ||T|| is the root of the top eigenvalue of T*T,
     # and the SVD partial isometry has norm 1 unless T = 0.
     abs_res, iso_res, fact_res = op_deviations(
-        inst.space,
-        np.stack((abs_mat.matrix, u_mat.matrix, (u_closed @ abs_closed).dense().matrix)),
-        np.stack((abs_ref.matrix, u_ref.matrix, t.matrix)),
+        np.stack((abs_mat, u_mat, (u_closed @ abs_closed).matrices())),
+        np.stack((abs_ref, u_ref, t)),
         np.array([np.sqrt(ctx.gram_eig.scale), float(ctx.t_norm > 0.0), ctx.t_norm]))
     return [
         ctx.record("polar_abs",
@@ -567,7 +565,8 @@ def check_polar(ctx: CheckContext) -> list[CheckRecord]:
                    fact_res, ctx.tols.op_tol),
         ctx.record("polar_projection",
                    "U* U is an orthogonal projection",
-                   operator_norm((uu @ uu).dense() - uu.dense()), ctx.tols.op_tol),
+                   float(spectral_norms((uu @ uu).matrices() - uu.matrices())),
+                   ctx.tols.op_tol),
         ctx.record("polar_kernels",
                    "U, |T|, T share one kernel",
                    kernel_res, ctx.tols.kernel_tol),
@@ -583,8 +582,8 @@ def check_aluthge(ctx: CheckContext) -> list[CheckRecord]:
     v = closed_abs_sqrt(inst)
     _, abs_closed = closed_polar(inst)
     closed_res, root_res = op_deviations(
-        inst.space, np.stack((closed.dense().matrix, (v @ v).dense().matrix)),
-        np.stack((oracle.matrix, abs_closed.dense().matrix)))
+        np.stack((closed.matrices(), (v @ v).matrices())),
+        np.stack((oracle, abs_closed.matrices())))
     return [
         ctx.record("aluthge_closed",
                    "closed Aluthge transform equals |T|^(1/2) U |T|^(1/2)",
@@ -611,9 +610,9 @@ def _set_match_residual(
     return max(fwd, bwd) / scale
 
 
-def _eigvals_match_residual(expected: list[complex], m: WeightedOperator) -> float:
+def _eigvals_match_residual(expected: list[complex], m: np.ndarray) -> float:
     """Set distance from expected to the numerical eigenvalues of m."""
-    computed = [complex(z) for z in np.linalg.eigvals(m.matrix)]
+    computed = [complex(z) for z in np.linalg.eigvals(m)]
     scale = 1.0 + max((abs(z) for z in computed), default=0.0)
     return _set_match_residual(expected, computed, scale)
 
@@ -621,13 +620,12 @@ def _eigvals_match_residual(expected: list[complex], m: WeightedOperator) -> flo
 def check_normality(ctx: CheckContext) -> list[CheckRecord]:
     inst = ctx.instance
     m = avg_mult_operator(inst.u, inst.partition)
-    m_adj = weighted_adjoint(m)
+    m_adj = m.conj().T
     # Entries that overflow fail the build of the products; numpy's
     # overflow warning would only repeat that error.
     with np.errstate(over="ignore", invalid="ignore"):
-        commutator = m @ m_adj - m_adj @ m
-    comm_norm, m_norm = operator_norms(inst.space,
-                                       np.stack((commutator.matrix, m.matrix)))
+        commutator = require_finite(m @ m_adj - m_adj @ m)
+    comm_norm, m_norm = spectral_norms(np.stack((commutator, m)))
     residual = comm_norm / (1.0 + m_norm ** 2)
     normal = is_measurable(inst.u, inst.partition, ctx.tols.support_tol)
     # Equivalence: a blockwise-constant symbol must commute, any other
@@ -680,26 +678,23 @@ def check_spectral_decomp(ctx: CheckContext) -> list[CheckRecord]:
                          "u is not blockwise constant, E M_u is not normal")
                 for name in _SD_NAMES]
     m = avg_mult_operator(inst.u, inst.partition)
-    space = inst.space
-    n = space.n
+    n = inst.space.n
     p = decomp.stack
-    w = space.weights
 
     # ||P|| is taken once and is the reference norm of both projection
     # identities.
-    p_norms = operator_norms(space, p.copy())
-    adjoint = p.conj().transpose(0, 2, 1) * (w[None, :] / w[:, None])
+    p_norms = spectral_norms(p)
     proj_res = max(
-        op_deviations(space, p @ p, p, p_norms).max(),
-        (operator_norms(space, p - adjoint) / (1.0 + p_norms)).max(),
+        op_deviations(p @ p, p, p_norms).max(),
+        (spectral_norms(p - p.conj().transpose(0, 2, 1)) / (1.0 + p_norms)).max(),
     )
     # One stack P_i P_j (j > i) per i; a stack of all pairs at once would
     # hold m^2 / 2 matrices.
-    orth_res = max((operator_norms(space, p[i] @ p[i + 1:]).max()
+    orth_res = max((spectral_norms(p[i] @ p[i + 1:]).max()
                     for i in range(len(p) - 1)), default=0.0)
     total_rank = int(np.rint(np.trace(p, axis1=1, axis2=2).real).sum())
     recon = np.einsum("k,kij->ij", np.array(decomp.eigenvalues), p)
-    recon_res = op_deviations(space, recon[None], m.matrix[None])[0]
+    recon_res = op_deviations(recon[None], m[None])[0]
 
     eig_res = _eigvals_match_residual(list(decomp.eigenvalues), m)
 
@@ -782,7 +777,7 @@ def check_reconstruction(ctx: CheckContext) -> list[CheckRecord]:
     symbols = np.stack([_random_blockwise(rng, table.partition) for _ in range(3)])
     # f -> E_phi(u f), one matrix per symbol.
     direct = table.partition.cond_exp_matrix[None] * symbols[:, None, :]
-    worst = op_deviations(phi.space, table.reconstruct(symbols), direct).max()
+    worst = op_deviations(table.reconstruct(symbols), direct).max()
     return [ctx.record("sm_reconstruction", statement, worst, AXIOM_TOL)]
 
 

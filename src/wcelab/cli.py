@@ -121,8 +121,17 @@ def _write(path: Path, text: str) -> bool:
     return True
 
 
-def _emit(report, report_path: Path | None, wall: float) -> int:
-    print(report.render_text(wall))
+def _certify(bundles, groups, tols: Tolerances, report_path: Path | None) -> int:
+    """Run the checks, print the text report and write the JSON report.
+
+    The report path is written, empty, before the run, so a path that
+    cannot be written exits 2 before any check runs or prints.
+    """
+    if report_path is not None and not _write(report_path, ""):
+        return 2
+    start = time.perf_counter()
+    report = run_suite(bundles, groups, tols)
+    print(report.render_text(time.perf_counter() - start))
     if report_path is not None and not _write(report_path, report.to_json()):
         return 2
     return 0 if report.all_passed else 1
@@ -167,10 +176,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    tols = Tolerances(args.tol, args.support_tol)
-    start = time.perf_counter()
-    report = run_suite(bundles, groups, tols)
-    return _emit(report, args.report, time.perf_counter() - start)
+    return _certify(bundles, groups, Tolerances(args.tol, args.support_tol), args.report)
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
@@ -182,10 +188,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     bundles = [gen_instance(rotation_config(s, with_point_map=args.full))
                for s in seeds]
     groups = FULL_GROUPS if args.full else BASIC_GROUPS
-    tols = Tolerances(args.tol, args.support_tol)
-    start = time.perf_counter()
-    report = run_suite(bundles, groups, tols)
-    return _emit(report, args.report, time.perf_counter() - start)
+    return _certify(bundles, groups, Tolerances(args.tol, args.support_tol), args.report)
 
 
 @functools.cache

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measure import Partition
-from .opalgebra import WeightedOperator
+from .opalgebra import require_finite
 
 
 def cond_exp_values(partition: Partition, values: np.ndarray) -> np.ndarray:
@@ -47,11 +47,11 @@ class Sandwich:
         return Sandwich(self.partition, self.left * middle, other.right)
 
     def matrices(self) -> np.ndarray:
-        """left[..., i] E[i, j] right[j], the one place a closed form becomes
-        a matrix: one (n, n) matrix, or a (m, n, n) stack of them when left is
-        a (m, n) stack of symbols."""
-        return self.left[..., :, None] * self.partition.cond_exp_matrix * self.right
-
-    def dense(self) -> WeightedOperator:
-        """The dense matrix for the oracles."""
-        return WeightedOperator(self.partition.space, self.matrices())
+        """left[..., i] E[i, j] right[j] with E's orthonormal-basis matrix
+        (diagonal multipliers commute with the frame change): the one place
+        a closed form becomes a matrix, one (n, n) matrix, or a (m, n, n)
+        stack of them when left is a (m, n) stack of symbols. Entries that
+        overflow raise ValueError, without a numpy warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = self.left[..., :, None] * self.partition.cond_exp_matrix * self.right
+        return require_finite(m)

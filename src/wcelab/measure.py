@@ -134,16 +134,22 @@ class Partition:
 
     @cached_property
     def cond_exp_matrix(self) -> np.ndarray:
-        """E as a real float64 matrix, M[i, j] = mu_j / mu(B(i)) for j in the
-        block of i, else 0; the one place it is formed, once per partition,
-        and read-only.
+        """E as a real float64 matrix in the orthonormal basis e_i / sqrt(mu_i)
+        of the weighted L2 space, the frame of every dense operator in the
+        package: M[i, j] = sqrt(mu_i mu_j) / mu(B) when i and j share the
+        block B, else 0. That is D^(1/2) E D^(-1/2) with D = diag(mu), so
+        the weighted inner product is the Euclidean one, adjoints are
+        conjugate transposes, and this matrix of the self-adjoint E is
+        symmetric. It is formed in one place, once per partition, and is
+        read-only.
 
         E is a positive real projection, so the matrix stays real: products
         with complex symbols broadcast against it and come out complex, with
         the values a complex copy of it would give.
         """
         b = self.block_of
-        m = (b[:, None] == b[None, :]) * self.space.weights / self.block_masses[b][:, None]
+        s = self.space.sqrt_weights
+        m = (b[:, None] == b[None, :]) * s[:, None] * s / self.block_masses[b][:, None]
         m.setflags(write=False)
         return m
 

@@ -1,12 +1,12 @@
-"""Dense linear-algebra oracles on a weighted L2 space.
+"""Dense linear-algebra oracles on the orthonormal-basis matrices of a
+weighted L2 space.
 
-Operators act on vectors of point values; adjoints, norms, and every
-decomposition here are taken with respect to the weighted inner product
-<f, g> = sum_i f_i conj(g_i) mu_i. All computations conjugate by the
-diagonal similarity D^(1/2) . D^(-1/2), with D = diag(mu), so that the
-standard Euclidean Hermitian eigensolver and SVD apply, and map the
-result back. In the conjugated frame the weighted inner product is the
-Euclidean one, so orthonormality statements are exact there.
+Every operator matrix in the package is taken in the orthonormal basis
+e_i / sqrt(mu_i) of the weighted space, where the weighted inner product
+<f, g> = sum_i f_i conj(g_i) mu_i is the Euclidean one. So the adjoint of
+an operator is the conjugate transpose of its matrix, its norm is the
+plain spectral norm, and the standard Hermitian eigensolver and SVD apply
+as they are; nothing here knows the point masses.
 
 These routines are the independent side of every closed-form check in
 the rest of the package: they only ever see a dense matrix and know
@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveError, NotSelfAdjointError, SpaceMismatchError
-from .measure import FiniteMeasureSpace
+from .errors import NotPositiveError, NotSelfAdjointError
 
 # Relative singular-value cutoff deciding numerical kernels.
 RANK_TOL = 1e-9
@@ -32,56 +31,16 @@ CLAMP_TOL = 1e-10
 SELF_ADJOINT_TOL = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
-class WeightedOperator:
-    """Square complex matrix acting on point-value vectors over a space."""
-
-    space: FiniteMeasureSpace
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        n = self.space.n
-        if m.shape != (n, n):
-            raise SpaceMismatchError(f"matrix shape {m.shape} does not match n={n}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("operator entries must be finite")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    def _check_space(self, other: "WeightedOperator") -> None:
-        if self.space != other.space:
-            raise SpaceMismatchError("operators live on different spaces")
-
-    def __matmul__(self, other: "WeightedOperator") -> "WeightedOperator":
-        self._check_space(other)
-        return WeightedOperator(self.space, self.matrix @ other.matrix)
-
-    def __sub__(self, other: "WeightedOperator") -> "WeightedOperator":
-        self._check_space(other)
-        return WeightedOperator(self.space, self.matrix - other.matrix)
-
-
-def to_euclidean(a: WeightedOperator) -> np.ndarray:
-    """Conjugated matrix D^(1/2) A D^(-1/2); Euclidean-frame representative."""
-    s = a.space.sqrt_weights
-    return a.matrix * s[:, None] / s[None, :]
-
-
-def from_euclidean(space: FiniteMeasureSpace, m: np.ndarray) -> WeightedOperator:
-    s = space.sqrt_weights
-    return WeightedOperator(space, m / s[:, None] * s[None, :])
-
-
-def weighted_adjoint(a: WeightedOperator) -> WeightedOperator:
-    """Adjoint in the weighted inner product: D^(-1) A^H D."""
-    w = a.space.weights
-    return WeightedOperator(a.space, a.matrix.conj().T * (w[None, :] / w[:, None]))
+def require_finite(m: np.ndarray) -> np.ndarray:
+    """m itself when every entry is finite; otherwise ValueError. A matrix
+    whose entries overflowed is not an operator any oracle can certify."""
+    if not np.isfinite(m).all():
+        raise ValueError("operator entries must be finite")
+    return m
 
 
 def spectral_norms(stack: np.ndarray) -> np.ndarray:
-    """Euclidean spectral norms of a (..., m, n) stack of matrices; the one
+    """Spectral norms of a (..., m, n) stack of matrices; the one
     spectral-norm path of the package.
 
     An all-zero slice has norm exactly 0.0 and reaches no SVD. The other
@@ -99,26 +58,11 @@ def spectral_norms(stack: np.ndarray) -> np.ndarray:
     return norms
 
 
-def operator_norm(a: WeightedOperator) -> float:
-    """Largest singular value with respect to the weighted inner product."""
-    return float(spectral_norms(to_euclidean(a)))
-
-
-def operator_norms(space: FiniteMeasureSpace, stack: np.ndarray) -> np.ndarray:
-    """Weighted operator norms of a (k, n, n) stack of operator matrices,
-    one batched spectral norm. The stack is taken to the Euclidean frame
-    in place, so pass a fresh array."""
-    s = space.sqrt_weights
-    stack *= s[:, None]
-    stack /= s[None, :]
-    return spectral_norms(stack)
-
-
-def op_deviations(space: FiniteMeasureSpace, a: np.ndarray, b: np.ndarray,
+def op_deviations(a: np.ndarray, b: np.ndarray,
                   b_norms: np.ndarray | None = None) -> np.ndarray:
     """Slice-wise relative distance ||a_k - b_k|| / (1 + ||b_k||) of two
-    (k, n, n) stacks of operator matrices, weighted norms, with b the
-    reference side. Real stacks stay real, so their norms take real SVDs.
+    (k, n, n) stacks of operator matrices, with b the reference side. Real
+    stacks stay real, so their norms take real SVDs.
 
     A caller that already holds the norms of b (read off an oracle's
     eigenvalues or singular values) passes them as b_norms; otherwise they
@@ -126,9 +70,9 @@ def op_deviations(space: FiniteMeasureSpace, a: np.ndarray, b: np.ndarray,
     below the symmetric ||a - b|| / (1 + max(||a||, ||b||)), since
     ||a|| <= ||b|| + ||a - b||.
     """
-    diff = operator_norms(space, np.subtract(a, b, dtype=np.result_type(a, b, float)))
+    diff = spectral_norms(a - b)
     if b_norms is None:
-        b_norms = operator_norms(space, np.array(b, dtype=np.result_type(b, float)))
+        b_norms = spectral_norms(b)
     return diff / (1.0 + b_norms)
 
 
@@ -136,12 +80,11 @@ def op_deviations(space: FiniteMeasureSpace, a: np.ndarray, b: np.ndarray,
 class EigenSystem:
     """Real spectrum and eigenbasis of a self-adjoint operator.
 
-    values are ascending; basis holds the eigenvectors as columns in the
-    Euclidean frame, where they are orthonormal. Every function of the
-    operator is built from this one factorization by calc_stack.
+    values are ascending; basis holds the orthonormal eigenvectors as
+    columns. Every function of the operator is built from this one
+    factorization by calc_stack.
     """
 
-    space: FiniteMeasureSpace
     values: np.ndarray
     basis: np.ndarray
 
@@ -153,13 +96,9 @@ class EigenSystem:
     def calc_stack(self, fvals: np.ndarray) -> np.ndarray:
         """Matrices of sum_k f(lambda_k) v_k <v_k, .>, one per row of the
         (m, n) array of function values at the eigenvalues; shape (m, n, n)."""
-        m = (self.basis * fvals[:, None, :]) @ self.basis.conj().T
-        s = self.space.sqrt_weights
-        m /= s[:, None]
-        m *= s[None, :]
-        return m
+        return (self.basis * fvals[:, None, :]) @ self.basis.conj().T
 
-    def sqrt(self) -> WeightedOperator:
+    def sqrt(self) -> np.ndarray:
         """Positive square root; see positive_sqrt."""
         vals = self.values
         scale = self.scale
@@ -168,32 +107,31 @@ class EigenSystem:
                 f"minimum eigenvalue {vals.min():.3e} below -{CLAMP_TOL:.1e} * norm"
             )
         snapped = np.where(vals <= CLAMP_TOL * scale, 0.0, vals)
-        return WeightedOperator(self.space, self.calc_stack(np.sqrt(snapped)[None])[0])
+        return self.calc_stack(np.sqrt(snapped)[None])[0]
 
 
-def hermitian_eig(a: WeightedOperator) -> EigenSystem:
+def hermitian_eig(a: np.ndarray) -> EigenSystem:
     """Full spectrum and eigenbasis of a self-adjoint operator; the one
     eigendecomposition path of the oracles.
 
-    Rejects operators whose weighted asymmetry exceeds SELF_ADJOINT_TOL
-    times the norm of their self-adjoint part with NotSelfAdjointError; the
-    accepted asymmetry is folded away by symmetrizing the conjugated matrix
-    before factorization.
+    Rejects operators whose asymmetry exceeds SELF_ADJOINT_TOL times the
+    norm of their self-adjoint part with NotSelfAdjointError; the accepted
+    asymmetry is folded away by symmetrizing the matrix before
+    factorization.
     """
-    h = to_euclidean(a)
-    hh = h.conj().T
-    vals, vecs = np.linalg.eigh(0.5 * (h + hh))
+    ah = a.conj().T
+    vals, vecs = np.linalg.eigh(0.5 * (a + ah))
     # The norm of the symmetrized matrix is its largest |eigenvalue|; it
     # differs from ||a|| by at most half the asymmetry.
-    dev = float(spectral_norms(h - hh))
+    dev = float(spectral_norms(a - ah))
     if dev > SELF_ADJOINT_TOL * float(np.abs(vals).max(initial=0.0)):
         raise NotSelfAdjointError(
             f"asymmetry {dev:.3e} exceeds {SELF_ADJOINT_TOL:.1e} * norm"
         )
-    return EigenSystem(a.space, vals, vecs)
+    return EigenSystem(vals, vecs)
 
 
-def positive_sqrt(a: WeightedOperator) -> WeightedOperator:
+def positive_sqrt(a: np.ndarray) -> np.ndarray:
     """Positive square root of a positive self-adjoint operator.
 
     Eigenvalues below -CLAMP_TOL * ||a|| raise NotPositiveError; values
@@ -204,34 +142,31 @@ def positive_sqrt(a: WeightedOperator) -> WeightedOperator:
     return hermitian_eig(a).sqrt()
 
 
-def polar_oracle(a: WeightedOperator) -> tuple[WeightedOperator, WeightedOperator]:
-    """Polar decomposition a = U P via SVD in the conjugated frame.
+def polar_oracle(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Polar decomposition a = U P via SVD.
 
     P is the positive factor (A* A)^(1/2); U is the partial isometry that
     agrees with A P^+ on the orthogonal complement of ker P and vanishes
     on ker P, so ker U = ker P = ker A. Singular values at or below
     RANK_TOL * sigma_max count as kernel.
     """
-    e = to_euclidean(a)
-    left, sig, right_h = np.linalg.svd(e)
+    left, sig, right_h = np.linalg.svd(a)
     smax = float(sig.max()) if sig.size else 0.0
     keep = sig > RANK_TOL * smax if smax > 0.0 else np.zeros_like(sig, dtype=bool)
-    u_eu = left[:, keep] @ right_h[keep, :]
-    p_eu = (right_h.conj().T * np.where(keep, sig, 0.0)[None, :]) @ right_h
-    return from_euclidean(a.space, u_eu), from_euclidean(a.space, p_eu)
+    u = left[:, keep] @ right_h[keep, :]
+    p = (right_h.conj().T * np.where(keep, sig, 0.0)[None, :]) @ right_h
+    return u, p
 
 
-def kernel_projection(a: WeightedOperator) -> WeightedOperator:
+def kernel_projection(a: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto the numerical kernel of a.
 
     The kernel is spanned by the right singular vectors whose singular
     values are at most RANK_TOL * sigma_max; the zero operator maps to
     the identity.
     """
-    e = to_euclidean(a)
-    _, sig, right_h = np.linalg.svd(e)
+    _, sig, right_h = np.linalg.svd(a)
     smax = float(sig.max()) if sig.size else 0.0
     null = sig <= RANK_TOL * smax if smax > 0.0 else np.ones_like(sig, dtype=bool)
     v0 = right_h[null, :].conj().T
-    return from_euclidean(a.space, v0 @ v0.conj().T)
-
+    return v0 @ v0.conj().T

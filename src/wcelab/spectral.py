@@ -33,7 +33,7 @@ from .measure import (
     Partition,
     is_measurable,
 )
-from .opalgebra import WeightedOperator, spectral_norms
+from .opalgebra import spectral_norms
 
 # Block means closer than this (relative) are merged into one eigenvalue.
 EIGENVALUE_GROUP_TOL = 1e-8
@@ -90,16 +90,15 @@ class SpectralDecomp:
     (m, n, n) array, in eigenvalue order.
     """
 
-    space: FiniteMeasureSpace
     eigenvalues: tuple[complex, ...]
     stack: np.ndarray
 
 
-def avg_mult_operator(u: MeasurableFunction, partition: Partition) -> WeightedOperator:
+def avg_mult_operator(u: MeasurableFunction, partition: Partition) -> np.ndarray:
     """Matrix of f -> E(u f)."""
     if u.space != partition.space:
         raise SpaceMismatchError("symbol and partition live on different spaces")
-    return WeightedOperator(partition.space, partition.cond_exp_matrix * u.values[None, :])
+    return partition.cond_exp_matrix * u.values[None, :]
 
 
 def _eigenvalue_groups(
@@ -157,7 +156,6 @@ def spectral_decomposition(
     """
     if not is_measurable(u, partition, tol):
         raise NotNormalError("symbol must be blockwise constant")
-    space = partition.space
     reps, group = _eigenvalue_groups(u, partition)
     order = sorted(range(1, len(reps)), key=lambda g: _by_value(reps[g]))
     eigenvalues = [reps[g] for g in order]
@@ -165,11 +163,11 @@ def spectral_decomposition(
     # level sets are disjoint, so the sum of the stack is exact.
     rows = group[partition.block_of][None, :] == np.array(order, dtype=int)[:, None]
     stack = rows[:, :, None] * partition.cond_exp_matrix[None]
-    kernel = np.eye(space.n) - stack.sum(axis=0)
+    kernel = np.eye(partition.space.n) - stack.sum(axis=0)
     if float(np.trace(kernel).real) > 0.5:
         eigenvalues.append(0j)
         stack = np.concatenate((stack, kernel[None]))
-    return SpectralDecomp(space, tuple(eigenvalues), stack)
+    return SpectralDecomp(tuple(eigenvalues), stack)
 
 
 def fiber_partition(phi: PointMap) -> Partition:
@@ -244,10 +242,11 @@ class SpectralAxiomReport:
 
 
 def _fiber_basis(fp: Partition) -> np.ndarray:
-    """Weighted-orthonormal basis of the indicators of the fiber
-    partition's blocks, as columns."""
+    """Orthonormal basis of the fiber-measurable functions, as columns: the
+    normalized indicators of the fiber partition's blocks, sqrt(mu) chi_B /
+    sqrt(mu(B)) in the orthonormal-basis frame."""
     indicators = fp.block_of[:, None] == np.arange(fp.block_count)[None, :]
-    return indicators / np.sqrt(fp.block_masses)[None, :]
+    return indicators * fp.space.sqrt_weights[:, None] / np.sqrt(fp.block_masses)[None, :]
 
 
 def _axiom_sets(
@@ -277,31 +276,21 @@ def _frame_measure(
     """The set function S -> measure(S) of one frame, on a (k, n) boolean
     array of target-point sets, and the dimension of its space.
 
-    measure(S) = E_phi M_{chi_preimage(S)} only masks the columns of E_phi,
-    so the frame change is applied to E_phi once and the column masks of a
-    whole stack of sets go on afterwards: conjugation by the square-root
-    weights on the ambient space, compression to the weighted-orthonormal
-    fiber indicators on the fiber subspace.
+    measure(S) = E_phi M_{chi_preimage(S)} only masks the columns of E_phi:
+    on the ambient space that is the table's own values, and on the fiber
+    subspace the compression of the rows to the orthonormal fiber basis is
+    applied to E_phi once, before the column masks of a whole stack of sets.
     """
-    space = table.space
+    if not on_subspace:
+        return table.values, table.space.n
+    basis = _fiber_basis(table.partition)
+    rows = basis.T @ table.partition.cond_exp_matrix
     images = table._images
-    if on_subspace:
-        basis = _fiber_basis(table.partition)
-        db = space.weights[:, None] * basis
-        frame = db.conj().T @ table.partition.cond_exp_matrix
-
-        def measure(sets: np.ndarray) -> np.ndarray:
-            return _masked_columns(frame, sets[:, images]) @ basis
-
-        return measure, basis.shape[1]
-
-    s = space.sqrt_weights
-    frame = table.partition.cond_exp_matrix * s[:, None] / s[None, :]
 
     def measure(sets: np.ndarray) -> np.ndarray:
-        return _masked_columns(frame, sets[:, images])
+        return _masked_columns(rows, sets[:, images]) @ basis
 
-    return measure, space.n
+    return measure, basis.shape[1]
 
 
 def check_spectral_axioms(

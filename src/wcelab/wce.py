@@ -6,7 +6,7 @@ partition blocks. Its norm, polar decomposition, Aluthge transform, and
 the functional calculus of the two Gram-type products all reduce to
 algebraic expressions in the block aggregates E(|u|^2), E(|w|^2) and
 E(u w); this module builds them as factored M_a E M_b values (Sandwich)
-whose dense matrices, with the dense T, the oracles in opalgebra certify.
+whose matrices, with the matrix of T, the oracles in opalgebra certify.
 
 Quotients such as E(|w|^2) / E(|u|^2) appearing under an indicator of
 the support are evaluated as "reciprocal on the support, zero off it".
@@ -33,7 +33,6 @@ from .measure import (
     MeasurableFunction,
     Partition,
 )
-from .opalgebra import WeightedOperator
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,8 +64,10 @@ class WceInstance:
 
     @cached_property
     def euw(self) -> np.ndarray:
-        """E(u w), blockwise constant, complex."""
-        return cond_exp_values(self.partition, self.u.values * self.w.values)
+        """E(u w), blockwise constant, complex; not finite where u w
+        overflows, and then so is E(|u|^2) or E(|w|^2)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return cond_exp_values(self.partition, self.u.values * self.w.values)
 
     def _block_support_mask(self, aggregate: np.ndarray, name: str) -> np.ndarray:
         """Points where the nonnegative aggregate (called name) exceeds
@@ -80,14 +81,23 @@ class WceInstance:
         return aggregate > self.support_tol * peak
 
     @cached_property
+    def _supports(self) -> tuple[np.ndarray, np.ndarray]:
+        """(S, G), cut together. This is where a non-finite E(|u|^2) or
+        E(|w|^2) raises ValueError (E(|u|^2) first): every closed form reads
+        a support before it multiplies by an aggregate, so none of them
+        computes with an aggregate that overflowed."""
+        return (self._block_support_mask(self.eu2, "E(|u|^2)"),
+                self._block_support_mask(self.ew2, "E(|w|^2)"))
+
+    @property
     def s_mask(self) -> np.ndarray:
         """Indicator of S, the support of E(|u|^2), as a block union."""
-        return self._block_support_mask(self.eu2, "E(|u|^2)")
+        return self._supports[0]
 
-    @cached_property
+    @property
     def g_mask(self) -> np.ndarray:
         """Indicator of G, the support of E(|w|^2), as a block union."""
-        return self._block_support_mask(self.ew2, "E(|w|^2)")
+        return self._supports[1]
 
     @cached_property
     def sg_mask(self) -> np.ndarray:
@@ -111,9 +121,9 @@ def _masked_recip(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.where(mask, 1.0 / safe, 0.0)
 
 
-def build_operator(inst: WceInstance) -> WeightedOperator:
-    """The operator f -> w * E(u f) as a dense matrix, for the oracles."""
-    return Sandwich(inst.partition, inst.w.values, inst.u.values).dense()
+def build_operator(inst: WceInstance) -> np.ndarray:
+    """The matrix of f -> w * E(u f), for the oracles."""
+    return Sandwich(inst.partition, inst.w.values, inst.u.values).matrices()
 
 
 def norm_formula(inst: WceInstance) -> float:
@@ -139,8 +149,10 @@ def partial_isometry_criterion(
     product is within tol * (1 + max) of 1. is_pi is True iff every value
     of the product is within that distance of 0 or 1, which happens
     exactly when the operator is a partial isometry; the indicator set A
-    must then be S and G.
+    must then be S and G. A non-finite aggregate raises ValueError: the
+    supports are read before the product is formed.
     """
+    inst.sg_mask
     p = inst.ew2 * inst.eu2
     bound = tol * (1.0 + float(p.max(initial=0.0)))
     near_one = np.abs(p - 1.0) <= bound
@@ -154,7 +166,6 @@ def _func_calc(inst: WceInstance, fns: Sequence[Callable[[float], complex]],
     (M_{f o (E(|u|^2) E(|w|^2))} - f(0) I) M_conj(r) E M_r.
 
     Returns the matrices of f(X) for every f in fns as one (m, n, n) stack.
-    Entries that are not finite raise ValueError.
     """
     f0 = np.asarray([complex(f(0.0)) for f in fns])
     p = inst.eu2 * inst.ew2
@@ -163,8 +174,6 @@ def _func_calc(inst: WceInstance, fns: Sequence[Callable[[float], complex]],
     stack = Sandwich(inst.partition, d * np.conj(r), r).matrices()
     diag = np.arange(inst.space.n)
     stack[:, diag, diag] += f0[:, None]
-    if not np.all(np.isfinite(stack)):
-        raise ValueError("operator entries must be finite")
     return stack
 
 

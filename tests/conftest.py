@@ -2,38 +2,52 @@ import numpy as np
 import pytest
 
 from wcelab.generator import GeneratorConfig, gen_instance
-from wcelab.opalgebra import WeightedOperator, hermitian_eig, op_deviations
+from wcelab.opalgebra import hermitian_eig, op_deviations, spectral_norms
 
 
 def random_complex(rng, n, cap=4.0):
     return rng.uniform(0.0, cap, n) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, n))
 
 
-def e_operator(partition):
-    """The conditional expectation as an operator: the partition's cached
-    matrix of E."""
-    return WeightedOperator(partition.space, partition.cond_exp_matrix)
+def point_matrix(space, m):
+    """The matrix that acts on vectors of point values, for an operator
+    whose matrix in the orthonormal basis e_i / sqrt(mu_i) is m (or for
+    each slice of a (..., n, n) stack): D^(-1/2) m D^(1/2), D = diag(mu).
+    Tests read an operator through it against the weighted inner product
+    and per-point references."""
+    s = space.sqrt_weights
+    return m / s[:, None] * s
+
+
+def norm(m):
+    """Operator norm of one operator matrix: its spectral norm."""
+    return float(spectral_norms(m))
+
+
+def adjoint(m):
+    """Adjoint of one operator matrix: its conjugate transpose."""
+    return m.conj().T
 
 
 def deviation(a, b):
-    """||a - b|| / (1 + ||b||) of two operators, weighted norms: the
-    one-slice case of op_deviations, b the reference side."""
-    assert a.space == b.space
-    return float(op_deviations(a.space, a.matrix[None], b.matrix[None])[0])
+    """||a - b|| / (1 + ||b||) of two operator matrices: the one-slice case
+    of op_deviations, b the reference side."""
+    return float(op_deviations(a[None], b[None])[0])
 
 
 def eig_calc(a, f):
-    """f(a) for a self-adjoint operator and a scalar function, through the
-    oracle's calculus: hermitian_eig, then EigenSystem.calc_stack."""
+    """f(a) for a self-adjoint operator matrix and a scalar function,
+    through the oracle's calculus: hermitian_eig, then
+    EigenSystem.calc_stack."""
     es = hermitian_eig(a)
     fvals = np.array([[f(float(v)) for v in es.values]], dtype=complex)
-    return WeightedOperator(a.space, es.calc_stack(fvals)[0])
+    return es.calc_stack(fvals)[0]
 
 
 def closed_calc(closed_fn, inst, f):
-    """One function's closed calculus as an operator: the only slice of the
-    stack closed_fn builds for the tuple (f,)."""
-    return WeightedOperator(inst.space, closed_fn(inst, (f,))[0])
+    """One function's closed calculus: the only slice of the stack
+    closed_fn builds for the tuple (f,)."""
+    return closed_fn(inst, (f,))[0]
 
 
 def generated_partitions(count, seed0=500, n_max=16):

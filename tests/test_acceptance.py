@@ -29,13 +29,10 @@ from wcelab.generator import (
 from wcelab.measure import MeasurableFunction, is_measurable
 from wcelab.opalgebra import (
     CLAMP_TOL,
-    WeightedOperator,
     kernel_projection,
     op_deviations,
-    operator_norm,
     polar_oracle,
     positive_sqrt,
-    weighted_adjoint,
 )
 from wcelab.spectral import (
     SpectralMeasureTable,
@@ -55,7 +52,7 @@ from wcelab.wce import (
     partial_isometry_criterion,
 )
 
-from conftest import closed_calc, deviation, eig_calc, generated_partitions
+from conftest import adjoint, closed_calc, deviation, eig_calc, generated_partitions, norm
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +68,7 @@ def test_criterion_1_norm_formula(family200):
     worst = 0.0
     for inst in family200:
         nf = norm_formula(inst)
-        dev = abs(nf - operator_norm(build_operator(inst)))
+        dev = abs(nf - norm(build_operator(inst)))
         assert dev <= 1e-8 * (1.0 + nf)
         worst = max(worst, dev / (1.0 + nf))
     elapsed = time.perf_counter() - start
@@ -85,14 +82,14 @@ def test_criterion_2_polar_decomposition(family200):
     for inst in family200:
         t = build_operator(inst)
         u_op, abs_t = closed_polar(inst)
-        dev_abs = deviation(abs_t.dense(), positive_sqrt(weighted_adjoint(t) @ t))
+        dev_abs = deviation(abs_t.matrices(), positive_sqrt(adjoint(t) @ t))
         u_ref, _ = polar_oracle(t)
-        dev_u = deviation(u_op.dense(), u_ref)
-        dev_fact = deviation((u_op @ abs_t).dense(), t)
+        dev_u = deviation(u_op.matrices(), u_ref)
+        dev_fact = deviation((u_op @ abs_t).matrices(), t)
         assert dev_abs <= 1e-8
         assert dev_u <= 1e-8
         assert dev_fact <= 1e-8
-        kernels = [kernel_projection(x) for x in (u_op.dense(), abs_t.dense(), t)]
+        kernels = [kernel_projection(x) for x in (u_op.matrices(), abs_t.matrices(), t)]
         dev_ker = max(
             deviation(kernels[0], kernels[1]),
             deviation(kernels[1], kernels[2]),
@@ -111,9 +108,9 @@ def test_criterion_3_aluthge(family200):
         t = build_operator(inst)
         u_ref, p_ref = polar_oracle(t)
         half = positive_sqrt(p_ref)
-        dev_main = deviation(closed_aluthge(inst).dense(), half @ u_ref @ half)
+        dev_main = deviation(closed_aluthge(inst).matrices(), half @ u_ref @ half)
         v = closed_abs_sqrt(inst)
-        dev_root = deviation((v @ v).dense(), closed_polar(inst)[1].dense())
+        dev_root = deviation((v @ v).matrices(), closed_polar(inst)[1].matrices())
         assert dev_main <= 1e-8
         assert dev_root <= 1e-8
         worst = max(worst, dev_main, dev_root)
@@ -124,12 +121,12 @@ def test_criterion_4_functional_calculus(family200):
     worst = 0.0
     for inst in family200:
         t = build_operator(inst)
-        t_adj = weighted_adjoint(t)
+        t_adj = adjoint(t)
         for product, closed_fn in (
             (t_adj @ t, closed_func_calc_gram),
             (t @ t_adj, closed_func_calc_cogram),
         ):
-            snap = CLAMP_TOL * operator_norm(product)
+            snap = CLAMP_TOL * norm(product)
             for name, f in calculus_test_functions(snap):
                 dev = deviation(closed_calc(closed_fn, inst, f),
                                 eig_calc(product, f))
@@ -151,8 +148,8 @@ def test_criterion_5_partial_isometry():
         assert is_pi
         np.testing.assert_array_equal(members, inst.s_mask & inst.g_mask)
         t = build_operator(inst)
-        residual = operator_norm(t @ weighted_adjoint(t) @ t - t)
-        assert residual <= 1e-8 * max(1.0, operator_norm(t))
+        residual = norm(t @ adjoint(t) @ t - t)
+        assert residual <= 1e-8 * max(1.0, norm(t))
 
     # Generic side: products far from an indicator must fail the oracle
     # identity by a measurable margin.
@@ -170,8 +167,8 @@ def test_criterion_5_partial_isometry():
         is_pi, _ = partial_isometry_criterion(inst)
         assert not is_pi
         t = build_operator(inst)
-        residual = operator_norm(t @ weighted_adjoint(t) @ t - t)
-        assert residual > 1e-4 * max(1.0, operator_norm(t))
+        residual = norm(t @ adjoint(t) @ t - t)
+        assert residual > 1e-4 * max(1.0, norm(t))
     print("\nACCEPTANCE 5 partial isometry: PASS (50 constructed + 50 generic)")
 
 
@@ -196,16 +193,14 @@ def test_criterion_6_vanishing():
             g = np.zeros(inst.space.n, dtype=complex)
             for k in off_blocks:
                 g[list(inst.partition.blocks[k])] = rng.uniform(0.5, 2.0)
-            norm = operator_norm(WeightedOperator(inst.space, g[:, None] * t.matrix))
-            assert norm <= 1e-10
+            assert norm(g[:, None] * t) <= 1e-10
             disjoint_done += 1
 
         if sg_blocks and meets_done < 100:
             g = np.zeros(inst.space.n, dtype=complex)
             pick = sg_blocks[int(rng.integers(0, len(sg_blocks)))]
             g[list(inst.partition.blocks[pick])] = rng.uniform(0.5, 2.0)
-            norm = operator_norm(WeightedOperator(inst.space, g[:, None] * t.matrix))
-            assert norm > 1e-6
+            assert norm(g[:, None] * t) > 1e-6
             meets_done += 1
     print("\nACCEPTANCE 6 vanishing criterion: PASS (100 disjoint + 100 meeting)")
 
@@ -237,9 +232,9 @@ def test_criterion_7_spectral_decomposition():
             (perturb_nonmeasurable(inst, seed), False),
         ):
             m = avg_mult_operator(candidate.u, candidate.partition)
-            adj = weighted_adjoint(m)
-            commutator = operator_norm(m @ adj - adj @ m)
-            oracle_normal = commutator <= 1e-8 * (1.0 + operator_norm(m) ** 2)
+            adj = adjoint(m)
+            commutator = norm(m @ adj - adj @ m)
+            oracle_normal = commutator <= 1e-8 * (1.0 + norm(m) ** 2)
             declared = is_measurable(candidate.u, candidate.partition)
             if declared != oracle_normal or declared != expected_normal:
                 disagreements += 1
@@ -273,9 +268,9 @@ def test_criterion_8_spectral_measure():
             for b in fp.blocks:
                 vals[list(b)] = rng.uniform(0.0, 4.0) * np.exp(
                     1j * rng.uniform(0.0, 2 * np.pi))
-        direct = np.stack([avg_mult_operator(MeasurableFunction(space, vals), fp).matrix
+        direct = np.stack([avg_mult_operator(MeasurableFunction(space, vals), fp)
                            for vals in symbols])
-        assert op_deviations(space, table.reconstruct(symbols), direct).max() <= 1e-9
+        assert op_deviations(table.reconstruct(symbols), direct).max() <= 1e-9
 
         h = pushforward_density(phi)
         mass = float(np.sum(h.values.real * space.weights))

@@ -35,13 +35,8 @@ from wcelab.measure import (
     make_partition,
     make_space,
 )
-from wcelab.opalgebra import (
-    CLAMP_TOL,
-    WeightedOperator,
-    hermitian_eig,
-    operator_norm,
-    weighted_adjoint,
-)
+from wcelab.condexp import Sandwich
+from wcelab.opalgebra import CLAMP_TOL, hermitian_eig
 from wcelab.spectral import (
     SpectralMeasureTable,
     _eigenvalue_groups,
@@ -56,7 +51,7 @@ from wcelab.wce import (
     make_instance,
 )
 
-from conftest import closed_calc
+from conftest import closed_calc, norm
 
 _MODES = ({}, {"zero_blocks": True}, {"constant_u": True},
           {"measurable_u": True}, {"partial_isometry": True})
@@ -74,28 +69,25 @@ def eigen_sum(a, f):
     """sum_k f(lambda_k) v_k <v_k, .> for a self-adjoint operator, one
     rank-one term per eigenpair, from a fresh eigendecomposition."""
     es = hermitian_eig(a)
-    s = a.space.sqrt_weights
-    vectors = es.basis / s[:, None]
-    total = sum((f(float(lam)) * np.outer(v, v.conj() * s * s)
-                 for lam, v in zip(es.values, vectors.T)),
-                np.zeros((a.space.n, a.space.n), dtype=complex))
-    return WeightedOperator(a.space, total)
+    return sum((f(float(lam)) * np.outer(v, v.conj())
+                for lam, v in zip(es.values, es.basis.T)),
+               np.zeros(a.shape, dtype=complex))
 
 
 def reference_func_calc(inst):
     """The per-function loop: a fresh eigendecomposition, an eigen-sum and
     three SVD norms for each test function."""
     t = build_operator(inst)
-    t_adj = weighted_adjoint(t)
+    t_adj = t.conj().T
     out = {}
     for name, closed_fn, product in (
         ("func_calc_gram", closed_func_calc_gram, t_adj @ t),
         ("func_calc_cogram", closed_func_calc_cogram, t @ t_adj),
     ):
         worst = 0.0
-        for _, f in calculus_test_functions(CLAMP_TOL * operator_norm(product)):
+        for _, f in calculus_test_functions(CLAMP_TOL * norm(product)):
             a, b = closed_calc(closed_fn, inst, f), eigen_sum(product, f)
-            dev = operator_norm(a - b) / (1.0 + max(operator_norm(a), operator_norm(b)))
+            dev = norm(a - b) / (1.0 + max(norm(a), norm(b)))
             worst = max(worst, dev)
         out[name] = worst
     return out
@@ -156,25 +148,25 @@ def test_one_cond_exp_matrix_per_partition(monkeypatch):
 
 
 def test_closed_identities_take_no_dense_products(monkeypatch):
-    # U |T|, U* U, (U* U)^2 and V^2 are formed in the Sandwich algebra; the
-    # dense products left are the oracle's: U_ref* U_ref in check_polar and
-    # the two factors of |T|^(1/2) U |T|^(1/2) in check_aluthge.
+    # U |T|, U* U, (U* U)^2 and V^2 are formed in the Sandwich algebra and
+    # become one matrix each, not a product of two: check_polar builds U,
+    # |T|, U |T|, (U* U)^2 and U* U, check_aluthge the transform, V^2 and
+    # |T|.
     ctx = CheckContext(gen_instance(GeneratorConfig(seed=11, n=16, block_count=4)),
                        Tolerances())
-    # The shared factorizations come first; their own products are not counted.
-    _ = ctx.gram_eig, ctx.polar
-    products = []
-    matmul = WeightedOperator.__matmul__
+    _ = ctx.t
+    built = []
+    matrices = Sandwich.matrices
 
-    def counting(a, b):
-        products.append((a, b))
-        return matmul(a, b)
+    def counting(sandwich):
+        built.append(sandwich)
+        return matrices(sandwich)
 
-    monkeypatch.setattr(WeightedOperator, "__matmul__", counting)
+    monkeypatch.setattr(Sandwich, "matrices", counting)
     assert all(r.status == "pass" for r in check_polar(ctx))
-    assert len(products) == 1
+    assert len(built) == 5
     assert all(r.status == "pass" for r in check_aluthge(ctx))
-    assert len(products) == 3
+    assert len(built) == 8
 
 
 @pytest.mark.parametrize("measurable_u", [True, False])
@@ -198,14 +190,14 @@ def test_norms_already_held_are_not_taken_again(monkeypatch):
     bundle = gen_instance(GeneratorConfig(seed=11, n=16, block_count=4))
     ctx = CheckContext(bundle, Tolerances())
     t_norms = []
-    original = checks.operator_norm
+    original = checks.spectral_norms
 
     def counting(a):
         if a is ctx.t:
             t_norms.append(a)
         return original(a)
 
-    monkeypatch.setattr(checks, "operator_norm", counting)
+    monkeypatch.setattr(checks, "spectral_norms", counting)
     for group in (check_norm, check_vanishing, check_partial_isometry):
         assert all(r.status == "pass" for r in group(ctx))
     assert len(t_norms) == 1
@@ -251,30 +243,30 @@ def test_held_norms_agree_with_svd_norms(monkeypatch, group, tol):
     held = []
     original = checks.op_deviations
 
-    def spy(space, a, b, b_norms=None):
+    def spy(a, b, b_norms=None):
         if b_norms is not None:
-            held.append((space, np.array(b), np.array(b_norms, dtype=float)))
-        return original(space, a, b, b_norms)
+            held.append((np.array(b), np.array(b_norms, dtype=float)))
+        return original(a, b, b_norms)
 
     monkeypatch.setattr(checks, "op_deviations", spy)
     bundles = generated_bundles() + [zero_operator_bundle()]
     for bundle in bundles:
         group(CheckContext(bundle, Tolerances()))
     assert len(held) >= len(bundles) // 3
-    for space, b, norms in held:
-        svd = [operator_norm(WeightedOperator(space, m)) for m in b]
+    for b, norms in held:
+        svd = [norm(m) for m in b]
         np.testing.assert_allclose(norms, svd, rtol=tol, atol=tol)
 
 
 def two_sided_deviation(a, b):
     """||a - b|| / (1 + max(||a||, ||b||)), three separate SVD norms."""
-    return operator_norm(a - b) / (1.0 + max(operator_norm(a), operator_norm(b)))
+    return norm(a - b) / (1.0 + max(norm(a), norm(b)))
 
 
 def reference_spectral_decomp(inst):
     """The per-eigenvalue loop: the projections one at a time, five norms
     per projection, one norm per pair of projections."""
-    space, n = inst.space, inst.space.n
+    n = inst.space.n
     e_matrix = inst.partition.cond_exp_matrix
     reps, group = _eigenvalue_groups(inst.u, inst.partition)
     point_group = group[inst.partition.block_of]
@@ -283,29 +275,29 @@ def reference_spectral_decomp(inst):
     for g in sorted(range(1, len(reps)), key=lambda g: (reps[g].real, reps[g].imag)):
         p = (point_group == g)[:, None] * e_matrix
         eigenvalues.append(reps[g])
-        projections.append(WeightedOperator(space, p))
+        projections.append(p)
         accumulated += p
     kernel = np.eye(n, dtype=complex) - accumulated
     if float(np.trace(kernel).real) > 0.5:
         eigenvalues.append(0j)
-        projections.append(WeightedOperator(space, kernel))
+        projections.append(kernel)
 
     m = avg_mult_operator(inst.u, inst.partition)
     proj_res, total_rank = 0.0, 0
     recon = np.zeros((n, n), dtype=complex)
     for lam, p in zip(eigenvalues, projections):
         proj_res = max(proj_res, two_sided_deviation(p @ p, p),
-                       operator_norm(p - weighted_adjoint(p)) / (1.0 + operator_norm(p)))
-        total_rank += round(float(np.trace(p.matrix).real))
-        recon += lam * p.matrix
+                       norm(p - p.conj().T) / (1.0 + norm(p)))
+        total_rank += round(float(np.trace(p).real))
+        recon += lam * p
     orth_res = 0.0
     for i in range(len(projections)):
         for j in range(i + 1, len(projections)):
-            orth_res = max(orth_res, operator_norm(projections[i] @ projections[j]))
+            orth_res = max(orth_res, norm(projections[i] @ projections[j]))
     return {
         "sd_projections": proj_res,
         "sd_orthogonality": orth_res,
-        "sd_reconstruction": two_sided_deviation(WeightedOperator(space, recon), m),
+        "sd_reconstruction": two_sided_deviation(recon, m),
         "sd_rank_sum": float(abs(total_rank - n)),
         "sd_eigs_match": checks._eigvals_match_residual(eigenvalues, m),
     }
@@ -325,8 +317,7 @@ def reference_reconstruction(ctx):
         rebuilt = sum((u.values[fiber[0]] * table.values(singletons[s][None])[0]
                        for s, fiber in phi.fibers),
                       np.zeros((phi.space.n, phi.space.n), dtype=complex))
-        worst = max(worst, two_sided_deviation(WeightedOperator(phi.space, rebuilt),
-                                               avg_mult_operator(u, fp)))
+        worst = max(worst, two_sided_deviation(rebuilt, avg_mult_operator(u, fp)))
     return worst
 
 

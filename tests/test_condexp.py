@@ -11,10 +11,9 @@ from wcelab.measure import (
     make_partition,
     make_space,
 )
-from wcelab.opalgebra import weighted_adjoint
 from wcelab.wce import make_instance
 
-from conftest import deviation, e_operator, generated_partitions, random_complex
+from conftest import deviation, generated_partitions, point_matrix, random_complex
 
 
 class TestCondExp:
@@ -51,40 +50,62 @@ class TestCondExp:
 class TestCondExpOperator:
     def test_uniform_two_points(self):
         sp = make_space([1.0, 1.0])
-        m = e_operator(coarsest_partition(sp))
-        np.testing.assert_allclose(m.matrix, np.full((2, 2), 0.5))
+        m = coarsest_partition(sp).cond_exp_matrix
+        np.testing.assert_allclose(m, np.full((2, 2), 0.5))
 
     def test_finest_identity(self):
         sp = make_space([1.0, 3.0, 2.0])
-        m = e_operator(finest_partition(sp))
-        np.testing.assert_allclose(m.matrix, np.eye(3))
+        m = finest_partition(sp).cond_exp_matrix
+        np.testing.assert_allclose(m, np.eye(3))
 
     def test_weighted_rows(self):
-        # mu = (1, 3), one block: every row is (1/4, 3/4).
+        # mu = (1, 3), one block: on point values every row is (1/4, 3/4);
+        # in the orthonormal basis the entries are sqrt(mu_i mu_j) / 4.
         sp = make_space([1.0, 3.0])
-        m = e_operator(coarsest_partition(sp))
-        np.testing.assert_allclose(m.matrix, [[0.25, 0.75], [0.25, 0.75]])
+        m = coarsest_partition(sp).cond_exp_matrix
+        np.testing.assert_allclose(point_matrix(sp, m), [[0.25, 0.75], [0.25, 0.75]])
+        r = np.sqrt(3.0) / 4
+        np.testing.assert_allclose(m, [[0.25, r], [r, 0.75]])
 
     def test_matrix_matches_cond_exp_on_basis(self, rng):
         sp = make_space([1.0, 2.0, 0.5, 4.0])
         p = make_partition(sp, [[0, 3], [1], [2]])
-        m = e_operator(p)
+        m = point_matrix(sp, p.cond_exp_matrix)
         for i in range(sp.n):
             basis = np.zeros(sp.n, dtype=complex)
             basis[i] = 1.0
-            np.testing.assert_allclose(m.matrix @ basis, cond_exp_values(p, basis),
+            np.testing.assert_allclose(m @ basis, cond_exp_values(p, basis),
                                        atol=1e-15)
 
-    def test_weighted_self_adjoint(self):
+    def test_weighted_self_adjoint(self, rng):
         sp = make_space([1.0, 3.0, 2.0, 0.7])
         p = make_partition(sp, [[0, 1, 3], [2]])
-        m = e_operator(p)
-        assert deviation(weighted_adjoint(m), m) < 1e-15
+        m = p.cond_exp_matrix
+        assert deviation(m.conj().T, m) < 1e-15
+        # On point functions: <E f, g>_mu = <f, E g>_mu.
+        f, g = random_complex(rng, sp.n), random_complex(rng, sp.n)
+        m_pt = point_matrix(sp, m)
+        lhs = sp.inner(m_pt @ f, g)
+        assert abs(lhs - sp.inner(f, m_pt @ g)) < 1e-13 * (1 + abs(lhs))
 
     def test_idempotent_matrix(self):
         sp = make_space([1.0, 3.0, 2.0])
-        m = e_operator(coarsest_partition(sp))
+        m = coarsest_partition(sp).cond_exp_matrix
         assert deviation(m @ m, m) < 1e-15
+
+
+def test_cond_exp_matrix_is_the_orthonormal_frame_of_e():
+    # E's matrix is symmetric, and it maps sqrt(mu) f to sqrt(mu) E(f): it
+    # is D^(1/2) E D^(-1/2), E in the orthonormal basis e_i / sqrt(mu_i).
+    rng = np.random.default_rng(31)
+    for partition in generated_partitions(30, seed0=3100):
+        m = partition.cond_exp_matrix
+        np.testing.assert_array_equal(m, m.T)
+        s = partition.space.sqrt_weights
+        for _ in range(3):
+            f = random_complex(rng, partition.space.n)
+            np.testing.assert_allclose(m @ (s * f), s * cond_exp_values(partition, f),
+                                       rtol=1e-13, atol=1e-15 * float(np.abs(s * f).max()))
 
 
 def test_property_suite_over_random_partitions():
@@ -162,18 +183,32 @@ def test_sandwich_algebra_matches_dense_products(seed, n, k):
     rng.shuffle(labels)
     partition = make_partition(sp, [np.flatnonzero(labels == b) for b in range(min(k, n))])
     a, b = random_sandwich(rng, partition), random_sandwich(rng, partition)
-    dense_a, dense_b = a.dense(), b.dense()
-    assert deviation((a @ b).dense(), dense_a @ dense_b) <= 1e-12
-    assert deviation(a.adjoint().dense(), weighted_adjoint(dense_a)) <= 1e-12
+    dense_a, dense_b = a.matrices(), b.matrices()
+    assert deviation((a @ b).matrices(), dense_a @ dense_b) <= 1e-12
+    assert deviation(a.adjoint().matrices(), dense_a.conj().T) <= 1e-12
 
 
-def test_sandwich_dense_is_the_scaled_cond_exp_matrix():
+def test_sandwich_dense_is_the_scaled_cond_exp_matrix(rng):
     sp = make_space([1.0, 3.0, 2.0])
     p = make_partition(sp, [[0, 2], [1]])
     s = Sandwich(p, np.array([2.0, 1j, 0.5]), np.array([1.0, 3.0, -1.0]))
     np.testing.assert_allclose(
-        s.dense().matrix, np.diag(s.left) @ p.cond_exp_matrix @ np.diag(s.right),
+        s.matrices(), np.diag(s.left) @ p.cond_exp_matrix @ np.diag(s.right),
         rtol=1e-15, atol=0)
+    # On point values the matrix is f -> left * E(right * f).
+    f = random_complex(rng, sp.n)
+    np.testing.assert_allclose(point_matrix(sp, s.matrices()) @ f,
+                               s.left * cond_exp_values(p, s.right * f), rtol=1e-14)
+
+
+def test_sandwich_matrices_reject_overflowing_entries():
+    # Entries beyond the float range raise, and numpy warns about none.
+    sp = make_space([1.0, 3.0])
+    p = coarsest_partition(sp)
+    big = np.array([1e200, 1.0])
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match="operator entries must be finite"):
+            Sandwich(p, big, big).matrices()
 
 
 def test_cond_exp_matrix_is_cached_and_read_only():

@@ -10,8 +10,9 @@ from wcelab.generator import (
 )
 from wcelab.instance_io import instance_digest, serialize_instance
 from wcelab.measure import finest_partition, is_measurable
-from wcelab.opalgebra import operator_norm, weighted_adjoint
 from wcelab.wce import build_operator, partial_isometry_criterion
+
+from conftest import adjoint, norm
 
 
 class TestConfigValidation:
@@ -104,8 +105,8 @@ class TestModes:
             assert is_pi
             np.testing.assert_array_equal(members, inst.sg_mask)
             t = build_operator(inst)
-            residual = operator_norm(t @ weighted_adjoint(t) @ t - t)
-            assert residual <= 1e-8 * max(1.0, operator_norm(t))
+            residual = norm(t @ adjoint(t) @ t - t)
+            assert residual <= 1e-8 * max(1.0, norm(t))
 
     def test_block_aggregates_floored(self):
         # Non-zeroed blocks keep their quadratic aggregate above the floor

@@ -15,11 +15,6 @@ from wcelab.measure import (
     make_partition,
     make_space,
 )
-from wcelab.opalgebra import (
-    WeightedOperator,
-    operator_norm,
-    weighted_adjoint,
-)
 from wcelab.spectral import (
     PointMap,
     SpectralMeasureTable,
@@ -31,7 +26,7 @@ from wcelab.spectral import (
     spectral_decomposition,
 )
 
-from conftest import deviation, e_operator, random_complex
+from conftest import deviation, norm, point_matrix, random_complex
 
 
 @pytest.fixture
@@ -55,25 +50,17 @@ def set_value(table, members):
     return table.values(mask[None])[0]
 
 
-def measure_op(table, members):
-    return WeightedOperator(table.space, set_value(table, members))
-
-
 def reconstructed(phi, u):
     """sum_s v(s) measure({s}) for the fiber-measurable symbol u, where
     v o phi = u."""
     table = SpectralMeasureTable(phi)
-    return WeightedOperator(phi.space, table.reconstruct(u.values[None])[0])
-
-
-def projections(decomp):
-    return [WeightedOperator(decomp.space, p) for p in decomp.stack]
+    return table.reconstruct(u.values[None])[0]
 
 
 def commutator_norm(u, partition):
     m = avg_mult_operator(u, partition)
-    adj = weighted_adjoint(m)
-    return operator_norm(m @ adj - adj @ m)
+    adj = m.conj().T
+    return norm(m @ adj - adj @ m)
 
 
 class TestNormality:
@@ -108,7 +95,7 @@ class TestSpectrum:
         u = MeasurableFunction(sp, [1, 3, 0, 8])
         spec = set(avg_mult_spectrum(u, p))
         assert spec == {0j, 2 + 0j, 4 + 0j}
-        eigs = np.linalg.eigvals(avg_mult_operator(u, p).matrix)
+        eigs = np.linalg.eigvals(avg_mult_operator(u, p))
         for z in spec:
             assert min(abs(z - e) for e in eigs) < 1e-12
         for e in eigs:
@@ -146,8 +133,7 @@ class TestSpectralDecomposition:
         u = MeasurableFunction.constant(sp, 3.0)
         decomp = spectral_decomposition(u, p)
         assert [complex(z) for z in decomp.eigenvalues] == [3 + 0j, 0j]
-        e = e_operator(p)
-        assert deviation(projections(decomp)[0], e) < 1e-13
+        assert deviation(decomp.stack[0], p.cond_exp_matrix) < 1e-13
 
     def test_zero_symbol(self, uniform4):
         sp, p = uniform4
@@ -156,7 +142,7 @@ class TestSpectralDecomposition:
         assert [complex(z) for z in decomp.eigenvalues] == [0j]
         np.testing.assert_allclose(decomp.stack[0], np.eye(4), atol=1e-14)
 
-    def test_invariants_on_random_instances(self):
+    def test_invariants_on_random_instances(self, rng):
         for seed in range(60, 70):
             inst = gen_instance(GeneratorConfig(
                 seed=seed, n=6 + seed % 8, block_count=2 + seed % 3,
@@ -168,16 +154,21 @@ class TestSpectralDecomposition:
             n = inst.space.n
             recon = np.zeros((n, n), dtype=complex)
             total_rank = 0
-            projs = projections(decomp)
+            projs = decomp.stack
             for lam, proj in zip(decomp.eigenvalues, projs):
                 assert deviation(proj @ proj, proj) < 1e-10
-                assert operator_norm(proj - weighted_adjoint(proj)) < 1e-10
-                recon += lam * proj.matrix
-                total_rank += round(float(np.trace(proj.matrix).real))
+                assert norm(proj - proj.conj().T) < 1e-10
+                # On point functions: <P f, g>_mu = <f, P g>_mu.
+                f, g = random_complex(rng, n), random_complex(rng, n)
+                p_pt = point_matrix(inst.space, proj)
+                lhs = inst.space.inner(p_pt @ f, g)
+                assert abs(lhs - inst.space.inner(f, p_pt @ g)) < 1e-10 * (1 + abs(lhs))
+                recon += lam * proj
+                total_rank += round(float(np.trace(proj).real))
             for i in range(len(projs)):
                 for j in range(i + 1, len(projs)):
-                    assert operator_norm(projs[i] @ projs[j]) < 1e-10
-            assert deviation(type(m)(inst.space, recon), m) < 1e-10
+                    assert norm(projs[i] @ projs[j]) < 1e-10
+            assert deviation(recon, m) < 1e-10
             assert total_rank == n
 
     def test_rejects_nonnormal(self, uniform4):
@@ -223,22 +214,22 @@ class TestSpectralMeasure:
     def test_empty_set(self):
         sp = make_space([1.0, 1.0, 2.0])
         phi = PointMap(sp, (0, 0, 2))
-        assert operator_norm(measure_op(SpectralMeasureTable(phi), ())) == 0.0
+        assert norm(set_value(SpectralMeasureTable(phi), ())) == 0.0
 
     def test_whole_set_is_fiber_average(self):
         sp = make_space([1.0, 1.0, 2.0])
         phi = PointMap(sp, (0, 0, 2))
-        e = e_operator(fiber_partition(phi))
-        assert deviation(measure_op(SpectralMeasureTable(phi), range(3)), e) < 1e-14
+        e = fiber_partition(phi).cond_exp_matrix
+        assert deviation(set_value(SpectralMeasureTable(phi), range(3)), e) < 1e-14
 
     def test_singleton_example(self):
         sp = make_space([1.0, 1.0, 2.0])
         phi = PointMap(sp, (0, 0, 2))
-        m = measure_op(SpectralMeasureTable(phi), (0,))
+        m = set_value(SpectralMeasureTable(phi), (0,))
         expected = np.array([[0.5, 0.5, 0], [0.5, 0.5, 0], [0, 0, 0]])
-        np.testing.assert_allclose(m.matrix, expected, atol=1e-15)
+        np.testing.assert_allclose(point_matrix(sp, m), expected, atol=1e-15)
         assert deviation(m @ m, m) < 1e-14
-        assert operator_norm(m - weighted_adjoint(m)) < 1e-14
+        assert norm(m - m.conj().T) < 1e-14
 
     def test_summation_matches_direct(self, rng):
         sp = make_space(rng.uniform(0.1, 10.0, 6))
@@ -300,19 +291,22 @@ def reference_spectral_axioms(phi, on_subspace, n_random=12, seed=0):
     rng = np.random.default_rng(seed)
 
     if on_subspace:
-        basis = spectral._fiber_basis(table.partition)
+        # The weighted-orthonormal indicators of the fibers, on point values.
+        fp = table.partition
+        basis = (fp.block_of[:, None] == np.arange(fp.block_count)[None, :]) / np.sqrt(
+            fp.block_masses)[None, :]
         db = phi.space.weights[:, None] * basis
         dim = basis.shape[1]
 
         def rep(m):
-            return db.conj().T @ m @ basis
+            return db.conj().T @ point_matrix(phi.space, m) @ basis
 
     else:
         dim = n
 
         def rep(m):
             s = phi.space.sqrt_weights
-            return m * s[:, None] / s[None, :]
+            return point_matrix(phi.space, m) * s[:, None] / s[None, :]
 
     def dist(x, y):
         return float(np.linalg.norm(x - y, 2))
@@ -383,21 +377,20 @@ def per_frame_spectral_axioms(table, on_subspace, n_random=12, seed=0):
     """The stacked axioms one frame per call, each call drawing the seeded
     set family anew, with one np.linalg.norm per residual stack. Returns
     the five residuals in SpectralAxiomReport field order."""
-    space, n = table.space, table.space.n
+    n = table.space.n
     rng = np.random.default_rng(seed)
     images = table._images
+    frame = table.partition.cond_exp_matrix
     if on_subspace:
         basis = spectral._fiber_basis(table.partition)
         dim = basis.shape[1]
-        frame = (space.weights[:, None] * basis).conj().T @ table.partition.cond_exp_matrix
+        rows = basis.T @ frame
 
         def measure(sets):
-            return spectral._masked_columns(frame, sets[:, images]) @ basis
+            return spectral._masked_columns(rows, sets[:, images]) @ basis
 
     else:
         dim = n
-        s = space.sqrt_weights
-        frame = table.partition.cond_exp_matrix * s[:, None] / s[None, :]
 
         def measure(sets):
             return spectral._masked_columns(frame, sets[:, images])
@@ -537,14 +530,14 @@ class TestReconstruction:
         phi = PointMap(sp, (0, 0, 2))
         u = MeasurableFunction.constant(sp, 1.0)
         rebuilt = reconstructed(phi, u)
-        e = e_operator(fiber_partition(phi))
+        e = fiber_partition(phi).cond_exp_matrix
         assert deviation(rebuilt, e) < 1e-14
 
     def test_zero_symbol(self):
         sp = make_space([1.0, 1.0, 2.0])
         phi = PointMap(sp, (0, 0, 2))
         u = MeasurableFunction.constant(sp, 0.0)
-        assert operator_norm(reconstructed(phi, u)) == 0.0
+        assert norm(reconstructed(phi, u)) == 0.0
 
     def test_example(self):
         sp = make_space([1.0, 1.0, 2.0])
@@ -553,7 +546,7 @@ class TestReconstruction:
         table = SpectralMeasureTable(phi)
         expected = 3 * set_value(table, (0,)) + 7 * set_value(table, (2,))
         rebuilt = reconstructed(phi, u)
-        np.testing.assert_allclose(rebuilt.matrix, expected, atol=1e-14)
+        np.testing.assert_allclose(rebuilt, expected, atol=1e-14)
         direct = avg_mult_operator(u, fiber_partition(phi))
         assert deviation(rebuilt, direct) < 1e-13
 

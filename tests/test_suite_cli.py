@@ -221,6 +221,39 @@ class TestCli:
             assert records[name]["reason"] == (
                 "vanishing raised ValueError: E(|u|^2) is not finite")
 
+    @pytest.mark.parametrize("doc, extra", [
+        # E(|w|^2) is inf on the one block.
+        ({"weights": [1, 1], "partition": [[0, 1]],
+          "u": [[1, 0], [2, 0]], "w": [[1e200, 0], [1, 0]]}, ()),
+        # E(|w|^2) is inf where u vanishes, so T, T* T and T T* stay
+        # finite and the closed forms and the partial-isometry criterion
+        # meet the aggregate first.
+        ({"weights": [1, 1, 1, 1], "partition": [[0, 1], [2, 3]],
+          "u": [[1, 0], [2, 0], [0, 0], [0, 0]],
+          "w": [[1, 0], [1, 0], [1e200, 0], [1, 0]]}, ("func_calc", "partial_isometry")),
+    ])
+    def test_verify_overflowing_w_aggregate_breaks_down_quietly(
+            self, tmp_path, capfd, doc, extra):
+        # The supports are cut before any closed form multiplies by an
+        # aggregate, so E(|w|^2) = inf raises there: the groups that read
+        # it fail as breakdowns, and numpy prints no warning.
+        inst_file = tmp_path / "w_overflow.json"
+        inst_file.write_text(json.dumps(doc))
+        report_file = tmp_path / "report.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["verify", str(inst_file), "--report", str(report_file)]) == 1
+        assert [str(m.message) for m in caught] == []
+        _, err = capfd.readouterr()
+        assert err == ""
+        records = {r["name"]: r for r in json.loads(report_file.read_text())["records"]}
+        for group in ("polar", "aluthge", "vanishing") + extra:
+            for name in GROUP_RECORD_NAMES[group]:
+                assert records[name]["status"] == "fail"
+                assert records[name]["residual"] is None
+                assert records[name]["reason"] == (
+                    f"{group} raised ValueError: E(|w|^2) is not finite")
+
     def test_verify_non_utf8_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b"\xff\xfe{")
@@ -231,7 +264,19 @@ class TestCli:
     def test_suite_unwritable_report_exits_2(self, tmp_path, capsys, target):
         path = tmp_path / "missing" / "r.json" if target == "missing_dir" else tmp_path
         assert main(["suite", "--seeds", "1..2", "--report", str(path)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {path}: ")
+        # The report path is tried before the run, so nothing ran.
+        assert captured.out == ""
+
+    def test_verify_unwritable_report_exits_before_the_run(self, tmp_path, capsys):
+        inst_file = tmp_path / "inst.json"
+        main(["gen", "--seed", "5", "-o", str(inst_file)])
+        path = tmp_path / "missing" / "r.json"
+        assert main(["verify", str(inst_file), "--report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {path}: ")
+        assert captured.out == ""
 
     def test_gen_unwritable_output_exits_2(self, tmp_path, capsys):
         path = tmp_path / "missing" / "x.json"

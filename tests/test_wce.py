@@ -15,12 +15,9 @@ from wcelab.measure import (
 )
 from wcelab.opalgebra import (
     CLAMP_TOL,
-    WeightedOperator,
     kernel_projection,
-    operator_norm,
     polar_oracle,
     positive_sqrt,
-    weighted_adjoint,
 )
 from wcelab.wce import (
     build_operator,
@@ -35,7 +32,15 @@ from wcelab.wce import (
     _masked_recip,
 )
 
-from conftest import closed_calc, deviation, e_operator, eig_calc, random_complex
+from conftest import (
+    adjoint,
+    closed_calc,
+    deviation,
+    eig_calc,
+    norm,
+    point_matrix,
+    random_complex,
+)
 
 
 def ones_instance(weights, blocks=None):
@@ -65,7 +70,7 @@ def random_instance(seed, **kwargs):
 class TestBuildOperator:
     def test_unit_symbols_give_projection(self):
         inst = ones_instance([1.0, 2.0, 0.5], blocks=[[0, 2], [1]])
-        e = e_operator(inst.partition)
+        e = inst.partition.cond_exp_matrix
         assert deviation(build_operator(inst), e) < 1e-15
 
     def test_finest_partition_is_multiplication(self, rng):
@@ -74,13 +79,14 @@ class TestBuildOperator:
         w = MeasurableFunction(sp, random_complex(rng, 3))
         inst = make_instance(finest_partition(sp), u, w)
         np.testing.assert_allclose(
-            build_operator(inst).matrix, np.diag(u.values * w.values), atol=1e-15
+            build_operator(inst), np.diag(u.values * w.values), atol=1e-15
         )
 
     def test_example_matrix(self, example_instance):
         # E(u f) = 2 f0 / 4, so T f = (0, f0 / 2).
         np.testing.assert_allclose(
-            build_operator(example_instance).matrix, [[0, 0], [0.5, 0]], atol=1e-15
+            point_matrix(example_instance.space, build_operator(example_instance)),
+            [[0, 0], [0.5, 0]], atol=1e-15
         )
 
     def test_adjoint_swaps_symbols(self, rng):
@@ -93,7 +99,7 @@ class TestBuildOperator:
             MeasurableFunction(inst.space, np.conj(inst.u.values)),
         )
         assert deviation(
-            weighted_adjoint(build_operator(inst)), build_operator(swapped)
+            adjoint(build_operator(inst)), build_operator(swapped)
         ) < 1e-13
 
 
@@ -105,7 +111,7 @@ class TestNormFormula:
     def test_example_value(self, example_instance):
         # E(|u|^2) = 1, E(|w|^2) = 3/4.
         assert norm_formula(example_instance) == pytest.approx(math.sqrt(3) / 2)
-        assert operator_norm(build_operator(example_instance)) == pytest.approx(
+        assert norm(build_operator(example_instance)) == pytest.approx(
             math.sqrt(3) / 2
         )
 
@@ -122,7 +128,7 @@ class TestNormFormula:
         for seed in range(30, 45):
             inst = random_instance(seed, n=7 + seed % 6, block_count=1 + seed % 4)
             nf = norm_formula(inst)
-            assert abs(nf - operator_norm(build_operator(inst))) <= 1e-8 * (1 + nf)
+            assert abs(nf - norm(build_operator(inst))) <= 1e-8 * (1 + nf)
 
 
 class TestPartialIsometry:
@@ -141,7 +147,7 @@ class TestPartialIsometry:
         assert is_pi
         assert members.tolist() == [True, True]
         t = build_operator(inst)
-        residual = operator_norm(t @ weighted_adjoint(t) @ t - t)
+        residual = norm(t @ adjoint(t) @ t - t)
         assert residual <= 1e-12
 
     def test_constant_product_sixteen(self):
@@ -153,38 +159,38 @@ class TestPartialIsometry:
         # The product is 16 everywhere, nowhere near 1.
         assert members.tolist() == [False] * 3
         t = build_operator(inst)
-        assert operator_norm(t @ weighted_adjoint(t) @ t - t) > 1e-2
+        assert norm(t @ adjoint(t) @ t - t) > 1e-2
 
 
 class TestClosedFuncCalc:
     def test_identity_function_gives_gram(self, rng):
         inst = random_instance(21)
         t = build_operator(inst)
-        gram = weighted_adjoint(t) @ t
+        gram = adjoint(t) @ t
         assert deviation(closed_calc(closed_func_calc_gram, inst, lambda t_: t_),
                          gram) < 1e-12
 
     def test_constant_one_gives_identity(self, rng):
         inst = random_instance(22)
         out = closed_calc(closed_func_calc_gram, inst, lambda t_: 1.0)
-        np.testing.assert_allclose(out.matrix, np.eye(inst.space.n), atol=1e-13)
+        np.testing.assert_allclose(out, np.eye(inst.space.n), atol=1e-13)
 
     def test_square_matches_power_formula_and_matrix(self):
         inst = random_instance(23)
         t = build_operator(inst)
-        gram = weighted_adjoint(t) @ t
+        gram = adjoint(t) @ t
         closed = closed_calc(closed_func_calc_gram, inst, lambda t_: t_ * t_)
         assert deviation(closed, gram @ gram) < 1e-12
         # Power formula: conj(u) E(|w|^2)^2 E(|u|^2) E(u .)
-        e = e_operator(inst.partition)
+        e = inst.partition.cond_exp_matrix
         coef = np.conj(inst.u.values) * inst.ew2**2 * inst.eu2
-        direct = type(t)(inst.space, coef[:, None] * e.matrix * inst.u.values[None, :])
+        direct = coef[:, None] * e * inst.u.values[None, :]
         assert deviation(closed, direct) < 1e-12
 
     def test_cogram_identity_and_cube(self):
         inst = random_instance(24)
         t = build_operator(inst)
-        cogram = t @ weighted_adjoint(t)
+        cogram = t @ adjoint(t)
         assert deviation(closed_calc(closed_func_calc_cogram, inst, lambda t_: t_),
                          cogram) < 1e-12
         closed = closed_calc(closed_func_calc_cogram, inst, lambda t_: t_**3)
@@ -194,13 +200,13 @@ class TestClosedFuncCalc:
     def test_full_suite_against_oracle(self, seed):
         inst = random_instance(seed, zero_blocks=(seed % 2 == 0))
         t = build_operator(inst)
-        gram = weighted_adjoint(t) @ t
-        cogram = t @ weighted_adjoint(t)
+        gram = adjoint(t) @ t
+        cogram = t @ adjoint(t)
         for product, closed_fn in (
             (gram, closed_func_calc_gram),
             (cogram, closed_func_calc_cogram),
         ):
-            snap = CLAMP_TOL * operator_norm(product)
+            snap = CLAMP_TOL * norm(product)
             for name, f in calculus_test_functions(snap):
                 dev = deviation(closed_calc(closed_fn, inst, f), eig_calc(product, f))
                 assert dev < 1e-7, (name, dev)
@@ -212,8 +218,8 @@ def per_function_calc(inst, f, r, r_agg, r_mask):
     f0 = complex(f(0.0))
     fp = np.asarray([f(float(v)) for v in inst.eu2 * inst.ew2], dtype=complex)
     d = _masked_recip(r_agg, r_mask) * (fp - f0)
-    core = Sandwich(inst.partition, d * np.conj(r), r).dense()
-    return f0 * np.eye(inst.space.n, dtype=complex) + core.matrix
+    core = Sandwich(inst.partition, d * np.conj(r), r).matrices()
+    return f0 * np.eye(inst.space.n, dtype=complex) + core
 
 
 def zeroed_block_instance(rng, n):
@@ -279,21 +285,39 @@ def test_support_of_a_non_finite_aggregate_raises():
         make_instance(part, one, big).g_mask
 
 
+def test_closed_forms_raise_on_an_overflowing_aggregate_before_using_it():
+    # |w|^2 overflows, so E(|w|^2) is inf: each closed form raises where
+    # the supports are cut, before it multiplies by the aggregate, so numpy
+    # has nothing to warn about (errstate turns a warning into an error).
+    sp = make_space([1.0, 1.0])
+    part = coarsest_partition(sp)
+    u = MeasurableFunction(sp, [1.0, 2.0])
+    w = MeasurableFunction(sp, [1e200, 1.0])
+    fns = tuple(f for _, f in calculus_test_functions(0.0))
+    for closed in (closed_polar, closed_abs_sqrt, closed_aluthge,
+                   lambda inst: closed_func_calc_gram(inst, fns),
+                   lambda inst: closed_func_calc_cogram(inst, fns)):
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match=r"E\(\|w\|\^2\) is not finite"):
+                closed(make_instance(part, u, w))
+
+
 class TestClosedPolar:
     def test_projection_polar(self):
         inst = ones_instance([1.0, 2.0, 0.5], blocks=[[0, 1], [2]])
-        e = e_operator(inst.partition)
+        e = inst.partition.cond_exp_matrix
         u_op, abs_t = closed_polar(inst)
-        assert deviation(u_op.dense(), e) < 1e-13
-        assert deviation(abs_t.dense(), e) < 1e-13
+        assert deviation(u_op.matrices(), e) < 1e-13
+        assert deviation(abs_t.matrices(), e) < 1e-13
 
     def test_example_matrices(self, example_instance):
+        sp = example_instance.space
         u_op, abs_t = closed_polar(example_instance)
         np.testing.assert_allclose(
-            abs_t.dense().matrix, [[math.sqrt(3) / 2, 0], [0, 0]], atol=1e-14
+            point_matrix(sp, abs_t.matrices()), [[math.sqrt(3) / 2, 0], [0, 0]], atol=1e-14
         )
         np.testing.assert_allclose(
-            u_op.dense().matrix, [[0, 0], [1 / math.sqrt(3), 0]], atol=1e-14
+            point_matrix(sp, u_op.matrices()), [[0, 0], [1 / math.sqrt(3), 0]], atol=1e-14
         )
 
     def test_zero_symbol(self):
@@ -304,20 +328,20 @@ class TestClosedPolar:
             MeasurableFunction(sp, [1, 2]),
         )
         u_op, abs_t = closed_polar(inst)
-        assert operator_norm(u_op.dense()) == 0.0
-        assert operator_norm(abs_t.dense()) == 0.0
+        assert norm(u_op.matrices()) == 0.0
+        assert norm(abs_t.matrices()) == 0.0
 
     @pytest.mark.parametrize("seed", [41, 42, 43, 44])
     def test_certification(self, seed):
         inst = random_instance(seed, zero_blocks=(seed % 2 == 0))
         t = build_operator(inst)
         u_op, abs_t = closed_polar(inst)
-        gram = weighted_adjoint(t) @ t
-        assert deviation(abs_t.dense(), positive_sqrt(gram)) < 1e-8
+        gram = adjoint(t) @ t
+        assert deviation(abs_t.matrices(), positive_sqrt(gram)) < 1e-8
         u_ref, _ = polar_oracle(t)
-        assert deviation(u_op.dense(), u_ref) < 1e-8
-        assert deviation((u_op @ abs_t).dense(), t) < 1e-8
-        kernels = [kernel_projection(x) for x in (u_op.dense(), abs_t.dense(), t)]
+        assert deviation(u_op.matrices(), u_ref) < 1e-8
+        assert deviation((u_op @ abs_t).matrices(), t) < 1e-8
+        kernels = [kernel_projection(x) for x in (u_op.matrices(), abs_t.matrices(), t)]
         for i in range(3):
             for j in range(i + 1, 3):
                 assert deviation(kernels[i], kernels[j]) < 1e-7
@@ -325,31 +349,31 @@ class TestClosedPolar:
 
 def test_closed_forms_stay_factored_until_dense(monkeypatch):
     # The closed forms and their products and adjoints build no operator
-    # matrix; dense() builds one.
+    # matrix; matrices() builds one.
     built = []
-    post_init = WeightedOperator.__post_init__
+    matrices = Sandwich.matrices
 
-    def counting(op):
-        built.append(op)
-        post_init(op)
+    def counting(sandwich):
+        built.append(sandwich)
+        return matrices(sandwich)
 
     inst = random_instance(45)
-    monkeypatch.setattr(WeightedOperator, "__post_init__", counting)
+    monkeypatch.setattr(Sandwich, "matrices", counting)
     u_op, abs_t = closed_polar(inst)
     v = closed_abs_sqrt(inst)
     uu = u_op.adjoint() @ u_op
     products = (u_op @ abs_t, uu @ uu, v @ v, closed_aluthge(inst))
     assert built == []
     assert all(p.partition is inst.partition for p in products)
-    products[0].dense()
+    products[0].matrices()
     assert len(built) == 1
 
 
 class TestClosedAluthge:
     def test_projection_fixed_point(self):
         inst = ones_instance([1.0, 2.0, 0.5], blocks=[[0, 1], [2]])
-        e = e_operator(inst.partition)
-        assert deviation(closed_aluthge(inst).dense(), e) < 1e-13
+        e = inst.partition.cond_exp_matrix
+        assert deviation(closed_aluthge(inst).matrices(), e) < 1e-13
 
     def test_example_matrix(self):
         # mu = (1, 3), u = w = (2, 0): E(u w) = E(|u|^2) = 1, so the
@@ -358,7 +382,7 @@ class TestClosedAluthge:
         f = MeasurableFunction(sp, [2, 0])
         inst = make_instance(coarsest_partition(sp), f, f)
         np.testing.assert_allclose(
-            closed_aluthge(inst).dense().matrix, [[1, 0], [0, 0]], atol=1e-14
+            point_matrix(sp, closed_aluthge(inst).matrices()), [[1, 0], [0, 0]], atol=1e-14
         )
 
     def test_zero_symbol(self):
@@ -368,7 +392,7 @@ class TestClosedAluthge:
             MeasurableFunction.constant(sp, 0.0),
             MeasurableFunction(sp, [1, 2]),
         )
-        assert operator_norm(closed_aluthge(inst).dense()) == 0.0
+        assert norm(closed_aluthge(inst).matrices()) == 0.0
 
     @pytest.mark.parametrize("seed", [51, 52, 53])
     def test_certification(self, seed):
@@ -376,7 +400,7 @@ class TestClosedAluthge:
         t = build_operator(inst)
         u_ref, p_ref = polar_oracle(t)
         oracle = positive_sqrt(p_ref) @ u_ref @ positive_sqrt(p_ref)
-        assert deviation(closed_aluthge(inst).dense(), oracle) < 1e-8
+        assert deviation(closed_aluthge(inst).matrices(), oracle) < 1e-8
         v = closed_abs_sqrt(inst)
-        assert deviation((v @ v).dense(), closed_polar(inst)[1].dense()) < 1e-8
+        assert deviation((v @ v).matrices(), closed_polar(inst)[1].matrices()) < 1e-8
 
