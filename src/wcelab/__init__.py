@@ -19,8 +19,6 @@ from .errors import (
     NonpositiveWeightError,
     NotAPartitionError,
     NotNormalError,
-    NotPositiveError,
-    NotSelfAdjointError,
     ParseError,
     SpaceMismatchError,
     WceLabError,
@@ -47,14 +45,7 @@ from .measure import (
     make_partition,
     make_space,
 )
-from .opalgebra import (
-    EigenSystem,
-    hermitian_eig,
-    kernel_projection,
-    op_deviations,
-    polar_oracle,
-    positive_sqrt,
-)
+from .opalgebra import EigenSystem, SvdOracle, op_deviations
 from .spectral import (
     PointMap,
     SpectralAxiomReport,

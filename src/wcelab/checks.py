@@ -22,18 +22,13 @@ from typing import Callable
 
 import numpy as np
 
-from .condexp import cond_exp_values
+from .condexp import Sandwich, cond_exp_values
 from .errors import NotNormalError
 from .instance_io import InstanceBundle, instance_digest, serialize_instance
 from .measure import Partition, is_measurable
 from .opalgebra import (
-    CLAMP_TOL,
-    EigenSystem,
-    hermitian_eig,
-    kernel_projection,
+    SvdOracle,
     op_deviations,
-    polar_oracle,
-    positive_sqrt,
     require_finite,
     spectral_norms,
 )
@@ -63,6 +58,7 @@ AXIOM_TOL = 1e-9           # spectral measure axioms
 MASS_TOL = 1e-12           # pushforward mass conservation (relative)
 POINTWISE_SLACK = 1e-12    # additive slack for pointwise inequalities
 SEPARATION = 1e-6          # floor for operators that must not vanish
+CLAMP_TOL = 1e-10          # relative snap of the sqrt test function to 0
 
 
 @dataclass(frozen=True)
@@ -116,13 +112,14 @@ class CheckRecord:
 class CheckContext:
     """Everything a check needs for one instance.
 
-    The matrix of T, its norm, its adjoint, both Gram products, their
-    eigensystems, the SVD polar factors and the spectral measure table of
-    the point map are each computed once, on first use, and shared by
-    every check group. Every matrix is in the orthonormal basis of the
-    weighted space (see Partition.cond_exp_matrix), so the adjoint is the
-    conjugate transpose. The oracles still see only these dense matrices,
-    never the partition.
+    The matrix of T, its one SVD (its norm, polar factors, half-power
+    root and both Gram eigensystems are read off it), T T*, the closed
+    polar pair, the matrix of E M_u and its eigenvalues, and the spectral
+    measure table of the point map are each computed once, on first use,
+    and shared by every check group. Every matrix is in the orthonormal
+    basis of the weighted space (see Partition.cond_exp_matrix), so the
+    adjoint is the conjugate transpose. The oracles still see only these
+    dense matrices, never the partition.
     """
 
     bundle: InstanceBundle
@@ -173,38 +170,40 @@ class CheckContext:
         return t
 
     @cached_property
+    def svd(self) -> SvdOracle:
+        """The one factorization of T every oracle quantity of T comes from."""
+        return SvdOracle(self.t)
+
+    @property
     def t_norm(self) -> float:
         """The operator norm of T."""
-        return float(spectral_norms(self.t))
-
-    @cached_property
-    def t_adj(self) -> np.ndarray:
-        return self.t.conj().T
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        """T* T. Entries that overflow fail its build, as they do T's."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return require_finite(self.t_adj @ self.t)
+        return self.svd.norm
 
     @cached_property
     def cogram(self) -> np.ndarray:
         """T T*. Entries that overflow fail its build, as they do T's."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return require_finite(self.t @ self.t_adj)
-
-    @cached_property
-    def gram_eig(self) -> EigenSystem:
-        return hermitian_eig(self.gram)
-
-    @cached_property
-    def cogram_eig(self) -> EigenSystem:
-        return hermitian_eig(self.cogram)
+            return require_finite(self.t @ self.t.conj().T)
 
     @cached_property
     def polar(self) -> tuple[np.ndarray, np.ndarray]:
         """SVD polar factors (U, |T|) of T."""
-        return polar_oracle(self.t)
+        return self.svd.polar()
+
+    @cached_property
+    def polar_closed(self) -> tuple[Sandwich, Sandwich]:
+        """The closed polar pair (U, |T|)."""
+        return closed_polar(self.instance)
+
+    @cached_property
+    def avg_mult(self) -> np.ndarray:
+        """The matrix of E M_u, f -> E(u f)."""
+        return avg_mult_operator(self.instance.u, self.instance.partition)
+
+    @cached_property
+    def avg_mult_eigvals(self) -> list[complex]:
+        """The numerical eigenvalues of E M_u."""
+        return [complex(z) for z in np.linalg.eigvals(self.avg_mult)]
 
     @cached_property
     def measure_table(self) -> SpectralMeasureTable:
@@ -269,9 +268,9 @@ def calculus_test_functions(
 ) -> tuple[tuple[str, Callable[[float], complex]], ...]:
     """The standard test suite {1, t, t^2, t^3, sqrt, exp(-t)}.
 
-    sqrt treats values at or below kernel_snap as exact zero, matching
-    the kernel handling of positive_sqrt, so both sides of a comparison
-    see the same branch on numerically-zero spectrum.
+    sqrt treats values at or below kernel_snap as exact zero, so both
+    sides of a comparison see the same branch on numerically-zero
+    spectrum.
     """
     return (
         ("one", lambda t: 1.0),
@@ -508,8 +507,8 @@ def check_func_calc(ctx: CheckContext) -> list[CheckRecord]:
     inst = ctx.instance
     records: list[CheckRecord] = []
     for name, closed_fn, eig in (
-        ("func_calc_gram", closed_func_calc_gram, ctx.gram_eig),
-        ("func_calc_cogram", closed_func_calc_cogram, ctx.cogram_eig),
+        ("func_calc_gram", closed_func_calc_gram, ctx.svd.gram_eig()),
+        ("func_calc_cogram", closed_func_calc_cogram, ctx.svd.cogram_eig()),
     ):
         fns = tuple(f for _, f in calculus_test_functions(CLAMP_TOL * eig.scale))
         closed = closed_fn(inst, fns)
@@ -529,17 +528,13 @@ def check_func_calc(ctx: CheckContext) -> list[CheckRecord]:
 
 
 def check_polar(ctx: CheckContext) -> list[CheckRecord]:
-    inst = ctx.instance
     t = ctx.t
-    u_closed, abs_closed = closed_polar(inst)
+    u_closed, abs_closed = ctx.polar_closed
     u_mat, abs_mat = u_closed.matrices(), abs_closed.matrices()
-    abs_ref = ctx.gram_eig.sqrt()
-    u_ref, _ = ctx.polar
+    u_ref, abs_ref = ctx.polar
     uu = u_closed.adjoint() @ u_closed
-    k_u, k_abs = kernel_projection(u_mat), kernel_projection(abs_mat)
-    # The SVD polar factor has ker U = ker T, so I - U*U projects onto
-    # ker T without a second SVD of T.
-    k_t = np.eye(inst.space.n) - u_ref.conj().T @ u_ref
+    k_u, k_abs = SvdOracle(u_mat).kernel(), SvdOracle(abs_mat).kernel()
+    k_t = ctx.svd.kernel()
     k_ref = np.stack((k_abs, k_t, k_t))
     # An orthogonal projection has norm 1, or 0 when its trace (its rank)
     # is 0.
@@ -547,12 +542,12 @@ def check_polar(ctx: CheckContext) -> list[CheckRecord]:
     kernel_res = op_deviations(np.stack((k_u, k_abs, k_u)), k_ref, k_norms).max()
     # The kernel comparisons are a stack of their own: one stack of all six
     # pairs raised the peak memory of a dense n = 64 run by 0.4-0.7 MB.
-    # The oracle norms: ||T|| is the root of the top eigenvalue of T*T,
-    # and the SVD partial isometry has norm 1 unless T = 0.
+    # The oracle norms: ||T|| = || |T| ||, and the SVD partial isometry
+    # has norm 1 unless T = 0.
     abs_res, iso_res, fact_res = op_deviations(
         np.stack((abs_mat, u_mat, (u_closed @ abs_closed).matrices())),
         np.stack((abs_ref, u_ref, t)),
-        np.array([np.sqrt(ctx.gram_eig.scale), float(ctx.t_norm > 0.0), ctx.t_norm]))
+        np.array([ctx.t_norm, float(ctx.t_norm > 0.0), ctx.t_norm]))
     return [
         ctx.record("polar_abs",
                    "closed |T| equals the eigendecomposition root of T* T",
@@ -575,15 +570,23 @@ def check_polar(ctx: CheckContext) -> list[CheckRecord]:
 
 def check_aluthge(ctx: CheckContext) -> list[CheckRecord]:
     inst = ctx.instance
-    u_ref, p_ref = ctx.polar
-    sqrt_ref = positive_sqrt(p_ref)
-    oracle = sqrt_ref @ u_ref @ sqrt_ref
+    svd = ctx.svd
+    u_ref, _ = ctx.polar
+    root = svd.root()
+    oracle = root @ u_ref @ root
+    # On the kept singular vectors the oracle is R_k C R_k* with the
+    # rank x rank core C = S (R_k* L_k) S, S = Sigma_k^(1/2), and R_k has
+    # orthonormal columns, so ||C|| is the oracle's norm.
+    s = np.sqrt(svd.sigma[svd.keep])
+    core = s[:, None] * (svd.right_h[svd.keep] @ svd.left[:, svd.keep]) * s
     closed = closed_aluthge(inst)
     v = closed_abs_sqrt(inst)
-    _, abs_closed = closed_polar(inst)
+    _, abs_closed = ctx.polar_closed
+    # || |T| || = ||T|| is the reference norm of the closed |T|.
     closed_res, root_res = op_deviations(
         np.stack((closed.matrices(), (v @ v).matrices())),
-        np.stack((oracle, abs_closed.matrices())))
+        np.stack((oracle, abs_closed.matrices())),
+        np.array([float(spectral_norms(core)), ctx.t_norm]))
     return [
         ctx.record("aluthge_closed",
                    "closed Aluthge transform equals |T|^(1/2) U |T|^(1/2)",
@@ -598,28 +601,21 @@ def check_aluthge(ctx: CheckContext) -> list[CheckRecord]:
 # Spectral checks
 
 
-def _set_match_residual(
-    expected: list[complex], computed: list[complex], scale: float
-) -> float:
+def _eigvals_match_residual(expected: list[complex], computed: list[complex]) -> float:
+    """Set distance from expected to the computed numerical eigenvalues,
+    relative to 1 + the largest of them."""
     if not expected and not computed:
         return 0.0
     if not expected or not computed:
         return 1.0
     fwd = max(min(abs(e - c) for c in computed) for e in expected)
     bwd = max(min(abs(c - e) for e in expected) for c in computed)
-    return max(fwd, bwd) / scale
-
-
-def _eigvals_match_residual(expected: list[complex], m: np.ndarray) -> float:
-    """Set distance from expected to the numerical eigenvalues of m."""
-    computed = [complex(z) for z in np.linalg.eigvals(m)]
-    scale = 1.0 + max((abs(z) for z in computed), default=0.0)
-    return _set_match_residual(expected, computed, scale)
+    return max(fwd, bwd) / (1.0 + max(abs(z) for z in computed))
 
 
 def check_normality(ctx: CheckContext) -> list[CheckRecord]:
     inst = ctx.instance
-    m = avg_mult_operator(inst.u, inst.partition)
+    m = ctx.avg_mult
     m_adj = m.conj().T
     # Entries that overflow fail the build of the products; numpy's
     # overflow warning would only repeat that error.
@@ -641,7 +637,6 @@ def check_normality(ctx: CheckContext) -> list[CheckRecord]:
 
 def check_spectrum(ctx: CheckContext) -> list[CheckRecord]:
     inst = ctx.instance
-    m = avg_mult_operator(inst.u, inst.partition)
     expected = list(avg_mult_spectrum(inst.u, inst.partition))
     umax = float(np.abs(inst.u.values).max(initial=0.0))
     # The formula always adjoins 0; drop it in the one invertible case
@@ -650,7 +645,7 @@ def check_spectrum(ctx: CheckContext) -> list[CheckRecord]:
         np.abs(inst.u.values) > ctx.tols.op_tol * (1.0 + umax)
     ):
         expected = [z for z in expected if z != 0]
-    residual = _eigvals_match_residual(expected, m)
+    residual = _eigvals_match_residual(expected, ctx.avg_mult_eigvals)
     return [ctx.record(
         "spectrum",
         "spectrum of E M_u is the set of block means of u together with 0",
@@ -677,7 +672,7 @@ def check_spectral_decomp(ctx: CheckContext) -> list[CheckRecord]:
         return [ctx.skip(name, _SD_STATEMENTS[name],
                          "u is not blockwise constant, E M_u is not normal")
                 for name in _SD_NAMES]
-    m = avg_mult_operator(inst.u, inst.partition)
+    m = ctx.avg_mult
     n = inst.space.n
     p = decomp.stack
 
@@ -696,7 +691,7 @@ def check_spectral_decomp(ctx: CheckContext) -> list[CheckRecord]:
     recon = np.einsum("k,kij->ij", np.array(decomp.eigenvalues), p)
     recon_res = op_deviations(recon[None], m[None])[0]
 
-    eig_res = _eigvals_match_residual(list(decomp.eigenvalues), m)
+    eig_res = _eigvals_match_residual(list(decomp.eigenvalues), ctx.avg_mult_eigvals)
 
     return [
         ctx.record("sd_projections", _SD_STATEMENTS["sd_projections"],

@@ -21,16 +21,6 @@ class SpaceMismatchError(WceLabError):
     """Two objects built over different spaces were combined."""
 
 
-class NotSelfAdjointError(WceLabError):
-    """A Hermitian-only routine received an operator that is not
-    self-adjoint in the weighted inner product."""
-
-
-class NotPositiveError(WceLabError):
-    """A positive-only routine received an operator with genuinely
-    negative spectrum."""
-
-
 class NotNormalError(WceLabError):
     """A normal-only routine received a non-normal operator."""
 

@@ -5,8 +5,8 @@ Every operator matrix in the package is taken in the orthonormal basis
 e_i / sqrt(mu_i) of the weighted space, where the weighted inner product
 <f, g> = sum_i f_i conj(g_i) mu_i is the Euclidean one. So the adjoint of
 an operator is the conjugate transpose of its matrix, its norm is the
-plain spectral norm, and the standard Hermitian eigensolver and SVD apply
-as they are; nothing here knows the point masses.
+plain spectral norm, and the standard SVD applies as it is; nothing here
+knows the point masses.
 
 These routines are the independent side of every closed-form check in
 the rest of the package: they only ever see a dense matrix and know
@@ -19,16 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveError, NotSelfAdjointError
-
 # Relative singular-value cutoff deciding numerical kernels.
 RANK_TOL = 1e-9
-# Eigenvalues of a positive operator within this relative distance of zero
-# are treated as exact kernel before taking roots.
-CLAMP_TOL = 1e-10
-# Allowed relative asymmetry before an operator is rejected as not
-# self-adjoint.
-SELF_ADJOINT_TOL = 1e-8
 
 
 def require_finite(m: np.ndarray) -> np.ndarray:
@@ -98,75 +90,53 @@ class EigenSystem:
         (m, n) array of function values at the eigenvalues; shape (m, n, n)."""
         return (self.basis * fvals[:, None, :]) @ self.basis.conj().T
 
-    def sqrt(self) -> np.ndarray:
-        """Positive square root; see positive_sqrt."""
-        vals = self.values
-        scale = self.scale
-        if float(vals.min()) < -CLAMP_TOL * scale:
-            raise NotPositiveError(
-                f"minimum eigenvalue {vals.min():.3e} below -{CLAMP_TOL:.1e} * norm"
-            )
-        snapped = np.where(vals <= CLAMP_TOL * scale, 0.0, vals)
-        return self.calc_stack(np.sqrt(snapped)[None])[0]
 
+class SvdOracle:
+    """Every oracle quantity of a square operator a, read off one SVD
+    a = L diag(sigma) R*; the one factorization path of the oracles.
 
-def hermitian_eig(a: np.ndarray) -> EigenSystem:
-    """Full spectrum and eigenbasis of a self-adjoint operator; the one
-    eigendecomposition path of the oracles.
-
-    Rejects operators whose asymmetry exceeds SELF_ADJOINT_TOL times the
-    norm of their self-adjoint part with NotSelfAdjointError; the accepted
-    asymmetry is folded away by symmetrizing the matrix before
-    factorization.
+    Singular values at or below RANK_TOL * sigma_max count as kernel (all
+    of them for the zero operator); keep marks the others. a* a and a a*
+    are never formed: their eigensystems are sigma^2 on the columns of R
+    and of L.
     """
-    ah = a.conj().T
-    vals, vecs = np.linalg.eigh(0.5 * (a + ah))
-    # The norm of the symmetrized matrix is its largest |eigenvalue|; it
-    # differs from ||a|| by at most half the asymmetry.
-    dev = float(spectral_norms(a - ah))
-    if dev > SELF_ADJOINT_TOL * float(np.abs(vals).max(initial=0.0)):
-        raise NotSelfAdjointError(
-            f"asymmetry {dev:.3e} exceeds {SELF_ADJOINT_TOL:.1e} * norm"
-        )
-    return EigenSystem(vals, vecs)
 
+    def __init__(self, a: np.ndarray) -> None:
+        self.left, self.sigma, self.right_h = np.linalg.svd(a)
+        self.norm = float(self.sigma[0]) if self.sigma.size else 0.0
+        self.keep = self.sigma > RANK_TOL * self.norm
 
-def positive_sqrt(a: np.ndarray) -> np.ndarray:
-    """Positive square root of a positive self-adjoint operator.
+    def polar(self) -> tuple[np.ndarray, np.ndarray]:
+        """Polar factors (U, P) of a = U P: P = (a* a)^(1/2), and U the
+        partial isometry with ker U = ker P = ker a."""
+        u = self.left[:, self.keep] @ self.right_h[self.keep, :]
+        return u, self._right_calc(self.sigma)
 
-    Eigenvalues below -CLAMP_TOL * ||a|| raise NotPositiveError; values
-    within CLAMP_TOL * ||a|| of zero are treated as exact kernel, so the
-    root of a singular operator has a clean kernel instead of spurious
-    sqrt(rounding) eigenvalues.
-    """
-    return hermitian_eig(a).sqrt()
+    def root(self) -> np.ndarray:
+        """P^(1/2) = (a* a)^(1/4), the half power of the positive factor."""
+        return self._right_calc(np.sqrt(self.sigma))
 
+    def kernel(self) -> np.ndarray:
+        """Orthogonal projection onto ker a: the zero operator maps to the
+        identity."""
+        v0 = self.right_h[~self.keep, :].conj().T
+        return v0 @ v0.conj().T
 
-def polar_oracle(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Polar decomposition a = U P via SVD.
+    def gram_eig(self) -> EigenSystem:
+        """Eigensystem of a* a: sigma^2 ascending on the columns of R."""
+        return EigenSystem(self._squares(), self.right_h[::-1].conj().T)
 
-    P is the positive factor (A* A)^(1/2); U is the partial isometry that
-    agrees with A P^+ on the orthogonal complement of ker P and vanishes
-    on ker P, so ker U = ker P = ker A. Singular values at or below
-    RANK_TOL * sigma_max count as kernel.
-    """
-    left, sig, right_h = np.linalg.svd(a)
-    smax = float(sig.max()) if sig.size else 0.0
-    keep = sig > RANK_TOL * smax if smax > 0.0 else np.zeros_like(sig, dtype=bool)
-    u = left[:, keep] @ right_h[keep, :]
-    p = (right_h.conj().T * np.where(keep, sig, 0.0)[None, :]) @ right_h
-    return u, p
+    def cogram_eig(self) -> EigenSystem:
+        """Eigensystem of a a*: sigma^2 ascending on the columns of L."""
+        return EigenSystem(self._squares(), self.left[:, ::-1])
 
+    def _squares(self) -> np.ndarray:
+        """sigma^2, ascending. A finite a whose Gram product overflows has
+        no eigensystem an oracle can certify: ValueError, as for an a with
+        entries that overflow."""
+        with np.errstate(over="ignore"):
+            return require_finite(self.sigma[::-1] ** 2)
 
-def kernel_projection(a: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto the numerical kernel of a.
-
-    The kernel is spanned by the right singular vectors whose singular
-    values are at most RANK_TOL * sigma_max; the zero operator maps to
-    the identity.
-    """
-    _, sig, right_h = np.linalg.svd(a)
-    smax = float(sig.max()) if sig.size else 0.0
-    null = sig <= RANK_TOL * smax if smax > 0.0 else np.ones_like(sig, dtype=bool)
-    v0 = right_h[null, :].conj().T
-    return v0 @ v0.conj().T
+    def _right_calc(self, fvals: np.ndarray) -> np.ndarray:
+        """R diag(f) R*, f cut to zero on the kernel."""
+        return (self.right_h.conj().T * np.where(self.keep, fvals, 0.0)) @ self.right_h

@@ -80,7 +80,8 @@ class VerificationReport:
 def resolve_groups(checks: Iterable[str] | None) -> tuple[str, ...]:
     if checks is None:
         return FULL_GROUPS
-    groups = tuple(checks)
+    # A group named twice is run once.
+    groups = tuple(dict.fromkeys(checks))
     unknown = [g for g in groups if g not in CHECK_GROUPS]
     if unknown:
         raise ValueError(
@@ -105,8 +106,14 @@ def run_suite(
     groups = resolve_groups(checks)
     tols = tols or Tolerances()
     records: list[CheckRecord] = []
+    certified: set[str] = set()
     for bundle in bundles:
         ctx = CheckContext(bundle, tols)
+        # An instance given twice is certified once: one record per
+        # (digest, name).
+        if ctx.digest in certified:
+            continue
+        certified.add(ctx.digest)
         for group in groups:
             try:
                 records.extend(CHECK_GROUPS[group](ctx))

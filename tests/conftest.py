@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wcelab.generator import GeneratorConfig, gen_instance
-from wcelab.opalgebra import hermitian_eig, op_deviations, spectral_norms
+from wcelab.opalgebra import EigenSystem, op_deviations, spectral_norms
 
 
 def random_complex(rng, n, cap=4.0):
@@ -36,12 +36,20 @@ def deviation(a, b):
 
 
 def eig_calc(a, f):
-    """f(a) for a self-adjoint operator matrix and a scalar function,
-    through the oracle's calculus: hermitian_eig, then
-    EigenSystem.calc_stack."""
-    es = hermitian_eig(a)
+    """f(a) for a self-adjoint operator matrix and a scalar function: a
+    fresh np.linalg.eigh, then the oracle's EigenSystem.calc_stack."""
+    es = EigenSystem(*np.linalg.eigh(a))
     fvals = np.array([[f(float(v)) for v in es.values]], dtype=complex)
     return es.calc_stack(fvals)[0]
+
+
+def psd_root(a, snap=1e-10):
+    """Positive square root of a positive operator matrix from a fresh
+    np.linalg.eigh, eigenvalues at or below snap * ||a|| taken as exact
+    kernel: a reference independent of the SVD oracle."""
+    vals, vecs = np.linalg.eigh(a)
+    vals = np.where(vals <= snap * np.abs(vals).max(initial=0.0), 0.0, vals)
+    return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
 def closed_calc(closed_fn, inst, f):

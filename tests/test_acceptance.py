@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from wcelab.checks import (
+    CLAMP_TOL,
     GROUP_RECORD_NAMES,
     CheckContext,
     Tolerances,
@@ -27,13 +28,7 @@ from wcelab.generator import (
     rotation_config,
 )
 from wcelab.measure import MeasurableFunction, is_measurable
-from wcelab.opalgebra import (
-    CLAMP_TOL,
-    kernel_projection,
-    op_deviations,
-    polar_oracle,
-    positive_sqrt,
-)
+from wcelab.opalgebra import SvdOracle, op_deviations
 from wcelab.spectral import (
     SpectralMeasureTable,
     avg_mult_operator,
@@ -52,7 +47,15 @@ from wcelab.wce import (
     partial_isometry_criterion,
 )
 
-from conftest import adjoint, closed_calc, deviation, eig_calc, generated_partitions, norm
+from conftest import (
+    adjoint,
+    closed_calc,
+    deviation,
+    eig_calc,
+    generated_partitions,
+    norm,
+    psd_root,
+)
 
 
 @pytest.fixture(scope="module")
@@ -82,14 +85,15 @@ def test_criterion_2_polar_decomposition(family200):
     for inst in family200:
         t = build_operator(inst)
         u_op, abs_t = closed_polar(inst)
-        dev_abs = deviation(abs_t.matrices(), positive_sqrt(adjoint(t) @ t))
-        u_ref, _ = polar_oracle(t)
+        dev_abs = deviation(abs_t.matrices(), psd_root(adjoint(t) @ t))
+        u_ref, _ = SvdOracle(t).polar()
         dev_u = deviation(u_op.matrices(), u_ref)
         dev_fact = deviation((u_op @ abs_t).matrices(), t)
         assert dev_abs <= 1e-8
         assert dev_u <= 1e-8
         assert dev_fact <= 1e-8
-        kernels = [kernel_projection(x) for x in (u_op.matrices(), abs_t.matrices(), t)]
+        kernels = [SvdOracle(x).kernel()
+                   for x in (u_op.matrices(), abs_t.matrices(), t)]
         dev_ker = max(
             deviation(kernels[0], kernels[1]),
             deviation(kernels[1], kernels[2]),
@@ -106,8 +110,8 @@ def test_criterion_3_aluthge(family200):
     worst = 0.0
     for inst in family200:
         t = build_operator(inst)
-        u_ref, p_ref = polar_oracle(t)
-        half = positive_sqrt(p_ref)
+        u_ref, p_ref = SvdOracle(t).polar()
+        half = psd_root(p_ref)
         dev_main = deviation(closed_aluthge(inst).matrices(), half @ u_ref @ half)
         v = closed_abs_sqrt(inst)
         dev_root = deviation((v @ v).matrices(), closed_polar(inst)[1].matrices())

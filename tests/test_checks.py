@@ -12,6 +12,7 @@ import pytest
 
 from wcelab import checks, opalgebra, spectral
 from wcelab.checks import (
+    CLAMP_TOL,
     CheckContext,
     Tolerances,
     calculus_test_functions,
@@ -21,8 +22,10 @@ from wcelab.checks import (
     check_norm,
     check_partial_isometry,
     check_polar,
+    check_normality,
     check_reconstruction,
     check_spectral_decomp,
+    check_spectrum,
     check_vanishing,
 )
 from wcelab.cli import main
@@ -36,7 +39,6 @@ from wcelab.measure import (
     make_space,
 )
 from wcelab.condexp import Sandwich
-from wcelab.opalgebra import CLAMP_TOL, hermitian_eig
 from wcelab.spectral import (
     SpectralMeasureTable,
     _eigenvalue_groups,
@@ -67,10 +69,10 @@ def generated_bundles():
 
 def eigen_sum(a, f):
     """sum_k f(lambda_k) v_k <v_k, .> for a self-adjoint operator, one
-    rank-one term per eigenpair, from a fresh eigendecomposition."""
-    es = hermitian_eig(a)
+    rank-one term per eigenpair, from a fresh np.linalg.eigh."""
+    values, basis = np.linalg.eigh(a)
     return sum((f(float(lam)) * np.outer(v, v.conj())
-                for lam, v in zip(es.values, es.basis.T)),
+                for lam, v in zip(values, basis.T)),
                np.zeros(a.shape, dtype=complex))
 
 
@@ -102,28 +104,31 @@ def test_func_calc_matches_per_function_reference():
 
 
 def test_one_factorization_per_operator(monkeypatch):
-    counts = {"eigh": 0, "polar": 0, "kernel": 0}
-
-    def counting(key, fn):
-        def wrapped(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
-    monkeypatch.setattr(checks, "polar_oracle", counting("polar", checks.polar_oracle))
-    monkeypatch.setattr(checks, "kernel_projection",
-                        counting("kernel", checks.kernel_projection))
     bundle = gen_instance(GeneratorConfig(seed=11, n=16, block_count=4))
     ctx = CheckContext(bundle, Tolerances())
+    t = ctx.t
+    full_svds, eighs = [], []
+    svd, eigh = np.linalg.svd, np.linalg.eigh
+
+    def counting_svd(a, *args, **kwargs):
+        if kwargs.get("compute_uv", True):
+            full_svds.append(a)
+        return svd(a, *args, **kwargs)
+
+    def counting_eigh(*args, **kwargs):
+        eighs.append(args)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     for group in (check_func_calc, check_polar, check_aluthge):
         assert all(r.status == "pass" for r in group(ctx))
-    # T*T, T T* and |T| are factored at most once each; the lower bound
-    # shows that the spy sits on the solver the oracle calls.
-    assert 1 <= counts["eigh"] <= 3
-    assert counts["polar"] == 1
-    # Closed U and closed |T| only; ker T comes from the cached SVD.
-    assert counts["kernel"] == 2
+    # T's norm, polar factors, half-power root and both Gram eigensystems
+    # come from one SVD of T; no Gram product is factored.
+    assert sum(a is t for a in full_svds) == 1
+    assert eighs == []
+    # The other full SVDs are the kernels of closed U and closed |T|.
+    assert len(full_svds) == 3
 
 
 def test_one_cond_exp_matrix_per_partition(monkeypatch):
@@ -197,10 +202,20 @@ def test_norms_already_held_are_not_taken_again(monkeypatch):
             t_norms.append(a)
         return original(a)
 
+    svds = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        if a is ctx.t:
+            svds.append(a)
+        return svd(a, *args, **kwargs)
+
     monkeypatch.setattr(checks, "spectral_norms", counting)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     for group in (check_norm, check_vanishing, check_partial_isometry):
         assert all(r.status == "pass" for r in group(ctx))
-    assert len(t_norms) == 1
+    # ||T|| is read off T's one SVD, never taken as a norm of its own.
+    assert len(t_norms) == 0 and len(svds) == 1
 
     spectral_norms = []
     kernel = opalgebra.spectral_norms
@@ -213,11 +228,9 @@ def test_norms_already_held_are_not_taken_again(monkeypatch):
     monkeypatch.setattr(opalgebra, "spectral_norms", counting_norms)
     fresh = CheckContext(bundle, Tolerances())
     assert all(r.status == "pass" for r in check_func_calc(fresh))
-    # The asymmetry test of each Gram product's eigh (its norm is read off
-    # the eigenvalues), then per product the stacked differences. The
-    # oracle side's norms are its largest |f(lambda_k)|, read off the
-    # eigenvalues.
-    assert spectral_norms == [(16, 16)] * 2 + [(6, 16, 16)] * 2
+    # Per product the stacked differences only: the oracle side's norms
+    # are its largest |f(lambda_k)|, read off the eigenvalues.
+    assert spectral_norms == [(6, 16, 16)] * 2
 
 
 def zero_operator_bundle():
@@ -230,6 +243,7 @@ def zero_operator_bundle():
 
 @pytest.mark.parametrize("group, tol", [
     (check_polar, 1e-13),
+    (check_aluthge, 1e-13),
     (check_spectral_decomp, 1e-13),
     # max |f(lambda_k)| is the norm of the operator the eigenbasis stands
     # for; the assembled matrix carries eigh's loss of orthogonality
@@ -299,7 +313,8 @@ def reference_spectral_decomp(inst):
         "sd_orthogonality": orth_res,
         "sd_reconstruction": two_sided_deviation(recon, m),
         "sd_rank_sum": float(abs(total_rank - n)),
-        "sd_eigs_match": checks._eigvals_match_residual(eigenvalues, m),
+        "sd_eigs_match": checks._eigvals_match_residual(
+            eigenvalues, [complex(z) for z in np.linalg.eigvals(m)]),
     }
 
 
@@ -347,6 +362,30 @@ def test_reconstruction_matches_per_round_reference():
         [rec] = check_reconstruction(ctx)
         assert rec.status == "pass"
         assert rec.residual == pytest.approx(reference_reconstruction(ctx), rel=0, abs=1e-13)
+
+
+def test_one_avg_mult_operator_per_instance(monkeypatch):
+    # normality, spectrum and spectral_decomp share one matrix of E M_u
+    # and one eigvals of it.
+    built, factored = [], []
+    build, eigvals = checks.avg_mult_operator, np.linalg.eigvals
+
+    def counting_build(*args):
+        built.append(args)
+        return build(*args)
+
+    def counting_eigvals(a):
+        factored.append(a)
+        return eigvals(a)
+
+    monkeypatch.setattr(checks, "avg_mult_operator", counting_build)
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    ctx = CheckContext(gen_instance(GeneratorConfig(seed=23, n=12, block_count=4,
+                                                    measurable_u=True)), Tolerances())
+    for group in (check_normality, check_spectrum, check_spectral_decomp):
+        assert all(r.status == "pass" for r in group(ctx))
+    assert len(built) == 1
+    assert len(factored) == 1 and factored[0] is ctx.avg_mult
 
 
 def test_one_measure_table_per_instance(monkeypatch):

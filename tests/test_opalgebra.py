@@ -1,21 +1,23 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wcelab.errors import NotPositiveError, NotSelfAdjointError
 from wcelab.condexp import cond_exp_values
 from wcelab.measure import coarsest_partition, make_partition, make_space
-from wcelab.opalgebra import (
-    hermitian_eig,
-    kernel_projection,
-    op_deviations,
-    polar_oracle,
-    positive_sqrt,
-    spectral_norms,
-)
+from wcelab.opalgebra import SvdOracle, op_deviations, spectral_norms
 
-from conftest import adjoint, deviation, eig_calc, norm, point_matrix, random_complex
+from conftest import (
+    adjoint,
+    deviation,
+    eig_calc,
+    norm,
+    point_matrix,
+    psd_root,
+    random_complex,
+)
 
 
 def random_operator(rng, space):
@@ -140,84 +142,93 @@ class TestOperatorNorm:
 
 
 class TestHermitianEig:
+    """The eigensystems of a* a and a a* read off the SVD of a."""
+
     def test_identity_spectrum(self, space):
-        es = hermitian_eig(np.eye(space.n))
+        es = SvdOracle(np.eye(space.n)).gram_eig()
         np.testing.assert_allclose(es.values, np.ones(space.n))
 
     def test_projection_spectrum_counts(self):
-        # The averaging projection onto k blocks has eigenvalue 1 with
-        # multiplicity k and 0 with multiplicity n - k; cross-checked by
-        # the trace.
+        # The averaging projection onto k blocks is its own Gram product:
+        # eigenvalue 1 with multiplicity k and 0 with multiplicity n - k;
+        # cross-checked by the trace.
         sp = make_space([1.0, 2.0, 0.5, 3.0, 1.5])
         p = make_partition(sp, [[0, 1], [2, 4], [3]])
         e = p.cond_exp_matrix
-        es = hermitian_eig(e)
-        ones = np.sum(np.abs(es.values - 1) < 1e-10)
-        zeros = np.sum(np.abs(es.values) < 1e-10)
-        assert ones == 3 and zeros == 2
+        for es in (SvdOracle(e).gram_eig(), SvdOracle(e).cogram_eig()):
+            ones = np.sum(np.abs(es.values - 1) < 1e-10)
+            zeros = np.sum(np.abs(es.values) < 1e-10)
+            assert ones == 3 and zeros == 2
         assert np.trace(e).real == pytest.approx(3.0)
 
     def test_diagonal(self):
-        sp = make_space([1.0, 4.0])
-        es = hermitian_eig(np.diag([2.0, 5.0]))
-        np.testing.assert_allclose(es.values, [2.0, 5.0])
+        es = SvdOracle(np.diag([5.0, 2.0])).gram_eig()
+        np.testing.assert_allclose(es.values, [4.0, 25.0])
 
     @pytest.mark.parametrize("n", [4, 48])
     def test_residual_and_orthonormality(self, n, rng):
         sp = make_space(rng.uniform(0.1, 10.0, n))
-        a = random_self_adjoint(rng, sp)
-        es = hermitian_eig(a)
-        # Eigenvectors as columns, orthonormal in the weighted inner product.
-        vectors = es.basis / sp.sqrt_weights[:, None]
-        norm_a = norm(a)
-        a_pt = point_matrix(sp, a)
-        for k in range(n):
-            v = vectors[:, k]
-            residual = sp.norm(a_pt @ v - es.values[k] * v)
-            assert residual <= 1e-11 * norm_a
-        gram = np.array([
-            [sp.inner(vectors[:, i], vectors[:, j]) for j in range(n)]
-            for i in range(n)
-        ])
-        np.testing.assert_allclose(gram, np.eye(n), atol=1e-11)
+        b = random_operator(rng, sp)
+        for a, es in ((adjoint(b) @ b, SvdOracle(b).gram_eig()),
+                      (b @ adjoint(b), SvdOracle(b).cogram_eig())):
+            assert np.all(np.diff(es.values) >= 0.0)
+            # Eigenvectors as columns, orthonormal in the weighted inner
+            # product.
+            vectors = es.basis / sp.sqrt_weights[:, None]
+            norm_a = norm(a)
+            a_pt = point_matrix(sp, a)
+            for k in range(n):
+                v = vectors[:, k]
+                residual = sp.norm(a_pt @ v - es.values[k] * v)
+                assert residual <= 1e-11 * norm_a
+            gram = np.array([
+                [sp.inner(vectors[:, i], vectors[:, j]) for j in range(n)]
+                for i in range(n)
+            ])
+            np.testing.assert_allclose(gram, np.eye(n), atol=1e-11)
 
-    def test_rejects_asymmetric(self, space, rng):
-        a = random_operator(rng, space)
-        with pytest.raises(NotSelfAdjointError):
-            hermitian_eig(a)
+    def test_overflowing_gram_product_is_an_error(self):
+        # a is finite, but sigma^2, the spectrum of a* a, is not.
+        a = np.diag([1e160, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for eig in (SvdOracle(a).gram_eig, SvdOracle(a).cogram_eig):
+                with pytest.raises(ValueError, match="operator entries must be finite"):
+                    eig()
 
 
 class TestPositiveSqrt:
+    """root(): the half power of the positive polar factor."""
+
     def test_identity(self, space):
-        root = positive_sqrt(np.eye(space.n))
+        root = SvdOracle(np.eye(space.n)).root()
         np.testing.assert_allclose(root, np.eye(space.n), atol=1e-14)
 
     def test_scaled_identity(self, space):
-        root = positive_sqrt(4.0 * np.eye(space.n))
+        root = SvdOracle(4.0 * np.eye(space.n)).root()
         np.testing.assert_allclose(root, 2.0 * np.eye(space.n), atol=1e-13)
 
     def test_projection_is_own_root(self, space):
         p = make_partition(space, [[0, 1, 3], [2]])
         e = p.cond_exp_matrix
-        root = positive_sqrt(e)
+        root = SvdOracle(e).root()
         assert deviation(root, e) < 1e-12
         assert deviation(root @ root, e) < 1e-12
 
     def test_squares_back(self, space, rng):
         b = random_operator(rng, space)
         a = adjoint(b) @ b
-        root = positive_sqrt(a)
-        assert deviation(root @ root, a) < 1e-12
+        oracle = SvdOracle(b)
+        root = oracle.root()
+        _, p = oracle.polar()
+        assert deviation(root @ root, p) < 1e-12
+        assert deviation(p @ p, a) < 1e-12
         assert norm(root @ a - a @ root) < 1e-10 * (1 + norm(a))
-
-    def test_rejects_negative(self, space):
-        with pytest.raises(NotPositiveError):
-            positive_sqrt(-np.eye(space.n))
 
 
 class TestPolarOracle:
     def test_identity(self, space):
-        u, p = polar_oracle(np.eye(space.n))
+        u, p = SvdOracle(np.eye(space.n)).polar()
         np.testing.assert_allclose(u, np.eye(space.n), atol=1e-13)
         np.testing.assert_allclose(p, np.eye(space.n), atol=1e-13)
 
@@ -226,26 +237,29 @@ class TestPolarOracle:
         part = make_partition(space, [[0, 2], [1, 3]])
         e = part.cond_exp_matrix
         three_e = 3.0 * e
-        u, p = polar_oracle(three_e)
+        u, p = SvdOracle(three_e).polar()
         assert deviation(p, three_e) < 1e-12
         assert deviation(u, e) < 1e-12
 
     def test_zero(self, space):
-        u, p = polar_oracle(np.zeros((space.n, space.n)))
+        oracle = SvdOracle(np.zeros((space.n, space.n)))
+        u, p = oracle.polar()
+        assert oracle.norm == 0.0
         assert norm(u) == 0.0
         assert norm(p) == 0.0
+        assert norm(oracle.root()) == 0.0
 
     def test_factorization_and_kernels(self, space, rng):
         for _ in range(5):
             a = random_operator(rng, space)
-            u, p = polar_oracle(a)
+            u, p = SvdOracle(a).polar()
             assert deviation(u @ p, a) < 1e-12
-            assert deviation(p, positive_sqrt(adjoint(a) @ a)) < 1e-11
+            assert deviation(p, psd_root(adjoint(a) @ a)) < 1e-11
             uu = adjoint(u) @ u
             assert norm(uu @ uu - uu) < 1e-12
-            ker_u = kernel_projection(u)
-            ker_p = kernel_projection(p)
-            ker_a = kernel_projection(a)
+            ker_u = SvdOracle(u).kernel()
+            ker_p = SvdOracle(p).kernel()
+            ker_a = SvdOracle(a).kernel()
             assert deviation(ker_u, ker_p) < 1e-10
             assert deviation(ker_p, ker_a) < 1e-10
 
@@ -274,11 +288,11 @@ class TestFuncCalcOracle:
 
 class TestKernelProjection:
     def test_identity_has_trivial_kernel(self, space):
-        k = kernel_projection(np.eye(space.n))
+        k = SvdOracle(np.eye(space.n)).kernel()
         assert norm(k) == pytest.approx(0.0, abs=1e-14)
 
     def test_zero_has_full_kernel(self, space):
-        k = kernel_projection(np.zeros((space.n, space.n)))
+        k = SvdOracle(np.zeros((space.n, space.n))).kernel()
         np.testing.assert_allclose(k, np.eye(space.n), atol=1e-14)
 
     def test_projection_complement(self, space):
@@ -286,8 +300,48 @@ class TestKernelProjection:
         # the kernel projection must be I - E.
         p = make_partition(space, [[0, 1], [2, 3]])
         e = p.cond_exp_matrix
-        k = kernel_projection(e)
+        k = SvdOracle(e).kernel()
         assert deviation(k + e, np.eye(space.n)) < 1e-12
+
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 12), st.data(), st.booleans())
+def test_svd_oracle_against_references(seed, n, data, real):
+    # a = L_r diag(s) R_r* of rank r = 0..n, singular values well inside
+    # the RANK_TOL cut, real or complex: every quantity SvdOracle reads off
+    # its one SVD against np.linalg.eigh and the polar identities.
+    rank = data.draw(st.integers(0, n))
+    rng = np.random.default_rng(seed)
+
+    def frame():
+        m = rng.normal(size=(n, n)) + (0.0 if real else 1j * rng.normal(size=(n, n)))
+        return np.linalg.qr(m)[0][:, :rank]
+
+    s = 10.0 ** rng.uniform(-3, 3) * rng.uniform(0.1, 1.0, rank)
+    a = (frame() * s) @ adjoint(frame())
+    oracle = SvdOracle(a)
+    scale = float(s.max(initial=0.0))
+    assert oracle.norm == pytest.approx(scale, rel=1e-12, abs=0.0)
+    assert int(oracle.keep.sum()) == rank
+
+    for product, es in ((adjoint(a) @ a, oracle.gram_eig()),
+                        (a @ adjoint(a), oracle.cogram_eig())):
+        ref = np.linalg.eigh(product)[0]
+        np.testing.assert_allclose(es.values, ref, rtol=0.0, atol=1e-12 * scale ** 2)
+        rebuilt = es.calc_stack(es.values[None].astype(complex))[0]
+        assert norm(rebuilt - product) <= 1e-12 * scale ** 2
+
+    u, p = oracle.polar()
+    assert norm(u @ p - a) <= 1e-12 * scale
+    uu = adjoint(u) @ u
+    assert norm(uu @ uu - uu) <= 1e-12
+    root = oracle.root()
+    assert norm(root @ root - p) <= 1e-12 * scale
+    assert norm(oracle.kernel() - (np.eye(n) - uu)) <= 1e-12
+    if rank == 0:
+        assert oracle.norm == 0.0 and norm(u) == norm(p) == norm(root) == 0.0
+        np.testing.assert_array_equal(oracle.kernel(), np.eye(n))
 
 
 

@@ -254,6 +254,63 @@ class TestCli:
                 assert records[name]["reason"] == (
                     f"{group} raised ValueError: E(|w|^2) is not finite")
 
+    def test_verify_finite_operator_with_overflowing_gram_breaks_down_quietly(
+            self, tmp_path, capfd):
+        # T's entries are about 1e160, finite, but its squared singular
+        # values, the spectra of T* T and T T*, overflow: the calculus has
+        # no eigensystem to certify and breaks down with nothing on stderr.
+        # The closed forms meet E(|u|^2) = inf first.
+        doc = {"weights": [1, 2, 0.5, 1.5], "partition": [[0, 1], [2, 3]],
+               "u": [[1e160, 0], [2e160, 0], [-1e160, 1e160], [3e160, 0]],
+               "w": [[1, 0], [2, 0], [1, 1], [3, 0]]}
+        inst_file = tmp_path / "gram_overflow.json"
+        inst_file.write_text(json.dumps(doc))
+        report_file = tmp_path / "report.json"
+        assert main(["verify", str(inst_file), "--report", str(report_file)]) == 1
+        _, err = capfd.readouterr()
+        assert err == ""
+        finite = "ValueError: operator entries must be finite"
+        eu2 = "ValueError: E(|u|^2) is not finite"
+        expected = {
+            "condexp": ("pass", ""),
+            "norm": ("fail", "norm raised ValueError: E(|w|^2) E(|u|^2) is not finite"),
+            "vanishing": ("fail", f"vanishing raised {eu2}"),
+            "partial_isometry": ("fail", f"partial_isometry raised {finite}"),
+            "func_calc": ("fail", f"func_calc raised {finite}"),
+            "polar": ("fail", f"polar raised {eu2}"),
+            "aluthge": ("fail", f"aluthge raised {eu2}"),
+            "normality": ("fail", f"normality raised {finite}"),
+            "spectrum": ("pass", ""),
+            "spectral_decomp": ("skip", "u is not blockwise constant, E M_u is not normal"),
+            "measure_axioms": ("skip", "no point map on this instance"),
+            "reconstruction": ("skip", "no point map on this instance"),
+        }
+        records = json.loads(report_file.read_text())["records"]
+        assert {(r["name"], r["status"], r.get("reason", "")) for r in records} == {
+            (name, *expected[group])
+            for group, names in GROUP_RECORD_NAMES.items() for name in names}
+
+    def test_repeated_check_group_runs_once(self, tmp_path, capsys):
+        inst_file = tmp_path / "inst.json"
+        main(["gen", "--seed", "5", "--n", "6", "--blocks", "2", "-o", str(inst_file)])
+        capsys.readouterr()
+        assert main(["verify", str(inst_file), "--checks", "norm,norm,vanishing"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("norm_formula") == 1
+        assert "summary: 3 checks" in out
+
+    def test_repeated_instance_is_certified_once(self, tmp_path, capsys):
+        inst_file = tmp_path / "inst.json"
+        main(["gen", "--seed", "5", "--n", "6", "--blocks", "2", "-o", str(inst_file)])
+        capsys.readouterr()
+        assert main(["verify", str(inst_file), str(inst_file), "--checks", "norm"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("norm_formula") == 1
+        assert "summary: 1 checks" in out
+        bundle = trivial_bundle()
+        report = run_suite([bundle, trivial_bundle(), bundle], checks=["norm", "norm"])
+        assert [r.name for r in report.records] == ["norm_formula"]
+
     def test_verify_non_utf8_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b"\xff\xfe{")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wcelab.checks import calculus_test_functions
+from wcelab.checks import CLAMP_TOL, calculus_test_functions
 from wcelab.condexp import Sandwich
 from wcelab.generator import GeneratorConfig, gen_instance
 from wcelab.measure import (
@@ -13,12 +13,7 @@ from wcelab.measure import (
     make_partition,
     make_space,
 )
-from wcelab.opalgebra import (
-    CLAMP_TOL,
-    kernel_projection,
-    polar_oracle,
-    positive_sqrt,
-)
+from wcelab.opalgebra import SvdOracle
 from wcelab.wce import (
     build_operator,
     closed_abs_sqrt,
@@ -39,6 +34,7 @@ from conftest import (
     eig_calc,
     norm,
     point_matrix,
+    psd_root,
     random_complex,
 )
 
@@ -337,11 +333,12 @@ class TestClosedPolar:
         t = build_operator(inst)
         u_op, abs_t = closed_polar(inst)
         gram = adjoint(t) @ t
-        assert deviation(abs_t.matrices(), positive_sqrt(gram)) < 1e-8
-        u_ref, _ = polar_oracle(t)
+        assert deviation(abs_t.matrices(), psd_root(gram)) < 1e-8
+        u_ref, _ = SvdOracle(t).polar()
         assert deviation(u_op.matrices(), u_ref) < 1e-8
         assert deviation((u_op @ abs_t).matrices(), t) < 1e-8
-        kernels = [kernel_projection(x) for x in (u_op.matrices(), abs_t.matrices(), t)]
+        kernels = [SvdOracle(x).kernel()
+                   for x in (u_op.matrices(), abs_t.matrices(), t)]
         for i in range(3):
             for j in range(i + 1, 3):
                 assert deviation(kernels[i], kernels[j]) < 1e-7
@@ -398,8 +395,9 @@ class TestClosedAluthge:
     def test_certification(self, seed):
         inst = random_instance(seed, zero_blocks=(seed % 2 == 1))
         t = build_operator(inst)
-        u_ref, p_ref = polar_oracle(t)
-        oracle = positive_sqrt(p_ref) @ u_ref @ positive_sqrt(p_ref)
+        u_ref, p_ref = SvdOracle(t).polar()
+        half = psd_root(p_ref)
+        oracle = half @ u_ref @ half
         assert deviation(closed_aluthge(inst).matrices(), oracle) < 1e-8
         v = closed_abs_sqrt(inst)
         assert deviation((v @ v).matrices(), closed_polar(inst)[1].matrices()) < 1e-8
