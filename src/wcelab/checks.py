@@ -13,7 +13,6 @@ against. For most checks the bound is an upper bound; separation checks
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass
@@ -27,6 +26,7 @@ from .errors import NotNormalError
 from .instance_io import InstanceBundle, instance_digest, serialize_instance
 from .measure import Partition, is_measurable
 from .opalgebra import (
+    RANK_TOL,
     SvdOracle,
     op_deviations,
     require_finite,
@@ -57,8 +57,6 @@ from .wce import (
 AXIOM_TOL = 1e-9           # spectral measure axioms
 MASS_TOL = 1e-12           # pushforward mass conservation (relative)
 POINTWISE_SLACK = 1e-12    # additive slack for pointwise inequalities
-SEPARATION = 1e-6          # floor for operators that must not vanish
-CLAMP_TOL = 1e-10          # relative snap of the sqrt test function to 0
 
 
 @dataclass(frozen=True)
@@ -66,7 +64,7 @@ class Tolerances:
     """The two comparison tolerances a verification run can set."""
 
     op_tol: float = 1e-8           # relative operator comparisons
-    support_tol: float = 1e-10     # support / zero detection
+    support_tol: float = 1e-10     # is u blockwise constant (normality)
 
     @property
     def kernel_tol(self) -> float:
@@ -114,12 +112,12 @@ class CheckContext:
 
     The matrix of T, its one SVD (its norm, polar factors, half-power
     root and both Gram eigensystems are read off it), T T*, the closed
-    polar pair, the matrix of E M_u and its eigenvalues, and the spectral
-    measure table of the point map are each computed once, on first use,
-    and shared by every check group. Every matrix is in the orthonormal
-    basis of the weighted space (see Partition.cond_exp_matrix), so the
-    adjoint is the conjugate transpose. The oracles still see only these
-    dense matrices, never the partition.
+    polar pair and the matrix of its |T|, the matrix of E M_u and its
+    eigenvalues, and the spectral measure table of the point map are each
+    computed once, on first use, and shared by every check group. Every
+    matrix is in the orthonormal basis of the weighted space (see
+    Partition.cond_exp_matrix), so the adjoint is the conjugate transpose.
+    The oracles still see only these dense matrices, never the partition.
     """
 
     bundle: InstanceBundle
@@ -133,14 +131,9 @@ class CheckContext:
         if not self.digest:
             self.digest = instance_digest(self.doc)
 
-    @cached_property
+    @property
     def instance(self) -> WceInstance:
-        """The bundle's instance, with supports cut at the run's support_tol
-        (a field the instance document does not carry)."""
-        inst = self.bundle.instance
-        if inst.support_tol == self.tols.support_tol:
-            return inst
-        return dataclasses.replace(inst, support_tol=self.tols.support_tol)
+        return self.bundle.instance
 
     def seed(self, salt: str) -> int:
         """Seed derived from the instance digest and a per-check salt."""
@@ -196,6 +189,11 @@ class CheckContext:
         return closed_polar(self.instance)
 
     @cached_property
+    def abs_closed(self) -> np.ndarray:
+        """The matrix of the closed |T|, shared by polar and aluthge."""
+        return self.polar_closed[1].matrices()
+
+    @cached_property
     def avg_mult(self) -> np.ndarray:
         """The matrix of E M_u, f -> E(u f)."""
         return avg_mult_operator(self.instance.u, self.instance.partition)
@@ -219,10 +217,8 @@ class CheckContext:
         residual: float,
         tol: float,
         bound: str = "upper",
-        force_fail: bool = False,
     ) -> CheckRecord:
         ok = residual <= tol if bound == "upper" else residual > tol
-        ok = ok and not force_fail
         return CheckRecord(
             name=name,
             statement=statement,
@@ -263,21 +259,15 @@ class CheckContext:
 # Functional calculus test functions
 
 
-def calculus_test_functions(
-    kernel_snap: float,
-) -> tuple[tuple[str, Callable[[float], complex]], ...]:
-    """The standard test suite {1, t, t^2, t^3, sqrt, exp(-t)}.
-
-    sqrt treats values at or below kernel_snap as exact zero, so both
-    sides of a comparison see the same branch on numerically-zero
-    spectrum.
-    """
+def calculus_test_functions() -> tuple[tuple[str, Callable[[float], complex]], ...]:
+    """The standard test suite {1, t, t^2, t^3, sqrt, exp(-t)}, on the
+    nonnegative spectrum of a Gram product."""
     return (
         ("one", lambda t: 1.0),
         ("t", lambda t: t),
         ("t^2", lambda t: t * t),
         ("t^3", lambda t: t * t * t),
-        ("sqrt", lambda t: math.sqrt(t) if t > kernel_snap else 0.0),
+        ("sqrt", math.sqrt),
         ("exp(-t)", lambda t: math.exp(-t)),
     )
 
@@ -446,37 +436,40 @@ def check_vanishing(ctx: CheckContext) -> list[CheckRecord]:
     t = ctx.t
     t_norm = ctx.t_norm
     blocks = inst.partition.block_of
-    in_sg = inst.sg_mask[_first_points(inst.partition)]
-    block_in_sg = np.flatnonzero(in_sg)
+    in_kept = inst.kept[_first_points(inst.partition)]
+    block_kept = np.flatnonzero(in_kept)
     records: list[CheckRecord] = []
 
-    # g supported off the product support forces M_g T = 0.
-    g_blocks = np.zeros(in_sg.size, dtype=complex)
-    g_blocks[~in_sg] = _random_phases(rng, int((~in_sg).sum()), 0.5, 2.0)
+    # g supported off the kept blocks leaves M_g T below the rank cut.
+    g_blocks = np.zeros(in_kept.size, dtype=complex)
+    g_blocks[~in_kept] = _random_phases(rng, int((~in_kept).sum()), 0.5, 2.0)
     g1 = g_blocks[blocks]
-    # g alive on the product support keeps M_g T away from zero.
+    # g alive on a kept block keeps M_g T above the cut.
     gs = [g1]
-    if block_in_sg.size:
-        pick = block_in_sg[int(rng.integers(0, block_in_sg.size))]
-        gs.append(np.where(blocks == pick, rng.uniform(0.5, 2.0), 0.0))
+    if block_kept.size:
+        pick = block_kept[int(rng.integers(0, block_kept.size))]
+        g_pick = rng.uniform(0.5, 2.0)
+        gs.append(np.where(blocks == pick, g_pick, 0.0))
     norms = spectral_norms(np.stack([g[:, None] * t for g in gs]))
 
     res1 = norms[0] / ((1.0 + t_norm) * (1.0 + float(np.abs(g1).max(initial=0.0))))
     records.append(ctx.record(
         "vanishing_disjoint",
-        "M_g T = 0 when g lives off the support of E(|w|^2) E(|u|^2)",
-        res1, ctx.tols.support_tol,
+        "M_g T = 0 when g lives off the kept blocks",
+        res1, RANK_TOL,
     ))
-    if block_in_sg.size:
+    if block_kept.size:
+        # ||M_g T|| / (max|g| ||T||) is sigma_B / sigma_max on the picked
+        # block: the rank cut seen from the kept side.
         records.append(ctx.record(
             "vanishing_meets",
-            "M_g T stays away from 0 when g is alive on the product support",
-            norms[1], SEPARATION, bound="lower",
+            "M_g T stays away from 0 when g is alive on a kept block",
+            norms[1] / (g_pick * t_norm), RANK_TOL, bound="lower",
         ))
     else:
         records.append(ctx.skip(
             "vanishing_meets",
-            "M_g T stays away from 0 when g is alive on the product support",
+            "M_g T stays away from 0 when g is alive on a kept block",
             "the product E(|w|^2) E(|u|^2) vanishes identically",
         ))
     return records
@@ -488,29 +481,26 @@ def check_partial_isometry(ctx: CheckContext) -> list[CheckRecord]:
     # The oracle side first: Gram products that overflow break the group
     # down there, as in every group that needs them.
     residual = float(spectral_norms(ctx.cogram @ t - t)) / max(1.0, ctx.t_norm)
-    is_pi, members = partial_isometry_criterion(inst, ctx.tols.op_tol)
+    is_pi = partial_isometry_criterion(inst, ctx.tols.op_tol)
     # Equivalence: when the criterion says partial isometry the oracle
-    # residual must vanish, otherwise it must not. A partial isometry
-    # must also have S and G as its indicator set.
-    support_ok = not is_pi or np.array_equal(members, inst.sg_mask)
+    # residual must vanish, otherwise it must not.
     return [ctx.record(
         "partial_isometry",
-        "E(|w|^2) E(|u|^2) is an indicator iff T T* T = T; indicator set is S and G",
+        "E(|w|^2) E(|u|^2) is an indicator function iff T T* T = T",
         residual,
         ctx.tols.op_tol,
         bound="upper" if is_pi else "lower",
-        force_fail=not support_ok,
     )]
 
 
 def check_func_calc(ctx: CheckContext) -> list[CheckRecord]:
     inst = ctx.instance
+    fns = tuple(f for _, f in calculus_test_functions())
     records: list[CheckRecord] = []
     for name, closed_fn, eig in (
         ("func_calc_gram", closed_func_calc_gram, ctx.svd.gram_eig()),
         ("func_calc_cogram", closed_func_calc_cogram, ctx.svd.cogram_eig()),
     ):
-        fns = tuple(f for _, f in calculus_test_functions(CLAMP_TOL * eig.scale))
         closed = closed_fn(inst, fns)
         fvals = np.asarray([[f(float(v)) for v in eig.values] for f in fns],
                            dtype=complex)
@@ -520,7 +510,7 @@ def check_func_calc(ctx: CheckContext) -> list[CheckRecord]:
                               np.abs(fvals).max(axis=1)).max()
         records.append(ctx.record(
             name,
-            "closed functional calculus equals the eigendecomposition calculus "
+            "closed functional calculus equals the calculus on the SVD of T "
             "for {1, t, t^2, t^3, sqrt, exp(-t)}",
             worst, ctx.tols.func_calc_tol,
         ))
@@ -530,7 +520,7 @@ def check_func_calc(ctx: CheckContext) -> list[CheckRecord]:
 def check_polar(ctx: CheckContext) -> list[CheckRecord]:
     t = ctx.t
     u_closed, abs_closed = ctx.polar_closed
-    u_mat, abs_mat = u_closed.matrices(), abs_closed.matrices()
+    u_mat, abs_mat = u_closed.matrices(), ctx.abs_closed
     u_ref, abs_ref = ctx.polar
     uu = u_closed.adjoint() @ u_closed
     k_u, k_abs = SvdOracle(u_mat).kernel(), SvdOracle(abs_mat).kernel()
@@ -550,7 +540,7 @@ def check_polar(ctx: CheckContext) -> list[CheckRecord]:
         np.array([ctx.t_norm, float(ctx.t_norm > 0.0), ctx.t_norm]))
     return [
         ctx.record("polar_abs",
-                   "closed |T| equals the eigendecomposition root of T* T",
+                   "closed |T| equals (T* T)^(1/2) read off the SVD of T",
                    abs_res, ctx.tols.op_tol),
         ctx.record("polar_isometry",
                    "closed U equals the SVD polar factor",
@@ -581,11 +571,10 @@ def check_aluthge(ctx: CheckContext) -> list[CheckRecord]:
     core = s[:, None] * (svd.right_h[svd.keep] @ svd.left[:, svd.keep]) * s
     closed = closed_aluthge(inst)
     v = closed_abs_sqrt(inst)
-    _, abs_closed = ctx.polar_closed
     # || |T| || = ||T|| is the reference norm of the closed |T|.
     closed_res, root_res = op_deviations(
         np.stack((closed.matrices(), (v @ v).matrices())),
-        np.stack((oracle, abs_closed.matrices())),
+        np.stack((oracle, ctx.abs_closed)),
         np.array([float(spectral_norms(core)), ctx.t_norm]))
     return [
         ctx.record("aluthge_closed",

@@ -83,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--tol", type=_tolerance, default=1e-8,
                         help="relative operator comparison tolerance")
     verify.add_argument("--support-tol", type=_tolerance, default=1e-10,
-                        help="support / zero detection tolerance")
+                        help="whether u is blockwise constant (normality)")
     verify.add_argument("--report", type=Path, default=None,
                         help="write the machine-readable JSON report here")
 

@@ -202,7 +202,6 @@ def perturb_nonmeasurable(instance: WceInstance, seed: int) -> WceInstance:
         instance.partition,
         MeasurableFunction(instance.space, u_vals),
         instance.w,
-        instance.support_tol,
     )
 
 

@@ -19,8 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Relative singular-value cutoff deciding numerical kernels.
-RANK_TOL = 1e-9
+# Relative singular-value cutoff: the one cut for every rank, support and
+# separation decision about T, on the oracle side (SvdOracle) and on the
+# closed-form side (WceInstance.kept) alike.
+RANK_TOL = 1e-10
 
 
 def require_finite(m: np.ndarray) -> np.ndarray:

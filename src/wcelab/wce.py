@@ -8,12 +8,12 @@ algebraic expressions in the block aggregates E(|u|^2), E(|w|^2) and
 E(u w); this module builds them as factored M_a E M_b values (Sandwich)
 whose matrices, with the matrix of T, the oracles in opalgebra certify.
 
-Quotients such as E(|w|^2) / E(|u|^2) appearing under an indicator of
-the support are evaluated as "reciprocal on the support, zero off it".
-Supports are resolved blockwise: a block belongs to the support of a
-block aggregate iff its (constant) value exceeds the relative tolerance,
-which cannot split a block because the aggregates are blockwise constant
-by construction.
+Every closed form lives on the kept blocks: those whose singular value
+sigma_B = sqrt(E(|u|^2) E(|w|^2)) exceeds RANK_TOL times the largest, the
+cut SvdOracle makes on the singular values of the matrix of T. So both
+sides of every check agree on T's rank. Quotients such as
+E(|w|^2) / E(|u|^2) are evaluated as "reciprocal on the kept blocks, zero
+off them".
 """
 
 from __future__ import annotations
@@ -27,12 +27,8 @@ import numpy as np
 
 from .condexp import Sandwich, cond_exp_values
 from .errors import SpaceMismatchError
-from .measure import (
-    DEFAULT_SUPPORT_TOL,
-    FiniteMeasureSpace,
-    MeasurableFunction,
-    Partition,
-)
+from .measure import FiniteMeasureSpace, MeasurableFunction, Partition
+from .opalgebra import RANK_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,7 +38,6 @@ class WceInstance:
     partition: Partition
     u: MeasurableFunction
     w: MeasurableFunction
-    support_tol: float = DEFAULT_SUPPORT_TOL
 
     @property
     def space(self) -> FiniteMeasureSpace:
@@ -69,56 +64,50 @@ class WceInstance:
         with np.errstate(over="ignore", invalid="ignore"):
             return cond_exp_values(self.partition, self.u.values * self.w.values)
 
-    def _block_support_mask(self, aggregate: np.ndarray, name: str) -> np.ndarray:
-        """Points where the nonnegative aggregate (called name) exceeds
-        support_tol times its peak; empty when the aggregate vanishes. The
-        aggregate is blockwise constant, so the result is a union of blocks.
-        An aggregate that is not finite has no peak to cut at, so it raises
-        ValueError."""
-        peak = float(aggregate.max(initial=0.0))
-        if not math.isfinite(peak):
-            raise ValueError(f"{name} is not finite")
-        return aggregate > self.support_tol * peak
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        """T's singular value sigma_B = sqrt(E(|u|^2)) sqrt(E(|w|^2)) at
+        each point of block B.
+
+        Each factor is rooted before the product, so it cannot overflow. A
+        non-finite aggregate has no singular value, so it raises ValueError
+        (E(|u|^2) first): every closed form reads kept before it multiplies
+        by an aggregate, so none of them computes with one that overflowed.
+        """
+        for agg, name in ((self.eu2, "E(|u|^2)"), (self.ew2, "E(|w|^2)")):
+            if not np.isfinite(agg).all():
+                raise ValueError(f"{name} is not finite")
+        return np.sqrt(self.eu2) * np.sqrt(self.ew2)
 
     @cached_property
-    def _supports(self) -> tuple[np.ndarray, np.ndarray]:
-        """(S, G), cut together. This is where a non-finite E(|u|^2) or
-        E(|w|^2) raises ValueError (E(|u|^2) first): every closed form reads
-        a support before it multiplies by an aggregate, so none of them
-        computes with an aggregate that overflowed."""
-        return (self._block_support_mask(self.eu2, "E(|u|^2)"),
-                self._block_support_mask(self.ew2, "E(|w|^2)"))
-
-    @property
-    def s_mask(self) -> np.ndarray:
-        """Indicator of S, the support of E(|u|^2), as a block union."""
-        return self._supports[0]
-
-    @property
-    def g_mask(self) -> np.ndarray:
-        """Indicator of G, the support of E(|w|^2), as a block union."""
-        return self._supports[1]
-
-    @cached_property
-    def sg_mask(self) -> np.ndarray:
-        return self.s_mask & self.g_mask
+    def kept(self) -> np.ndarray:
+        """Points of the blocks whose sigma_B exceeds RANK_TOL times the
+        largest; empty when T = 0. The one rank cut of the closed forms."""
+        return self.sigma > RANK_TOL * float(self.sigma.max(initial=0.0))
 
 
 def make_instance(
     partition: Partition,
     u: MeasurableFunction,
     w: MeasurableFunction,
-    support_tol: float = DEFAULT_SUPPORT_TOL,
 ) -> WceInstance:
     if u.space != partition.space or w.space != partition.space:
         raise SpaceMismatchError("u, w, and partition must share one space")
-    return WceInstance(partition, u, w, support_tol)
+    return WceInstance(partition, u, w)
 
 
 def _masked_recip(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """1/values on the mask, 0 off it."""
     safe = np.where(mask, values, 1.0)
     return np.where(mask, 1.0 / safe, 0.0)
+
+
+# A kept block may still carry an aggregate near the ends of the float
+# range (crossed aggregates: E(|u|^2) ~ 1e-310 where E(|w|^2) ~ 1e300), so a
+# closed-form coefficient can overflow. The closed forms compute under
+# this state, and the non-finite entries raise ValueError, without a numpy
+# warning, where Sandwich.matrices() makes them matrices.
+_quiet = np.errstate(over="ignore", divide="ignore", invalid="ignore")
 
 
 def build_operator(inst: WceInstance) -> np.ndarray:
@@ -140,37 +129,36 @@ def norm_formula(inst: WceInstance) -> float:
     return math.sqrt(peak)
 
 
-def partial_isometry_criterion(
-    inst: WceInstance, tol: float = 1e-8
-) -> tuple[bool, np.ndarray]:
-    """Whether E(|w|^2) E(|u|^2) is an indicator function, and of which set.
+def partial_isometry_criterion(inst: WceInstance, tol: float = 1e-8) -> bool:
+    """Whether E(|w|^2) E(|u|^2) = sigma^2 is an indicator function, which
+    happens exactly when the operator is a partial isometry.
 
-    Returns (is_pi, A) with A the boolean mask of the points where the
-    product is within tol * (1 + max) of 1. is_pi is True iff every value
-    of the product is within that distance of 0 or 1, which happens
-    exactly when the operator is a partial isometry; the indicator set A
-    must then be S and G. A non-finite aggregate raises ValueError: the
-    supports are read before the product is formed.
+    True iff |sigma_B - sigma_B^3| <= tol * max(1, max sigma) on every block:
+    the norm of T T* T - T on block B, on the scale the oracle measures it,
+    so a block with sigma_B far below tol counts as 0 whether or not the
+    rank cut keeps it. A non-finite aggregate raises ValueError.
     """
-    inst.sg_mask
-    p = inst.ew2 * inst.eu2
-    bound = tol * (1.0 + float(p.max(initial=0.0)))
-    near_one = np.abs(p - 1.0) <= bound
-    return bool(np.all(near_one | (np.abs(p) <= bound))), near_one
+    sigma = inst.sigma
+    with np.errstate(over="ignore"):
+        dev = float(np.abs(sigma - sigma ** 3).max(initial=0.0))
+    return dev <= tol * max(1.0, float(sigma.max(initial=0.0)))
 
 
+@_quiet
 def _func_calc(inst: WceInstance, fns: Sequence[Callable[[float], complex]],
-               r: np.ndarray, r_agg: np.ndarray, r_mask: np.ndarray) -> np.ndarray:
+               r: np.ndarray, r_agg: np.ndarray) -> np.ndarray:
     """f(X) for X = M_{c conj(r)} E M_r, c E(|r|^2) = E(|u|^2) E(|w|^2), with
-    r_agg = E(|r|^2) and r_mask its support: f(X) = f(0) I + M_{chi / E(|r|^2)}
-    (M_{f o (E(|u|^2) E(|w|^2))} - f(0) I) M_conj(r) E M_r.
+    r_agg = E(|r|^2): f(X) = f(0) I + M_{chi / E(|r|^2)}
+    (M_{f o (E(|u|^2) E(|w|^2))} - f(0) I) M_conj(r) E M_r, chi the
+    indicator of the kept blocks.
 
     Returns the matrices of f(X) for every f in fns as one (m, n, n) stack.
     """
+    kept = inst.kept
     f0 = np.asarray([complex(f(0.0)) for f in fns])
     p = inst.eu2 * inst.ew2
     fp = np.asarray([[f(float(v)) for v in p] for f in fns], dtype=complex)
-    d = _masked_recip(r_agg, r_mask) * (fp - f0[:, None])
+    d = _masked_recip(r_agg, kept) * (fp - f0[:, None])
     stack = Sandwich(inst.partition, d * np.conj(r), r).matrices()
     diag = np.arange(inst.space.n)
     stack[:, diag, diag] += f0[:, None]
@@ -183,7 +171,7 @@ def closed_func_calc_gram(
     """f(T* T) in closed form for each f in fns, as an (m, n, n) stack;
     _func_calc with r = u. For f(t) = t^n this is the power formula
     conj(u) E(|w|^2)^n E(|u|^2)^(n-1) E(u .)."""
-    return _func_calc(inst, fns, inst.u.values, inst.eu2, inst.s_mask)
+    return _func_calc(inst, fns, inst.u.values, inst.eu2)
 
 
 def closed_func_calc_cogram(
@@ -191,41 +179,45 @@ def closed_func_calc_cogram(
 ) -> np.ndarray:
     """g(T T*) in closed form for each g in fns, as an (m, n, n) stack;
     _func_calc with r = conj(w)."""
-    return _func_calc(inst, fns, np.conj(inst.w.values), inst.ew2, inst.g_mask)
+    return _func_calc(inst, fns, np.conj(inst.w.values), inst.ew2)
 
 
+@_quiet
 def closed_polar(inst: WceInstance) -> tuple[Sandwich, Sandwich]:
     """Closed-form polar decomposition T = U |T|, returned as (U, |T|).
 
-    |T| f = sqrt(E(|w|^2) / E(|u|^2)) chi_S conj(u) E(u f)
-    U f   = sqrt(chi_{S and G} / (E(|w|^2) E(|u|^2))) w E(u f)
+    |T| f = sqrt(E(|w|^2) / E(|u|^2)) chi conj(u) E(u f)
+    U f   = sqrt(chi / (E(|w|^2) E(|u|^2))) w E(u f)
 
-    Both coefficients are taken as zero off the indicated supports. U is
-    a partial isometry sharing the kernel of |T| and T, which makes the
-    decomposition the unique one.
+    chi is the indicator of the kept blocks, and both coefficients are
+    taken as zero off them. U is a partial isometry sharing the kernel of
+    |T| and T, which makes the decomposition the unique one.
     """
-    abs_coef = np.sqrt(inst.ew2 * _masked_recip(inst.eu2, inst.s_mask))
-    u_coef = np.sqrt(_masked_recip(inst.ew2 * inst.eu2, inst.sg_mask))
+    kept = inst.kept
+    abs_coef = np.sqrt(inst.ew2 * _masked_recip(inst.eu2, kept))
+    u_coef = np.sqrt(_masked_recip(inst.ew2 * inst.eu2, kept))
     return (Sandwich(inst.partition, u_coef * inst.w.values, inst.u.values),
             Sandwich(inst.partition, abs_coef * np.conj(inst.u.values), inst.u.values))
 
 
+@_quiet
 def closed_abs_sqrt(inst: WceInstance) -> Sandwich:
     """Closed-form square root of |T|:
 
-    V f = (E(|w|^2) / E(|u|^2)^3)^(1/4) chi_S conj(u) E(u f)
+    V f = (E(|w|^2) / E(|u|^2)^3)^(1/4) chi conj(u) E(u f)
 
     V is positive with V^2 = |T|, so it equals |T|^(1/2); it is the
     half-power factor entering the Aluthge transform.
     """
-    coef = (inst.ew2 * _masked_recip(inst.eu2, inst.s_mask) ** 3) ** 0.25
+    coef = (inst.ew2 * _masked_recip(inst.eu2, inst.kept) ** 3) ** 0.25
     return Sandwich(inst.partition, coef * np.conj(inst.u.values), inst.u.values)
 
 
+@_quiet
 def closed_aluthge(inst: WceInstance) -> Sandwich:
     """Closed-form Aluthge transform |T|^(1/2) U |T|^(1/2):
 
-    f -> (chi_S E(u w) / E(|u|^2)) conj(u) E(u f)
+    f -> (chi E(u w) / E(|u|^2)) conj(u) E(u f)
     """
-    coef = inst.euw * _masked_recip(inst.eu2, inst.s_mask)
+    coef = inst.euw * _masked_recip(inst.eu2, inst.kept)
     return Sandwich(inst.partition, coef * np.conj(inst.u.values), inst.u.values)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -43,13 +45,20 @@ def eig_calc(a, f):
     return es.calc_stack(fvals)[0]
 
 
-def psd_root(a, snap=1e-10):
-    """Positive square root of a positive operator matrix from a fresh
-    np.linalg.eigh, eigenvalues at or below snap * ||a|| taken as exact
-    kernel: a reference independent of the SVD oracle."""
+def psd_calc(a, f, snap=1e-10):
+    """f(a) for a positive operator matrix and a scalar function from a
+    fresh np.linalg.eigh, eigenvalues at or below snap * ||a|| taken as
+    exact kernel (eigh can leave them slightly negative): a reference
+    independent of the SVD oracle."""
     vals, vecs = np.linalg.eigh(a)
     vals = np.where(vals <= snap * np.abs(vals).max(initial=0.0), 0.0, vals)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return (vecs * np.array([f(float(v)) for v in vals])) @ vecs.conj().T
+
+
+def psd_root(a, snap=1e-10):
+    """Positive square root of a positive operator matrix: psd_calc of
+    sqrt."""
+    return psd_calc(a, math.sqrt, snap)
 
 
 def closed_calc(closed_fn, inst, f):

@@ -11,6 +11,7 @@ from wcelab.measure import (
     make_partition,
     make_space,
 )
+from wcelab.opalgebra import RANK_TOL
 from wcelab.wce import make_instance
 
 from conftest import deviation, generated_partitions, point_matrix, random_complex
@@ -143,12 +144,12 @@ def test_block_means_match_loop_reference(kind):
 
 
 def test_real_input_stays_real():
-    # Support masks compare aggregates like E(|u|^2) with ">", which
-    # needs a real dtype.
+    # The kept mask compares the roots of aggregates like E(|u|^2) with
+    # ">", which needs a real dtype.
     rng = np.random.default_rng(8)
     for partition in generated_partitions(10, seed0=800):
         sp = partition.space
-        # Zero the first block so the support is proper when there is
+        # Zero the first block so the kept set is proper when there is
         # more than one block.
         zeroed = partition.block_of == 0 if partition.block_count > 1 else False
         u = MeasurableFunction(sp, np.where(zeroed, 0.0, random_complex(rng, sp.n)))
@@ -159,8 +160,8 @@ def test_real_input_stays_real():
         ref = loop_block_means(partition, f)
         expected = np.empty(sp.n, dtype=bool)
         for k, b in enumerate(partition.blocks):
-            expected[list(b)] = ref[k] > inst.support_tol * ref.max()
-        np.testing.assert_array_equal(inst.s_mask, expected)
+            expected[list(b)] = ref[k] > RANK_TOL * ref.max()
+        np.testing.assert_array_equal(inst.kept, expected)
 
 
 def random_sandwich(rng, partition):

@@ -96,28 +96,27 @@ class TestMakePartition:
         assert p.block_of.tolist() == [0, 1, 0, 1]
 
 
-def support_points(values, tol):
-    """The points of S, the support of E(|u|^2) that the closed forms cut
-    at the relative tolerance tol, for u = values on unit weights and the
-    finest partition, where E(|u|^2) = |u|^2."""
+def support_points(values):
+    """The kept points of T for u = values, w = 1 on unit weights and the
+    finest partition, where the singular value of each block is |u|."""
     sp = make_space([1.0] * len(values))
     u = MeasurableFunction(sp, values)
-    inst = make_instance(finest_partition(sp), u, u, tol)
-    return frozenset(np.flatnonzero(inst.s_mask).tolist())
+    inst = make_instance(finest_partition(sp), u, MeasurableFunction.constant(sp, 1.0))
+    return frozenset(np.flatnonzero(inst.kept).tolist())
 
 
 class TestSupport:
     def test_zero_function(self):
-        assert support_points([0, 0, 0], 0.0) == frozenset()
-        assert support_points([0, 0, 0], 1e-10) == frozenset()
+        assert support_points([0, 0, 0]) == frozenset()
 
     def test_exact_zero_excluded(self):
-        assert support_points([2, 0], 1e-10) == frozenset({0})
+        assert support_points([2, 0]) == frozenset({0})
 
     def test_relative_threshold(self):
-        # |1e-16|^2 < 1e-10 * 1, so point 1 falls below the threshold
-        assert support_points([1, 1e-16], 1e-10) == frozenset({0})
-        assert support_points([1, 1e-16], 0.0) == frozenset({0, 1})
+        # The cut is RANK_TOL = 1e-10 on the amplitude |u|, not on |u|^2.
+        assert support_points([1, 1e-11]) == frozenset({0})
+        assert support_points([1, 1e-9]) == frozenset({0, 1})
+        assert support_points([1e-100, 1e-109]) == frozenset({0, 1})
 
 
 class TestIsMeasurable:
@@ -210,13 +209,13 @@ def test_measurability_survives_refinement(sp_and_p, split_seed):
 @settings(max_examples=40, deadline=None)
 @given(space_and_partition())
 def test_support_exact_semantics(sp_and_p):
-    # At tol 0 a block is in the support of E(|u|^2) exactly when u is
-    # nonzero somewhere on it.
+    # With w = 1, a block is kept exactly when u is nonzero somewhere on
+    # it (the draws stay far above the rank cut).
     sp, p = sp_and_p
     rng = np.random.default_rng(0)
     vals = rng.normal(size=sp.n)
     vals[rng.random(sp.n) < 0.5] = 0.0
     f = MeasurableFunction(sp, vals)
-    inst = make_instance(p, f, f, 0.0)
+    inst = make_instance(p, f, MeasurableFunction.constant(sp, 1.0))
     nonzero_blocks = np.bincount(p.block_of, vals != 0, p.block_count) > 0
-    np.testing.assert_array_equal(inst.s_mask, nonzero_blocks[p.block_of])
+    np.testing.assert_array_equal(inst.kept, nonzero_blocks[p.block_of])

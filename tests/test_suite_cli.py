@@ -290,6 +290,34 @@ class TestCli:
             (name, *expected[group])
             for group, names in GROUP_RECORD_NAMES.items() for name in names}
 
+    def test_verify_crossed_aggregate_coefficients_break_down_quietly(
+            self, tmp_path, capfd):
+        # On the second block E(|u|^2) = 1e-310 and E(|w|^2) = 1e300, so
+        # sigma = 1e-5 keeps the block, but 1 / E(|u|^2) overflows: the
+        # closed forms that divide by it break down with nothing on stderr.
+        doc = {"weights": [1, 1, 1, 1], "partition": [[0, 1], [2, 3]],
+               "u": [[1, 0], [1, 0], [1e-155, 0], [1e-155, 0]],
+               "w": [[1, 0], [1, 0], [1e150, 0], [1e150, 0]]}
+        inst_file = tmp_path / "crossed.json"
+        inst_file.write_text(json.dumps(doc))
+        report_file = tmp_path / "report.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["verify", str(inst_file), "--report", str(report_file)]) == 1
+        assert [str(m.message) for m in caught] == []
+        _, err = capfd.readouterr()
+        assert err == ""
+        broken = ("func_calc", "polar", "aluthge")
+        for r in json.loads(report_file.read_text())["records"]:
+            group = next(g for g, names in GROUP_RECORD_NAMES.items()
+                         if r["name"] in names)
+            if group in broken:
+                assert r["status"] == "fail"
+                assert r["reason"] == (
+                    f"{group} raised ValueError: operator entries must be finite")
+            else:
+                assert r["status"] != "fail", r["name"]
+
     def test_repeated_check_group_runs_once(self, tmp_path, capsys):
         inst_file = tmp_path / "inst.json"
         main(["gen", "--seed", "5", "--n", "6", "--blocks", "2", "-o", str(inst_file)])

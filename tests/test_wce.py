@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wcelab.checks import CLAMP_TOL, calculus_test_functions
+from wcelab.checks import calculus_test_functions
 from wcelab.condexp import Sandwich
 from wcelab.generator import GeneratorConfig, gen_instance
 from wcelab.measure import (
@@ -31,9 +31,9 @@ from conftest import (
     adjoint,
     closed_calc,
     deviation,
-    eig_calc,
     norm,
     point_matrix,
+    psd_calc,
     psd_root,
     random_complex,
 )
@@ -130,18 +130,16 @@ class TestNormFormula:
 class TestPartialIsometry:
     def test_projection_case(self):
         inst = ones_instance([1.0, 2.0, 0.5])
-        is_pi, members = partial_isometry_criterion(inst)
-        assert is_pi
-        assert members.tolist() == [True] * 3
+        assert partial_isometry_criterion(inst)
+        assert inst.kept.tolist() == [True] * 3
 
     def test_exact_unit_product(self):
         # mu = (1, 3), u = w = (2, 0): E(|u|^2) = E(|w|^2) = 1.
         sp = make_space([1.0, 3.0])
         f = MeasurableFunction(sp, [2, 0])
         inst = make_instance(coarsest_partition(sp), f, f)
-        is_pi, members = partial_isometry_criterion(inst)
-        assert is_pi
-        assert members.tolist() == [True, True]
+        assert partial_isometry_criterion(inst)
+        assert inst.kept.tolist() == [True, True]
         t = build_operator(inst)
         residual = norm(t @ adjoint(t) @ t - t)
         assert residual <= 1e-12
@@ -150,10 +148,9 @@ class TestPartialIsometry:
         sp = make_space([1.0, 1.0, 1.0])
         two = MeasurableFunction.constant(sp, 2.0)
         inst = make_instance(coarsest_partition(sp), two, two)
-        is_pi, members = partial_isometry_criterion(inst)
-        assert not is_pi
-        # The product is 16 everywhere, nowhere near 1.
-        assert members.tolist() == [False] * 3
+        # The product is 16 on the kept blocks, nowhere near 1.
+        assert inst.kept.tolist() == [True] * 3
+        assert not partial_isometry_criterion(inst)
         t = build_operator(inst)
         assert norm(t @ adjoint(t) @ t - t) > 1e-2
 
@@ -202,18 +199,18 @@ class TestClosedFuncCalc:
             (gram, closed_func_calc_gram),
             (cogram, closed_func_calc_cogram),
         ):
-            snap = CLAMP_TOL * norm(product)
-            for name, f in calculus_test_functions(snap):
-                dev = deviation(closed_calc(closed_fn, inst, f), eig_calc(product, f))
+            for name, f in calculus_test_functions():
+                dev = deviation(closed_calc(closed_fn, inst, f), psd_calc(product, f))
                 assert dev < 1e-7, (name, dev)
 
 
-def per_function_calc(inst, f, r, r_agg, r_mask):
+def per_function_calc(inst, f, r, r_agg):
     """One function's closed calculus built on its own: f(0) I plus the
-    dense sandwich core M_d E M_r, d = chi / E(|r|^2) (f o p - f(0)) conj(r)."""
+    dense sandwich core M_d E M_r, d = chi / E(|r|^2) (f o p - f(0)) conj(r),
+    chi the indicator of the kept blocks."""
     f0 = complex(f(0.0))
     fp = np.asarray([f(float(v)) for v in inst.eu2 * inst.ew2], dtype=complex)
-    d = _masked_recip(r_agg, r_mask) * (fp - f0)
+    d = _masked_recip(r_agg, inst.kept) * (fp - f0)
     core = Sandwich(inst.partition, d * np.conj(r), r).matrices()
     return f0 * np.eye(inst.space.n, dtype=complex) + core
 
@@ -242,16 +239,15 @@ def test_stacked_calculus_matches_per_function_reference():
     for n in range(1, 25):
         for _ in range(3):
             inst = zeroed_block_instance(rng, n)
-            snap = CLAMP_TOL * norm_formula(inst) ** 2
-            fns = tuple(f for _, f in calculus_test_functions(snap))
-            for closed_fn, r, r_agg, r_mask in (
-                (closed_func_calc_gram, inst.u.values, inst.eu2, inst.s_mask),
-                (closed_func_calc_cogram, np.conj(inst.w.values), inst.ew2, inst.g_mask),
+            fns = tuple(f for _, f in calculus_test_functions())
+            for closed_fn, r, r_agg in (
+                (closed_func_calc_gram, inst.u.values, inst.eu2),
+                (closed_func_calc_cogram, np.conj(inst.w.values), inst.ew2),
             ):
                 stack = closed_fn(inst, fns)
                 assert stack.shape == (len(fns), n, n)
                 for k, f in enumerate(fns):
-                    reference = per_function_calc(inst, f, r, r_agg, r_mask)
+                    reference = per_function_calc(inst, f, r, r_agg)
                     if n == 1:
                         scale = 1.0 + abs(f(0.0)) + float(np.abs(reference).max())
                         np.testing.assert_allclose(stack[k], reference, rtol=0,
@@ -270,26 +266,29 @@ def test_stacked_calculus_rejects_non_finite_entries():
 
 def test_support_of_a_non_finite_aggregate_raises():
     # |u|^2 overflows, so E(|u|^2) is inf: there is no peak to cut the
-    # support at, and inf > tol * inf would give an empty support.
+    # kept blocks at, and inf > tol * inf would keep none.
     sp = make_space([1.0, 2.0])
     part = coarsest_partition(sp)
     big = MeasurableFunction(sp, [1e300, 1e300])
     one = MeasurableFunction.constant(sp, 1.0)
     with pytest.raises(ValueError, match=r"E\(\|u\|\^2\) is not finite"):
-        make_instance(part, big, one).s_mask
+        make_instance(part, big, one).kept
     with pytest.raises(ValueError, match=r"E\(\|w\|\^2\) is not finite"):
-        make_instance(part, one, big).g_mask
+        make_instance(part, one, big).kept
+    # Both overflow: E(|u|^2) is named first.
+    with pytest.raises(ValueError, match=r"E\(\|u\|\^2\) is not finite"):
+        make_instance(part, big, big).kept
 
 
 def test_closed_forms_raise_on_an_overflowing_aggregate_before_using_it():
     # |w|^2 overflows, so E(|w|^2) is inf: each closed form raises where
-    # the supports are cut, before it multiplies by the aggregate, so numpy
+    # the kept blocks are cut, before it multiplies by the aggregate, so numpy
     # has nothing to warn about (errstate turns a warning into an error).
     sp = make_space([1.0, 1.0])
     part = coarsest_partition(sp)
     u = MeasurableFunction(sp, [1.0, 2.0])
     w = MeasurableFunction(sp, [1e200, 1.0])
-    fns = tuple(f for _, f in calculus_test_functions(0.0))
+    fns = tuple(f for _, f in calculus_test_functions())
     for closed in (closed_polar, closed_abs_sqrt, closed_aluthge,
                    lambda inst: closed_func_calc_gram(inst, fns),
                    lambda inst: closed_func_calc_cogram(inst, fns)):
