@@ -41,7 +41,6 @@ from .measure import (
     Partition,
     coarsest_partition,
     finest_partition,
-    is_measurable,
     make_partition,
     make_space,
 )
@@ -53,6 +52,7 @@ from .spectral import (
     SpectralMeasureTable,
     avg_mult_operator,
     avg_mult_spectrum,
+    block_spread,
     check_spectral_axioms,
     fiber_partition,
     pushforward_density,

@@ -45,7 +45,7 @@ _OPENBLAS_THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_",
 
 
 def _tolerance(text: str) -> float:
-    """A --tol or --support-tol value: a finite number, zero or more.
+    """A --tol value: a finite number, zero or more.
     argparse reports a rejected value with the flag's name and exit 2."""
     try:
         value = float(text)
@@ -82,8 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              f"(default: all; known: {','.join(CHECK_GROUPS)})")
     verify.add_argument("--tol", type=_tolerance, default=1e-8,
                         help="relative operator comparison tolerance")
-    verify.add_argument("--support-tol", type=_tolerance, default=1e-10,
-                        help="whether u is blockwise constant (normality)")
     verify.add_argument("--report", type=Path, default=None,
                         help="write the machine-readable JSON report here")
 
@@ -93,7 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--full", action="store_true",
                        help="include the spectral checks and point maps")
     suite.add_argument("--tol", type=_tolerance, default=1e-8)
-    suite.add_argument("--support-tol", type=_tolerance, default=1e-10)
     suite.add_argument("--report", type=Path, default=None)
     return parser
 
@@ -176,7 +173,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    return _certify(bundles, groups, Tolerances(args.tol, args.support_tol), args.report)
+    return _certify(bundles, groups, Tolerances(args.tol), args.report)
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
@@ -188,7 +185,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     bundles = [gen_instance(rotation_config(s, with_point_map=args.full))
                for s in seeds]
     groups = FULL_GROUPS if args.full else BASIC_GROUPS
-    return _certify(bundles, groups, Tolerances(args.tol, args.support_tol), args.report)
+    return _certify(bundles, groups, Tolerances(args.tol), args.report)
 
 
 @functools.cache

@@ -22,11 +22,6 @@ from .errors import (
     SpaceMismatchError,
 )
 
-# Relative threshold deciding "zero" in support and measurability tests.
-# Closed forms downstream divide by block aggregates on their support, so
-# support detection has to be robust against rounding.
-DEFAULT_SUPPORT_TOL = 1e-10
-
 
 @dataclass(frozen=True, eq=False)
 class FiniteMeasureSpace:
@@ -250,24 +245,3 @@ def coarsest_partition(space: FiniteMeasureSpace) -> Partition:
     """One block; the trivial sub-algebra."""
     return Partition(space, (tuple(range(space.n)),))
 
-
-def is_measurable(
-    f: MeasurableFunction, partition: Partition, tol: float = DEFAULT_SUPPORT_TOL
-) -> bool:
-    """True iff f is constant on every block of the partition up to tol.
-
-    Constancy is measured against the weighted block mean; the allowed
-    deviation is tol * (1 + max|f|). A block mean that is not finite (a
-    block integral beyond the float range) decides nothing, so it raises
-    ValueError.
-    """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    if f.space != partition.space:
-        raise SpaceMismatchError("function and partition live on different spaces")
-    vals = f.values
-    scale = 1.0 + float(np.abs(vals).max())
-    means = partition.block_means(vals)
-    if not np.all(np.isfinite(means)):
-        raise ValueError("a block mean is not finite")
-    return float(np.abs(vals - means[partition.block_of]).max()) <= tol * scale

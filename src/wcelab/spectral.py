@@ -26,17 +26,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import NotNormalError, SpaceMismatchError
-from .measure import (
-    DEFAULT_SUPPORT_TOL,
-    FiniteMeasureSpace,
-    MeasurableFunction,
-    Partition,
-    is_measurable,
-)
+from .measure import FiniteMeasureSpace, MeasurableFunction, Partition
 from .opalgebra import spectral_norms
 
-# Block means closer than this (relative) are merged into one eigenvalue.
-EIGENVALUE_GROUP_TOL = 1e-8
 # Random sets, and additivity rounds, in check_spectral_axioms' family.
 AXIOM_RANDOM_SETS = 12
 
@@ -101,14 +93,35 @@ def avg_mult_operator(u: MeasurableFunction, partition: Partition) -> np.ndarray
     return partition.cond_exp_matrix * u.values[None, :]
 
 
+def block_spread(u: MeasurableFunction, partition: Partition) -> np.ndarray:
+    """Per block, sqrt(E|u - E u|^2) and sqrt(E|u|^2), as the two rows of
+    a (2, block count) array.
+
+    On block B, E M_u is the rank-one q_B b_B* with |q_B| = 1 and
+    b_B = conj(u) q_B, so the second row is ||E M_u|| on B, the first is
+    ||E M_u - E M_{E u}|| on B, and their product is the norm of the
+    commutator [E M_u, (E M_u)*] on B: it is 0 exactly when u is constant
+    on B. Both are taken on u divided by its peak and scaled back, so no
+    square overflows or underflows.
+    """
+    if u.space != partition.space:
+        raise SpaceMismatchError("symbol and partition live on different spaces")
+    peak = float(np.abs(u.values).max())
+    if peak == 0.0:
+        return np.zeros((2, partition.block_count))
+    v = u.values / peak
+    step = v - partition.block_means(v)[partition.block_of]
+    return peak * np.sqrt(partition.block_means(np.abs(np.stack((step, v))) ** 2))
+
+
 def _eigenvalue_groups(
-    u: MeasurableFunction, partition: Partition
+    u: MeasurableFunction, partition: Partition, tol: float
 ) -> tuple[list[complex], np.ndarray]:
     """Group the block means of u into the distinct eigenvalues of E M_u.
 
     Representatives are 0 followed by block means in block order; a
-    mean joins the first representative within EIGENVALUE_GROUP_TOL *
-    (1 + max |block mean|) and otherwise becomes a new representative.
+    mean joins the first representative within tol * (1 + max |block
+    mean|) and otherwise becomes a new representative.
     Returns the representatives (0 first) and the group index of every
     block. A block mean that is not finite (a block integral beyond the
     float range) would join no group, so it raises ValueError.
@@ -116,12 +129,12 @@ def _eigenvalue_groups(
     means = partition.block_means(u.values)
     if not np.all(np.isfinite(means)):
         raise ValueError("a block mean of u is not finite")
-    tol = EIGENVALUE_GROUP_TOL * (1.0 + float(np.abs(means).max(initial=0.0)))
+    radius = tol * (1.0 + float(np.abs(means).max(initial=0.0)))
     reps = [0j]
-    group = np.where(np.abs(means) <= tol, 0, -1)
+    group = np.where(np.abs(means) <= radius, 0, -1)
     while (free := np.flatnonzero(group < 0)).size:
         rep = means[free[0]]
-        group[free[np.abs(means[free] - rep) <= tol]] = len(reps)
+        group[free[np.abs(means[free] - rep) <= radius]] = len(reps)
         reps.append(complex(rep))
     return reps, group
 
@@ -130,22 +143,24 @@ def _by_value(z: complex) -> tuple[float, float]:
     return (z.real, z.imag)
 
 
-def avg_mult_spectrum(u: MeasurableFunction, partition: Partition) -> tuple[complex, ...]:
+def avg_mult_spectrum(
+    u: MeasurableFunction, partition: Partition, tol: float
+) -> tuple[complex, ...]:
     """Spectrum of f -> E(u f): the block means of u together with 0.
 
     0 is always adjoined; when the partition is all singletons and u
     vanishes nowhere the operator is invertible and callers comparing
     against numerical eigenvalues must drop that adjoined 0 themselves.
-    Block means merge by the first-representative rule of
+    Block means merge at tol by the first-representative rule of
     _eigenvalue_groups, the same rule spectral_decomposition uses: each
     eigenvalue is the first block mean (or 0) of its group.
     """
-    reps, _ = _eigenvalue_groups(u, partition)
+    reps, _ = _eigenvalue_groups(u, partition, tol)
     return tuple(sorted(reps, key=_by_value))
 
 
 def spectral_decomposition(
-    u: MeasurableFunction, partition: Partition, tol: float = DEFAULT_SUPPORT_TOL
+    u: MeasurableFunction, partition: Partition, tol: float
 ) -> SpectralDecomp:
     """Diagonalize the normal operator f -> E(u f) over its level sets.
 
@@ -153,10 +168,24 @@ def spectral_decomposition(
     "restrict to the blocks where u = lambda, then average"; the kernel
     projection (eigenvalue 0) is the complement of all of them and is
     included only when it is nonzero.
+
+    Block means merge into one eigenvalue at tol (see _eigenvalue_groups).
+    On block B the decomposition then misses E M_u by sqrt(E|u - E u|^2 +
+    |E u - lambda_B|^2), lambda_B its eigenvalue; u counts as blockwise
+    constant when the largest of these is <= tol (1 + ||E M_u||), the
+    scale on which the reconstruction is compared, and NotNormalError is
+    raised otherwise.
     """
-    if not is_measurable(u, partition, tol):
+    spread, rms = block_spread(u, partition)
+    limit = tol * (1.0 + rms.max())
+    # The spread alone bounds the miss from below; testing it first keeps
+    # a symbol whose block mean is not finite out of the grouping.
+    if spread.max() > limit:
         raise NotNormalError("symbol must be blockwise constant")
-    reps, group = _eigenvalue_groups(u, partition)
+    reps, group = _eigenvalue_groups(u, partition, tol)
+    offset = np.abs(partition.block_means(u.values) - np.array(reps)[group])
+    if np.hypot(spread, offset).max() > limit:
+        raise NotNormalError("symbol must be blockwise constant")
     order = sorted(range(1, len(reps)), key=lambda g: _by_value(reps[g]))
     eigenvalues = [reps[g] for g in order]
     # The rows of each projection are those of E on its level set; the

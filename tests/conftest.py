@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from wcelab.errors import NotNormalError
 from wcelab.generator import GeneratorConfig, gen_instance
 from wcelab.opalgebra import EigenSystem, op_deviations, spectral_norms
+from wcelab.spectral import spectral_decomposition
 
 
 def random_complex(rng, n, cap=4.0):
@@ -59,6 +61,16 @@ def psd_root(a, snap=1e-10):
     """Positive square root of a positive operator matrix: psd_calc of
     sqrt."""
     return psd_calc(a, math.sqrt, snap)
+
+
+def declared_normal(u, partition, tol=1e-8):
+    """Whether spectral_decomposition, at tol, takes u for blockwise
+    constant (raises no NotNormalError)."""
+    try:
+        spectral_decomposition(u, partition, tol)
+    except NotNormalError:
+        return False
+    return True
 
 
 def closed_calc(closed_fn, inst, f):

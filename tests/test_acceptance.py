@@ -26,7 +26,7 @@ from wcelab.generator import (
     perturb_nonmeasurable,
     rotation_config,
 )
-from wcelab.measure import MeasurableFunction, is_measurable
+from wcelab.measure import MeasurableFunction
 from wcelab.opalgebra import SvdOracle, op_deviations
 from wcelab.spectral import (
     SpectralMeasureTable,
@@ -48,6 +48,7 @@ from wcelab.wce import (
 
 from conftest import (
     adjoint,
+    declared_normal,
     closed_calc,
     deviation,
     generated_partitions,
@@ -236,7 +237,7 @@ def test_criterion_7_spectral_decomposition():
             adj = adjoint(m)
             commutator = norm(m @ adj - adj @ m)
             oracle_normal = commutator <= 1e-8 * (1.0 + norm(m) ** 2)
-            declared = is_measurable(candidate.u, candidate.partition)
+            declared = declared_normal(candidate.u, candidate.partition)
             if declared != oracle_normal or declared != expected_normal:
                 disagreements += 1
     assert disagreements == 0

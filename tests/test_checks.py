@@ -1,8 +1,8 @@
 """Per-instance factorization caching in CheckContext, the oracle norms
 the checks hold instead of taking, the stacked spectral checks against
-their per-eigenvalue and per-round references, the run's support
-tolerance reaching the spectral decomposition but not T's groups, and the
-one rank cut both sides of T's checks share on files near that cut."""
+their per-eigenvalue and per-round references, the run's one tolerance
+reaching the spectral decomposition, and hard files (near T's rank cut,
+near normality, at extreme weights) on which no record may fail."""
 
 import json
 from functools import cached_property
@@ -12,8 +12,6 @@ import pytest
 
 from wcelab import checks, opalgebra, spectral
 from wcelab.checks import (
-    BASIC_GROUPS,
-    GROUP_RECORD_NAMES,
     CheckContext,
     Tolerances,
     calculus_test_functions,
@@ -28,6 +26,7 @@ from wcelab.checks import (
     check_spectral_decomp,
     check_spectrum,
     check_vanishing,
+    _eigvals_match_residual,
 )
 from wcelab.cli import main
 from wcelab.generator import GeneratorConfig, gen_instance, rotation_config
@@ -180,13 +179,13 @@ def test_closed_identities_take_no_dense_products(monkeypatch):
 @pytest.mark.parametrize("measurable_u", [True, False])
 def test_spectral_decomp_tests_normality_once(monkeypatch, measurable_u):
     calls = []
-    is_measurable = spectral.is_measurable
+    block_spread = spectral.block_spread
 
     def counting(*args):
         calls.append(args)
-        return is_measurable(*args)
+        return block_spread(*args)
 
-    monkeypatch.setattr(spectral, "is_measurable", counting)
+    monkeypatch.setattr(spectral, "block_spread", counting)
     bundle = gen_instance(GeneratorConfig(seed=19, n=10, block_count=3,
                                           measurable_u=measurable_u))
     records = check_spectral_decomp(CheckContext(bundle, Tolerances()))
@@ -285,7 +284,7 @@ def reference_spectral_decomp(inst):
     per projection, one norm per pair of projections."""
     n = inst.space.n
     e_matrix = inst.partition.cond_exp_matrix
-    reps, group = _eigenvalue_groups(inst.u, inst.partition)
+    reps, group = _eigenvalue_groups(inst.u, inst.partition, Tolerances().op_tol)
     point_group = group[inst.partition.block_of]
     eigenvalues, projections = [], []
     accumulated = np.zeros((n, n), dtype=complex)
@@ -476,6 +475,17 @@ def scaled_bundle():
         MeasurableFunction(inst.space, 1e-4 * inst.w.values)))
 
 
+def near_normal_bundle():
+    """u is blockwise constant up to a 1e-7 relative step in its first
+    block: ||E M_u - E M_{E u}|| / (1 + ||E M_u||) is 3.1e-8, so the
+    spectral decomposition is measured at tol 1e-7 and skipped at 1e-8."""
+    sp = make_space([1.0, 2.0, 0.5, 1.5])
+    part = make_partition(sp, [[0, 1], [2, 3]])
+    u = MeasurableFunction(sp, [2.0, 2.0000002, -1 + 0.5j, -1 + 0.5j])
+    w = MeasurableFunction(sp, [1.0, 0.5, 1 + 1j, 2.0])
+    return InstanceBundle(make_instance(part, u, w))
+
+
 # Files near T's rank cut: faint blocks, crossed aggregates, a faint
 # singular value and a small norm. A cut on the quadratic aggregates, or
 # an absolute floor, puts the closed forms and the oracle on different
@@ -484,6 +494,23 @@ SMALL_AGGREGATE_DOC = (
     '{"weights":[1,1,1,1,1,1],"partition":[[0,1],[2,3],[4,5]],'
     '"u":[[1,0],[0.5,0.2],[1e-6,0],[2e-6,0],[0.7,-0.3],[1.3,0]],'
     '"w":[[1,0],[0.8,0.1],[1.2,0],[0.9,0.4],[1,1],[0.6,0]]}')
+# Files near normality. At weights 1e-300 and 1e300 E M_u is normal to
+# within 1e-300 though u is not constant: no bound scaled by tol can tell
+# its commutator from 0. On the mean-zero file the commutator of the
+# second block is quadratic in the 1e-5 step, while E M_u - E M_{E u} is
+# linear in it.
+EXTREME_WEIGHT_DOC = (
+    '{"weights":[1e-300,1e300],"partition":[[0,1]],'
+    '"u":[[1,0],[2,0]],"w":[[1,0],[1,0]]}')
+MEAN_ZERO_DOC = (
+    '{"weights":[1,1,1,1],"partition":[[0,1],[2,3]],'
+    '"u":[[1,0],[1,0],[1e-5,0],[-1e-5,0]],"w":[[1,0],[1,0],[1,0],[1,0]]}')
+# The second block's spread (1.9e-8) and its mean's distance to the
+# eigenvalue 1 it merges into (1.9e-8) are each within tol (1 + ||E M_u||)
+# at tol 1e-8, but together E M_u misses its decomposition by 2.7e-8.
+NEAR_MERGE_DOC = (
+    '{"weights":[1,1,1,1],"partition":[[0,1],[2,3]],'
+    '"u":[[1,0],[1,0],[1.000000038,0],[1,0]],"w":[[1,0],[1,0],[1,0],[1,0]]}')
 
 HARD_BUNDLES = {
     "six_point": lambda: parse_instance(SMALL_AGGREGATE_DOC),
@@ -492,9 +519,11 @@ HARD_BUNDLES = {
     "faint_sigma": faint_sigma_bundle,
     "tiny_sigma": tiny_sigma_bundle,
     "scaled": scaled_bundle,
+    "near_normal": near_normal_bundle,
+    "extreme_weight": lambda: parse_instance(EXTREME_WEIGHT_DOC),
+    "mean_zero": lambda: parse_instance(MEAN_ZERO_DOC),
+    "near_merge": lambda: parse_instance(NEAR_MERGE_DOC),
 }
-
-T_GROUPS = tuple(g for g in BASIC_GROUPS if g != "condexp")
 
 
 def failing_records(report):
@@ -510,22 +539,18 @@ def test_partial_isometry_with_crossed_aggregates_passes():
 
 
 @pytest.mark.parametrize("name", sorted(HARD_BUNDLES))
-def test_support_tol_does_not_reach_t_groups(name):
-    # No record fails at the default support_tol. On faint_sigma a
-    # criterion that takes the 1e-10 product on the second block for 0
-    # calls T a partial isometry, on tiny_sigma one that wants the product
-    # 1 on every kept block does not, and partial_isometry fails; on scaled
-    # an absolute floor under vanishing_meets fails. --support-tol decides
-    # only whether u is blockwise constant: T's groups give the same
-    # statuses at every value.
+def test_hard_file_gives_no_false_fail(name):
+    # On faint_sigma a criterion that takes the 1e-10 product on the second
+    # block for 0 calls T a partial isometry, on tiny_sigma one that wants
+    # the product 1 on every kept block does not, and partial_isometry
+    # fails; on scaled an absolute floor under vanishing_meets fails. On
+    # near_normal, extreme_weight and mean_zero a normality decided on a
+    # scale of its own fails normality or sd_reconstruction, and on
+    # near_merge one decided before the block means are grouped fails
+    # sd_reconstruction.
     bundle = HARD_BUNDLES[name]()
-    report = run_suite([bundle])
-    assert failing_records(report) == []
-    t_names = {n for g in T_GROUPS for n in GROUP_RECORD_NAMES[g]}
-    statuses = [(r.name, r.status) for r in report.records if r.name in t_names]
-    for support_tol in (1e-5, 1e-2):
-        assert statuses == [(r.name, r.status) for r in run_suite(
-            [bundle], T_GROUPS, Tolerances(support_tol=support_tol)).records]
+    for tol in (1e-8, 1e-7, 1e-5):
+        assert failing_records(run_suite([bundle], tols=Tolerances(tol))) == []
 
 
 def test_both_sides_share_one_rank():
@@ -534,57 +559,36 @@ def test_both_sides_share_one_rank():
     bundles = [gen_instance(rotation_config(seed, with_point_map=True))
                for seed in range(1, 201)]
     bundles += [make() for make in HARD_BUNDLES.values()]
-    bundles.append(near_normal_bundle())
     for bundle in bundles:
         ctx = CheckContext(bundle, Tolerances())
         kept_blocks = np.unique(ctx.instance.partition.block_of[ctx.instance.kept])
         assert int(ctx.svd.keep.sum()) == kept_blocks.size
 
 
-def near_normal_bundle():
-    """u is blockwise constant up to a 1e-7 relative step in its first
-    block: normal at support_tol 1e-5, not at the default 1e-10."""
-    sp = make_space([1.0, 2.0, 0.5, 1.5])
-    part = make_partition(sp, [[0, 1], [2, 3]])
-    u = MeasurableFunction(sp, [2.0, 2.0000002, -1 + 0.5j, -1 + 0.5j])
-    w = MeasurableFunction(sp, [1.0, 0.5, 1 + 1j, 2.0])
-    return InstanceBundle(make_instance(part, u, w))
-
-
-def near_normal_instance_file(tmp_path):
-    path = tmp_path / "near_normal.json"
-    path.write_text(serialize_instance(near_normal_bundle()))
-    return path
-
-
-@pytest.mark.parametrize("support_tol", [None, "1e-5"])
-def test_spectral_decomp_uses_run_support_tol(tmp_path, support_tol):
-    inst_file = near_normal_instance_file(tmp_path)
+@pytest.mark.parametrize("tol", [None, "1e-7"])
+def test_near_normal_symbol_gives_no_false_fail(tmp_path, tol):
+    # The run's --tol decides whether the spectral decomposition is
+    # measured: on the scale of its own sd_reconstruction.
+    inst_file = tmp_path / "near_normal.json"
+    inst_file.write_text(serialize_instance(near_normal_bundle()))
     report_file = tmp_path / "report.json"
-    args = ["verify", str(inst_file), "--checks", "normality,spectral_decomp",
-            "--report", str(report_file)]
-    if support_tol is not None:
-        args += ["--support-tol", support_tol]
-    main(args)
+    args = ["verify", str(inst_file), "--report", str(report_file)]
+    if tol is not None:
+        args += ["--tol", tol]
+    assert main(args) == 0
     records = [r for r in json.loads(report_file.read_text())["records"]
                if r["name"].startswith("sd_")]
     assert len(records) == 5
-    if support_tol is None:
-        assert all(r["status"] == "skip" for r in records)
-    else:
-        # Measured, not a breakdown; pass or fail is not pinned here.
-        assert all(r["residual"] is not None and "reason" not in r for r in records)
+    assert {r["status"] for r in records} == {"skip" if tol is None else "pass"}
 
 
-# Known threshold defect, pinned until one scale decides normality:
-# is_measurable calls u blockwise constant at support_tol, while the
-# operator comparisons of normality and the spectral decomposition run at
-# tol. The test asserts that no record fails; the fix makes it pass and
-# removes the mark.
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="at support_tol 1e-5 a 1e-7 step in u counts as blockwise "
-                          "constant, but the comparisons at tol 1e-8 see it: "
-                          "normality and sd_reconstruction fail")
-def test_near_normal_symbol_at_loose_support_tol_gives_no_false_fail():
-    report = run_suite([near_normal_bundle()], tols=Tolerances(support_tol=1e-5))
-    assert failing_records(report) == []
+@pytest.mark.parametrize("expected, computed", [
+    ([0j, 1 + 0j], [0j, 1 + 0j, 2 + 0j]),
+    ([0j, 1 + 0j, 2 + 0j], [0j, 1 + 0j]),
+])
+def test_eigenvalue_match_sees_both_directions(expected, computed):
+    # An eigenvalue missing on either side is a distance of 1 from the
+    # other set, relative to 1 + 2: neither one-sided distance alone sees
+    # both cases.
+    assert _eigvals_match_residual(expected, computed) > 0.3
+    assert _eigvals_match_residual(computed, computed) == 0.0

@@ -9,10 +9,10 @@ from wcelab.generator import (
     rotation_config,
 )
 from wcelab.instance_io import instance_digest, serialize_instance
-from wcelab.measure import finest_partition, is_measurable
+from wcelab.measure import finest_partition
 from wcelab.wce import build_operator, partial_isometry_criterion
 
-from conftest import adjoint, norm
+from conftest import adjoint, declared_normal, norm
 
 
 class TestConfigValidation:
@@ -77,7 +77,7 @@ class TestModes:
         for seed in range(5):
             inst = gen_instance(GeneratorConfig(
                 seed=seed, n=9, block_count=3, measurable_u=True)).instance
-            assert is_measurable(inst.u, inst.partition)
+            assert declared_normal(inst.u, inst.partition)
 
     def test_constant_u(self):
         inst = gen_instance(GeneratorConfig(
@@ -122,7 +122,7 @@ class TestPerturbation:
         inst = gen_instance(GeneratorConfig(
             seed=9, n=8, block_count=3, measurable_u=True)).instance
         bad = perturb_nonmeasurable(inst, 1)
-        assert not is_measurable(bad.u, bad.partition)
+        assert not declared_normal(bad.u, bad.partition)
 
     def test_requires_multipoint_block(self):
         inst = gen_instance(GeneratorConfig(seed=9, n=4, block_count=4)).instance

@@ -13,11 +13,13 @@ from wcelab.measure import (
     MeasurableFunction,
     coarsest_partition,
     finest_partition,
-    is_measurable,
     make_partition,
     make_space,
 )
+from wcelab.spectral import avg_mult_spectrum, block_spread
 from wcelab.wce import make_instance
+
+from conftest import declared_normal
 
 
 class TestMakeSpace:
@@ -120,38 +122,51 @@ class TestSupport:
 
 
 class TestIsMeasurable:
+    """f is measurable for a partition when it is constant on every block:
+    its spread sqrt(E|f - E f|^2) (spectral.block_spread) is 0 there."""
+
     def test_blockwise_constant(self):
         sp = make_space([1.0] * 4)
         p = make_partition(sp, [[0, 1], [2, 3]])
         f = MeasurableFunction(sp, [5, 5, 7, 7])
-        assert is_measurable(f, p)
+        spread, rms = block_spread(f, p)
+        np.testing.assert_array_equal(spread, [0.0, 0.0])
+        np.testing.assert_allclose(rms, [5.0, 7.0], rtol=1e-15)
 
     def test_varies_on_block(self):
         sp = make_space([1.0] * 4)
         p = make_partition(sp, [[0, 1], [2, 3]])
         f = MeasurableFunction(sp, [5, 6, 7, 7])
-        assert not is_measurable(f, p, 1e-10)
+        spread, _ = block_spread(f, p)
+        np.testing.assert_allclose(spread, [0.5, 0.0], rtol=1e-15, atol=0)
+        assert not declared_normal(f, p)
 
     def test_finest_always_measurable(self, rng):
         sp = make_space([1.0, 2.0, 0.5])
         f = MeasurableFunction(sp, rng.normal(size=3) + 1j * rng.normal(size=3))
-        assert is_measurable(f, finest_partition(sp))
+        assert declared_normal(f, finest_partition(sp), tol=1e-15)
 
     def test_space_mismatch(self):
         f = MeasurableFunction(make_space([1.0, 1.0]), [1, 2])
         p = coarsest_partition(make_space([2.0, 2.0]))
         with pytest.raises(SpaceMismatchError):
-            is_measurable(f, p)
+            block_spread(f, p)
 
     @pytest.mark.parametrize("second", [1e300, -1e300])
     def test_overflowing_block_mean_raises(self, second):
-        # The block integral is inf (or inf - inf): constancy cannot be
-        # decided, and the reduction itself warns nothing.
+        # The block integral is inf (or inf - inf): no eigenvalue of E M_f
+        # can be grouped, and the reduction itself warns nothing. The
+        # spread is taken on f over its peak, so it decides without one.
         sp = make_space([1e10, 1e10])
         f = MeasurableFunction(sp, [1e300, second])
+        p = coarsest_partition(sp)
         with np.errstate(all="raise"):
+            assert not np.isfinite(p.block_means(f.values)).any()
             with pytest.raises(ValueError, match="not finite"):
-                is_measurable(f, coarsest_partition(sp))
+                avg_mult_spectrum(f, p, 1e-8)
+            spread, rms = block_spread(f, p)
+        np.testing.assert_allclose(spread, [0.0 if second > 0 else 1e300])
+        np.testing.assert_allclose(rms, [1e300])
 
 
 # Hypothesis strategies for small weighted spaces with a partition.
@@ -202,8 +217,8 @@ def test_measurability_survives_refinement(sp_and_p, split_seed):
     for b in coarse.blocks:
         vals[list(b)] = rng.normal() + 1j * rng.normal()
     f = MeasurableFunction(sp, vals)
-    assert is_measurable(f, coarse)
-    assert is_measurable(f, fine)
+    assert declared_normal(f, coarse)
+    assert declared_normal(f, fine)
 
 
 @settings(max_examples=40, deadline=None)

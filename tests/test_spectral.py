@@ -11,7 +11,6 @@ from wcelab.measure import (
     MeasurableFunction,
     Partition,
     finest_partition,
-    is_measurable,
     make_partition,
     make_space,
 )
@@ -20,13 +19,16 @@ from wcelab.spectral import (
     SpectralMeasureTable,
     avg_mult_operator,
     avg_mult_spectrum,
+    block_spread,
     check_spectral_axioms,
     fiber_partition,
     pushforward_density,
     spectral_decomposition,
 )
 
-from conftest import deviation, norm, point_matrix, random_complex
+from conftest import declared_normal, deviation, norm, point_matrix, random_complex
+
+TOL = Tolerances().op_tol
 
 
 @pytest.fixture
@@ -67,33 +69,57 @@ class TestNormality:
     def test_blockwise_constant_is_normal(self, uniform4):
         sp, p = uniform4
         u = MeasurableFunction(sp, [5, 5, 7, 7])
-        assert is_measurable(u, p)
+        assert declared_normal(u, p)
         assert commutator_norm(u, p) < 1e-13
 
     def test_nonconstant_is_not_normal(self, uniform4):
         sp, p = uniform4
         u = MeasurableFunction(sp, [5, 6, 7, 7])
-        assert not is_measurable(u, p)
+        assert not declared_normal(u, p)
         assert commutator_norm(u, p) > 1e-3
 
     def test_finest_always_normal(self, rng):
         sp = make_space([1.0, 2.0, 0.5])
         u = MeasurableFunction(sp, random_complex(rng, 3))
-        assert is_measurable(u, finest_partition(sp))
+        assert declared_normal(u, finest_partition(sp))
         assert commutator_norm(u, finest_partition(sp)) < 1e-12
+
+    def test_closed_commutator_norm(self):
+        # ||[E M_u, (E M_u)*]|| is the largest sqrt(E|u - E u|^2) sqrt(E|u|^2)
+        # over the blocks.
+        for seed in range(40, 50):
+            inst = gen_instance(GeneratorConfig(seed=seed, n=3 + seed % 12,
+                                                block_count=1 + seed % 3)).instance
+            spread, rms = block_spread(inst.u, inst.partition)
+            closed = float((spread * rms).max())
+            assert closed == pytest.approx(commutator_norm(inst.u, inst.partition),
+                                           rel=1e-12)
+            m_norm = norm(avg_mult_operator(inst.u, inst.partition))
+            assert float(rms.max()) == pytest.approx(m_norm, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-200])
+    def test_spread_of_an_extreme_symbol_is_exact(self, uniform4, scale):
+        # |u|^2 overflows at 1e160 and underflows at 1e-200; the spread is
+        # taken on u over its peak, so neither happens.
+        sp, p = uniform4
+        u = MeasurableFunction(sp, scale * np.array([1, 3, 2, 2]))
+        with np.errstate(over="raise", under="raise"):
+            spread, rms = block_spread(u, p)
+        np.testing.assert_allclose(spread, [scale, 0.0], rtol=1e-14)
+        np.testing.assert_allclose(rms, [np.sqrt(5.0) * scale, 2.0 * scale], rtol=1e-14)
 
 
 class TestSpectrum:
     def test_unit_symbol(self, uniform4):
         sp, p = uniform4
         u = MeasurableFunction.constant(sp, 1.0)
-        assert set(avg_mult_spectrum(u, p)) == {0j, 1 + 0j}
+        assert set(avg_mult_spectrum(u, p, TOL)) == {0j, 1 + 0j}
 
     def test_block_means(self, uniform4):
         # block means of (1, 3, 0, 8) are 2 and 4
         sp, p = uniform4
         u = MeasurableFunction(sp, [1, 3, 0, 8])
-        spec = set(avg_mult_spectrum(u, p))
+        spec = set(avg_mult_spectrum(u, p, TOL))
         assert spec == {0j, 2 + 0j, 4 + 0j}
         eigs = np.linalg.eigvals(avg_mult_operator(u, p))
         for z in spec:
@@ -104,12 +130,12 @@ class TestSpectrum:
     def test_zero_symbol(self, uniform4):
         sp, p = uniform4
         u = MeasurableFunction.constant(sp, 0.0)
-        assert set(avg_mult_spectrum(u, p)) == {0j}
+        assert set(avg_mult_spectrum(u, p, TOL)) == {0j}
 
     def test_zero_always_adjoined(self):
         sp = make_space([1.0, 2.0])
         u = MeasurableFunction(sp, [3, 5])
-        spec = set(avg_mult_spectrum(u, finest_partition(sp)))
+        spec = set(avg_mult_spectrum(u, finest_partition(sp), TOL))
         assert 0j in spec and len(spec) == 3
 
 
@@ -117,7 +143,7 @@ class TestSpectralDecomposition:
     def test_two_level_example(self, uniform4):
         sp, p = uniform4
         u = MeasurableFunction(sp, [2, 2, 5, 5])
-        decomp = spectral_decomposition(u, p)
+        decomp = spectral_decomposition(u, p, TOL)
         assert [complex(z) for z in decomp.eigenvalues] == [2 + 0j, 5 + 0j, 0j]
         # P_{lambda=2} restricts to block {0,1} then averages.
         expected = np.zeros((4, 4))
@@ -131,14 +157,14 @@ class TestSpectralDecomposition:
         sp = make_space([1.0, 2.0, 0.5])
         p = make_partition(sp, [[0, 1], [2]])
         u = MeasurableFunction.constant(sp, 3.0)
-        decomp = spectral_decomposition(u, p)
+        decomp = spectral_decomposition(u, p, TOL)
         assert [complex(z) for z in decomp.eigenvalues] == [3 + 0j, 0j]
         assert deviation(decomp.stack[0], p.cond_exp_matrix) < 1e-13
 
     def test_zero_symbol(self, uniform4):
         sp, p = uniform4
         u = MeasurableFunction.constant(sp, 0.0)
-        decomp = spectral_decomposition(u, p)
+        decomp = spectral_decomposition(u, p, TOL)
         assert [complex(z) for z in decomp.eigenvalues] == [0j]
         np.testing.assert_allclose(decomp.stack[0], np.eye(4), atol=1e-14)
 
@@ -147,7 +173,7 @@ class TestSpectralDecomposition:
             inst = gen_instance(GeneratorConfig(
                 seed=seed, n=6 + seed % 8, block_count=2 + seed % 3,
                 measurable_u=True)).instance
-            decomp = spectral_decomposition(inst.u, inst.partition)
+            decomp = spectral_decomposition(inst.u, inst.partition, TOL)
             # The projections, the kernel's included, are real.
             assert decomp.stack.dtype == np.float64
             m = avg_mult_operator(inst.u, inst.partition)
@@ -174,7 +200,7 @@ class TestSpectralDecomposition:
     def test_rejects_nonnormal(self, uniform4):
         sp, p = uniform4
         with pytest.raises(NotNormalError):
-            spectral_decomposition(MeasurableFunction(sp, [1, 2, 3, 4]), p)
+            spectral_decomposition(MeasurableFunction(sp, [1, 2, 3, 4]), p, TOL)
 
 
 class TestPointMapBasics:
@@ -564,8 +590,8 @@ def test_normality_equivalence_with_perturbation():
     for seed in range(80, 90):
         inst = gen_instance(GeneratorConfig(
             seed=seed, n=8, block_count=3, measurable_u=True)).instance
-        assert is_measurable(inst.u, inst.partition)
+        assert declared_normal(inst.u, inst.partition)
         assert commutator_norm(inst.u, inst.partition) < 1e-10
         bad = perturb_nonmeasurable(inst, seed)
-        assert not is_measurable(bad.u, bad.partition)
+        assert not declared_normal(bad.u, bad.partition)
         assert commutator_norm(bad.u, bad.partition) > 1e-6
