@@ -11,7 +11,7 @@ averaged multiplication operators, and the projection-valued measures
 induced by point maps.
 """
 
-from .checks import CHECK_GROUPS, CheckRecord, Tolerances
+from .checks import CHECK_GROUPS, CheckRecord
 from .condexp import Sandwich, cond_exp_values
 from .errors import (
     ConfigInvalidError,
@@ -47,7 +47,6 @@ from .measure import (
 from .opalgebra import EigenSystem, SvdOracle, op_deviations
 from .spectral import (
     PointMap,
-    SpectralAxiomReport,
     SpectralDecomp,
     SpectralMeasureTable,
     avg_mult_operator,

@@ -1,10 +1,10 @@
 """The certification checks: every closed form against its oracle.
 
-Each check function takes a per-instance context and returns a fixed set
-of records, so a report always contains the same record names for every
-instance of a group (skips included). Randomness inside a check is
-seeded from the instance digest, which keeps reports deterministic and
-order-independent.
+Each check function takes a per-instance context and returns the records
+RECORDS lists for its group, so a report always contains the same record
+names for every instance of a group (skips included). Randomness inside a
+check is seeded from the instance digest, which keeps reports
+deterministic and order-independent.
 
 Records carry the measured residual and the bound it was compared
 against. For most checks the bound is an upper bound; separation checks
@@ -54,27 +54,86 @@ from .wce import (
 )
 
 
+# The one comparison tolerance a run can set (--tol): relative operator
+# comparisons.
+DEFAULT_TOL = 1e-8
 # Bounds that no run changes.
 AXIOM_TOL = 1e-9           # spectral measure axioms
 MASS_TOL = 1e-12           # pushforward mass conservation (relative)
 POINTWISE_SLACK = 1e-12    # additive slack for pointwise inequalities
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """The one comparison tolerance a verification run can set."""
-
-    op_tol: float = 1e-8           # relative operator comparisons
-
-    @property
-    def kernel_tol(self) -> float:
-        """Kernel projection comparisons."""
-        return 10.0 * self.op_tol
-
-    @property
-    def func_calc_tol(self) -> float:
-        """Functional calculus comparisons."""
-        return 10.0 * self.op_tol
+# Every record a check group can return, with its statement, group by
+# group in registry order. A group returns exactly these names on every
+# instance, skips included.
+RECORDS: dict[str, dict[str, str]] = {
+    "condexp": {
+        "ce_idempotent": "E(E(f)) = E(f)",
+        "ce_range": "E maps onto, and fixes, the blockwise-constant functions",
+        "ce_module": "E(f g) = E(f) g for blockwise-constant g",
+        "ce_jensen": "|E(f)|^p <= E(|f|^p) pointwise, p in {1, 2, 4}",
+        "ce_positive": "f >= 0 implies E(f) >= 0; f > 0 implies E(f) > 0",
+        "ce_hoelder": "|E(f g)| <= E(|f|^p)^(1/p) E(|g|^q)^(1/q), conjugate p, q",
+        "ce_support": "S(f) contained in S(E(f)) for f >= 0",
+        "ce_selfadjoint": "<E f, g> = <f, E g> in the weighted inner product",
+    },
+    "norm": {
+        "norm_formula": "max sqrt(E(|w|^2) E(|u|^2)) equals the operator norm of T",
+    },
+    "vanishing": {
+        "vanishing_disjoint": "M_g T = 0 when g lives off the kept blocks",
+        "vanishing_meets": "M_g T stays away from 0 when g is alive on a kept block",
+    },
+    "partial_isometry": {
+        "partial_isometry": "E(|w|^2) E(|u|^2) is an indicator function iff T T* T = T",
+    },
+    "func_calc": {
+        name: "closed functional calculus equals the calculus on the SVD of T "
+              "for {1, t, t^2, t^3, sqrt, exp(-t)}"
+        for name in ("func_calc_gram", "func_calc_cogram")
+    },
+    "polar": {
+        "polar_abs": "closed |T| equals (T* T)^(1/2) read off the SVD of T",
+        "polar_isometry": "closed U equals the SVD polar factor",
+        "polar_factorization": "U |T| reassembles T",
+        "polar_projection": "U* U is an orthogonal projection",
+        "polar_kernels": "U, |T|, T share one kernel",
+    },
+    "aluthge": {
+        "aluthge_closed": "closed Aluthge transform equals |T|^(1/2) U |T|^(1/2)",
+        "aluthge_root": "the closed half-power factor squares to |T|",
+    },
+    "normality": {
+        "normality": "||[E M_u, (E M_u)*]|| is the largest sqrt(E|u - E u|^2) "
+                     "sqrt(E|u|^2) over the blocks, 0 iff u is blockwise constant",
+    },
+    "spectrum": {
+        "spectrum": "spectrum of E M_u is the set of block means of u together with 0",
+    },
+    "spectral_decomp": {
+        "sd_projections": "each spectral projection is idempotent and self-adjoint",
+        "sd_orthogonality": "spectral projections are pairwise orthogonal",
+        "sd_reconstruction": "sum of lambda_n P_n reassembles E M_u",
+        "sd_rank_sum": "projection ranks add up to the dimension",
+        "sd_eigs_match": "decomposition eigenvalues match the spectrum",
+    },
+    "measure_axioms": {
+        "sm_proj_ambient": "each measure value is an orthogonal projection (ambient)",
+        "sm_empty_ambient": "the empty set maps to the zero operator (ambient)",
+        "sm_intersect_ambient": "intersections map to operator products (ambient)",
+        "sm_additive_ambient": "disjoint unions map to operator sums (ambient)",
+        "sm_proj_subspace": "each measure value is an orthogonal projection (fiber subspace)",
+        "sm_empty_subspace": "the empty set maps to the zero operator (fiber subspace)",
+        "sm_full_subspace": "the whole set maps to the identity on the fiber subspace",
+        "sm_intersect_subspace": "intersections map to operator products (fiber subspace)",
+        "sm_additive_subspace": "disjoint unions map to operator sums (fiber subspace)",
+        "sm_mass_conservation": "the pushforward density preserves total mass",
+    },
+    "reconstruction": {
+        "sm_reconstruction": "sum of v(s) measure({s}) reassembles f -> E_phi(u f)",
+    },
+}
+_STATEMENTS = {name: st for names in RECORDS.values() for name, st in names.items()}
 
 
 @dataclass
@@ -121,7 +180,7 @@ class CheckContext:
     """
 
     bundle: InstanceBundle
-    tols: Tolerances
+    tol: float = DEFAULT_TOL
     digest: str = ""
     doc: str = ""
 
@@ -145,22 +204,11 @@ class CheckContext:
         return np.random.default_rng(self.seed(salt))
 
     @cached_property
-    def _t_built(self) -> np.ndarray | ValueError:
-        """T, or the error its build raised: entries that overflow make T
-        unrepresentable."""
-        try:
-            return build_operator(self.instance)
-        except ValueError as e:
-            return e
-
-    @property
     def t(self) -> np.ndarray:
-        """The operator f -> w E(u f) as a dense matrix. It is built once; a
-        failed build raises the same error in every group that needs T."""
-        t = self._t_built
-        if isinstance(t, ValueError):
-            raise t
-        return t
+        """The operator f -> w E(u f) as a dense matrix. Entries that
+        overflow make T unrepresentable: its build then raises the same
+        ValueError in every group that needs T."""
+        return build_operator(self.instance)
 
     @cached_property
     def svd(self) -> SvdOracle:
@@ -211,17 +259,14 @@ class CheckContext:
         return SpectralMeasureTable(self.bundle.point_map)
 
     def record(
-        self,
-        name: str,
-        statement: str,
-        residual: float,
-        tol: float,
-        bound: str = "upper",
+        self, name: str, residual: float, tol: float, bound: str = "upper"
     ) -> CheckRecord:
+        """Pass or fail of name on its measured residual; the statement is
+        read off RECORDS."""
         ok = residual <= tol if bound == "upper" else residual > tol
         return CheckRecord(
             name=name,
-            statement=statement,
+            statement=_STATEMENTS[name],
             status="pass" if ok else "fail",
             residual=float(residual),
             tol=float(tol),
@@ -243,10 +288,10 @@ class CheckContext:
             instance_doc=self.doc,
         )
 
-    def skip(self, name: str, statement: str, reason: str) -> CheckRecord:
+    def skip(self, name: str, reason: str) -> CheckRecord:
         return CheckRecord(
             name=name,
-            statement=statement,
+            statement=_STATEMENTS[name],
             status="skip",
             residual=None,
             tol=None,
@@ -393,24 +438,10 @@ def condexp_property_residuals(
     return res
 
 
-_CE_STATEMENTS = {
-    "idempotent": "E(E(f)) = E(f)",
-    "range": "E maps onto, and fixes, the blockwise-constant functions",
-    "module": "E(f g) = E(f) g for blockwise-constant g",
-    "jensen": "|E(f)|^p <= E(|f|^p) pointwise, p in {1, 2, 4}",
-    "positive": "f >= 0 implies E(f) >= 0; f > 0 implies E(f) > 0",
-    "hoelder": "|E(f g)| <= E(|f|^p)^(1/p) E(|g|^q)^(1/q), conjugate p, q",
-    "support": "S(f) contained in S(E(f)) for f >= 0",
-    "selfadjoint": "<E f, g> = <f, E g> in the weighted inner product",
-}
-
-
 def check_condexp(ctx: CheckContext) -> list[CheckRecord]:
     res = condexp_property_residuals(ctx.instance.partition, ctx.rng("condexp"))
-    return [
-        ctx.record(f"ce_{key}", _CE_STATEMENTS[key], res[key], POINTWISE_SLACK)
-        for key in _CE_STATEMENTS
-    ]
+    return [ctx.record(name, res[name.removeprefix("ce_")], POINTWISE_SLACK)
+            for name in RECORDS["condexp"]]
 
 
 # ---------------------------------------------------------------------------
@@ -423,11 +454,7 @@ def check_norm(ctx: CheckContext) -> list[CheckRecord]:
     t_norm = ctx.t_norm
     nf = norm_formula(ctx.instance)
     residual = abs(nf - t_norm) / (1.0 + nf)
-    return [ctx.record(
-        "norm_formula",
-        "max sqrt(E(|w|^2) E(|u|^2)) equals the operator norm of T",
-        residual, ctx.tols.op_tol,
-    )]
+    return [ctx.record("norm_formula", residual, ctx.tol)]
 
 
 def check_vanishing(ctx: CheckContext) -> list[CheckRecord]:
@@ -438,7 +465,6 @@ def check_vanishing(ctx: CheckContext) -> list[CheckRecord]:
     blocks = inst.partition.block_of
     in_kept = inst.kept[_first_points(inst.partition)]
     block_kept = np.flatnonzero(in_kept)
-    records: list[CheckRecord] = []
 
     # g supported off the kept blocks leaves M_g T below the rank cut.
     g_blocks = np.zeros(in_kept.size, dtype=complex)
@@ -453,25 +479,15 @@ def check_vanishing(ctx: CheckContext) -> list[CheckRecord]:
     norms = spectral_norms(np.stack([g[:, None] * t for g in gs]))
 
     res1 = norms[0] / ((1.0 + t_norm) * (1.0 + float(np.abs(g1).max(initial=0.0))))
-    records.append(ctx.record(
-        "vanishing_disjoint",
-        "M_g T = 0 when g lives off the kept blocks",
-        res1, RANK_TOL,
-    ))
+    records = [ctx.record("vanishing_disjoint", res1, RANK_TOL)]
     if block_kept.size:
         # ||M_g T|| / (max|g| ||T||) is sigma_B / sigma_max on the picked
         # block: the rank cut seen from the kept side.
-        records.append(ctx.record(
-            "vanishing_meets",
-            "M_g T stays away from 0 when g is alive on a kept block",
-            norms[1] / (g_pick * t_norm), RANK_TOL, bound="lower",
-        ))
+        records.append(ctx.record("vanishing_meets", norms[1] / (g_pick * t_norm),
+                                  RANK_TOL, bound="lower"))
     else:
-        records.append(ctx.skip(
-            "vanishing_meets",
-            "M_g T stays away from 0 when g is alive on a kept block",
-            "the product E(|w|^2) E(|u|^2) vanishes identically",
-        ))
+        records.append(ctx.skip("vanishing_meets",
+                                "the product E(|w|^2) E(|u|^2) vanishes identically"))
     return records
 
 
@@ -481,16 +497,11 @@ def check_partial_isometry(ctx: CheckContext) -> list[CheckRecord]:
     # The oracle side first: Gram products that overflow break the group
     # down there, as in every group that needs them.
     residual = float(spectral_norms(ctx.cogram @ t - t)) / max(1.0, ctx.t_norm)
-    is_pi = partial_isometry_criterion(inst, ctx.tols.op_tol)
+    is_pi = partial_isometry_criterion(inst, ctx.tol)
     # Equivalence: when the criterion says partial isometry the oracle
     # residual must vanish, otherwise it must not.
-    return [ctx.record(
-        "partial_isometry",
-        "E(|w|^2) E(|u|^2) is an indicator function iff T T* T = T",
-        residual,
-        ctx.tols.op_tol,
-        bound="upper" if is_pi else "lower",
-    )]
+    return [ctx.record("partial_isometry", residual, ctx.tol,
+                       bound="upper" if is_pi else "lower")]
 
 
 def check_func_calc(ctx: CheckContext) -> list[CheckRecord]:
@@ -508,12 +519,7 @@ def check_func_calc(ctx: CheckContext) -> list[CheckRecord]:
         # norm of each oracle matrix.
         worst = op_deviations(closed, eig.calc_stack(fvals),
                               np.abs(fvals).max(axis=1)).max()
-        records.append(ctx.record(
-            name,
-            "closed functional calculus equals the calculus on the SVD of T "
-            "for {1, t, t^2, t^3, sqrt, exp(-t)}",
-            worst, ctx.tols.func_calc_tol,
-        ))
+        records.append(ctx.record(name, worst, 10 * ctx.tol))
     return records
 
 
@@ -538,23 +544,13 @@ def check_polar(ctx: CheckContext) -> list[CheckRecord]:
         np.stack((abs_mat, u_mat, (u_closed @ abs_closed).matrices())),
         np.stack((abs_ref, u_ref, t)),
         np.array([ctx.t_norm, float(ctx.t_norm > 0.0), ctx.t_norm]))
+    proj_res = float(spectral_norms((uu @ uu).matrices() - uu.matrices()))
     return [
-        ctx.record("polar_abs",
-                   "closed |T| equals (T* T)^(1/2) read off the SVD of T",
-                   abs_res, ctx.tols.op_tol),
-        ctx.record("polar_isometry",
-                   "closed U equals the SVD polar factor",
-                   iso_res, ctx.tols.op_tol),
-        ctx.record("polar_factorization",
-                   "U |T| reassembles T",
-                   fact_res, ctx.tols.op_tol),
-        ctx.record("polar_projection",
-                   "U* U is an orthogonal projection",
-                   float(spectral_norms((uu @ uu).matrices() - uu.matrices())),
-                   ctx.tols.op_tol),
-        ctx.record("polar_kernels",
-                   "U, |T|, T share one kernel",
-                   kernel_res, ctx.tols.kernel_tol),
+        ctx.record("polar_abs", abs_res, ctx.tol),
+        ctx.record("polar_isometry", iso_res, ctx.tol),
+        ctx.record("polar_factorization", fact_res, ctx.tol),
+        ctx.record("polar_projection", proj_res, ctx.tol),
+        ctx.record("polar_kernels", kernel_res, 10 * ctx.tol),
     ]
 
 
@@ -577,12 +573,8 @@ def check_aluthge(ctx: CheckContext) -> list[CheckRecord]:
         np.stack((oracle, ctx.abs_closed)),
         np.array([float(spectral_norms(core)), ctx.t_norm]))
     return [
-        ctx.record("aluthge_closed",
-                   "closed Aluthge transform equals |T|^(1/2) U |T|^(1/2)",
-                   closed_res, ctx.tols.op_tol),
-        ctx.record("aluthge_root",
-                   "the closed half-power factor squares to |T|",
-                   root_res, ctx.tols.op_tol),
+        ctx.record("aluthge_closed", closed_res, ctx.tol),
+        ctx.record("aluthge_root", root_res, ctx.tol),
     ]
 
 
@@ -613,52 +605,24 @@ def check_normality(ctx: CheckContext) -> list[CheckRecord]:
         # The closed norm is 0 exactly when u is blockwise constant.
         closed = float(np.prod(block_spread(inst.u, inst.partition), axis=0).max())
     comm_norm, m_norm = spectral_norms(np.stack((commutator, m)))
-    return [ctx.record(
-        "normality",
-        "||[E M_u, (E M_u)*]|| is the largest sqrt(E|u - E u|^2) sqrt(E|u|^2) "
-        "over the blocks, 0 iff u is blockwise constant",
-        abs(closed - comm_norm) / (1.0 + m_norm ** 2),
-        ctx.tols.op_tol,
-    )]
+    return [ctx.record("normality", abs(closed - comm_norm) / (1.0 + m_norm ** 2),
+                       ctx.tol)]
 
 
 def check_spectrum(ctx: CheckContext) -> list[CheckRecord]:
     inst = ctx.instance
-    expected = list(avg_mult_spectrum(inst.u, inst.partition, ctx.tols.op_tol))
-    umax = float(np.abs(inst.u.values).max(initial=0.0))
-    # The formula always adjoins 0; drop it in the one invertible case
-    # (all-singleton partition, u vanishing nowhere).
-    if inst.partition.is_finest() and np.all(
-        np.abs(inst.u.values) > ctx.tols.op_tol * (1.0 + umax)
-    ):
-        expected = [z for z in expected if z != 0]
+    expected = list(avg_mult_spectrum(inst.u, inst.partition, ctx.tol))
     residual = _eigvals_match_residual(expected, ctx.avg_mult_eigvals)
-    return [ctx.record(
-        "spectrum",
-        "spectrum of E M_u is the set of block means of u together with 0",
-        residual, ctx.tols.op_tol,
-    )]
-
-
-_SD_NAMES = ("sd_projections", "sd_orthogonality", "sd_reconstruction",
-             "sd_rank_sum", "sd_eigs_match")
-_SD_STATEMENTS = {
-    "sd_projections": "each spectral projection is idempotent and self-adjoint",
-    "sd_orthogonality": "spectral projections are pairwise orthogonal",
-    "sd_reconstruction": "sum of lambda_n P_n reassembles E M_u",
-    "sd_rank_sum": "projection ranks add up to the dimension",
-    "sd_eigs_match": "decomposition eigenvalues match the spectrum",
-}
+    return [ctx.record("spectrum", residual, ctx.tol)]
 
 
 def check_spectral_decomp(ctx: CheckContext) -> list[CheckRecord]:
     inst = ctx.instance
     try:
-        decomp = spectral_decomposition(inst.u, inst.partition, ctx.tols.op_tol)
+        decomp = spectral_decomposition(inst.u, inst.partition, ctx.tol)
     except NotNormalError:
-        return [ctx.skip(name, _SD_STATEMENTS[name],
-                         "u is not blockwise constant, E M_u is not normal")
-                for name in _SD_NAMES]
+        return [ctx.skip(name, "u is not blockwise constant, E M_u is not normal")
+                for name in RECORDS["spectral_decomp"]]
     m = ctx.avg_mult
     n = inst.space.n
     p = decomp.stack
@@ -681,78 +645,31 @@ def check_spectral_decomp(ctx: CheckContext) -> list[CheckRecord]:
     eig_res = _eigvals_match_residual(list(decomp.eigenvalues), ctx.avg_mult_eigvals)
 
     return [
-        ctx.record("sd_projections", _SD_STATEMENTS["sd_projections"],
-                   proj_res, ctx.tols.op_tol),
-        ctx.record("sd_orthogonality", _SD_STATEMENTS["sd_orthogonality"],
-                   orth_res, ctx.tols.op_tol),
-        ctx.record("sd_reconstruction", _SD_STATEMENTS["sd_reconstruction"],
-                   recon_res, ctx.tols.op_tol),
-        ctx.record("sd_rank_sum", _SD_STATEMENTS["sd_rank_sum"],
-                   float(abs(total_rank - n)), 0.5),
-        ctx.record("sd_eigs_match", _SD_STATEMENTS["sd_eigs_match"],
-                   eig_res, ctx.tols.op_tol),
+        ctx.record("sd_projections", proj_res, ctx.tol),
+        ctx.record("sd_orthogonality", orth_res, ctx.tol),
+        ctx.record("sd_reconstruction", recon_res, ctx.tol),
+        ctx.record("sd_rank_sum", float(abs(total_rank - n)), 0.5),
+        ctx.record("sd_eigs_match", eig_res, ctx.tol),
     ]
-
-
-_SM_NAMES = (
-    "sm_proj_ambient", "sm_empty_ambient", "sm_intersect_ambient",
-    "sm_additive_ambient", "sm_proj_subspace", "sm_empty_subspace",
-    "sm_full_subspace", "sm_intersect_subspace", "sm_additive_subspace",
-    "sm_mass_conservation",
-)
-_SM_STATEMENTS = {
-    "sm_proj_ambient": "each measure value is an orthogonal projection (ambient)",
-    "sm_empty_ambient": "the empty set maps to the zero operator (ambient)",
-    "sm_intersect_ambient": "intersections map to operator products (ambient)",
-    "sm_additive_ambient": "disjoint unions map to operator sums (ambient)",
-    "sm_proj_subspace": "each measure value is an orthogonal projection (fiber subspace)",
-    "sm_empty_subspace": "the empty set maps to the zero operator (fiber subspace)",
-    "sm_full_subspace": "the whole set maps to the identity on the fiber subspace",
-    "sm_intersect_subspace": "intersections map to operator products (fiber subspace)",
-    "sm_additive_subspace": "disjoint unions map to operator sums (fiber subspace)",
-    "sm_mass_conservation": "the pushforward density preserves total mass",
-}
 
 
 def check_measure_axioms(ctx: CheckContext) -> list[CheckRecord]:
     phi = ctx.bundle.point_map
     if phi is None:
-        return [ctx.skip(name, _SM_STATEMENTS[name], "no point map on this instance")
-                for name in _SM_NAMES]
-    ambient, compressed = check_spectral_axioms(ctx.measure_table, seed=ctx.seed("axioms"))
+        return [ctx.skip(name, "no point map on this instance")
+                for name in RECORDS["measure_axioms"]]
+    axioms = check_spectral_axioms(ctx.measure_table, seed=ctx.seed("axioms"))
     h = pushforward_density(phi)
     total = phi.space.total_mass
     mass_res = abs(float(np.sum(h.values.real * phi.space.weights)) - total) / total
-    return [
-        ctx.record("sm_proj_ambient", _SM_STATEMENTS["sm_proj_ambient"],
-                   ambient.projection_residual, AXIOM_TOL),
-        ctx.record("sm_empty_ambient", _SM_STATEMENTS["sm_empty_ambient"],
-                   ambient.empty_residual, AXIOM_TOL),
-        ctx.record("sm_intersect_ambient", _SM_STATEMENTS["sm_intersect_ambient"],
-                   ambient.intersection_residual, AXIOM_TOL),
-        ctx.record("sm_additive_ambient", _SM_STATEMENTS["sm_additive_ambient"],
-                   ambient.additivity_residual, AXIOM_TOL),
-        ctx.record("sm_proj_subspace", _SM_STATEMENTS["sm_proj_subspace"],
-                   compressed.projection_residual, AXIOM_TOL),
-        ctx.record("sm_empty_subspace", _SM_STATEMENTS["sm_empty_subspace"],
-                   compressed.empty_residual, AXIOM_TOL),
-        ctx.record("sm_full_subspace", _SM_STATEMENTS["sm_full_subspace"],
-                   compressed.full_residual, AXIOM_TOL),
-        ctx.record("sm_intersect_subspace", _SM_STATEMENTS["sm_intersect_subspace"],
-                   compressed.intersection_residual, AXIOM_TOL),
-        ctx.record("sm_additive_subspace", _SM_STATEMENTS["sm_additive_subspace"],
-                   compressed.additivity_residual, AXIOM_TOL),
-        ctx.record("sm_mass_conservation", _SM_STATEMENTS["sm_mass_conservation"],
-                   mass_res, MASS_TOL),
-    ]
+    return [*(ctx.record(name, res, AXIOM_TOL) for name, res in axioms.items()),
+            ctx.record("sm_mass_conservation", mass_res, MASS_TOL)]
 
 
 def check_reconstruction(ctx: CheckContext) -> list[CheckRecord]:
-    statement = "sum of v(s) measure({s}) reassembles f -> E_phi(u f)"
     phi = ctx.bundle.point_map
     if phi is None:
-        return [ctx.skip("sm_reconstruction", statement,
-                         "no point map on this instance")]
+        return [ctx.skip("sm_reconstruction", "no point map on this instance")]
     rng = ctx.rng("reconstruction")
     table = ctx.measure_table
     # Three seeded symbols, constant on the fibers by construction.
@@ -760,7 +677,7 @@ def check_reconstruction(ctx: CheckContext) -> list[CheckRecord]:
     # f -> E_phi(u f), one matrix per symbol.
     direct = table.partition.cond_exp_matrix[None] * symbols[:, None, :]
     worst = op_deviations(table.reconstruct(symbols), direct).max()
-    return [ctx.record("sm_reconstruction", statement, worst, AXIOM_TOL)]
+    return [ctx.record("sm_reconstruction", worst, AXIOM_TOL)]
 
 
 # ---------------------------------------------------------------------------
@@ -784,19 +701,3 @@ CHECK_GROUPS: dict[str, Callable[[CheckContext], list[CheckRecord]]] = {
 BASIC_GROUPS = ("condexp", "norm", "vanishing", "partial_isometry",
                 "func_calc", "polar", "aluthge")
 FULL_GROUPS = tuple(CHECK_GROUPS)
-
-GROUP_RECORD_NAMES: dict[str, tuple[str, ...]] = {
-    "condexp": tuple(f"ce_{k}" for k in _CE_STATEMENTS),
-    "norm": ("norm_formula",),
-    "vanishing": ("vanishing_disjoint", "vanishing_meets"),
-    "partial_isometry": ("partial_isometry",),
-    "func_calc": ("func_calc_gram", "func_calc_cogram"),
-    "polar": ("polar_abs", "polar_isometry", "polar_factorization",
-              "polar_projection", "polar_kernels"),
-    "aluthge": ("aluthge_closed", "aluthge_root"),
-    "normality": ("normality",),
-    "spectrum": ("spectrum",),
-    "spectral_decomp": _SD_NAMES,
-    "measure_axioms": _SM_NAMES,
-    "reconstruction": ("sm_reconstruction",),
-}

@@ -25,7 +25,7 @@ from typing import Callable, Iterator
 
 import numpy
 
-from .checks import BASIC_GROUPS, CHECK_GROUPS, FULL_GROUPS, Tolerances
+from .checks import BASIC_GROUPS, CHECK_GROUPS, DEFAULT_TOL, FULL_GROUPS
 from .errors import ConfigInvalidError, ParseError
 from .generator import GeneratorConfig, gen_instance, rotation_config
 from .instance_io import parse_instance, serialize_instance
@@ -80,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--checks", default=None,
                         help="comma-separated check groups "
                              f"(default: all; known: {','.join(CHECK_GROUPS)})")
-    verify.add_argument("--tol", type=_tolerance, default=1e-8,
+    verify.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                         help="relative operator comparison tolerance")
     verify.add_argument("--report", type=Path, default=None,
                         help="write the machine-readable JSON report here")
@@ -90,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="inclusive seed range A..B (default 1..200)")
     suite.add_argument("--full", action="store_true",
                        help="include the spectral checks and point maps")
-    suite.add_argument("--tol", type=_tolerance, default=1e-8)
+    suite.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     suite.add_argument("--report", type=Path, default=None)
     return parser
 
@@ -118,7 +118,7 @@ def _write(path: Path, text: str) -> bool:
     return True
 
 
-def _certify(bundles, groups, tols: Tolerances, report_path: Path | None) -> int:
+def _certify(bundles, groups, tol: float, report_path: Path | None) -> int:
     """Run the checks, print the text report and write the JSON report.
 
     The report path is written, empty, before the run, so a path that
@@ -127,7 +127,7 @@ def _certify(bundles, groups, tols: Tolerances, report_path: Path | None) -> int
     if report_path is not None and not _write(report_path, ""):
         return 2
     start = time.perf_counter()
-    report = run_suite(bundles, groups, tols)
+    report = run_suite(bundles, groups, tol)
     print(report.render_text(time.perf_counter() - start))
     if report_path is not None and not _write(report_path, report.to_json()):
         return 2
@@ -173,7 +173,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    return _certify(bundles, groups, Tolerances(args.tol), args.report)
+    return _certify(bundles, groups, args.tol, args.report)
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
@@ -185,7 +185,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     bundles = [gen_instance(rotation_config(s, with_point_map=args.full))
                for s in seeds]
     groups = FULL_GROUPS if args.full else BASIC_GROUPS
-    return _certify(bundles, groups, Tolerances(args.tol), args.report)
+    return _certify(bundles, groups, args.tol, args.report)
 
 
 @functools.cache

@@ -25,6 +25,10 @@ from .measure import MeasurableFunction, Partition, make_space
 from .spectral import PointMap
 from .wce import WceInstance, make_instance
 
+# Point masses are drawn uniformly from WEIGHT_RANGE, symbol magnitudes
+# from MAGNITUDE_RANGE.
+WEIGHT_RANGE = (0.1, 10.0)
+MAGNITUDE_RANGE = (0.0, 4.0)
 # Minimum allowed blockwise mean of |symbol|^2, as a fraction of the
 # squared magnitude cap, for blocks that are not deliberately zeroed.
 _AGGREGATE_FLOOR_FRACTION = 0.003
@@ -35,8 +39,6 @@ class GeneratorConfig:
     seed: int
     n: int = 8
     block_count: int = 3
-    weight_range: tuple[float, float] = (0.1, 10.0)
-    magnitude_range: tuple[float, float] = (0.0, 4.0)
     measurable_u: bool = False
     partial_isometry: bool = False
     zero_blocks: bool = False
@@ -52,12 +54,6 @@ class GeneratorConfig:
             raise ConfigInvalidError(
                 f"block_count={self.block_count} out of range 1..{self.n}"
             )
-        wlo, whi = self.weight_range
-        if not (0.0 < wlo <= whi and np.isfinite(whi)):
-            raise ConfigInvalidError(f"bad weight_range {self.weight_range}")
-        mlo, mhi = self.magnitude_range
-        if not (0.0 <= mlo <= mhi and np.isfinite(mhi) and mhi > 0.0):
-            raise ConfigInvalidError(f"bad magnitude_range {self.magnitude_range}")
 
 
 def _random_partition(rng: np.random.Generator, n: int, k: int) -> list[list[int]]:
@@ -86,12 +82,11 @@ def _apply_floor(
     values: np.ndarray,
     blocks: list[list[int]],
     weights: np.ndarray,
-    mag_range: tuple[float, float],
     skip: set[int],
     blockwise: bool,
 ) -> None:
     """Redraw blocks whose |.|^2 aggregate fell below the floor."""
-    lo, hi = mag_range
+    lo, hi = MAGNITUDE_RANGE
     floor = _AGGREGATE_FLOOR_FRACTION * hi * hi
     redraw_lo = max(lo, 0.25 * hi)
     for k, b in enumerate(blocks):
@@ -118,10 +113,9 @@ def gen_instance(cfg: GeneratorConfig) -> InstanceBundle:
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     n, k = cfg.n, cfg.block_count
-    wlo, whi = cfg.weight_range
-    mlo, mhi = cfg.magnitude_range
+    mlo, mhi = MAGNITUDE_RANGE
 
-    weights = rng.uniform(wlo, whi, n)
+    weights = rng.uniform(*WEIGHT_RANGE, n)
     blocks = _random_partition(rng, n, k)
     space = make_space(weights)
     partition = Partition(space, tuple(tuple(b) for b in blocks))
@@ -133,12 +127,10 @@ def gen_instance(cfg: GeneratorConfig) -> InstanceBundle:
         u_vals = np.empty(n, dtype=complex)
         for b in blocks:
             u_vals[b] = _draw_values(rng, 1, mlo, mhi)[0]
-        _apply_floor(rng, u_vals, blocks, weights, cfg.magnitude_range,
-                     skip=set(), blockwise=True)
+        _apply_floor(rng, u_vals, blocks, weights, skip=set(), blockwise=True)
     else:
         u_vals = _draw_values(rng, n, mlo, mhi)
-        _apply_floor(rng, u_vals, blocks, weights, cfg.magnitude_range,
-                     skip=set(), blockwise=False)
+        _apply_floor(rng, u_vals, blocks, weights, skip=set(), blockwise=False)
 
     zeroed_u: set[int] = set()
     if cfg.zero_blocks and k >= 2:
@@ -153,8 +145,7 @@ def gen_instance(cfg: GeneratorConfig) -> InstanceBundle:
         zeroed_w = set(_choose_subset(rng, list(range(k)), strict=True))
         for b in zeroed_w:
             w_vals[blocks[b]] = 0.0
-    _apply_floor(rng, w_vals, blocks, weights, cfg.magnitude_range,
-                 skip=zeroed_w, blockwise=False)
+    _apply_floor(rng, w_vals, blocks, weights, skip=zeroed_w, blockwise=False)
 
     if cfg.partial_isometry:
         candidates = sorted(set(range(k)) - zeroed_u)

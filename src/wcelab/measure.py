@@ -79,9 +79,6 @@ class FiniteMeasureSpace:
             and self.labels == other.labels
         )
 
-    def __hash__(self) -> int:
-        return hash((self.weights.tobytes(), self.labels))
-
 
 @dataclass(frozen=True, eq=False)
 class Partition:
@@ -172,18 +169,12 @@ class Partition:
                 total = total + 1j * np.bincount(bins, (v.imag * w).ravel(), k * rows)
             return total.reshape(v.shape[:-1] + (k,)) / self.block_masses
 
-    def is_finest(self) -> bool:
-        return self.block_count == self.space.n
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Partition)
             and self.space == other.space
             and sorted(self.blocks) == sorted(other.blocks)
         )
-
-    def __hash__(self) -> int:
-        return hash((self.space, tuple(sorted(self.blocks))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,9 +206,6 @@ class MeasurableFunction:
             and self.space == other.space
             and np.array_equal(self.values, other.values)
         )
-
-    def __hash__(self) -> int:
-        return hash((self.space, self.values.tobytes()))
 
 
 def make_space(

@@ -68,9 +68,6 @@ class PointMap:
             and self.images == other.images
         )
 
-    def __hash__(self) -> int:
-        return hash((self.space, self.images))
-
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomp:
@@ -139,6 +136,13 @@ def _eigenvalue_groups(
     return reps, group
 
 
+def _has_kernel(group: np.ndarray, partition: Partition) -> bool:
+    """Whether 0 is an eigenvalue of f -> E(u f), from the group of every
+    block: it is, unless every point is its own block and no block mean
+    falls in the zero group."""
+    return np.count_nonzero(group) < partition.space.n
+
+
 def _by_value(z: complex) -> tuple[float, float]:
     return (z.real, z.imag)
 
@@ -146,16 +150,16 @@ def _by_value(z: complex) -> tuple[float, float]:
 def avg_mult_spectrum(
     u: MeasurableFunction, partition: Partition, tol: float
 ) -> tuple[complex, ...]:
-    """Spectrum of f -> E(u f): the block means of u together with 0.
+    """Spectrum of f -> E(u f): the block means of u, together with 0
+    unless the operator is invertible (see _has_kernel).
 
-    0 is always adjoined; when the partition is all singletons and u
-    vanishes nowhere the operator is invertible and callers comparing
-    against numerical eigenvalues must drop that adjoined 0 themselves.
     Block means merge at tol by the first-representative rule of
     _eigenvalue_groups, the same rule spectral_decomposition uses: each
     eigenvalue is the first block mean (or 0) of its group.
     """
-    reps, _ = _eigenvalue_groups(u, partition, tol)
+    reps, group = _eigenvalue_groups(u, partition, tol)
+    if not _has_kernel(group, partition):
+        reps = reps[1:]
     return tuple(sorted(reps, key=_by_value))
 
 
@@ -167,7 +171,7 @@ def spectral_decomposition(
     For each distinct nonzero value lambda of u the projection is
     "restrict to the blocks where u = lambda, then average"; the kernel
     projection (eigenvalue 0) is the complement of all of them and is
-    included only when it is nonzero.
+    included only when it is nonzero (see _has_kernel).
 
     Block means merge into one eigenvalue at tol (see _eigenvalue_groups).
     On block B the decomposition then misses E M_u by sqrt(E|u - E u|^2 +
@@ -192,8 +196,8 @@ def spectral_decomposition(
     # level sets are disjoint, so the sum of the stack is exact.
     rows = group[partition.block_of][None, :] == np.array(order, dtype=int)[:, None]
     stack = rows[:, :, None] * partition.cond_exp_matrix[None]
-    kernel = np.eye(partition.space.n) - stack.sum(axis=0)
-    if float(np.trace(kernel).real) > 0.5:
+    if _has_kernel(group, partition):
+        kernel = np.eye(partition.space.n) - stack.sum(axis=0)
         eigenvalues.append(0j)
         stack = np.concatenate((stack, kernel[None]))
     return SpectralDecomp(tuple(eigenvalues), stack)
@@ -251,25 +255,6 @@ def _masked_columns(matrix: np.ndarray, point_masks: np.ndarray) -> np.ndarray:
     return matrix[None] * point_masks[:, None, :]
 
 
-@dataclass(frozen=True)
-class SpectralAxiomReport:
-    """Worst residuals for the four spectral-measure axioms.
-
-    on_subspace selects the Hilbert space: compressed to the
-    fiber-measurable functions when True, the ambient weighted L2 space
-    when False. full_residual is ||measure(X) - I|| on that space; it is
-    exactly 1 on the ambient space whenever the point map is not
-    injective, which is why both readings are reported.
-    """
-
-    on_subspace: bool
-    projection_residual: float
-    empty_residual: float
-    full_residual: float
-    intersection_residual: float
-    additivity_residual: float
-
-
 def _fiber_basis(fp: Partition) -> np.ndarray:
     """Orthonormal basis of the fiber-measurable functions, as columns: the
     normalized indicators of the fiber partition's blocks, sqrt(mu) chi_B /
@@ -301,9 +286,9 @@ def _max_norm(stack: np.ndarray) -> float:
 
 def _frame_measure(
     table: SpectralMeasureTable, on_subspace: bool
-) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
+) -> Callable[[np.ndarray], np.ndarray]:
     """The set function S -> measure(S) of one frame, on a (k, n) boolean
-    array of target-point sets, and the dimension of its space.
+    array of target-point sets.
 
     measure(S) = E_phi M_{chi_preimage(S)} only masks the columns of E_phi:
     on the ambient space that is the table's own values, and on the fiber
@@ -311,7 +296,7 @@ def _frame_measure(
     applied to E_phi once, before the column masks of a whole stack of sets.
     """
     if not on_subspace:
-        return table.values, table.space.n
+        return table.values
     basis = _fiber_basis(table.partition)
     rows = basis.T @ table.partition.cond_exp_matrix
     images = table._images
@@ -319,22 +304,24 @@ def _frame_measure(
     def measure(sets: np.ndarray) -> np.ndarray:
         return _masked_columns(rows, sets[:, images]) @ basis
 
-    return measure, basis.shape[1]
+    return measure
 
 
 def check_spectral_axioms(
     table: SpectralMeasureTable, seed: int = 0
-) -> tuple[SpectralAxiomReport, SpectralAxiomReport]:
+) -> dict[str, float]:
     """Evaluate the spectral-measure axioms over all singletons and a
     seeded family of random subsets, on the ambient space and on the
-    fiber subspace; returns the two reports in that order, so indexing
-    the pair by on_subspace picks a frame.
+    fiber subspace; returns the worst residual of each axiom and frame,
+    keyed by its record name (sm_<axiom>_ambient, then sm_<axiom>_subspace).
 
     (a) every value is an orthogonal projection, (b) the empty set maps
-    to 0 and the whole set to the identity, (c) intersections map to
-    products, (d) disjoint unions map to sums. Residuals are spectral
-    norms on the selected space, taken over stacks of the dense measure
-    values of the whole set family at once.
+    to 0 and, on the fiber subspace, the whole set to the identity (on the
+    ambient space measure(X) = E_phi, which is not the identity when phi
+    is not injective), (c) intersections map to products, (d) disjoint
+    unions map to sums. Residuals are spectral norms on the selected
+    space, taken over stacks of the dense measure values of the whole set
+    family at once.
 
     The family is drawn once and both frames are checked on it. The draws
     from the seeded generator come in a fixed order: the random sets and
@@ -366,8 +353,8 @@ def check_spectral_axioms(
 
     # One frame's stacks are freed before the next frame's are built: each
     # extra stack raises the peak memory.
-    def frame_report(on_subspace: bool) -> SpectralAxiomReport:
-        measure, dim = _frame_measure(table, on_subspace)
+    def frame_residuals(on_subspace: bool) -> dict[str, float]:
+        measure = _frame_measure(table, on_subspace)
         values = measure(family)
         v = values[:k]
         # Differences in place, for the same reason. For a real v, v.conj()
@@ -379,13 +366,13 @@ def check_spectral_axioms(
         inter_res = _max_norm(measure(meets) - values[i] @ values[j])
         sums = np.add.reduceat(measure(pieces), starts, axis=0)
         sums -= values[wholes]
-        return SpectralAxiomReport(
-            on_subspace=on_subspace,
-            projection_residual=proj_res,
-            empty_residual=_max_norm(values[k:k + 1]),
-            full_residual=_max_norm(values[k + 1:] - np.eye(dim)),
-            intersection_residual=inter_res,
-            additivity_residual=_max_norm(sums),
-        )
+        frame = "subspace" if on_subspace else "ambient"
+        res = {f"sm_proj_{frame}": proj_res,
+               f"sm_empty_{frame}": _max_norm(values[k:k + 1])}
+        if on_subspace:
+            res["sm_full_subspace"] = _max_norm(values[k + 1:] - np.eye(values.shape[-1]))
+        res[f"sm_intersect_{frame}"] = inter_res
+        res[f"sm_additive_{frame}"] = _max_norm(sums)
+        return res
 
-    return frame_report(False), frame_report(True)
+    return {**frame_residuals(False), **frame_residuals(True)}

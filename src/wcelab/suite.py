@@ -15,11 +15,11 @@ from typing import Iterable, Sequence
 
 from .checks import (
     CHECK_GROUPS,
+    DEFAULT_TOL,
+    FULL_GROUPS,
+    RECORDS,
     CheckContext,
     CheckRecord,
-    FULL_GROUPS,
-    GROUP_RECORD_NAMES,
-    Tolerances,
 )
 from .instance_io import InstanceBundle
 
@@ -94,7 +94,7 @@ def resolve_groups(checks: Iterable[str] | None) -> tuple[str, ...]:
 def run_suite(
     bundles: Sequence[InstanceBundle],
     checks: Iterable[str] | None = None,
-    tols: Tolerances | None = None,
+    tol: float = DEFAULT_TOL,
 ) -> VerificationReport:
     """Run the selected check groups over every instance.
 
@@ -104,11 +104,10 @@ def run_suite(
     for each of its names on that instance, and the run goes on.
     """
     groups = resolve_groups(checks)
-    tols = tols or Tolerances()
     records: list[CheckRecord] = []
     certified: set[str] = set()
     for bundle in bundles:
-        ctx = CheckContext(bundle, tols)
+        ctx = CheckContext(bundle, tol)
         # An instance given twice is certified once: one record per
         # (digest, name).
         if ctx.digest in certified:
@@ -119,7 +118,6 @@ def run_suite(
                 records.extend(CHECK_GROUPS[group](ctx))
             except Exception as e:
                 reason = f"{group} raised {type(e).__name__}: {e}"
-                records.extend(ctx.breakdown(name, reason)
-                               for name in GROUP_RECORD_NAMES[group])
+                records.extend(ctx.breakdown(name, reason) for name in RECORDS[group])
     records.sort(key=lambda r: (r.instance_digest, r.name))
     return VerificationReport(records)

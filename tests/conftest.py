@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +79,14 @@ def closed_calc(closed_fn, inst, f):
     """One function's closed calculus: the only slice of the stack
     closed_fn builds for the tuple (f,)."""
     return closed_fn(inst, (f,))[0]
+
+
+def pinned_record_names(workload):
+    """The record names the benchmark's verdict table for workload pins
+    (perfbench/expected/<workload>.json): a list kept apart from the
+    checks' own RECORDS table."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "expected"
+    return json.loads((path / f"{workload}.json").read_text())["record_names"]
 
 
 def generated_partitions(count, seed0=500, n_max=16):

@@ -12,8 +12,8 @@ import pytest
 
 from wcelab import checks, opalgebra, spectral
 from wcelab.checks import (
+    DEFAULT_TOL,
     CheckContext,
-    Tolerances,
     calculus_test_functions,
     check_aluthge,
     check_func_calc,
@@ -99,7 +99,7 @@ def reference_func_calc(inst):
 
 def test_func_calc_matches_per_function_reference():
     for bundle in generated_bundles():
-        ctx = CheckContext(bundle, Tolerances())
+        ctx = CheckContext(bundle)
         expected = reference_func_calc(ctx.instance)
         for rec in check_func_calc(ctx):
             assert rec.residual == pytest.approx(expected[rec.name], rel=0, abs=1e-13)
@@ -107,7 +107,7 @@ def test_func_calc_matches_per_function_reference():
 
 def test_one_factorization_per_operator(monkeypatch):
     bundle = gen_instance(GeneratorConfig(seed=11, n=16, block_count=4))
-    ctx = CheckContext(bundle, Tolerances())
+    ctx = CheckContext(bundle)
     t = ctx.t
     full_svds, eighs = [], []
     svd, eigh = np.linalg.svd, np.linalg.eigh
@@ -159,8 +159,7 @@ def test_closed_identities_take_no_dense_products(monkeypatch):
     # become one matrix each, not a product of two: check_polar builds U,
     # |T|, U |T|, (U* U)^2 and U* U, check_aluthge the transform and V^2;
     # the matrix of the closed |T| is built once for both.
-    ctx = CheckContext(gen_instance(GeneratorConfig(seed=11, n=16, block_count=4)),
-                       Tolerances())
+    ctx = CheckContext(gen_instance(GeneratorConfig(seed=11, n=16, block_count=4)))
     _ = ctx.t
     built = []
     matrices = Sandwich.matrices
@@ -188,14 +187,14 @@ def test_spectral_decomp_tests_normality_once(monkeypatch, measurable_u):
     monkeypatch.setattr(spectral, "block_spread", counting)
     bundle = gen_instance(GeneratorConfig(seed=19, n=10, block_count=3,
                                           measurable_u=measurable_u))
-    records = check_spectral_decomp(CheckContext(bundle, Tolerances()))
+    records = check_spectral_decomp(CheckContext(bundle))
     assert {r.status for r in records} == {"pass" if measurable_u else "skip"}
     assert len(calls) == 1
 
 
 def test_norms_already_held_are_not_taken_again(monkeypatch):
     bundle = gen_instance(GeneratorConfig(seed=11, n=16, block_count=4))
-    ctx = CheckContext(bundle, Tolerances())
+    ctx = CheckContext(bundle)
     t_norms = []
     original = checks.spectral_norms
 
@@ -228,7 +227,7 @@ def test_norms_already_held_are_not_taken_again(monkeypatch):
 
     # Every spectral norm of the package goes through this one kernel.
     monkeypatch.setattr(opalgebra, "spectral_norms", counting_norms)
-    fresh = CheckContext(bundle, Tolerances())
+    fresh = CheckContext(bundle)
     assert all(r.status == "pass" for r in check_func_calc(fresh))
     # Per product the stacked differences only: the oracle side's norms
     # are its largest |f(lambda_k)|, read off the eigenvalues.
@@ -267,7 +266,7 @@ def test_held_norms_agree_with_svd_norms(monkeypatch, group, tol):
     monkeypatch.setattr(checks, "op_deviations", spy)
     bundles = generated_bundles() + [zero_operator_bundle()]
     for bundle in bundles:
-        group(CheckContext(bundle, Tolerances()))
+        group(CheckContext(bundle))
     assert len(held) >= len(bundles) // 3
     for b, norms in held:
         svd = [norm(m) for m in b]
@@ -284,7 +283,7 @@ def reference_spectral_decomp(inst):
     per projection, one norm per pair of projections."""
     n = inst.space.n
     e_matrix = inst.partition.cond_exp_matrix
-    reps, group = _eigenvalue_groups(inst.u, inst.partition, Tolerances().op_tol)
+    reps, group = _eigenvalue_groups(inst.u, inst.partition, DEFAULT_TOL)
     point_group = group[inst.partition.block_of]
     eigenvalues, projections = [], []
     accumulated = np.zeros((n, n), dtype=complex)
@@ -350,7 +349,7 @@ def spectral_bundles():
 
 def test_spectral_decomp_matches_per_eigenvalue_reference():
     for bundle in spectral_bundles():
-        ctx = CheckContext(bundle, Tolerances())
+        ctx = CheckContext(bundle)
         expected = reference_spectral_decomp(ctx.instance)
         records = check_spectral_decomp(ctx)
         assert all(r.status == "pass" for r in records)
@@ -360,7 +359,7 @@ def test_spectral_decomp_matches_per_eigenvalue_reference():
 
 def test_reconstruction_matches_per_round_reference():
     for bundle in spectral_bundles():
-        ctx = CheckContext(bundle, Tolerances())
+        ctx = CheckContext(bundle)
         [rec] = check_reconstruction(ctx)
         assert rec.status == "pass"
         assert rec.residual == pytest.approx(reference_reconstruction(ctx), rel=0, abs=1e-13)
@@ -383,7 +382,7 @@ def test_one_avg_mult_operator_per_instance(monkeypatch):
     monkeypatch.setattr(checks, "avg_mult_operator", counting_build)
     monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
     ctx = CheckContext(gen_instance(GeneratorConfig(seed=23, n=12, block_count=4,
-                                                    measurable_u=True)), Tolerances())
+                                                    measurable_u=True)))
     for group in (check_normality, check_spectrum, check_spectral_decomp):
         assert all(r.status == "pass" for r in group(ctx))
     assert len(built) == 1
@@ -401,7 +400,7 @@ def test_one_measure_table_per_instance(monkeypatch):
 
     monkeypatch.setattr(checks, "SpectralMeasureTable", counting)
     ctx = CheckContext(gen_instance(GeneratorConfig(seed=13, n=9, block_count=3,
-                                                    with_point_map=True)), Tolerances())
+                                                    with_point_map=True)))
     for group in (check_measure_axioms, check_reconstruction):
         assert all(r.status == "pass" for r in group(ctx))
     assert len(tables) == 1
@@ -420,7 +419,7 @@ def test_func_calc_catches_one_perturbed_function(monkeypatch):
 
     monkeypatch.setattr(checks, "closed_func_calc_gram", perturbed)
     bundle = gen_instance(GeneratorConfig(seed=12, n=10, block_count=3))
-    status = {r.name: r.status for r in check_func_calc(CheckContext(bundle, Tolerances()))}
+    status = {r.name: r.status for r in check_func_calc(CheckContext(bundle))}
     assert status == {"func_calc_gram": "fail", "func_calc_cogram": "pass"}
 
 
@@ -531,7 +530,7 @@ def failing_records(report):
 
 
 def test_partial_isometry_with_crossed_aggregates_passes():
-    ctx = CheckContext(crossed_aggregates_bundle(), Tolerances())
+    ctx = CheckContext(crossed_aggregates_bundle())
     assert ctx.instance.kept.all()
     [record] = check_partial_isometry(ctx)
     assert record.bound == "upper"
@@ -550,7 +549,7 @@ def test_hard_file_gives_no_false_fail(name):
     # sd_reconstruction.
     bundle = HARD_BUNDLES[name]()
     for tol in (1e-8, 1e-7, 1e-5):
-        assert failing_records(run_suite([bundle], tols=Tolerances(tol))) == []
+        assert failing_records(run_suite([bundle], tol=tol)) == []
 
 
 def test_both_sides_share_one_rank():
@@ -560,7 +559,7 @@ def test_both_sides_share_one_rank():
                for seed in range(1, 201)]
     bundles += [make() for make in HARD_BUNDLES.values()]
     for bundle in bundles:
-        ctx = CheckContext(bundle, Tolerances())
+        ctx = CheckContext(bundle)
         kept_blocks = np.unique(ctx.instance.partition.block_of[ctx.instance.kept])
         assert int(ctx.svd.keep.sum()) == kept_blocks.size
 

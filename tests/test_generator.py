@@ -21,10 +21,6 @@ class TestConfigValidation:
         {"n": 65},
         {"n": 4, "block_count": 0},
         {"n": 4, "block_count": 5},
-        {"weight_range": (0.0, 1.0)},
-        {"weight_range": (2.0, 1.0)},
-        {"magnitude_range": (-1.0, 4.0)},
-        {"magnitude_range": (0.0, 0.0)},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ConfigInvalidError):

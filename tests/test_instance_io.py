@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from wcelab.checks import CheckContext, Tolerances
+from wcelab.checks import CheckContext
 from wcelab.errors import ParseError
 from wcelab.generator import GeneratorConfig, gen_instance
 from wcelab.instance_io import (
@@ -57,7 +57,7 @@ class TestRoundTrip:
         assert digest(a) != digest(b)
         assert digest(a) == digest(parse_instance(small_doc()))
         # Reports name an instance by this same digest.
-        assert CheckContext(a, Tolerances()).digest == digest(a)
+        assert CheckContext(a).digest == digest(a)
 
 
 class TestParseErrors:

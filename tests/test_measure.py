@@ -70,7 +70,7 @@ class TestMakePartition:
     def test_finest(self):
         sp = make_space([1.0, 1.0])
         p = make_partition(sp, [[0], [1]])
-        assert p.is_finest()
+        assert p.block_count == sp.n
 
     def test_overlap_rejected(self):
         sp = make_space([1.0] * 3)

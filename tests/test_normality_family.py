@@ -15,7 +15,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from wcelab.checks import Tolerances
 from wcelab.instance_io import InstanceBundle
 from wcelab.measure import MeasurableFunction, make_partition, make_space
 from wcelab.suite import run_suite
@@ -60,7 +59,7 @@ def family():
 def test_family_gives_no_false_fail(family, tol, passed, skipped):
     # Only the spectral decomposition skips, when u is not blockwise
     # constant at tol; a looser tol measures more of it.
-    report = run_suite(family, GROUPS, Tolerances(tol))
+    report = run_suite(family, GROUPS, tol)
     failed = [(r.instance_digest[:8], r.name, r.residual) for r in report.records
               if r.status == "fail"]
     assert failed == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wcelab import spectral
-from wcelab.checks import CheckContext, Tolerances, check_measure_axioms
+from wcelab.checks import DEFAULT_TOL, RECORDS, CheckContext, check_measure_axioms
 from wcelab.errors import NotNormalError
 from wcelab.generator import GeneratorConfig, gen_instance, perturb_nonmeasurable
 from wcelab.measure import (
@@ -28,7 +28,7 @@ from wcelab.spectral import (
 
 from conftest import declared_normal, deviation, norm, point_matrix, random_complex
 
-TOL = Tolerances().op_tol
+TOL = DEFAULT_TOL
 
 
 @pytest.fixture
@@ -37,12 +37,20 @@ def uniform4():
     return sp, make_partition(sp, [[0, 1], [2, 3]])
 
 
-def report_residuals(report, include_full=True):
-    """The residuals of a SpectralAxiomReport in field order, without
-    full_residual unless include_full."""
-    full = (report.full_residual,) if include_full else ()
-    return (report.projection_residual, report.empty_residual, *full,
-            report.intersection_residual, report.additivity_residual)
+AXIOMS = ("proj", "empty", "full", "intersect", "additive")
+
+
+def frame_residuals(residuals, on_subspace):
+    """One frame's residuals out of check_spectral_axioms' record-name
+    dict, keyed by axiom; only the fiber subspace has "full"."""
+    frame = "subspace" if on_subspace else "ambient"
+    return {a: residuals[f"sm_{a}_{frame}"] for a in AXIOMS
+            if f"sm_{a}_{frame}" in residuals}
+
+
+def max_frame_residual(phi, on_subspace):
+    return max(frame_residuals(check_spectral_axioms(SpectralMeasureTable(phi)),
+                               on_subspace).values())
 
 
 def set_value(table, members):
@@ -132,11 +140,37 @@ class TestSpectrum:
         u = MeasurableFunction.constant(sp, 0.0)
         assert set(avg_mult_spectrum(u, p, TOL)) == {0j}
 
-    def test_zero_always_adjoined(self):
-        sp = make_space([1.0, 2.0])
-        u = MeasurableFunction(sp, [3, 5])
-        spec = set(avg_mult_spectrum(u, finest_partition(sp), TOL))
-        assert 0j in spec and len(spec) == 3
+    def test_zero_dropped_when_invertible(self):
+        # On the finest partition E M_u = M_u: 0 is in the spectrum exactly
+        # when u vanishes at a point, up to the grouping tolerance.
+        sp = make_space([1.0, 2.0, 0.5])
+        for values, spectrum in (([3, 5, 5], {3, 5}), ([3, 5, 0], {0, 3, 5}),
+                                 ([3, 5, 1e-9], {0, 3, 5})):
+            u = MeasurableFunction(sp, values)
+            assert set(avg_mult_spectrum(u, finest_partition(sp), TOL)) == spectrum
+            decomp = spectral_decomposition(u, finest_partition(sp), TOL)
+            assert set(decomp.eigenvalues) == spectrum
+            assert len(decomp.eigenvalues) == len(decomp.stack)
+
+
+    def test_zero_rule_matches_pointwise_reference(self):
+        # On the finest partition E M_u = M_u is invertible exactly when
+        # |u| > tol (1 + max |u|) at every point. The spectrum drops 0, and
+        # the decomposition its kernel projection, on that one condition.
+        rng = np.random.default_rng(77)
+        for trial in range(300):
+            n = 1 + trial % 8
+            sp = make_space(rng.uniform(0.1, 10.0, n))
+            scale = rng.choice([1.0, 1e-9, 0.0], size=n, p=[0.8, 0.1, 0.1])
+            u = MeasurableFunction(sp, scale * random_complex(rng, n))
+            umax = np.abs(u.values).max()
+            for tol in (1e-8, 1e-6, 1e-4):
+                invertible = bool(np.all(np.abs(u.values) > tol * (1.0 + umax)))
+                spectrum = avg_mult_spectrum(u, finest_partition(sp), tol)
+                assert (0j not in spectrum) == invertible
+                decomp = spectral_decomposition(u, finest_partition(sp), tol)
+                assert sorted(decomp.eigenvalues, key=lambda z: (z.real, z.imag)) \
+                    == list(spectrum)
 
 
 class TestSpectralDecomposition:
@@ -207,7 +241,7 @@ class TestPointMapBasics:
     def test_identity_fibers(self):
         sp = make_space([1.0, 2.0, 3.0])
         phi = PointMap(sp, (0, 1, 2))
-        assert fiber_partition(phi).is_finest()
+        assert fiber_partition(phi).block_count == sp.n
         np.testing.assert_allclose(pushforward_density(phi).values, [1, 1, 1])
 
     def test_constant_map(self):
@@ -273,14 +307,15 @@ class TestSpectralAxioms:
     def test_identity_map_ambient(self):
         sp = make_space([1.0, 2.0, 0.5])
         phi = PointMap(sp, (0, 1, 2))
-        report, _ = check_spectral_axioms(SpectralMeasureTable(phi))
-        assert max(report_residuals(report)) <= 1e-12
+        assert max_frame_residual(phi, on_subspace=False) <= 1e-12
+        # An injective map sends the whole set to the identity.
+        whole = set_value(SpectralMeasureTable(phi), range(3))
+        assert norm(whole - np.eye(3)) <= 1e-12
 
     def test_noninjective_subspace(self):
         sp = make_space([1.0, 1.0, 2.0])
         phi = PointMap(sp, (0, 0, 2))
-        _, report = check_spectral_axioms(SpectralMeasureTable(phi))
-        assert max(report_residuals(report)) <= 1e-12
+        assert max_frame_residual(phi, on_subspace=True) <= 1e-12
 
     def test_real_measure_values_survive_a_second_run(self):
         # The measure values are real stacks, and for a real array v.conj()
@@ -293,25 +328,32 @@ class TestSpectralAxioms:
         assert len(phi.fibers) < phi.space.n
         table = SpectralMeasureTable(phi)
         first = check_spectral_axioms(table)
+        assert list(first) == [name for name in RECORDS["measure_axioms"]
+                               if name != "sm_mass_conservation"]
         assert check_spectral_axioms(table) == first
-        ctx = CheckContext(bundle, Tolerances())
+        ctx = CheckContext(bundle)
         records = check_measure_axioms(ctx)
         assert len(records) == 10
         assert all(r.residual <= 1e-12 for r in records), [r.to_doc() for r in records]
         assert [r.to_doc() for r in check_measure_axioms(ctx)] == [r.to_doc() for r in records]
 
     def test_noninjective_ambient_identity_fails(self):
+        # On the ambient space the whole set maps to E_phi, 1 away from the
+        # identity when phi is not injective, so only the fiber subspace
+        # records the identity axiom.
         sp = make_space([1.0, 1.0, 2.0])
         phi = PointMap(sp, (0, 0, 2))
-        report, _ = check_spectral_axioms(SpectralMeasureTable(phi))
-        assert report.full_residual == pytest.approx(1.0)
-        assert max(report_residuals(report, include_full=False)) <= 1e-9
+        whole = set_value(SpectralMeasureTable(phi), range(3))
+        assert norm(whole - np.eye(3)) == pytest.approx(1.0)
+        ambient = frame_residuals(check_spectral_axioms(SpectralMeasureTable(phi)), False)
+        assert "full" not in ambient
+        assert max(ambient.values()) <= 1e-9
 
 
 def reference_spectral_axioms(phi, on_subspace, n_random=12, seed=0):
     """Per-set loop over the seeded set family: one measure value and one
-    spectral norm per set. Returns the five residuals
-    in SpectralAxiomReport field order."""
+    spectral norm per set. Returns the residuals keyed by axiom (see
+    AXIOMS)."""
     n = phi.space.n
     table = SpectralMeasureTable(phi)
     rng = np.random.default_rng(seed)
@@ -368,7 +410,7 @@ def reference_spectral_axioms(phi, on_subspace, n_random=12, seed=0):
         total = sum((rep(set_value(table, p)) for p in pieces), np.zeros((dim, dim), complex))
         add_res = max(add_res, dist(rep(set_value(table, whole)), total))
 
-    return proj_res, empty_res, full_res, inter_res, add_res
+    return dict(zip(AXIOMS, (proj_res, empty_res, full_res, inter_res, add_res)))
 
 
 def generated_point_maps(count=30, seed0=700):
@@ -402,7 +444,7 @@ def perturb_fiber_average(monkeypatch):
 def per_frame_spectral_axioms(table, on_subspace, n_random=12, seed=0):
     """The stacked axioms one frame per call, each call drawing the seeded
     set family anew, with one np.linalg.norm per residual stack. Returns
-    the five residuals in SpectralAxiomReport field order."""
+    the residuals keyed by axiom (see AXIOMS)."""
     n = table.space.n
     rng = np.random.default_rng(seed)
     images = table._images
@@ -444,7 +486,7 @@ def per_frame_spectral_axioms(table, on_subspace, n_random=12, seed=0):
     starts = np.cumsum([0] + [len(p) for p in pieces[:-1]])
     sums = np.add.reduceat(measure(np.vstack(pieces)), starts, axis=0)
     add_res = max_norm(sums - values[wholes])
-    return proj_res, empty_res, full_res, inter_res, add_res
+    return dict(zip(AXIOMS, (proj_res, empty_res, full_res, inter_res, add_res)))
 
 
 def small_point_maps():
@@ -481,9 +523,10 @@ class TestBatchedSpectralAxioms:
     def test_matches_per_set_reference(self, on_subspace):
         for k, phi in enumerate(generated_point_maps()):
             table = SpectralMeasureTable(phi)
-            batched = report_residuals(check_spectral_axioms(table, seed=k)[on_subspace])
+            batched = frame_residuals(check_spectral_axioms(table, seed=k), on_subspace)
             reference = reference_spectral_axioms(phi, on_subspace, seed=k)
-            np.testing.assert_allclose(batched, reference, rtol=0, atol=1e-13)
+            np.testing.assert_allclose([batched[a] for a in batched],
+                                       [reference[a] for a in batched], rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("perturbed", [False, True])
     def test_shared_draw_matches_per_frame_reference_exactly(self, monkeypatch, perturbed):
@@ -500,9 +543,11 @@ class TestBatchedSpectralAxioms:
             monkeypatch.setattr(spectral, "_masked_columns", grown_by_size)
         for k, phi in enumerate(small_point_maps()):
             table = SpectralMeasureTable(phi)
-            for report in check_spectral_axioms(table, seed=k):
-                reference = per_frame_spectral_axioms(table, report.on_subspace, seed=k)
-                assert report_residuals(report) == reference
+            residuals = check_spectral_axioms(table, seed=k)
+            for on_subspace in (False, True):
+                frame = frame_residuals(residuals, on_subspace)
+                reference = per_frame_spectral_axioms(table, on_subspace, seed=k)
+                assert frame == {a: reference[a] for a in frame}
 
     def test_measure_axioms_draw_the_family_once(self, monkeypatch):
         draws = []
@@ -515,7 +560,7 @@ class TestBatchedSpectralAxioms:
         monkeypatch.setattr(spectral, "_axiom_sets", counting)
         for seed in (13, 14):
             ctx = CheckContext(gen_instance(GeneratorConfig(
-                seed=seed, n=9, block_count=3, with_point_map=True)), Tolerances())
+                seed=seed, n=9, block_count=3, with_point_map=True)))
             assert all(r.status == "pass" for r in check_measure_axioms(ctx))
         assert draws == [9, 9]
 
@@ -523,15 +568,14 @@ class TestBatchedSpectralAxioms:
     def test_perturbed_fiber_average_fails(self, monkeypatch, on_subspace):
         sp = make_space([1.0, 2.0, 1.5, 0.5, 3.0])
         phi = PointMap(sp, (1, 1, 1, 4, 4))
-        unperturbed = check_spectral_axioms(SpectralMeasureTable(phi))[on_subspace]
-        assert max(report_residuals(unperturbed, include_full=on_subspace)) <= 1e-12
+        assert max_frame_residual(phi, on_subspace) <= 1e-12
         perturb_fiber_average(monkeypatch)
-        report = check_spectral_axioms(SpectralMeasureTable(phi))[on_subspace]
-        assert report.projection_residual > 1e-9
-        assert report.intersection_residual > 1e-9
+        frame = frame_residuals(check_spectral_axioms(SpectralMeasureTable(phi)), on_subspace)
+        assert frame["proj"] > 1e-9
+        assert frame["intersect"] > 1e-9
         # Masking columns is linear in the set indicator, so a wrong
         # fiber average still adds up exactly.
-        assert report.additivity_residual < 1e-12
+        assert frame["additive"] < 1e-12
 
     @pytest.mark.parametrize("on_subspace", [False, True])
     def test_nonadditive_set_function_fails(self, monkeypatch, on_subspace):
@@ -544,10 +588,10 @@ class TestBatchedSpectralAxioms:
             return masked(matrix, point_masks) * (1 + 1e-6 * size)
 
         monkeypatch.setattr(spectral, "_masked_columns", grown_by_size)
-        report = check_spectral_axioms(SpectralMeasureTable(phi))[on_subspace]
-        assert report.projection_residual > 1e-9
-        assert report.intersection_residual > 1e-9
-        assert report.additivity_residual > 1e-9
+        frame = frame_residuals(check_spectral_axioms(SpectralMeasureTable(phi)), on_subspace)
+        assert frame["proj"] > 1e-9
+        assert frame["intersect"] > 1e-9
+        assert frame["additive"] > 1e-9
 
 
 class TestReconstruction:

@@ -9,7 +9,7 @@ import pytest
 
 import wcelab
 from wcelab import checks, cli
-from wcelab.checks import CHECK_GROUPS, GROUP_RECORD_NAMES, Tolerances
+from wcelab.checks import CHECK_GROUPS, RECORDS
 from wcelab.cli import main
 from wcelab.generator import GeneratorConfig, gen_instance
 from wcelab.instance_io import InstanceBundle, serialize_instance
@@ -35,16 +35,29 @@ class TestRunSuite:
         assert report.failed == 0
         assert report.passed > 0
 
+    def test_each_record_name_in_one_group(self):
+        assert list(RECORDS) == list(CHECK_GROUPS)
+        names = [name for group in RECORDS.values() for name in group]
+        assert len(names) == len(set(names)) == 39
+
     def test_record_completeness(self):
         bundles = [gen_instance(GeneratorConfig(seed=s, n=6, block_count=2,
                                                 with_point_map=True))
                    for s in (1, 2)]
         report = run_suite(bundles)
-        expected = sum(len(GROUP_RECORD_NAMES[g]) for g in CHECK_GROUPS) * len(bundles)
+        expected = sum(len(RECORDS[g]) for g in CHECK_GROUPS) * len(bundles)
         assert len(report.records) == expected
         names = {r.name for r in report.records}
-        for group_names in GROUP_RECORD_NAMES.values():
+        for group_names in RECORDS.values():
             assert set(group_names) <= names
+
+    def test_statements_come_from_the_table(self):
+        bundle = gen_instance(GeneratorConfig(seed=1, n=6, block_count=2,
+                                              with_point_map=True))
+        statements = {name: st for group in RECORDS.values() for name, st in group.items()}
+        for bundles in ([bundle], [trivial_bundle()]):
+            records = run_suite(bundles).records
+            assert {r.name: r.statement for r in records} == statements
 
     def test_order_independent(self):
         bundles = [gen_instance(GeneratorConfig(seed=s, n=5, block_count=2))
@@ -61,8 +74,7 @@ class TestRunSuite:
         # An absurdly tight tolerance forces failures; failing records
         # must embed the offending instance document.
         bundle = gen_instance(GeneratorConfig(seed=8, n=6, block_count=2))
-        report = run_suite([bundle], checks=["norm"],
-                           tols=Tolerances(op_tol=1e-30))
+        report = run_suite([bundle], checks=["norm"], tol=1e-30)
         fails = [r for r in report.records if r.status == "fail"]
         assert fails and fails[0].instance_doc == serialize_instance(bundle)
 
@@ -90,7 +102,7 @@ class TestCli:
                      "--report", str(report_file)]) == 0
         doc = json.loads(report_file.read_text())
         names = {r["name"] for r in doc["records"]}
-        assert names == set(GROUP_RECORD_NAMES["norm"]) | set(GROUP_RECORD_NAMES["polar"])
+        assert names == set(RECORDS["norm"]) | set(RECORDS["polar"])
 
     def test_verify_parse_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -131,8 +143,9 @@ class TestCli:
                                                            monkeypatch):
         # Valid input whose operator entries overflow: the groups that
         # build the operator fail on this instance, the rest still run.
-        # T is built once, and the failure reaches the user as records,
-        # not as numpy overflow warnings.
+        # A failed build is not cached: each of the six groups that needs T
+        # tries it and raises the same error. The failure reaches the user
+        # as records, not as numpy overflow warnings.
         builds = []
 
         def counting_build(inst):
@@ -150,13 +163,13 @@ class TestCli:
             warnings.simplefilter("always")
             assert main(["verify", str(inst_file), "--report", str(report_file)]) == 1
         assert [str(w.message) for w in caught] == []
-        assert len(builds) == 1
+        assert len(builds) == 6
         records = json.loads(report_file.read_text())["records"]
         status = {r["name"]: r["status"] for r in records}
-        assert set(status) == {n for names in GROUP_RECORD_NAMES.values() for n in names}
-        assert all(status[n] == "pass" for n in GROUP_RECORD_NAMES["condexp"])
+        assert set(status) == {n for names in RECORDS.values() for n in names}
+        assert all(status[n] == "pass" for n in RECORDS["condexp"])
         broken = [r for r in records if r["residual"] is None and r["status"] == "fail"]
-        assert {r["name"] for r in broken} >= set(GROUP_RECORD_NAMES["norm"])
+        assert {r["name"] for r in broken} >= set(RECORDS["norm"])
         assert all("raised ValueError: operator entries must be finite" in r["reason"]
                    for r in broken)
         out, err = capfd.readouterr()
@@ -189,7 +202,7 @@ class TestCli:
         # u is +-1e300 on one block: taken over its peak, it is plainly not
         # blockwise constant, so the decomposition is skipped.
         assert all(records[n]["status"] == "skip"
-                   for n in GROUP_RECORD_NAMES["spectral_decomp"])
+                   for n in RECORDS["spectral_decomp"])
 
     def test_verify_overflowing_block_integral_breaks_down_quietly(self, tmp_path, capfd):
         # u is constant on its one block, but its block integral overflows:
@@ -208,7 +221,7 @@ class TestCli:
         _, err = capfd.readouterr()
         assert err == ""
         records = {r["name"]: r for r in json.loads(report_file.read_text())["records"]}
-        for name in GROUP_RECORD_NAMES["spectral_decomp"]:
+        for name in RECORDS["spectral_decomp"]:
             assert records[name]["status"] == "fail"
             assert records[name]["reason"] == (
                 "spectral_decomp raised ValueError: a block mean of u is not finite")
@@ -217,7 +230,7 @@ class TestCli:
             "norm raised ValueError: E(|w|^2) E(|u|^2) is not finite")
         # E(|u|^2) is inf, so it has no support to cut: both vanishing
         # records break down, rather than a false FAIL and a SKIP.
-        for name in GROUP_RECORD_NAMES["vanishing"]:
+        for name in RECORDS["vanishing"]:
             assert records[name]["status"] == "fail"
             assert records[name]["reason"] == (
                 "vanishing raised ValueError: E(|u|^2) is not finite")
@@ -249,7 +262,7 @@ class TestCli:
         assert err == ""
         records = {r["name"]: r for r in json.loads(report_file.read_text())["records"]}
         for group in ("polar", "aluthge", "vanishing") + extra:
-            for name in GROUP_RECORD_NAMES[group]:
+            for name in RECORDS[group]:
                 assert records[name]["status"] == "fail"
                 assert records[name]["residual"] is None
                 assert records[name]["reason"] == (
@@ -289,7 +302,7 @@ class TestCli:
         records = json.loads(report_file.read_text())["records"]
         assert {(r["name"], r["status"], r.get("reason", "")) for r in records} == {
             (name, *expected[group])
-            for group, names in GROUP_RECORD_NAMES.items() for name in names}
+            for group, names in RECORDS.items() for name in names}
 
     def test_verify_crossed_aggregate_coefficients_break_down_quietly(
             self, tmp_path, capfd):
@@ -310,7 +323,7 @@ class TestCli:
         assert err == ""
         broken = ("func_calc", "polar", "aluthge")
         for r in json.loads(report_file.read_text())["records"]:
-            group = next(g for g, names in GROUP_RECORD_NAMES.items()
+            group = next(g for g, names in RECORDS.items()
                          if r["name"] in names)
             if group in broken:
                 assert r["status"] == "fail"
