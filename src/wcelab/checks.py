@@ -17,7 +17,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -247,9 +247,9 @@ class CheckContext:
         return avg_mult_operator(self.instance.u, self.instance.partition)
 
     @cached_property
-    def avg_mult_eigvals(self) -> list[complex]:
+    def avg_mult_eigvals(self) -> np.ndarray:
         """The numerical eigenvalues of E M_u."""
-        return [complex(z) for z in np.linalg.eigvals(self.avg_mult)]
+        return np.linalg.eigvals(self.avg_mult)
 
     @cached_property
     def measure_table(self) -> SpectralMeasureTable:
@@ -321,32 +321,53 @@ def calculus_test_functions() -> tuple[tuple[str, Callable[[float], complex]], .
 # Conditional expectation property suite
 
 
-def _random_complex(rng: np.random.Generator, n: int, cap: float = 4.0) -> np.ndarray:
-    return rng.uniform(0.0, cap, n) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, n))
+def _polar(mags: np.ndarray, phases: np.ndarray, low: float, high: float) -> np.ndarray:
+    """uniform(low, high) * exp(i uniform(0, 2 pi)) from uniform draws in
+    [0, 1), each mapped the way Generator.uniform(lo, hi) maps its draw,
+    lo + (hi - lo) x: the values uniform calls in the same order give."""
+    return (low + (high - low) * mags) * np.exp(1j * (2 * np.pi * phases))
 
 
-def _first_points(partition: Partition) -> np.ndarray:
-    """Index of the first point of every block."""
-    return np.unique(partition.block_of, return_index=True)[1]
-
-
-def _random_phases(rng: np.random.Generator, count: int, low: float,
+def _random_phases(rng: np.random.Generator, shape: tuple[int, ...], low: float,
                    high: float) -> np.ndarray:
-    """count values uniform(low, high) * exp(i uniform(0, 2 pi)), drawn in
-    the same order as one (magnitude, phase) pair after another."""
-    r = rng.random((count, 2))
-    return (low + (high - low) * r[:, 0]) * np.exp(1j * (2 * np.pi * r[:, 1]))
-
-
-def _random_blockwise(rng: np.random.Generator, partition: Partition,
-                      cap: float = 4.0) -> np.ndarray:
-    return _random_phases(rng, partition.block_count, 0.0, cap)[partition.block_of]
+    """uniform(low, high) * exp(i uniform(0, 2 pi)) in the given shape,
+    drawn as one rng.random block of (magnitude, phase) pairs, one pair
+    after another."""
+    r = rng.random(shape + (2,))
+    return _polar(r[..., 0], r[..., 1], low, high)
 
 
 def _worst(*candidates: np.ndarray) -> float:
     """The largest candidate, or 0 when none is positive. A NaN candidate
     counts for nothing, as in a running max() over the samples."""
     return max(0.0, *np.concatenate(candidates).tolist())
+
+
+def _condexp_samples(
+    partition: Partition, rng: np.random.Generator, samples: int
+) -> tuple[np.ndarray, ...]:
+    """The sample functions of condexp_property_residuals, one row per
+    sample: f, g, the blockwise-constant g, the shift that makes f strictly
+    positive, and the mask of points where f is set to zero.
+
+    They are drawn as one rng.random block of (samples, 5n + 2K + 1)
+    uniform draws, K the block count. Each row is one sample, in this
+    order: f and g (n magnitudes, then n phases, each), the
+    blockwise-constant g (a (magnitude, phase) pair per block), the shift,
+    and the n draws of the mask. Each draw is mapped as Generator.uniform
+    maps it (see _polar), so every sample is the one that uniform and
+    random calls in that order, one sample after another, give.
+    """
+    n, k = partition.space.n, partition.block_count
+    r = rng.random((samples, 5 * n + 2 * k + 1))
+    # (sample, f or g, magnitude or phase, point)
+    fg = r[:, :4 * n].reshape(samples, 2, 2, n)
+    f, g = _polar(fg[:, :, 0], fg[:, :, 1], 0.0, 4.0).swapaxes(0, 1)
+    pairs = r[:, 4 * n:4 * n + 2 * k]
+    g_meas = _polar(pairs[:, 0::2], pairs[:, 1::2], 0.0, 4.0)[:, partition.block_of]
+    shift = 0.05 + (0.5 - 0.05) * r[:, 4 * n + 2 * k]
+    sparse = r[:, 4 * n + 2 * k + 1:] < 0.4
+    return f, g, g_meas, shift, sparse
 
 
 def condexp_property_residuals(
@@ -359,16 +380,13 @@ def condexp_property_residuals(
     rounding level and a violation is order one; set-valued properties
     (strict positivity, support growth) report 0 or 1.
 
-    All samples are drawn first, per sample in a fixed order: f, g, the
-    blockwise-constant g, the shift that makes f strictly positive, and
-    the mask of points where f is set to zero. Every property is then
-    evaluated on (samples, n) stacks, each application of E one stacked
-    block reduction, with each sample normalized on its own.
+    All samples are drawn first, as one rng.random block (see
+    _condexp_samples). Every property is then evaluated on (samples, n)
+    stacks, with each sample normalized on its own. E is applied in three
+    stacked block reductions: one of every complex function, one of every
+    real one, and E(E(f)).
     """
-    space = partition.space
-    n = space.n
-    w = space.weights
-    first = _first_points(partition)
+    w = partition.space.weights
 
     def ev(x: np.ndarray) -> np.ndarray:
         return cond_exp_values(partition, x)
@@ -376,13 +394,15 @@ def condexp_property_residuals(
     def peak(x: np.ndarray) -> np.ndarray:
         return np.abs(x).max(axis=1)
 
-    draws = [(_random_complex(rng, n), _random_complex(rng, n),
-              _random_blockwise(rng, partition), rng.uniform(0.05, 0.5),
-              rng.random(n) < 0.4) for _ in range(samples)]
-    f, g, g_meas, shift, sparse = map(np.array, zip(*draws))
+    f, g, g_meas, shift, sparse = _condexp_samples(partition, rng, samples)
+    abs_f, abs_g = np.abs(f), np.abs(g)
+    f_sparse = np.where(sparse, 0.0, abs_f)
+    ef, e_g_meas, e_f_g_meas, e_fg, eg = ev(np.stack((f, g_meas, f * g_meas, f * g, g)))
+    (e_abs_f1, e_abs_f2, e_abs_f4, e_positive, e_abs_g2, e_abs_g43,
+     ef_sparse) = ev(np.stack((abs_f, abs_f ** 2, abs_f ** 4, abs_f + shift[:, None],
+                               abs_g ** 2.0, abs_g ** (4.0 / 3.0), f_sparse)))
+    e_abs_f = {1: e_abs_f1, 2: e_abs_f2, 4: e_abs_f4}
     res: dict[str, float] = {}
-
-    ef = ev(f)
     scale_f = 1.0 + peak(f)
 
     # E(E(f)) = E(f)
@@ -390,18 +410,16 @@ def condexp_property_residuals(
 
     # E(f) is blockwise constant; E fixes blockwise-constant functions.
     res["range"] = _worst(
-        peak(ef - ef[:, first][:, partition.block_of]) / scale_f,
-        peak(ev(g_meas) - g_meas) / (1.0 + peak(g_meas)),
+        peak(ef - ef[:, partition.first_points][:, partition.block_of]) / scale_f,
+        peak(e_g_meas - g_meas) / (1.0 + peak(g_meas)),
     )
 
     # E(f g) = E(f) g for blockwise-constant g.
     res["module"] = _worst(
-        peak(ev(f * g_meas) - ef * g_meas) / (1.0 + peak(f) * peak(g_meas))
+        peak(e_f_g_meas - ef * g_meas) / (1.0 + peak(f) * peak(g_meas))
     )
 
     # |E(f)|^p <= E(|f|^p) pointwise; E(|f|^p) serves Hoelder too.
-    abs_f = np.abs(f)
-    e_abs_f = {p: ev(abs_f ** p) for p in (1, 2, 4)}
     res["jensen"] = _worst(*(
         (np.abs(ef) ** p - e_abs_f[p]).max(axis=1) / (1.0 + e_abs_f[p].max(axis=1))
         for p in (1, 2, 4)
@@ -409,20 +427,18 @@ def condexp_property_residuals(
 
     # f >= 0 implies E(f) >= 0; f > 0 implies E(f) > 0.
     res["positive"] = _worst(-e_abs_f[1].min(axis=1) / (1.0 + abs_f.max(axis=1)))
-    if np.any(ev(abs_f + shift[:, None]).min(axis=1) <= 0.0):
+    if np.any(e_positive.min(axis=1) <= 0.0):
         res["positive"] = max(res["positive"], 1.0)
 
     # |E(f g)| <= E(|f|^p)^(1/p) E(|g|^q)^(1/q) pointwise.
-    left = np.abs(ev(f * g))
-    right = [e_abs_f[p] ** (1 / p) * ev(np.abs(g) ** q) ** (1 / q)
-             for p, q in ((2, 2.0), (4, 4.0 / 3.0))]
+    left = np.abs(e_fg)
+    right = [e_abs_f[p] ** (1 / p) * e_abs_g ** (1 / q)
+             for p, q, e_abs_g in ((2, 2.0, e_abs_g2), (4, 4.0 / 3.0, e_abs_g43))]
     res["hoelder"] = _worst(*((left - r).max(axis=1) / (1.0 + r.max(axis=1))
                               for r in right))
 
     # Support growth: for f >= 0 with exact zeros, S(f) is contained in
     # S(E(f)); exact set semantics, threshold 0.
-    f_sparse = np.where(sparse, 0.0, abs_f)
-    ef_sparse = ev(f_sparse)
     if not np.all(np.isfinite(ef_sparse)):
         raise ValueError("E of a sample function is not finite")
     res["support"] = float(np.any((f_sparse > 0.0) & (ef_sparse == 0.0)))
@@ -431,7 +447,7 @@ def condexp_property_residuals(
     # One complex pair per sample, measured with Python's abs (np.abs of a
     # complex number can differ from it in the last bit).
     a = np.sum(ef * np.conj(g) * w, axis=1).tolist()
-    b = np.sum(f * np.conj(ev(g)) * w, axis=1).tolist()
+    b = np.sum(f * np.conj(eg) * w, axis=1).tolist()
     res["selfadjoint"] = max(0.0, *(abs(x - y) / (1.0 + abs(x) + abs(y))
                                     for x, y in zip(a, b)))
 
@@ -463,12 +479,12 @@ def check_vanishing(ctx: CheckContext) -> list[CheckRecord]:
     t = ctx.t
     t_norm = ctx.t_norm
     blocks = inst.partition.block_of
-    in_kept = inst.kept[_first_points(inst.partition)]
+    in_kept = inst.kept[inst.partition.first_points]
     block_kept = np.flatnonzero(in_kept)
 
     # g supported off the kept blocks leaves M_g T below the rank cut.
     g_blocks = np.zeros(in_kept.size, dtype=complex)
-    g_blocks[~in_kept] = _random_phases(rng, int((~in_kept).sum()), 0.5, 2.0)
+    g_blocks[~in_kept] = _random_phases(rng, (int((~in_kept).sum()),), 0.5, 2.0)
     g1 = g_blocks[blocks]
     # g alive on a kept block keeps M_g T above the cut.
     gs = [g1]
@@ -513,8 +529,8 @@ def check_func_calc(ctx: CheckContext) -> list[CheckRecord]:
         ("func_calc_cogram", closed_func_calc_cogram, ctx.svd.cogram_eig()),
     ):
         closed = closed_fn(inst, fns)
-        fvals = np.asarray([[f(float(v)) for v in eig.values] for f in fns],
-                           dtype=complex)
+        values = eig.values.tolist()
+        fvals = np.asarray([[f(v) for v in values] for f in fns], dtype=complex)
         # The eigenbasis is orthonormal, so max_k |f(lambda_k)| is the
         # norm of each oracle matrix.
         worst = op_deviations(closed, eig.calc_stack(fvals),
@@ -582,16 +598,29 @@ def check_aluthge(ctx: CheckContext) -> list[CheckRecord]:
 # Spectral checks
 
 
-def _eigvals_match_residual(expected: list[complex], computed: list[complex]) -> float:
+def _eigvals_match_residual(expected: Sequence[complex],
+                            computed: Sequence[complex]) -> float:
     """Set distance from expected to the computed numerical eigenvalues,
-    relative to 1 + the largest of them."""
-    if not expected and not computed:
+    relative to 1 + the largest of them.
+
+    Each distance is np.hypot of the parts of a difference: bit for bit
+    Python's abs of a complex number, where np.abs can differ from it in
+    the last bit. As abs does, a modulus of finite parts beyond the float
+    range raises OverflowError, and a part that overflowed gives inf
+    without a warning."""
+    e = np.asarray(expected, dtype=complex)
+    c = np.asarray(computed, dtype=complex)
+    if not e.size and not c.size:
         return 0.0
-    if not expected or not computed:
+    if not e.size or not c.size:
         return 1.0
-    fwd = max(min(abs(e - c) for c in computed) for e in expected)
-    bwd = max(min(abs(c - e) for e in expected) for c in computed)
-    return max(fwd, bwd) / (1.0 + max(abs(z) for z in computed))
+    with np.errstate(over="ignore"):
+        d = e[:, None] - c
+        dist, size = np.hypot(d.real, d.imag), np.hypot(c.real, c.imag)
+    if (np.isinf(dist) & np.isfinite(d)).any() or (np.isinf(size) & np.isfinite(c)).any():
+        raise OverflowError("absolute value too large")
+    gap = max(dist.min(axis=1).max(), dist.min(axis=0).max())
+    return float(gap / (1.0 + size.max()))
 
 
 def check_normality(ctx: CheckContext) -> list[CheckRecord]:
@@ -611,7 +640,7 @@ def check_normality(ctx: CheckContext) -> list[CheckRecord]:
 
 def check_spectrum(ctx: CheckContext) -> list[CheckRecord]:
     inst = ctx.instance
-    expected = list(avg_mult_spectrum(inst.u, inst.partition, ctx.tol))
+    expected = avg_mult_spectrum(inst.u, inst.partition, ctx.tol)
     residual = _eigvals_match_residual(expected, ctx.avg_mult_eigvals)
     return [ctx.record("spectrum", residual, ctx.tol)]
 
@@ -642,7 +671,7 @@ def check_spectral_decomp(ctx: CheckContext) -> list[CheckRecord]:
     recon = np.einsum("k,kij->ij", np.array(decomp.eigenvalues), p)
     recon_res = op_deviations(recon[None], m[None])[0]
 
-    eig_res = _eigvals_match_residual(list(decomp.eigenvalues), ctx.avg_mult_eigvals)
+    eig_res = _eigvals_match_residual(decomp.eigenvalues, ctx.avg_mult_eigvals)
 
     return [
         ctx.record("sd_projections", proj_res, ctx.tol),
@@ -672,8 +701,10 @@ def check_reconstruction(ctx: CheckContext) -> list[CheckRecord]:
         return [ctx.skip("sm_reconstruction", "no point map on this instance")]
     rng = ctx.rng("reconstruction")
     table = ctx.measure_table
-    # Three seeded symbols, constant on the fibers by construction.
-    symbols = np.stack([_random_blockwise(rng, table.partition) for _ in range(3)])
+    # Three seeded symbols, constant on the fibers by construction, drawn
+    # as one (3, K, 2) block for the K fibers.
+    fibers = table.partition
+    symbols = _random_phases(rng, (3, fibers.block_count), 0.0, 4.0)[:, fibers.block_of]
     # f -> E_phi(u f), one matrix per symbol.
     direct = table.partition.cond_exp_matrix[None] * symbols[:, None, :]
     worst = op_deviations(table.reconstruct(symbols), direct).max()

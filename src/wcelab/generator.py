@@ -64,7 +64,10 @@ def _random_partition(rng: np.random.Generator, n: int, k: int) -> list[list[int
     assign[perm[:k]] = np.arange(k)
     if n > k:
         assign[perm[k:]] = rng.integers(0, k, size=n - k)
-    return [sorted(int(i) for i in np.flatnonzero(assign == b)) for b in range(k)]
+    # A stable sort keeps the points of each block in ascending order.
+    order = np.argsort(assign, kind="stable")
+    ends = np.cumsum(np.bincount(assign, minlength=k))[:-1]
+    return [b.tolist() for b in np.split(order, ends)]
 
 
 def _draw_values(rng: np.random.Generator, size: int, lo: float, hi: float) -> np.ndarray:
@@ -89,10 +92,13 @@ def _apply_floor(
     lo, hi = MAGNITUDE_RANGE
     floor = _AGGREGATE_FLOOR_FRACTION * hi * hi
     redraw_lo = max(lo, 0.25 * hi)
+    # Blocks are disjoint, so a redraw leaves the other blocks' terms as
+    # they are: |v|^2 w is taken once and each block gathers its own.
+    weighted = np.abs(values) ** 2 * weights
     for k, b in enumerate(blocks):
         if k in skip:
             continue
-        if _block_aggregate(values, b, weights) < floor:
+        if float(np.sum(weighted[b]) / weights[b].sum()) < floor:
             if blockwise:
                 values[b] = _draw_values(rng, 1, redraw_lo, hi)[0]
             else:

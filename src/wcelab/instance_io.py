@@ -28,9 +28,13 @@ _KNOWN_FIELDS = {"weights", "partition", "u", "w", "phi", "labels"}
 _REQUIRED_FIELDS = ("weights", "partition", "u", "w")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InstanceBundle:
-    """A verification instance plus the optional point map riding along."""
+    """A verification instance plus the optional point map riding along.
+
+    Bundles compare by value (partition, symbols, point map) and are not
+    hashable: their parts are arrays, which have no value hash.
+    """
 
     instance: WceInstance
     point_map: PointMap | None = None
@@ -77,14 +81,19 @@ def _complex_pairs(raw: object, field: str, n: int) -> np.ndarray:
     return out
 
 
+def _pairs(values: np.ndarray) -> list[list[float]]:
+    """[re, im] of every complex value, as Python floats."""
+    return np.stack((values.real, values.imag), axis=-1).tolist()
+
+
 def serialize_instance(bundle: InstanceBundle) -> str:
     """Canonical one-line JSON document for an instance."""
     inst = bundle.instance
     doc: dict = {
-        "weights": [float(x) for x in inst.space.weights],
+        "weights": inst.space.weights.tolist(),
         "partition": [list(b) for b in inst.partition.blocks],
-        "u": [[float(z.real), float(z.imag)] for z in inst.u.values],
-        "w": [[float(z.real), float(z.imag)] for z in inst.w.values],
+        "u": _pairs(inst.u.values),
+        "w": _pairs(inst.w.values),
     }
     if inst.space.labels is not None:
         doc["labels"] = list(inst.space.labels)

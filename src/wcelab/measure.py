@@ -145,29 +145,57 @@ class Partition:
         m.setflags(write=False)
         return m
 
+    @cached_property
+    def first_points(self) -> np.ndarray:
+        """Index of the first (lowest) point of every block, in block order."""
+        first = np.fromiter((b[0] for b in self.blocks), dtype=np.intp,
+                            count=self.block_count)
+        first.setflags(write=False)
+        return first
+
+    @cached_property
+    def _pair_bins(self) -> np.ndarray:
+        """Bin 2b for the real and 2b + 1 for the imaginary part of every
+        point of block b, as an (n, 2) array."""
+        bins = 2 * self.block_of[:, None] + np.arange(2)
+        bins.setflags(write=False)
+        return bins
+
     def block_means(self, values: np.ndarray) -> np.ndarray:
         """Weighted mean of values over each block: one entry per block, per
         row of a (..., n) stack of point functions.
 
-        This is the one block reduction every closed form is built on.
-        Real input gives real output, so aggregates like E(|u|^2) stay
-        real and can be compared with thresholds. Each row is summed in
-        point order, as a single function would be. A block integral
-        beyond the float range gives a mean that is not finite, without a
-        warning; callers that need finite means test for them.
+        This is the one block reduction every closed form is built on, one
+        bincount for a whole stack. Real input gives real output, so
+        aggregates like E(|u|^2) stay real and can be compared with
+        thresholds; complex input is reduced as its (re, im) pairs, each
+        part into a bin of its own, so an overflowing part leaves the other
+        one finite. Each row is summed in point order, as a
+        single function would be. A block integral beyond the float range
+        gives a mean that is not finite, without a warning; callers that
+        need finite means test for them.
         """
         v = np.asarray(values)
-        w = self.space.weights
+        shape = v.shape[:-1]
         k = self.block_count
-        rows = v.size // self.space.n
-        bins = self.block_of
-        if v.ndim > 1:
-            bins = (k * np.arange(rows)[:, None] + bins).ravel()
+        pairs = np.iscomplexobj(v)
+        if pairs:
+            x = np.ascontiguousarray(v, dtype=complex).view(float).reshape(v.shape + (2,))
+            w, bins, width = self.space.weights[:, None], self._pair_bins, 2 * k
+        else:
+            x, w, bins, width = v, self.space.weights, self.block_of, k
+        rows = x.size // bins.size
+        if shape:
+            bins = width * np.arange(rows).reshape(shape + (1,) * bins.ndim) + bins
         with np.errstate(over="ignore", invalid="ignore"):
-            total = np.bincount(bins, (v.real * w).ravel(), k * rows)
-            if np.iscomplexobj(v):
-                total = total + 1j * np.bincount(bins, (v.imag * w).ravel(), k * rows)
-            return total.reshape(v.shape[:-1] + (k,)) / self.block_masses
+            total = np.bincount(bins.ravel(), (x * w).ravel(), width * rows)
+            if not pairs:
+                return total.reshape(shape + (k,)) / self.block_masses
+            # Each part times 1 / mu(B): what numpy's complex division by
+            # the real mass computes, bit for bit, on finite parts; a part
+            # that overflowed leaves the other one finite.
+            means = total.reshape(shape + (k, 2)) * (1.0 / self.block_masses)[:, None]
+            return means.view(complex)[..., 0]
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -242,7 +242,7 @@ class SpectralMeasureTable:
         zero on points with empty fiber); each must equal the matrix of
         f -> E_phi(u f)."""
         targets = np.array([s for s, _ in self.phi.fibers])
-        coeffs = symbols[:, [fiber[0] for _, fiber in self.phi.fibers]]
+        coeffs = symbols[:, self.partition.first_points]
         singletons = self.values(targets[:, None] == np.arange(self.space.n)[None, :])
         # einsum without optimize sums in its own loop; a BLAS contraction of
         # the flattened stack would wake the BLAS worker threads.
@@ -269,19 +269,18 @@ def _axiom_sets(
     """The set family and the intersection pairs of check_spectral_axioms.
 
     Returns a (n + n_random, n) boolean array, one row per set of target
-    points: the n singletons, then n_random random sets, each drawn as
-    rng.random(n) then rng.uniform(0.2, 0.8). Then max(n_random, 4) index
-    pairs into that family, drawn as one rng.integers call.
+    points: the n singletons, then n_random random sets. The random sets
+    are drawn as one rng.random((n_random, n + 1)) block: per set, the n
+    draws of its points, then the draw of its threshold, mapped to
+    uniform(0.2, 0.8) as Generator.uniform maps it, 0.2 + (0.8 - 0.2) x.
+    So each set is the one rng.random(n) < rng.uniform(0.2, 0.8) gives.
+    Then max(n_random, 4) index pairs into that family, drawn as one
+    rng.integers call.
     """
-    sets = np.vstack([np.eye(n, dtype=bool)]
-                     + [rng.random(n) < rng.uniform(0.2, 0.8) for _ in range(n_random)])
+    r = rng.random((n_random, n + 1))
+    sets = np.vstack([np.eye(n, dtype=bool), r[:, :n] < 0.2 + (0.8 - 0.2) * r[:, n:]])
     pairs = rng.integers(0, len(sets), size=(max(n_random, 4), 2))
     return sets, pairs
-
-
-def _max_norm(stack: np.ndarray) -> float:
-    """Largest spectral norm over a stack of matrices."""
-    return float(spectral_norms(stack).max())
 
 
 def _frame_measure(
@@ -321,7 +320,8 @@ def check_spectral_axioms(
     is not injective), (c) intersections map to products, (d) disjoint
     unions map to sums. Residuals are spectral norms on the selected
     space, taken over stacks of the dense measure values of the whole set
-    family at once.
+    family at once; a frame writes all of its residual matrices into one
+    stack and takes one spectral_norms call of it.
 
     The family is drawn once and both frames are checked on it. The draws
     from the seeded generator come in a fixed order: the random sets and
@@ -352,27 +352,36 @@ def check_spectral_axioms(
     pieces = np.vstack(pieces)
 
     # One frame's stacks are freed before the next frame's are built: each
-    # extra stack raises the peak memory.
+    # extra stack raises the peak memory. For the same reason the residuals
+    # are written in place (out=) into the frame's one stack, never
+    # concatenated: the projection identities (k squares, k adjoints), the
+    # intersections, the additive sums, the empty set and, on the fiber
+    # subspace, the whole set.
     def frame_residuals(on_subspace: bool) -> dict[str, float]:
         measure = _frame_measure(table, on_subspace)
         values = measure(family)
         v = values[:k]
-        # Differences in place, for the same reason. For a real v, v.conj()
-        # is v itself, so the adjoint difference must be a new array.
-        squared = v @ v
-        squared -= v
-        adjoint = np.subtract(v.conj().transpose(0, 2, 1), v)
-        proj_res = max(_max_norm(squared), _max_norm(adjoint))
-        inter_res = _max_norm(measure(meets) - values[i] @ values[j])
-        sums = np.add.reduceat(measure(pieces), starts, axis=0)
+        dim = values.shape[-1]
+        ends = np.cumsum([2 * k, len(i), len(wholes)])
+        stack = np.empty((ends[-1] + 1 + on_subspace, dim, dim), dtype=values.dtype)
+        proj, inter, sums, edge = np.split(stack, ends)
+        np.matmul(v, v, out=proj[:k])
+        proj[:k] -= v
+        np.subtract(v.conj().transpose(0, 2, 1), v, out=proj[k:])
+        np.matmul(values[i], values[j], out=inter)
+        np.subtract(measure(meets), inter, out=inter)
+        np.add.reduceat(measure(pieces), starts, axis=0, out=sums)
         sums -= values[wholes]
-        frame = "subspace" if on_subspace else "ambient"
-        res = {f"sm_proj_{frame}": proj_res,
-               f"sm_empty_{frame}": _max_norm(values[k:k + 1])}
+        edge[0] = values[k]
         if on_subspace:
-            res["sm_full_subspace"] = _max_norm(values[k + 1:] - np.eye(values.shape[-1]))
-        res[f"sm_intersect_{frame}"] = inter_res
-        res[f"sm_additive_{frame}"] = _max_norm(sums)
-        return res
+            np.subtract(values[k + 1], np.eye(dim), out=edge[1])
+        proj_n, inter_n, sums_n, edge_n = np.split(spectral_norms(stack), ends)
+        frame = "subspace" if on_subspace else "ambient"
+        res = {f"sm_proj_{frame}": proj_n.max(), f"sm_empty_{frame}": edge_n[0]}
+        if on_subspace:
+            res["sm_full_subspace"] = edge_n[1]
+        res[f"sm_intersect_{frame}"] = inter_n.max()
+        res[f"sm_additive_{frame}"] = sums_n.max()
+        return {name: float(x) for name, x in res.items()}
 
     return {**frame_residuals(False), **frame_residuals(True)}

@@ -153,13 +153,17 @@ def _func_calc(inst: WceInstance, fns: Sequence[Callable[[float], complex]],
     indicator of the kept blocks.
 
     Returns the matrices of f(X) for every f in fns as one (m, n, n) stack.
+    E(|u|^2) E(|w|^2) is blockwise constant, so each f is evaluated once
+    per block, on the block's first point.
     """
     kept = inst.kept
+    partition = inst.partition
     f0 = np.asarray([complex(f(0.0)) for f in fns])
-    p = inst.eu2 * inst.ew2
-    fp = np.asarray([[f(float(v)) for v in p] for f in fns], dtype=complex)
+    first = partition.first_points
+    p = (inst.eu2[first] * inst.ew2[first]).tolist()
+    fp = np.asarray([[f(v) for v in p] for f in fns], dtype=complex)[:, partition.block_of]
     d = _masked_recip(r_agg, kept) * (fp - f0[:, None])
-    stack = Sandwich(inst.partition, d * np.conj(r), r).matrices()
+    stack = Sandwich(partition, d * np.conj(r), r).matrices()
     diag = np.arange(inst.space.n)
     stack[:, diag, diag] += f0[:, None]
     return stack

@@ -15,6 +15,17 @@ def random_complex(rng, n, cap=4.0):
     return rng.uniform(0.0, cap, n) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, n))
 
 
+def random_blockwise(rng, partition, cap=4.0):
+    """A blockwise-constant symbol from one (magnitude, phase) pair per
+    block, drawn one uniform call after another: the per-symbol draw
+    sequence the checks' stacked draws reproduce."""
+    values = []
+    for _ in range(partition.block_count):
+        mag = rng.uniform(0.0, cap)
+        values.append(mag * np.exp(1j * rng.uniform(0.0, 2 * np.pi)))
+    return np.array(values)[partition.block_of]
+
+
 def point_matrix(space, m):
     """The matrix that acts on vectors of point values, for an operator
     whose matrix in the orthonormal basis e_i / sqrt(mu_i) is m (or for

@@ -53,7 +53,7 @@ from wcelab.wce import (
     make_instance,
 )
 
-from conftest import closed_calc, norm
+from conftest import closed_calc, norm, random_blockwise
 
 _MODES = ({}, {"zero_blocks": True}, {"constant_u": True},
           {"measurable_u": True}, {"partial_isometry": True})
@@ -329,7 +329,7 @@ def reference_reconstruction(ctx):
     singletons = np.eye(phi.space.n, dtype=bool)
     worst = 0.0
     for _ in range(3):
-        u = MeasurableFunction(phi.space, checks._random_blockwise(rng, fp))
+        u = MeasurableFunction(phi.space, random_blockwise(rng, fp))
         rebuilt = sum((u.values[fiber[0]] * table.values(singletons[s][None])[0]
                        for s, fiber in phi.fibers),
                       np.zeros((phi.space.n, phi.space.n), dtype=complex))

@@ -14,7 +14,13 @@ from wcelab.measure import (
 from wcelab.opalgebra import RANK_TOL
 from wcelab.wce import make_instance
 
-from conftest import deviation, generated_partitions, point_matrix, random_complex
+from conftest import (
+    deviation,
+    generated_partitions,
+    point_matrix,
+    random_blockwise,
+    random_complex,
+)
 
 
 class TestCondExp:
@@ -225,11 +231,9 @@ def test_cond_exp_matrix_is_cached_and_read_only():
 def per_sample_condexp_residuals(partition, rng, samples=3):
     """The property suite one sample at a time: each sample drawn and
     checked before the next, one block reduction per application of E."""
-    from wcelab.checks import _first_points, _random_blockwise
-
     space = partition.space
     w = space.weights
-    first = _first_points(partition)
+    first = np.unique(partition.block_of, return_index=True)[1]
 
     def ev(x):
         return cond_exp_values(partition, x)
@@ -239,7 +243,7 @@ def per_sample_condexp_residuals(partition, rng, samples=3):
     for _ in range(samples):
         f = random_complex(rng, space.n)
         g = random_complex(rng, space.n)
-        g_meas = _random_blockwise(rng, partition)
+        g_meas = random_blockwise(rng, partition)
         ef = ev(f)
         scale_f = 1.0 + float(np.abs(f).max())
         res["idempotent"] = max(res["idempotent"],

@@ -26,6 +26,16 @@ def small_doc(**overrides):
     return json.dumps(doc)
 
 
+@pytest.mark.parametrize("with_point_map", [False, True])
+def test_bundles_compare_by_value_and_are_unhashable(with_point_map):
+    cfg = GeneratorConfig(seed=5, n=6, block_count=2, with_point_map=with_point_map)
+    one, two = gen_instance(cfg), gen_instance(cfg)
+    assert one == two and one is not two
+    assert one != gen_instance(GeneratorConfig(seed=6, n=6, block_count=2))
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(one)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("seed", [1, 2, 3, 17])
     def test_generated_instances(self, seed):

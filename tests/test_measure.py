@@ -152,6 +152,26 @@ class TestIsMeasurable:
         with pytest.raises(SpaceMismatchError):
             block_spread(f, p)
 
+    @pytest.mark.parametrize("part", ["imag", "real"])
+    def test_overflowing_part_leaves_the_other_finite(self, part):
+        # The block integral of one part overflows to inf. The other part
+        # is reduced in bins of its own and stays finite: joining the two
+        # sums as re + 1j * im once turned an inf imaginary part into a NaN
+        # real part.
+        sp = make_space([1e10, 1e10, 1.0])
+        p = make_partition(sp, [[0, 1], [2]])
+        big = 1e300j if part == "imag" else 1e300
+        values = np.array([2.0 + 3.0j + big, 4.0 + 5.0j + big, 1.0 - 1.0j])
+        with np.errstate(all="raise"):
+            means = p.block_means(values)
+            stacked = p.block_means(np.stack((values, values)))
+        finite, overflowed = (means.real, means.imag) if part == "imag" else (
+            means.imag, means.real)
+        np.testing.assert_array_equal(finite[0], 3.0 if part == "imag" else 4.0)
+        assert np.isposinf(overflowed[0])
+        np.testing.assert_array_equal(means[1], 1.0 - 1.0j)
+        np.testing.assert_array_equal(stacked, np.stack((means, means)))
+
     @pytest.mark.parametrize("second", [1e300, -1e300])
     def test_overflowing_block_mean_raises(self, second):
         # The block integral is inf (or inf - inf): no eigenvalue of E M_f

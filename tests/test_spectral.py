@@ -510,14 +510,17 @@ class TestBatchedSpectralAxioms:
         np.testing.assert_array_equal(pairs, [[5, 4], [2, 7], [3, 1], [6, 1]])
 
     def test_set_family_matches_reference_draw_order(self):
-        for seed in range(20):
-            n, n_random = 2 + seed % 9, seed % 14
+        for seed in range(200):
+            n, n_random = 2 + seed % 23, seed % 14
             rng = np.random.default_rng(seed)
             ref_sets = [rng.random(n) < rng.uniform(0.2, 0.8) for _ in range(n_random)]
             ref_pairs = rng.integers(0, n + n_random, size=(max(n_random, 4), 2))
-            sets, pairs = spectral._axiom_sets(np.random.default_rng(seed), n, n_random)
+            one = np.random.default_rng(seed)
+            sets, pairs = spectral._axiom_sets(one, n, n_random)
             np.testing.assert_array_equal(sets[n:], np.reshape(ref_sets, (n_random, n)))
             np.testing.assert_array_equal(pairs, ref_pairs)
+            # The additivity rounds draw on from where the family stopped.
+            assert one.bit_generator.state == rng.bit_generator.state
 
     @pytest.mark.parametrize("on_subspace", [False, True])
     def test_matches_per_set_reference(self, on_subspace):

@@ -1,0 +1,339 @@
+"""Bit identity of the stacked helpers against scalar references kept only
+here: each helper that makes one numpy call where a loop over draws,
+points, eigenvalues or blocks once ran must give exactly the loop's values
+(np.array_equal, or == on floats), and must leave a seeded generator where
+the loop left it."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from wcelab import checks, generator, spectral, wce
+from wcelab.checks import calculus_test_functions
+from wcelab.condexp import Sandwich
+from wcelab.generator import GeneratorConfig, gen_instance, rotation_config
+from wcelab.instance_io import InstanceBundle, instance_digest, serialize_instance
+from wcelab.measure import MeasurableFunction, make_partition, make_space
+from wcelab.wce import closed_func_calc_cogram, closed_func_calc_gram, make_instance
+
+from conftest import generated_partitions, random_blockwise, random_complex
+from test_checks import HARD_BUNDLES
+
+
+def same_stream(a, b):
+    """Whether two generators stand at the same point of their stream."""
+    return a.bit_generator.state == b.bit_generator.state
+
+
+def rotation_bundles(count=200):
+    return [gen_instance(rotation_config(seed, with_point_map=True))
+            for seed in range(1, count + 1)]
+
+
+# ---------------------------------------------------------------------------
+# Set distance of eigenvalues
+
+
+def loop_eigvals_match(expected, computed):
+    """The set distance as Python loops over abs of complex differences."""
+    if not expected and not computed:
+        return 0.0
+    if not expected or not computed:
+        return 1.0
+    fwd = max(min(abs(e - c) for c in computed) for e in expected)
+    bwd = max(min(abs(c - e) for e in expected) for c in computed)
+    return max(fwd, bwd) / (1.0 + max(abs(z) for z in computed))
+
+
+def eigenvalue_sets():
+    rng = np.random.default_rng(11)
+    sets = [[], [0j], [1 + 2j], [3 + 0j, 3 + 0j], [0j, 0j, 2 - 1j, 2 - 1j]]
+    for _ in range(200):
+        size = int(rng.integers(1, 7))
+        values = list(random_complex(rng, size) * 10.0 ** rng.uniform(-150, 150))
+        # Repeated eigenvalues: copies of drawn ones.
+        values += [values[int(i)] for i in rng.integers(0, size, int(rng.integers(0, 3)))]
+        sets.append(values)
+    return sets
+
+
+def test_eigvals_match_equals_abs_loops():
+    sets = eigenvalue_sets()
+    for expected in sets[:40]:
+        for computed in sets:
+            assert checks._eigvals_match_residual(expected, computed) == \
+                loop_eigvals_match(expected, computed)
+            # Near sets: one eigenvalue nudged.
+            if computed:
+                near = [computed[0] * (1 + 1e-9j)] + computed[1:]
+                assert checks._eigvals_match_residual(near, computed) == \
+                    loop_eigvals_match(near, computed)
+
+
+@pytest.mark.parametrize("expected, computed", [
+    # The parts of a difference overflow: abs of an infinite part is inf.
+    ([1e308 + 0j], [-1e308 + 0j]),
+    ([1e308 + 1e308j, 1 + 0j], [-1e308 - 1e308j, 1 + 0j]),
+    # Finite parts whose modulus is beyond the float range.
+    ([0j], [1.5e308 + 1.5e308j]),
+    ([1.5e308 + 0j], [-1.5e307 - 1.5e308j]),
+])
+def test_eigvals_match_overflows_as_abs_does(expected, computed):
+    try:
+        want = loop_eigvals_match(expected, computed)
+    except OverflowError:
+        with pytest.raises(OverflowError, match="absolute value too large"):
+            checks._eigvals_match_residual(expected, computed)
+        return
+    with np.errstate(all="raise"):
+        got = checks._eigvals_match_residual(expected, computed)
+    assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+def test_eigvals_match_takes_arrays_and_tuples():
+    computed = np.linalg.eigvals(np.diag([1.0, 2.0 + 1j, 2.0 + 1j]).astype(complex))
+    expected = (1 + 0j, 2 + 1j)
+    assert checks._eigvals_match_residual(expected, computed) == \
+        loop_eigvals_match(list(expected), [complex(z) for z in computed])
+
+
+def test_hypot_is_python_abs_of_complex():
+    rng = np.random.default_rng(3)
+    size = 20000
+    scale = 10.0 ** rng.uniform(-300, 300, (2, size))
+    re, im = rng.uniform(-1.0, 1.0, (2, size)) * scale
+    assert np.hypot(re, im).tolist() == [abs(complex(a, b)) for a, b in zip(re, im)]
+
+
+# ---------------------------------------------------------------------------
+# One draw per seeded family
+
+
+def sequential_condexp_samples(partition, rng, samples):
+    """The condexp samples drawn one call after another, sample by sample:
+    f, g, the blockwise-constant g, the shift and the sparsity mask."""
+    n = partition.space.n
+    draws = [(random_complex(rng, n), random_complex(rng, n),
+              random_blockwise(rng, partition), rng.uniform(0.05, 0.5),
+              rng.random(n) < 0.4) for _ in range(samples)]
+    return tuple(map(np.array, zip(*draws)))
+
+
+def test_condexp_samples_equal_sequential_draws():
+    for k, partition in enumerate(generated_partitions(100, seed0=1200, n_max=24)):
+        for samples in (1, 3):
+            one, ref = np.random.default_rng(k), np.random.default_rng(k)
+            drawn = checks._condexp_samples(partition, one, samples)
+            expected = sequential_condexp_samples(partition, ref, samples)
+            for a, b in zip(drawn, expected):
+                assert a.shape == b.shape and np.array_equal(a, b)
+            assert same_stream(one, ref)
+
+
+def test_reconstruction_symbols_equal_sequential_draws():
+    for bundle in rotation_bundles(60):
+        fibers = spectral.fiber_partition(bundle.point_map)
+        one, ref = np.random.default_rng(5), np.random.default_rng(5)
+        drawn = checks._random_phases(one, (3, fibers.block_count), 0.0, 4.0)
+        expected = np.stack([random_blockwise(ref, fibers) for _ in range(3)])
+        assert np.array_equal(drawn[:, fibers.block_of], expected)
+        assert same_stream(one, ref)
+
+
+def test_random_phases_equal_uniform_calls():
+    one, ref = np.random.default_rng(8), np.random.default_rng(8)
+    drawn = checks._random_phases(one, (7,), 0.5, 2.0)
+    expected = []
+    for _ in range(7):
+        mag = ref.uniform(0.5, 2.0)
+        expected.append(mag * np.exp(1j * ref.uniform(0.0, 2 * np.pi)))
+    assert np.array_equal(drawn, expected)
+    assert same_stream(one, ref)
+
+
+# ---------------------------------------------------------------------------
+# Block reductions
+
+
+def two_bincount_means(partition, values):
+    """Block means as two bincounts, real then imaginary part, joined as
+    re + 1j * im and divided by the block masses."""
+    v = np.asarray(values)
+    w = partition.space.weights
+    k = partition.block_count
+    rows = v.size // partition.space.n
+    bins = partition.block_of
+    if v.ndim > 1:
+        bins = (k * np.arange(rows)[:, None] + bins).ravel()
+    total = np.bincount(bins, (v.real * w).ravel(), k * rows)
+    if np.iscomplexobj(v):
+        total = total + 1j * np.bincount(bins, (v.imag * w).ravel(), k * rows)
+    return total.reshape(v.shape[:-1] + (k,)) / partition.block_masses
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("shape", [(), (1,), (4,), (2, 3)])
+def test_block_means_equal_two_bincounts(kind, shape):
+    rng = np.random.default_rng(21)
+    for partition in generated_partitions(40, seed0=2100, n_max=24):
+        size = shape + (partition.space.n,)
+        values = rng.normal(size=size) * 10.0 ** rng.uniform(-5, 5, size)
+        if kind == "complex":
+            values = values + 1j * rng.normal(size=size)
+        means = partition.block_means(values)
+        expected = two_bincount_means(partition, values)
+        assert means.dtype == expected.dtype
+        assert np.array_equal(means, expected)
+
+
+def test_block_means_of_a_strided_stack():
+    rng = np.random.default_rng(22)
+    for partition in generated_partitions(10, seed0=2200):
+        n = partition.space.n
+        wide = random_complex(rng, 3 * n).reshape(n, 3).T
+        assert np.array_equal(partition.block_means(wide), two_bincount_means(partition, wide))
+
+
+def test_first_points_are_the_first_index_of_each_block():
+    for partition in generated_partitions(60, seed0=2300, n_max=24):
+        first = np.unique(partition.block_of, return_index=True)[1]
+        assert np.array_equal(partition.first_points, first)
+        assert not partition.first_points.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# Calculus per block
+
+
+def per_point_func_calc(inst, fns, r, r_agg):
+    """_func_calc with every test function evaluated at every point."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        f0 = np.asarray([complex(f(0.0)) for f in fns])
+        p = inst.eu2 * inst.ew2
+        fp = np.asarray([[f(float(v)) for v in p] for f in fns], dtype=complex)
+        d = wce._masked_recip(r_agg, inst.kept) * (fp - f0[:, None])
+        stack = Sandwich(inst.partition, d * np.conj(r), r).matrices()
+    diag = np.arange(inst.space.n)
+    stack[:, diag, diag] += f0[:, None]
+    return stack
+
+
+def test_func_calc_per_block_equals_per_point():
+    fns = tuple(f for _, f in calculus_test_functions())
+    bundles = rotation_bundles() + [make() for make in HARD_BUNDLES.values()]
+    for bundle in bundles:
+        inst = bundle.instance
+        assert np.array_equal(closed_func_calc_gram(inst, fns),
+                              per_point_func_calc(inst, fns, inst.u.values, inst.eu2))
+        assert np.array_equal(closed_func_calc_cogram(inst, fns),
+                              per_point_func_calc(inst, fns, np.conj(inst.w.values),
+                                                  inst.ew2))
+
+
+# ---------------------------------------------------------------------------
+# Generator and serialization
+
+
+def float_path_serialize(bundle):
+    """The instance document with every number passed through float()."""
+    inst = bundle.instance
+    doc = {
+        "weights": [float(x) for x in inst.space.weights],
+        "partition": [list(b) for b in inst.partition.blocks],
+        "u": [[float(z.real), float(z.imag)] for z in inst.u.values],
+        "w": [[float(z.real), float(z.imag)] for z in inst.w.values],
+    }
+    if inst.space.labels is not None:
+        doc["labels"] = list(inst.space.labels)
+    if bundle.point_map is not None:
+        doc["phi"] = list(bundle.point_map.images)
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def test_serialize_equals_float_path():
+    sp = make_space([0.1, 1e-300, 1e300], labels=["a", "b", "c"])
+    part = make_partition(sp, [[0, 2], [1]])
+    signed = InstanceBundle(make_instance(
+        part, MeasurableFunction(sp, [-0.0, complex(0.0, -0.0), 1 / 3]),
+        MeasurableFunction(sp, [5e-324, -1.7976931348623157e308, 1 + 1e-16j])))
+    bundles = rotation_bundles() + [make() for make in HARD_BUNDLES.values()] + [signed]
+    for bundle in bundles:
+        assert serialize_instance(bundle) == float_path_serialize(bundle)
+    assert '"u":[[-0.0,0.0],[0.0,-0.0]' in serialize_instance(signed)
+
+
+def loop_random_partition(rng, n, k):
+    perm = rng.permutation(n)
+    assign = np.empty(n, dtype=np.intp)
+    assign[perm[:k]] = np.arange(k)
+    if n > k:
+        assign[perm[k:]] = rng.integers(0, k, size=n - k)
+    return [sorted(int(i) for i in np.flatnonzero(assign == b)) for b in range(k)]
+
+
+def test_random_partition_equals_per_block_scan():
+    for seed in range(200):
+        n = 2 + seed % 63
+        k = 1 + (seed * 31) % n
+        one, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        blocks = generator._random_partition(one, n, k)
+        assert blocks == loop_random_partition(ref, n, k)
+        assert all(type(i) is int for b in blocks for i in b)
+        assert same_stream(one, ref)
+
+
+def loop_apply_floor(rng, values, blocks, weights, skip, blockwise):
+    """_apply_floor with each block's aggregate taken from its own values."""
+    lo, hi = generator.MAGNITUDE_RANGE
+    floor = generator._AGGREGATE_FLOOR_FRACTION * hi * hi
+    redraw_lo = max(lo, 0.25 * hi)
+    for k, b in enumerate(blocks):
+        if k in skip:
+            continue
+        aggregate = float(np.sum(np.abs(values[b]) ** 2 * weights[b]) / weights[b].sum())
+        if aggregate < floor:
+            if blockwise:
+                values[b] = generator._draw_values(rng, 1, redraw_lo, hi)[0]
+            else:
+                values[b] = generator._draw_values(rng, len(b), redraw_lo, hi)
+
+
+def test_apply_floor_equals_per_block_aggregates():
+    redrawn = 0
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        n = 2 + seed % 40
+        k = 1 + (seed * 7) % n
+        weights = rng.uniform(0.1, 10.0, n)
+        blocks = loop_random_partition(rng, n, k)
+        # Magnitudes around the floor, so some blocks are redrawn.
+        values = random_complex(rng, n, cap=0.5)
+        skip = {b for b in range(k) if rng.random() < 0.2}
+        blockwise = bool(seed % 2)
+        one, ref = np.random.default_rng(seed + 1000), np.random.default_rng(seed + 1000)
+        got, expected = values.copy(), values.copy()
+        generator._apply_floor(one, got, blocks, weights, skip, blockwise)
+        loop_apply_floor(ref, expected, blocks, weights, skip, blockwise)
+        assert np.array_equal(got, expected)
+        assert same_stream(one, ref)
+        redrawn += int(not np.array_equal(got, values))
+    assert redrawn > 50
+
+
+@pytest.mark.parametrize("cfg, digest", [
+    (GeneratorConfig(seed=1, n=64, block_count=4),
+     "f477f3a451a1cda1453a52548c19cd015393fa32de79cdc1ed0d74e629ba660f"),
+    (GeneratorConfig(seed=7, n=24, block_count=9, measurable_u=True,
+                     partial_isometry=True, with_point_map=True),
+     "ad83af18b92369faa7770a25698cc91876f5c31389a8ffd8335fdec70fd06a5c"),
+    (GeneratorConfig(seed=12, n=30, block_count=6, zero_blocks=True),
+     "96b34b9795e966f218b83c5ece1c8eb207113937679162216d7fb2a72a38914e"),
+    (GeneratorConfig(seed=3, n=5, block_count=2, constant_u=True, partial_isometry=True),
+     "d5c4acccd8dab314e1d7dff60ccdf850d5cbd70cc13c8a00342d08da2921cf2c"),
+])
+def test_generated_instance_digest_is_pinned(cfg, digest):
+    # Digests of the per-element generator and serializer: the stacked
+    # ones must write the same bytes.
+    assert instance_digest(serialize_instance(gen_instance(cfg))) == digest
