@@ -13,37 +13,15 @@ induced by point maps.
 
 from .checks import CHECK_GROUPS, CheckRecord
 from .condexp import Sandwich, cond_exp_values
-from .errors import (
-    ConfigInvalidError,
-    EmptySpaceError,
-    NonpositiveWeightError,
-    NotAPartitionError,
-    NotNormalError,
-    ParseError,
-    SpaceMismatchError,
-    WceLabError,
-)
-from .generator import (
-    GeneratorConfig,
-    gen_instance,
-    perturb_nonmeasurable,
-    rotation_config,
-)
+from .errors import ConfigInvalidError, NotNormalError, ParseError, WceLabError
+from .generator import GeneratorConfig, gen_instance, rotation_config
 from .instance_io import (
     InstanceBundle,
     instance_digest,
     parse_instance,
     serialize_instance,
 )
-from .measure import (
-    FiniteMeasureSpace,
-    MeasurableFunction,
-    Partition,
-    coarsest_partition,
-    finest_partition,
-    make_partition,
-    make_space,
-)
+from .measure import FiniteMeasureSpace, MeasurableFunction, Partition
 from .opalgebra import EigenSystem, SvdOracle, op_deviations
 from .spectral import (
     PointMap,
@@ -53,7 +31,6 @@ from .spectral import (
     avg_mult_spectrum,
     block_spread,
     check_spectral_axioms,
-    fiber_partition,
     pushforward_density,
     spectral_decomposition,
 )
@@ -66,7 +43,6 @@ from .wce import (
     closed_func_calc_cogram,
     closed_func_calc_gram,
     closed_polar,
-    make_instance,
     norm_formula,
     partial_isometry_criterion,
 )

@@ -108,7 +108,8 @@ RECORDS: dict[str, dict[str, str]] = {
                      "sqrt(E|u|^2) over the blocks, 0 iff u is blockwise constant",
     },
     "spectrum": {
-        "spectrum": "spectrum of E M_u is the set of block means of u together with 0",
+        "spectrum": "spectrum of E M_u is the set of block means of u, with 0 "
+                    "unless E M_u is invertible",
     },
     "spectral_decomp": {
         "sd_projections": "each spectral projection is idempotent and self-adjoint",

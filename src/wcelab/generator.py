@@ -21,9 +21,9 @@ import numpy as np
 
 from .errors import ConfigInvalidError
 from .instance_io import InstanceBundle
-from .measure import MeasurableFunction, Partition, make_space
+from .measure import FiniteMeasureSpace, MeasurableFunction, Partition
 from .spectral import PointMap
-from .wce import WceInstance, make_instance
+from .wce import WceInstance
 
 # Point masses are drawn uniformly from WEIGHT_RANGE, symbol magnitudes
 # from MAGNITUDE_RANGE.
@@ -123,8 +123,8 @@ def gen_instance(cfg: GeneratorConfig) -> InstanceBundle:
 
     weights = rng.uniform(*WEIGHT_RANGE, n)
     blocks = _random_partition(rng, n, k)
-    space = make_space(weights)
-    partition = Partition(space, tuple(tuple(b) for b in blocks))
+    space = FiniteMeasureSpace(weights)
+    partition = Partition(space, blocks)
 
     # Symbol u.
     if cfg.constant_u:
@@ -173,7 +173,7 @@ def gen_instance(cfg: GeneratorConfig) -> InstanceBundle:
             else:
                 w_vals[idx] = 0.0
 
-    instance = make_instance(
+    instance = WceInstance(
         partition,
         MeasurableFunction(space, u_vals),
         MeasurableFunction(space, w_vals),
@@ -182,24 +182,6 @@ def gen_instance(cfg: GeneratorConfig) -> InstanceBundle:
     if cfg.with_point_map:
         point_map = PointMap(space, tuple(int(i) for i in rng.integers(0, n, n)))
     return InstanceBundle(instance, point_map)
-
-
-def perturb_nonmeasurable(instance: WceInstance, seed: int) -> WceInstance:
-    """Shift u at one point of a multi-point block so it stops being
-    blockwise constant; raises ValueError when every block is a singleton."""
-    rng = np.random.default_rng(seed)
-    wide = [b for b in instance.partition.blocks if len(b) >= 2]
-    if not wide:
-        raise ValueError("no block with two or more points to perturb")
-    block = wide[int(rng.integers(0, len(wide)))]
-    point = int(block[int(rng.integers(0, len(block)))])
-    u_vals = instance.u.values.copy()
-    u_vals[point] += 1.0 + rng.uniform(0.0, 1.0)
-    return make_instance(
-        instance.partition,
-        MeasurableFunction(instance.space, u_vals),
-        instance.w,
-    )
 
 
 def rotation_config(seed: int, with_point_map: bool = False) -> GeneratorConfig:

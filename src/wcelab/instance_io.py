@@ -1,9 +1,10 @@
 """Instance documents: a JSON schema for (weights, partition, u, w) with
 an optional point map and labels, plus exact round-trip serialization.
 
-Numbers are emitted with shortest round-trip precision, so
-parse(serialize(x)) == x holds exactly and serialized bytes are stable
-across runs, which is what report determinism is built on.
+Numbers are emitted with shortest round-trip precision, so a parsed
+document serializes to the same bytes, serialize(parse(doc)) == doc for
+every serialized doc, and serialized bytes are stable across runs, which
+is what report determinism is built on.
 """
 
 from __future__ import annotations
@@ -14,15 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptySpaceError,
-    NonpositiveWeightError,
-    NotAPartitionError,
-    ParseError,
-)
-from .measure import MeasurableFunction, make_partition, make_space
+from .errors import ParseError
+from .measure import FiniteMeasureSpace, MeasurableFunction, Partition
 from .spectral import PointMap
-from .wce import WceInstance, make_instance
+from .wce import WceInstance
 
 _KNOWN_FIELDS = {"weights", "partition", "u", "w", "phi", "labels"}
 _REQUIRED_FIELDS = ("weights", "partition", "u", "w")
@@ -30,25 +26,10 @@ _REQUIRED_FIELDS = ("weights", "partition", "u", "w")
 
 @dataclass(frozen=True, eq=False)
 class InstanceBundle:
-    """A verification instance plus the optional point map riding along.
-
-    Bundles compare by value (partition, symbols, point map) and are not
-    hashable: their parts are arrays, which have no value hash.
-    """
+    """A verification instance plus the optional point map riding along."""
 
     instance: WceInstance
     point_map: PointMap | None = None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, InstanceBundle):
-            return NotImplemented
-        a, b = self.instance, other.instance
-        return (
-            a.partition == b.partition
-            and a.u == b.u
-            and a.w == b.w
-            and self.point_map == other.point_map
-        )
 
 
 def _is_number(x: object) -> bool:
@@ -139,9 +120,9 @@ def parse_instance(text: str) -> InstanceBundle:
     ):
         raise ParseError("field 'labels' must be a list of strings")
     try:
-        space = make_space(
+        space = FiniteMeasureSpace(
             [_to_float(x, "weights", i) for i, x in enumerate(raw_weights)], labels)
-    except (EmptySpaceError, NonpositiveWeightError, ValueError) as e:
+    except ValueError as e:
         raise ParseError(f"field 'weights'/'labels': {e}") from None
     n = space.n
 
@@ -152,8 +133,8 @@ def parse_instance(text: str) -> InstanceBundle:
     ):
         raise ParseError("field 'partition' must be a list of lists of indices")
     try:
-        partition = make_partition(space, raw_blocks)
-    except NotAPartitionError as e:
+        partition = Partition(space, raw_blocks)
+    except ValueError as e:
         raise ParseError(f"field 'partition': {e}") from None
 
     u = MeasurableFunction(space, _complex_pairs(doc["u"], "u", n))
@@ -171,4 +152,4 @@ def parse_instance(text: str) -> InstanceBundle:
         except ValueError as e:
             raise ParseError(f"field 'phi': {e}") from None
 
-    return InstanceBundle(make_instance(partition, u, w), point_map)
+    return InstanceBundle(WceInstance(partition, u, w), point_map)

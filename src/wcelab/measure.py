@@ -11,16 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
 
 import numpy as np
-
-from .errors import (
-    EmptySpaceError,
-    NonpositiveWeightError,
-    NotAPartitionError,
-    SpaceMismatchError,
-)
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,9 +29,9 @@ class FiniteMeasureSpace:
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
-            raise EmptySpaceError("a measure space needs at least one point")
+            raise ValueError("a measure space needs at least one point")
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-            raise NonpositiveWeightError("point masses must be finite and > 0")
+            raise ValueError("point masses must be finite and > 0")
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -65,13 +57,6 @@ class FiniteMeasureSpace:
         s.setflags(write=False)
         return s
 
-    def inner(self, f: np.ndarray, g: np.ndarray) -> complex:
-        """Weighted inner product sum_i f_i conj(g_i) mu_i."""
-        return complex(np.sum(np.asarray(f) * np.conj(g) * self.weights))
-
-    def norm(self, f: np.ndarray) -> float:
-        return float(np.sqrt(np.sum(np.abs(np.asarray(f)) ** 2 * self.weights)))
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, FiniteMeasureSpace)
@@ -96,10 +81,10 @@ class Partition:
         n = self.space.n
         blocks = tuple(tuple(sorted(int(i) for i in b)) for b in self.blocks)
         if any(len(b) == 0 for b in blocks):
-            raise NotAPartitionError(f"empty block in {list(map(list, blocks))}")
+            raise ValueError(f"empty block in {list(map(list, blocks))}")
         flat = [i for b in blocks for i in b]
         if sorted(flat) != list(range(n)) or len(flat) != n:
-            raise NotAPartitionError(
+            raise ValueError(
                 f"blocks {list(map(list, blocks))} do not partition 0..{n - 1} "
                 "(overlap, gap, or out-of-range index)"
             )
@@ -197,13 +182,6 @@ class Partition:
             means = total.reshape(shape + (k, 2)) * (1.0 / self.block_masses)[:, None]
             return means.view(complex)[..., 0]
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Partition)
-            and self.space == other.space
-            and sorted(self.blocks) == sorted(other.blocks)
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class MeasurableFunction:
@@ -215,7 +193,7 @@ class MeasurableFunction:
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=complex)
         if v.ndim != 1 or v.size != self.space.n:
-            raise SpaceMismatchError(
+            raise ValueError(
                 f"function has {v.size} values for a {self.space.n}-point space"
             )
         if not np.all(np.isfinite(v)):
@@ -223,41 +201,3 @@ class MeasurableFunction:
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-
-    @classmethod
-    def constant(cls, space: FiniteMeasureSpace, value: complex) -> "MeasurableFunction":
-        return cls(space, np.full(space.n, value, dtype=complex))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, MeasurableFunction)
-            and self.space == other.space
-            and np.array_equal(self.values, other.values)
-        )
-
-
-def make_space(
-    weights: Sequence[float], labels: Sequence[str] | None = None
-) -> FiniteMeasureSpace:
-    """Validated space from a list of strictly positive point masses."""
-    if len(weights) == 0:
-        raise EmptySpaceError("a measure space needs at least one point")
-    return FiniteMeasureSpace(np.asarray(weights, dtype=float),
-                              tuple(labels) if labels is not None else None)
-
-
-def make_partition(
-    space: FiniteMeasureSpace, blocks: Iterable[Iterable[int]]
-) -> Partition:
-    return Partition(space, tuple(tuple(b) for b in blocks))
-
-
-def finest_partition(space: FiniteMeasureSpace) -> Partition:
-    """All singletons; the sub-algebra equals the full algebra."""
-    return Partition(space, tuple((i,) for i in range(space.n)))
-
-
-def coarsest_partition(space: FiniteMeasureSpace) -> Partition:
-    """One block; the trivial sub-algebra."""
-    return Partition(space, (tuple(range(space.n)),))
-

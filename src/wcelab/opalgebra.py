@@ -82,11 +82,6 @@ class EigenSystem:
     values: np.ndarray
     basis: np.ndarray
 
-    @property
-    def scale(self) -> float:
-        """Largest eigenvalue magnitude, the operator norm."""
-        return float(np.abs(self.values).max()) if self.values.size else 0.0
-
     def calc_stack(self, fvals: np.ndarray) -> np.ndarray:
         """Matrices of sum_k f(lambda_k) v_k <v_k, .>, one per row of the
         (m, n) array of function values at the eigenvalues; shape (m, n, n)."""

@@ -4,8 +4,9 @@ point maps.
 
 The operator studied here sends f to E(u f): multiplication by a symbol
 u followed by block averaging. It is normal exactly when u is blockwise
-constant, its spectrum is the set of block means of u together with 0,
-and in the normal case it diagonalizes over projections of the form
+constant, its spectrum is the set of block means of u, with 0 unless the
+operator is invertible (every point its own block, no block mean within
+tol of 0), and in the normal case it diagonalizes over projections of the form
 "indicator of a level set of u, then average".
 
 A point map phi on the space induces the fiber partition (preimages of
@@ -25,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NotNormalError, SpaceMismatchError
+from .errors import NotNormalError
 from .measure import FiniteMeasureSpace, MeasurableFunction, Partition
 from .opalgebra import spectral_norms
 
@@ -61,13 +62,6 @@ class PointMap:
             buckets.setdefault(s, []).append(i)
         return tuple((s, tuple(buckets[s])) for s in sorted(buckets))
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, PointMap)
-            and self.space == other.space
-            and self.images == other.images
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomp:
@@ -85,8 +79,6 @@ class SpectralDecomp:
 
 def avg_mult_operator(u: MeasurableFunction, partition: Partition) -> np.ndarray:
     """Matrix of f -> E(u f)."""
-    if u.space != partition.space:
-        raise SpaceMismatchError("symbol and partition live on different spaces")
     return partition.cond_exp_matrix * u.values[None, :]
 
 
@@ -99,11 +91,12 @@ def block_spread(u: MeasurableFunction, partition: Partition) -> np.ndarray:
     ||E M_u - E M_{E u}|| on B, and their product is the norm of the
     commutator [E M_u, (E M_u)*] on B: it is 0 exactly when u is constant
     on B. Both are taken on u divided by its peak and scaled back, so no
-    square overflows or underflows.
+    square overflows or underflows. A peak |u| beyond the float range
+    leaves no spread to measure, so it raises ValueError.
     """
-    if u.space != partition.space:
-        raise SpaceMismatchError("symbol and partition live on different spaces")
     peak = float(np.abs(u.values).max())
+    if not np.isfinite(peak):
+        raise ValueError("|u| is not finite")
     if peak == 0.0:
         return np.zeros((2, partition.block_count))
     v = u.values / peak
@@ -131,7 +124,10 @@ def _eigenvalue_groups(
     group = np.where(np.abs(means) <= radius, 0, -1)
     while (free := np.flatnonzero(group < 0)).size:
         rep = means[free[0]]
-        group[free[np.abs(means[free] - rep) <= radius]] = len(reps)
+        # Means of opposite sign near the float limit overflow the
+        # distance to inf, which joins no group.
+        with np.errstate(over="ignore"):
+            group[free[np.abs(means[free] - rep) <= radius]] = len(reps)
         reps.append(complex(rep))
     return reps, group
 
@@ -150,8 +146,9 @@ def _by_value(z: complex) -> tuple[float, float]:
 def avg_mult_spectrum(
     u: MeasurableFunction, partition: Partition, tol: float
 ) -> tuple[complex, ...]:
-    """Spectrum of f -> E(u f): the block means of u, together with 0
-    unless the operator is invertible (see _has_kernel).
+    """Spectrum of f -> E(u f): the block means of u, and 0 unless the
+    operator is invertible, that is unless every point is its own block
+    and no block mean is in the zero group (see _has_kernel).
 
     Block means merge at tol by the first-representative rule of
     _eigenvalue_groups, the same rule spectral_decomposition uses: each
@@ -203,11 +200,6 @@ def spectral_decomposition(
     return SpectralDecomp(tuple(eigenvalues), stack)
 
 
-def fiber_partition(phi: PointMap) -> Partition:
-    """Partition of the space into the nonempty fibers of the point map."""
-    return Partition(phi.space, tuple(fiber for _, fiber in phi.fibers))
-
-
 def pushforward_density(phi: PointMap) -> MeasurableFunction:
     """Density of the pushforward measure: h(x) = mu(preimage of x) / mu(x)."""
     w = phi.space.weights
@@ -218,17 +210,17 @@ def pushforward_density(phi: PointMap) -> MeasurableFunction:
 class SpectralMeasureTable:
     """Projection-valued set function S -> E_phi M_{chi_preimage(S)}.
 
-    Built once per point map on its fiber partition, whose cached matrix
-    is the fiber average E_phi. A set's value keeps the columns of E_phi
-    at the points mapped into the set, so the singleton values have
-    disjoint column supports and sum to E_phi; values() evaluates a stack
-    of sets at once, as a real stack.
+    Built once per point map on its fiber partition, the nonempty fibers
+    of phi as blocks, whose cached matrix is the fiber average E_phi. A
+    set's value keeps the columns of E_phi at the points mapped into the
+    set, so the singleton values have disjoint column supports and sum to
+    E_phi; values() evaluates a stack of sets at once, as a real stack.
     """
 
     def __init__(self, phi: PointMap):
         self.phi = phi
         self.space = phi.space
-        self.partition = fiber_partition(phi)
+        self.partition = Partition(phi.space, [fiber for _, fiber in phi.fibers])
         self._images = np.asarray(phi.images, dtype=np.intp)
 
     def values(self, sets: np.ndarray) -> np.ndarray:

@@ -26,18 +26,22 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .condexp import Sandwich, cond_exp_values
-from .errors import SpaceMismatchError
 from .measure import FiniteMeasureSpace, MeasurableFunction, Partition
 from .opalgebra import RANK_TOL
 
 
 @dataclass(frozen=True, eq=False)
 class WceInstance:
-    """Partition plus symbols u, w, with the derived block aggregates cached."""
+    """Partition plus symbols u, w on its space, with the derived block
+    aggregates cached."""
 
     partition: Partition
     u: MeasurableFunction
     w: MeasurableFunction
+
+    def __post_init__(self) -> None:
+        if self.u.space != self.space or self.w.space != self.space:
+            raise ValueError("u, w, and partition must share one space")
 
     @property
     def space(self) -> FiniteMeasureSpace:
@@ -84,16 +88,6 @@ class WceInstance:
         """Points of the blocks whose sigma_B exceeds RANK_TOL times the
         largest; empty when T = 0. The one rank cut of the closed forms."""
         return self.sigma > RANK_TOL * float(self.sigma.max(initial=0.0))
-
-
-def make_instance(
-    partition: Partition,
-    u: MeasurableFunction,
-    w: MeasurableFunction,
-) -> WceInstance:
-    if u.space != partition.space or w.space != partition.space:
-        raise SpaceMismatchError("u, w, and partition must share one space")
-    return WceInstance(partition, u, w)
 
 
 def _masked_recip(values: np.ndarray, mask: np.ndarray) -> np.ndarray:

@@ -7,8 +7,50 @@ import pytest
 
 from wcelab.errors import NotNormalError
 from wcelab.generator import GeneratorConfig, gen_instance
+from wcelab.measure import MeasurableFunction, Partition
 from wcelab.opalgebra import EigenSystem, op_deviations, spectral_norms
 from wcelab.spectral import spectral_decomposition
+from wcelab.wce import WceInstance
+
+
+def finest_partition(space):
+    """All singletons; the sub-algebra equals the full algebra."""
+    return Partition(space, [[i] for i in range(space.n)])
+
+
+def coarsest_partition(space):
+    """One block; the trivial sub-algebra."""
+    return Partition(space, [range(space.n)])
+
+
+def constant(space, value):
+    """The constant function value on space."""
+    return MeasurableFunction(space, np.full(space.n, value, dtype=complex))
+
+
+def inner(space, f, g):
+    """Weighted inner product sum_i f_i conj(g_i) mu_i of point functions."""
+    return complex(np.sum(np.asarray(f) * np.conj(g) * space.weights))
+
+
+def l2_norm(space, f):
+    """Weighted L2 norm of a point function."""
+    return float(np.sqrt(np.sum(np.abs(np.asarray(f)) ** 2 * space.weights)))
+
+
+def perturb_nonmeasurable(instance, seed):
+    """Shift u at one point of a multi-point block so it stops being
+    blockwise constant; raises ValueError when every block is a singleton."""
+    rng = np.random.default_rng(seed)
+    wide = [b for b in instance.partition.blocks if len(b) >= 2]
+    if not wide:
+        raise ValueError("no block with two or more points to perturb")
+    block = wide[int(rng.integers(0, len(wide)))]
+    point = int(block[int(rng.integers(0, len(block)))])
+    u_vals = instance.u.values.copy()
+    u_vals[point] += 1.0 + rng.uniform(0.0, 1.0)
+    return WceInstance(instance.partition,
+                       MeasurableFunction(instance.space, u_vals), instance.w)
 
 
 def random_complex(rng, n, cap=4.0):

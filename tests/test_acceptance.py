@@ -18,19 +18,13 @@ from wcelab.checks import (
     condexp_property_residuals,
 )
 from wcelab.cli import main as cli_main
-from wcelab.generator import (
-    GeneratorConfig,
-    gen_instance,
-    perturb_nonmeasurable,
-    rotation_config,
-)
+from wcelab.generator import GeneratorConfig, gen_instance, rotation_config
 from wcelab.measure import MeasurableFunction
 from wcelab.opalgebra import SvdOracle, op_deviations
 from wcelab.spectral import (
     SpectralMeasureTable,
     avg_mult_operator,
     check_spectral_axioms,
-    fiber_partition,
     pushforward_density,
 )
 from wcelab.wce import (
@@ -54,6 +48,7 @@ from conftest import (
     pinned_record_names,
     psd_calc,
     psd_root,
+    perturb_nonmeasurable,
 )
 
 
@@ -258,7 +253,7 @@ def test_criterion_8_spectral_measure():
         # the fiber subspace only, where it holds for every point map.
         assert max(check_spectral_axioms(table, seed=seed).values()) <= 1e-9
 
-        fp = fiber_partition(phi)
+        fp = SpectralMeasureTable(phi).partition
         rng = np.random.default_rng(seed)
         symbols = np.empty((3, space.n), dtype=complex)
         for vals in symbols:

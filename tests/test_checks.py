@@ -31,29 +31,18 @@ from wcelab.checks import (
 from wcelab.cli import main
 from wcelab.generator import GeneratorConfig, gen_instance, rotation_config
 from wcelab.instance_io import InstanceBundle, parse_instance, serialize_instance
-from wcelab.measure import (
-    MeasurableFunction,
-    Partition,
-    coarsest_partition,
-    make_partition,
-    make_space,
-)
+from wcelab.measure import FiniteMeasureSpace, MeasurableFunction, Partition
 from wcelab.condexp import Sandwich
-from wcelab.spectral import (
-    SpectralMeasureTable,
-    _eigenvalue_groups,
-    avg_mult_operator,
-    fiber_partition,
-)
+from wcelab.spectral import SpectralMeasureTable, _eigenvalue_groups, avg_mult_operator
 from wcelab.suite import run_suite
 from wcelab.wce import (
+    WceInstance,
     build_operator,
     closed_func_calc_cogram,
     closed_func_calc_gram,
-    make_instance,
 )
 
-from conftest import closed_calc, norm, random_blockwise
+from conftest import closed_calc, coarsest_partition, constant, norm, random_blockwise
 
 _MODES = ({}, {"zero_blocks": True}, {"constant_u": True},
           {"measurable_u": True}, {"partial_isometry": True})
@@ -236,10 +225,10 @@ def test_norms_already_held_are_not_taken_again(monkeypatch):
 
 def zero_operator_bundle():
     """T = 0: u vanishes everywhere."""
-    sp = make_space([1.0, 2.0, 0.5])
-    u = MeasurableFunction.constant(sp, 0.0)
-    w = MeasurableFunction.constant(sp, 1.0)
-    return InstanceBundle(make_instance(coarsest_partition(sp), u, w))
+    sp = FiniteMeasureSpace([1.0, 2.0, 0.5])
+    u = constant(sp, 0.0)
+    w = constant(sp, 1.0)
+    return InstanceBundle(WceInstance(coarsest_partition(sp), u, w))
 
 
 @pytest.mark.parametrize("group, tol", [
@@ -324,7 +313,7 @@ def reference_reconstruction(ctx):
     singleton at a time against E_phi M_u, three norms per round."""
     phi = ctx.bundle.point_map
     rng = ctx.rng("reconstruction")
-    fp = fiber_partition(phi)
+    fp = SpectralMeasureTable(phi).partition
     table = SpectralMeasureTable(phi)
     singletons = np.eye(phi.space.n, dtype=bool)
     worst = 0.0
@@ -425,51 +414,51 @@ def test_func_calc_catches_one_perturbed_function(monkeypatch):
 
 def faint_block_bundle():
     """Two blocks; E(|u|^2) on the second is 1e-6 of the first."""
-    sp = make_space([1.0, 2.0, 1.0, 3.0])
-    part = make_partition(sp, [[0, 1], [2, 3]])
+    sp = FiniteMeasureSpace([1.0, 2.0, 1.0, 3.0])
+    part = Partition(sp, [[0, 1], [2, 3]])
     u = MeasurableFunction(sp, np.array([1.0, 1.0, 1e-3, 1e-3], dtype=complex))
-    w = MeasurableFunction.constant(sp, 1.0)
-    return InstanceBundle(make_instance(part, u, w))
+    w = constant(sp, 1.0)
+    return InstanceBundle(WceInstance(part, u, w))
 
 
 def crossed_aggregates_bundle():
     """E(|u|^2) = (1, 1, 1e-11, 1e-11) and E(|w|^2) = (1, 1, 1e11, 1e11):
     each aggregate is faint where the other is large, yet the product is 1
     everywhere, so T is a partial isometry with sigma = (1, 1)."""
-    sp = make_space([1.0] * 4)
-    part = make_partition(sp, [[0, 1], [2, 3]])
+    sp = FiniteMeasureSpace([1.0] * 4)
+    part = Partition(sp, [[0, 1], [2, 3]])
     small, large = np.sqrt(1e-11), np.sqrt(1e11)
     u = MeasurableFunction(sp, [1.0, 1.0, small, small])
     w = MeasurableFunction(sp, [1.0, 1.0, large, large])
-    return InstanceBundle(make_instance(part, u, w))
+    return InstanceBundle(WceInstance(part, u, w))
 
 
 def faint_sigma_bundle():
     """sigma = (1, 1e-5): far above the rank cut, while sigma^2 = 1e-10 is
     below the 1e-8 scale of the partial-isometry criterion."""
-    sp = make_space([1.0] * 4)
-    part = make_partition(sp, [[0, 1], [2, 3]])
+    sp = FiniteMeasureSpace([1.0] * 4)
+    part = Partition(sp, [[0, 1], [2, 3]])
     u = MeasurableFunction(sp, [1.0, 1.0, 1e-5, 1e-5])
-    w = MeasurableFunction.constant(sp, 1.0)
-    return InstanceBundle(make_instance(part, u, w))
+    w = constant(sp, 1.0)
+    return InstanceBundle(WceInstance(part, u, w))
 
 
 def tiny_sigma_bundle():
     """sigma = (1, 2e-10): just above the rank cut, so both blocks are kept,
     yet T T* T - T is 2e-10 there, far below tol: T is a partial isometry
     up to tol although the product 4e-20 on the second block is not 1."""
-    sp = make_space([1.0] * 4)
-    part = make_partition(sp, [[0, 1], [2, 3]])
+    sp = FiniteMeasureSpace([1.0] * 4)
+    part = Partition(sp, [[0, 1], [2, 3]])
     u = MeasurableFunction(sp, [1.0, 1.0, 2e-10, 2e-10])
-    w = MeasurableFunction.constant(sp, 1.0)
-    return InstanceBundle(make_instance(part, u, w))
+    w = constant(sp, 1.0)
+    return InstanceBundle(WceInstance(part, u, w))
 
 
 def scaled_bundle():
     """The generated seed-3 instance (n = 8, 3 blocks) with u and w scaled
     by 1e-4, so ||T|| ~ 1e-8: every cut on T must be relative to it."""
     inst = gen_instance(GeneratorConfig(seed=3, n=8, block_count=3)).instance
-    return InstanceBundle(make_instance(
+    return InstanceBundle(WceInstance(
         inst.partition, MeasurableFunction(inst.space, 1e-4 * inst.u.values),
         MeasurableFunction(inst.space, 1e-4 * inst.w.values)))
 
@@ -478,11 +467,11 @@ def near_normal_bundle():
     """u is blockwise constant up to a 1e-7 relative step in its first
     block: ||E M_u - E M_{E u}|| / (1 + ||E M_u||) is 3.1e-8, so the
     spectral decomposition is measured at tol 1e-7 and skipped at 1e-8."""
-    sp = make_space([1.0, 2.0, 0.5, 1.5])
-    part = make_partition(sp, [[0, 1], [2, 3]])
+    sp = FiniteMeasureSpace([1.0, 2.0, 0.5, 1.5])
+    part = Partition(sp, [[0, 1], [2, 3]])
     u = MeasurableFunction(sp, [2.0, 2.0000002, -1 + 0.5j, -1 + 0.5j])
     w = MeasurableFunction(sp, [1.0, 0.5, 1 + 1j, 2.0])
-    return InstanceBundle(make_instance(part, u, w))
+    return InstanceBundle(WceInstance(part, u, w))
 
 
 # Files near T's rank cut: faint blocks, crossed aggregates, a faint

@@ -1,0 +1,98 @@
+"""Every function and method defined in src/wcelab is run by some wcelab
+command, so the package holds no code that only the unit tests reach.
+
+The commands run in-process under sys.setprofile: gen in every mode;
+verify on a generated file, on a file with labels and a point map, on two
+files whose |u| or block means sit at the float limit, and on malformed
+files; and the full seeded suite with a report. A function counts as run
+when a frame of its code is entered.
+"""
+
+import inspect
+import json
+import sys
+import types
+from pathlib import Path
+
+from wcelab import cli
+
+SRC = Path(cli.__file__).resolve().parent
+
+_ONE = [[1, 0], [1, 0]]
+VERIFY_DOCS = {
+    "labelled": {"weights": [1, 2, 3], "partition": [[0, 1], [2]],
+                 "u": [[1, 0], [2, 0], [3, 1]], "w": [[1, 0], [0, 1], [2, 0]],
+                 "phi": [1, 1, 0], "labels": ["a", "b", "c"]},
+    "abs_u_overflow": {"weights": [1, 1], "partition": [[0], [1]],
+                       "u": [[1.5e308, 1.5e308], [1, 0]], "w": _ONE},
+    "opposite_means": {"weights": [1, 1], "partition": [[0], [1]],
+                       "u": [[1e308, 0], [-1e308, 0]], "w": _ONE},
+    "empty_weights": {"weights": [], "partition": [], "u": [], "w": []},
+    "negative_weight": {"weights": [1, -1], "partition": [[0, 1]], "u": _ONE, "w": _ONE},
+    "overlapping_blocks": {"weights": [1, 1], "partition": [[0, 1], [1]],
+                           "u": _ONE, "w": _ONE},
+    "phi_out_of_range": {"weights": [1, 1], "partition": [[0, 1]],
+                         "u": _ONE, "w": _ONE, "phi": [0, 2]},
+}
+MODES = ("measurable_u", "partial_isometry", "zero_blocks", "constant_u", "point_map")
+
+
+def _functions(code):
+    """The code objects of every def nested in code: functions, methods and
+    closures; class bodies, lambdas and comprehensions are not defs."""
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            if const.co_flags & inspect.CO_OPTIMIZED and not const.co_name.startswith("<"):
+                yield const
+            yield from _functions(const)
+
+
+def defined_functions():
+    """(file name, first line) -> name of every def in the package."""
+    return {(path.name, code.co_firstlineno): code.co_name
+            for path in sorted(SRC.glob("*.py"))
+            for code in _functions(compile(path.read_text(), str(path), "exec"))}
+
+
+def command_lines(tmp_path):
+    generated = tmp_path / "generated.json"
+    argvs = [["gen", "--seed", "3", "--n", "6", "--mode", mode] for mode in MODES]
+    argvs[0] += ["-o", str(generated)]
+    argvs.append(["verify", str(generated)])
+    for name, doc in VERIFY_DOCS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        argvs.append(["verify", str(path)])
+    argvs.append(["suite", "--seeds", "1..20", "--full", "--tol", "1e-8",
+                  "--report", str(tmp_path / "report.json")])
+    return argvs
+
+
+def test_every_function_in_src_is_run_by_a_command(tmp_path, capsys, monkeypatch):
+    # The BLAS thread lookup runs once per process and not at all under a
+    # user's thread setting: clear both so this trace sees it.
+    for var in cli._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    cli._openblas_thread_controls.cache_clear()
+    argvs = command_lines(tmp_path)
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    sys.setprofile(profile)
+    try:
+        codes = [cli.main(argv) for argv in argvs]
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    entered = {(Path(file).name, line) for file, line in entered
+               if Path(file).resolve().parent == SRC}
+    # gen and the generated file pass; the overflow files fail as
+    # breakdowns; the malformed files are parse errors; the suite passes.
+    assert codes == [0] * 6 + [0, 1, 1] + [2] * 4 + [0]
+    unreached = [f"{file}:{line} {name}"
+                 for (file, line), name in sorted(defined_functions().items())
+                 if (file, line) not in entered]
+    assert not unreached, "run by no command: " + ", ".join(unreached)

@@ -4,19 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wcelab.condexp import Sandwich, cond_exp_values
-from wcelab.measure import (
-    MeasurableFunction,
-    coarsest_partition,
-    finest_partition,
-    make_partition,
-    make_space,
-)
+from wcelab.measure import FiniteMeasureSpace, MeasurableFunction, Partition
 from wcelab.opalgebra import RANK_TOL
-from wcelab.wce import make_instance
+from wcelab.wce import WceInstance
 
 from conftest import (
+    coarsest_partition,
     deviation,
+    finest_partition,
     generated_partitions,
+    inner,
     point_matrix,
     random_blockwise,
     random_complex,
@@ -27,23 +24,23 @@ class TestCondExp:
     def test_defining_identity_two_points(self):
         # One block, mu = (1, 3), f = (4, 0): the constant c with
         # 4*1 + 0*3 = c*4 is c = 1.
-        sp = make_space([1.0, 3.0])
+        sp = FiniteMeasureSpace([1.0, 3.0])
         g = cond_exp_values(coarsest_partition(sp), np.array([4.0, 0.0]))
         np.testing.assert_allclose(g, [1, 1])
 
     def test_finest_is_identity(self, rng):
-        sp = make_space([1.0, 2.0, 3.0])
+        sp = FiniteMeasureSpace([1.0, 2.0, 3.0])
         f = random_complex(rng, 3)
         np.testing.assert_allclose(cond_exp_values(finest_partition(sp), f), f)
 
     def test_preserves_constants(self):
-        sp = make_space([2.0, 1.0, 5.0])
+        sp = FiniteMeasureSpace([2.0, 1.0, 5.0])
         one = np.ones(sp.n)
         np.testing.assert_allclose(cond_exp_values(coarsest_partition(sp), one), one)
 
     def test_block_integrals_match(self, rng):
-        sp = make_space([1.0, 2.0, 0.5, 3.0])
-        p = make_partition(sp, [[0, 2], [1, 3]])
+        sp = FiniteMeasureSpace([1.0, 2.0, 0.5, 3.0])
+        p = Partition(sp, [[0, 2], [1, 3]])
         f = random_complex(rng, 4)
         ef = cond_exp_values(p, f)
         for b in p.blocks:
@@ -56,27 +53,27 @@ class TestCondExp:
 
 class TestCondExpOperator:
     def test_uniform_two_points(self):
-        sp = make_space([1.0, 1.0])
+        sp = FiniteMeasureSpace([1.0, 1.0])
         m = coarsest_partition(sp).cond_exp_matrix
         np.testing.assert_allclose(m, np.full((2, 2), 0.5))
 
     def test_finest_identity(self):
-        sp = make_space([1.0, 3.0, 2.0])
+        sp = FiniteMeasureSpace([1.0, 3.0, 2.0])
         m = finest_partition(sp).cond_exp_matrix
         np.testing.assert_allclose(m, np.eye(3))
 
     def test_weighted_rows(self):
         # mu = (1, 3), one block: on point values every row is (1/4, 3/4);
         # in the orthonormal basis the entries are sqrt(mu_i mu_j) / 4.
-        sp = make_space([1.0, 3.0])
+        sp = FiniteMeasureSpace([1.0, 3.0])
         m = coarsest_partition(sp).cond_exp_matrix
         np.testing.assert_allclose(point_matrix(sp, m), [[0.25, 0.75], [0.25, 0.75]])
         r = np.sqrt(3.0) / 4
         np.testing.assert_allclose(m, [[0.25, r], [r, 0.75]])
 
     def test_matrix_matches_cond_exp_on_basis(self, rng):
-        sp = make_space([1.0, 2.0, 0.5, 4.0])
-        p = make_partition(sp, [[0, 3], [1], [2]])
+        sp = FiniteMeasureSpace([1.0, 2.0, 0.5, 4.0])
+        p = Partition(sp, [[0, 3], [1], [2]])
         m = point_matrix(sp, p.cond_exp_matrix)
         for i in range(sp.n):
             basis = np.zeros(sp.n, dtype=complex)
@@ -85,18 +82,18 @@ class TestCondExpOperator:
                                        atol=1e-15)
 
     def test_weighted_self_adjoint(self, rng):
-        sp = make_space([1.0, 3.0, 2.0, 0.7])
-        p = make_partition(sp, [[0, 1, 3], [2]])
+        sp = FiniteMeasureSpace([1.0, 3.0, 2.0, 0.7])
+        p = Partition(sp, [[0, 1, 3], [2]])
         m = p.cond_exp_matrix
         assert deviation(m.conj().T, m) < 1e-15
         # On point functions: <E f, g>_mu = <f, E g>_mu.
         f, g = random_complex(rng, sp.n), random_complex(rng, sp.n)
         m_pt = point_matrix(sp, m)
-        lhs = sp.inner(m_pt @ f, g)
-        assert abs(lhs - sp.inner(f, m_pt @ g)) < 1e-13 * (1 + abs(lhs))
+        lhs = inner(sp, m_pt @ f, g)
+        assert abs(lhs - inner(sp, f, m_pt @ g)) < 1e-13 * (1 + abs(lhs))
 
     def test_idempotent_matrix(self):
-        sp = make_space([1.0, 3.0, 2.0])
+        sp = FiniteMeasureSpace([1.0, 3.0, 2.0])
         m = coarsest_partition(sp).cond_exp_matrix
         assert deviation(m @ m, m) < 1e-15
 
@@ -161,7 +158,7 @@ def test_real_input_stays_real():
         u = MeasurableFunction(sp, np.where(zeroed, 0.0, random_complex(rng, sp.n)))
         f = np.abs(u.values) ** 2
         assert cond_exp_values(partition, f).dtype == np.float64
-        inst = make_instance(partition, u, u)
+        inst = WceInstance(partition, u, u)
         assert inst.eu2.dtype == np.float64
         ref = loop_block_means(partition, f)
         expected = np.empty(sp.n, dtype=bool)
@@ -185,10 +182,10 @@ def random_sandwich(rng, partition):
 def test_sandwich_algebra_matches_dense_products(seed, n, k):
     # E M_g E = M_E(g) E and E* = E, checked against the dense products.
     rng = np.random.default_rng(seed)
-    sp = make_space(rng.uniform(0.1, 10.0, n))
+    sp = FiniteMeasureSpace(rng.uniform(0.1, 10.0, n))
     labels = np.concatenate((np.arange(min(k, n)), rng.integers(0, min(k, n), n - min(k, n))))
     rng.shuffle(labels)
-    partition = make_partition(sp, [np.flatnonzero(labels == b) for b in range(min(k, n))])
+    partition = Partition(sp, [np.flatnonzero(labels == b) for b in range(min(k, n))])
     a, b = random_sandwich(rng, partition), random_sandwich(rng, partition)
     dense_a, dense_b = a.matrices(), b.matrices()
     assert deviation((a @ b).matrices(), dense_a @ dense_b) <= 1e-12
@@ -196,8 +193,8 @@ def test_sandwich_algebra_matches_dense_products(seed, n, k):
 
 
 def test_sandwich_dense_is_the_scaled_cond_exp_matrix(rng):
-    sp = make_space([1.0, 3.0, 2.0])
-    p = make_partition(sp, [[0, 2], [1]])
+    sp = FiniteMeasureSpace([1.0, 3.0, 2.0])
+    p = Partition(sp, [[0, 2], [1]])
     s = Sandwich(p, np.array([2.0, 1j, 0.5]), np.array([1.0, 3.0, -1.0]))
     np.testing.assert_allclose(
         s.matrices(), np.diag(s.left) @ p.cond_exp_matrix @ np.diag(s.right),
@@ -210,7 +207,7 @@ def test_sandwich_dense_is_the_scaled_cond_exp_matrix(rng):
 
 def test_sandwich_matrices_reject_overflowing_entries():
     # Entries beyond the float range raise, and numpy warns about none.
-    sp = make_space([1.0, 3.0])
+    sp = FiniteMeasureSpace([1.0, 3.0])
     p = coarsest_partition(sp)
     big = np.array([1e200, 1.0])
     with np.errstate(all="raise"):
@@ -219,7 +216,7 @@ def test_sandwich_matrices_reject_overflowing_entries():
 
 
 def test_cond_exp_matrix_is_cached_and_read_only():
-    p = make_partition(make_space([1.0, 3.0, 2.0]), [[0, 2], [1]])
+    p = Partition(FiniteMeasureSpace([1.0, 3.0, 2.0]), [[0, 2], [1]])
     assert p.cond_exp_matrix is p.cond_exp_matrix
     # E is a real projection: its matrix is float64, not a complex copy.
     assert p.cond_exp_matrix.dtype == np.float64
@@ -291,10 +288,10 @@ def small_partitions():
     rng = np.random.default_rng(4242)
     parts = []
     for n in range(1, 25):
-        sp = make_space(rng.uniform(0.1, 10.0, n))
+        sp = FiniteMeasureSpace(rng.uniform(0.1, 10.0, n))
         labels = rng.integers(0, max(1, n // 3), n)
         middle = [np.flatnonzero(labels == b) for b in np.unique(labels)]
-        parts += [coarsest_partition(sp), finest_partition(sp), make_partition(sp, middle)]
+        parts += [coarsest_partition(sp), finest_partition(sp), Partition(sp, middle)]
     return parts
 
 

@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 
 from wcelab.errors import ConfigInvalidError
-from wcelab.generator import (
-    GeneratorConfig,
-    gen_instance,
-    perturb_nonmeasurable,
-    rotation_config,
-)
+from wcelab.generator import GeneratorConfig, gen_instance, rotation_config
 from wcelab.instance_io import instance_digest, serialize_instance
-from wcelab.measure import finest_partition
 from wcelab.wce import build_operator, partial_isometry_criterion
 
-from conftest import adjoint, declared_normal, norm
+from conftest import (
+    adjoint,
+    declared_normal,
+    finest_partition,
+    norm,
+    perturb_nonmeasurable,
+)
 
 
 class TestConfigValidation:
@@ -33,7 +33,6 @@ class TestDeterminism:
         a = gen_instance(cfg)
         b = gen_instance(cfg)
         assert serialize_instance(a) == serialize_instance(b)
-        assert a == b
 
     def test_different_seeds_differ(self):
         a = gen_instance(GeneratorConfig(seed=1))
@@ -44,8 +43,8 @@ class TestDeterminism:
         def point_map(seed):
             return gen_instance(GeneratorConfig(seed=seed, n=5, with_point_map=True)).point_map
 
-        assert point_map(3) == point_map(3)
-        assert point_map(3) != point_map(4)
+        assert point_map(3).images == point_map(3).images
+        assert point_map(3).images != point_map(4).images
 
 
 class TestRanges:
@@ -122,6 +121,6 @@ class TestPerturbation:
 
     def test_requires_multipoint_block(self):
         inst = gen_instance(GeneratorConfig(seed=9, n=4, block_count=4)).instance
-        assert inst.partition == finest_partition(inst.space)
+        assert sorted(inst.partition.blocks) == list(finest_partition(inst.space).blocks)
         with pytest.raises(ValueError):
             perturb_nonmeasurable(inst, 1)

@@ -3,107 +3,99 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wcelab.errors import (
-    EmptySpaceError,
-    NonpositiveWeightError,
-    NotAPartitionError,
-    SpaceMismatchError,
-)
-from wcelab.measure import (
-    MeasurableFunction,
-    coarsest_partition,
-    finest_partition,
-    make_partition,
-    make_space,
-)
+from wcelab.measure import FiniteMeasureSpace, MeasurableFunction, Partition
 from wcelab.spectral import avg_mult_spectrum, block_spread
-from wcelab.wce import make_instance
+from wcelab.wce import WceInstance
 
-from conftest import declared_normal
+from conftest import coarsest_partition, constant, declared_normal, finest_partition
 
 
 class TestMakeSpace:
+    """FiniteMeasureSpace checks and normalizes its point masses itself."""
+
     def test_single_point(self):
-        sp = make_space([1.0])
+        sp = FiniteMeasureSpace([1.0])
         assert sp.n == 1
         assert sp.total_mass == 1.0
 
     def test_two_points_total_mass(self):
         # 1 + 3 = 4 by hand
-        sp = make_space([1.0, 3.0])
+        sp = FiniteMeasureSpace([1.0, 3.0])
         assert sp.total_mass == 4.0
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(NonpositiveWeightError):
-            make_space([1.0, -1.0])
+        with pytest.raises(ValueError, match="finite and > 0"):
+            FiniteMeasureSpace([1.0, -1.0])
 
     def test_zero_weight_rejected(self):
-        with pytest.raises(NonpositiveWeightError):
-            make_space([0.0, 1.0])
+        with pytest.raises(ValueError, match="finite and > 0"):
+            FiniteMeasureSpace([0.0, 1.0])
 
     def test_nonfinite_weight_rejected(self):
-        with pytest.raises(NonpositiveWeightError):
-            make_space([1.0, float("inf")])
-        with pytest.raises(NonpositiveWeightError):
-            make_space([1.0, float("nan")])
+        with pytest.raises(ValueError, match="finite and > 0"):
+            FiniteMeasureSpace([1.0, float("inf")])
+        with pytest.raises(ValueError, match="finite and > 0"):
+            FiniteMeasureSpace([1.0, float("nan")])
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptySpaceError):
-            make_space([])
+        with pytest.raises(ValueError, match="at least one point"):
+            FiniteMeasureSpace([])
 
     def test_labels_must_be_distinct(self):
-        with pytest.raises(ValueError):
-            make_space([1.0, 2.0], labels=["a", "a"])
+        with pytest.raises(ValueError, match="distinct"):
+            FiniteMeasureSpace([1.0, 2.0], labels=["a", "a"])
 
     def test_weights_are_immutable(self):
-        sp = make_space([1.0, 2.0])
+        sp = FiniteMeasureSpace([1.0, 2.0])
         with pytest.raises(ValueError):
             sp.weights[0] = 5.0
 
 
 class TestMakePartition:
+    """Partition checks and normalizes its blocks itself."""
+
     def test_two_blocks(self):
-        sp = make_space([1.0] * 4)
-        p = make_partition(sp, [[0, 1], [2, 3]])
+        sp = FiniteMeasureSpace([1.0] * 4)
+        p = Partition(sp, [[0, 1], [2, 3]])
         assert p.block_count == 2
 
     def test_finest(self):
-        sp = make_space([1.0, 1.0])
-        p = make_partition(sp, [[0], [1]])
+        sp = FiniteMeasureSpace([1.0, 1.0])
+        p = Partition(sp, [[0], [1]])
         assert p.block_count == sp.n
 
     def test_overlap_rejected(self):
-        sp = make_space([1.0] * 3)
-        with pytest.raises(NotAPartitionError):
-            make_partition(sp, [[0, 1], [1, 2]])
+        sp = FiniteMeasureSpace([1.0] * 3)
+        with pytest.raises(ValueError, match="do not partition"):
+            Partition(sp, [[0, 1], [1, 2]])
 
     def test_gap_rejected(self):
-        sp = make_space([1.0] * 3)
-        with pytest.raises(NotAPartitionError):
-            make_partition(sp, [[0, 1]])
+        sp = FiniteMeasureSpace([1.0] * 3)
+        with pytest.raises(ValueError, match="do not partition"):
+            Partition(sp, [[0, 1]])
 
     def test_empty_block_rejected(self):
-        sp = make_space([1.0] * 2)
-        with pytest.raises(NotAPartitionError):
-            make_partition(sp, [[0, 1], []])
+        sp = FiniteMeasureSpace([1.0] * 2)
+        with pytest.raises(ValueError, match="empty block"):
+            Partition(sp, [[0, 1], []])
 
     def test_block_masses(self):
-        sp = make_space([1.0, 3.0, 2.0])
-        p = make_partition(sp, [[0, 1], [2]])
+        sp = FiniteMeasureSpace([1.0, 3.0, 2.0])
+        p = Partition(sp, [[0, 1], [2]])
         np.testing.assert_allclose(p.block_masses, [4.0, 2.0])
 
     def test_block_of(self):
-        sp = make_space([1.0] * 4)
-        p = make_partition(sp, [[0, 2], [1, 3]])
+        sp = FiniteMeasureSpace([1.0] * 4)
+        p = Partition(sp, [[0, 2], [1, 3]])
         assert p.block_of.tolist() == [0, 1, 0, 1]
 
 
 def support_points(values):
     """The kept points of T for u = values, w = 1 on unit weights and the
     finest partition, where the singular value of each block is |u|."""
-    sp = make_space([1.0] * len(values))
+    sp = FiniteMeasureSpace([1.0] * len(values))
     u = MeasurableFunction(sp, values)
-    inst = make_instance(finest_partition(sp), u, MeasurableFunction.constant(sp, 1.0))
+    inst = WceInstance(finest_partition(sp), u, constant(sp, 1.0))
     return frozenset(np.flatnonzero(inst.kept).tolist())
 
 
@@ -126,31 +118,33 @@ class TestIsMeasurable:
     its spread sqrt(E|f - E f|^2) (spectral.block_spread) is 0 there."""
 
     def test_blockwise_constant(self):
-        sp = make_space([1.0] * 4)
-        p = make_partition(sp, [[0, 1], [2, 3]])
+        sp = FiniteMeasureSpace([1.0] * 4)
+        p = Partition(sp, [[0, 1], [2, 3]])
         f = MeasurableFunction(sp, [5, 5, 7, 7])
         spread, rms = block_spread(f, p)
         np.testing.assert_array_equal(spread, [0.0, 0.0])
         np.testing.assert_allclose(rms, [5.0, 7.0], rtol=1e-15)
 
     def test_varies_on_block(self):
-        sp = make_space([1.0] * 4)
-        p = make_partition(sp, [[0, 1], [2, 3]])
+        sp = FiniteMeasureSpace([1.0] * 4)
+        p = Partition(sp, [[0, 1], [2, 3]])
         f = MeasurableFunction(sp, [5, 6, 7, 7])
         spread, _ = block_spread(f, p)
         np.testing.assert_allclose(spread, [0.5, 0.0], rtol=1e-15, atol=0)
         assert not declared_normal(f, p)
 
     def test_finest_always_measurable(self, rng):
-        sp = make_space([1.0, 2.0, 0.5])
+        sp = FiniteMeasureSpace([1.0, 2.0, 0.5])
         f = MeasurableFunction(sp, rng.normal(size=3) + 1j * rng.normal(size=3))
         assert declared_normal(f, finest_partition(sp), tol=1e-15)
 
-    def test_space_mismatch(self):
-        f = MeasurableFunction(make_space([1.0, 1.0]), [1, 2])
-        p = coarsest_partition(make_space([2.0, 2.0]))
-        with pytest.raises(SpaceMismatchError):
-            block_spread(f, p)
+    def test_overflowing_abs_raises(self):
+        # |f| is inf at the first point: there is no peak to scale f by,
+        # so no spread is measured, and nothing is warned.
+        sp = FiniteMeasureSpace([1.0, 1.0])
+        f = MeasurableFunction(sp, [1.5e308 + 1.5e308j, 1.0])
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="not finite"):
+            block_spread(f, finest_partition(sp))
 
     @pytest.mark.parametrize("part", ["imag", "real"])
     def test_overflowing_part_leaves_the_other_finite(self, part):
@@ -158,8 +152,8 @@ class TestIsMeasurable:
         # is reduced in bins of its own and stays finite: joining the two
         # sums as re + 1j * im once turned an inf imaginary part into a NaN
         # real part.
-        sp = make_space([1e10, 1e10, 1.0])
-        p = make_partition(sp, [[0, 1], [2]])
+        sp = FiniteMeasureSpace([1e10, 1e10, 1.0])
+        p = Partition(sp, [[0, 1], [2]])
         big = 1e300j if part == "imag" else 1e300
         values = np.array([2.0 + 3.0j + big, 4.0 + 5.0j + big, 1.0 - 1.0j])
         with np.errstate(all="raise"):
@@ -177,7 +171,7 @@ class TestIsMeasurable:
         # The block integral is inf (or inf - inf): no eigenvalue of E M_f
         # can be grouped, and the reduction itself warns nothing. The
         # spread is taken on f over its peak, so it decides without one.
-        sp = make_space([1e10, 1e10])
+        sp = FiniteMeasureSpace([1e10, 1e10])
         f = MeasurableFunction(sp, [1e300, second])
         p = coarsest_partition(sp)
         with np.errstate(all="raise"):
@@ -200,7 +194,7 @@ def space_and_partition(draw):
             min_size=n, max_size=n,
         )
     )
-    sp = make_space(weights)
+    sp = FiniteMeasureSpace(weights)
     k = draw(st.integers(min_value=1, max_value=n))
     assign = [draw(st.integers(min_value=0, max_value=k - 1)) for _ in range(n)]
     for b in range(k):
@@ -208,7 +202,7 @@ def space_and_partition(draw):
             assign[draw(st.integers(min_value=0, max_value=n - 1))] = b
     used = sorted(set(assign))
     blocks = [[i for i in range(n) if assign[i] == b] for b in used]
-    return sp, make_partition(sp, blocks)
+    return sp, Partition(sp, blocks)
 
 
 @settings(max_examples=60, deadline=None)
@@ -232,7 +226,7 @@ def test_measurability_survives_refinement(sp_and_p, split_seed):
             fine_blocks.extend([list(b[:cut]), list(b[cut:])])
         else:
             fine_blocks.append(list(b))
-    fine = make_partition(sp, fine_blocks)
+    fine = Partition(sp, fine_blocks)
     vals = np.empty(sp.n, dtype=complex)
     for b in coarse.blocks:
         vals[list(b)] = rng.normal() + 1j * rng.normal()
@@ -251,6 +245,6 @@ def test_support_exact_semantics(sp_and_p):
     vals = rng.normal(size=sp.n)
     vals[rng.random(sp.n) < 0.5] = 0.0
     f = MeasurableFunction(sp, vals)
-    inst = make_instance(p, f, MeasurableFunction.constant(sp, 1.0))
+    inst = WceInstance(p, f, constant(sp, 1.0))
     nonzero_blocks = np.bincount(p.block_of, vals != 0, p.block_count) > 0
     np.testing.assert_array_equal(inst.kept, nonzero_blocks[p.block_of])

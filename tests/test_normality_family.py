@@ -16,9 +16,11 @@ import numpy as np
 import pytest
 
 from wcelab.instance_io import InstanceBundle
-from wcelab.measure import MeasurableFunction, make_partition, make_space
+from wcelab.measure import FiniteMeasureSpace, MeasurableFunction, Partition
 from wcelab.suite import run_suite
-from wcelab.wce import make_instance
+from wcelab.wce import WceInstance
+
+from conftest import constant
 
 FAMILY_SIZE = 200
 GROUPS = ("normality", "spectrum", "spectral_decomp")
@@ -31,10 +33,10 @@ def phases(rng, size=None):
 def near_normal_family_bundle(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 17))
-    space = make_space(10.0 ** rng.uniform(-6, 6, n))
+    space = FiniteMeasureSpace(10.0 ** rng.uniform(-6, 6, n))
     k = int(rng.integers(1, n + 1))
     cuts = np.sort(rng.choice(np.arange(1, n), k - 1, replace=False))
-    partition = make_partition(space, np.split(rng.permutation(n), cuts))
+    partition = Partition(space, np.split(rng.permutation(n), cuts))
     means = 10.0 ** rng.uniform(-3, 1, k) * phases(rng, k)
     if rng.random() < 0.3:
         means[rng.integers(k)] = 0.0
@@ -42,8 +44,8 @@ def near_normal_family_bundle(seed):
         means[1] = means[0] * (1.0 + 10.0 ** rng.uniform(-11, -6) * phases(rng))
     u = means[partition.block_of]
     u[rng.integers(n)] += 10.0 ** rng.uniform(-14, -2) * phases(rng)
-    return InstanceBundle(make_instance(partition, MeasurableFunction(space, u),
-                                        MeasurableFunction.constant(space, 1.0)))
+    return InstanceBundle(WceInstance(partition, MeasurableFunction(space, u),
+                                        constant(space, 1.0)))
 
 
 @pytest.fixture(scope="module")

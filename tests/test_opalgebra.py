@@ -6,13 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wcelab.condexp import cond_exp_values
-from wcelab.measure import coarsest_partition, make_partition, make_space
+from wcelab.measure import FiniteMeasureSpace, Partition
 from wcelab.opalgebra import SvdOracle, op_deviations, spectral_norms
 
 from conftest import (
     adjoint,
+    coarsest_partition,
     deviation,
     eig_calc,
+    inner,
+    l2_norm,
     norm,
     point_matrix,
     psd_root,
@@ -39,16 +42,16 @@ def power_iteration_norm(space, a, iters=2000, seed=3):
     v = rng.normal(size=space.n) + 1j * rng.normal(size=space.n)
     for _ in range(iters):
         v = gram @ v
-        size = space.norm(v)
+        size = l2_norm(space, v)
         if size == 0.0:
             return 0.0
         v = v / size
-    return float(np.sqrt(np.real(space.inner(gram @ v, v))))
+    return float(np.sqrt(np.real(inner(space, gram @ v, v))))
 
 
 @pytest.fixture
 def space():
-    return make_space([1.0, 3.0, 0.5, 2.0])
+    return FiniteMeasureSpace([1.0, 3.0, 0.5, 2.0])
 
 
 class TestWeightedAdjoint:
@@ -68,12 +71,12 @@ class TestWeightedAdjoint:
                                    np.diag(np.conj(phi)), rtol=1e-15, atol=0.0)
 
     def test_cond_exp_is_self_adjoint(self, space, rng):
-        p = make_partition(space, [[0, 2], [1, 3]])
+        p = Partition(space, [[0, 2], [1, 3]])
         e = p.cond_exp_matrix
         np.testing.assert_array_equal(adjoint(e), e)
         f, g = random_complex(rng, space.n), random_complex(rng, space.n)
-        lhs = space.inner(cond_exp_values(p, f), g)
-        assert abs(lhs - space.inner(f, cond_exp_values(p, g))) < 1e-13 * (1 + abs(lhs))
+        lhs = inner(space, cond_exp_values(p, f), g)
+        assert abs(lhs - inner(space, f, cond_exp_values(p, g))) < 1e-13 * (1 + abs(lhs))
 
     def test_defining_identity(self, space, rng):
         a = random_operator(rng, space)
@@ -81,22 +84,22 @@ class TestWeightedAdjoint:
         for _ in range(5):
             f = random_complex(rng, space.n)
             g = random_complex(rng, space.n)
-            lhs = space.inner(a_pt @ f, g)
-            rhs = space.inner(f, adj_pt @ g)
+            lhs = inner(space, a_pt @ f, g)
+            rhs = inner(space, f, adj_pt @ g)
             assert abs(lhs - rhs) < 1e-12 * (1 + abs(lhs))
 
     def test_defining_identity_at_extreme_weight_spread(self, rng):
         # Weights 1e-300 and 1e300: the ratio of two weights, which the
         # adjoint on point values carries, is out of float range, yet the
         # frame matrices hold no such ratio.
-        sp = make_space([1e-300, 1e300, 1.0])
+        sp = FiniteMeasureSpace([1e-300, 1e300, 1.0])
         a = random_operator(rng, sp)
         a_pt, adj_pt = point_matrix(sp, a), point_matrix(sp, adjoint(a))
         for _ in range(5):
             f = random_complex(rng, sp.n) / sp.sqrt_weights
             g = random_complex(rng, sp.n) / sp.sqrt_weights
-            lhs = sp.inner(a_pt @ f, g)
-            rhs = sp.inner(f, adj_pt @ g)
+            lhs = inner(sp, a_pt @ f, g)
+            rhs = inner(sp, f, adj_pt @ g)
             assert abs(lhs - rhs) < 1e-12 * (1 + abs(lhs))
 
     def test_involution(self, space, rng):
@@ -115,7 +118,7 @@ class TestOperatorNorm:
     def test_diagonal(self):
         # Multiplication by (2, -3) has norm max|phi| = 3; confirmed by
         # power iteration.
-        sp = make_space([1.0, 5.0])
+        sp = FiniteMeasureSpace([1.0, 5.0])
         m = np.diag([2.0, -3.0])
         assert norm(m) == pytest.approx(3.0)
         assert power_iteration_norm(sp, m) == pytest.approx(3.0, rel=1e-6)
@@ -132,7 +135,7 @@ class TestOperatorNorm:
     def test_averaging_projection_has_weighted_norm_one(self):
         # Pins the weighting convention: the matrix on point values has
         # Euclidean largest singular value sqrt(1.25), the frame matrix 1.
-        sp = make_space([1.0, 3.0])
+        sp = FiniteMeasureSpace([1.0, 3.0])
         e = coarsest_partition(sp).cond_exp_matrix
         assert norm(e) == pytest.approx(1.0)
         assert power_iteration_norm(sp, e) == pytest.approx(1.0, rel=1e-12)
@@ -152,8 +155,8 @@ class TestHermitianEig:
         # The averaging projection onto k blocks is its own Gram product:
         # eigenvalue 1 with multiplicity k and 0 with multiplicity n - k;
         # cross-checked by the trace.
-        sp = make_space([1.0, 2.0, 0.5, 3.0, 1.5])
-        p = make_partition(sp, [[0, 1], [2, 4], [3]])
+        sp = FiniteMeasureSpace([1.0, 2.0, 0.5, 3.0, 1.5])
+        p = Partition(sp, [[0, 1], [2, 4], [3]])
         e = p.cond_exp_matrix
         for es in (SvdOracle(e).gram_eig(), SvdOracle(e).cogram_eig()):
             ones = np.sum(np.abs(es.values - 1) < 1e-10)
@@ -167,7 +170,7 @@ class TestHermitianEig:
 
     @pytest.mark.parametrize("n", [4, 48])
     def test_residual_and_orthonormality(self, n, rng):
-        sp = make_space(rng.uniform(0.1, 10.0, n))
+        sp = FiniteMeasureSpace(rng.uniform(0.1, 10.0, n))
         b = random_operator(rng, sp)
         for a, es in ((adjoint(b) @ b, SvdOracle(b).gram_eig()),
                       (b @ adjoint(b), SvdOracle(b).cogram_eig())):
@@ -179,10 +182,10 @@ class TestHermitianEig:
             a_pt = point_matrix(sp, a)
             for k in range(n):
                 v = vectors[:, k]
-                residual = sp.norm(a_pt @ v - es.values[k] * v)
+                residual = l2_norm(sp, a_pt @ v - es.values[k] * v)
                 assert residual <= 1e-11 * norm_a
             gram = np.array([
-                [sp.inner(vectors[:, i], vectors[:, j]) for j in range(n)]
+                [inner(sp, vectors[:, i], vectors[:, j]) for j in range(n)]
                 for i in range(n)
             ])
             np.testing.assert_allclose(gram, np.eye(n), atol=1e-11)
@@ -209,7 +212,7 @@ class TestPositiveSqrt:
         np.testing.assert_allclose(root, 2.0 * np.eye(space.n), atol=1e-13)
 
     def test_projection_is_own_root(self, space):
-        p = make_partition(space, [[0, 1, 3], [2]])
+        p = Partition(space, [[0, 1, 3], [2]])
         e = p.cond_exp_matrix
         root = SvdOracle(e).root()
         assert deviation(root, e) < 1e-12
@@ -234,7 +237,7 @@ class TestPolarOracle:
 
     def test_scaled_projection(self, space):
         # A = 3E: A*A = 9E, so P = 3E and U = E.
-        part = make_partition(space, [[0, 2], [1, 3]])
+        part = Partition(space, [[0, 2], [1, 3]])
         e = part.cond_exp_matrix
         three_e = 3.0 * e
         u, p = SvdOracle(three_e).polar()
@@ -275,7 +278,7 @@ class TestFuncCalcOracle:
         np.testing.assert_allclose(out, np.eye(space.n), atol=1e-12)
 
     def test_square_on_diagonal(self):
-        sp = make_space([1.0, 2.0])
+        sp = FiniteMeasureSpace([1.0, 2.0])
         m = np.diag([2.0, 5.0])
         out = eig_calc(m, lambda t: t * t)
         np.testing.assert_allclose(out, np.diag([4.0, 25.0]), atol=1e-12)
@@ -298,7 +301,7 @@ class TestKernelProjection:
     def test_projection_complement(self, space):
         # ker E is the complement of the blockwise-constant functions, so
         # the kernel projection must be I - E.
-        p = make_partition(space, [[0, 1], [2, 3]])
+        p = Partition(space, [[0, 1], [2, 3]])
         e = p.cond_exp_matrix
         k = SvdOracle(e).kernel()
         assert deviation(k + e, np.eye(space.n)) < 1e-12

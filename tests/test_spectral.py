@@ -6,14 +6,8 @@ import pytest
 from wcelab import spectral
 from wcelab.checks import DEFAULT_TOL, RECORDS, CheckContext, check_measure_axioms
 from wcelab.errors import NotNormalError
-from wcelab.generator import GeneratorConfig, gen_instance, perturb_nonmeasurable
-from wcelab.measure import (
-    MeasurableFunction,
-    Partition,
-    finest_partition,
-    make_partition,
-    make_space,
-)
+from wcelab.generator import GeneratorConfig, gen_instance
+from wcelab.measure import FiniteMeasureSpace, MeasurableFunction, Partition
 from wcelab.spectral import (
     PointMap,
     SpectralMeasureTable,
@@ -21,20 +15,29 @@ from wcelab.spectral import (
     avg_mult_spectrum,
     block_spread,
     check_spectral_axioms,
-    fiber_partition,
     pushforward_density,
     spectral_decomposition,
 )
 
-from conftest import declared_normal, deviation, norm, point_matrix, random_complex
+from conftest import (
+    constant,
+    declared_normal,
+    deviation,
+    finest_partition,
+    inner,
+    norm,
+    perturb_nonmeasurable,
+    point_matrix,
+    random_complex,
+)
 
 TOL = DEFAULT_TOL
 
 
 @pytest.fixture
 def uniform4():
-    sp = make_space([1.0] * 4)
-    return sp, make_partition(sp, [[0, 1], [2, 3]])
+    sp = FiniteMeasureSpace([1.0] * 4)
+    return sp, Partition(sp, [[0, 1], [2, 3]])
 
 
 AXIOMS = ("proj", "empty", "full", "intersect", "additive")
@@ -87,7 +90,7 @@ class TestNormality:
         assert commutator_norm(u, p) > 1e-3
 
     def test_finest_always_normal(self, rng):
-        sp = make_space([1.0, 2.0, 0.5])
+        sp = FiniteMeasureSpace([1.0, 2.0, 0.5])
         u = MeasurableFunction(sp, random_complex(rng, 3))
         assert declared_normal(u, finest_partition(sp))
         assert commutator_norm(u, finest_partition(sp)) < 1e-12
@@ -120,7 +123,7 @@ class TestNormality:
 class TestSpectrum:
     def test_unit_symbol(self, uniform4):
         sp, p = uniform4
-        u = MeasurableFunction.constant(sp, 1.0)
+        u = constant(sp, 1.0)
         assert set(avg_mult_spectrum(u, p, TOL)) == {0j, 1 + 0j}
 
     def test_block_means(self, uniform4):
@@ -137,13 +140,13 @@ class TestSpectrum:
 
     def test_zero_symbol(self, uniform4):
         sp, p = uniform4
-        u = MeasurableFunction.constant(sp, 0.0)
+        u = constant(sp, 0.0)
         assert set(avg_mult_spectrum(u, p, TOL)) == {0j}
 
     def test_zero_dropped_when_invertible(self):
         # On the finest partition E M_u = M_u: 0 is in the spectrum exactly
         # when u vanishes at a point, up to the grouping tolerance.
-        sp = make_space([1.0, 2.0, 0.5])
+        sp = FiniteMeasureSpace([1.0, 2.0, 0.5])
         for values, spectrum in (([3, 5, 5], {3, 5}), ([3, 5, 0], {0, 3, 5}),
                                  ([3, 5, 1e-9], {0, 3, 5})):
             u = MeasurableFunction(sp, values)
@@ -160,7 +163,7 @@ class TestSpectrum:
         rng = np.random.default_rng(77)
         for trial in range(300):
             n = 1 + trial % 8
-            sp = make_space(rng.uniform(0.1, 10.0, n))
+            sp = FiniteMeasureSpace(rng.uniform(0.1, 10.0, n))
             scale = rng.choice([1.0, 1e-9, 0.0], size=n, p=[0.8, 0.1, 0.1])
             u = MeasurableFunction(sp, scale * random_complex(rng, n))
             umax = np.abs(u.values).max()
@@ -188,16 +191,16 @@ class TestSpectralDecomposition:
             assert round(float(np.trace(proj).real)) == 1
 
     def test_constant_symbol(self):
-        sp = make_space([1.0, 2.0, 0.5])
-        p = make_partition(sp, [[0, 1], [2]])
-        u = MeasurableFunction.constant(sp, 3.0)
+        sp = FiniteMeasureSpace([1.0, 2.0, 0.5])
+        p = Partition(sp, [[0, 1], [2]])
+        u = constant(sp, 3.0)
         decomp = spectral_decomposition(u, p, TOL)
         assert [complex(z) for z in decomp.eigenvalues] == [3 + 0j, 0j]
         assert deviation(decomp.stack[0], p.cond_exp_matrix) < 1e-13
 
     def test_zero_symbol(self, uniform4):
         sp, p = uniform4
-        u = MeasurableFunction.constant(sp, 0.0)
+        u = constant(sp, 0.0)
         decomp = spectral_decomposition(u, p, TOL)
         assert [complex(z) for z in decomp.eigenvalues] == [0j]
         np.testing.assert_allclose(decomp.stack[0], np.eye(4), atol=1e-14)
@@ -221,8 +224,8 @@ class TestSpectralDecomposition:
                 # On point functions: <P f, g>_mu = <f, P g>_mu.
                 f, g = random_complex(rng, n), random_complex(rng, n)
                 p_pt = point_matrix(inst.space, proj)
-                lhs = inst.space.inner(p_pt @ f, g)
-                assert abs(lhs - inst.space.inner(f, p_pt @ g)) < 1e-10 * (1 + abs(lhs))
+                lhs = inner(inst.space, p_pt @ f, g)
+                assert abs(lhs - inner(inst.space, f, p_pt @ g)) < 1e-10 * (1 + abs(lhs))
                 recon += lam * proj
                 total_rank += round(float(np.trace(proj).real))
             for i in range(len(projs)):
@@ -239,25 +242,25 @@ class TestSpectralDecomposition:
 
 class TestPointMapBasics:
     def test_identity_fibers(self):
-        sp = make_space([1.0, 2.0, 3.0])
+        sp = FiniteMeasureSpace([1.0, 2.0, 3.0])
         phi = PointMap(sp, (0, 1, 2))
-        assert fiber_partition(phi).block_count == sp.n
+        assert SpectralMeasureTable(phi).partition.block_count == sp.n
         np.testing.assert_allclose(pushforward_density(phi).values, [1, 1, 1])
 
     def test_constant_map(self):
-        sp = make_space([1.0, 3.0])
+        sp = FiniteMeasureSpace([1.0, 3.0])
         phi = PointMap(sp, (0, 0))
-        assert fiber_partition(phi).block_count == 1
+        assert SpectralMeasureTable(phi).partition.block_count == 1
         np.testing.assert_allclose(pushforward_density(phi).values, [4, 0])
 
     def test_example_fibers_and_density(self):
-        sp = make_space([1.0, 1.0, 2.0])
+        sp = FiniteMeasureSpace([1.0, 1.0, 2.0])
         phi = PointMap(sp, (0, 0, 2))
-        assert fiber_partition(phi).blocks == ((0, 1), (2,))
+        assert SpectralMeasureTable(phi).partition.blocks == ((0, 1), (2,))
         np.testing.assert_allclose(pushforward_density(phi).values, [2, 0, 1])
 
     def test_mass_conservation(self, rng):
-        sp = make_space(rng.uniform(0.1, 10.0, 9))
+        sp = FiniteMeasureSpace(rng.uniform(0.1, 10.0, 9))
         phi = PointMap(sp, tuple(int(i) for i in rng.integers(0, 9, 9)))
         h = pushforward_density(phi)
         assert np.isclose(
@@ -265,25 +268,25 @@ class TestPointMapBasics:
         )
 
     def test_out_of_range_rejected(self):
-        sp = make_space([1.0, 1.0])
+        sp = FiniteMeasureSpace([1.0, 1.0])
         with pytest.raises(ValueError):
             PointMap(sp, (0, 2))
 
 
 class TestSpectralMeasure:
     def test_empty_set(self):
-        sp = make_space([1.0, 1.0, 2.0])
+        sp = FiniteMeasureSpace([1.0, 1.0, 2.0])
         phi = PointMap(sp, (0, 0, 2))
         assert norm(set_value(SpectralMeasureTable(phi), ())) == 0.0
 
     def test_whole_set_is_fiber_average(self):
-        sp = make_space([1.0, 1.0, 2.0])
+        sp = FiniteMeasureSpace([1.0, 1.0, 2.0])
         phi = PointMap(sp, (0, 0, 2))
-        e = fiber_partition(phi).cond_exp_matrix
+        e = SpectralMeasureTable(phi).partition.cond_exp_matrix
         assert deviation(set_value(SpectralMeasureTable(phi), range(3)), e) < 1e-14
 
     def test_singleton_example(self):
-        sp = make_space([1.0, 1.0, 2.0])
+        sp = FiniteMeasureSpace([1.0, 1.0, 2.0])
         phi = PointMap(sp, (0, 0, 2))
         m = set_value(SpectralMeasureTable(phi), (0,))
         expected = np.array([[0.5, 0.5, 0], [0.5, 0.5, 0], [0, 0, 0]])
@@ -292,7 +295,7 @@ class TestSpectralMeasure:
         assert norm(m - m.conj().T) < 1e-14
 
     def test_summation_matches_direct(self, rng):
-        sp = make_space(rng.uniform(0.1, 10.0, 6))
+        sp = FiniteMeasureSpace(rng.uniform(0.1, 10.0, 6))
         phi = PointMap(sp, tuple(int(i) for i in rng.integers(0, 6, 6)))
         table = SpectralMeasureTable(phi)
         members = (0, 2, 5)
@@ -305,7 +308,7 @@ class TestSpectralMeasure:
 
 class TestSpectralAxioms:
     def test_identity_map_ambient(self):
-        sp = make_space([1.0, 2.0, 0.5])
+        sp = FiniteMeasureSpace([1.0, 2.0, 0.5])
         phi = PointMap(sp, (0, 1, 2))
         assert max_frame_residual(phi, on_subspace=False) <= 1e-12
         # An injective map sends the whole set to the identity.
@@ -313,7 +316,7 @@ class TestSpectralAxioms:
         assert norm(whole - np.eye(3)) <= 1e-12
 
     def test_noninjective_subspace(self):
-        sp = make_space([1.0, 1.0, 2.0])
+        sp = FiniteMeasureSpace([1.0, 1.0, 2.0])
         phi = PointMap(sp, (0, 0, 2))
         assert max_frame_residual(phi, on_subspace=True) <= 1e-12
 
@@ -341,7 +344,7 @@ class TestSpectralAxioms:
         # On the ambient space the whole set maps to E_phi, 1 away from the
         # identity when phi is not injective, so only the fiber subspace
         # records the identity axiom.
-        sp = make_space([1.0, 1.0, 2.0])
+        sp = FiniteMeasureSpace([1.0, 1.0, 2.0])
         phi = PointMap(sp, (0, 0, 2))
         whole = set_value(SpectralMeasureTable(phi), range(3))
         assert norm(whole - np.eye(3)) == pytest.approx(1.0)
@@ -494,7 +497,7 @@ def small_point_maps():
     rng = np.random.default_rng(2024)
     maps = []
     for n in range(1, 25):
-        sp = make_space(rng.uniform(0.1, 10.0, n))
+        sp = FiniteMeasureSpace(rng.uniform(0.1, 10.0, n))
         maps.append(PointMap(sp, tuple(range(n))))
         for _ in range(2):
             maps.append(PointMap(sp, tuple(int(i) for i in rng.integers(0, n, n))))
@@ -569,7 +572,7 @@ class TestBatchedSpectralAxioms:
 
     @pytest.mark.parametrize("on_subspace", [False, True])
     def test_perturbed_fiber_average_fails(self, monkeypatch, on_subspace):
-        sp = make_space([1.0, 2.0, 1.5, 0.5, 3.0])
+        sp = FiniteMeasureSpace([1.0, 2.0, 1.5, 0.5, 3.0])
         phi = PointMap(sp, (1, 1, 1, 4, 4))
         assert max_frame_residual(phi, on_subspace) <= 1e-12
         perturb_fiber_average(monkeypatch)
@@ -582,7 +585,7 @@ class TestBatchedSpectralAxioms:
 
     @pytest.mark.parametrize("on_subspace", [False, True])
     def test_nonadditive_set_function_fails(self, monkeypatch, on_subspace):
-        sp = make_space([1.0, 2.0, 1.5, 0.5, 3.0])
+        sp = FiniteMeasureSpace([1.0, 2.0, 1.5, 0.5, 3.0])
         phi = PointMap(sp, (1, 1, 1, 4, 4))
         masked = spectral._masked_columns
 
@@ -599,35 +602,35 @@ class TestBatchedSpectralAxioms:
 
 class TestReconstruction:
     def test_unit_symbol(self):
-        sp = make_space([1.0, 1.0, 2.0])
+        sp = FiniteMeasureSpace([1.0, 1.0, 2.0])
         phi = PointMap(sp, (0, 0, 2))
-        u = MeasurableFunction.constant(sp, 1.0)
+        u = constant(sp, 1.0)
         rebuilt = reconstructed(phi, u)
-        e = fiber_partition(phi).cond_exp_matrix
+        e = SpectralMeasureTable(phi).partition.cond_exp_matrix
         assert deviation(rebuilt, e) < 1e-14
 
     def test_zero_symbol(self):
-        sp = make_space([1.0, 1.0, 2.0])
+        sp = FiniteMeasureSpace([1.0, 1.0, 2.0])
         phi = PointMap(sp, (0, 0, 2))
-        u = MeasurableFunction.constant(sp, 0.0)
+        u = constant(sp, 0.0)
         assert norm(reconstructed(phi, u)) == 0.0
 
     def test_example(self):
-        sp = make_space([1.0, 1.0, 2.0])
+        sp = FiniteMeasureSpace([1.0, 1.0, 2.0])
         phi = PointMap(sp, (0, 0, 2))
         u = MeasurableFunction(sp, [3, 3, 7])
         table = SpectralMeasureTable(phi)
         expected = 3 * set_value(table, (0,)) + 7 * set_value(table, (2,))
         rebuilt = reconstructed(phi, u)
         np.testing.assert_allclose(rebuilt, expected, atol=1e-14)
-        direct = avg_mult_operator(u, fiber_partition(phi))
+        direct = avg_mult_operator(u, SpectralMeasureTable(phi).partition)
         assert deviation(rebuilt, direct) < 1e-13
 
     def test_perturbed_fiber_average_fails(self, monkeypatch):
-        sp = make_space([1.0, 2.0, 1.5, 0.5, 3.0])
+        sp = FiniteMeasureSpace([1.0, 2.0, 1.5, 0.5, 3.0])
         phi = PointMap(sp, (1, 1, 1, 4, 4))
         u = MeasurableFunction(sp, [2.0, 2.0, 2.0, -1.0 + 1.0j, -1.0 + 1.0j])
-        direct = avg_mult_operator(u, fiber_partition(phi))
+        direct = avg_mult_operator(u, SpectralMeasureTable(phi).partition)
         assert deviation(reconstructed(phi, u), direct) < 1e-13
         perturb_fiber_average(monkeypatch)
         assert deviation(reconstructed(phi, u), direct) > 1e-9

@@ -15,8 +15,8 @@ from wcelab.checks import calculus_test_functions
 from wcelab.condexp import Sandwich
 from wcelab.generator import GeneratorConfig, gen_instance, rotation_config
 from wcelab.instance_io import InstanceBundle, instance_digest, serialize_instance
-from wcelab.measure import MeasurableFunction, make_partition, make_space
-from wcelab.wce import closed_func_calc_cogram, closed_func_calc_gram, make_instance
+from wcelab.measure import FiniteMeasureSpace, MeasurableFunction, Partition
+from wcelab.wce import WceInstance, closed_func_calc_cogram, closed_func_calc_gram
 
 from conftest import generated_partitions, random_blockwise, random_complex
 from test_checks import HARD_BUNDLES
@@ -134,7 +134,7 @@ def test_condexp_samples_equal_sequential_draws():
 
 def test_reconstruction_symbols_equal_sequential_draws():
     for bundle in rotation_bundles(60):
-        fibers = spectral.fiber_partition(bundle.point_map)
+        fibers = spectral.SpectralMeasureTable(bundle.point_map).partition
         one, ref = np.random.default_rng(5), np.random.default_rng(5)
         drawn = checks._random_phases(one, (3, fibers.block_count), 0.0, 4.0)
         expected = np.stack([random_blockwise(ref, fibers) for _ in range(3)])
@@ -253,9 +253,9 @@ def float_path_serialize(bundle):
 
 
 def test_serialize_equals_float_path():
-    sp = make_space([0.1, 1e-300, 1e300], labels=["a", "b", "c"])
-    part = make_partition(sp, [[0, 2], [1]])
-    signed = InstanceBundle(make_instance(
+    sp = FiniteMeasureSpace([0.1, 1e-300, 1e300], labels=["a", "b", "c"])
+    part = Partition(sp, [[0, 2], [1]])
+    signed = InstanceBundle(WceInstance(
         part, MeasurableFunction(sp, [-0.0, complex(0.0, -0.0), 1 / 3]),
         MeasurableFunction(sp, [5e-324, -1.7976931348623157e308, 1 + 1e-16j])))
     bundles = rotation_bundles() + [make() for make in HARD_BUNDLES.values()] + [signed]

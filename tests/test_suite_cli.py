@@ -13,15 +13,17 @@ from wcelab.checks import CHECK_GROUPS, RECORDS
 from wcelab.cli import main
 from wcelab.generator import GeneratorConfig, gen_instance
 from wcelab.instance_io import InstanceBundle, serialize_instance
-from wcelab.measure import MeasurableFunction, coarsest_partition, make_space
+from wcelab.measure import FiniteMeasureSpace
 from wcelab.suite import run_suite
-from wcelab.wce import build_operator, make_instance
+from wcelab.wce import WceInstance, build_operator
+
+from conftest import coarsest_partition, constant
 
 
 def trivial_bundle():
-    sp = make_space([1.0, 2.0, 0.5])
-    one = MeasurableFunction.constant(sp, 1.0)
-    return InstanceBundle(make_instance(coarsest_partition(sp), one, one))
+    sp = FiniteMeasureSpace([1.0, 2.0, 0.5])
+    one = constant(sp, 1.0)
+    return InstanceBundle(WceInstance(coarsest_partition(sp), one, one))
 
 
 class TestRunSuite:
@@ -331,6 +333,49 @@ class TestCli:
                     f"{group} raised ValueError: operator entries must be finite")
             else:
                 assert r["status"] != "fail", r["name"]
+
+    def test_verify_overflowing_abs_u_breaks_down_quietly(self, tmp_path, capfd):
+        # |u| overflows at the first point, so u has no finite peak to scale
+        # its spread by and the normality of E M_u cannot be decided: the
+        # decomposition group breaks down rather than pass on NaN spreads,
+        # and numpy prints no warning.
+        doc = {"weights": [1, 1], "partition": [[0], [1]],
+               "u": [[1.5e308, 1.5e308], [1, 0]], "w": [[1, 0], [1, 0]]}
+        inst_file = tmp_path / "abs_u_overflow.json"
+        inst_file.write_text(json.dumps(doc))
+        report_file = tmp_path / "report.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["verify", str(inst_file), "--report", str(report_file)]) == 1
+        assert [str(m.message) for m in caught] == []
+        _, err = capfd.readouterr()
+        assert err == ""
+        records = {r["name"]: r for r in json.loads(report_file.read_text())["records"]}
+        for name in RECORDS["spectral_decomp"]:
+            assert records[name]["status"] == "fail"
+            assert records[name]["residual"] is None
+            assert records[name]["reason"] == (
+                "spectral_decomp raised ValueError: |u| is not finite")
+
+    def test_verify_opposite_block_means_near_the_float_limit_warn_nothing(
+            self, tmp_path, capfd):
+        # Block means 1e308 and -1e308: their distance overflows to inf,
+        # which joins no eigenvalue group, so the two means stay two
+        # eigenvalues and the spectral groups pass, with nothing on stderr.
+        doc = {"weights": [1, 1], "partition": [[0], [1]],
+               "u": [[1e308, 0], [-1e308, 0]], "w": [[1, 0], [1, 0]]}
+        inst_file = tmp_path / "opposite_means.json"
+        inst_file.write_text(json.dumps(doc))
+        report_file = tmp_path / "report.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["verify", str(inst_file), "--report", str(report_file)]) == 1
+        assert [str(m.message) for m in caught] == []
+        _, err = capfd.readouterr()
+        assert err == ""
+        records = {r["name"]: r for r in json.loads(report_file.read_text())["records"]}
+        for name in ("spectrum", *RECORDS["spectral_decomp"]):
+            assert records[name]["status"] == "pass", name
 
     def test_repeated_check_group_runs_once(self, tmp_path, capsys):
         inst_file = tmp_path / "inst.json"

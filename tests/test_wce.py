@@ -6,22 +6,16 @@ import pytest
 from wcelab.checks import calculus_test_functions
 from wcelab.condexp import Sandwich
 from wcelab.generator import GeneratorConfig, gen_instance
-from wcelab.measure import (
-    MeasurableFunction,
-    coarsest_partition,
-    finest_partition,
-    make_partition,
-    make_space,
-)
+from wcelab.measure import FiniteMeasureSpace, MeasurableFunction, Partition
 from wcelab.opalgebra import SvdOracle
 from wcelab.wce import (
+    WceInstance,
     build_operator,
     closed_abs_sqrt,
     closed_aluthge,
     closed_func_calc_cogram,
     closed_func_calc_gram,
     closed_polar,
-    make_instance,
     norm_formula,
     partial_isometry_criterion,
     _masked_recip,
@@ -30,7 +24,10 @@ from wcelab.wce import (
 from conftest import (
     adjoint,
     closed_calc,
+    coarsest_partition,
+    constant,
     deviation,
+    finest_partition,
     norm,
     point_matrix,
     psd_calc,
@@ -40,17 +37,17 @@ from conftest import (
 
 
 def ones_instance(weights, blocks=None):
-    sp = make_space(weights)
-    part = coarsest_partition(sp) if blocks is None else make_partition(sp, blocks)
-    one = MeasurableFunction.constant(sp, 1.0)
-    return make_instance(part, one, one)
+    sp = FiniteMeasureSpace(weights)
+    part = coarsest_partition(sp) if blocks is None else Partition(sp, blocks)
+    one = constant(sp, 1.0)
+    return WceInstance(part, one, one)
 
 
 @pytest.fixture
 def example_instance():
     # mu = (1, 3), one block, u = (2, 0), w = (0, 1).
-    sp = make_space([1.0, 3.0])
-    return make_instance(
+    sp = FiniteMeasureSpace([1.0, 3.0])
+    return WceInstance(
         coarsest_partition(sp),
         MeasurableFunction(sp, [2, 0]),
         MeasurableFunction(sp, [0, 1]),
@@ -63,6 +60,19 @@ def random_instance(seed, **kwargs):
     return gen_instance(cfg).instance
 
 
+def test_symbols_must_share_the_partition_space():
+    # Equal weights make equal spaces; other weights, labels or a symbol on
+    # another space are rejected.
+    sp, same = FiniteMeasureSpace([1.0, 2.0]), FiniteMeasureSpace([1.0, 2.0])
+    other = FiniteMeasureSpace([2.0, 1.0])
+    one = constant(sp, 1.0)
+    WceInstance(coarsest_partition(sp), one, constant(same, 2.0))
+    for u, w in ((constant(other, 1.0), one), (one, constant(other, 1.0)),
+                 (one, constant(FiniteMeasureSpace([1.0, 2.0], ["a", "b"]), 1.0))):
+        with pytest.raises(ValueError, match="share one space"):
+            WceInstance(coarsest_partition(sp), u, w)
+
+
 class TestBuildOperator:
     def test_unit_symbols_give_projection(self):
         inst = ones_instance([1.0, 2.0, 0.5], blocks=[[0, 2], [1]])
@@ -70,10 +80,10 @@ class TestBuildOperator:
         assert deviation(build_operator(inst), e) < 1e-15
 
     def test_finest_partition_is_multiplication(self, rng):
-        sp = make_space([1.0, 2.0, 3.0])
+        sp = FiniteMeasureSpace([1.0, 2.0, 3.0])
         u = MeasurableFunction(sp, random_complex(rng, 3))
         w = MeasurableFunction(sp, random_complex(rng, 3))
-        inst = make_instance(finest_partition(sp), u, w)
+        inst = WceInstance(finest_partition(sp), u, w)
         np.testing.assert_allclose(
             build_operator(inst), np.diag(u.values * w.values), atol=1e-15
         )
@@ -89,7 +99,7 @@ class TestBuildOperator:
         # T* f = conj(u) E(conj(w) f), i.e. the instance with conjugated
         # symbols in swapped roles.
         inst = random_instance(11)
-        swapped = make_instance(
+        swapped = WceInstance(
             inst.partition,
             MeasurableFunction(inst.space, np.conj(inst.w.values)),
             MeasurableFunction(inst.space, np.conj(inst.u.values)),
@@ -112,11 +122,11 @@ class TestNormFormula:
         )
 
     def test_zero_weight_symbol(self):
-        sp = make_space([1.0, 3.0])
-        inst = make_instance(
+        sp = FiniteMeasureSpace([1.0, 3.0])
+        inst = WceInstance(
             coarsest_partition(sp),
             MeasurableFunction(sp, [2, 0]),
-            MeasurableFunction.constant(sp, 0.0),
+            constant(sp, 0.0),
         )
         assert norm_formula(inst) == 0.0
 
@@ -135,9 +145,9 @@ class TestPartialIsometry:
 
     def test_exact_unit_product(self):
         # mu = (1, 3), u = w = (2, 0): E(|u|^2) = E(|w|^2) = 1.
-        sp = make_space([1.0, 3.0])
+        sp = FiniteMeasureSpace([1.0, 3.0])
         f = MeasurableFunction(sp, [2, 0])
-        inst = make_instance(coarsest_partition(sp), f, f)
+        inst = WceInstance(coarsest_partition(sp), f, f)
         assert partial_isometry_criterion(inst)
         assert inst.kept.tolist() == [True, True]
         t = build_operator(inst)
@@ -145,9 +155,9 @@ class TestPartialIsometry:
         assert residual <= 1e-12
 
     def test_constant_product_sixteen(self):
-        sp = make_space([1.0, 1.0, 1.0])
-        two = MeasurableFunction.constant(sp, 2.0)
-        inst = make_instance(coarsest_partition(sp), two, two)
+        sp = FiniteMeasureSpace([1.0, 1.0, 1.0])
+        two = constant(sp, 2.0)
+        inst = WceInstance(coarsest_partition(sp), two, two)
         # The product is 16 on the kept blocks, nowhere near 1.
         assert inst.kept.tolist() == [True] * 3
         assert not partial_isometry_criterion(inst)
@@ -218,16 +228,16 @@ def per_function_calc(inst, f, r, r_agg):
 def zeroed_block_instance(rng, n):
     """Random weights, blocks and complex symbols on n points; each block of
     u and of w is zeroed with probability 1/4."""
-    sp = make_space(rng.uniform(0.1, 10.0, n))
+    sp = FiniteMeasureSpace(rng.uniform(0.1, 10.0, n))
     labels = rng.integers(0, rng.integers(1, n + 1), n)
-    part = make_partition(sp, [np.flatnonzero(labels == b) for b in np.unique(labels)])
+    part = Partition(sp, [np.flatnonzero(labels == b) for b in np.unique(labels)])
 
     def symbol():
         alive = rng.random(part.block_count) >= 0.25
         return MeasurableFunction(sp, np.where(alive[part.block_of],
                                                random_complex(rng, n), 0.0))
 
-    return make_instance(part, symbol(), symbol())
+    return WceInstance(part, symbol(), symbol())
 
 
 def test_stacked_calculus_matches_per_function_reference():
@@ -267,24 +277,24 @@ def test_stacked_calculus_rejects_non_finite_entries():
 def test_support_of_a_non_finite_aggregate_raises():
     # |u|^2 overflows, so E(|u|^2) is inf: there is no peak to cut the
     # kept blocks at, and inf > tol * inf would keep none.
-    sp = make_space([1.0, 2.0])
+    sp = FiniteMeasureSpace([1.0, 2.0])
     part = coarsest_partition(sp)
     big = MeasurableFunction(sp, [1e300, 1e300])
-    one = MeasurableFunction.constant(sp, 1.0)
+    one = constant(sp, 1.0)
     with pytest.raises(ValueError, match=r"E\(\|u\|\^2\) is not finite"):
-        make_instance(part, big, one).kept
+        WceInstance(part, big, one).kept
     with pytest.raises(ValueError, match=r"E\(\|w\|\^2\) is not finite"):
-        make_instance(part, one, big).kept
+        WceInstance(part, one, big).kept
     # Both overflow: E(|u|^2) is named first.
     with pytest.raises(ValueError, match=r"E\(\|u\|\^2\) is not finite"):
-        make_instance(part, big, big).kept
+        WceInstance(part, big, big).kept
 
 
 def test_closed_forms_raise_on_an_overflowing_aggregate_before_using_it():
     # |w|^2 overflows, so E(|w|^2) is inf: each closed form raises where
     # the kept blocks are cut, before it multiplies by the aggregate, so numpy
     # has nothing to warn about (errstate turns a warning into an error).
-    sp = make_space([1.0, 1.0])
+    sp = FiniteMeasureSpace([1.0, 1.0])
     part = coarsest_partition(sp)
     u = MeasurableFunction(sp, [1.0, 2.0])
     w = MeasurableFunction(sp, [1e200, 1.0])
@@ -294,7 +304,7 @@ def test_closed_forms_raise_on_an_overflowing_aggregate_before_using_it():
                    lambda inst: closed_func_calc_cogram(inst, fns)):
         with np.errstate(all="raise"):
             with pytest.raises(ValueError, match=r"E\(\|w\|\^2\) is not finite"):
-                closed(make_instance(part, u, w))
+                closed(WceInstance(part, u, w))
 
 
 class TestClosedPolar:
@@ -316,10 +326,10 @@ class TestClosedPolar:
         )
 
     def test_zero_symbol(self):
-        sp = make_space([1.0, 3.0])
-        inst = make_instance(
+        sp = FiniteMeasureSpace([1.0, 3.0])
+        inst = WceInstance(
             coarsest_partition(sp),
-            MeasurableFunction.constant(sp, 0.0),
+            constant(sp, 0.0),
             MeasurableFunction(sp, [1, 2]),
         )
         u_op, abs_t = closed_polar(inst)
@@ -374,18 +384,18 @@ class TestClosedAluthge:
     def test_example_matrix(self):
         # mu = (1, 3), u = w = (2, 0): E(u w) = E(|u|^2) = 1, so the
         # transform sends f to (f0, 0).
-        sp = make_space([1.0, 3.0])
+        sp = FiniteMeasureSpace([1.0, 3.0])
         f = MeasurableFunction(sp, [2, 0])
-        inst = make_instance(coarsest_partition(sp), f, f)
+        inst = WceInstance(coarsest_partition(sp), f, f)
         np.testing.assert_allclose(
             point_matrix(sp, closed_aluthge(inst).matrices()), [[1, 0], [0, 0]], atol=1e-14
         )
 
     def test_zero_symbol(self):
-        sp = make_space([1.0, 3.0])
-        inst = make_instance(
+        sp = FiniteMeasureSpace([1.0, 3.0])
+        inst = WceInstance(
             coarsest_partition(sp),
-            MeasurableFunction.constant(sp, 0.0),
+            constant(sp, 0.0),
             MeasurableFunction(sp, [1, 2]),
         )
         assert norm(closed_aluthge(inst).matrices()) == 0.0
