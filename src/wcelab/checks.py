@@ -249,8 +249,13 @@ class CheckContext:
 
     @cached_property
     def avg_mult_eigvals(self) -> np.ndarray:
-        """The numerical eigenvalues of E M_u."""
-        return np.linalg.eigvals(self.avg_mult)
+        """The numerical eigenvalues of E M_u. LAPACK returns NaN, without
+        an error, for a matrix whose norm leaves the float range; such
+        eigenvalues raise ValueError."""
+        eigvals = np.linalg.eigvals(self.avg_mult)
+        if not np.isfinite(eigvals).all():
+            raise ValueError("eigenvalues of E M_u are not finite")
+        return eigvals
 
     @cached_property
     def measure_table(self) -> SpectralMeasureTable:
@@ -512,8 +517,10 @@ def check_partial_isometry(ctx: CheckContext) -> list[CheckRecord]:
     inst = ctx.instance
     t = ctx.t
     # The oracle side first: Gram products that overflow break the group
-    # down there, as in every group that needs them.
-    residual = float(spectral_norms(ctx.cogram @ t - t)) / max(1.0, ctx.t_norm)
+    # down there, as in every group that needs them, and so does T T* T.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ttt = require_finite(ctx.cogram @ t)
+    residual = float(spectral_norms(ttt - t)) / max(1.0, ctx.t_norm)
     is_pi = partial_isometry_criterion(inst, ctx.tol)
     # Equivalence: when the criterion says partial isometry the oracle
     # residual must vanish, otherwise it must not.

@@ -182,6 +182,23 @@ class Partition:
             means = total.reshape(shape + (k, 2)) * (1.0 / self.block_masses)[:, None]
             return means.view(complex)[..., 0]
 
+    def block_rms(self, values: np.ndarray) -> np.ndarray:
+        """Root mean square sqrt(E|v|^2) over each block: one entry per
+        block, per row of a (..., n) stack of point functions.
+
+        Each block is divided by its largest part max(|re|, |im|), in real
+        arithmetic, before it is squared, and the root is scaled back; so
+        no square overflows, and one that underflows is below rounding next
+        to 1. An RMS beyond the float range is inf, without a warning.
+        """
+        v = np.asarray(values)
+        parts = np.ascontiguousarray(v, dtype=complex).view(float).reshape(v.shape + (2,))
+        in_block = self.block_of == np.arange(self.block_count)[:, None]
+        peak = np.where(in_block, np.abs(parts).max(axis=-1)[..., None, :], 0.0).max(axis=-1)
+        scaled = parts / np.where(peak > 0.0, peak, 1.0)[..., self.block_of, None]
+        with np.errstate(over="ignore", under="ignore"):
+            return peak * np.sqrt(self.block_means((scaled * scaled).sum(axis=-1)))
+
 
 @dataclass(frozen=True, eq=False)
 class MeasurableFunction:

@@ -34,22 +34,14 @@ def require_finite(m: np.ndarray) -> np.ndarray:
 
 
 def spectral_norms(stack: np.ndarray) -> np.ndarray:
-    """Spectral norms of a (..., m, n) stack of matrices; the one
-    spectral-norm path of the package.
-
-    An all-zero slice has norm exactly 0.0 and reaches no SVD. The other
-    slices go through one batched np.linalg.svd(., compute_uv=False), and
-    their largest singular value is bit for bit the value of
-    np.linalg.norm(stack, 2, axis=(-2, -1)). A stack without zero slices
-    is not copied.
-    """
-    nonzero = stack.any(axis=(-2, -1))
-    if nonzero.all():
-        return np.linalg.svd(stack, compute_uv=False)[..., 0]
-    norms = np.zeros(nonzero.shape)
-    if nonzero.any():
-        norms[nonzero] = np.linalg.svd(stack[nonzero], compute_uv=False)[:, 0]
-    return norms
+    """Spectral norms of a (..., m, n) stack of matrices, the one
+    spectral-norm path of the package: one batched, uncopied
+    np.linalg.svd(., compute_uv=False), bit for bit np.linalg.norm(., 2)
+    (exactly 0.0 on an all-zero slice). Empty matrices, such as the
+    Aluthge core of T = 0, have norm 0."""
+    if 0 in stack.shape[-2:]:
+        return np.zeros(stack.shape[:-2])
+    return np.linalg.svd(stack, compute_uv=False)[..., 0]
 
 
 def op_deviations(a: np.ndarray, b: np.ndarray,
@@ -94,8 +86,8 @@ class SvdOracle:
 
     Singular values at or below RANK_TOL * sigma_max count as kernel (all
     of them for the zero operator); keep marks the others. a* a and a a*
-    are never formed: their eigensystems are sigma^2 on the columns of R
-    and of L.
+    are never formed: their eigensystems are sigma^2 (0 on the kernel) on
+    the columns of R and of L.
     """
 
     def __init__(self, a: np.ndarray) -> None:
@@ -128,11 +120,13 @@ class SvdOracle:
         return EigenSystem(self._squares(), self.left[:, ::-1])
 
     def _squares(self) -> np.ndarray:
-        """sigma^2, ascending. A finite a whose Gram product overflows has
-        no eigensystem an oracle can certify: ValueError, as for an a with
+        """sigma^2 cut to zero on the kernel, ascending: a kernel singular
+        value is rounding noise of order eps ||a||, and its square must not
+        move f(0). A finite a whose Gram product overflows has no
+        eigensystem an oracle can certify: ValueError, as for an a with
         entries that overflow."""
         with np.errstate(over="ignore"):
-            return require_finite(self.sigma[::-1] ** 2)
+            return require_finite(np.where(self.keep, self.sigma, 0.0)[::-1] ** 2)
 
     def _right_calc(self, fvals: np.ndarray) -> np.ndarray:
         """R diag(f) R*, f cut to zero on the kernel."""

@@ -90,18 +90,17 @@ def block_spread(u: MeasurableFunction, partition: Partition) -> np.ndarray:
     b_B = conj(u) q_B, so the second row is ||E M_u|| on B, the first is
     ||E M_u - E M_{E u}|| on B, and their product is the norm of the
     commutator [E M_u, (E M_u)*] on B: it is 0 exactly when u is constant
-    on B. Both are taken on u divided by its peak and scaled back, so no
-    square overflows or underflows. A peak |u| beyond the float range
-    leaves no spread to measure, so it raises ValueError.
+    on B. The second row is Partition.block_rms; the first is taken on u
+    over its block's RMS, which has RMS 1, and scaled back, so no square or
+    block integral overflows. An RMS beyond the float range leaves no
+    spread to measure, so it raises ValueError.
     """
-    peak = float(np.abs(u.values).max())
-    if not np.isfinite(peak):
-        raise ValueError("|u| is not finite")
-    if peak == 0.0:
-        return np.zeros((2, partition.block_count))
-    v = u.values / peak
+    rms = partition.block_rms(u.values)
+    if not np.isfinite(rms).all():
+        raise ValueError("E(|u|^2) is not finite")
+    v = u.values / np.where(rms > 0.0, rms, 1.0)[partition.block_of]
     step = v - partition.block_means(v)[partition.block_of]
-    return peak * np.sqrt(partition.block_means(np.abs(np.stack((step, v))) ** 2))
+    return np.stack((rms * np.sqrt(partition.block_means(np.abs(step) ** 2)), rms))
 
 
 def _eigenvalue_groups(

@@ -2,23 +2,24 @@
 
 An instance fixes a partition and two complex symbols u and w. The
 operator under study sends f to w * E(u f), where E averages over the
-partition blocks. Its norm, polar decomposition, Aluthge transform, and
-the functional calculus of the two Gram-type products all reduce to
-algebraic expressions in the block aggregates E(|u|^2), E(|w|^2) and
-E(u w); this module builds them as factored M_a E M_b values (Sandwich)
-whose matrices, with the matrix of T, the oracles in opalgebra certify.
+partition blocks. On block B it is the rank-one sigma_B M_{w_hat} E
+M_{u_hat}, with sigma_B = sqrt(E(|u|^2)) sqrt(E(|w|^2)) and the unit
+symbols u_hat = u / sqrt(E(|u|^2)), w_hat = w / sqrt(E(|w|^2)). Its
+norm, polar decomposition, Aluthge transform, and the functional calculus
+of the two Gram-type products are written in sigma and the unit symbols,
+never as quotients of aggregates, so they hold at every scale where sigma
+and the entries of T are floats. This module builds them as factored
+M_a E M_b values (Sandwich) whose matrices, with the matrix of T, the
+oracles in opalgebra certify.
 
-Every closed form lives on the kept blocks: those whose singular value
-sigma_B = sqrt(E(|u|^2) E(|w|^2)) exceeds RANK_TOL times the largest, the
-cut SvdOracle makes on the singular values of the matrix of T. So both
-sides of every check agree on T's rank. Quotients such as
-E(|w|^2) / E(|u|^2) are evaluated as "reciprocal on the kept blocks, zero
-off them".
+Every closed form lives on the kept blocks: those whose sigma_B exceeds
+RANK_TOL times the largest, the cut SvdOracle makes on the singular
+values of the matrix of T, so both sides agree on T's rank. The unit
+symbols are zero off them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -32,8 +33,8 @@ from .opalgebra import RANK_TOL
 
 @dataclass(frozen=True, eq=False)
 class WceInstance:
-    """Partition plus symbols u, w on its space, with the derived block
-    aggregates cached."""
+    """Partition plus symbols u, w on its space, with the block root mean
+    squares, T's singular values and the unit symbols cached."""
 
     partition: Partition
     u: MeasurableFunction
@@ -48,60 +49,40 @@ class WceInstance:
         return self.partition.space
 
     @cached_property
-    def eu2(self) -> np.ndarray:
-        """E(|u|^2), blockwise constant, nonnegative; inf where |u|^2
-        overflows."""
-        with np.errstate(over="ignore"):
-            return cond_exp_values(self.partition, np.abs(self.u.values) ** 2)
-
-    @cached_property
-    def ew2(self) -> np.ndarray:
-        """E(|w|^2), blockwise constant, nonnegative; inf where |w|^2
-        overflows."""
-        with np.errstate(over="ignore"):
-            return cond_exp_values(self.partition, np.abs(self.w.values) ** 2)
-
-    @cached_property
-    def euw(self) -> np.ndarray:
-        """E(u w), blockwise constant, complex; not finite where u w
-        overflows, and then so is E(|u|^2) or E(|w|^2)."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return cond_exp_values(self.partition, self.u.values * self.w.values)
+    def rms(self) -> np.ndarray:
+        """sqrt(E(|u|^2)) and sqrt(E(|w|^2)) on each block, as the two rows
+        of a (2, block count) array (Partition.block_rms). An RMS beyond the
+        float range leaves T no singular value: ValueError, E(|u|^2) first."""
+        rms = self.partition.block_rms(np.stack((self.u.values, self.w.values)))
+        for row, name in zip(rms, ("E(|u|^2)", "E(|w|^2)")):
+            if not np.isfinite(row).all():
+                raise ValueError(f"{name} is not finite")
+        return rms
 
     @cached_property
     def sigma(self) -> np.ndarray:
-        """T's singular value sigma_B = sqrt(E(|u|^2)) sqrt(E(|w|^2)) at
-        each point of block B.
-
-        Each factor is rooted before the product, so it cannot overflow. A
-        non-finite aggregate has no singular value, so it raises ValueError
-        (E(|u|^2) first): every closed form reads kept before it multiplies
-        by an aggregate, so none of them computes with one that overflowed.
-        """
-        for agg, name in ((self.eu2, "E(|u|^2)"), (self.ew2, "E(|w|^2)")):
-            if not np.isfinite(agg).all():
-                raise ValueError(f"{name} is not finite")
-        return np.sqrt(self.eu2) * np.sqrt(self.ew2)
+        """T's singular value sigma_B = sqrt(E(|u|^2)) sqrt(E(|w|^2)) at each
+        point of block B; ValueError where it is beyond the float range."""
+        nu, nw = self.rms
+        with np.errstate(over="ignore"):
+            sigma = (nu * nw)[self.partition.block_of]
+        if not np.isfinite(sigma).all():
+            raise ValueError("E(|w|^2) E(|u|^2) is not finite")
+        return sigma
 
     @cached_property
     def kept(self) -> np.ndarray:
         """Points of the blocks whose sigma_B exceeds RANK_TOL times the
         largest; empty when T = 0. The one rank cut of the closed forms."""
-        return self.sigma > RANK_TOL * float(self.sigma.max(initial=0.0))
+        return self.sigma > RANK_TOL * float(self.sigma.max())
 
-
-def _masked_recip(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """1/values on the mask, 0 off it."""
-    safe = np.where(mask, values, 1.0)
-    return np.where(mask, 1.0 / safe, 0.0)
-
-
-# A kept block may still carry an aggregate near the ends of the float
-# range (crossed aggregates: E(|u|^2) ~ 1e-310 where E(|w|^2) ~ 1e300), so a
-# closed-form coefficient can overflow. The closed forms compute under
-# this state, and the non-finite entries raise ValueError, without a numpy
-# warning, where Sandwich.matrices() makes them matrices.
-_quiet = np.errstate(over="ignore", divide="ignore", invalid="ignore")
+    @cached_property
+    def units(self) -> np.ndarray:
+        """The unit symbols u_hat = u / sqrt(E(|u|^2)) and w_hat = w /
+        sqrt(E(|w|^2)) on the kept blocks, 0 off them, as the two rows of a
+        (2, n) array."""
+        scale = np.where(self.kept, self.rms[:, self.partition.block_of], 1.0)
+        return np.where(self.kept, np.stack((self.u.values, self.w.values)) / scale, 0.0)
 
 
 def build_operator(inst: WceInstance) -> np.ndarray:
@@ -110,17 +91,10 @@ def build_operator(inst: WceInstance) -> np.ndarray:
 
 
 def norm_formula(inst: WceInstance) -> float:
-    """Closed-form operator norm: max_x sqrt(E(|w|^2) E(|u|^2))(x).
-
-    The essential supremum is a plain maximum because every point has
-    positive mass. An aggregate product beyond the float range leaves no
-    norm to compare, so it raises ValueError.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        peak = float((inst.ew2 * inst.eu2).max())
-    if not math.isfinite(peak):
-        raise ValueError("E(|w|^2) E(|u|^2) is not finite")
-    return math.sqrt(peak)
+    """Closed-form operator norm: max_x sigma(x), sigma = sqrt(E(|u|^2)
+    E(|w|^2)). The essential supremum is a plain maximum because every
+    point has positive mass."""
+    return float(inst.sigma.max())
 
 
 def partial_isometry_criterion(inst: WceInstance, tol: float = 1e-8) -> bool:
@@ -138,26 +112,24 @@ def partial_isometry_criterion(inst: WceInstance, tol: float = 1e-8) -> bool:
     return dev <= tol * max(1.0, float(sigma.max(initial=0.0)))
 
 
-@_quiet
 def _func_calc(inst: WceInstance, fns: Sequence[Callable[[float], complex]],
-               r: np.ndarray, r_agg: np.ndarray) -> np.ndarray:
-    """f(X) for X = M_{c conj(r)} E M_r, c E(|r|^2) = E(|u|^2) E(|w|^2), with
-    r_agg = E(|r|^2): f(X) = f(0) I + M_{chi / E(|r|^2)}
-    (M_{f o (E(|u|^2) E(|w|^2))} - f(0) I) M_conj(r) E M_r, chi the
-    indicator of the kept blocks.
+               r: np.ndarray) -> np.ndarray:
+    """f(X) = f(0) I + M_{(f o sigma^2 - f(0)) conj(r)} E M_r for X =
+    M_{sigma^2 conj(r)} E M_r, r a unit symbol (so M_conj(r) E M_r is the
+    projection onto X's range), for every f in fns as one (m, n, n) stack.
 
-    Returns the matrices of f(X) for every f in fns as one (m, n, n) stack.
-    E(|u|^2) E(|w|^2) is blockwise constant, so each f is evaluated once
-    per block, on the block's first point.
+    sigma is blockwise constant, so each f is evaluated once per block, on
+    the block's first point. A sigma^2 or f(sigma^2) beyond the float range
+    raises ValueError, without a numpy warning, in Sandwich.matrices().
     """
-    kept = inst.kept
     partition = inst.partition
     f0 = np.asarray([complex(f(0.0)) for f in fns])
-    first = partition.first_points
-    p = (inst.eu2[first] * inst.ew2[first]).tolist()
+    # Python floats: a square beyond the float range is inf, without a warning.
+    p = [s * s for s in inst.sigma[partition.first_points].tolist()]
     fp = np.asarray([[f(v) for v in p] for f in fns], dtype=complex)[:, partition.block_of]
-    d = _masked_recip(r_agg, kept) * (fp - f0[:, None])
-    stack = Sandwich(partition, d * np.conj(r), r).matrices()
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = (fp - f0[:, None]) * np.conj(r)
+    stack = Sandwich(partition, d, r).matrices()
     diag = np.arange(inst.space.n)
     stack[:, diag, diag] += f0[:, None]
     return stack
@@ -167,55 +139,47 @@ def closed_func_calc_gram(
     inst: WceInstance, fns: Sequence[Callable[[float], complex]]
 ) -> np.ndarray:
     """f(T* T) in closed form for each f in fns, as an (m, n, n) stack;
-    _func_calc with r = u. For f(t) = t^n this is the power formula
-    conj(u) E(|w|^2)^n E(|u|^2)^(n-1) E(u .)."""
-    return _func_calc(inst, fns, inst.u.values, inst.eu2)
+    _func_calc with r = u_hat."""
+    return _func_calc(inst, fns, inst.units[0])
 
 
 def closed_func_calc_cogram(
     inst: WceInstance, fns: Sequence[Callable[[float], complex]]
 ) -> np.ndarray:
     """g(T T*) in closed form for each g in fns, as an (m, n, n) stack;
-    _func_calc with r = conj(w)."""
-    return _func_calc(inst, fns, np.conj(inst.w.values), inst.ew2)
+    _func_calc with r = conj(w_hat)."""
+    return _func_calc(inst, fns, np.conj(inst.units[1]))
 
 
-@_quiet
+def _on_gram_range(inst: WceInstance, coef: np.ndarray) -> Sandwich:
+    """M_{coef conj(u_hat)} E M_{u_hat}: coef times the projection onto the
+    range of T* T."""
+    u_hat = inst.units[0]
+    return Sandwich(inst.partition, coef * np.conj(u_hat), u_hat)
+
+
 def closed_polar(inst: WceInstance) -> tuple[Sandwich, Sandwich]:
-    """Closed-form polar decomposition T = U |T|, returned as (U, |T|).
+    """Closed-form polar decomposition T = U |T|, returned as (U, |T|):
+    U = M_{w_hat} E M_{u_hat} and |T| = M_{sigma conj(u_hat)} E M_{u_hat}.
 
-    |T| f = sqrt(E(|w|^2) / E(|u|^2)) chi conj(u) E(u f)
-    U f   = sqrt(chi / (E(|w|^2) E(|u|^2))) w E(u f)
-
-    chi is the indicator of the kept blocks, and both coefficients are
-    taken as zero off them. U is a partial isometry sharing the kernel of
-    |T| and T, which makes the decomposition the unique one.
+    U is a partial isometry sharing the kernel of |T| and T (the unit
+    symbols are zero off the kept blocks), which makes the decomposition
+    the unique one.
     """
-    kept = inst.kept
-    abs_coef = np.sqrt(inst.ew2 * _masked_recip(inst.eu2, kept))
-    u_coef = np.sqrt(_masked_recip(inst.ew2 * inst.eu2, kept))
-    return (Sandwich(inst.partition, u_coef * inst.w.values, inst.u.values),
-            Sandwich(inst.partition, abs_coef * np.conj(inst.u.values), inst.u.values))
+    u_hat, w_hat = inst.units
+    return Sandwich(inst.partition, w_hat, u_hat), _on_gram_range(inst, inst.sigma)
 
 
-@_quiet
 def closed_abs_sqrt(inst: WceInstance) -> Sandwich:
-    """Closed-form square root of |T|:
-
-    V f = (E(|w|^2) / E(|u|^2)^3)^(1/4) chi conj(u) E(u f)
-
-    V is positive with V^2 = |T|, so it equals |T|^(1/2); it is the
-    half-power factor entering the Aluthge transform.
-    """
-    coef = (inst.ew2 * _masked_recip(inst.eu2, inst.kept) ** 3) ** 0.25
-    return Sandwich(inst.partition, coef * np.conj(inst.u.values), inst.u.values)
+    """Closed-form square root of |T|, M_{sqrt(sigma) conj(u_hat)} E M_{u_hat}:
+    positive, and it squares to |T|. It is the half-power factor entering
+    the Aluthge transform."""
+    return _on_gram_range(inst, np.sqrt(inst.sigma))
 
 
-@_quiet
 def closed_aluthge(inst: WceInstance) -> Sandwich:
-    """Closed-form Aluthge transform |T|^(1/2) U |T|^(1/2):
-
-    f -> (chi E(u w) / E(|u|^2)) conj(u) E(u f)
-    """
-    coef = inst.euw * _masked_recip(inst.eu2, inst.kept)
-    return Sandwich(inst.partition, coef * np.conj(inst.u.values), inst.u.values)
+    """Closed-form Aluthge transform |T|^(1/2) U |T|^(1/2), M_{sigma
+    E(u_hat w_hat) conj(u_hat)} E M_{u_hat}; |E(u_hat w_hat)| <= 1, so no
+    coefficient leaves the float range."""
+    u_hat, w_hat = inst.units
+    return _on_gram_range(inst, inst.sigma * cond_exp_values(inst.partition, u_hat * w_hat))

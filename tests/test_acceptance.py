@@ -142,7 +142,7 @@ def test_criterion_5_partial_isometry():
                               partial_isometry=True)
         inst = gen_instance(cfg).instance
         assert partial_isometry_criterion(inst)
-        p = inst.ew2 * inst.eu2
+        p = inst.sigma ** 2
         np.testing.assert_allclose(p, inst.kept.astype(float), rtol=0, atol=1e-12)
         t = build_operator(inst)
         residual = norm(t @ adjoint(t) @ t - t)
@@ -157,7 +157,7 @@ def test_criterion_5_partial_isometry():
         cfg = GeneratorConfig(seed=seed, n=2 + seed % 23,
                               block_count=1 + seed % (2 + seed % 23))
         inst = gen_instance(cfg).instance
-        p = inst.ew2 * inst.eu2
+        p = inst.sigma ** 2
         if float(np.minimum(np.abs(p), np.abs(p - 1.0)).max()) <= 1e-3:
             continue
         found += 1

@@ -159,7 +159,7 @@ def test_real_input_stays_real():
         f = np.abs(u.values) ** 2
         assert cond_exp_values(partition, f).dtype == np.float64
         inst = WceInstance(partition, u, u)
-        assert inst.eu2.dtype == np.float64
+        assert inst.rms.dtype == inst.sigma.dtype == np.float64
         ref = loop_block_means(partition, f)
         expected = np.empty(sp.n, dtype=bool)
         for k, b in enumerate(partition.blocks):

@@ -89,7 +89,7 @@ class TestModes:
                 hits += 1
             # Aggregates that are not zeroed stay above the generator's
             # floor, so the rank cut keeps exactly the nonzero blocks.
-            np.testing.assert_array_equal(inst.kept, inst.eu2 * inst.ew2 > 0)
+            np.testing.assert_array_equal(inst.kept, inst.sigma > 0)
         assert hits == 20  # every zero_blocks instance has a strict subset
 
     def test_partial_isometry_mode(self):
@@ -97,7 +97,7 @@ class TestModes:
             inst = gen_instance(GeneratorConfig(
                 seed=seed, n=8, block_count=3, partial_isometry=True)).instance
             assert partial_isometry_criterion(inst)
-            np.testing.assert_array_equal(inst.kept, inst.eu2 * inst.ew2 > 0.5)
+            np.testing.assert_array_equal(inst.kept, inst.sigma > 0.5)
             t = build_operator(inst)
             residual = norm(t @ adjoint(t) @ t - t)
             assert residual <= 1e-8 * max(1.0, norm(t))
@@ -107,9 +107,7 @@ class TestModes:
         # so rank cutoffs stay far from the spectrum.
         for seed in range(10):
             inst = gen_instance(GeneratorConfig(seed=seed, n=12, block_count=4)).instance
-            for b in inst.partition.blocks:
-                assert inst.eu2[b[0]] >= 0.04
-                assert inst.ew2[b[0]] >= 0.04
+            assert np.all(inst.rms ** 2 >= 0.04)
 
 
 class TestPerturbation:

@@ -139,8 +139,9 @@ class TestIsMeasurable:
         assert declared_normal(f, finest_partition(sp), tol=1e-15)
 
     def test_overflowing_abs_raises(self):
-        # |f| is inf at the first point: there is no peak to scale f by,
-        # so no spread is measured, and nothing is warned.
+        # |f| and its block RMS are inf at the first point, so no spread is
+        # measured, and nothing is warned: the parts are scaled by their
+        # block's largest part in real arithmetic, which cannot underflow.
         sp = FiniteMeasureSpace([1.0, 1.0])
         f = MeasurableFunction(sp, [1.5e308 + 1.5e308j, 1.0])
         with np.errstate(all="raise"), pytest.raises(ValueError, match="not finite"):
@@ -170,7 +171,7 @@ class TestIsMeasurable:
     def test_overflowing_block_mean_raises(self, second):
         # The block integral is inf (or inf - inf): no eigenvalue of E M_f
         # can be grouped, and the reduction itself warns nothing. The
-        # spread is taken on f over its peak, so it decides without one.
+        # spread is taken on f over its block RMS, so it decides without one.
         sp = FiniteMeasureSpace([1e10, 1e10])
         f = MeasurableFunction(sp, [1e300, second])
         p = coarsest_partition(sp)

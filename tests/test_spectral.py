@@ -111,7 +111,7 @@ class TestNormality:
     @pytest.mark.parametrize("scale", [1e160, 1e-200])
     def test_spread_of_an_extreme_symbol_is_exact(self, uniform4, scale):
         # |u|^2 overflows at 1e160 and underflows at 1e-200; the spread is
-        # taken on u over its peak, so neither happens.
+        # taken on u over its block RMS, so neither happens.
         sp, p = uniform4
         u = MeasurableFunction(sp, scale * np.array([1, 3, 2, 2]))
         with np.errstate(over="raise", under="raise"):

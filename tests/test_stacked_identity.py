@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from wcelab import checks, generator, spectral, wce
+from wcelab import checks, generator, spectral
 from wcelab.checks import calculus_test_functions
 from wcelab.condexp import Sandwich
 from wcelab.generator import GeneratorConfig, gen_instance, rotation_config
@@ -207,14 +207,13 @@ def test_first_points_are_the_first_index_of_each_block():
 # Calculus per block
 
 
-def per_point_func_calc(inst, fns, r, r_agg):
+def per_point_func_calc(inst, fns, r):
     """_func_calc with every test function evaluated at every point."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        f0 = np.asarray([complex(f(0.0)) for f in fns])
-        p = inst.eu2 * inst.ew2
-        fp = np.asarray([[f(float(v)) for v in p] for f in fns], dtype=complex)
-        d = wce._masked_recip(r_agg, inst.kept) * (fp - f0[:, None])
-        stack = Sandwich(inst.partition, d * np.conj(r), r).matrices()
+    f0 = np.asarray([complex(f(0.0)) for f in fns])
+    fp = np.asarray([[f(s * s) for s in inst.sigma.tolist()] for f in fns], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = (fp - f0[:, None]) * np.conj(r)
+    stack = Sandwich(inst.partition, d, r).matrices()
     diag = np.arange(inst.space.n)
     stack[:, diag, diag] += f0[:, None]
     return stack
@@ -226,10 +225,9 @@ def test_func_calc_per_block_equals_per_point():
     for bundle in bundles:
         inst = bundle.instance
         assert np.array_equal(closed_func_calc_gram(inst, fns),
-                              per_point_func_calc(inst, fns, inst.u.values, inst.eu2))
+                              per_point_func_calc(inst, fns, inst.units[0]))
         assert np.array_equal(closed_func_calc_cogram(inst, fns),
-                              per_point_func_calc(inst, fns, np.conj(inst.w.values),
-                                                  inst.ew2))
+                              per_point_func_calc(inst, fns, np.conj(inst.units[1])))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from wcelab.wce import (
     closed_polar,
     norm_formula,
     partial_isometry_criterion,
-    _masked_recip,
 )
 
 from conftest import (
@@ -186,7 +185,8 @@ class TestClosedFuncCalc:
         assert deviation(closed, gram @ gram) < 1e-12
         # Power formula: conj(u) E(|w|^2)^2 E(|u|^2) E(u .)
         e = inst.partition.cond_exp_matrix
-        coef = np.conj(inst.u.values) * inst.ew2**2 * inst.eu2
+        nu, nw = inst.rms[:, inst.partition.block_of]
+        coef = np.conj(inst.u.values) * nw**4 * nu**2
         direct = coef[:, None] * e * inst.u.values[None, :]
         assert deviation(closed, direct) < 1e-12
 
@@ -214,14 +214,13 @@ class TestClosedFuncCalc:
                 assert dev < 1e-7, (name, dev)
 
 
-def per_function_calc(inst, f, r, r_agg):
+def per_function_calc(inst, f, r):
     """One function's closed calculus built on its own: f(0) I plus the
-    dense sandwich core M_d E M_r, d = chi / E(|r|^2) (f o p - f(0)) conj(r),
-    chi the indicator of the kept blocks."""
+    dense sandwich core M_d E M_r, d = (f o sigma^2 - f(0)) conj(r), r a
+    unit symbol that is 0 off the kept blocks."""
     f0 = complex(f(0.0))
-    fp = np.asarray([f(float(v)) for v in inst.eu2 * inst.ew2], dtype=complex)
-    d = _masked_recip(r_agg, inst.kept) * (fp - f0)
-    core = Sandwich(inst.partition, d * np.conj(r), r).matrices()
+    fp = np.asarray([f(float(v) * float(v)) for v in inst.sigma], dtype=complex)
+    core = Sandwich(inst.partition, (fp - f0) * np.conj(r), r).matrices()
     return f0 * np.eye(inst.space.n, dtype=complex) + core
 
 
@@ -250,14 +249,14 @@ def test_stacked_calculus_matches_per_function_reference():
         for _ in range(3):
             inst = zeroed_block_instance(rng, n)
             fns = tuple(f for _, f in calculus_test_functions())
-            for closed_fn, r, r_agg in (
-                (closed_func_calc_gram, inst.u.values, inst.eu2),
-                (closed_func_calc_cogram, np.conj(inst.w.values), inst.ew2),
+            for closed_fn, r in (
+                (closed_func_calc_gram, inst.units[0]),
+                (closed_func_calc_cogram, np.conj(inst.units[1])),
             ):
                 stack = closed_fn(inst, fns)
                 assert stack.shape == (len(fns), n, n)
                 for k, f in enumerate(fns):
-                    reference = per_function_calc(inst, f, r, r_agg)
+                    reference = per_function_calc(inst, f, r)
                     if n == 1:
                         scale = 1.0 + abs(f(0.0)) + float(np.abs(reference).max())
                         np.testing.assert_allclose(stack[k], reference, rtol=0,
@@ -274,12 +273,17 @@ def test_stacked_calculus_rejects_non_finite_entries():
             closed_fn(inst, fns)
 
 
+# |v|^2 and its block mean overflow, and so does the root mean square: the
+# parts are 1.5e308, so |v| = sqrt(E|v|^2) = 2.1e308.
+RMS_OVERFLOW = [1.5e308 + 1.5e308j, 1.5e308 + 1.5e308j]
+
+
 def test_support_of_a_non_finite_aggregate_raises():
-    # |u|^2 overflows, so E(|u|^2) is inf: there is no peak to cut the
-    # kept blocks at, and inf > tol * inf would keep none.
+    # sqrt(E(|u|^2)) is inf: there is no peak to cut the kept blocks at,
+    # and inf > tol * inf would keep none.
     sp = FiniteMeasureSpace([1.0, 2.0])
     part = coarsest_partition(sp)
-    big = MeasurableFunction(sp, [1e300, 1e300])
+    big = MeasurableFunction(sp, RMS_OVERFLOW)
     one = constant(sp, 1.0)
     with pytest.raises(ValueError, match=r"E\(\|u\|\^2\) is not finite"):
         WceInstance(part, big, one).kept
@@ -291,20 +295,58 @@ def test_support_of_a_non_finite_aggregate_raises():
 
 
 def test_closed_forms_raise_on_an_overflowing_aggregate_before_using_it():
-    # |w|^2 overflows, so E(|w|^2) is inf: each closed form raises where
-    # the kept blocks are cut, before it multiplies by the aggregate, so numpy
-    # has nothing to warn about (errstate turns a warning into an error).
+    # sqrt(E(|w|^2)) is inf: each closed form raises where the kept blocks
+    # are cut, before it computes with the RMS, so numpy has nothing to
+    # warn about (errstate turns a warning into an error).
     sp = FiniteMeasureSpace([1.0, 1.0])
     part = coarsest_partition(sp)
     u = MeasurableFunction(sp, [1.0, 2.0])
-    w = MeasurableFunction(sp, [1e200, 1.0])
+    w = MeasurableFunction(sp, RMS_OVERFLOW)
     fns = tuple(f for _, f in calculus_test_functions())
-    for closed in (closed_polar, closed_abs_sqrt, closed_aluthge,
+    for closed in (closed_polar, closed_abs_sqrt, closed_aluthge, norm_formula,
                    lambda inst: closed_func_calc_gram(inst, fns),
                    lambda inst: closed_func_calc_cogram(inst, fns)):
         with np.errstate(all="raise"):
             with pytest.raises(ValueError, match=r"E\(\|w\|\^2\) is not finite"):
                 closed(WceInstance(part, u, w))
+
+
+def test_closed_forms_hold_where_only_the_aggregate_overflows():
+    # E(|w|^2) = 5e399 is beyond the float range, but its root and T are
+    # not: the closed forms match the oracle, and numpy warns of nothing.
+    sp = FiniteMeasureSpace([1.0, 1.0])
+    inst = WceInstance(coarsest_partition(sp), MeasurableFunction(sp, [1.0, 2.0]),
+                       MeasurableFunction(sp, [1e200, 1.0]))
+    with np.errstate(all="raise"):
+        t = build_operator(inst)
+        svd = SvdOracle(t)
+        u_op, abs_t = closed_polar(inst)
+        v = closed_abs_sqrt(inst)
+        assert norm_formula(inst) == pytest.approx(svd.norm, rel=1e-15)
+        assert deviation(abs_t.matrices(), svd.polar()[1]) <= 1e-15 * svd.norm
+        assert deviation(u_op.matrices(), svd.polar()[0]) <= 1e-15
+        assert deviation((v @ v).matrices(), abs_t.matrices()) <= 1e-15 * svd.norm
+
+
+@pytest.mark.parametrize("a, b", [(-17, -17), (40, 0), (-565, 0), (332, -332),
+                                  (-900, 600)])
+def test_closed_forms_are_exactly_homogeneous(a, b):
+    # T(2^a u, 2^b w) = 2^(a+b) T. The block RMS is taken over the block's
+    # largest part, which scales exactly, so sigma scales by exactly
+    # 2^(a+b), the unit symbols do not move, and so neither does U.
+    inst = random_instance(61, zero_blocks=True)
+
+    def scaled(f, e):
+        return MeasurableFunction(inst.space, np.ldexp(f.values.view(float), e).view(complex))
+
+    big = WceInstance(inst.partition, scaled(inst.u, a), scaled(inst.w, b))
+    assert np.array_equal(big.sigma, np.ldexp(inst.sigma, a + b))
+    assert np.array_equal(big.kept, inst.kept)
+    assert np.array_equal(big.units, inst.units)
+    (u_op, abs_t), (big_u, big_abs) = closed_polar(inst), closed_polar(big)
+    assert np.array_equal(big_u.matrices(), u_op.matrices())
+    assert np.array_equal(big_abs.matrices(),
+                          np.ldexp(abs_t.matrices().view(float), a + b).view(complex))
 
 
 class TestClosedPolar:
