@@ -34,6 +34,7 @@ from .opalgebra import (
 )
 from .spectral import (
     SpectralMeasureTable,
+    _eigenvalue_groups,
     avg_mult_operator,
     avg_mult_spectrum,
     block_spread,
@@ -173,10 +174,12 @@ class CheckContext:
     The matrix of T, its one SVD (its norm, polar factors, half-power
     root and both Gram eigensystems are read off it), T T*, the closed
     polar pair and the matrix of its |T|, the matrix of E M_u and its
-    eigenvalues, and the spectral measure table of the point map are each
-    computed once, on first use, and shared by every check group. Every
-    matrix is in the orthonormal basis of the weighted space (see
-    Partition.cond_exp_matrix), so the adjoint is the conjugate transpose.
+    eigenvalues, the closed data of E M_u (the block spread of u and its
+    eigenvalue groups), and the spectral measure table of the point map
+    are each computed once, on first use, and shared by every check
+    group. Every matrix is in the orthonormal basis of the weighted space
+    (see Partition.cond_exp_matrix), so the adjoint is the conjugate
+    transpose.
     The oracles still see only these dense matrices, never the partition.
     """
 
@@ -256,6 +259,18 @@ class CheckContext:
         if not np.isfinite(eigvals).all():
             raise ValueError("eigenvalues of E M_u are not finite")
         return eigvals
+
+    @cached_property
+    def avg_mult_spread(self) -> np.ndarray:
+        """block_spread of u: per block, sqrt(E|u - E u|^2) and
+        sqrt(E|u|^2), read by normality and spectral_decomp."""
+        return block_spread(self.instance.u, self.instance.partition)
+
+    @cached_property
+    def avg_mult_groups(self) -> tuple[list[complex], np.ndarray]:
+        """The eigenvalue groups of E M_u at tol (_eigenvalue_groups),
+        read by spectrum and spectral_decomp."""
+        return _eigenvalue_groups(self.instance.u, self.instance.partition, self.tol)
 
     @cached_property
     def measure_table(self) -> SpectralMeasureTable:
@@ -632,23 +647,25 @@ def _eigvals_match_residual(expected: Sequence[complex],
 
 
 def check_normality(ctx: CheckContext) -> list[CheckRecord]:
-    inst = ctx.instance
     m = ctx.avg_mult
     m_adj = m.conj().T
     # Entries that overflow fail the build of the products; numpy's
-    # overflow warning would only repeat that error.
+    # overflow warning would only repeat that error. So does a scale
+    # 1 + ||E M_u||^2 beyond the float range: no residual can be read
+    # against it.
     with np.errstate(over="ignore", invalid="ignore"):
         commutator = require_finite(m @ m_adj - m_adj @ m)
         # The closed norm is 0 exactly when u is blockwise constant.
-        closed = float(np.prod(block_spread(inst.u, inst.partition), axis=0).max())
-    comm_norm, m_norm = spectral_norms(np.stack((commutator, m)))
-    return [ctx.record("normality", abs(closed - comm_norm) / (1.0 + m_norm ** 2),
-                       ctx.tol)]
+        closed = float(np.prod(ctx.avg_mult_spread, axis=0).max())
+        comm_norm, m_norm = spectral_norms(np.stack((commutator, m)))
+        scale = 1.0 + m_norm ** 2
+    if not np.isfinite(scale):
+        raise ValueError("1 + ||E M_u||^2 is not finite")
+    return [ctx.record("normality", abs(closed - comm_norm) / scale, ctx.tol)]
 
 
 def check_spectrum(ctx: CheckContext) -> list[CheckRecord]:
-    inst = ctx.instance
-    expected = avg_mult_spectrum(inst.u, inst.partition, ctx.tol)
+    expected = avg_mult_spectrum(ctx.avg_mult_groups, ctx.instance.partition)
     residual = _eigvals_match_residual(expected, ctx.avg_mult_eigvals)
     return [ctx.record("spectrum", residual, ctx.tol)]
 
@@ -656,7 +673,8 @@ def check_spectrum(ctx: CheckContext) -> list[CheckRecord]:
 def check_spectral_decomp(ctx: CheckContext) -> list[CheckRecord]:
     inst = ctx.instance
     try:
-        decomp = spectral_decomposition(inst.u, inst.partition, ctx.tol)
+        decomp = spectral_decomposition(inst.u, inst.partition, ctx.tol,
+                                        ctx.avg_mult_spread, lambda: ctx.avg_mult_groups)
     except NotNormalError:
         return [ctx.skip(name, "u is not blockwise constant, E M_u is not normal")
                 for name in RECORDS["spectral_decomp"]]

@@ -35,13 +35,23 @@ def require_finite(m: np.ndarray) -> np.ndarray:
 
 def spectral_norms(stack: np.ndarray) -> np.ndarray:
     """Spectral norms of a (..., m, n) stack of matrices, the one
-    spectral-norm path of the package: one batched, uncopied
-    np.linalg.svd(., compute_uv=False), bit for bit np.linalg.norm(., 2)
-    (exactly 0.0 on an all-zero slice). Empty matrices, such as the
-    Aluthge core of T = 0, have norm 0."""
+    spectral-norm path of the package, bit for bit np.linalg.norm(., 2).
+
+    A slice with no nonzero entry (-0.0 included) gets exactly 0.0, the
+    value LAPACK gives it, and never reaches LAPACK; the live slices,
+    NaN and inf ones among them, go to one batched
+    np.linalg.svd(., compute_uv=False). A stack with no zero slice goes to
+    it as it is, uncopied; only a stack with one is gathered. Empty
+    matrices, such as the Aluthge core of T = 0, have norm 0."""
     if 0 in stack.shape[-2:]:
         return np.zeros(stack.shape[:-2])
-    return np.linalg.svd(stack, compute_uv=False)[..., 0]
+    live = stack.any(axis=(-2, -1))
+    if live.all():
+        return np.linalg.svd(stack, compute_uv=False)[..., 0]
+    norms = np.zeros(stack.shape[:-2])
+    if live.any():
+        norms[live] = np.linalg.svd(stack[live], compute_uv=False)[:, 0]
+    return norms
 
 
 def op_deviations(a: np.ndarray, b: np.ndarray,

@@ -143,48 +143,55 @@ def _by_value(z: complex) -> tuple[float, float]:
 
 
 def avg_mult_spectrum(
-    u: MeasurableFunction, partition: Partition, tol: float
+    groups: tuple[list[complex], np.ndarray], partition: Partition
 ) -> tuple[complex, ...]:
-    """Spectrum of f -> E(u f): the block means of u, and 0 unless the
-    operator is invertible, that is unless every point is its own block
-    and no block mean is in the zero group (see _has_kernel).
+    """Spectrum of f -> E(u f) from the eigenvalue groups of u
+    (_eigenvalue_groups): the block means of u, and 0 unless the operator
+    is invertible, that is unless every point is its own block and no
+    block mean is in the zero group (see _has_kernel).
 
-    Block means merge at tol by the first-representative rule of
-    _eigenvalue_groups, the same rule spectral_decomposition uses: each
-    eigenvalue is the first block mean (or 0) of its group.
+    Each eigenvalue is the first block mean (or 0) of its group, the
+    representative spectral_decomposition gives it too.
     """
-    reps, group = _eigenvalue_groups(u, partition, tol)
+    reps, group = groups
     if not _has_kernel(group, partition):
         reps = reps[1:]
     return tuple(sorted(reps, key=_by_value))
 
 
 def spectral_decomposition(
-    u: MeasurableFunction, partition: Partition, tol: float
+    u: MeasurableFunction,
+    partition: Partition,
+    tol: float,
+    spread: np.ndarray,
+    groups: Callable[[], tuple[list[complex], np.ndarray]],
 ) -> SpectralDecomp:
     """Diagonalize the normal operator f -> E(u f) over its level sets.
+
+    spread is block_spread(u, partition); groups returns
+    _eigenvalue_groups(u, partition, tol), and is called only once the
+    spread has passed, so a symbol whose block mean is not finite but
+    that is plainly not blockwise constant is never grouped.
 
     For each distinct nonzero value lambda of u the projection is
     "restrict to the blocks where u = lambda, then average"; the kernel
     projection (eigenvalue 0) is the complement of all of them and is
     included only when it is nonzero (see _has_kernel).
 
-    Block means merge into one eigenvalue at tol (see _eigenvalue_groups).
-    On block B the decomposition then misses E M_u by sqrt(E|u - E u|^2 +
+    On block B the decomposition misses E M_u by sqrt(E|u - E u|^2 +
     |E u - lambda_B|^2), lambda_B its eigenvalue; u counts as blockwise
     constant when the largest of these is <= tol (1 + ||E M_u||), the
     scale on which the reconstruction is compared, and NotNormalError is
     raised otherwise.
     """
-    spread, rms = block_spread(u, partition)
+    step, rms = spread
     limit = tol * (1.0 + rms.max())
-    # The spread alone bounds the miss from below; testing it first keeps
-    # a symbol whose block mean is not finite out of the grouping.
-    if spread.max() > limit:
+    # The spread alone bounds the miss from below.
+    if step.max() > limit:
         raise NotNormalError("symbol must be blockwise constant")
-    reps, group = _eigenvalue_groups(u, partition, tol)
+    reps, group = groups()
     offset = np.abs(partition.block_means(u.values) - np.array(reps)[group])
-    if np.hypot(spread, offset).max() > limit:
+    if np.hypot(step, offset).max() > limit:
         raise NotNormalError("symbol must be blockwise constant")
     order = sorted(range(1, len(reps)), key=lambda g: _by_value(reps[g]))
     eigenvalues = [reps[g] for g in order]
@@ -318,7 +325,9 @@ def check_spectral_axioms(
     from the seeded generator come in a fixed order: the random sets and
     the intersection pairs (see _axiom_sets), then for each of the
     AXIOM_RANDOM_SETS additivity rounds the index of the whole set, the
-    number of pieces, and the piece of every point.
+    number of pieces, and the piece of every point, as three rng.integers
+    calls. The pieces of every round are built from these draws after the
+    last of them.
     """
     n = table.space.n
     rng = np.random.default_rng(seed)
@@ -330,17 +339,19 @@ def check_spectral_axioms(
     i, j = np.vstack([pairs, [[0, k + 1], [0, k]]]).T
     meets = family[i] & family[j]
 
-    # Every round's pieces go into one measure call; round r owns the
-    # rows starts[r]:starts[r + 1] of the piece stack.
-    wholes, pieces = [], []
+    wholes, counts, assignment = [], [], []
     for _ in range(AXIOM_RANDOM_SETS):
-        whole = int(rng.integers(0, k))
-        parts = int(rng.integers(2, 5))
-        assignment = rng.integers(0, parts, size=n)
-        wholes.append(whole)
-        pieces.append(sets[whole] & (assignment[None, :] == np.arange(parts)[:, None]))
-    starts = np.cumsum([0] + [len(p) for p in pieces[:-1]])
-    pieces = np.vstack(pieces)
+        wholes.append(int(rng.integers(0, k)))
+        counts.append(int(rng.integers(2, 5)))
+        assignment.append(rng.integers(0, counts[-1], size=n))
+    # Every round's pieces come from one gather and go into one measure
+    # call: round r owns the rows starts[r]:starts[r] + counts[r] of the
+    # piece stack, and row starts[r] + p is the piece p of its whole set.
+    round_of = np.repeat(np.arange(AXIOM_RANDOM_SETS), counts)
+    starts = np.cumsum(counts) - counts
+    piece = np.arange(len(round_of)) - starts[round_of]
+    pieces = sets[np.take(wholes, round_of)] & (
+        np.take(assignment, round_of, axis=0) == piece[:, None])
 
     # One frame's stacks are freed before the next frame's are built: each
     # extra stack raises the peak memory. For the same reason the residuals
@@ -353,9 +364,9 @@ def check_spectral_axioms(
         values = measure(family)
         v = values[:k]
         dim = values.shape[-1]
-        ends = np.cumsum([2 * k, len(i), len(wholes)])
-        stack = np.empty((ends[-1] + 1 + on_subspace, dim, dim), dtype=values.dtype)
-        proj, inter, sums, edge = np.split(stack, ends)
+        a, b, c = 2 * k, 2 * k + len(i), 2 * k + len(i) + AXIOM_RANDOM_SETS
+        stack = np.empty((c + 1 + on_subspace, dim, dim), dtype=values.dtype)
+        proj, inter, sums, edge = stack[:a], stack[a:b], stack[b:c], stack[c:]
         np.matmul(v, v, out=proj[:k])
         proj[:k] -= v
         np.subtract(v.conj().transpose(0, 2, 1), v, out=proj[k:])
@@ -366,13 +377,13 @@ def check_spectral_axioms(
         edge[0] = values[k]
         if on_subspace:
             np.subtract(values[k + 1], np.eye(dim), out=edge[1])
-        proj_n, inter_n, sums_n, edge_n = np.split(spectral_norms(stack), ends)
+        norms = spectral_norms(stack)
         frame = "subspace" if on_subspace else "ambient"
-        res = {f"sm_proj_{frame}": proj_n.max(), f"sm_empty_{frame}": edge_n[0]}
+        res = {f"sm_proj_{frame}": norms[:a].max(), f"sm_empty_{frame}": norms[c]}
         if on_subspace:
-            res["sm_full_subspace"] = edge_n[1]
-        res[f"sm_intersect_{frame}"] = inter_n.max()
-        res[f"sm_additive_{frame}"] = sums_n.max()
+            res["sm_full_subspace"] = norms[c + 1]
+        res[f"sm_intersect_{frame}"] = norms[a:b].max()
+        res[f"sm_additive_{frame}"] = norms[b:c].max()
         return {name: float(x) for name, x in res.items()}
 
     return {**frame_residuals(False), **frame_residuals(True)}

@@ -166,19 +166,56 @@ def test_closed_identities_take_no_dense_products(monkeypatch):
 
 @pytest.mark.parametrize("measurable_u", [True, False])
 def test_spectral_decomp_tests_normality_once(monkeypatch, measurable_u):
+    # The block spread is CheckContext's: normality and spectral_decomp
+    # read the one copy.
     calls = []
-    block_spread = spectral.block_spread
+    block_spread = checks.block_spread
 
     def counting(*args):
         calls.append(args)
         return block_spread(*args)
 
-    monkeypatch.setattr(spectral, "block_spread", counting)
+    monkeypatch.setattr(checks, "block_spread", counting)
     bundle = gen_instance(GeneratorConfig(seed=19, n=10, block_count=3,
                                           measurable_u=measurable_u))
-    records = check_spectral_decomp(CheckContext(bundle))
+    ctx = CheckContext(bundle)
+    records = check_spectral_decomp(ctx)
     assert {r.status for r in records} == {"pass" if measurable_u else "skip"}
+    assert [r.status for r in check_normality(ctx)] == ["pass"]
     assert len(calls) == 1
+
+
+def test_full_suite_does_the_spectral_work_once(monkeypatch):
+    # Over the rotation seeds 1..40 with --full: E M_u's block spread and
+    # eigenvalue groups are built once per instance, and no all-zero slice
+    # of a stack reaches LAPACK (the measure axioms' additivity and empty
+    # set residuals are exact zeros).
+    calls = {"block_spread": 0, "_eigenvalue_groups": 0}
+
+    def counted(name):
+        original = getattr(spectral, name)
+
+        def counting(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return counting
+
+    for name in calls:
+        for module in (checks, spectral):
+            monkeypatch.setattr(module, name, counted(name), raising=False)
+    zero_slices = []
+    svd = np.linalg.svd
+
+    def spying_svd(a, *args, **kwargs):
+        if a.ndim == 3:
+            zero_slices.extend(np.flatnonzero(~a.any(axis=(1, 2))))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spying_svd)
+    assert main(["suite", "--seeds", "1..40", "--full"]) == 0
+    assert calls == {"block_spread": 40, "_eigenvalue_groups": 40}
+    assert zero_slices == []
 
 
 def test_norms_already_held_are_not_taken_again(monkeypatch):

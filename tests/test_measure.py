@@ -4,10 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wcelab.measure import FiniteMeasureSpace, MeasurableFunction, Partition
-from wcelab.spectral import avg_mult_spectrum, block_spread
+from wcelab.spectral import block_spread
 from wcelab.wce import WceInstance
 
-from conftest import coarsest_partition, constant, declared_normal, finest_partition
+from conftest import (
+    coarsest_partition,
+    constant,
+    declared_normal,
+    finest_partition,
+    spectrum_of,
+)
 
 
 class TestMakeSpace:
@@ -178,7 +184,7 @@ class TestIsMeasurable:
         with np.errstate(all="raise"):
             assert not np.isfinite(p.block_means(f.values)).any()
             with pytest.raises(ValueError, match="not finite"):
-                avg_mult_spectrum(f, p, 1e-8)
+                spectrum_of(f, p, 1e-8)
             spread, rms = block_spread(f, p)
         np.testing.assert_allclose(spread, [0.0 if second > 0 else 1e300])
         np.testing.assert_allclose(rms, [1e300])

@@ -379,14 +379,18 @@ def test_op_deviations_is_one_sided(seed, k, n, gap):
 
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.integers(1, 6),
-       st.one_of(st.integers(1, 24), st.just(64)), st.floats(0.0, 1.0))
-def test_spectral_norms_match_numpy_norm_bit_for_bit(seed, k, n, zero_share):
-    # Random complex stacks with exact-zero slices mixed in: the kernel's
-    # norms are np.linalg.norm's, bit for bit, zero slices included.
+       st.one_of(st.integers(1, 24), st.just(64)), st.floats(0.0, 1.0),
+       st.booleans(), st.sampled_from([0.0, -0.0]))
+def test_spectral_norms_match_numpy_norm_bit_for_bit(seed, k, n, zero_share, real, zero):
+    # Random real or complex stacks with all-zero slices (of 0.0 or -0.0)
+    # mixed in: the kernel's norms are np.linalg.norm's, bit for bit, zero
+    # slices included.
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.uniform(-8, 8, (k, 1, 1))
-    stack = scale * (rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n)))
-    stack[rng.random(k) < zero_share] = 0.0
+    stack = scale * rng.normal(size=(k, n, n))
+    if not real:
+        stack = stack + 1j * scale * rng.normal(size=(k, n, n))
+    stack[rng.random(k) < zero_share] = zero
     expected = np.linalg.norm(stack, 2, axis=(1, 2))
     np.testing.assert_array_equal(spectral_norms(stack), expected)
     for m, norm in zip(stack, expected):
@@ -395,9 +399,10 @@ def test_spectral_norms_match_numpy_norm_bit_for_bit(seed, k, n, zero_share):
 
 @pytest.mark.parametrize("n", [1, 2, 8, 64])
 @pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
-def test_zero_slices_get_exact_zeros_from_one_uncopied_svd(monkeypatch, n, dtype):
-    # LAPACK gives an all-zero slice the norm 0.0 exactly, so the stack
-    # goes to one SVD as it is, zero slices included, and is not copied.
+def test_only_live_slices_reach_one_svd(monkeypatch, n, dtype):
+    # An all-zero slice (-0.0 included) gets exactly 0.0 without LAPACK;
+    # the live slices go to one SVD, and a stack with no zero slice goes
+    # to it as it is, uncopied.
     svd_inputs = []
     svd = np.linalg.svd
 
@@ -408,12 +413,23 @@ def test_zero_slices_get_exact_zeros_from_one_uncopied_svd(monkeypatch, n, dtype
     monkeypatch.setattr(np.linalg, "svd", spying_svd)
     rng = np.random.default_rng(3)
     stack = rng.normal(size=(5, n, n)).astype(dtype)
-    stack[[1, 3]] = 0.0
+    live = stack.copy()
+    stack[1] = 0.0
+    stack[3] = -0.0
     norms = spectral_norms(stack)
     assert norms[1] == norms[3] == 0.0 and np.all(norms[[0, 2, 4]] > 0.0)
-    assert len(svd_inputs) == 1 and svd_inputs[0] is stack
+    assert len(svd_inputs) == 1
+    np.testing.assert_array_equal(svd_inputs[0], stack[[0, 2, 4]])
+
+    expected = np.linalg.norm(live, 2, axis=(1, 2))
+    svd_inputs.clear()
+    np.testing.assert_array_equal(spectral_norms(live), expected)
+    assert len(svd_inputs) == 1 and svd_inputs[0] is live
+
+    svd_inputs.clear()
     assert spectral_norms(np.zeros((3, n, n), dtype=dtype)).tolist() == [0.0] * 3
-    assert norm(np.zeros((n, n), dtype=dtype)) == 0.0
+    assert spectral_norms(np.full((n, n), -0.0, dtype=dtype)) == 0.0
+    assert svd_inputs == []
 
 
 def test_empty_matrices_have_norm_zero():

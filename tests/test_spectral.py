@@ -12,16 +12,15 @@ from wcelab.spectral import (
     PointMap,
     SpectralMeasureTable,
     avg_mult_operator,
-    avg_mult_spectrum,
     block_spread,
     check_spectral_axioms,
     pushforward_density,
-    spectral_decomposition,
 )
 
 from conftest import (
     constant,
     declared_normal,
+    decompose,
     deviation,
     finest_partition,
     inner,
@@ -29,6 +28,7 @@ from conftest import (
     perturb_nonmeasurable,
     point_matrix,
     random_complex,
+    spectrum_of,
 )
 
 TOL = DEFAULT_TOL
@@ -124,13 +124,13 @@ class TestSpectrum:
     def test_unit_symbol(self, uniform4):
         sp, p = uniform4
         u = constant(sp, 1.0)
-        assert set(avg_mult_spectrum(u, p, TOL)) == {0j, 1 + 0j}
+        assert set(spectrum_of(u, p, TOL)) == {0j, 1 + 0j}
 
     def test_block_means(self, uniform4):
         # block means of (1, 3, 0, 8) are 2 and 4
         sp, p = uniform4
         u = MeasurableFunction(sp, [1, 3, 0, 8])
-        spec = set(avg_mult_spectrum(u, p, TOL))
+        spec = set(spectrum_of(u, p, TOL))
         assert spec == {0j, 2 + 0j, 4 + 0j}
         eigs = np.linalg.eigvals(avg_mult_operator(u, p))
         for z in spec:
@@ -141,7 +141,7 @@ class TestSpectrum:
     def test_zero_symbol(self, uniform4):
         sp, p = uniform4
         u = constant(sp, 0.0)
-        assert set(avg_mult_spectrum(u, p, TOL)) == {0j}
+        assert set(spectrum_of(u, p, TOL)) == {0j}
 
     def test_zero_dropped_when_invertible(self):
         # On the finest partition E M_u = M_u: 0 is in the spectrum exactly
@@ -150,8 +150,8 @@ class TestSpectrum:
         for values, spectrum in (([3, 5, 5], {3, 5}), ([3, 5, 0], {0, 3, 5}),
                                  ([3, 5, 1e-9], {0, 3, 5})):
             u = MeasurableFunction(sp, values)
-            assert set(avg_mult_spectrum(u, finest_partition(sp), TOL)) == spectrum
-            decomp = spectral_decomposition(u, finest_partition(sp), TOL)
+            assert set(spectrum_of(u, finest_partition(sp), TOL)) == spectrum
+            decomp = decompose(u, finest_partition(sp), TOL)
             assert set(decomp.eigenvalues) == spectrum
             assert len(decomp.eigenvalues) == len(decomp.stack)
 
@@ -169,9 +169,9 @@ class TestSpectrum:
             umax = np.abs(u.values).max()
             for tol in (1e-8, 1e-6, 1e-4):
                 invertible = bool(np.all(np.abs(u.values) > tol * (1.0 + umax)))
-                spectrum = avg_mult_spectrum(u, finest_partition(sp), tol)
+                spectrum = spectrum_of(u, finest_partition(sp), tol)
                 assert (0j not in spectrum) == invertible
-                decomp = spectral_decomposition(u, finest_partition(sp), tol)
+                decomp = decompose(u, finest_partition(sp), tol)
                 assert sorted(decomp.eigenvalues, key=lambda z: (z.real, z.imag)) \
                     == list(spectrum)
 
@@ -180,7 +180,7 @@ class TestSpectralDecomposition:
     def test_two_level_example(self, uniform4):
         sp, p = uniform4
         u = MeasurableFunction(sp, [2, 2, 5, 5])
-        decomp = spectral_decomposition(u, p, TOL)
+        decomp = decompose(u, p, TOL)
         assert [complex(z) for z in decomp.eigenvalues] == [2 + 0j, 5 + 0j, 0j]
         # P_{lambda=2} restricts to block {0,1} then averages.
         expected = np.zeros((4, 4))
@@ -194,14 +194,14 @@ class TestSpectralDecomposition:
         sp = FiniteMeasureSpace([1.0, 2.0, 0.5])
         p = Partition(sp, [[0, 1], [2]])
         u = constant(sp, 3.0)
-        decomp = spectral_decomposition(u, p, TOL)
+        decomp = decompose(u, p, TOL)
         assert [complex(z) for z in decomp.eigenvalues] == [3 + 0j, 0j]
         assert deviation(decomp.stack[0], p.cond_exp_matrix) < 1e-13
 
     def test_zero_symbol(self, uniform4):
         sp, p = uniform4
         u = constant(sp, 0.0)
-        decomp = spectral_decomposition(u, p, TOL)
+        decomp = decompose(u, p, TOL)
         assert [complex(z) for z in decomp.eigenvalues] == [0j]
         np.testing.assert_allclose(decomp.stack[0], np.eye(4), atol=1e-14)
 
@@ -210,7 +210,7 @@ class TestSpectralDecomposition:
             inst = gen_instance(GeneratorConfig(
                 seed=seed, n=6 + seed % 8, block_count=2 + seed % 3,
                 measurable_u=True)).instance
-            decomp = spectral_decomposition(inst.u, inst.partition, TOL)
+            decomp = decompose(inst.u, inst.partition, TOL)
             # The projections, the kernel's included, are real.
             assert decomp.stack.dtype == np.float64
             m = avg_mult_operator(inst.u, inst.partition)
@@ -237,7 +237,7 @@ class TestSpectralDecomposition:
     def test_rejects_nonnormal(self, uniform4):
         sp, p = uniform4
         with pytest.raises(NotNormalError):
-            spectral_decomposition(MeasurableFunction(sp, [1, 2, 3, 4]), p, TOL)
+            decompose(MeasurableFunction(sp, [1, 2, 3, 4]), p, TOL)
 
 
 class TestPointMapBasics:

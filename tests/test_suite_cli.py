@@ -359,6 +359,28 @@ class TestCli:
         assert records["spectrum"]["reason"] == (
             "spectrum raised ValueError: eigenvalues of E M_u are not finite")
 
+    def test_verify_normality_scale_beyond_the_float_range_breaks_down(
+            self, tmp_path, capfd):
+        # u is constant, so E M_u is normal and its commutator is 0, but
+        # ||E M_u||^2 = 4e308 is beyond the float range: normality has no
+        # scale to read a residual against and breaks down, where it once
+        # passed at residual 0 / inf after a numpy overflow warning.
+        big = [[2e154, 0]] * 4
+        doc = {"weights": [1, 1, 1, 1], "partition": [[0, 1, 2, 3]], "u": big, "w": big}
+        inst_file = tmp_path / "normality_scale.json"
+        inst_file.write_text(json.dumps(doc))
+        report_file = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", str(inst_file), "--report", str(report_file)]) == 1
+        _, err = capfd.readouterr()
+        assert err == ""
+        records = {r["name"]: r for r in json.loads(report_file.read_text())["records"]}
+        assert records["normality"]["status"] == "fail"
+        assert records["normality"]["residual"] is None
+        assert records["normality"]["reason"] == (
+            "normality raised ValueError: 1 + ||E M_u||^2 is not finite")
+
     def test_verify_opposite_block_means_near_the_float_limit_warn_nothing(
             self, tmp_path, capfd):
         # Block means 1e308 and -1e308: their distance overflows to inf,
