@@ -28,6 +28,7 @@ from .measure import Partition
 from .opalgebra import (
     RANK_TOL,
     SvdOracle,
+    max_op_deviation,
     op_deviations,
     require_finite,
     spectral_norms,
@@ -546,18 +547,24 @@ def check_partial_isometry(ctx: CheckContext) -> list[CheckRecord]:
 def check_func_calc(ctx: CheckContext) -> list[CheckRecord]:
     inst = ctx.instance
     fns = tuple(f for _, f in calculus_test_functions())
+    gram, cogram = ctx.svd.gram_eig(), ctx.svd.cogram_eig()
+    # T* T and T T* share their eigenvalues, so one table of function
+    # values serves both. The eigenbasis is orthonormal, so max_k
+    # |f(lambda_k)| is the norm of each oracle matrix.
+    values = gram.values.tolist()
+    fvals = np.asarray([[f(v) for v in values] for f in fns], dtype=complex)
+    f_norms = np.abs(fvals).max(axis=1)
     records: list[CheckRecord] = []
     for name, closed_fn, eig in (
-        ("func_calc_gram", closed_func_calc_gram, ctx.svd.gram_eig()),
-        ("func_calc_cogram", closed_func_calc_cogram, ctx.svd.cogram_eig()),
+        ("func_calc_gram", closed_func_calc_gram, gram),
+        ("func_calc_cogram", closed_func_calc_cogram, cogram),
     ):
         closed = closed_fn(inst, fns)
-        values = eig.values.tolist()
-        fvals = np.asarray([[f(v) for v in values] for f in fns], dtype=complex)
-        # The eigenbasis is orthonormal, so max_k |f(lambda_k)| is the
-        # norm of each oracle matrix.
-        worst = op_deviations(closed, eig.calc_stack(fvals),
-                              np.abs(fvals).max(axis=1)).max()
+        oracle = eig.calc_stack(fvals)
+        worst = max_op_deviation(np.subtract(closed, oracle, out=oracle), f_norms)
+        # Free both stacks before the next closed form is built, or they
+        # add a stack to the peak memory of its build.
+        del closed, oracle
         records.append(ctx.record(name, worst, 10 * ctx.tol))
     return records
 

@@ -72,6 +72,41 @@ def op_deviations(a: np.ndarray, b: np.ndarray,
     return diff / (1.0 + b_norms)
 
 
+# Relative slack on the Frobenius bound: far above the rounding of the
+# bound's sum and of LAPACK's largest singular value (both O(n eps)).
+_BOUND_SLACK = 1e-9
+
+
+def max_op_deviation(diff: np.ndarray, b_norms: np.ndarray) -> float:
+    """max_k ||d_k|| / (1 + ||b_k||) for a nonempty (k, m, n) stack of
+    residuals d = a - b and the norms of the reference side b: bit for bit
+    op_deviations(a, b, b_norms).max(), with fewer SVDs.
+
+    Since ||d_k|| <= ||d_k||_F, a slice whose Frobenius bound is not above
+    the largest deviation found so far cannot be the maximum. The exact
+    norms are taken through spectral_norms one slice at a time, in
+    decreasing bound order, until that happens. Each slice's moduli are
+    divided by their largest one first, so no square under- or overflows;
+    a bound that is not finite (NaN or inf entries, a NaN or inf norm of b)
+    sends the whole stack to spectral_norms instead.
+    """
+    scale = 1.0 + b_norms
+    moduli = np.abs(diff)
+    peaks = moduli.max(axis=(-2, -1))
+    with np.errstate(invalid="ignore", over="ignore"):
+        moduli /= np.where(peaks > 0.0, peaks, 1.0)[:, None, None]
+        frobenius = peaks * np.sqrt(np.square(moduli, out=moduli).sum(axis=(-2, -1)))
+        bounds = frobenius * (1.0 + _BOUND_SLACK) / scale
+    if not np.isfinite(bounds).all():
+        return (spectral_norms(diff) / scale).max()
+    worst = -np.inf
+    for k in np.argsort(bounds)[::-1]:
+        if bounds[k] <= worst:
+            break
+        worst = max(worst, spectral_norms(diff[k]) / scale[k])
+    return worst
+
+
 @dataclass(frozen=True, eq=False)
 class EigenSystem:
     """Real spectrum and eigenbasis of a self-adjoint operator.

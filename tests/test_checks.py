@@ -32,6 +32,7 @@ from wcelab.cli import main
 from wcelab.generator import GeneratorConfig, gen_instance, rotation_config
 from wcelab.instance_io import InstanceBundle, parse_instance, serialize_instance
 from wcelab.measure import FiniteMeasureSpace, MeasurableFunction, Partition
+from wcelab.opalgebra import op_deviations
 from wcelab.condexp import Sandwich
 from wcelab.spectral import SpectralMeasureTable, _eigenvalue_groups, avg_mult_operator
 from wcelab.suite import run_suite
@@ -244,20 +245,31 @@ def test_norms_already_held_are_not_taken_again(monkeypatch):
     # ||T|| is read off T's one SVD, never taken as a norm of its own.
     assert len(t_norms) == 0 and len(svds) == 1
 
-    spectral_norms = []
+    sent = []
     kernel = opalgebra.spectral_norms
 
     def counting_norms(stack):
-        spectral_norms.append(stack.shape)
+        sent.extend(np.array(stack).reshape(-1, *stack.shape[-2:]))
         return kernel(stack)
 
     # Every spectral norm of the package goes through this one kernel.
     monkeypatch.setattr(opalgebra, "spectral_norms", counting_norms)
     fresh = CheckContext(bundle)
     assert all(r.status == "pass" for r in check_func_calc(fresh))
-    # Per product the stacked differences only: the oracle side's norms
-    # are its largest |f(lambda_k)|, read off the eigenvalues.
-    assert spectral_norms == [(6, 16, 16)] * 2
+    fns = [f for _, f in calculus_test_functions()]
+    oracles, residuals = [], []
+    for eig, closed_fn in ((fresh.svd.gram_eig(), closed_func_calc_gram),
+                           (fresh.svd.cogram_eig(), closed_func_calc_cogram)):
+        fvals = np.asarray([[f(v) for v in eig.values] for f in fns], dtype=complex)
+        oracle = eig.calc_stack(fvals)
+        oracles.extend(oracle)
+        residuals.extend(closed_fn(fresh.instance, fns) - oracle)
+    # The oracle side's norms are its largest |f(lambda_k)|, read off the
+    # eigenvalues: no oracle matrix reaches the kernel. Only the residual
+    # slices do, each at most once.
+    assert not any(np.array_equal(m, o) for m in sent for o in oracles)
+    hits = [sum(np.array_equal(m, r) for m in sent) for r in residuals]
+    assert sent and max(hits) <= 1 and sum(hits) == len(sent)
 
 
 def zero_operator_bundle():
@@ -278,9 +290,9 @@ def zero_operator_bundle():
     (check_func_calc, 1e-12),
 ])
 def test_held_norms_agree_with_svd_norms(monkeypatch, group, tol):
-    # Every reference norm a check passes to op_deviations instead of
-    # taking it (eigenvalues, the SVD, ranks read off traces) is the
-    # spectral norm of that reference matrix.
+    # Every reference norm a check passes to op_deviations or
+    # max_op_deviation instead of taking it (eigenvalues, the SVD, ranks
+    # read off traces) is the spectral norm of that reference matrix.
     held = []
     original = checks.op_deviations
 
@@ -289,7 +301,24 @@ def test_held_norms_agree_with_svd_norms(monkeypatch, group, tol):
             held.append((np.array(b), np.array(b_norms, dtype=float)))
         return original(a, b, b_norms)
 
+    # max_op_deviation gets the residuals, written over the oracle stack,
+    # so the oracle is caught as calc_stack returns it.
+    oracles = []
+    calc_stack = opalgebra.EigenSystem.calc_stack
+
+    def spy_calc(self, fvals):
+        oracles.append(calc_stack(self, fvals))
+        return oracles[-1].copy()
+
+    original_max = checks.max_op_deviation
+
+    def spy_max(diff, b_norms):
+        held.append((oracles[-1], np.array(b_norms, dtype=float)))
+        return original_max(diff, b_norms)
+
     monkeypatch.setattr(checks, "op_deviations", spy)
+    monkeypatch.setattr(checks, "max_op_deviation", spy_max)
+    monkeypatch.setattr(opalgebra.EigenSystem, "calc_stack", spy_calc)
     bundles = generated_bundles() + [zero_operator_bundle()]
     for bundle in bundles:
         group(CheckContext(bundle))
@@ -297,6 +326,38 @@ def test_held_norms_agree_with_svd_norms(monkeypatch, group, tol):
     for b, norms in held:
         svd = [norm(m) for m in b]
         np.testing.assert_allclose(norms, svd, rtol=tol, atol=tol)
+
+
+def test_func_calc_prunes_svds_on_the_dense_files(monkeypatch):
+    # The 15 n = 64 instances of the dense benchmark workload (seeds
+    # 100000..100014, 2..16 blocks, the modes cycling): residuals whose
+    # Frobenius bound cannot be the maximum take no SVD, so fewer than the
+    # 2 x 6 matrices per instance reach one, and every record is the one
+    # the maximum of op_deviations gives.
+    fns = [f for _, f in calculus_test_functions()]
+    matrices = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        matrices.append(int(np.prod(a.shape[:-2])))
+        return svd(a, *args, **kwargs)
+
+    for i in range(15):
+        ctx = CheckContext(gen_instance(GeneratorConfig(
+            seed=100_000 + i, n=64, block_count=2 + i % 15, **_MODES[i % 5])))
+        expected = []
+        for name, closed_fn, eig in (
+            ("func_calc_gram", closed_func_calc_gram, ctx.svd.gram_eig()),
+            ("func_calc_cogram", closed_func_calc_cogram, ctx.svd.cogram_eig()),
+        ):
+            fvals = np.asarray([[f(v) for v in eig.values] for f in fns], dtype=complex)
+            worst = op_deviations(closed_fn(ctx.instance, fns), eig.calc_stack(fvals),
+                                  np.abs(fvals).max(axis=1)).max()
+            expected.append(ctx.record(name, worst, 10 * ctx.tol))
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        assert check_func_calc(ctx) == expected
+        monkeypatch.setattr(np.linalg, "svd", svd)
+    assert sum(matrices) < 15 * 2 * len(fns)
 
 
 def two_sided_deviation(a, b):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from wcelab.condexp import cond_exp_values
 from wcelab.measure import FiniteMeasureSpace, Partition
-from wcelab.opalgebra import SvdOracle, op_deviations, spectral_norms
+from wcelab.opalgebra import SvdOracle, max_op_deviation, op_deviations, spectral_norms
 
 from conftest import (
     adjoint,
@@ -395,6 +395,91 @@ def test_spectral_norms_match_numpy_norm_bit_for_bit(seed, k, n, zero_share, rea
     np.testing.assert_array_equal(spectral_norms(stack), expected)
     for m, norm in zip(stack, expected):
         assert spectral_norms(m) == norm
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.sampled_from([1, 2, 8, 64]),
+       st.booleans(),
+       st.lists(st.sampled_from(["zero", "-zero", "nan", "inf", "tie", "huge", "tiny"]),
+                max_size=6))
+def test_max_op_deviation_is_op_deviations_max_bit_for_bit(seed, k, n, real, kinds):
+    # Random stacks with special slices mixed in: exact and -0.0 residuals,
+    # NaN and inf entries, tied slices, and slices scaled by 2^1000 or
+    # 2^-1000, whose squares over- or underflow. The pruned maximum is
+    # op_deviations(...).max(), bit for bit, or raises what it raises.
+    rng = np.random.default_rng(seed)
+    shape = (k, n, n)
+    a = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, (k, 1, 1))
+    b = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, (k, 1, 1))
+    if not real:
+        a = a + 1j * rng.normal(size=shape)
+        b = b + 1j * rng.normal(size=shape)
+    exponents = np.zeros(k, dtype=int)
+    for kind, s in zip(kinds, rng.integers(0, k, len(kinds))):
+        if kind == "zero":
+            a[s] = b[s]
+        elif kind == "-zero":
+            a[s], b[s] = (-0.0 if real else complex(-0.0, -0.0)), 0.0
+        elif kind in ("nan", "inf"):
+            a[s, rng.integers(n), rng.integers(n)] = np.nan if kind == "nan" else np.inf
+        elif kind == "tie":
+            t = rng.integers(k)
+            a[s], b[s], exponents[s] = a[t], b[t], exponents[t]
+        else:
+            exponents[s] = 1000 if kind == "huge" else -1000
+    scale = np.ldexp(1.0, exponents)[:, None, None]
+    a, b = a * scale, b * scale
+    b_norms = spectral_norms(b)
+    with np.errstate(invalid="ignore"):
+        diff = a - b
+    try:
+        with np.errstate(invalid="ignore"):
+            want = op_deviations(a, b, b_norms).max()
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError), np.errstate(invalid="ignore"):
+            max_op_deviation(diff, b_norms)
+        return
+    with np.errstate(invalid="ignore"):
+        got = max_op_deviation(diff, b_norms)
+    if np.isnan(want):
+        assert np.isnan(got)
+    else:
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_max_op_deviation_takes_exact_norms_of_the_candidates_only(monkeypatch):
+    # One dominant residual: its Frobenius bound is above the others', and
+    # its exact norm is above their bounds, so it alone reaches an SVD.
+    svd_inputs = []
+    svd = np.linalg.svd
+
+    def spying_svd(x, *args, **kwargs):
+        svd_inputs.append(x)
+        return svd(x, *args, **kwargs)
+
+    rng = np.random.default_rng(5)
+    diff = rng.normal(size=(6, 16, 16)) + 1j * rng.normal(size=(6, 16, 16))
+    diff[4] *= 1e3
+    b_norms = rng.uniform(0.0, 2.0, 6)
+    want = op_deviations(diff, np.zeros_like(diff), b_norms).max()
+    monkeypatch.setattr(np.linalg, "svd", spying_svd)
+    assert max_op_deviation(diff, b_norms) == want
+    assert len(svd_inputs) == 1 and np.array_equal(svd_inputs[0], diff[4])
+
+
+@pytest.mark.parametrize("n", [2, 8, 64])
+@pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+def test_max_op_deviation_finds_a_rank_one_maximum(n, dtype):
+    # A rank-one matrix has ||d|| = ||d||_F, so its bound is tight: a
+    # multiple of the identity just below it in norm, but with the larger
+    # bound, must not prune it.
+    rng = np.random.default_rng(n)
+    x, y = rng.normal(size=(2, n)).astype(dtype)
+    rank_one = np.outer(x, y)
+    top = np.linalg.norm(rank_one, 2)
+    diff = np.stack((np.eye(n, dtype=dtype) * (top * (1 - 1e-12)), rank_one))
+    b_norms = np.zeros(2)
+    assert max_op_deviation(diff, b_norms) == top == op_deviations(diff, 0 * diff, b_norms).max()
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 64])
