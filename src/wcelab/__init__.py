@@ -22,7 +22,7 @@ from .instance_io import (
     serialize_instance,
 )
 from .measure import FiniteMeasureSpace, MeasurableFunction, Partition
-from .opalgebra import EigenSystem, SvdOracle, op_deviations
+from .opalgebra import SvdOracle, op_deviations
 from .spectral import (
     PointMap,
     SpectralDecomp,
@@ -40,8 +40,7 @@ from .wce import (
     build_operator,
     closed_abs_sqrt,
     closed_aluthge,
-    closed_func_calc_cogram,
-    closed_func_calc_gram,
+    closed_func_calc,
     closed_polar,
     norm_formula,
     partial_isometry_criterion,

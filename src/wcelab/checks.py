@@ -48,8 +48,7 @@ from .wce import (
     build_operator,
     closed_abs_sqrt,
     closed_aluthge,
-    closed_func_calc_cogram,
-    closed_func_calc_gram,
+    closed_func_calc,
     closed_polar,
     norm_formula,
     partial_isometry_criterion,
@@ -173,8 +172,8 @@ class CheckContext:
     """Everything a check needs for one instance.
 
     The matrix of T, its one SVD (its norm, polar factors, half-power
-    root and both Gram eigensystems are read off it), T T*, the closed
-    polar pair and the matrix of its |T|, the matrix of E M_u and its
+    root, kernel and both Gram calculi are read off it), the closed polar
+    pair and the matrix of its |T|, the matrix of E M_u and its
     eigenvalues, the closed data of E M_u (the block spread of u and its
     eigenvalue groups), and the spectral measure table of the point map
     are each computed once, on first use, and shared by every check
@@ -186,14 +185,16 @@ class CheckContext:
 
     bundle: InstanceBundle
     tol: float = DEFAULT_TOL
-    digest: str = ""
-    doc: str = ""
 
-    def __post_init__(self) -> None:
-        if not self.doc:
-            self.doc = serialize_instance(self.bundle)
-        if not self.digest:
-            self.digest = instance_digest(self.doc)
+    @cached_property
+    def doc(self) -> str:
+        """The instance file, the one attached to failing records."""
+        return serialize_instance(self.bundle)
+
+    @cached_property
+    def digest(self) -> str:
+        """The digest of doc, which names the instance in every record."""
+        return instance_digest(self.doc)
 
     @property
     def instance(self) -> WceInstance:
@@ -219,17 +220,6 @@ class CheckContext:
     def svd(self) -> SvdOracle:
         """The one factorization of T every oracle quantity of T comes from."""
         return SvdOracle(self.t)
-
-    @property
-    def t_norm(self) -> float:
-        """The operator norm of T."""
-        return self.svd.norm
-
-    @cached_property
-    def cogram(self) -> np.ndarray:
-        """T T*. Entries that overflow fail its build, as they do T's."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return require_finite(self.t @ self.t.conj().T)
 
     @cached_property
     def polar(self) -> tuple[np.ndarray, np.ndarray]:
@@ -489,7 +479,7 @@ def check_condexp(ctx: CheckContext) -> list[CheckRecord]:
 def check_norm(ctx: CheckContext) -> list[CheckRecord]:
     # T first: a T that failed to build breaks this group with the same
     # error as every other group that needs it.
-    t_norm = ctx.t_norm
+    t_norm = ctx.svd.norm
     nf = norm_formula(ctx.instance)
     residual = abs(nf - t_norm) / (1.0 + nf)
     return [ctx.record("norm_formula", residual, ctx.tol)]
@@ -499,7 +489,7 @@ def check_vanishing(ctx: CheckContext) -> list[CheckRecord]:
     inst = ctx.instance
     rng = ctx.rng("vanishing")
     t = ctx.t
-    t_norm = ctx.t_norm
+    t_norm = ctx.svd.norm
     blocks = inst.partition.block_of
     in_kept = inst.kept[inst.partition.first_points]
     block_kept = np.flatnonzero(in_kept)
@@ -535,8 +525,8 @@ def check_partial_isometry(ctx: CheckContext) -> list[CheckRecord]:
     # The oracle side first: Gram products that overflow break the group
     # down there, as in every group that needs them, and so does T T* T.
     with np.errstate(over="ignore", invalid="ignore"):
-        ttt = require_finite(ctx.cogram @ t)
-    residual = float(spectral_norms(ttt - t)) / max(1.0, ctx.t_norm)
+        ttt = require_finite(require_finite(t @ t.conj().T) @ t)
+    residual = float(spectral_norms(ttt - t)) / max(1.0, ctx.svd.norm)
     is_pi = partial_isometry_criterion(inst, ctx.tol)
     # Equivalence: when the criterion says partial isometry the oracle
     # residual must vanish, otherwise it must not.
@@ -545,22 +535,22 @@ def check_partial_isometry(ctx: CheckContext) -> list[CheckRecord]:
 
 
 def check_func_calc(ctx: CheckContext) -> list[CheckRecord]:
-    inst = ctx.instance
     fns = tuple(f for _, f in calculus_test_functions())
-    gram, cogram = ctx.svd.gram_eig(), ctx.svd.cogram_eig()
-    # T* T and T T* share their eigenvalues, so one table of function
-    # values serves both. The eigenbasis is orthonormal, so max_k
-    # |f(lambda_k)| is the norm of each oracle matrix.
-    values = gram.values.tolist()
+    svd = ctx.svd
+    # T* T and T T* share their spectrum, so one table of function values
+    # serves both. Their eigenbases are orthonormal, so max_k |f(lambda_k)|
+    # is the norm of each oracle matrix.
+    values = svd.squares().tolist()
     fvals = np.asarray([[f(v) for v in values] for f in fns], dtype=complex)
     f_norms = np.abs(fvals).max(axis=1)
+    # Taken with next(), not zip(): zip holds the last stack while the
+    # generator builds the next one.
+    closed_stacks = closed_func_calc(ctx.instance, fns)
     records: list[CheckRecord] = []
-    for name, closed_fn, eig in (
-        ("func_calc_gram", closed_func_calc_gram, gram),
-        ("func_calc_cogram", closed_func_calc_cogram, cogram),
-    ):
-        closed = closed_fn(inst, fns)
-        oracle = eig.calc_stack(fvals)
+    for name, oracle_calc in (("func_calc_gram", svd.gram_calc),
+                              ("func_calc_cogram", svd.cogram_calc)):
+        closed = next(closed_stacks)
+        oracle = oracle_calc(fvals)
         worst = max_op_deviation(np.subtract(closed, oracle, out=oracle), f_norms)
         # Free both stacks before the next closed form is built, or they
         # add a stack to the peak memory of its build.
@@ -586,10 +576,11 @@ def check_polar(ctx: CheckContext) -> list[CheckRecord]:
     # pairs raised the peak memory of a dense n = 64 run by 0.4-0.7 MB.
     # The oracle norms: ||T|| = || |T| ||, and the SVD partial isometry
     # has norm 1 unless T = 0.
+    t_norm = ctx.svd.norm
     abs_res, iso_res, fact_res = op_deviations(
         np.stack((abs_mat, u_mat, (u_closed @ abs_closed).matrices())),
         np.stack((abs_ref, u_ref, t)),
-        np.array([ctx.t_norm, float(ctx.t_norm > 0.0), ctx.t_norm]))
+        np.array([t_norm, float(t_norm > 0.0), t_norm]))
     proj_res = float(spectral_norms((uu @ uu).matrices() - uu.matrices()))
     return [
         ctx.record("polar_abs", abs_res, ctx.tol),
@@ -617,7 +608,7 @@ def check_aluthge(ctx: CheckContext) -> list[CheckRecord]:
     closed_res, root_res = op_deviations(
         np.stack((closed.matrices(), (v @ v).matrices())),
         np.stack((oracle, ctx.abs_closed)),
-        np.array([float(spectral_norms(core)), ctx.t_norm]))
+        np.array([float(spectral_norms(core)), ctx.svd.norm]))
     return [
         ctx.record("aluthge_closed", closed_res, ctx.tol),
         ctx.record("aluthge_root", root_res, ctx.tol),

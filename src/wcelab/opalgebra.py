@@ -15,8 +15,6 @@ nothing about conditional-expectation structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Relative singular-value cutoff: the one cut for every rank, support and
@@ -107,72 +105,54 @@ def max_op_deviation(diff: np.ndarray, b_norms: np.ndarray) -> float:
     return worst
 
 
-@dataclass(frozen=True, eq=False)
-class EigenSystem:
-    """Real spectrum and eigenbasis of a self-adjoint operator.
-
-    values are ascending; basis holds the orthonormal eigenvectors as
-    columns. Every function of the operator is built from this one
-    factorization by calc_stack.
-    """
-
-    values: np.ndarray
-    basis: np.ndarray
-
-    def calc_stack(self, fvals: np.ndarray) -> np.ndarray:
-        """Matrices of sum_k f(lambda_k) v_k <v_k, .>, one per row of the
-        (m, n) array of function values at the eigenvalues; shape (m, n, n)."""
-        return (self.basis * fvals[:, None, :]) @ self.basis.conj().T
-
-
 class SvdOracle:
     """Every oracle quantity of a square operator a, read off one SVD
     a = L diag(sigma) R*; the one factorization path of the oracles.
 
     Singular values at or below RANK_TOL * sigma_max count as kernel (all
     of them for the zero operator); keep marks the others. a* a and a a*
-    are never formed: their eigensystems are sigma^2 (0 on the kernel) on
-    the columns of R and of L.
+    are never formed: every function of them, the polar factor, its root
+    and the kernel projection among them, is one calculus on the columns
+    of R or of L (gram_calc, cogram_calc).
     """
 
     def __init__(self, a: np.ndarray) -> None:
         self.left, self.sigma, self.right_h = np.linalg.svd(a)
         self.norm = float(self.sigma[0]) if self.sigma.size else 0.0
         self.keep = self.sigma > RANK_TOL * self.norm
+        # A kernel singular value is rounding noise of order eps ||a||: no
+        # function of a may read it.
+        self._cut = np.where(self.keep, self.sigma, 0.0)
 
     def polar(self) -> tuple[np.ndarray, np.ndarray]:
         """Polar factors (U, P) of a = U P: P = (a* a)^(1/2), and U the
         partial isometry with ker U = ker P = ker a."""
         u = self.left[:, self.keep] @ self.right_h[self.keep, :]
-        return u, self._right_calc(self.sigma)
+        return u, self.gram_calc(self._cut)
 
     def root(self) -> np.ndarray:
         """P^(1/2) = (a* a)^(1/4), the half power of the positive factor."""
-        return self._right_calc(np.sqrt(self.sigma))
+        return self.gram_calc(np.sqrt(self._cut))
 
     def kernel(self) -> np.ndarray:
-        """Orthogonal projection onto ker a: the zero operator maps to the
-        identity."""
-        v0 = self.right_h[~self.keep, :].conj().T
-        return v0 @ v0.conj().T
+        """Orthogonal projection onto ker a, the indicator of the cut: the
+        zero operator maps to the identity."""
+        return self.gram_calc((~self.keep).astype(float))
 
-    def gram_eig(self) -> EigenSystem:
-        """Eigensystem of a* a: sigma^2 ascending on the columns of R."""
-        return EigenSystem(self._squares(), self.right_h[::-1].conj().T)
-
-    def cogram_eig(self) -> EigenSystem:
-        """Eigensystem of a a*: sigma^2 ascending on the columns of L."""
-        return EigenSystem(self._squares(), self.left[:, ::-1])
-
-    def _squares(self) -> np.ndarray:
-        """sigma^2 cut to zero on the kernel, ascending: a kernel singular
-        value is rounding noise of order eps ||a||, and its square must not
-        move f(0). A finite a whose Gram product overflows has no
-        eigensystem an oracle can certify: ValueError, as for an a with
+    def squares(self) -> np.ndarray:
+        """The spectrum sigma^2 of a* a and of a a*, in SVD order, cut to
+        zero on the kernel. A finite a whose Gram product overflows has no
+        spectrum an oracle can certify: ValueError, as for an a with
         entries that overflow."""
         with np.errstate(over="ignore"):
-            return require_finite(np.where(self.keep, self.sigma, 0.0)[::-1] ** 2)
+            return require_finite(self._cut ** 2)
 
-    def _right_calc(self, fvals: np.ndarray) -> np.ndarray:
-        """R diag(f) R*, f cut to zero on the kernel."""
-        return (self.right_h.conj().T * np.where(self.keep, fvals, 0.0)) @ self.right_h
+    def gram_calc(self, values: np.ndarray) -> np.ndarray:
+        """R diag(values) R*: f(a* a) for values = f(squares()). A vector
+        of values gives one matrix, an (m, n) stack of them m matrices."""
+        return (self.right_h.conj().T * values[..., None, :]) @ self.right_h
+
+    def cogram_calc(self, values: np.ndarray) -> np.ndarray:
+        """L diag(values) L*: f(a a*) for values = f(squares()), shaped as
+        for gram_calc."""
+        return (self.left * values[..., None, :]) @ self.left.conj().T

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -97,7 +97,7 @@ def norm_formula(inst: WceInstance) -> float:
     return float(inst.sigma.max())
 
 
-def partial_isometry_criterion(inst: WceInstance, tol: float = 1e-8) -> bool:
+def partial_isometry_criterion(inst: WceInstance, tol: float) -> bool:
     """Whether E(|w|^2) E(|u|^2) = sigma^2 is an indicator function, which
     happens exactly when the operator is a partial isometry.
 
@@ -112,43 +112,32 @@ def partial_isometry_criterion(inst: WceInstance, tol: float = 1e-8) -> bool:
     return dev <= tol * max(1.0, float(sigma.max(initial=0.0)))
 
 
-def _func_calc(inst: WceInstance, fns: Sequence[Callable[[float], complex]],
-               r: np.ndarray) -> np.ndarray:
-    """f(X) = f(0) I + M_{(f o sigma^2 - f(0)) conj(r)} E M_r for X =
-    M_{sigma^2 conj(r)} E M_r, r a unit symbol (so M_conj(r) E M_r is the
-    projection onto X's range), for every f in fns as one (m, n, n) stack.
+def closed_func_calc(
+    inst: WceInstance, fns: Sequence[Callable[[float], complex]]
+) -> Iterator[np.ndarray]:
+    """f(T* T), then f(T T*), in closed form, each as one (m, n, n) stack
+    over fns: f(X) = f(0) I + M_{(f o sigma^2 - f(0)) conj(r)} E M_r, with
+    r = u_hat for X = T* T and r = conj(w_hat) for X = T T*.
 
-    sigma is blockwise constant, so each f is evaluated once per block, on
-    the block's first point. A sigma^2 or f(sigma^2) beyond the float range
-    raises ValueError, without a numpy warning, in Sandwich.matrices().
+    Each f is evaluated at 0 and once per block (sigma is blockwise
+    constant), for both products. A sigma^2 or f(sigma^2) beyond the float
+    range raises ValueError, without a numpy warning, in Sandwich.matrices().
     """
     partition = inst.partition
     f0 = np.asarray([complex(f(0.0)) for f in fns])
     # Python floats: a square beyond the float range is inf, without a warning.
     p = [s * s for s in inst.sigma[partition.first_points].tolist()]
     fp = np.asarray([[f(v) for v in p] for f in fns], dtype=complex)[:, partition.block_of]
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = (fp - f0[:, None]) * np.conj(r)
-    stack = Sandwich(partition, d, r).matrices()
     diag = np.arange(inst.space.n)
-    stack[:, diag, diag] += f0[:, None]
-    return stack
-
-
-def closed_func_calc_gram(
-    inst: WceInstance, fns: Sequence[Callable[[float], complex]]
-) -> np.ndarray:
-    """f(T* T) in closed form for each f in fns, as an (m, n, n) stack;
-    _func_calc with r = u_hat."""
-    return _func_calc(inst, fns, inst.units[0])
-
-
-def closed_func_calc_cogram(
-    inst: WceInstance, fns: Sequence[Callable[[float], complex]]
-) -> np.ndarray:
-    """g(T T*) in closed form for each g in fns, as an (m, n, n) stack;
-    _func_calc with r = conj(w_hat)."""
-    return _func_calc(inst, fns, np.conj(inst.units[1]))
+    for r in (inst.units[0], np.conj(inst.units[1])):
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = (fp - f0[:, None]) * np.conj(r)
+        stack = Sandwich(partition, d, r).matrices()
+        stack[:, diag, diag] += f0[:, None]
+        yield stack
+        # Drop this frame's reference: a stack the caller has let go of is
+        # freed before the next one is built.
+        del stack
 
 
 def _on_gram_range(inst: WceInstance, coef: np.ndarray) -> Sandwich:

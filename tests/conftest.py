@@ -8,14 +8,14 @@ import pytest
 from wcelab.errors import NotNormalError
 from wcelab.generator import GeneratorConfig, gen_instance
 from wcelab.measure import MeasurableFunction, Partition
-from wcelab.opalgebra import EigenSystem, op_deviations, spectral_norms
+from wcelab.opalgebra import op_deviations, spectral_norms
 from wcelab.spectral import (
     _eigenvalue_groups,
     avg_mult_spectrum,
     block_spread,
     spectral_decomposition,
 )
-from wcelab.wce import WceInstance
+from wcelab.wce import WceInstance, closed_func_calc
 
 
 def finest_partition(space):
@@ -99,14 +99,6 @@ def deviation(a, b):
     return float(op_deviations(a[None], b[None])[0])
 
 
-def eig_calc(a, f):
-    """f(a) for a self-adjoint operator matrix and a scalar function: a
-    fresh np.linalg.eigh, then the oracle's EigenSystem.calc_stack."""
-    es = EigenSystem(*np.linalg.eigh(a))
-    fvals = np.array([[f(float(v)) for v in es.values]], dtype=complex)
-    return es.calc_stack(fvals)[0]
-
-
 def psd_calc(a, f, snap=1e-10):
     """f(a) for a positive operator matrix and a scalar function from a
     fresh np.linalg.eigh, eigenvalues at or below snap * ||a|| taken as
@@ -145,10 +137,10 @@ def declared_normal(u, partition, tol=1e-8):
     return True
 
 
-def closed_calc(closed_fn, inst, f):
-    """One function's closed calculus: the only slice of the stack
-    closed_fn builds for the tuple (f,)."""
-    return closed_fn(inst, (f,))[0]
+def closed_calc(inst, f):
+    """One function's closed calculus, (f(T* T), f(T T*)): the only slice
+    of each stack closed_func_calc builds for the tuple (f,)."""
+    return tuple(stack[0] for stack in closed_func_calc(inst, (f,)))
 
 
 def pinned_record_names(workload):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from wcelab.checks import (
+    DEFAULT_TOL,
     CheckContext,
     calculus_test_functions,
     check_spectral_decomp,
@@ -31,8 +32,6 @@ from wcelab.wce import (
     build_operator,
     closed_abs_sqrt,
     closed_aluthge,
-    closed_func_calc_cogram,
-    closed_func_calc_gram,
     closed_polar,
     norm_formula,
     partial_isometry_criterion,
@@ -120,13 +119,10 @@ def test_criterion_4_functional_calculus(family200):
     for inst in family200:
         t = build_operator(inst)
         t_adj = adjoint(t)
-        for product, closed_fn in (
-            (t_adj @ t, closed_func_calc_gram),
-            (t @ t_adj, closed_func_calc_cogram),
-        ):
-            for name, f in calculus_test_functions():
-                dev = deviation(closed_calc(closed_fn, inst, f),
-                                psd_calc(product, f))
+        products = (t_adj @ t, t @ t_adj)
+        for name, f in calculus_test_functions():
+            for closed, product in zip(closed_calc(inst, f), products):
+                dev = deviation(closed, psd_calc(product, f))
                 assert dev <= 1e-7, name
                 worst = max(worst, dev)
     print(f"\nACCEPTANCE 4 functional calculus: PASS (worst {worst:.2e})")
@@ -141,7 +137,7 @@ def test_criterion_5_partial_isometry():
                               block_count=1 + seed % (2 + seed % 23),
                               partial_isometry=True)
         inst = gen_instance(cfg).instance
-        assert partial_isometry_criterion(inst)
+        assert partial_isometry_criterion(inst, DEFAULT_TOL)
         p = inst.sigma ** 2
         np.testing.assert_allclose(p, inst.kept.astype(float), rtol=0, atol=1e-12)
         t = build_operator(inst)
@@ -161,7 +157,7 @@ def test_criterion_5_partial_isometry():
         if float(np.minimum(np.abs(p), np.abs(p - 1.0)).max()) <= 1e-3:
             continue
         found += 1
-        assert not partial_isometry_criterion(inst)
+        assert not partial_isometry_criterion(inst, DEFAULT_TOL)
         t = build_operator(inst)
         residual = norm(t @ adjoint(t) @ t - t)
         assert residual > 1e-4 * max(1.0, norm(t))

@@ -36,12 +36,7 @@ from wcelab.opalgebra import op_deviations
 from wcelab.condexp import Sandwich
 from wcelab.spectral import SpectralMeasureTable, _eigenvalue_groups, avg_mult_operator
 from wcelab.suite import run_suite
-from wcelab.wce import (
-    WceInstance,
-    build_operator,
-    closed_func_calc_cogram,
-    closed_func_calc_gram,
-)
+from wcelab.wce import WceInstance, build_operator, closed_func_calc
 
 from conftest import closed_calc, coarsest_partition, constant, norm, random_blockwise
 
@@ -73,17 +68,13 @@ def reference_func_calc(inst):
     three SVD norms for each test function."""
     t = build_operator(inst)
     t_adj = t.conj().T
-    out = {}
-    for name, closed_fn, product in (
-        ("func_calc_gram", closed_func_calc_gram, t_adj @ t),
-        ("func_calc_cogram", closed_func_calc_cogram, t @ t_adj),
-    ):
-        worst = 0.0
-        for _, f in calculus_test_functions():
-            a, b = closed_calc(closed_fn, inst, f), eigen_sum(product, f)
+    products = {"func_calc_gram": t_adj @ t, "func_calc_cogram": t @ t_adj}
+    out = dict.fromkeys(products, 0.0)
+    for _, f in calculus_test_functions():
+        for name, a in zip(products, closed_calc(inst, f)):
+            b = eigen_sum(products[name], f)
             dev = norm(a - b) / (1.0 + max(norm(a), norm(b)))
-            worst = max(worst, dev)
-        out[name] = worst
+            out[name] = max(out[name], dev)
     return out
 
 
@@ -115,8 +106,8 @@ def test_one_factorization_per_operator(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     for group in (check_func_calc, check_polar, check_aluthge):
         assert all(r.status == "pass" for r in group(ctx))
-    # T's norm, polar factors, half-power root and both Gram eigensystems
-    # come from one SVD of T; no Gram product is factored.
+    # T's norm, polar factors, half-power root, kernel and both Gram
+    # calculi come from one SVD of T; no Gram product is factored.
     assert sum(a is t for a in full_svds) == 1
     assert eighs == []
     # The other full SVDs are the kernels of closed U and closed |T|.
@@ -258,14 +249,14 @@ def test_norms_already_held_are_not_taken_again(monkeypatch):
     assert all(r.status == "pass" for r in check_func_calc(fresh))
     fns = [f for _, f in calculus_test_functions()]
     oracles, residuals = [], []
-    for eig, closed_fn in ((fresh.svd.gram_eig(), closed_func_calc_gram),
-                           (fresh.svd.cogram_eig(), closed_func_calc_cogram)):
-        fvals = np.asarray([[f(v) for v in eig.values] for f in fns], dtype=complex)
-        oracle = eig.calc_stack(fvals)
+    fvals = np.asarray([[f(v) for v in fresh.svd.squares().tolist()] for f in fns], dtype=complex)
+    for closed, calc in zip(closed_func_calc(fresh.instance, fns),
+                            (fresh.svd.gram_calc, fresh.svd.cogram_calc)):
+        oracle = calc(fvals)
         oracles.extend(oracle)
-        residuals.extend(closed_fn(fresh.instance, fns) - oracle)
-    # The oracle side's norms are its largest |f(lambda_k)|, read off the
-    # eigenvalues: no oracle matrix reaches the kernel. Only the residual
+        residuals.extend(closed - oracle)
+    # The oracle side's norms are its largest |f(sigma_k^2)|, read off the
+    # singular values: no oracle matrix reaches the kernel. Only the residual
     # slices do, each at most once.
     assert not any(np.array_equal(m, o) for m in sent for o in oracles)
     hits = [sum(np.array_equal(m, r) for m in sent) for r in residuals]
@@ -284,14 +275,14 @@ def zero_operator_bundle():
     (check_polar, 1e-13),
     (check_aluthge, 1e-13),
     (check_spectral_decomp, 1e-13),
-    # max |f(lambda_k)| is the norm of the operator the eigenbasis stands
-    # for; the assembled matrix carries eigh's loss of orthogonality
-    # (3.0e-13 relative for f = 1 at n = 57).
+    # max |f(sigma_k^2)| is the norm of the operator the singular basis
+    # stands for; the assembled matrix carries the SVD's loss of
+    # orthogonality.
     (check_func_calc, 1e-12),
 ])
 def test_held_norms_agree_with_svd_norms(monkeypatch, group, tol):
     # Every reference norm a check passes to op_deviations or
-    # max_op_deviation instead of taking it (eigenvalues, the SVD, ranks
+    # max_op_deviation instead of taking it (the singular values, ranks
     # read off traces) is the spectral norm of that reference matrix.
     held = []
     original = checks.op_deviations
@@ -302,13 +293,14 @@ def test_held_norms_agree_with_svd_norms(monkeypatch, group, tol):
         return original(a, b, b_norms)
 
     # max_op_deviation gets the residuals, written over the oracle stack,
-    # so the oracle is caught as calc_stack returns it.
+    # so the oracle is caught as the last Gram calculus returns it.
     oracles = []
-    calc_stack = opalgebra.EigenSystem.calc_stack
 
-    def spy_calc(self, fvals):
-        oracles.append(calc_stack(self, fvals))
-        return oracles[-1].copy()
+    def spy_on(calc):
+        def spy_calc(self, values):
+            oracles.append(calc(self, values))
+            return oracles[-1].copy()
+        return spy_calc
 
     original_max = checks.max_op_deviation
 
@@ -318,7 +310,9 @@ def test_held_norms_agree_with_svd_norms(monkeypatch, group, tol):
 
     monkeypatch.setattr(checks, "op_deviations", spy)
     monkeypatch.setattr(checks, "max_op_deviation", spy_max)
-    monkeypatch.setattr(opalgebra.EigenSystem, "calc_stack", spy_calc)
+    for name in ("gram_calc", "cogram_calc"):
+        monkeypatch.setattr(opalgebra.SvdOracle, name,
+                            spy_on(getattr(opalgebra.SvdOracle, name)))
     bundles = generated_bundles() + [zero_operator_bundle()]
     for bundle in bundles:
         group(CheckContext(bundle))
@@ -346,13 +340,12 @@ def test_func_calc_prunes_svds_on_the_dense_files(monkeypatch):
         ctx = CheckContext(gen_instance(GeneratorConfig(
             seed=100_000 + i, n=64, block_count=2 + i % 15, **_MODES[i % 5])))
         expected = []
-        for name, closed_fn, eig in (
-            ("func_calc_gram", closed_func_calc_gram, ctx.svd.gram_eig()),
-            ("func_calc_cogram", closed_func_calc_cogram, ctx.svd.cogram_eig()),
+        fvals = np.asarray([[f(v) for v in ctx.svd.squares().tolist()] for f in fns], dtype=complex)
+        for name, closed, calc in zip(
+            ("func_calc_gram", "func_calc_cogram"), closed_func_calc(ctx.instance, fns),
+            (ctx.svd.gram_calc, ctx.svd.cogram_calc),
         ):
-            fvals = np.asarray([[f(v) for v in eig.values] for f in fns], dtype=complex)
-            worst = op_deviations(closed_fn(ctx.instance, fns), eig.calc_stack(fvals),
-                                  np.abs(fvals).max(axis=1)).max()
+            worst = op_deviations(closed, calc(fvals), np.abs(fvals).max(axis=1)).max()
             expected.append(ctx.record(name, worst, 10 * ctx.tol))
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         assert check_func_calc(ctx) == expected
@@ -494,17 +487,17 @@ def test_one_measure_table_per_instance(monkeypatch):
 
 
 def test_func_calc_catches_one_perturbed_function(monkeypatch):
-    original = checks.closed_func_calc_gram
+    original = checks.closed_func_calc
 
     def perturbed(inst, fns):
-        out = original(inst, fns)
-        # Only the slice of the constant function 1 is perturbed.
+        gram, cogram = original(inst, fns)
+        # Only the f(T* T) slice of the constant function 1 is perturbed.
         for k, f in enumerate(fns):
             if f(0.0) == f(3.0) == 1.0:
-                out[k] *= 1.0 + 1e-6
-        return out
+                gram[k] *= 1.0 + 1e-6
+        yield from (gram, cogram)
 
-    monkeypatch.setattr(checks, "closed_func_calc_gram", perturbed)
+    monkeypatch.setattr(checks, "closed_func_calc", perturbed)
     bundle = gen_instance(GeneratorConfig(seed=12, n=10, block_count=3))
     status = {r.name: r.status for r in check_func_calc(CheckContext(bundle))}
     assert status == {"func_calc_gram": "fail", "func_calc_cogram": "pass"}

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wcelab.checks import DEFAULT_TOL
 from wcelab.errors import ConfigInvalidError
 from wcelab.generator import GeneratorConfig, gen_instance, rotation_config
 from wcelab.instance_io import instance_digest, serialize_instance
@@ -96,7 +97,7 @@ class TestModes:
         for seed in range(10):
             inst = gen_instance(GeneratorConfig(
                 seed=seed, n=8, block_count=3, partial_isometry=True)).instance
-            assert partial_isometry_criterion(inst)
+            assert partial_isometry_criterion(inst, DEFAULT_TOL)
             np.testing.assert_array_equal(inst.kept, inst.sigma > 0.5)
             t = build_operator(inst)
             residual = norm(t @ adjoint(t) @ t - t)

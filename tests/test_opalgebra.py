@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wcelab.checks import calculus_test_functions
 from wcelab.condexp import cond_exp_values
 from wcelab.measure import FiniteMeasureSpace, Partition
 from wcelab.opalgebra import SvdOracle, max_op_deviation, op_deviations, spectral_norms
@@ -13,11 +15,11 @@ from conftest import (
     adjoint,
     coarsest_partition,
     deviation,
-    eig_calc,
     inner,
     l2_norm,
     norm,
     point_matrix,
+    psd_calc,
     psd_root,
     random_complex,
 )
@@ -28,9 +30,18 @@ def random_operator(rng, space):
     return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
 
 
-def random_self_adjoint(rng, space):
-    a = random_operator(rng, space)
-    return 0.5 * (a + adjoint(a))
+def eig_calc(a, f):
+    """f(a) for a self-adjoint operator matrix and a scalar function, from
+    a fresh np.linalg.eigh: a reference independent of the SVD oracle."""
+    values, basis = np.linalg.eigh(a)
+    return (basis * np.array([f(float(v)) for v in values])) @ basis.conj().T
+
+
+def gram_calcs(b, f):
+    """(f(b* b), f(b b*)) from the SVD oracle of b."""
+    oracle = SvdOracle(b)
+    values = np.array([f(v) for v in oracle.squares().tolist()], dtype=complex)
+    return oracle.gram_calc(values), oracle.cogram_calc(values)
 
 
 def power_iteration_norm(space, a, iters=2000, seed=3):
@@ -145,11 +156,11 @@ class TestOperatorNorm:
 
 
 class TestHermitianEig:
-    """The eigensystems of a* a and a a* read off the SVD of a."""
+    """The spectrum of a* a and a a* (squares()) on the columns of R and
+    of L, read off the SVD of a."""
 
     def test_identity_spectrum(self, space):
-        es = SvdOracle(np.eye(space.n)).gram_eig()
-        np.testing.assert_allclose(es.values, np.ones(space.n))
+        np.testing.assert_allclose(SvdOracle(np.eye(space.n)).squares(), np.ones(space.n))
 
     def test_projection_spectrum_counts(self):
         # The averaging projection onto k blocks is its own Gram product:
@@ -158,31 +169,31 @@ class TestHermitianEig:
         sp = FiniteMeasureSpace([1.0, 2.0, 0.5, 3.0, 1.5])
         p = Partition(sp, [[0, 1], [2, 4], [3]])
         e = p.cond_exp_matrix
-        for es in (SvdOracle(e).gram_eig(), SvdOracle(e).cogram_eig()):
-            ones = np.sum(np.abs(es.values - 1) < 1e-10)
-            zeros = np.sum(np.abs(es.values) < 1e-10)
-            assert ones == 3 and zeros == 2
+        values = SvdOracle(e).squares()
+        assert np.sum(np.abs(values - 1) < 1e-10) == 3
+        assert np.sum(values == 0.0) == 2
         assert np.trace(e).real == pytest.approx(3.0)
 
     def test_diagonal(self):
-        es = SvdOracle(np.diag([5.0, 2.0])).gram_eig()
-        np.testing.assert_allclose(es.values, [4.0, 25.0])
+        np.testing.assert_allclose(SvdOracle(np.diag([2.0, 5.0])).squares(), [25.0, 4.0])
 
     @pytest.mark.parametrize("n", [4, 48])
     def test_residual_and_orthonormality(self, n, rng):
         sp = FiniteMeasureSpace(rng.uniform(0.1, 10.0, n))
         b = random_operator(rng, sp)
-        for a, es in ((adjoint(b) @ b, SvdOracle(b).gram_eig()),
-                      (b @ adjoint(b), SvdOracle(b).cogram_eig())):
-            assert np.all(np.diff(es.values) >= 0.0)
+        oracle = SvdOracle(b)
+        values = oracle.squares()
+        assert np.all(np.diff(values) <= 0.0)
+        for a, basis in ((adjoint(b) @ b, adjoint(oracle.right_h)),
+                         (b @ adjoint(b), oracle.left)):
             # Eigenvectors as columns, orthonormal in the weighted inner
             # product.
-            vectors = es.basis / sp.sqrt_weights[:, None]
+            vectors = basis / sp.sqrt_weights[:, None]
             norm_a = norm(a)
             a_pt = point_matrix(sp, a)
             for k in range(n):
                 v = vectors[:, k]
-                residual = l2_norm(sp, a_pt @ v - es.values[k] * v)
+                residual = l2_norm(sp, a_pt @ v - values[k] * v)
                 assert residual <= 1e-11 * norm_a
             gram = np.array([
                 [inner(sp, vectors[:, i], vectors[:, j]) for j in range(n)]
@@ -192,12 +203,11 @@ class TestHermitianEig:
 
     def test_overflowing_gram_product_is_an_error(self):
         # a is finite, but sigma^2, the spectrum of a* a, is not.
-        a = np.diag([1e160, 1.0])
+        oracle = SvdOracle(np.diag([1e160, 1.0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for eig in (SvdOracle(a).gram_eig, SvdOracle(a).cogram_eig):
-                with pytest.raises(ValueError, match="operator entries must be finite"):
-                    eig()
+            with pytest.raises(ValueError, match="operator entries must be finite"):
+                oracle.squares()
 
 
 class TestPositiveSqrt:
@@ -268,25 +278,64 @@ class TestPolarOracle:
 
 
 class TestFuncCalcOracle:
+    """gram_calc and cogram_calc: f(b* b) and f(b b*) from the SVD of b."""
+
     def test_identity_function(self, space, rng):
-        a = random_self_adjoint(rng, space)
-        assert deviation(eig_calc(a, lambda t: t), a) < 1e-13
+        b = random_operator(rng, space)
+        gram, cogram = gram_calcs(b, lambda t: t)
+        assert deviation(gram, adjoint(b) @ b) < 1e-13
+        assert deviation(cogram, b @ adjoint(b)) < 1e-13
 
     def test_constant_one(self, space, rng):
-        a = random_self_adjoint(rng, space)
-        out = eig_calc(a, lambda t: 1.0)
-        np.testing.assert_allclose(out, np.eye(space.n), atol=1e-12)
+        for out in gram_calcs(random_operator(rng, space), lambda t: 1.0):
+            np.testing.assert_allclose(out, np.eye(space.n), atol=1e-12)
 
     def test_square_on_diagonal(self):
-        sp = FiniteMeasureSpace([1.0, 2.0])
         m = np.diag([2.0, 5.0])
-        out = eig_calc(m, lambda t: t * t)
-        np.testing.assert_allclose(out, np.diag([4.0, 25.0]), atol=1e-12)
-        assert deviation(out, m @ m) < 1e-14
+        for out in gram_calcs(m, lambda t: t * t):
+            np.testing.assert_allclose(out, np.diag([16.0, 625.0]), atol=1e-12)
+            assert deviation(out, np.linalg.matrix_power(m, 4)) < 1e-14
 
     def test_multiplicative_on_polynomials(self, space, rng):
-        a = random_self_adjoint(rng, space)
-        assert deviation(eig_calc(a, lambda t: t * t), a @ a) < 1e-12
+        b = random_operator(rng, space)
+        products = (adjoint(b) @ b, b @ adjoint(b))
+        for out, a in zip(gram_calcs(b, lambda t: t * t), products):
+            assert deviation(out, a @ a) < 1e-12
+
+    def test_against_eigh_reference(self, space, rng):
+        b = random_operator(rng, space)
+        products = (adjoint(b) @ b, b @ adjoint(b))
+        for f in (math.sqrt, lambda t: math.exp(-t)):
+            for out, a in zip(gram_calcs(b, f), products):
+                assert deviation(out, eig_calc(a, f)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 64])
+def test_gram_calculi_of_a_stack(n):
+    # a of rank n // 2 (0 at n = 1): a stack of values on sigma gives,
+    # slice for slice, the calculus of each row, which is an eigh
+    # reference of a* a or a a* and f(0) on the kernel.
+    rng = np.random.default_rng(n)
+    rank = n // 2
+    left, right = (rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+                   for _ in range(2))
+    a = left @ adjoint(right)
+    oracle = SvdOracle(a)
+    fns = [f for _, f in calculus_test_functions()]
+    values = oracle.squares().tolist()
+    fvals = np.array([[f(v) for v in values] for f in fns], dtype=complex)
+    kernel_ind = (~oracle.keep).astype(float)
+    for calc, product in ((oracle.gram_calc, adjoint(a) @ a),
+                          (oracle.cogram_calc, a @ adjoint(a))):
+        stack = calc(fvals)
+        assert stack.shape == (len(fns), n, n)
+        kernel = calc(kernel_ind)
+        assert round(np.trace(kernel).real) == n - rank
+        for k, f in enumerate(fns):
+            assert np.array_equal(stack[k], calc(fvals[k]))
+            assert deviation(stack[k], psd_calc(product, f)) < 1e-10
+            f_norm = float(np.abs(fvals[k]).max())
+            assert norm(stack[k] @ kernel - f(0.0) * kernel) < 1e-12 * (1.0 + f_norm)
 
 
 class TestKernelProjection:
@@ -328,12 +377,12 @@ def test_svd_oracle_against_references(seed, n, data, real):
     assert oracle.norm == pytest.approx(scale, rel=1e-12, abs=0.0)
     assert int(oracle.keep.sum()) == rank
 
-    for product, es in ((adjoint(a) @ a, oracle.gram_eig()),
-                        (a @ adjoint(a), oracle.cogram_eig())):
+    values = oracle.squares()
+    for product, calc in ((adjoint(a) @ a, oracle.gram_calc),
+                          (a @ adjoint(a), oracle.cogram_calc)):
         ref = np.linalg.eigh(product)[0]
-        np.testing.assert_allclose(es.values, ref, rtol=0.0, atol=1e-12 * scale ** 2)
-        rebuilt = es.calc_stack(es.values[None].astype(complex))[0]
-        assert norm(rebuilt - product) <= 1e-12 * scale ** 2
+        np.testing.assert_allclose(np.sort(values), ref, rtol=0.0, atol=1e-12 * scale ** 2)
+        assert norm(calc(values) - product) <= 1e-12 * scale ** 2
 
     u, p = oracle.polar()
     assert norm(u @ p - a) <= 1e-12 * scale

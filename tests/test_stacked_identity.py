@@ -16,7 +16,7 @@ from wcelab.condexp import Sandwich
 from wcelab.generator import GeneratorConfig, gen_instance, rotation_config
 from wcelab.instance_io import InstanceBundle, instance_digest, serialize_instance
 from wcelab.measure import FiniteMeasureSpace, MeasurableFunction, Partition
-from wcelab.wce import WceInstance, closed_func_calc_cogram, closed_func_calc_gram
+from wcelab.wce import WceInstance, closed_func_calc
 
 from conftest import generated_partitions, random_blockwise, random_complex
 from test_checks import HARD_BUNDLES
@@ -208,7 +208,8 @@ def test_first_points_are_the_first_index_of_each_block():
 
 
 def per_point_func_calc(inst, fns, r):
-    """_func_calc with every test function evaluated at every point."""
+    """One product of closed_func_calc with every test function evaluated
+    at every point."""
     f0 = np.asarray([complex(f(0.0)) for f in fns])
     fp = np.asarray([[f(s * s) for s in inst.sigma.tolist()] for f in fns], dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -224,9 +225,9 @@ def test_func_calc_per_block_equals_per_point():
     bundles = rotation_bundles() + [make() for make in HARD_BUNDLES.values()]
     for bundle in bundles:
         inst = bundle.instance
-        assert np.array_equal(closed_func_calc_gram(inst, fns),
-                              per_point_func_calc(inst, fns, inst.units[0]))
-        assert np.array_equal(closed_func_calc_cogram(inst, fns),
+        gram, cogram = closed_func_calc(inst, fns)
+        assert np.array_equal(gram, per_point_func_calc(inst, fns, inst.units[0]))
+        assert np.array_equal(cogram,
                               per_point_func_calc(inst, fns, np.conj(inst.units[1])))
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wcelab.checks import calculus_test_functions
+from wcelab.checks import DEFAULT_TOL, calculus_test_functions
 from wcelab.condexp import Sandwich
 from wcelab.generator import GeneratorConfig, gen_instance
 from wcelab.measure import FiniteMeasureSpace, MeasurableFunction, Partition
@@ -13,8 +13,7 @@ from wcelab.wce import (
     build_operator,
     closed_abs_sqrt,
     closed_aluthge,
-    closed_func_calc_cogram,
-    closed_func_calc_gram,
+    closed_func_calc,
     closed_polar,
     norm_formula,
     partial_isometry_criterion,
@@ -139,7 +138,7 @@ class TestNormFormula:
 class TestPartialIsometry:
     def test_projection_case(self):
         inst = ones_instance([1.0, 2.0, 0.5])
-        assert partial_isometry_criterion(inst)
+        assert partial_isometry_criterion(inst, DEFAULT_TOL)
         assert inst.kept.tolist() == [True] * 3
 
     def test_exact_unit_product(self):
@@ -147,7 +146,7 @@ class TestPartialIsometry:
         sp = FiniteMeasureSpace([1.0, 3.0])
         f = MeasurableFunction(sp, [2, 0])
         inst = WceInstance(coarsest_partition(sp), f, f)
-        assert partial_isometry_criterion(inst)
+        assert partial_isometry_criterion(inst, DEFAULT_TOL)
         assert inst.kept.tolist() == [True, True]
         t = build_operator(inst)
         residual = norm(t @ adjoint(t) @ t - t)
@@ -159,7 +158,7 @@ class TestPartialIsometry:
         inst = WceInstance(coarsest_partition(sp), two, two)
         # The product is 16 on the kept blocks, nowhere near 1.
         assert inst.kept.tolist() == [True] * 3
-        assert not partial_isometry_criterion(inst)
+        assert not partial_isometry_criterion(inst, DEFAULT_TOL)
         t = build_operator(inst)
         assert norm(t @ adjoint(t) @ t - t) > 1e-2
 
@@ -169,19 +168,19 @@ class TestClosedFuncCalc:
         inst = random_instance(21)
         t = build_operator(inst)
         gram = adjoint(t) @ t
-        assert deviation(closed_calc(closed_func_calc_gram, inst, lambda t_: t_),
+        assert deviation(closed_calc(inst, lambda t_: t_)[0],
                          gram) < 1e-12
 
     def test_constant_one_gives_identity(self, rng):
         inst = random_instance(22)
-        out = closed_calc(closed_func_calc_gram, inst, lambda t_: 1.0)
+        out = closed_calc(inst, lambda t_: 1.0)[0]
         np.testing.assert_allclose(out, np.eye(inst.space.n), atol=1e-13)
 
     def test_square_matches_power_formula_and_matrix(self):
         inst = random_instance(23)
         t = build_operator(inst)
         gram = adjoint(t) @ t
-        closed = closed_calc(closed_func_calc_gram, inst, lambda t_: t_ * t_)
+        closed = closed_calc(inst, lambda t_: t_ * t_)[0]
         assert deviation(closed, gram @ gram) < 1e-12
         # Power formula: conj(u) E(|w|^2)^2 E(|u|^2) E(u .)
         e = inst.partition.cond_exp_matrix
@@ -194,9 +193,9 @@ class TestClosedFuncCalc:
         inst = random_instance(24)
         t = build_operator(inst)
         cogram = t @ adjoint(t)
-        assert deviation(closed_calc(closed_func_calc_cogram, inst, lambda t_: t_),
+        assert deviation(closed_calc(inst, lambda t_: t_)[1],
                          cogram) < 1e-12
-        closed = closed_calc(closed_func_calc_cogram, inst, lambda t_: t_**3)
+        closed = closed_calc(inst, lambda t_: t_**3)[1]
         assert deviation(closed, cogram @ cogram @ cogram) < 1e-11
 
     @pytest.mark.parametrize("seed", [31, 32, 33])
@@ -205,12 +204,9 @@ class TestClosedFuncCalc:
         t = build_operator(inst)
         gram = adjoint(t) @ t
         cogram = t @ adjoint(t)
-        for product, closed_fn in (
-            (gram, closed_func_calc_gram),
-            (cogram, closed_func_calc_cogram),
-        ):
-            for name, f in calculus_test_functions():
-                dev = deviation(closed_calc(closed_fn, inst, f), psd_calc(product, f))
+        for name, f in calculus_test_functions():
+            for closed, product in zip(closed_calc(inst, f), (gram, cogram)):
+                dev = deviation(closed, psd_calc(product, f))
                 assert dev < 1e-7, (name, dev)
 
 
@@ -249,11 +245,8 @@ def test_stacked_calculus_matches_per_function_reference():
         for _ in range(3):
             inst = zeroed_block_instance(rng, n)
             fns = tuple(f for _, f in calculus_test_functions())
-            for closed_fn, r in (
-                (closed_func_calc_gram, inst.units[0]),
-                (closed_func_calc_cogram, np.conj(inst.units[1])),
-            ):
-                stack = closed_fn(inst, fns)
+            stacks = closed_func_calc(inst, fns)
+            for stack, r in zip(stacks, (inst.units[0], np.conj(inst.units[1]))):
                 assert stack.shape == (len(fns), n, n)
                 for k, f in enumerate(fns):
                     reference = per_function_calc(inst, f, r)
@@ -265,12 +258,34 @@ def test_stacked_calculus_matches_per_function_reference():
                         assert np.array_equal(stack[k], reference)
 
 
+def test_closed_calculus_evaluates_each_function_once_per_block():
+    # f(T* T) and f(T T*) share one table: f(0) once and f(sigma_B^2) once
+    # per block, 1 + K calls for K blocks.
+    inst = random_instance(25, n=64, block_count=3)
+    calls = []
+
+    def counting(t_):
+        calls.append(t_)
+        return t_
+
+    assert len(list(closed_func_calc(inst, (counting,)))) == 2
+    assert len(calls) == 1 + inst.partition.block_count == 4
+
+
 def test_stacked_calculus_rejects_non_finite_entries():
     inst = random_instance(21)
     fns = (lambda t_: 1.0, lambda t_: math.nan if t_ > 0.0 else 0.0)
-    for closed_fn in (closed_func_calc_gram, closed_func_calc_cogram):
-        with pytest.raises(ValueError, match="operator entries must be finite"):
-            closed_fn(inst, fns)
+    with pytest.raises(ValueError, match="operator entries must be finite"):
+        next(closed_func_calc(inst, fns))
+    # u_hat = 1 and w_hat = 1000 at the light point: f(T* T) holds f(1) =
+    # 1e306, and f(T T*) overflows there.
+    sp = FiniteMeasureSpace([1.0, 1e6])
+    lopsided = WceInstance(coarsest_partition(sp), constant(sp, 1.0),
+                           MeasurableFunction(sp, [1.0, 0.0]))
+    stacks = closed_func_calc(lopsided, (lambda t_: 1e306 if t_ > 0.0 else 0.0,))
+    assert np.isfinite(next(stacks)).all()
+    with pytest.raises(ValueError, match="operator entries must be finite"):
+        next(stacks)
 
 
 # |v|^2 and its block mean overflow, and so does the root mean square: the
@@ -304,8 +319,7 @@ def test_closed_forms_raise_on_an_overflowing_aggregate_before_using_it():
     w = MeasurableFunction(sp, RMS_OVERFLOW)
     fns = tuple(f for _, f in calculus_test_functions())
     for closed in (closed_polar, closed_abs_sqrt, closed_aluthge, norm_formula,
-                   lambda inst: closed_func_calc_gram(inst, fns),
-                   lambda inst: closed_func_calc_cogram(inst, fns)):
+                   lambda inst: next(closed_func_calc(inst, fns))):
         with np.errstate(all="raise"):
             with pytest.raises(ValueError, match=r"E\(\|w\|\^2\) is not finite"):
                 closed(WceInstance(part, u, w))
