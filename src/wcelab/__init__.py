@@ -24,15 +24,11 @@ from .instance_io import (
 from .measure import FiniteMeasureSpace, MeasurableFunction, Partition
 from .opalgebra import SvdOracle, op_deviations
 from .spectral import (
+    AvgMult,
     PointMap,
     SpectralDecomp,
-    SpectralMeasureTable,
-    avg_mult_operator,
-    avg_mult_spectrum,
-    block_spread,
     check_spectral_axioms,
     pushforward_density,
-    spectral_decomposition,
 )
 from .suite import VerificationReport, run_suite
 from .wce import (

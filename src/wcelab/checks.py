@@ -33,16 +33,7 @@ from .opalgebra import (
     require_finite,
     spectral_norms,
 )
-from .spectral import (
-    SpectralMeasureTable,
-    _eigenvalue_groups,
-    avg_mult_operator,
-    avg_mult_spectrum,
-    block_spread,
-    check_spectral_axioms,
-    pushforward_density,
-    spectral_decomposition,
-)
+from .spectral import AvgMult, check_spectral_axioms, pushforward_density
 from .wce import (
     WceInstance,
     build_operator,
@@ -173,13 +164,13 @@ class CheckContext:
 
     The matrix of T, its one SVD (its norm, polar factors, half-power
     root, kernel and both Gram calculi are read off it), the closed polar
-    pair and the matrix of its |T|, the matrix of E M_u and its
-    eigenvalues, the closed data of E M_u (the block spread of u and its
-    eigenvalue groups), and the spectral measure table of the point map
-    are each computed once, on first use, and shared by every check
-    group. Every matrix is in the orthonormal basis of the weighted space
-    (see Partition.cond_exp_matrix), so the adjoint is the conjugate
-    transpose.
+    pair and the matrix of its |T|, E M_u (an AvgMult, which caches its
+    matrix, the block spread of u and the eigenvalue groups) and the
+    eigenvalues of that matrix are each computed once, on first use, and
+    shared by every check group. The point map caches its own fiber
+    partition and fiber average. Every matrix is in the orthonormal basis
+    of the weighted space (see Partition.cond_exp_matrix), so the adjoint
+    is the conjugate transpose.
     The oracles still see only these dense matrices, never the partition.
     """
 
@@ -237,38 +228,21 @@ class CheckContext:
         return self.polar_closed[1].matrices()
 
     @cached_property
-    def avg_mult(self) -> np.ndarray:
-        """The matrix of E M_u, f -> E(u f)."""
-        return avg_mult_operator(self.instance.u, self.instance.partition)
+    def avg_mult(self) -> AvgMult:
+        """E M_u, f -> E(u f), at the run's tolerance: its matrix, block
+        spread and eigenvalue groups serve normality, spectrum and
+        spectral_decomp."""
+        return AvgMult(self.instance.u, self.instance.partition, self.tol)
 
     @cached_property
     def avg_mult_eigvals(self) -> np.ndarray:
         """The numerical eigenvalues of E M_u. LAPACK returns NaN, without
         an error, for a matrix whose norm leaves the float range; such
         eigenvalues raise ValueError."""
-        eigvals = np.linalg.eigvals(self.avg_mult)
+        eigvals = np.linalg.eigvals(self.avg_mult.matrix)
         if not np.isfinite(eigvals).all():
             raise ValueError("eigenvalues of E M_u are not finite")
         return eigvals
-
-    @cached_property
-    def avg_mult_spread(self) -> np.ndarray:
-        """block_spread of u: per block, sqrt(E|u - E u|^2) and
-        sqrt(E|u|^2), read by normality and spectral_decomp."""
-        return block_spread(self.instance.u, self.instance.partition)
-
-    @cached_property
-    def avg_mult_groups(self) -> tuple[list[complex], np.ndarray]:
-        """The eigenvalue groups of E M_u at tol (_eigenvalue_groups),
-        read by spectrum and spectral_decomp."""
-        return _eigenvalue_groups(self.instance.u, self.instance.partition, self.tol)
-
-    @cached_property
-    def measure_table(self) -> SpectralMeasureTable:
-        """The spectral measure of the point map (fiber partition and fiber
-        average), shared by both frames of measure_axioms and by
-        reconstruction."""
-        return SpectralMeasureTable(self.bundle.point_map)
 
     def record(
         self, name: str, residual: float, tol: float, bound: str = "upper"
@@ -645,7 +619,7 @@ def _eigvals_match_residual(expected: Sequence[complex],
 
 
 def check_normality(ctx: CheckContext) -> list[CheckRecord]:
-    m = ctx.avg_mult
+    m = ctx.avg_mult.matrix
     m_adj = m.conj().T
     # Entries that overflow fail the build of the products; numpy's
     # overflow warning would only repeat that error. So does a scale
@@ -654,7 +628,7 @@ def check_normality(ctx: CheckContext) -> list[CheckRecord]:
     with np.errstate(over="ignore", invalid="ignore"):
         commutator = require_finite(m @ m_adj - m_adj @ m)
         # The closed norm is 0 exactly when u is blockwise constant.
-        closed = float(np.prod(ctx.avg_mult_spread, axis=0).max())
+        closed = float(np.prod(ctx.avg_mult.spread, axis=0).max())
         comm_norm, m_norm = spectral_norms(np.stack((commutator, m)))
         scale = 1.0 + m_norm ** 2
     if not np.isfinite(scale):
@@ -663,21 +637,19 @@ def check_normality(ctx: CheckContext) -> list[CheckRecord]:
 
 
 def check_spectrum(ctx: CheckContext) -> list[CheckRecord]:
-    expected = avg_mult_spectrum(ctx.avg_mult_groups, ctx.instance.partition)
+    expected = ctx.avg_mult.spectrum()
     residual = _eigvals_match_residual(expected, ctx.avg_mult_eigvals)
     return [ctx.record("spectrum", residual, ctx.tol)]
 
 
 def check_spectral_decomp(ctx: CheckContext) -> list[CheckRecord]:
-    inst = ctx.instance
     try:
-        decomp = spectral_decomposition(inst.u, inst.partition, ctx.tol,
-                                        ctx.avg_mult_spread, lambda: ctx.avg_mult_groups)
+        decomp = ctx.avg_mult.decomposition()
     except NotNormalError:
         return [ctx.skip(name, "u is not blockwise constant, E M_u is not normal")
                 for name in RECORDS["spectral_decomp"]]
-    m = ctx.avg_mult
-    n = inst.space.n
+    m = ctx.avg_mult.matrix
+    n = ctx.instance.space.n
     p = decomp.stack
 
     # ||P|| is taken once and is the reference norm of both projection
@@ -711,7 +683,7 @@ def check_measure_axioms(ctx: CheckContext) -> list[CheckRecord]:
     if phi is None:
         return [ctx.skip(name, "no point map on this instance")
                 for name in RECORDS["measure_axioms"]]
-    axioms = check_spectral_axioms(ctx.measure_table, seed=ctx.seed("axioms"))
+    axioms = check_spectral_axioms(phi, seed=ctx.seed("axioms"))
     h = pushforward_density(phi)
     total = phi.space.total_mass
     mass_res = abs(float(np.sum(h.values.real * phi.space.weights)) - total) / total
@@ -724,14 +696,13 @@ def check_reconstruction(ctx: CheckContext) -> list[CheckRecord]:
     if phi is None:
         return [ctx.skip("sm_reconstruction", "no point map on this instance")]
     rng = ctx.rng("reconstruction")
-    table = ctx.measure_table
     # Three seeded symbols, constant on the fibers by construction, drawn
     # as one (3, K, 2) block for the K fibers.
-    fibers = table.partition
+    fibers = phi.partition
     symbols = _random_phases(rng, (3, fibers.block_count), 0.0, 4.0)[:, fibers.block_of]
     # f -> E_phi(u f), one matrix per symbol.
-    direct = table.partition.cond_exp_matrix[None] * symbols[:, None, :]
-    worst = op_deviations(table.reconstruct(symbols), direct).max()
+    direct = Sandwich(fibers, np.ones(phi.space.n), symbols).matrices()
+    worst = op_deviations(phi.reconstruct(symbols), direct).max()
     return [ctx.record("sm_reconstruction", worst, AXIOM_TOL)]
 
 

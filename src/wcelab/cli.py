@@ -2,7 +2,9 @@
 seeded acceptance suite.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
-parse error, or an input or output file that cannot be read or written.
+parse error, or an input or output that cannot be read or written: a file,
+or standard output closed before the text report was printed, in which
+case the JSON report is still written in full.
 
 While a command runs, numpy's bundled OpenBLAS is held at one thread:
 every matrix here is 64 x 64 or smaller, and on those a second BLAS thread
@@ -119,18 +121,21 @@ def _write(path: Path, text: str) -> bool:
 
 
 def _certify(bundles, groups, tol: float, report_path: Path | None) -> int:
-    """Run the checks, print the text report and write the JSON report.
+    """Run the checks, write the JSON report and print the text report.
 
     The report path is written, empty, before the run, so a path that
-    cannot be written exits 2 before any check runs or prints.
+    cannot be written exits 2 before any check runs or prints. The JSON
+    report is written before the text is printed, so a closed standard
+    output does not lose it.
     """
     if report_path is not None and not _write(report_path, ""):
         return 2
     start = time.perf_counter()
     report = run_suite(bundles, groups, tol)
-    print(report.render_text(time.perf_counter() - start))
+    text = report.render_text(time.perf_counter() - start)
     if report_path is not None and not _write(report_path, report.to_json()):
         return 2
+    print(text)
     return 0 if report.all_passed else 1
 
 
@@ -233,7 +238,18 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {"gen": _cmd_gen, "verify": _cmd_verify, "suite": _cmd_suite}
     with _one_blas_thread():
-        return handlers[args.command](args)
+        try:
+            code = handlers[args.command](args)
+            # Flushed here, so that a closed standard output raises inside
+            # this block and not at interpreter exit.
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # Python flushes standard output again at exit: point it at
+            # devnull so that flush does not raise too.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -49,11 +49,17 @@ class Sandwich:
             return Sandwich(self.partition, self.left * middle, other.right)
 
     def matrices(self) -> np.ndarray:
-        """left[..., i] E[i, j] right[j] with E's orthonormal-basis matrix
-        (diagonal multipliers commute with the frame change): the one place
-        a closed form becomes a matrix, one (n, n) matrix, or a (m, n, n)
-        stack of them when left is a (m, n) stack of symbols. Entries that
-        overflow raise ValueError, without a numpy warning."""
+        """left[..., i] E[i, j] right[..., j] with E's orthonormal-basis
+        matrix (diagonal multipliers commute with the frame change): one
+        (n, n) matrix, or a (m, n, n) stack of them when left or right is a
+        (m, n) stack of symbols. Entries that overflow raise ValueError,
+        without a numpy warning.
+
+        This is the one place a symbol multiplies E's matrix: T, E M_u and
+        its spectral projections, the reconstruction's E_phi M_u and every
+        closed form become matrices here. Only the spectral measure's 0/1
+        column masks (PointMap.values) multiply it by hand."""
         with np.errstate(over="ignore", invalid="ignore"):
-            m = self.left[..., :, None] * self.partition.cond_exp_matrix * self.right
+            m = (self.left[..., :, None] * self.partition.cond_exp_matrix
+                 * self.right[..., None, :])
         return require_finite(m)

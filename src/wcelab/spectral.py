@@ -7,12 +7,13 @@ u followed by block averaging. It is normal exactly when u is blockwise
 constant, its spectrum is the set of block means of u, with 0 unless the
 operator is invertible (every point its own block, no block mean within
 tol of 0), and in the normal case it diagonalizes over projections of the form
-"indicator of a level set of u, then average".
+"indicator of a level set of u, then average". AvgMult holds the operator
+and the closed data these are read off, each built once.
 
-A point map phi on the space induces the fiber partition (preimages of
-single points), the pushforward density, and the projection-valued set
-function S -> E_phi M_{indicator of preimage(S)}, where E_phi averages
-over fibers. The axioms of a spectral measure are checked both on the
+A point map phi on the space (PointMap) induces the fiber partition
+(preimages of single points), the pushforward density, and the
+projection-valued set function S -> E_phi M_{indicator of preimage(S)},
+where E_phi averages over fibers. The axioms of a spectral measure are checked both on the
 ambient space and compressed to the subspace of fiber-measurable
 functions, because the identity axiom can only hold on the latter when
 phi is not injective.
@@ -26,6 +27,7 @@ from typing import Callable
 
 import numpy as np
 
+from .condexp import Sandwich
 from .errors import NotNormalError
 from .measure import FiniteMeasureSpace, MeasurableFunction, Partition
 from .opalgebra import spectral_norms
@@ -41,6 +43,10 @@ class PointMap:
     Every point has positive mass, so the pushforward measure is
     automatically absolutely continuous; no nonsingularity check is
     needed.
+
+    It induces the projection-valued set function S -> E_phi
+    M_{chi_preimage(S)} on sets of target points, E_phi the fiber average,
+    which values() evaluates on a stack of sets at once.
     """
 
     space: FiniteMeasureSpace
@@ -62,6 +68,37 @@ class PointMap:
             buckets.setdefault(s, []).append(i)
         return tuple((s, tuple(buckets[s])) for s in sorted(buckets))
 
+    @cached_property
+    def partition(self) -> Partition:
+        """The fiber partition, the nonempty fibers as blocks in target
+        order; its cached matrix is the fiber average E_phi."""
+        return Partition(self.space, [fiber for _, fiber in self.fibers])
+
+    @cached_property
+    def image_index(self) -> np.ndarray:
+        """images as an index array: sets[:, image_index] gathers sets of
+        target points onto the points mapped into them."""
+        return np.asarray(self.images, dtype=np.intp)
+
+    def values(self, sets: np.ndarray) -> np.ndarray:
+        """Stacked real matrices of measure(S), one per row of a (k, n)
+        boolean array of target-point sets: E_phi with the columns of the
+        points mapped into S kept, so the singleton values have disjoint
+        column supports and sum to E_phi."""
+        return self.partition.cond_exp_matrix[None] * sets[:, self.image_index][:, None, :]
+
+    def reconstruct(self, symbols: np.ndarray) -> np.ndarray:
+        """Stacked matrices of sum_s v(s) measure({s}), one per row of a
+        (k, n) array of fiber-measurable symbols u, where v o phi = u (v is
+        zero on points with empty fiber); each must equal the matrix of
+        f -> E_phi(u f)."""
+        targets = np.array([s for s, _ in self.fibers])
+        coeffs = symbols[:, self.partition.first_points]
+        singletons = self.values(targets[:, None] == np.arange(self.space.n)[None, :])
+        # einsum without optimize sums in its own loop; a BLAS contraction of
+        # the flattened stack would wake the BLAS worker threads.
+        return np.einsum("ks,sij->kij", coeffs, singletons)
+
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomp:
@@ -77,133 +114,133 @@ class SpectralDecomp:
     stack: np.ndarray
 
 
-def avg_mult_operator(u: MeasurableFunction, partition: Partition) -> np.ndarray:
-    """Matrix of f -> E(u f)."""
-    return partition.cond_exp_matrix * u.values[None, :]
-
-
-def block_spread(u: MeasurableFunction, partition: Partition) -> np.ndarray:
-    """Per block, sqrt(E|u - E u|^2) and sqrt(E|u|^2), as the two rows of
-    a (2, block count) array.
-
-    On block B, E M_u is the rank-one q_B b_B* with |q_B| = 1 and
-    b_B = conj(u) q_B, so the second row is ||E M_u|| on B, the first is
-    ||E M_u - E M_{E u}|| on B, and their product is the norm of the
-    commutator [E M_u, (E M_u)*] on B: it is 0 exactly when u is constant
-    on B. The second row is Partition.block_rms; the first is taken on u
-    over its block's RMS, which has RMS 1, and scaled back, so no square or
-    block integral overflows. An RMS beyond the float range leaves no
-    spread to measure, so it raises ValueError.
-    """
-    rms = partition.block_rms(u.values)
-    if not np.isfinite(rms).all():
-        raise ValueError("E(|u|^2) is not finite")
-    v = u.values / np.where(rms > 0.0, rms, 1.0)[partition.block_of]
-    step = v - partition.block_means(v)[partition.block_of]
-    return np.stack((rms * np.sqrt(partition.block_means(np.abs(step) ** 2)), rms))
-
-
-def _eigenvalue_groups(
-    u: MeasurableFunction, partition: Partition, tol: float
-) -> tuple[list[complex], np.ndarray]:
-    """Group the block means of u into the distinct eigenvalues of E M_u.
-
-    Representatives are 0 followed by block means in block order; a
-    mean joins the first representative within tol * (1 + max |block
-    mean|) and otherwise becomes a new representative.
-    Returns the representatives (0 first) and the group index of every
-    block. A block mean that is not finite (a block integral beyond the
-    float range) would join no group, so it raises ValueError.
-    """
-    means = partition.block_means(u.values)
-    if not np.all(np.isfinite(means)):
-        raise ValueError("a block mean of u is not finite")
-    radius = tol * (1.0 + float(np.abs(means).max(initial=0.0)))
-    reps = [0j]
-    group = np.where(np.abs(means) <= radius, 0, -1)
-    while (free := np.flatnonzero(group < 0)).size:
-        rep = means[free[0]]
-        # Means of opposite sign near the float limit overflow the
-        # distance to inf, which joins no group.
-        with np.errstate(over="ignore"):
-            group[free[np.abs(means[free] - rep) <= radius]] = len(reps)
-        reps.append(complex(rep))
-    return reps, group
-
-
-def _has_kernel(group: np.ndarray, partition: Partition) -> bool:
-    """Whether 0 is an eigenvalue of f -> E(u f), from the group of every
-    block: it is, unless every point is its own block and no block mean
-    falls in the zero group."""
-    return np.count_nonzero(group) < partition.space.n
-
-
 def _by_value(z: complex) -> tuple[float, float]:
     return (z.real, z.imag)
 
 
-def avg_mult_spectrum(
-    groups: tuple[list[complex], np.ndarray], partition: Partition
-) -> tuple[complex, ...]:
-    """Spectrum of f -> E(u f) from the eigenvalue groups of u
-    (_eigenvalue_groups): the block means of u, and 0 unless the operator
-    is invertible, that is unless every point is its own block and no
-    block mean is in the zero group (see _has_kernel).
+@dataclass(frozen=True, eq=False)
+class AvgMult:
+    """E M_u, the operator f -> E(u f), with its matrix, the block spread
+    of u and the eigenvalue groups of its block means at tol cached on
+    first use.
 
-    Each eigenvalue is the first block mean (or 0) of its group, the
-    representative spectral_decomposition gives it too.
+    Each is built once, whichever of has_kernel, spectrum() and
+    decomposition() reads it first; decomposition() reads the spread, and
+    the groups only once the spread has passed, so a symbol whose block
+    mean is not finite but that is plainly not blockwise constant is never
+    grouped.
     """
-    reps, group = groups
-    if not _has_kernel(group, partition):
-        reps = reps[1:]
-    return tuple(sorted(reps, key=_by_value))
 
+    u: MeasurableFunction
+    partition: Partition
+    tol: float
 
-def spectral_decomposition(
-    u: MeasurableFunction,
-    partition: Partition,
-    tol: float,
-    spread: np.ndarray,
-    groups: Callable[[], tuple[list[complex], np.ndarray]],
-) -> SpectralDecomp:
-    """Diagonalize the normal operator f -> E(u f) over its level sets.
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The matrix of f -> E(u f), the sandwich M_1 E M_u."""
+        return Sandwich(self.partition, np.ones(self.partition.space.n),
+                        self.u.values).matrices()
 
-    spread is block_spread(u, partition); groups returns
-    _eigenvalue_groups(u, partition, tol), and is called only once the
-    spread has passed, so a symbol whose block mean is not finite but
-    that is plainly not blockwise constant is never grouped.
+    @cached_property
+    def spread(self) -> np.ndarray:
+        """Per block, sqrt(E|u - E u|^2) and sqrt(E|u|^2), as the two rows
+        of a (2, block count) array.
 
-    For each distinct nonzero value lambda of u the projection is
-    "restrict to the blocks where u = lambda, then average"; the kernel
-    projection (eigenvalue 0) is the complement of all of them and is
-    included only when it is nonzero (see _has_kernel).
+        On block B, E M_u is the rank-one q_B b_B* with |q_B| = 1 and
+        b_B = conj(u) q_B, so the second row is ||E M_u|| on B, the first is
+        ||E M_u - E M_{E u}|| on B, and their product is the norm of the
+        commutator [E M_u, (E M_u)*] on B: it is 0 exactly when u is
+        constant on B. The second row is Partition.block_rms; the first is
+        taken on u over its block's RMS, which has RMS 1, and scaled back,
+        so no square or block integral overflows. An RMS beyond the float
+        range leaves no spread to measure, so it raises ValueError.
+        """
+        p = self.partition
+        rms = p.block_rms(self.u.values)
+        if not np.isfinite(rms).all():
+            raise ValueError("E(|u|^2) is not finite")
+        v = self.u.values / np.where(rms > 0.0, rms, 1.0)[p.block_of]
+        step = v - p.block_means(v)[p.block_of]
+        return np.stack((rms * np.sqrt(p.block_means(np.abs(step) ** 2)), rms))
 
-    On block B the decomposition misses E M_u by sqrt(E|u - E u|^2 +
-    |E u - lambda_B|^2), lambda_B its eigenvalue; u counts as blockwise
-    constant when the largest of these is <= tol (1 + ||E M_u||), the
-    scale on which the reconstruction is compared, and NotNormalError is
-    raised otherwise.
-    """
-    step, rms = spread
-    limit = tol * (1.0 + rms.max())
-    # The spread alone bounds the miss from below.
-    if step.max() > limit:
-        raise NotNormalError("symbol must be blockwise constant")
-    reps, group = groups()
-    offset = np.abs(partition.block_means(u.values) - np.array(reps)[group])
-    if np.hypot(step, offset).max() > limit:
-        raise NotNormalError("symbol must be blockwise constant")
-    order = sorted(range(1, len(reps)), key=lambda g: _by_value(reps[g]))
-    eigenvalues = [reps[g] for g in order]
-    # The rows of each projection are those of E on its level set; the
-    # level sets are disjoint, so the sum of the stack is exact.
-    rows = group[partition.block_of][None, :] == np.array(order, dtype=int)[:, None]
-    stack = rows[:, :, None] * partition.cond_exp_matrix[None]
-    if _has_kernel(group, partition):
-        kernel = np.eye(partition.space.n) - stack.sum(axis=0)
-        eigenvalues.append(0j)
-        stack = np.concatenate((stack, kernel[None]))
-    return SpectralDecomp(tuple(eigenvalues), stack)
+    @cached_property
+    def groups(self) -> tuple[list[complex], np.ndarray]:
+        """The block means of u grouped into the distinct eigenvalues.
+
+        Representatives are 0 followed by block means in block order; a
+        mean joins the first representative within tol * (1 + max |block
+        mean|) and otherwise becomes a new representative.
+        Returns the representatives (0 first) and the group index of every
+        block. A block mean that is not finite (a block integral beyond the
+        float range) would join no group, so it raises ValueError.
+        """
+        means = self.partition.block_means(self.u.values)
+        if not np.all(np.isfinite(means)):
+            raise ValueError("a block mean of u is not finite")
+        radius = self.tol * (1.0 + float(np.abs(means).max(initial=0.0)))
+        reps = [0j]
+        group = np.where(np.abs(means) <= radius, 0, -1)
+        while (free := np.flatnonzero(group < 0)).size:
+            rep = means[free[0]]
+            # Means of opposite sign near the float limit overflow the
+            # distance to inf, which joins no group.
+            with np.errstate(over="ignore"):
+                group[free[np.abs(means[free] - rep) <= radius]] = len(reps)
+            reps.append(complex(rep))
+        return reps, group
+
+    @property
+    def has_kernel(self) -> bool:
+        """Whether 0 is an eigenvalue: it is, unless every point is its own
+        block and no block mean falls in the zero group. The one rule for
+        the eigenvalue 0 of the spectrum and of the decomposition."""
+        return np.count_nonzero(self.groups[1]) < self.partition.space.n
+
+    def spectrum(self) -> tuple[complex, ...]:
+        """The block means of u, and 0 when has_kernel, sorted by value.
+
+        Each eigenvalue is the first block mean (or 0) of its group, the
+        representative decomposition() gives it too.
+        """
+        reps, _ = self.groups
+        if not self.has_kernel:
+            reps = reps[1:]
+        return tuple(sorted(reps, key=_by_value))
+
+    def decomposition(self) -> SpectralDecomp:
+        """Diagonalize the normal operator over its level sets.
+
+        For each distinct nonzero value lambda of u the projection is
+        "restrict to the blocks where u = lambda, then average",
+        E M_{chi_lambda}; the kernel projection (eigenvalue 0) is the
+        complement of all of them and is included only when has_kernel.
+
+        On block B the decomposition misses E M_u by sqrt(E|u - E u|^2 +
+        |E u - lambda_B|^2), lambda_B its eigenvalue; u counts as blockwise
+        constant when the largest of these is <= tol (1 + ||E M_u||), the
+        scale on which the reconstruction is compared, and NotNormalError is
+        raised otherwise.
+        """
+        p = self.partition
+        step, rms = self.spread
+        limit = self.tol * (1.0 + rms.max())
+        # The spread alone bounds the miss from below.
+        if step.max() > limit:
+            raise NotNormalError("symbol must be blockwise constant")
+        reps, group = self.groups
+        offset = np.abs(p.block_means(self.u.values) - np.array(reps)[group])
+        if np.hypot(step, offset).max() > limit:
+            raise NotNormalError("symbol must be blockwise constant")
+        order = sorted(range(1, len(reps)), key=lambda g: _by_value(reps[g]))
+        eigenvalues = [reps[g] for g in order]
+        # The level sets are disjoint, so the sum of the stack is exact.
+        levels = group[p.block_of][None, :] == np.array(order, dtype=int)[:, None]
+        stack = Sandwich(p, np.ones(p.space.n), levels).matrices()
+        if self.has_kernel:
+            kernel = np.eye(p.space.n) - stack.sum(axis=0)
+            eigenvalues.append(0j)
+            stack = np.concatenate((stack, kernel[None]))
+        return SpectralDecomp(tuple(eigenvalues), stack)
 
 
 def pushforward_density(phi: PointMap) -> MeasurableFunction:
@@ -211,46 +248,6 @@ def pushforward_density(phi: PointMap) -> MeasurableFunction:
     w = phi.space.weights
     h = np.bincount(phi.images, w, phi.space.n)
     return MeasurableFunction(phi.space, h / w)
-
-
-class SpectralMeasureTable:
-    """Projection-valued set function S -> E_phi M_{chi_preimage(S)}.
-
-    Built once per point map on its fiber partition, the nonempty fibers
-    of phi as blocks, whose cached matrix is the fiber average E_phi. A
-    set's value keeps the columns of E_phi at the points mapped into the
-    set, so the singleton values have disjoint column supports and sum to
-    E_phi; values() evaluates a stack of sets at once, as a real stack.
-    """
-
-    def __init__(self, phi: PointMap):
-        self.phi = phi
-        self.space = phi.space
-        self.partition = Partition(phi.space, [fiber for _, fiber in phi.fibers])
-        self._images = np.asarray(phi.images, dtype=np.intp)
-
-    def values(self, sets: np.ndarray) -> np.ndarray:
-        """Stacked matrices of measure(S), one per row of a (k, n)
-        boolean array of target-point sets."""
-        return _masked_columns(self.partition.cond_exp_matrix, sets[:, self._images])
-
-    def reconstruct(self, symbols: np.ndarray) -> np.ndarray:
-        """Stacked matrices of sum_s v(s) measure({s}), one per row of a
-        (k, n) array of fiber-measurable symbols u, where v o phi = u (v is
-        zero on points with empty fiber); each must equal the matrix of
-        f -> E_phi(u f)."""
-        targets = np.array([s for s, _ in self.phi.fibers])
-        coeffs = symbols[:, self.partition.first_points]
-        singletons = self.values(targets[:, None] == np.arange(self.space.n)[None, :])
-        # einsum without optimize sums in its own loop; a BLAS contraction of
-        # the flattened stack would wake the BLAS worker threads.
-        return np.einsum("ks,sij->kij", coeffs, singletons)
-
-
-def _masked_columns(matrix: np.ndarray, point_masks: np.ndarray) -> np.ndarray:
-    """One copy of matrix per row of the (k, n) point_masks, keeping only
-    the columns the row selects: matrix @ M_{chi_row}, stacked."""
-    return matrix[None] * point_masks[:, None, :]
 
 
 def _fiber_basis(fp: Partition) -> np.ndarray:
@@ -282,31 +279,30 @@ def _axiom_sets(
 
 
 def _frame_measure(
-    table: SpectralMeasureTable, on_subspace: bool
+    phi: PointMap, on_subspace: bool
 ) -> Callable[[np.ndarray], np.ndarray]:
     """The set function S -> measure(S) of one frame, on a (k, n) boolean
     array of target-point sets.
 
     measure(S) = E_phi M_{chi_preimage(S)} only masks the columns of E_phi:
-    on the ambient space that is the table's own values, and on the fiber
-    subspace the compression of the rows to the orthonormal fiber basis is
-    applied to E_phi once, before the column masks of a whole stack of sets.
+    on the ambient space that is the point map's own values, and on the
+    fiber subspace the compression of the rows to the orthonormal fiber
+    basis is applied to E_phi once, before the column masks of a whole
+    stack of sets.
     """
     if not on_subspace:
-        return table.values
-    basis = _fiber_basis(table.partition)
-    rows = basis.T @ table.partition.cond_exp_matrix
-    images = table._images
+        return phi.values
+    basis = _fiber_basis(phi.partition)
+    rows = basis.T @ phi.partition.cond_exp_matrix
+    images = phi.image_index
 
     def measure(sets: np.ndarray) -> np.ndarray:
-        return _masked_columns(rows, sets[:, images]) @ basis
+        return (rows[None] * sets[:, images][:, None, :]) @ basis
 
     return measure
 
 
-def check_spectral_axioms(
-    table: SpectralMeasureTable, seed: int = 0
-) -> dict[str, float]:
+def check_spectral_axioms(phi: PointMap, seed: int = 0) -> dict[str, float]:
     """Evaluate the spectral-measure axioms over all singletons and a
     seeded family of random subsets, on the ambient space and on the
     fiber subspace; returns the worst residual of each axiom and frame,
@@ -329,7 +325,7 @@ def check_spectral_axioms(
     calls. The pieces of every round are built from these draws after the
     last of them.
     """
-    n = table.space.n
+    n = phi.space.n
     rng = np.random.default_rng(seed)
     sets, pairs = _axiom_sets(rng, n, AXIOM_RANDOM_SETS)
     k = len(sets)
@@ -360,7 +356,7 @@ def check_spectral_axioms(
     # intersections, the additive sums, the empty set and, on the fiber
     # subspace, the whole set.
     def frame_residuals(on_subspace: bool) -> dict[str, float]:
-        measure = _frame_measure(table, on_subspace)
+        measure = _frame_measure(phi, on_subspace)
         values = measure(family)
         v = values[:k]
         dim = values.shape[-1]

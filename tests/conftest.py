@@ -9,12 +9,7 @@ from wcelab.errors import NotNormalError
 from wcelab.generator import GeneratorConfig, gen_instance
 from wcelab.measure import MeasurableFunction, Partition
 from wcelab.opalgebra import op_deviations, spectral_norms
-from wcelab.spectral import (
-    _eigenvalue_groups,
-    avg_mult_spectrum,
-    block_spread,
-    spectral_decomposition,
-)
+from wcelab.spectral import AvgMult
 from wcelab.wce import WceInstance, closed_func_calc
 
 
@@ -115,23 +110,11 @@ def psd_root(a, snap=1e-10):
     return psd_calc(a, math.sqrt, snap)
 
 
-def spectrum_of(u, partition, tol):
-    """avg_mult_spectrum of u on its own eigenvalue groups at tol."""
-    return avg_mult_spectrum(_eigenvalue_groups(u, partition, tol), partition)
-
-
-def decompose(u, partition, tol):
-    """spectral_decomposition of u at tol, fed its own block spread and
-    eigenvalue groups, as CheckContext feeds it."""
-    return spectral_decomposition(u, partition, tol, block_spread(u, partition),
-                                  lambda: _eigenvalue_groups(u, partition, tol))
-
-
 def declared_normal(u, partition, tol=1e-8):
-    """Whether spectral_decomposition, at tol, takes u for blockwise
+    """Whether E M_u's decomposition, at tol, takes u for blockwise
     constant (raises no NotNormalError)."""
     try:
-        decompose(u, partition, tol)
+        AvgMult(u, partition, tol).decomposition()
     except NotNormalError:
         return False
     return True

@@ -22,12 +22,7 @@ from wcelab.cli import main as cli_main
 from wcelab.generator import GeneratorConfig, gen_instance, rotation_config
 from wcelab.measure import MeasurableFunction
 from wcelab.opalgebra import SvdOracle, op_deviations
-from wcelab.spectral import (
-    SpectralMeasureTable,
-    avg_mult_operator,
-    check_spectral_axioms,
-    pushforward_density,
-)
+from wcelab.spectral import AvgMult, check_spectral_axioms, pushforward_density
 from wcelab.wce import (
     build_operator,
     closed_abs_sqrt,
@@ -223,7 +218,7 @@ def test_criterion_7_spectral_decomposition():
             (inst, True),
             (perturb_nonmeasurable(inst, seed), False),
         ):
-            m = avg_mult_operator(candidate.u, candidate.partition)
+            m = AvgMult(candidate.u, candidate.partition, DEFAULT_TOL).matrix
             adj = adjoint(m)
             commutator = norm(m @ adj - adj @ m)
             oracle_normal = commutator <= 1e-8 * (1.0 + norm(m) ** 2)
@@ -244,21 +239,20 @@ def test_criterion_8_spectral_measure():
         phi = gen_instance(cfg).point_map
         space = phi.space
 
-        table = SpectralMeasureTable(phi)
         # Both frames; the identity axiom (sm_full_subspace) is checked on
         # the fiber subspace only, where it holds for every point map.
-        assert max(check_spectral_axioms(table, seed=seed).values()) <= 1e-9
+        assert max(check_spectral_axioms(phi, seed=seed).values()) <= 1e-9
 
-        fp = SpectralMeasureTable(phi).partition
+        fp = phi.partition
         rng = np.random.default_rng(seed)
         symbols = np.empty((3, space.n), dtype=complex)
         for vals in symbols:
             for b in fp.blocks:
                 vals[list(b)] = rng.uniform(0.0, 4.0) * np.exp(
                     1j * rng.uniform(0.0, 2 * np.pi))
-        direct = np.stack([avg_mult_operator(MeasurableFunction(space, vals), fp)
+        direct = np.stack([AvgMult(MeasurableFunction(space, vals), fp, DEFAULT_TOL).matrix
                            for vals in symbols])
-        assert op_deviations(table.reconstruct(symbols), direct).max() <= 1e-9
+        assert op_deviations(phi.reconstruct(symbols), direct).max() <= 1e-9
 
         h = pushforward_density(phi)
         mass = float(np.sum(h.values.real * space.weights))

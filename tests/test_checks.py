@@ -10,7 +10,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from wcelab import checks, opalgebra, spectral
+from wcelab import checks, opalgebra
 from wcelab.checks import (
     DEFAULT_TOL,
     CheckContext,
@@ -34,7 +34,7 @@ from wcelab.instance_io import InstanceBundle, parse_instance, serialize_instanc
 from wcelab.measure import FiniteMeasureSpace, MeasurableFunction, Partition
 from wcelab.opalgebra import op_deviations
 from wcelab.condexp import Sandwich
-from wcelab.spectral import SpectralMeasureTable, _eigenvalue_groups, avg_mult_operator
+from wcelab.spectral import AvgMult, PointMap
 from wcelab.suite import run_suite
 from wcelab.wce import WceInstance, build_operator, closed_func_calc
 
@@ -117,16 +117,7 @@ def test_one_factorization_per_operator(monkeypatch):
 def test_one_cond_exp_matrix_per_partition(monkeypatch):
     # E's matrix is built by one cached property, once per partition: the
     # instance's partition and the point map's fiber partition.
-    built = []
-    build = Partition.cond_exp_matrix.func
-
-    def counting(partition):
-        built.append(partition)
-        return build(partition)
-
-    prop = cached_property(counting)
-    prop.__set_name__(Partition, "cond_exp_matrix")
-    monkeypatch.setattr(Partition, "cond_exp_matrix", prop)
+    built = count_getter(monkeypatch, Partition, "cond_exp_matrix")
     bundle = gen_instance(GeneratorConfig(seed=17, n=12, block_count=4,
                                           measurable_u=True, with_point_map=True))
     report = run_suite([bundle])
@@ -156,18 +147,27 @@ def test_closed_identities_take_no_dense_products(monkeypatch):
     assert len(built) == 7
 
 
+def count_getter(monkeypatch, owner, name):
+    """Replace the cached property owner.name with one that records the
+    instance of every build; returns the list of them."""
+    calls = []
+    build = vars(owner)[name].func
+
+    def counting(obj):
+        calls.append(obj)
+        return build(obj)
+
+    prop = cached_property(counting)
+    prop.__set_name__(owner, name)
+    monkeypatch.setattr(owner, name, prop)
+    return calls
+
+
 @pytest.mark.parametrize("measurable_u", [True, False])
 def test_spectral_decomp_tests_normality_once(monkeypatch, measurable_u):
-    # The block spread is CheckContext's: normality and spectral_decomp
-    # read the one copy.
-    calls = []
-    block_spread = checks.block_spread
-
-    def counting(*args):
-        calls.append(args)
-        return block_spread(*args)
-
-    monkeypatch.setattr(checks, "block_spread", counting)
+    # The block spread is CheckContext's AvgMult's: normality and
+    # spectral_decomp read the one copy.
+    calls = count_getter(monkeypatch, AvgMult, "spread")
     bundle = gen_instance(GeneratorConfig(seed=19, n=10, block_count=3,
                                           measurable_u=measurable_u))
     ctx = CheckContext(bundle)
@@ -182,20 +182,7 @@ def test_full_suite_does_the_spectral_work_once(monkeypatch):
     # eigenvalue groups are built once per instance, and no all-zero slice
     # of a stack reaches LAPACK (the measure axioms' additivity and empty
     # set residuals are exact zeros).
-    calls = {"block_spread": 0, "_eigenvalue_groups": 0}
-
-    def counted(name):
-        original = getattr(spectral, name)
-
-        def counting(*args):
-            calls[name] += 1
-            return original(*args)
-
-        return counting
-
-    for name in calls:
-        for module in (checks, spectral):
-            monkeypatch.setattr(module, name, counted(name), raising=False)
+    builds = {name: count_getter(monkeypatch, AvgMult, name) for name in ("spread", "groups")}
     zero_slices = []
     svd = np.linalg.svd
 
@@ -206,7 +193,7 @@ def test_full_suite_does_the_spectral_work_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", spying_svd)
     assert main(["suite", "--seeds", "1..40", "--full"]) == 0
-    assert calls == {"block_spread": 40, "_eigenvalue_groups": 40}
+    assert {name: len(calls) for name, calls in builds.items()} == {"spread": 40, "groups": 40}
     assert zero_slices == []
 
 
@@ -363,7 +350,8 @@ def reference_spectral_decomp(inst):
     per projection, one norm per pair of projections."""
     n = inst.space.n
     e_matrix = inst.partition.cond_exp_matrix
-    reps, group = _eigenvalue_groups(inst.u, inst.partition, DEFAULT_TOL)
+    avg_mult = AvgMult(inst.u, inst.partition, DEFAULT_TOL)
+    reps, group = avg_mult.groups
     point_group = group[inst.partition.block_of]
     eigenvalues, projections = [], []
     accumulated = np.zeros((n, n), dtype=complex)
@@ -377,7 +365,7 @@ def reference_spectral_decomp(inst):
         eigenvalues.append(0j)
         projections.append(kernel)
 
-    m = avg_mult_operator(inst.u, inst.partition)
+    m = avg_mult.matrix
     proj_res, total_rank = 0.0, 0
     recon = np.zeros((n, n), dtype=complex)
     for lam, p in zip(eigenvalues, projections):
@@ -404,16 +392,15 @@ def reference_reconstruction(ctx):
     singleton at a time against E_phi M_u, three norms per round."""
     phi = ctx.bundle.point_map
     rng = ctx.rng("reconstruction")
-    fp = SpectralMeasureTable(phi).partition
-    table = SpectralMeasureTable(phi)
+    fp = phi.partition
     singletons = np.eye(phi.space.n, dtype=bool)
     worst = 0.0
     for _ in range(3):
         u = MeasurableFunction(phi.space, random_blockwise(rng, fp))
-        rebuilt = sum((u.values[fiber[0]] * table.values(singletons[s][None])[0]
+        rebuilt = sum((u.values[fiber[0]] * phi.values(singletons[s][None])[0]
                        for s, fiber in phi.fibers),
                       np.zeros((phi.space.n, phi.space.n), dtype=complex))
-        worst = max(worst, two_sided_deviation(rebuilt, avg_mult_operator(u, fp)))
+        worst = max(worst, two_sided_deviation(rebuilt, AvgMult(u, fp, DEFAULT_TOL).matrix))
     return worst
 
 
@@ -448,42 +435,32 @@ def test_reconstruction_matches_per_round_reference():
 def test_one_avg_mult_operator_per_instance(monkeypatch):
     # normality, spectrum and spectral_decomp share one matrix of E M_u
     # and one eigvals of it.
-    built, factored = [], []
-    build, eigvals = checks.avg_mult_operator, np.linalg.eigvals
-
-    def counting_build(*args):
-        built.append(args)
-        return build(*args)
+    factored = []
+    eigvals = np.linalg.eigvals
+    built = count_getter(monkeypatch, AvgMult, "matrix")
 
     def counting_eigvals(a):
         factored.append(a)
         return eigvals(a)
 
-    monkeypatch.setattr(checks, "avg_mult_operator", counting_build)
     monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
     ctx = CheckContext(gen_instance(GeneratorConfig(seed=23, n=12, block_count=4,
                                                     measurable_u=True)))
     for group in (check_normality, check_spectrum, check_spectral_decomp):
         assert all(r.status == "pass" for r in group(ctx))
     assert len(built) == 1
-    assert len(factored) == 1 and factored[0] is ctx.avg_mult
+    assert len(factored) == 1 and factored[0] is ctx.avg_mult.matrix
 
 
 def test_one_measure_table_per_instance(monkeypatch):
     # Both frames of the measure axioms and the reconstruction share the
-    # table CheckContext builds.
-    tables = []
-
-    def counting(phi):
-        tables.append(phi)
-        return SpectralMeasureTable(phi)
-
-    monkeypatch.setattr(checks, "SpectralMeasureTable", counting)
+    # fiber partition, and so the fiber average, the point map caches.
+    partitions = count_getter(monkeypatch, PointMap, "partition")
     ctx = CheckContext(gen_instance(GeneratorConfig(seed=13, n=9, block_count=3,
                                                     with_point_map=True)))
     for group in (check_measure_axioms, check_reconstruction):
         assert all(r.status == "pass" for r in group(ctx))
-    assert len(tables) == 1
+    assert partitions == [ctx.bundle.point_map]
 
 
 def test_func_calc_catches_one_perturbed_function(monkeypatch):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wcelab.measure import FiniteMeasureSpace, MeasurableFunction, Partition
-from wcelab.spectral import block_spread
+from wcelab.spectral import AvgMult
 from wcelab.wce import WceInstance
 
 from conftest import (
@@ -12,7 +12,6 @@ from conftest import (
     constant,
     declared_normal,
     finest_partition,
-    spectrum_of,
 )
 
 
@@ -121,13 +120,13 @@ class TestSupport:
 
 class TestIsMeasurable:
     """f is measurable for a partition when it is constant on every block:
-    its spread sqrt(E|f - E f|^2) (spectral.block_spread) is 0 there."""
+    its spread sqrt(E|f - E f|^2) (spectral.AvgMult.spread) is 0 there."""
 
     def test_blockwise_constant(self):
         sp = FiniteMeasureSpace([1.0] * 4)
         p = Partition(sp, [[0, 1], [2, 3]])
         f = MeasurableFunction(sp, [5, 5, 7, 7])
-        spread, rms = block_spread(f, p)
+        spread, rms = AvgMult(f, p, 1e-8).spread
         np.testing.assert_array_equal(spread, [0.0, 0.0])
         np.testing.assert_allclose(rms, [5.0, 7.0], rtol=1e-15)
 
@@ -135,7 +134,7 @@ class TestIsMeasurable:
         sp = FiniteMeasureSpace([1.0] * 4)
         p = Partition(sp, [[0, 1], [2, 3]])
         f = MeasurableFunction(sp, [5, 6, 7, 7])
-        spread, _ = block_spread(f, p)
+        spread, _ = AvgMult(f, p, 1e-8).spread
         np.testing.assert_allclose(spread, [0.5, 0.0], rtol=1e-15, atol=0)
         assert not declared_normal(f, p)
 
@@ -151,7 +150,7 @@ class TestIsMeasurable:
         sp = FiniteMeasureSpace([1.0, 1.0])
         f = MeasurableFunction(sp, [1.5e308 + 1.5e308j, 1.0])
         with np.errstate(all="raise"), pytest.raises(ValueError, match="not finite"):
-            block_spread(f, finest_partition(sp))
+            AvgMult(f, finest_partition(sp), 1e-8).spread
 
     @pytest.mark.parametrize("part", ["imag", "real"])
     def test_overflowing_part_leaves_the_other_finite(self, part):
@@ -184,8 +183,8 @@ class TestIsMeasurable:
         with np.errstate(all="raise"):
             assert not np.isfinite(p.block_means(f.values)).any()
             with pytest.raises(ValueError, match="not finite"):
-                spectrum_of(f, p, 1e-8)
-            spread, rms = block_spread(f, p)
+                AvgMult(f, p, 1e-8).spectrum()
+            spread, rms = AvgMult(f, p, 1e-8).spread
         np.testing.assert_allclose(spread, [0.0 if second > 0 else 1e300])
         np.testing.assert_allclose(rms, [1e300])
 

@@ -9,10 +9,8 @@ from wcelab.errors import NotNormalError
 from wcelab.generator import GeneratorConfig, gen_instance
 from wcelab.measure import FiniteMeasureSpace, MeasurableFunction, Partition
 from wcelab.spectral import (
+    AvgMult,
     PointMap,
-    SpectralMeasureTable,
-    avg_mult_operator,
-    block_spread,
     check_spectral_axioms,
     pushforward_density,
 )
@@ -20,7 +18,6 @@ from wcelab.spectral import (
 from conftest import (
     constant,
     declared_normal,
-    decompose,
     deviation,
     finest_partition,
     inner,
@@ -28,7 +25,6 @@ from conftest import (
     perturb_nonmeasurable,
     point_matrix,
     random_complex,
-    spectrum_of,
 )
 
 TOL = DEFAULT_TOL
@@ -52,26 +48,24 @@ def frame_residuals(residuals, on_subspace):
 
 
 def max_frame_residual(phi, on_subspace):
-    return max(frame_residuals(check_spectral_axioms(SpectralMeasureTable(phi)),
-                               on_subspace).values())
+    return max(frame_residuals(check_spectral_axioms(phi), on_subspace).values())
 
 
-def set_value(table, members):
+def set_value(phi, members):
     """The matrix of measure(S) for one set S of target points."""
-    mask = np.zeros(table.space.n, dtype=bool)
+    mask = np.zeros(phi.space.n, dtype=bool)
     mask[list(members)] = True
-    return table.values(mask[None])[0]
+    return phi.values(mask[None])[0]
 
 
 def reconstructed(phi, u):
     """sum_s v(s) measure({s}) for the fiber-measurable symbol u, where
     v o phi = u."""
-    table = SpectralMeasureTable(phi)
-    return table.reconstruct(u.values[None])[0]
+    return phi.reconstruct(u.values[None])[0]
 
 
 def commutator_norm(u, partition):
-    m = avg_mult_operator(u, partition)
+    m = AvgMult(u, partition, TOL).matrix
     adj = m.conj().T
     return norm(m @ adj - adj @ m)
 
@@ -101,11 +95,12 @@ class TestNormality:
         for seed in range(40, 50):
             inst = gen_instance(GeneratorConfig(seed=seed, n=3 + seed % 12,
                                                 block_count=1 + seed % 3)).instance
-            spread, rms = block_spread(inst.u, inst.partition)
+            avg_mult = AvgMult(inst.u, inst.partition, TOL)
+            spread, rms = avg_mult.spread
             closed = float((spread * rms).max())
             assert closed == pytest.approx(commutator_norm(inst.u, inst.partition),
                                            rel=1e-12)
-            m_norm = norm(avg_mult_operator(inst.u, inst.partition))
+            m_norm = norm(avg_mult.matrix)
             assert float(rms.max()) == pytest.approx(m_norm, rel=1e-12)
 
     @pytest.mark.parametrize("scale", [1e160, 1e-200])
@@ -115,7 +110,7 @@ class TestNormality:
         sp, p = uniform4
         u = MeasurableFunction(sp, scale * np.array([1, 3, 2, 2]))
         with np.errstate(over="raise", under="raise"):
-            spread, rms = block_spread(u, p)
+            spread, rms = AvgMult(u, p, TOL).spread
         np.testing.assert_allclose(spread, [scale, 0.0], rtol=1e-14)
         np.testing.assert_allclose(rms, [np.sqrt(5.0) * scale, 2.0 * scale], rtol=1e-14)
 
@@ -124,15 +119,15 @@ class TestSpectrum:
     def test_unit_symbol(self, uniform4):
         sp, p = uniform4
         u = constant(sp, 1.0)
-        assert set(spectrum_of(u, p, TOL)) == {0j, 1 + 0j}
+        assert set(AvgMult(u, p, TOL).spectrum()) == {0j, 1 + 0j}
 
     def test_block_means(self, uniform4):
         # block means of (1, 3, 0, 8) are 2 and 4
         sp, p = uniform4
         u = MeasurableFunction(sp, [1, 3, 0, 8])
-        spec = set(spectrum_of(u, p, TOL))
+        spec = set(AvgMult(u, p, TOL).spectrum())
         assert spec == {0j, 2 + 0j, 4 + 0j}
-        eigs = np.linalg.eigvals(avg_mult_operator(u, p))
+        eigs = np.linalg.eigvals(AvgMult(u, p, TOL).matrix)
         for z in spec:
             assert min(abs(z - e) for e in eigs) < 1e-12
         for e in eigs:
@@ -141,7 +136,7 @@ class TestSpectrum:
     def test_zero_symbol(self, uniform4):
         sp, p = uniform4
         u = constant(sp, 0.0)
-        assert set(spectrum_of(u, p, TOL)) == {0j}
+        assert set(AvgMult(u, p, TOL).spectrum()) == {0j}
 
     def test_zero_dropped_when_invertible(self):
         # On the finest partition E M_u = M_u: 0 is in the spectrum exactly
@@ -150,8 +145,8 @@ class TestSpectrum:
         for values, spectrum in (([3, 5, 5], {3, 5}), ([3, 5, 0], {0, 3, 5}),
                                  ([3, 5, 1e-9], {0, 3, 5})):
             u = MeasurableFunction(sp, values)
-            assert set(spectrum_of(u, finest_partition(sp), TOL)) == spectrum
-            decomp = decompose(u, finest_partition(sp), TOL)
+            assert set(AvgMult(u, finest_partition(sp), TOL).spectrum()) == spectrum
+            decomp = AvgMult(u, finest_partition(sp), TOL).decomposition()
             assert set(decomp.eigenvalues) == spectrum
             assert len(decomp.eigenvalues) == len(decomp.stack)
 
@@ -169,9 +164,9 @@ class TestSpectrum:
             umax = np.abs(u.values).max()
             for tol in (1e-8, 1e-6, 1e-4):
                 invertible = bool(np.all(np.abs(u.values) > tol * (1.0 + umax)))
-                spectrum = spectrum_of(u, finest_partition(sp), tol)
+                spectrum = AvgMult(u, finest_partition(sp), tol).spectrum()
                 assert (0j not in spectrum) == invertible
-                decomp = decompose(u, finest_partition(sp), tol)
+                decomp = AvgMult(u, finest_partition(sp), tol).decomposition()
                 assert sorted(decomp.eigenvalues, key=lambda z: (z.real, z.imag)) \
                     == list(spectrum)
 
@@ -180,7 +175,7 @@ class TestSpectralDecomposition:
     def test_two_level_example(self, uniform4):
         sp, p = uniform4
         u = MeasurableFunction(sp, [2, 2, 5, 5])
-        decomp = decompose(u, p, TOL)
+        decomp = AvgMult(u, p, TOL).decomposition()
         assert [complex(z) for z in decomp.eigenvalues] == [2 + 0j, 5 + 0j, 0j]
         # P_{lambda=2} restricts to block {0,1} then averages.
         expected = np.zeros((4, 4))
@@ -194,14 +189,14 @@ class TestSpectralDecomposition:
         sp = FiniteMeasureSpace([1.0, 2.0, 0.5])
         p = Partition(sp, [[0, 1], [2]])
         u = constant(sp, 3.0)
-        decomp = decompose(u, p, TOL)
+        decomp = AvgMult(u, p, TOL).decomposition()
         assert [complex(z) for z in decomp.eigenvalues] == [3 + 0j, 0j]
         assert deviation(decomp.stack[0], p.cond_exp_matrix) < 1e-13
 
     def test_zero_symbol(self, uniform4):
         sp, p = uniform4
         u = constant(sp, 0.0)
-        decomp = decompose(u, p, TOL)
+        decomp = AvgMult(u, p, TOL).decomposition()
         assert [complex(z) for z in decomp.eigenvalues] == [0j]
         np.testing.assert_allclose(decomp.stack[0], np.eye(4), atol=1e-14)
 
@@ -210,10 +205,10 @@ class TestSpectralDecomposition:
             inst = gen_instance(GeneratorConfig(
                 seed=seed, n=6 + seed % 8, block_count=2 + seed % 3,
                 measurable_u=True)).instance
-            decomp = decompose(inst.u, inst.partition, TOL)
+            decomp = AvgMult(inst.u, inst.partition, TOL).decomposition()
             # The projections, the kernel's included, are real.
             assert decomp.stack.dtype == np.float64
-            m = avg_mult_operator(inst.u, inst.partition)
+            m = AvgMult(inst.u, inst.partition, TOL).matrix
             n = inst.space.n
             recon = np.zeros((n, n), dtype=complex)
             total_rank = 0
@@ -237,26 +232,26 @@ class TestSpectralDecomposition:
     def test_rejects_nonnormal(self, uniform4):
         sp, p = uniform4
         with pytest.raises(NotNormalError):
-            decompose(MeasurableFunction(sp, [1, 2, 3, 4]), p, TOL)
+            AvgMult(MeasurableFunction(sp, [1, 2, 3, 4]), p, TOL).decomposition()
 
 
 class TestPointMapBasics:
     def test_identity_fibers(self):
         sp = FiniteMeasureSpace([1.0, 2.0, 3.0])
         phi = PointMap(sp, (0, 1, 2))
-        assert SpectralMeasureTable(phi).partition.block_count == sp.n
+        assert phi.partition.block_count == sp.n
         np.testing.assert_allclose(pushforward_density(phi).values, [1, 1, 1])
 
     def test_constant_map(self):
         sp = FiniteMeasureSpace([1.0, 3.0])
         phi = PointMap(sp, (0, 0))
-        assert SpectralMeasureTable(phi).partition.block_count == 1
+        assert phi.partition.block_count == 1
         np.testing.assert_allclose(pushforward_density(phi).values, [4, 0])
 
     def test_example_fibers_and_density(self):
         sp = FiniteMeasureSpace([1.0, 1.0, 2.0])
         phi = PointMap(sp, (0, 0, 2))
-        assert SpectralMeasureTable(phi).partition.blocks == ((0, 1), (2,))
+        assert phi.partition.blocks == ((0, 1), (2,))
         np.testing.assert_allclose(pushforward_density(phi).values, [2, 0, 1])
 
     def test_mass_conservation(self, rng):
@@ -277,18 +272,18 @@ class TestSpectralMeasure:
     def test_empty_set(self):
         sp = FiniteMeasureSpace([1.0, 1.0, 2.0])
         phi = PointMap(sp, (0, 0, 2))
-        assert norm(set_value(SpectralMeasureTable(phi), ())) == 0.0
+        assert norm(set_value(phi, ())) == 0.0
 
     def test_whole_set_is_fiber_average(self):
         sp = FiniteMeasureSpace([1.0, 1.0, 2.0])
         phi = PointMap(sp, (0, 0, 2))
-        e = SpectralMeasureTable(phi).partition.cond_exp_matrix
-        assert deviation(set_value(SpectralMeasureTable(phi), range(3)), e) < 1e-14
+        e = phi.partition.cond_exp_matrix
+        assert deviation(set_value(phi, range(3)), e) < 1e-14
 
     def test_singleton_example(self):
         sp = FiniteMeasureSpace([1.0, 1.0, 2.0])
         phi = PointMap(sp, (0, 0, 2))
-        m = set_value(SpectralMeasureTable(phi), (0,))
+        m = set_value(phi, (0,))
         expected = np.array([[0.5, 0.5, 0], [0.5, 0.5, 0], [0, 0, 0]])
         np.testing.assert_allclose(point_matrix(sp, m), expected, atol=1e-15)
         assert deviation(m @ m, m) < 1e-14
@@ -297,13 +292,12 @@ class TestSpectralMeasure:
     def test_summation_matches_direct(self, rng):
         sp = FiniteMeasureSpace(rng.uniform(0.1, 10.0, 6))
         phi = PointMap(sp, tuple(int(i) for i in rng.integers(0, 6, 6)))
-        table = SpectralMeasureTable(phi)
         members = (0, 2, 5)
         total = sum(
-            (set_value(table, (s,)) for s in members),
+            (set_value(phi, (s,)) for s in members),
             np.zeros((6, 6), dtype=complex),
         )
-        np.testing.assert_allclose(total, set_value(table, members), atol=1e-15)
+        np.testing.assert_allclose(total, set_value(phi, members), atol=1e-15)
 
 
 class TestSpectralAxioms:
@@ -312,7 +306,7 @@ class TestSpectralAxioms:
         phi = PointMap(sp, (0, 1, 2))
         assert max_frame_residual(phi, on_subspace=False) <= 1e-12
         # An injective map sends the whole set to the identity.
-        whole = set_value(SpectralMeasureTable(phi), range(3))
+        whole = set_value(phi, range(3))
         assert norm(whole - np.eye(3)) <= 1e-12
 
     def test_noninjective_subspace(self):
@@ -329,11 +323,10 @@ class TestSpectralAxioms:
                                               with_point_map=True))
         phi = bundle.point_map
         assert len(phi.fibers) < phi.space.n
-        table = SpectralMeasureTable(phi)
-        first = check_spectral_axioms(table)
+        first = check_spectral_axioms(phi)
         assert list(first) == [name for name in RECORDS["measure_axioms"]
                                if name != "sm_mass_conservation"]
-        assert check_spectral_axioms(table) == first
+        assert check_spectral_axioms(phi) == first
         ctx = CheckContext(bundle)
         records = check_measure_axioms(ctx)
         assert len(records) == 10
@@ -346,9 +339,9 @@ class TestSpectralAxioms:
         # records the identity axiom.
         sp = FiniteMeasureSpace([1.0, 1.0, 2.0])
         phi = PointMap(sp, (0, 0, 2))
-        whole = set_value(SpectralMeasureTable(phi), range(3))
+        whole = set_value(phi, range(3))
         assert norm(whole - np.eye(3)) == pytest.approx(1.0)
-        ambient = frame_residuals(check_spectral_axioms(SpectralMeasureTable(phi)), False)
+        ambient = frame_residuals(check_spectral_axioms(phi), False)
         assert "full" not in ambient
         assert max(ambient.values()) <= 1e-9
 
@@ -358,12 +351,11 @@ def reference_spectral_axioms(phi, on_subspace, n_random=12, seed=0):
     spectral norm per set. Returns the residuals keyed by axiom (see
     AXIOMS)."""
     n = phi.space.n
-    table = SpectralMeasureTable(phi)
     rng = np.random.default_rng(seed)
 
     if on_subspace:
         # The weighted-orthonormal indicators of the fibers, on point values.
-        fp = table.partition
+        fp = phi.partition
         basis = (fp.block_of[:, None] == np.arange(fp.block_count)[None, :]) / np.sqrt(
             fp.block_masses)[None, :]
         db = phi.space.weights[:, None] * basis
@@ -389,19 +381,19 @@ def reference_spectral_axioms(phi, on_subspace, n_random=12, seed=0):
 
     proj_res = 0.0
     for s in sets:
-        m = rep(set_value(table, s))
+        m = rep(set_value(phi, s))
         proj_res = max(proj_res, dist(m @ m, m), dist(m.conj().T, m))
 
-    empty_res = float(np.linalg.norm(rep(set_value(table, ())), 2))
-    full_res = dist(rep(set_value(table, range(n))), np.eye(dim))
+    empty_res = float(np.linalg.norm(rep(set_value(phi, ())), 2))
+    full_res = dist(rep(set_value(phi, range(n))), np.eye(dim))
 
     inter_res = 0.0
     pairs = [(sets[i], sets[j]) for i, j in
              rng.integers(0, len(sets), size=(max(n_random, 4), 2))]
     pairs += [(sets[0], frozenset(range(n))), (sets[0], frozenset())]
     for s1, s2 in pairs:
-        lhs = rep(set_value(table, s1 & s2))
-        rhs = rep(set_value(table, s1)) @ rep(set_value(table, s2))
+        lhs = rep(set_value(phi, s1 & s2))
+        rhs = rep(set_value(phi, s1)) @ rep(set_value(phi, s2))
         inter_res = max(inter_res, dist(lhs, rhs))
 
     add_res = 0.0
@@ -410,8 +402,8 @@ def reference_spectral_axioms(phi, on_subspace, n_random=12, seed=0):
         parts = int(rng.integers(2, 5))
         assignment = rng.integers(0, parts, size=n)
         pieces = [frozenset(i for i in whole if assignment[i] == p) for p in range(parts)]
-        total = sum((rep(set_value(table, p)) for p in pieces), np.zeros((dim, dim), complex))
-        add_res = max(add_res, dist(rep(set_value(table, whole)), total))
+        total = sum((rep(set_value(phi, p)) for p in pieces), np.zeros((dim, dim), complex))
+        add_res = max(add_res, dist(rep(set_value(phi, whole)), total))
 
     return dict(zip(AXIOMS, (proj_res, empty_res, full_res, inter_res, add_res)))
 
@@ -444,27 +436,50 @@ def perturb_fiber_average(monkeypatch):
     monkeypatch.setattr(Partition, "cond_exp_matrix", prop)
 
 
-def per_frame_spectral_axioms(table, on_subspace, n_random=12, seed=0):
+def grown_by_size(phi, measure):
+    """A set function that is not additive: each value of measure scaled by
+    1 + 1e-6 times the number of points mapped into its set."""
+
+    def grown(sets):
+        size = sets[:, phi.image_index].sum(axis=1)[:, None, None]
+        return measure(sets) * (1 + 1e-6 * size)
+
+    return grown
+
+
+def grow_frame_measures(monkeypatch):
+    """Patch both frames' set function of check_spectral_axioms to
+    grown_by_size."""
+    frame_measure = spectral._frame_measure
+    monkeypatch.setattr(spectral, "_frame_measure", lambda phi, on_subspace: grown_by_size(
+        phi, frame_measure(phi, on_subspace)))
+
+
+def per_frame_spectral_axioms(phi, on_subspace, n_random=12, seed=0, grown=False):
     """The stacked axioms one frame per call, each call drawing the seeded
-    set family anew, with one np.linalg.norm per residual stack. Returns
-    the residuals keyed by axiom (see AXIOMS)."""
-    n = table.space.n
+    set family anew, with one np.linalg.norm per residual stack; grown
+    takes the measure through grown_by_size. Returns the residuals keyed by
+    axiom (see AXIOMS)."""
+    n = phi.space.n
     rng = np.random.default_rng(seed)
-    images = table._images
-    frame = table.partition.cond_exp_matrix
+    images = phi.image_index
+    frame = phi.partition.cond_exp_matrix
     if on_subspace:
-        basis = spectral._fiber_basis(table.partition)
+        basis = spectral._fiber_basis(phi.partition)
         dim = basis.shape[1]
         rows = basis.T @ frame
 
         def measure(sets):
-            return spectral._masked_columns(rows, sets[:, images]) @ basis
+            return (rows[None] * sets[:, images][:, None, :]) @ basis
 
     else:
         dim = n
 
         def measure(sets):
-            return spectral._masked_columns(frame, sets[:, images])
+            return frame[None] * sets[:, images][:, None, :]
+
+    if grown:
+        measure = grown_by_size(phi, measure)
 
     def max_norm(stack):
         return float(np.linalg.norm(stack, 2, axis=(1, 2)).max())
@@ -528,8 +543,7 @@ class TestBatchedSpectralAxioms:
     @pytest.mark.parametrize("on_subspace", [False, True])
     def test_matches_per_set_reference(self, on_subspace):
         for k, phi in enumerate(generated_point_maps()):
-            table = SpectralMeasureTable(phi)
-            batched = frame_residuals(check_spectral_axioms(table, seed=k), on_subspace)
+            batched = frame_residuals(check_spectral_axioms(phi, seed=k), on_subspace)
             reference = reference_spectral_axioms(phi, on_subspace, seed=k)
             np.testing.assert_allclose([batched[a] for a in batched],
                                        [reference[a] for a in batched], rtol=0, atol=1e-13)
@@ -540,19 +554,13 @@ class TestBatchedSpectralAxioms:
             # A set function that is not additive, so the additivity
             # residual depends on which wholes and pieces were drawn; for
             # the true measure it is exactly 0 whatever the draw.
-            masked = spectral._masked_columns
-
-            def grown_by_size(matrix, point_masks):
-                size = point_masks.sum(axis=1)[:, None, None]
-                return masked(matrix, point_masks) * (1 + 1e-6 * size)
-
-            monkeypatch.setattr(spectral, "_masked_columns", grown_by_size)
+            grow_frame_measures(monkeypatch)
         for k, phi in enumerate(small_point_maps()):
-            table = SpectralMeasureTable(phi)
-            residuals = check_spectral_axioms(table, seed=k)
+            residuals = check_spectral_axioms(phi, seed=k)
             for on_subspace in (False, True):
                 frame = frame_residuals(residuals, on_subspace)
-                reference = per_frame_spectral_axioms(table, on_subspace, seed=k)
+                reference = per_frame_spectral_axioms(phi, on_subspace, seed=k,
+                                                      grown=perturbed)
                 assert frame == {a: reference[a] for a in frame}
 
     def test_measure_axioms_draw_the_family_once(self, monkeypatch):
@@ -576,7 +584,8 @@ class TestBatchedSpectralAxioms:
         phi = PointMap(sp, (1, 1, 1, 4, 4))
         assert max_frame_residual(phi, on_subspace) <= 1e-12
         perturb_fiber_average(monkeypatch)
-        frame = frame_residuals(check_spectral_axioms(SpectralMeasureTable(phi)), on_subspace)
+        # phi caches its fiber partition: a new point map gets a new one.
+        frame = frame_residuals(check_spectral_axioms(PointMap(sp, phi.images)), on_subspace)
         assert frame["proj"] > 1e-9
         assert frame["intersect"] > 1e-9
         # Masking columns is linear in the set indicator, so a wrong
@@ -587,14 +596,8 @@ class TestBatchedSpectralAxioms:
     def test_nonadditive_set_function_fails(self, monkeypatch, on_subspace):
         sp = FiniteMeasureSpace([1.0, 2.0, 1.5, 0.5, 3.0])
         phi = PointMap(sp, (1, 1, 1, 4, 4))
-        masked = spectral._masked_columns
-
-        def grown_by_size(matrix, point_masks):
-            size = point_masks.sum(axis=1)[:, None, None]
-            return masked(matrix, point_masks) * (1 + 1e-6 * size)
-
-        monkeypatch.setattr(spectral, "_masked_columns", grown_by_size)
-        frame = frame_residuals(check_spectral_axioms(SpectralMeasureTable(phi)), on_subspace)
+        grow_frame_measures(monkeypatch)
+        frame = frame_residuals(check_spectral_axioms(phi), on_subspace)
         assert frame["proj"] > 1e-9
         assert frame["intersect"] > 1e-9
         assert frame["additive"] > 1e-9
@@ -606,7 +609,7 @@ class TestReconstruction:
         phi = PointMap(sp, (0, 0, 2))
         u = constant(sp, 1.0)
         rebuilt = reconstructed(phi, u)
-        e = SpectralMeasureTable(phi).partition.cond_exp_matrix
+        e = phi.partition.cond_exp_matrix
         assert deviation(rebuilt, e) < 1e-14
 
     def test_zero_symbol(self):
@@ -619,21 +622,21 @@ class TestReconstruction:
         sp = FiniteMeasureSpace([1.0, 1.0, 2.0])
         phi = PointMap(sp, (0, 0, 2))
         u = MeasurableFunction(sp, [3, 3, 7])
-        table = SpectralMeasureTable(phi)
-        expected = 3 * set_value(table, (0,)) + 7 * set_value(table, (2,))
+        expected = 3 * set_value(phi, (0,)) + 7 * set_value(phi, (2,))
         rebuilt = reconstructed(phi, u)
         np.testing.assert_allclose(rebuilt, expected, atol=1e-14)
-        direct = avg_mult_operator(u, SpectralMeasureTable(phi).partition)
+        direct = AvgMult(u, phi.partition, TOL).matrix
         assert deviation(rebuilt, direct) < 1e-13
 
     def test_perturbed_fiber_average_fails(self, monkeypatch):
         sp = FiniteMeasureSpace([1.0, 2.0, 1.5, 0.5, 3.0])
         phi = PointMap(sp, (1, 1, 1, 4, 4))
         u = MeasurableFunction(sp, [2.0, 2.0, 2.0, -1.0 + 1.0j, -1.0 + 1.0j])
-        direct = avg_mult_operator(u, SpectralMeasureTable(phi).partition)
+        direct = AvgMult(u, phi.partition, TOL).matrix
         assert deviation(reconstructed(phi, u), direct) < 1e-13
         perturb_fiber_average(monkeypatch)
-        assert deviation(reconstructed(phi, u), direct) > 1e-9
+        # phi caches its fiber partition: a new point map gets a new one.
+        assert deviation(reconstructed(PointMap(sp, phi.images), u), direct) > 1e-9
 
 
 def test_normality_equivalence_with_perturbation():

@@ -13,6 +13,7 @@ import pytest
 from wcelab import checks, generator, spectral
 from wcelab.checks import calculus_test_functions
 from wcelab.condexp import Sandwich
+from wcelab.errors import NotNormalError
 from wcelab.generator import GeneratorConfig, gen_instance, rotation_config
 from wcelab.instance_io import InstanceBundle, instance_digest, serialize_instance
 from wcelab.measure import FiniteMeasureSpace, MeasurableFunction, Partition
@@ -134,7 +135,7 @@ def test_condexp_samples_equal_sequential_draws():
 
 def test_reconstruction_symbols_equal_sequential_draws():
     for bundle in rotation_bundles(60):
-        fibers = spectral.SpectralMeasureTable(bundle.point_map).partition
+        fibers = bundle.point_map.partition
         one, ref = np.random.default_rng(5), np.random.default_rng(5)
         drawn = checks._random_phases(one, (3, fibers.block_count), 0.0, 4.0)
         expected = np.stack([random_blockwise(ref, fibers) for _ in range(3)])
@@ -229,6 +230,71 @@ def test_func_calc_per_block_equals_per_point():
         assert np.array_equal(gram, per_point_func_calc(inst, fns, inst.units[0]))
         assert np.array_equal(cogram,
                               per_point_func_calc(inst, fns, np.conj(inst.units[1])))
+
+
+# ---------------------------------------------------------------------------
+# Matrices of E M_u: Sandwich.matrices against E times the symbol
+
+
+def spectral_bundles():
+    """The rotation seeds with point maps, the hard files, and blockwise
+    constant symbols with point maps, n = 2..32."""
+    decomposable = [gen_instance(GeneratorConfig(seed=900 + n, n=n, block_count=1 + (900 + n) % n,
+                                                 with_point_map=True, measurable_u=True))
+                    for n in range(2, 33)]
+    return rotation_bundles() + [make() for make in HARD_BUNDLES.values()] + decomposable
+
+
+def test_avg_mult_matrix_is_e_times_u():
+    for bundle in spectral_bundles():
+        inst = bundle.instance
+        matrix = spectral.AvgMult(inst.u, inst.partition, checks.DEFAULT_TOL).matrix
+        expected = inst.partition.cond_exp_matrix * inst.u.values[None, :]
+        assert matrix.dtype == expected.dtype and np.array_equal(matrix, expected)
+
+
+def test_projection_stack_is_e_times_level_indicators():
+    decomposed = 0
+    for bundle in spectral_bundles():
+        inst = bundle.instance
+        avg_mult = spectral.AvgMult(inst.u, inst.partition, checks.DEFAULT_TOL)
+        try:
+            decomp = avg_mult.decomposition()
+        except NotNormalError:
+            continue
+        decomposed += 1
+        reps, group = avg_mult.groups
+        e = inst.partition.cond_exp_matrix
+        projections = []
+        for lam in decomp.eigenvalues[:len(reps) - 1]:
+            level = np.array([reps[group[b]] == lam for b in inst.partition.block_of])
+            projections.append(level[:, None] * e)
+        expected = np.array(projections).reshape(-1, *e.shape)
+        if avg_mult.has_kernel:
+            kernel = np.eye(inst.space.n) - expected.sum(axis=0)
+            expected = np.concatenate((expected, kernel[None]))
+        assert decomp.stack.dtype == expected.dtype and np.array_equal(decomp.stack, expected)
+    assert decomposed > 60
+
+
+def test_reconstruction_direct_is_e_times_symbols(monkeypatch):
+    compared = []
+    deviations = checks.op_deviations
+
+    def spying(a, b, *args):
+        compared.append(b)
+        return deviations(a, b, *args)
+
+    monkeypatch.setattr(checks, "op_deviations", spying)
+    for bundle in rotation_bundles(60):
+        ctx = checks.CheckContext(bundle)
+        checks.check_reconstruction(ctx)
+        fibers = bundle.point_map.partition
+        rng = ctx.rng("reconstruction")
+        symbols = np.stack([random_blockwise(rng, fibers) for _ in range(3)])
+        expected = fibers.cond_exp_matrix[None] * symbols[:, None, :]
+        direct = compared.pop()
+        assert direct.dtype == expected.dtype and np.array_equal(direct, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -437,6 +437,29 @@ class TestCli:
         # The report path is tried before the run, so nothing ran.
         assert captured.out == ""
 
+    def test_closed_stdout_keeps_the_report(self, tmp_path):
+        # Standard output is a pipe whose read end is already closed, as
+        # when `wcelab suite ... | head -1` has printed its line: the JSON
+        # report is written in full before the text, the exit is 2 (an
+        # output that cannot be written), and no traceback is printed.
+        report_file = tmp_path / "r.json"
+        src = str(Path(wcelab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "wcelab.cli", "suite", "--seeds", "1..30", "--full",
+                 "--report", str(report_file)],
+                env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        records = json.loads(report_file.read_text())["records"]
+        assert len(records) == 30 * sum(map(len, RECORDS.values()))
+
     def test_verify_unwritable_report_exits_before_the_run(self, tmp_path, capsys):
         inst_file = tmp_path / "inst.json"
         main(["gen", "--seed", "5", "-o", str(inst_file)])
