@@ -484,9 +484,17 @@ def check_vanishing(ctx: CheckContext) -> list[CheckRecord]:
     records = [ctx.record("vanishing_disjoint", res1, RANK_TOL)]
     if block_kept.size:
         # ||M_g T|| / (max|g| ||T||) is sigma_B / sigma_max on the picked
-        # block: the rank cut seen from the kept side.
-        records.append(ctx.record("vanishing_meets", norms[1] / (g_pick * t_norm),
-                                  RANK_TOL, bound="lower"))
+        # block: the rank cut seen from the kept side. Near the float limit
+        # both norms can overflow though ||T|| does not, and inf / inf reads
+        # nothing.
+        with np.errstate(invalid="ignore"):
+            meets = norms[1] / (g_pick * t_norm)
+        if math.isfinite(meets):
+            records.append(ctx.record("vanishing_meets", meets, RANK_TOL, bound="lower"))
+        else:
+            records.append(ctx.breakdown(
+                "vanishing_meets",
+                "||M_g T|| / (max|g| ||T||) is not finite: the norms overflow"))
     else:
         records.append(ctx.skip("vanishing_meets",
                                 "the product E(|w|^2) E(|u|^2) vanishes identically"))
@@ -539,15 +547,12 @@ def check_polar(ctx: CheckContext) -> list[CheckRecord]:
     u_mat, abs_mat = u_closed.matrices(), ctx.abs_closed
     u_ref, abs_ref = ctx.polar
     uu = u_closed.adjoint() @ u_closed
-    k_u, k_abs = SvdOracle(u_mat).kernel(), SvdOracle(abs_mat).kernel()
-    k_t = ctx.svd.kernel()
-    k_ref = np.stack((k_abs, k_t, k_t))
-    # An orthogonal projection has norm 1, or 0 when its trace (its rank)
-    # is 0.
-    k_norms = (np.trace(k_ref, axis1=1, axis2=2).real > 0.5).astype(float)
-    kernel_res = op_deviations(np.stack((k_u, k_abs, k_u)), k_ref, k_norms).max()
-    # The kernel comparisons are a stack of their own: one stack of all six
-    # pairs raised the peak memory of a dense n = 64 run by 0.4-0.7 MB.
+    u_svd, abs_svd = SvdOracle(u_mat), SvdOracle(abs_mat)
+    # Each kernel gap is read against the norm of the reference kernel
+    # projection: 1, or 0 when the reference has no kernel.
+    kernel_res = max(a.kernel_gap(ref) / (1.0 + (~ref.keep).any())
+                     for a, ref in ((u_svd, abs_svd), (abs_svd, ctx.svd),
+                                    (u_svd, ctx.svd)))
     # The oracle norms: ||T|| = || |T| ||, and the SVD partial isometry
     # has norm 1 unless T = 0.
     t_norm = ctx.svd.norm

@@ -59,7 +59,11 @@ def _tolerance(text: str) -> float:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process. parse_args keeps
+    no state on it: an `append` option starts each call from a copy of its
+    default."""
     parser = argparse.ArgumentParser(
         prog="wcelab",
         description="Verify closed-form decompositions of weighted "

@@ -111,9 +111,10 @@ class SvdOracle:
 
     Singular values at or below RANK_TOL * sigma_max count as kernel (all
     of them for the zero operator); keep marks the others. a* a and a a*
-    are never formed: every function of them, the polar factor, its root
-    and the kernel projection among them, is one calculus on the columns
-    of R or of L (gram_calc, cogram_calc).
+    are never formed: every function of them, the polar factor and its
+    root among them, is one calculus on the columns of R or of L
+    (gram_calc, cogram_calc); ker a, spanned by the columns of R the cut
+    drops, is compared through them (kernel_gap).
     """
 
     def __init__(self, a: np.ndarray) -> None:
@@ -134,10 +135,19 @@ class SvdOracle:
         """P^(1/2) = (a* a)^(1/4), the half power of the positive factor."""
         return self.gram_calc(np.sqrt(self._cut))
 
-    def kernel(self) -> np.ndarray:
-        """Orthogonal projection onto ker a, the indicator of the cut: the
-        zero operator maps to the identity."""
-        return self.gram_calc((~self.keep).astype(float))
+    def kernel_gap(self, other: SvdOracle) -> float:
+        """||K_self - K_other||, K the orthogonal projection onto the kernel,
+        read off the two SVDs and never formed.
+
+        Projections of different rank are at distance exactly 1. For equal
+        ranks ||P - Q|| = ||(I - Q) P||, the sine of the largest principal
+        angle between the kernels (Bjorck and Golub 1973): the norm of the
+        rank x nullity product of other's kept right singular vectors with
+        self's kernel ones, empty (gap 0) for a full-rank or zero a."""
+        if self.keep.sum() != other.keep.sum():
+            return 1.0
+        return float(spectral_norms(
+            other.right_h[other.keep] @ self.right_h[~self.keep].conj().T))
 
     def squares(self) -> np.ndarray:
         """The spectrum sigma^2 of a* a and of a a*, in SVD order, cut to

@@ -8,7 +8,7 @@ import pytest
 from wcelab.errors import NotNormalError
 from wcelab.generator import GeneratorConfig, gen_instance
 from wcelab.measure import MeasurableFunction, Partition
-from wcelab.opalgebra import op_deviations, spectral_norms
+from wcelab.opalgebra import SvdOracle, op_deviations, spectral_norms
 from wcelab.spectral import AvgMult
 from wcelab.wce import WceInstance, closed_func_calc
 
@@ -92,6 +92,15 @@ def deviation(a, b):
     """||a - b|| / (1 + ||b||) of two operator matrices: the one-slice case
     of op_deviations, b the reference side."""
     return float(op_deviations(a[None], b[None])[0])
+
+
+def kernel_projection(m):
+    """The dense orthogonal projection onto ker m as SvdOracle cuts it:
+    V V* for the right singular vectors V its rank cut drops (the identity
+    for the zero operator)."""
+    oracle = SvdOracle(m)
+    v = oracle.right_h[~oracle.keep]
+    return v.conj().T @ v
 
 
 def psd_calc(a, f, snap=1e-10):

@@ -38,6 +38,7 @@ from conftest import (
     closed_calc,
     deviation,
     generated_partitions,
+    kernel_projection,
     norm,
     pinned_record_names,
     psd_calc,
@@ -80,7 +81,7 @@ def test_criterion_2_polar_decomposition(family200):
         assert dev_abs <= 1e-8
         assert dev_u <= 1e-8
         assert dev_fact <= 1e-8
-        kernels = [SvdOracle(x).kernel()
+        kernels = [kernel_projection(x)
                    for x in (u_op.matrices(), abs_t.matrices(), t)]
         dev_ker = max(
             deviation(kernels[0], kernels[1]),

@@ -32,7 +32,7 @@ from wcelab.cli import main
 from wcelab.generator import GeneratorConfig, gen_instance, rotation_config
 from wcelab.instance_io import InstanceBundle, parse_instance, serialize_instance
 from wcelab.measure import FiniteMeasureSpace, MeasurableFunction, Partition
-from wcelab.opalgebra import op_deviations
+from wcelab.opalgebra import SvdOracle, op_deviations
 from wcelab.condexp import Sandwich
 from wcelab.spectral import AvgMult, PointMap
 from wcelab.suite import run_suite
@@ -110,8 +110,68 @@ def test_one_factorization_per_operator(monkeypatch):
     # calculi come from one SVD of T; no Gram product is factored.
     assert sum(a is t for a in full_svds) == 1
     assert eighs == []
-    # The other full SVDs are the kernels of closed U and closed |T|.
+    # The other full SVDs are closed U and closed |T|, whose kernels
+    # polar_kernels compares.
     assert len(full_svds) == 3
+
+
+def test_polar_takes_no_dense_kernel_work(monkeypatch):
+    # At n = 64, check_polar factors closed U and closed |T| (T's SVD is
+    # the context's, shared with every group) and takes four n x n norms:
+    # the abs/isometry/factorization stack and the projection residual.
+    # The kernels are compared on rank x nullity products, never as n x n
+    # projections.
+    n = 64
+    ctx = CheckContext(gen_instance(GeneratorConfig(seed=3, n=n, block_count=9,
+                                                    zero_blocks=True)))
+    assert ctx.svd.keep.any()
+    full, values_only = [], []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        square = [m for m in a.reshape(-1, *a.shape[-2:]) if m.shape == (n, n)]
+        (full if kwargs.get("compute_uv", True) else values_only).extend(square)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    assert all(r.status == "pass" for r in check_polar(ctx))
+    assert len(full) == 2 and len(values_only) == 4
+
+
+def test_polar_kernels_fail_on_a_rotated_kernel(monkeypatch):
+    # A non-constant phase on u_hat over one kept block of two or more
+    # points keeps the rank of the closed U but turns its kernel away from
+    # ker T: polar_kernels must see the principal angle and fail.
+    closed_polar = checks.closed_polar
+    planted_count = 0
+    for seed in range(8):
+        bundle = gen_instance(GeneratorConfig(seed=seed, n=12, block_count=3,
+                                              zero_blocks=seed % 2 == 1))
+        inst = bundle.instance
+        block_of = inst.partition.block_of
+        picks = [b for b in range(block_of.max() + 1)
+                 if (block_of == b).sum() >= 2 and inst.kept[block_of == b].all()]
+        if not picks:
+            continue
+        phase = np.where(block_of == picks[0], np.exp(1j * np.arange(inst.space.n)), 1.0)
+
+        def planted(inst):
+            _, abs_t = closed_polar(inst)
+            u_hat, w_hat = inst.units
+            return Sandwich(inst.partition, w_hat, u_hat * phase), abs_t
+
+        statuses = {r.name: r.status for r in check_polar(CheckContext(bundle))}
+        assert statuses["polar_kernels"] == "pass"
+        with monkeypatch.context() as m:
+            m.setattr(checks, "closed_polar", planted)
+            ctx = CheckContext(bundle)
+            statuses = {r.name: r.status for r in check_polar(ctx)}
+        assert statuses["polar_kernels"] == "fail"
+        # The rank is kept, so the gap is a principal angle, not a mismatch.
+        planted_u = SvdOracle(ctx.polar_closed[0].matrices())
+        assert planted_u.keep.sum() == ctx.svd.keep.sum()
+        planted_count += 1
+    assert planted_count >= 6
 
 
 def test_one_cond_exp_matrix_per_partition(monkeypatch):

@@ -69,11 +69,13 @@ def command_lines(tmp_path):
 
 
 def test_every_function_in_src_is_run_by_a_command(tmp_path, capsys, monkeypatch):
-    # The BLAS thread lookup runs once per process and not at all under a
-    # user's thread setting: clear both so this trace sees it.
+    # The parser and the BLAS thread lookup are built once per process, and
+    # the lookup runs not at all under a user's thread setting: clear the
+    # caches and the variables so this trace sees both.
     for var in cli._BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     cli._openblas_thread_controls.cache_clear()
+    cli._build_parser.cache_clear()
     argvs = command_lines(tmp_path)
     entered = set()
 

@@ -16,6 +16,7 @@ from conftest import (
     coarsest_partition,
     deviation,
     inner,
+    kernel_projection,
     l2_norm,
     norm,
     point_matrix,
@@ -270,9 +271,9 @@ class TestPolarOracle:
             assert deviation(p, psd_root(adjoint(a) @ a)) < 1e-11
             uu = adjoint(u) @ u
             assert norm(uu @ uu - uu) < 1e-12
-            ker_u = SvdOracle(u).kernel()
-            ker_p = SvdOracle(p).kernel()
-            ker_a = SvdOracle(a).kernel()
+            ker_u = kernel_projection(u)
+            ker_p = kernel_projection(p)
+            ker_a = kernel_projection(a)
             assert deviation(ker_u, ker_p) < 1e-10
             assert deviation(ker_p, ker_a) < 1e-10
 
@@ -340,11 +341,11 @@ def test_gram_calculi_of_a_stack(n):
 
 class TestKernelProjection:
     def test_identity_has_trivial_kernel(self, space):
-        k = SvdOracle(np.eye(space.n)).kernel()
+        k = kernel_projection(np.eye(space.n))
         assert norm(k) == pytest.approx(0.0, abs=1e-14)
 
     def test_zero_has_full_kernel(self, space):
-        k = SvdOracle(np.zeros((space.n, space.n))).kernel()
+        k = kernel_projection(np.zeros((space.n, space.n)))
         np.testing.assert_allclose(k, np.eye(space.n), atol=1e-14)
 
     def test_projection_complement(self, space):
@@ -352,8 +353,47 @@ class TestKernelProjection:
         # the kernel projection must be I - E.
         p = Partition(space, [[0, 1], [2, 3]])
         e = p.cond_exp_matrix
-        k = SvdOracle(e).kernel()
+        k = kernel_projection(e)
         assert deviation(k + e, np.eye(space.n)) < 1e-12
+
+
+def operator_of_rank(rng, n, rank):
+    """A random complex n x n operator of the given rank, its nonzero
+    singular values far above the rank cut."""
+    left, right = (rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+                   for _ in range(2))
+    return left @ adjoint(right)
+
+
+class TestKernelGap:
+    """kernel_gap: ||K_a - K_b|| of the kernel projections, read off the
+    two SVDs without forming either projection."""
+
+    @pytest.mark.parametrize("n", [2, 12, 64])
+    def test_matches_dense_projections(self, rng, n):
+        pairs = [(operator_of_rank(rng, n, ra), operator_of_rank(rng, n, rb))
+                 for ra, rb in ((n // 2, n // 2), (1, 1), (n - 1, n - 1), (1, n - 1))]
+        # Nearby kernels: a small gap, far from 0 and from 1.
+        a = operator_of_rank(rng, n, n // 2)
+        pairs.append((a, a + 1e-6 * a @ rng.normal(size=(n, n))))
+        for a, b in pairs:
+            gap = SvdOracle(a).kernel_gap(SvdOracle(b))
+            dense = norm(kernel_projection(a) - kernel_projection(b))
+            assert abs(gap - dense) <= 1e-14
+
+    def test_rank_mismatch_is_exactly_one(self, rng):
+        n = 8
+        oracles = [SvdOracle(operator_of_rank(rng, n, r)) for r in (0, 3, 5, n)]
+        for i, a in enumerate(oracles):
+            for b in oracles[i + 1:]:
+                assert a.kernel_gap(b) == b.kernel_gap(a) == 1.0
+
+    def test_zero_and_full_rank_are_exactly_zero(self, rng):
+        n = 8
+        zeros = [SvdOracle(np.zeros((n, n))), SvdOracle(np.zeros((n, n)))]
+        full = [SvdOracle(operator_of_rank(rng, n, n)) for _ in range(2)]
+        for a, b in (zeros, full):
+            assert a.kernel_gap(b) == a.kernel_gap(a) == 0.0
 
 
 
@@ -390,10 +430,10 @@ def test_svd_oracle_against_references(seed, n, data, real):
     assert norm(uu @ uu - uu) <= 1e-12
     root = oracle.root()
     assert norm(root @ root - p) <= 1e-12 * scale
-    assert norm(oracle.kernel() - (np.eye(n) - uu)) <= 1e-12
+    assert norm(kernel_projection(a) - (np.eye(n) - uu)) <= 1e-12
     if rank == 0:
         assert oracle.norm == 0.0 and norm(u) == norm(p) == norm(root) == 0.0
-        np.testing.assert_array_equal(oracle.kernel(), np.eye(n))
+        np.testing.assert_array_equal(kernel_projection(a), np.eye(n))
 
 
 

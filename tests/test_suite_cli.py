@@ -95,6 +95,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert "summary:" in out
 
+    def test_parser_is_built_once_and_keeps_no_mode(self, tmp_path):
+        # The parser is built once per process; a --mode given to one call
+        # must not reach the next through the shared `append` default.
+        assert cli._build_parser() is cli._build_parser()
+        modes = [cli._build_parser().parse_args(["gen", "--seed", "1", *extra]).mode
+                 for extra in (["--mode", "zero_blocks"], [], ["--mode", "constant_u"])]
+        assert modes == [["zero_blocks"], [], ["constant_u"]]
+        gen = ["gen", "--seed", "5", "--n", "6", "--blocks", "3"]
+        moded, plain, fresh = (tmp_path / f"{name}.json" for name in ("moded", "plain", "fresh"))
+        assert main(gen + ["--mode", "zero_blocks", "-o", str(moded)]) == 0
+        assert main(gen + ["-o", str(plain)]) == 0
+        src = str(Path(wcelab.__file__).resolve().parents[1])
+        subprocess.run([sys.executable, "-m", "wcelab.cli", *gen, "-o", str(fresh)],
+                       env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+        assert plain.read_text() == fresh.read_text() != moded.read_text()
+
     def test_verify_selected_checks(self, tmp_path):
         inst_file = tmp_path / "inst.json"
         main(["gen", "--seed", "5", "--n", "6", "--blocks", "2",
@@ -380,6 +396,29 @@ class TestCli:
         assert records["normality"]["residual"] is None
         assert records["normality"]["reason"] == (
             "normality raised ValueError: 1 + ||E M_u||^2 is not finite")
+
+    def test_verify_vanishing_norms_beyond_the_float_range_break_down(
+            self, tmp_path, capfd):
+        # ||T|| = 1.7e308 is finite, but max|g| ||T|| and ||M_g T|| overflow:
+        # vanishing_meets has no ratio to read and breaks down, where it
+        # once failed on inf / inf = NaN after a numpy warning.
+        # vanishing_disjoint still passes.
+        big = [[1.7e308, 0]] * 2
+        doc = {"weights": [1, 1], "partition": [[0, 1]], "u": [[1, 0]] * 2, "w": big}
+        inst_file = tmp_path / "vanishing_overflow.json"
+        inst_file.write_text(json.dumps(doc))
+        report_file = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", str(inst_file), "--report", str(report_file)]) == 1
+        _, err = capfd.readouterr()
+        assert err == ""
+        records = {r["name"]: r for r in json.loads(report_file.read_text())["records"]}
+        assert records["vanishing_disjoint"]["status"] == "pass"
+        assert records["vanishing_meets"]["status"] == "fail"
+        assert records["vanishing_meets"]["residual"] is None
+        assert records["vanishing_meets"]["reason"] == (
+            "||M_g T|| / (max|g| ||T||) is not finite: the norms overflow")
 
     def test_verify_opposite_block_means_near_the_float_limit_warn_nothing(
             self, tmp_path, capfd):

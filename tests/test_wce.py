@@ -26,6 +26,7 @@ from conftest import (
     constant,
     deviation,
     finest_partition,
+    kernel_projection,
     norm,
     point_matrix,
     psd_calc,
@@ -402,7 +403,7 @@ class TestClosedPolar:
         u_ref, _ = SvdOracle(t).polar()
         assert deviation(u_op.matrices(), u_ref) < 1e-8
         assert deviation((u_op @ abs_t).matrices(), t) < 1e-8
-        kernels = [SvdOracle(x).kernel()
+        kernels = [kernel_projection(x)
                    for x in (u_op.matrices(), abs_t.matrices(), t)]
         for i in range(3):
             for j in range(i + 1, 3):
