@@ -163,9 +163,9 @@ class CheckContext:
     """Everything a check needs for one instance.
 
     The matrix of T, its one SVD (its norm, polar factors, half-power
-    root, kernel and both Gram calculi are read off it), the closed polar
-    pair and the matrix of its |T|, E M_u (an AvgMult, which caches its
-    matrix, the block spread of u and the eigenvalue groups) and the
+    root, kernel gaps and both Gram calculi are read off it), the closed
+    polar pair and the matrix of its |T|, E M_u (an AvgMult, which caches
+    its matrix, the block spread of u and the eigenvalue groups) and the
     eigenvalues of that matrix are each computed once, on first use, and
     shared by every check group. The point map caches its own fiber
     partition and fiber average. Every matrix is in the orthonormal basis

@@ -98,8 +98,9 @@ def parse_instance(text: str) -> InstanceBundle:
         raise ParseError(
             f"invalid JSON: {e.msg} at line {e.lineno} column {e.colno}"
         ) from None
-    except ValueError as e:
-        # An integer literal past Python's int-string digit limit.
+    except (ValueError, RecursionError) as e:
+        # An integer literal past Python's int-string digit limit, or
+        # nesting deeper than the decoder's recursion limit.
         raise ParseError(f"invalid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object")

@@ -7,6 +7,7 @@ import pytest
 
 from wcelab.errors import NotNormalError
 from wcelab.generator import GeneratorConfig, gen_instance
+from wcelab.instance_io import parse_instance
 from wcelab.measure import MeasurableFunction, Partition
 from wcelab.opalgebra import SvdOracle, op_deviations, spectral_norms
 from wcelab.spectral import AvgMult
@@ -141,6 +142,24 @@ def pinned_record_names(workload):
     checks' own RECORDS table."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "expected"
     return json.loads((path / f"{workload}.json").read_text())["record_names"]
+
+
+# The edge instances of edge_instances.json, by name: the table whose
+# fields tests/test_edge_instances.py describes and whose every entry it runs.
+EDGE_INSTANCES = {entry["name"]: entry for entry in json.loads(
+    (Path(__file__).resolve().parent / "edge_instances.json").read_text())}
+
+
+def edge_file(tmp_path, name):
+    """The edge table's document for name, written to tmp_path."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(EDGE_INSTANCES[name]["doc"]))
+    return path
+
+
+def edge_bundle(name):
+    """The edge table's document for name, parsed."""
+    return parse_instance(json.dumps(EDGE_INSTANCES[name]["doc"]))
 
 
 def generated_partitions(count, seed0=500, n_max=16):

@@ -38,7 +38,8 @@ from wcelab.spectral import AvgMult, PointMap
 from wcelab.suite import run_suite
 from wcelab.wce import WceInstance, build_operator, closed_func_calc
 
-from conftest import closed_calc, coarsest_partition, constant, norm, random_blockwise
+from conftest import (closed_calc, coarsest_partition, constant, edge_bundle, norm,
+                      random_blockwise)
 
 _MODES = ({}, {"zero_blocks": True}, {"constant_u": True},
           {"measurable_u": True}, {"partial_isometry": True})
@@ -561,16 +562,6 @@ def crossed_aggregates_bundle():
     return InstanceBundle(WceInstance(part, u, w))
 
 
-def faint_sigma_bundle():
-    """sigma = (1, 1e-5): far above the rank cut, while sigma^2 = 1e-10 is
-    below the 1e-8 scale of the partial-isometry criterion."""
-    sp = FiniteMeasureSpace([1.0] * 4)
-    part = Partition(sp, [[0, 1], [2, 3]])
-    u = MeasurableFunction(sp, [1.0, 1.0, 1e-5, 1e-5])
-    w = constant(sp, 1.0)
-    return InstanceBundle(WceInstance(part, u, w))
-
-
 def tiny_sigma_bundle():
     """sigma = (1, 2e-10): just above the rank cut, so both blocks are kept,
     yet T T* T - T is 2e-10 there, far below tol: T is a partial isometry
@@ -602,14 +593,6 @@ def near_normal_bundle():
     return InstanceBundle(WceInstance(part, u, w))
 
 
-# Files near T's rank cut: faint blocks, crossed aggregates, a faint
-# singular value and a small norm. A cut on the quadratic aggregates, or
-# an absolute floor, puts the closed forms and the oracle on different
-# ranks here.
-SMALL_AGGREGATE_DOC = (
-    '{"weights":[1,1,1,1,1,1],"partition":[[0,1],[2,3],[4,5]],'
-    '"u":[[1,0],[0.5,0.2],[1e-6,0],[2e-6,0],[0.7,-0.3],[1.3,0]],'
-    '"w":[[1,0],[0.8,0.1],[1.2,0],[0.9,0.4],[1,1],[0.6,0]]}')
 # Files near normality. At weights 1e-300 and 1e300 E M_u is normal to
 # within 1e-300 though u is not constant: no bound scaled by tol can tell
 # its commutator from 0. On the mean-zero file the commutator of the
@@ -628,11 +611,16 @@ NEAR_MERGE_DOC = (
     '{"weights":[1,1,1,1],"partition":[[0,1],[2,3]],'
     '"u":[[1,0],[1,0],[1.000000038,0],[1,0]],"w":[[1,0],[1,0],[1,0],[1,0]]}')
 
+# The first six files sit near T's rank cut: faint blocks, crossed
+# aggregates, a faint singular value and a small norm. A cut on the
+# quadratic aggregates, or an absolute floor, puts the closed forms and the
+# oracle on different ranks there. six_point and faint_sigma are files of
+# the edge table.
 HARD_BUNDLES = {
-    "six_point": lambda: parse_instance(SMALL_AGGREGATE_DOC),
+    "six_point": lambda: edge_bundle("six-point"),
     "faint_block": faint_block_bundle,
     "crossed_aggregates": crossed_aggregates_bundle,
-    "faint_sigma": faint_sigma_bundle,
+    "faint_sigma": lambda: edge_bundle("faint-sigma"),
     "tiny_sigma": tiny_sigma_bundle,
     "scaled": scaled_bundle,
     "near_normal": near_normal_bundle,

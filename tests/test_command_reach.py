@@ -2,38 +2,23 @@
 command, so the package holds no code that only the unit tests reach.
 
 The commands run in-process under sys.setprofile: gen in every mode;
-verify on a generated file, on a file with labels and a point map, on two
-files whose |u| or block means sit at the float limit, and on malformed
-files; and the full seeded suite with a report. A function counts as run
-when a frame of its code is entered.
+verify on a generated file and on every file of the edge table
+(edge_instances.json: the float limits, a file with labels and a point
+map, malformed files); and the full seeded suite with a report. A
+function counts as run when a frame of its code is entered.
 """
 
 import inspect
-import json
 import sys
 import types
 from pathlib import Path
 
 from wcelab import cli
 
+from conftest import EDGE_INSTANCES, edge_file
+
 SRC = Path(cli.__file__).resolve().parent
 
-_ONE = [[1, 0], [1, 0]]
-VERIFY_DOCS = {
-    "labelled": {"weights": [1, 2, 3], "partition": [[0, 1], [2]],
-                 "u": [[1, 0], [2, 0], [3, 1]], "w": [[1, 0], [0, 1], [2, 0]],
-                 "phi": [1, 1, 0], "labels": ["a", "b", "c"]},
-    "abs_u_overflow": {"weights": [1, 1], "partition": [[0], [1]],
-                       "u": [[1.5e308, 1.5e308], [1, 0]], "w": _ONE},
-    "opposite_means": {"weights": [1, 1], "partition": [[0], [1]],
-                       "u": [[1e308, 0], [-1e308, 0]], "w": _ONE},
-    "empty_weights": {"weights": [], "partition": [], "u": [], "w": []},
-    "negative_weight": {"weights": [1, -1], "partition": [[0, 1]], "u": _ONE, "w": _ONE},
-    "overlapping_blocks": {"weights": [1, 1], "partition": [[0, 1], [1]],
-                           "u": _ONE, "w": _ONE},
-    "phi_out_of_range": {"weights": [1, 1], "partition": [[0, 1]],
-                         "u": _ONE, "w": _ONE, "phi": [0, 2]},
-}
 MODES = ("measurable_u", "partial_isometry", "zero_blocks", "constant_u", "point_map")
 
 
@@ -59,10 +44,7 @@ def command_lines(tmp_path):
     argvs = [["gen", "--seed", "3", "--n", "6", "--mode", mode] for mode in MODES]
     argvs[0] += ["-o", str(generated)]
     argvs.append(["verify", str(generated)])
-    for name, doc in VERIFY_DOCS.items():
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(doc))
-        argvs.append(["verify", str(path)])
+    argvs += [["verify", str(edge_file(tmp_path, name))] for name in EDGE_INSTANCES]
     argvs.append(["suite", "--seeds", "1..20", "--full", "--tol", "1e-8",
                   "--report", str(tmp_path / "report.json")])
     return argvs
@@ -91,9 +73,9 @@ def test_every_function_in_src_is_run_by_a_command(tmp_path, capsys, monkeypatch
     capsys.readouterr()
     entered = {(Path(file).name, line) for file, line in entered
                if Path(file).resolve().parent == SRC}
-    # gen and the generated file pass; the overflow files fail as
-    # breakdowns; the malformed files are parse errors; the suite passes.
-    assert codes == [0] * 6 + [0, 1, 1] + [2] * 4 + [0]
+    # gen and the generated file pass, each edge file exits as the table
+    # says, and the suite passes.
+    assert codes == [0] * 6 + [entry["exit"] for entry in EDGE_INSTANCES.values()] + [0]
     unreached = [f"{file}:{line} {name}"
                  for (file, line), name in sorted(defined_functions().items())
                  if (file, line) not in entered]

@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -17,7 +16,7 @@ from wcelab.measure import FiniteMeasureSpace
 from wcelab.suite import run_suite
 from wcelab.wce import WceInstance, build_operator
 
-from conftest import coarsest_partition, constant
+from conftest import coarsest_partition, constant, edge_file
 
 
 def trivial_bundle():
@@ -124,9 +123,12 @@ class TestCli:
 
     def test_verify_parse_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert main(["verify", str(bad)]) == 2
-        assert "error" in capsys.readouterr().err
+        # Nesting deeper than the decoder's recursion limit is invalid JSON
+        # too: an error line, never a traceback.
+        for text in ("{not json", "[" * 100000 + "]" * 100000):
+            bad.write_text(text)
+            assert main(["verify", str(bad)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {bad}: invalid JSON: ")
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     @pytest.mark.parametrize("field", ["u", "w"])
@@ -157,13 +159,10 @@ class TestCli:
         assert main(["verify", str(bad)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
 
-    def test_verify_overflowing_instance_fails_its_groups(self, tmp_path, capfd,
-                                                           monkeypatch):
-        # Valid input whose operator entries overflow: the groups that
-        # build the operator fail on this instance, the rest still run.
-        # A failed build is not cached: each of the six groups that needs T
-        # tries it and raises the same error. The failure reaches the user
-        # as records, not as numpy overflow warnings.
+    def test_verify_overflowing_instance_fails_its_groups(self, tmp_path, monkeypatch):
+        # A failed build of T is not cached: each of the six groups that
+        # needs T tries it and raises the same error. The edge table pins
+        # the records this file gives.
         builds = []
 
         def counting_build(inst):
@@ -171,274 +170,21 @@ class TestCli:
             return build_operator(inst)
 
         monkeypatch.setattr(checks, "build_operator", counting_build)
-        big = [[1e200, 0.0], [2e200, 0.0], [-1e200, 1e200], [3e200, 0.0]]
-        doc = {"weights": [1.0, 2.0, 0.5, 1.5], "partition": [[0, 1], [2, 3]],
-               "u": big, "w": big}
-        inst_file = tmp_path / "overflow.json"
-        inst_file.write_text(json.dumps(doc))
-        report_file = tmp_path / "report.json"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["verify", str(inst_file), "--report", str(report_file)]) == 1
-        assert [str(w.message) for w in caught] == []
+        assert main(["verify", str(edge_file(tmp_path, "operator-inf"))]) == 1
         assert len(builds) == 6
-        records = json.loads(report_file.read_text())["records"]
-        status = {r["name"]: r["status"] for r in records}
-        assert set(status) == {n for names in RECORDS.values() for n in names}
-        assert all(status[n] == "pass" for n in RECORDS["condexp"])
-        broken = [r for r in records if r["residual"] is None and r["status"] == "fail"]
-        assert {r["name"] for r in broken} >= set(RECORDS["norm"])
-        assert all("raised ValueError: operator entries must be finite" in r["reason"]
-                   for r in broken)
-        out, err = capfd.readouterr()
-        assert "operator entries must be finite" in out
-        assert err == ""
 
     def test_verify_nonfinite_block_mean_fails_in_time(self, tmp_path):
-        # The block integral of u overflows to inf - inf, a NaN block mean.
-        # It joined no eigenvalue group, so the grouping loop never ended;
-        # now the groups that need it become failing records. The command
-        # runs in a subprocess with a timeout, so a regression fails here
-        # instead of hanging the suite.
-        doc = {"weights": [1e10, 1e10], "partition": [[0, 1]],
-               "u": [[1e300, 0], [-1e300, 0]], "w": [[1, 0], [1, 0]]}
-        inst_file = tmp_path / "nan_mean.json"
-        inst_file.write_text(json.dumps(doc))
-        report_file = tmp_path / "report.json"
+        # A NaN block mean joined no eigenvalue group, so the grouping loop
+        # never ended. The command runs in a subprocess with a timeout, so a
+        # regression fails here instead of hanging the suite; the edge
+        # table pins the records this file gives.
         src = str(Path(wcelab.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, (src, os.environ.get("PYTHONPATH"))))}
         proc = subprocess.run(
-            [sys.executable, "-m", "wcelab.cli", "verify", str(inst_file),
-             "--report", str(report_file)],
+            [sys.executable, "-m", "wcelab.cli", "verify", str(edge_file(tmp_path, "nan-mean"))],
             env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 1, proc.stderr
-        records = {r["name"]: r for r in json.loads(report_file.read_text())["records"]}
-        assert records["spectrum"]["status"] == "fail"
-        assert records["spectrum"]["reason"] == (
-            "spectrum raised ValueError: a block mean of u is not finite")
-        # u is +-1e300 on one block: taken over its peak, it is plainly not
-        # blockwise constant, so the decomposition is skipped.
-        assert all(records[n]["status"] == "skip"
-                   for n in RECORDS["spectral_decomp"])
-
-    def test_verify_overflowing_block_integral_breaks_down_quietly(self, tmp_path, capfd):
-        # u is constant on its one block, but its block integral overflows:
-        # the eigenvalue grouping has nothing finite to decide on, so the
-        # spectral groups fail as breakdowns, not as five skips, and nothing
-        # goes to stderr. E(|u|^2) = 1e600 is beyond the float range too,
-        # but its root is not: the norm and both vanishing records pass.
-        doc = {"weights": [1e10, 1e10], "partition": [[0, 1]],
-               "u": [[1e300, 0], [1e300, 0]], "w": [[1, 0], [1, 0]]}
-        inst_file = tmp_path / "inf_mean.json"
-        inst_file.write_text(json.dumps(doc))
-        report_file = tmp_path / "report.json"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["verify", str(inst_file), "--report", str(report_file)]) == 1
-        assert [str(w.message) for w in caught] == []
-        _, err = capfd.readouterr()
-        assert err == ""
-        records = {r["name"]: r for r in json.loads(report_file.read_text())["records"]}
-        for name in ("spectrum", *RECORDS["spectral_decomp"]):
-            assert records[name]["status"] == "fail"
-            group = "spectrum" if name == "spectrum" else "spectral_decomp"
-            assert records[name]["reason"] == (
-                f"{group} raised ValueError: a block mean of u is not finite")
-        for name in ("norm_formula", *RECORDS["vanishing"]):
-            assert records[name]["status"] == "pass", name
-
-    @pytest.mark.parametrize("doc, extra", [
-        # E(|w|^2) = 5e399 on the one block; T's entries are 1e200, so
-        # T T* and the Gram spectra overflow.
-        ({"weights": [1, 1], "partition": [[0, 1]],
-          "u": [[1, 0], [2, 0]], "w": [[1e200, 0], [1, 0]]},
-         ("func_calc", "partial_isometry")),
-    ])
-    def test_verify_overflowing_w_aggregate_breaks_down_quietly(
-            self, tmp_path, capfd, doc, extra):
-        # The closed forms read only sqrt(E(|w|^2)) = 7.1e199, so they pass;
-        # the groups whose oracle products overflow fail as breakdowns, and
-        # numpy prints no warning.
-        inst_file = tmp_path / "w_overflow.json"
-        inst_file.write_text(json.dumps(doc))
-        report_file = tmp_path / "report.json"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["verify", str(inst_file), "--report", str(report_file)]) == 1
-        assert [str(m.message) for m in caught] == []
-        _, err = capfd.readouterr()
-        assert err == ""
-        records = {r["name"]: r for r in json.loads(report_file.read_text())["records"]}
-        for group in extra:
-            for name in RECORDS[group]:
-                assert records[name]["status"] == "fail"
-                assert records[name]["residual"] is None
-                assert records[name]["reason"] == (
-                    f"{group} raised ValueError: operator entries must be finite")
-        for group in ("norm", "vanishing", "polar", "aluthge"):
-            for name in RECORDS[group]:
-                assert records[name]["status"] == "pass", name
-
-    def test_verify_finite_operator_with_overflowing_gram_breaks_down_quietly(
-            self, tmp_path, capfd):
-        # T's entries are about 1e160, finite, but its squared singular
-        # values, the spectra of T* T and T T*, overflow: the calculus has
-        # no eigensystem to certify and breaks down with nothing on stderr.
-        # The closed forms read sigma, about 1e160, and pass.
-        doc = {"weights": [1, 2, 0.5, 1.5], "partition": [[0, 1], [2, 3]],
-               "u": [[1e160, 0], [2e160, 0], [-1e160, 1e160], [3e160, 0]],
-               "w": [[1, 0], [2, 0], [1, 1], [3, 0]]}
-        inst_file = tmp_path / "gram_overflow.json"
-        inst_file.write_text(json.dumps(doc))
-        report_file = tmp_path / "report.json"
-        assert main(["verify", str(inst_file), "--report", str(report_file)]) == 1
-        _, err = capfd.readouterr()
-        assert err == ""
-        finite = "ValueError: operator entries must be finite"
-        expected = {
-            "condexp": ("pass", ""),
-            "norm": ("pass", ""),
-            "vanishing": ("pass", ""),
-            "partial_isometry": ("fail", f"partial_isometry raised {finite}"),
-            "func_calc": ("fail", f"func_calc raised {finite}"),
-            "polar": ("pass", ""),
-            "aluthge": ("pass", ""),
-            "normality": ("fail", f"normality raised {finite}"),
-            "spectrum": ("pass", ""),
-            "spectral_decomp": ("skip", "u is not blockwise constant, E M_u is not normal"),
-            "measure_axioms": ("skip", "no point map on this instance"),
-            "reconstruction": ("skip", "no point map on this instance"),
-        }
-        records = json.loads(report_file.read_text())["records"]
-        assert {(r["name"], r["status"], r.get("reason", "")) for r in records} == {
-            (name, *expected[group])
-            for group, names in RECORDS.items() for name in names}
-
-    @pytest.mark.parametrize("doc", [
-        # On the second block E(|u|^2) = 1e-310 and E(|w|^2) = 1e300: their
-        # quotient overflows, but sigma = 1e-5 and the unit symbols do not.
-        pytest.param({"weights": [1, 1, 1, 1], "partition": [[0, 1], [2, 3]],
-                      "u": [[1, 0], [1, 0], [1e-155, 0], [1e-155, 0]],
-                      "w": [[1, 0], [1, 0], [1e150, 0], [1e150, 0]]}, id="crossed"),
-        # E(|w|^2) is inf where u vanishes, so T, T* T and T T* stay finite.
-        pytest.param({"weights": [1, 1, 1, 1], "partition": [[0, 1], [2, 3]],
-                      "u": [[1, 0], [2, 0], [0, 0], [0, 0]],
-                      "w": [[1, 0], [1, 0], [1e200, 0], [1, 0]]}, id="w-two-blocks"),
-        # |u|^2 underflows to 0, so E(|u|^2) once cut both blocks away.
-        pytest.param({"weights": [1, 1, 1, 1], "partition": [[0, 1], [2, 3]],
-                      "u": [[1e-200, 0], [1e-200, 0], [2e-200, 0], [1e-200, 0]],
-                      "w": [[1, 0], [1, 0], [1, 0], [1, 0]]}, id="u-underflow"),
-    ])
-    def test_verify_files_once_broken_by_their_aggregates_pass_quietly(
-            self, tmp_path, capfd, doc):
-        # An aggregate beyond the float range once broke these files down
-        # or cut their kept blocks; the closed forms read only the block
-        # root mean squares, so every record passes or skips, and nothing
-        # goes to stderr.
-        inst_file = tmp_path / "aggregates.json"
-        inst_file.write_text(json.dumps(doc))
-        report_file = tmp_path / "report.json"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["verify", str(inst_file), "--report", str(report_file)]) == 0
-        assert [str(m.message) for m in caught] == []
-        _, err = capfd.readouterr()
-        assert err == ""
-        records = json.loads(report_file.read_text())["records"]
-        assert {r["name"]: r["status"] for r in records}["vanishing_meets"] == "pass"
-
-    def test_verify_overflowing_abs_u_breaks_down_quietly(self, tmp_path, capfd):
-        # |u| and its root mean square overflow at the first point, so the
-        # normality of E M_u cannot be decided: the decomposition group
-        # breaks down rather than pass on NaN spreads. LAPACK gives E M_u
-        # NaN eigenvalues without an error, and the spectrum breaks down on
-        # them rather than fail on a NaN residual. numpy prints no warning.
-        doc = {"weights": [1, 1], "partition": [[0], [1]],
-               "u": [[1.5e308, 1.5e308], [1, 0]], "w": [[1, 0], [1, 0]]}
-        inst_file = tmp_path / "abs_u_overflow.json"
-        inst_file.write_text(json.dumps(doc))
-        report_file = tmp_path / "report.json"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["verify", str(inst_file), "--report", str(report_file)]) == 1
-        assert [str(m.message) for m in caught] == []
-        _, err = capfd.readouterr()
-        assert err == ""
-        records = {r["name"]: r for r in json.loads(report_file.read_text())["records"]}
-        for name in RECORDS["spectral_decomp"]:
-            assert records[name]["status"] == "fail"
-            assert records[name]["residual"] is None
-            assert records[name]["reason"] == (
-                "spectral_decomp raised ValueError: E(|u|^2) is not finite")
-        assert records["spectrum"]["residual"] is None
-        assert records["spectrum"]["reason"] == (
-            "spectrum raised ValueError: eigenvalues of E M_u are not finite")
-
-    def test_verify_normality_scale_beyond_the_float_range_breaks_down(
-            self, tmp_path, capfd):
-        # u is constant, so E M_u is normal and its commutator is 0, but
-        # ||E M_u||^2 = 4e308 is beyond the float range: normality has no
-        # scale to read a residual against and breaks down, where it once
-        # passed at residual 0 / inf after a numpy overflow warning.
-        big = [[2e154, 0]] * 4
-        doc = {"weights": [1, 1, 1, 1], "partition": [[0, 1, 2, 3]], "u": big, "w": big}
-        inst_file = tmp_path / "normality_scale.json"
-        inst_file.write_text(json.dumps(doc))
-        report_file = tmp_path / "report.json"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["verify", str(inst_file), "--report", str(report_file)]) == 1
-        _, err = capfd.readouterr()
-        assert err == ""
-        records = {r["name"]: r for r in json.loads(report_file.read_text())["records"]}
-        assert records["normality"]["status"] == "fail"
-        assert records["normality"]["residual"] is None
-        assert records["normality"]["reason"] == (
-            "normality raised ValueError: 1 + ||E M_u||^2 is not finite")
-
-    def test_verify_vanishing_norms_beyond_the_float_range_break_down(
-            self, tmp_path, capfd):
-        # ||T|| = 1.7e308 is finite, but max|g| ||T|| and ||M_g T|| overflow:
-        # vanishing_meets has no ratio to read and breaks down, where it
-        # once failed on inf / inf = NaN after a numpy warning.
-        # vanishing_disjoint still passes.
-        big = [[1.7e308, 0]] * 2
-        doc = {"weights": [1, 1], "partition": [[0, 1]], "u": [[1, 0]] * 2, "w": big}
-        inst_file = tmp_path / "vanishing_overflow.json"
-        inst_file.write_text(json.dumps(doc))
-        report_file = tmp_path / "report.json"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["verify", str(inst_file), "--report", str(report_file)]) == 1
-        _, err = capfd.readouterr()
-        assert err == ""
-        records = {r["name"]: r for r in json.loads(report_file.read_text())["records"]}
-        assert records["vanishing_disjoint"]["status"] == "pass"
-        assert records["vanishing_meets"]["status"] == "fail"
-        assert records["vanishing_meets"]["residual"] is None
-        assert records["vanishing_meets"]["reason"] == (
-            "||M_g T|| / (max|g| ||T||) is not finite: the norms overflow")
-
-    def test_verify_opposite_block_means_near_the_float_limit_warn_nothing(
-            self, tmp_path, capfd):
-        # Block means 1e308 and -1e308: their distance overflows to inf,
-        # which joins no eigenvalue group, so the two means stay two
-        # eigenvalues and the spectral groups pass, with nothing on stderr.
-        doc = {"weights": [1, 1], "partition": [[0], [1]],
-               "u": [[1e308, 0], [-1e308, 0]], "w": [[1, 0], [1, 0]]}
-        inst_file = tmp_path / "opposite_means.json"
-        inst_file.write_text(json.dumps(doc))
-        report_file = tmp_path / "report.json"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["verify", str(inst_file), "--report", str(report_file)]) == 1
-        assert [str(m.message) for m in caught] == []
-        _, err = capfd.readouterr()
-        assert err == ""
-        records = {r["name"]: r for r in json.loads(report_file.read_text())["records"]}
-        for name in ("spectrum", *RECORDS["spectral_decomp"]):
-            assert records[name]["status"] == "pass", name
 
     def test_repeated_check_group_runs_once(self, tmp_path, capsys):
         inst_file = tmp_path / "inst.json"
