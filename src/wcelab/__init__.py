@@ -13,7 +13,7 @@ induced by point maps.
 
 from .checks import CHECK_GROUPS, CheckRecord
 from .condexp import Sandwich, cond_exp_values
-from .errors import ConfigInvalidError, NotNormalError, ParseError, WceLabError
+from .errors import ConfigInvalidError, ParseError, WceLabError
 from .generator import GeneratorConfig, gen_instance, rotation_config
 from .instance_io import (
     InstanceBundle,
@@ -26,7 +26,6 @@ from .opalgebra import SvdOracle, op_deviations
 from .spectral import (
     AvgMult,
     PointMap,
-    SpectralDecomp,
     check_spectral_axioms,
     pushforward_density,
 )

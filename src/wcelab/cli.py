@@ -102,11 +102,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_seed_range(text: str) -> range:
-    sep = ".." if ".." in text else None
-    if sep is None:
-        raise ValueError(f"seed range must look like A..B, got {text!r}")
-    lo_text, hi_text = text.split(sep, 1)
-    lo, hi = int(lo_text), int(hi_text)
+    lo_text, sep, hi_text = text.partition("..")
+    try:
+        if not sep:
+            raise ValueError
+        lo, hi = int(lo_text), int(hi_text)
+    except ValueError:
+        raise ValueError(f"seed range must look like A..B, got {text!r}") from None
     if lo < 0:
         raise ValueError(f"seeds must be >= 0, got {text!r}")
     if hi < lo:

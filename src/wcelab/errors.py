@@ -5,10 +5,6 @@ class WceLabError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NotNormalError(WceLabError):
-    """A normal-only routine received a non-normal operator."""
-
-
 class ConfigInvalidError(WceLabError):
     """Generator configuration out of range."""
 

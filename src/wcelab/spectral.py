@@ -28,7 +28,6 @@ from typing import Callable
 import numpy as np
 
 from .condexp import Sandwich
-from .errors import NotNormalError
 from .measure import FiniteMeasureSpace, MeasurableFunction, Partition
 from .opalgebra import spectral_norms
 
@@ -101,31 +100,13 @@ class PointMap:
 
 
 @dataclass(frozen=True, eq=False)
-class SpectralDecomp:
-    """Distinct eigenvalues with their orthogonal spectral projections.
-
-    Contains 0 (last) exactly when the operator has nontrivial kernel;
-    the projections are mutually orthogonal and reconstruct the operator
-    as sum_n lambda_n P_n. stack holds the projection matrices as one real
-    (m, n, n) array, in eigenvalue order.
-    """
-
-    eigenvalues: tuple[complex, ...]
-    stack: np.ndarray
-
-
-def _by_value(z: complex) -> tuple[float, float]:
-    return (z.real, z.imag)
-
-
-@dataclass(frozen=True, eq=False)
 class AvgMult:
     """E M_u, the operator f -> E(u f), with its matrix, the block spread
-    of u and the eigenvalue groups of its block means at tol cached on
-    first use.
+    of u, the eigenvalue groups of its block means at tol and its
+    eigenvalues cached on first use.
 
-    Each is built once, whichever of has_kernel, spectrum() and
-    decomposition() reads it first; decomposition() reads the spread, and
+    Each is built once, whichever of has_kernel, eigenvalues and
+    projections() reads it first; projections() reads the spread, and
     the groups only once the spread has passed, so a symbol whose block
     mean is not finite but that is plainly not blockwise constant is never
     grouped.
@@ -167,12 +148,13 @@ class AvgMult:
     def groups(self) -> tuple[list[complex], np.ndarray]:
         """The block means of u grouped into the distinct eigenvalues.
 
-        Representatives are 0 followed by block means in block order; a
-        mean joins the first representative within tol * (1 + max |block
-        mean|) and otherwise becomes a new representative.
-        Returns the representatives (0 first) and the group index of every
-        block. A block mean that is not finite (a block integral beyond the
-        float range) would join no group, so it raises ValueError.
+        Block means are taken in block order; a mean joins the first
+        representative (0, then earlier block means) within tol * (1 + max
+        |block mean|) and otherwise becomes a new representative.
+        Returns the representatives, 0 first and the rest sorted by value,
+        and the group index of every block. A block mean that is not finite
+        (a block integral beyond the float range) would join no group, so it
+        raises ValueError.
         """
         means = self.partition.block_means(self.u.values)
         if not np.all(np.isfinite(means)):
@@ -187,7 +169,10 @@ class AvgMult:
             with np.errstate(over="ignore"):
                 group[free[np.abs(means[free] - rep) <= radius]] = len(reps)
             reps.append(complex(rep))
-        return reps, group
+        order = [0, *sorted(range(1, len(reps)), key=lambda g: (reps[g].real, reps[g].imag))]
+        rank = np.empty(len(reps), dtype=int)
+        rank[order] = np.arange(len(reps))
+        return [reps[g] for g in order], rank[group]
 
     @property
     def has_kernel(self) -> bool:
@@ -196,19 +181,18 @@ class AvgMult:
         the eigenvalue 0 of the spectrum and of the decomposition."""
         return np.count_nonzero(self.groups[1]) < self.partition.space.n
 
-    def spectrum(self) -> tuple[complex, ...]:
-        """The block means of u, and 0 when has_kernel, sorted by value.
-
-        Each eigenvalue is the first block mean (or 0) of its group, the
-        representative decomposition() gives it too.
-        """
+    @cached_property
+    def eigenvalues(self) -> tuple[complex, ...]:
+        """The spectrum: the nonzero representatives, sorted by value as
+        groups holds them, then 0 when has_kernel; the order of
+        projections() too."""
         reps, _ = self.groups
-        if not self.has_kernel:
-            reps = reps[1:]
-        return tuple(sorted(reps, key=_by_value))
+        return (*reps[1:], 0j) if self.has_kernel else tuple(reps[1:])
 
-    def decomposition(self) -> SpectralDecomp:
-        """Diagonalize the normal operator over its level sets.
+    def projections(self) -> np.ndarray | None:
+        """The spectral projections of the normal operator, one real
+        (m, n, n) stack in the order of eigenvalues, or None when u is not
+        blockwise constant at tol.
 
         For each distinct nonzero value lambda of u the projection is
         "restrict to the blocks where u = lambda, then average",
@@ -218,29 +202,24 @@ class AvgMult:
         On block B the decomposition misses E M_u by sqrt(E|u - E u|^2 +
         |E u - lambda_B|^2), lambda_B its eigenvalue; u counts as blockwise
         constant when the largest of these is <= tol (1 + ||E M_u||), the
-        scale on which the reconstruction is compared, and NotNormalError is
-        raised otherwise.
+        scale on which the reconstruction is compared.
         """
         p = self.partition
         step, rms = self.spread
         limit = self.tol * (1.0 + rms.max())
         # The spread alone bounds the miss from below.
         if step.max() > limit:
-            raise NotNormalError("symbol must be blockwise constant")
+            return None
         reps, group = self.groups
         offset = np.abs(p.block_means(self.u.values) - np.array(reps)[group])
         if np.hypot(step, offset).max() > limit:
-            raise NotNormalError("symbol must be blockwise constant")
-        order = sorted(range(1, len(reps)), key=lambda g: _by_value(reps[g]))
-        eigenvalues = [reps[g] for g in order]
+            return None
         # The level sets are disjoint, so the sum of the stack is exact.
-        levels = group[p.block_of][None, :] == np.array(order, dtype=int)[:, None]
+        levels = group[p.block_of][None, :] == np.arange(1, len(reps))[:, None]
         stack = Sandwich(p, np.ones(p.space.n), levels).matrices()
-        if self.has_kernel:
-            kernel = np.eye(p.space.n) - stack.sum(axis=0)
-            eigenvalues.append(0j)
-            stack = np.concatenate((stack, kernel[None]))
-        return SpectralDecomp(tuple(eigenvalues), stack)
+        if not self.has_kernel:
+            return stack
+        return np.concatenate((stack, np.eye(p.space.n)[None] - stack.sum(axis=0)))
 
 
 def pushforward_density(phi: PointMap) -> MeasurableFunction:

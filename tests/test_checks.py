@@ -224,6 +224,20 @@ def count_getter(monkeypatch, owner, name):
     return calls
 
 
+def count_calls(monkeypatch, owner, name):
+    """Replace the function owner.name with one that records the first
+    argument of every call; returns the list of them."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(a, *args):
+        calls.append(a)
+        return original(a, *args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 @pytest.mark.parametrize("measurable_u", [True, False])
 def test_spectral_decomp_tests_normality_once(monkeypatch, measurable_u):
     # The block spread is CheckContext's AvgMult's: normality and
@@ -238,12 +252,15 @@ def test_spectral_decomp_tests_normality_once(monkeypatch, measurable_u):
     assert len(calls) == 1
 
 
-def test_full_suite_does_the_spectral_work_once(monkeypatch):
-    # Over the rotation seeds 1..40 with --full: E M_u's block spread and
-    # eigenvalue groups are built once per instance, and no all-zero slice
-    # of a stack reaches LAPACK (the measure axioms' additivity and empty
-    # set residuals are exact zeros).
+def test_full_suite_does_the_spectral_work_once(monkeypatch, tmp_path):
+    # Over the rotation seeds 1..40 with --full: E M_u's block spread,
+    # eigenvalue groups, numerical eigenvalues and eigenvalue set distance
+    # are each taken once per instance, sd_eigs_match reads the spectrum
+    # residual, and no all-zero slice of a stack reaches LAPACK (the measure
+    # axioms' additivity and empty set residuals are exact zeros).
     builds = {name: count_getter(monkeypatch, AvgMult, name) for name in ("spread", "groups")}
+    eigvals = count_calls(monkeypatch, np.linalg, "eigvals")
+    distances = count_calls(monkeypatch, checks, "_eigvals_match_residual")
     zero_slices = []
     svd = np.linalg.svd
 
@@ -253,9 +270,18 @@ def test_full_suite_does_the_spectral_work_once(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", spying_svd)
-    assert main(["suite", "--seeds", "1..40", "--full"]) == 0
+    report = tmp_path / "r.json"
+    assert main(["suite", "--seeds", "1..40", "--full", "--report", str(report)]) == 0
     assert {name: len(calls) for name, calls in builds.items()} == {"spread": 40, "groups": 40}
+    assert len(eigvals) == len(distances) == 40
     assert zero_slices == []
+    residuals = {}
+    for r in json.loads(report.read_text())["records"]:
+        if r["name"] in ("spectrum", "sd_eigs_match") and r["status"] != "skip":
+            residuals.setdefault(r["instance_digest"], {})[r["name"]] = r["residual"]
+    decomposed = [pair for pair in residuals.values() if len(pair) == 2]
+    assert len(residuals) == 40 and decomposed
+    assert all(pair["sd_eigs_match"] == pair["spectrum"] for pair in decomposed)
 
 
 def test_norms_already_held_are_not_taken_again(monkeypatch):
@@ -494,23 +520,22 @@ def test_reconstruction_matches_per_round_reference():
 
 
 def test_one_avg_mult_operator_per_instance(monkeypatch):
-    # normality, spectrum and spectral_decomp share one matrix of E M_u
-    # and one eigvals of it.
-    factored = []
-    eigvals = np.linalg.eigvals
+    # normality, spectrum and spectral_decomp share one matrix of E M_u,
+    # one eigvals of it and one set distance from the eigenvalues, whether
+    # or not the decomposition skips.
     built = count_getter(monkeypatch, AvgMult, "matrix")
-
-    def counting_eigvals(a):
-        factored.append(a)
-        return eigvals(a)
-
-    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
-    ctx = CheckContext(gen_instance(GeneratorConfig(seed=23, n=12, block_count=4,
-                                                    measurable_u=True)))
-    for group in (check_normality, check_spectrum, check_spectral_decomp):
-        assert all(r.status == "pass" for r in group(ctx))
-    assert len(built) == 1
-    assert len(factored) == 1 and factored[0] is ctx.avg_mult.matrix
+    factored = count_calls(monkeypatch, np.linalg, "eigvals")
+    compared = count_calls(monkeypatch, checks, "_eigvals_match_residual")
+    for measurable_u, statuses in ((True, {"pass"}), (False, {"pass", "skip"})):
+        ctx = CheckContext(gen_instance(GeneratorConfig(seed=23, n=12, block_count=4,
+                                                        measurable_u=measurable_u)))
+        records = [r for group in (check_normality, check_spectrum, check_spectral_decomp)
+                   for r in group(ctx)]
+        assert {r.status for r in records} == statuses
+        assert built == [ctx.avg_mult]
+        assert len(factored) == 1 and factored[0] is ctx.avg_mult.matrix
+        assert compared == [ctx.avg_mult.eigenvalues]
+        del built[:], factored[:], compared[:]
 
 
 def test_one_measure_table_per_instance(monkeypatch):

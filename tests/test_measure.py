@@ -183,7 +183,7 @@ class TestIsMeasurable:
         with np.errstate(all="raise"):
             assert not np.isfinite(p.block_means(f.values)).any()
             with pytest.raises(ValueError, match="not finite"):
-                AvgMult(f, p, 1e-8).spectrum()
+                AvgMult(f, p, 1e-8).eigenvalues
             spread, rms = AvgMult(f, p, 1e-8).spread
         np.testing.assert_allclose(spread, [0.0 if second > 0 else 1e300])
         np.testing.assert_allclose(rms, [1e300])

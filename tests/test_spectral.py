@@ -5,7 +5,6 @@ import pytest
 
 from wcelab import spectral
 from wcelab.checks import DEFAULT_TOL, RECORDS, CheckContext, check_measure_axioms
-from wcelab.errors import NotNormalError
 from wcelab.generator import GeneratorConfig, gen_instance
 from wcelab.measure import FiniteMeasureSpace, MeasurableFunction, Partition
 from wcelab.spectral import (
@@ -119,13 +118,13 @@ class TestSpectrum:
     def test_unit_symbol(self, uniform4):
         sp, p = uniform4
         u = constant(sp, 1.0)
-        assert set(AvgMult(u, p, TOL).spectrum()) == {0j, 1 + 0j}
+        assert set(AvgMult(u, p, TOL).eigenvalues) == {0j, 1 + 0j}
 
     def test_block_means(self, uniform4):
         # block means of (1, 3, 0, 8) are 2 and 4
         sp, p = uniform4
         u = MeasurableFunction(sp, [1, 3, 0, 8])
-        spec = set(AvgMult(u, p, TOL).spectrum())
+        spec = set(AvgMult(u, p, TOL).eigenvalues)
         assert spec == {0j, 2 + 0j, 4 + 0j}
         eigs = np.linalg.eigvals(AvgMult(u, p, TOL).matrix)
         for z in spec:
@@ -136,7 +135,7 @@ class TestSpectrum:
     def test_zero_symbol(self, uniform4):
         sp, p = uniform4
         u = constant(sp, 0.0)
-        assert set(AvgMult(u, p, TOL).spectrum()) == {0j}
+        assert set(AvgMult(u, p, TOL).eigenvalues) == {0j}
 
     def test_zero_dropped_when_invertible(self):
         # On the finest partition E M_u = M_u: 0 is in the spectrum exactly
@@ -145,16 +144,16 @@ class TestSpectrum:
         for values, spectrum in (([3, 5, 5], {3, 5}), ([3, 5, 0], {0, 3, 5}),
                                  ([3, 5, 1e-9], {0, 3, 5})):
             u = MeasurableFunction(sp, values)
-            assert set(AvgMult(u, finest_partition(sp), TOL).spectrum()) == spectrum
-            decomp = AvgMult(u, finest_partition(sp), TOL).decomposition()
-            assert set(decomp.eigenvalues) == spectrum
-            assert len(decomp.eigenvalues) == len(decomp.stack)
+            avg_mult = AvgMult(u, finest_partition(sp), TOL)
+            assert set(avg_mult.eigenvalues) == spectrum
+            assert len(avg_mult.eigenvalues) == len(avg_mult.projections())
 
 
     def test_zero_rule_matches_pointwise_reference(self):
         # On the finest partition E M_u = M_u is invertible exactly when
         # |u| > tol (1 + max |u|) at every point. The spectrum drops 0, and
-        # the decomposition its kernel projection, on that one condition.
+        # the decomposition its kernel projection, on that one condition;
+        # the nonzero eigenvalues come sorted by value, then 0.
         rng = np.random.default_rng(77)
         for trial in range(300):
             n = 1 + trial % 8
@@ -164,56 +163,59 @@ class TestSpectrum:
             umax = np.abs(u.values).max()
             for tol in (1e-8, 1e-6, 1e-4):
                 invertible = bool(np.all(np.abs(u.values) > tol * (1.0 + umax)))
-                spectrum = AvgMult(u, finest_partition(sp), tol).spectrum()
-                assert (0j not in spectrum) == invertible
-                decomp = AvgMult(u, finest_partition(sp), tol).decomposition()
-                assert sorted(decomp.eigenvalues, key=lambda z: (z.real, z.imag)) \
-                    == list(spectrum)
+                avg_mult = AvgMult(u, finest_partition(sp), tol)
+                spectrum = avg_mult.eigenvalues
+                nonzero = sorted((z for z in spectrum if z != 0),
+                                 key=lambda z: (z.real, z.imag))
+                assert list(spectrum) == nonzero + ([] if invertible else [0j])
+                assert len(avg_mult.projections()) == len(spectrum)
 
 
 class TestSpectralDecomposition:
     def test_two_level_example(self, uniform4):
         sp, p = uniform4
         u = MeasurableFunction(sp, [2, 2, 5, 5])
-        decomp = AvgMult(u, p, TOL).decomposition()
-        assert [complex(z) for z in decomp.eigenvalues] == [2 + 0j, 5 + 0j, 0j]
+        avg_mult = AvgMult(u, p, TOL)
+        assert [complex(z) for z in avg_mult.eigenvalues] == [2 + 0j, 5 + 0j, 0j]
         # P_{lambda=2} restricts to block {0,1} then averages.
         expected = np.zeros((4, 4))
         expected[0, :2] = 0.5
         expected[1, :2] = 0.5
-        np.testing.assert_allclose(decomp.stack[0], expected, atol=1e-14)
-        for proj in decomp.stack[:2]:
+        stack = avg_mult.projections()
+        np.testing.assert_allclose(stack[0], expected, atol=1e-14)
+        for proj in stack[:2]:
             assert round(float(np.trace(proj).real)) == 1
 
     def test_constant_symbol(self):
         sp = FiniteMeasureSpace([1.0, 2.0, 0.5])
         p = Partition(sp, [[0, 1], [2]])
         u = constant(sp, 3.0)
-        decomp = AvgMult(u, p, TOL).decomposition()
-        assert [complex(z) for z in decomp.eigenvalues] == [3 + 0j, 0j]
-        assert deviation(decomp.stack[0], p.cond_exp_matrix) < 1e-13
+        avg_mult = AvgMult(u, p, TOL)
+        assert [complex(z) for z in avg_mult.eigenvalues] == [3 + 0j, 0j]
+        assert deviation(avg_mult.projections()[0], p.cond_exp_matrix) < 1e-13
 
     def test_zero_symbol(self, uniform4):
         sp, p = uniform4
         u = constant(sp, 0.0)
-        decomp = AvgMult(u, p, TOL).decomposition()
-        assert [complex(z) for z in decomp.eigenvalues] == [0j]
-        np.testing.assert_allclose(decomp.stack[0], np.eye(4), atol=1e-14)
+        avg_mult = AvgMult(u, p, TOL)
+        assert [complex(z) for z in avg_mult.eigenvalues] == [0j]
+        np.testing.assert_allclose(avg_mult.projections()[0], np.eye(4), atol=1e-14)
 
     def test_invariants_on_random_instances(self, rng):
         for seed in range(60, 70):
             inst = gen_instance(GeneratorConfig(
                 seed=seed, n=6 + seed % 8, block_count=2 + seed % 3,
                 measurable_u=True)).instance
-            decomp = AvgMult(inst.u, inst.partition, TOL).decomposition()
+            avg_mult = AvgMult(inst.u, inst.partition, TOL)
+            projs = avg_mult.projections()
             # The projections, the kernel's included, are real.
-            assert decomp.stack.dtype == np.float64
-            m = AvgMult(inst.u, inst.partition, TOL).matrix
+            assert projs.dtype == np.float64
+            assert len(projs) == len(avg_mult.eigenvalues)
+            m = avg_mult.matrix
             n = inst.space.n
             recon = np.zeros((n, n), dtype=complex)
             total_rank = 0
-            projs = decomp.stack
-            for lam, proj in zip(decomp.eigenvalues, projs):
+            for lam, proj in zip(avg_mult.eigenvalues, projs):
                 assert deviation(proj @ proj, proj) < 1e-10
                 assert norm(proj - proj.conj().T) < 1e-10
                 # On point functions: <P f, g>_mu = <f, P g>_mu.
@@ -231,8 +233,7 @@ class TestSpectralDecomposition:
 
     def test_rejects_nonnormal(self, uniform4):
         sp, p = uniform4
-        with pytest.raises(NotNormalError):
-            AvgMult(MeasurableFunction(sp, [1, 2, 3, 4]), p, TOL).decomposition()
+        assert AvgMult(MeasurableFunction(sp, [1, 2, 3, 4]), p, TOL).projections() is None
 
 
 class TestPointMapBasics:

@@ -292,7 +292,10 @@ class TestCli:
         assert rep_a.read_bytes() == rep_b.read_bytes()
 
     def test_suite_bad_range_exits_2(self, capsys):
-        assert main(["suite", "--seeds", "5"]) == 2
+        for seeds in ("5", "1..", "..5", "a..b", "1..2..3", "1..1e3"):
+            assert main(["suite", f"--seeds={seeds}"]) == 2
+            assert capsys.readouterr().err == \
+                f"error: seed range must look like A..B, got '{seeds}'\n"
 
     @pytest.mark.parametrize("seeds", ["-3..-1", "-1..2"])
     def test_suite_negative_seed_exits_2(self, capsys, seeds):
