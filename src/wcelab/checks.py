@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .condexp import Sandwich, cond_exp_values
+from .generator import _draw_values
 from .instance_io import InstanceBundle, instance_digest, serialize_instance
 from .measure import Partition
 from .opalgebra import (
@@ -311,53 +312,10 @@ def calculus_test_functions() -> tuple[tuple[str, Callable[[float], complex]], .
 # Conditional expectation property suite
 
 
-def _polar(mags: np.ndarray, phases: np.ndarray, low: float, high: float) -> np.ndarray:
-    """uniform(low, high) * exp(i uniform(0, 2 pi)) from uniform draws in
-    [0, 1), each mapped the way Generator.uniform(lo, hi) maps its draw,
-    lo + (hi - lo) x: the values uniform calls in the same order give."""
-    return (low + (high - low) * mags) * np.exp(1j * (2 * np.pi * phases))
-
-
-def _random_phases(rng: np.random.Generator, shape: tuple[int, ...], low: float,
-                   high: float) -> np.ndarray:
-    """uniform(low, high) * exp(i uniform(0, 2 pi)) in the given shape,
-    drawn as one rng.random block of (magnitude, phase) pairs, one pair
-    after another."""
-    r = rng.random(shape + (2,))
-    return _polar(r[..., 0], r[..., 1], low, high)
-
-
 def _worst(*candidates: np.ndarray) -> float:
-    """The largest candidate, or 0 when none is positive. A NaN candidate
-    counts for nothing, as in a running max() over the samples."""
-    return max(0.0, *np.concatenate(candidates).tolist())
-
-
-def _condexp_samples(
-    partition: Partition, rng: np.random.Generator, samples: int
-) -> tuple[np.ndarray, ...]:
-    """The sample functions of condexp_property_residuals, one row per
-    sample: f, g, the blockwise-constant g, the shift that makes f strictly
-    positive, and the mask of points where f is set to zero.
-
-    They are drawn as one rng.random block of (samples, 5n + 2K + 1)
-    uniform draws, K the block count. Each row is one sample, in this
-    order: f and g (n magnitudes, then n phases, each), the
-    blockwise-constant g (a (magnitude, phase) pair per block), the shift,
-    and the n draws of the mask. Each draw is mapped as Generator.uniform
-    maps it (see _polar), so every sample is the one that uniform and
-    random calls in that order, one sample after another, give.
-    """
-    n, k = partition.space.n, partition.block_count
-    r = rng.random((samples, 5 * n + 2 * k + 1))
-    # (sample, f or g, magnitude or phase, point)
-    fg = r[:, :4 * n].reshape(samples, 2, 2, n)
-    f, g = _polar(fg[:, :, 0], fg[:, :, 1], 0.0, 4.0).swapaxes(0, 1)
-    pairs = r[:, 4 * n:4 * n + 2 * k]
-    g_meas = _polar(pairs[:, 0::2], pairs[:, 1::2], 0.0, 4.0)[:, partition.block_of]
-    shift = 0.05 + (0.5 - 0.05) * r[:, 4 * n + 2 * k]
-    sparse = r[:, 4 * n + 2 * k + 1:] < 0.4
-    return f, g, g_meas, shift, sparse
+    """The largest candidate, or 0 when none is positive; NaN when any
+    candidate is NaN, so the record fails."""
+    return float(np.max(np.concatenate(candidates), initial=0.0))
 
 
 def condexp_property_residuals(
@@ -370,11 +328,12 @@ def condexp_property_residuals(
     rounding level and a violation is order one; set-valued properties
     (strict positivity, support growth) report 0 or 1.
 
-    All samples are drawn first, as one rng.random block (see
-    _condexp_samples). Every property is then evaluated on (samples, n)
-    stacks, with each sample normalized on its own. E is applied in three
-    stacked block reductions: one of every complex function, one of every
-    real one, and E(E(f)).
+    All samples are drawn first, one stack per family: f and g, the
+    blockwise-constant g, the shift that makes f strictly positive, and the
+    mask of points where f is set to zero. Every property is then evaluated
+    on those stacks, with each sample normalized on its own. E is applied
+    in three stacked block reductions: one of every complex function, one
+    of every real one, and E(E(f)).
     """
     w = partition.space.weights
 
@@ -384,7 +343,11 @@ def condexp_property_residuals(
     def peak(x: np.ndarray) -> np.ndarray:
         return np.abs(x).max(axis=1)
 
-    f, g, g_meas, shift, sparse = _condexp_samples(partition, rng, samples)
+    n, blocks = partition.space.n, partition.block_of
+    f, g = _draw_values(rng, (2, samples, n), 0.0, 4.0)
+    g_meas = _draw_values(rng, (samples, partition.block_count), 0.0, 4.0)[:, blocks]
+    shift = rng.uniform(0.05, 0.5, samples)
+    sparse = rng.random((samples, n)) < 0.4
     abs_f, abs_g = np.abs(f), np.abs(g)
     f_sparse = np.where(sparse, 0.0, abs_f)
     ef, e_g_meas, e_f_g_meas, e_fg, eg = ev(np.stack((f, g_meas, f * g_meas, f * g, g)))
@@ -400,7 +363,7 @@ def condexp_property_residuals(
 
     # E(f) is blockwise constant; E fixes blockwise-constant functions.
     res["range"] = _worst(
-        peak(ef - ef[:, partition.first_points][:, partition.block_of]) / scale_f,
+        peak(ef - ef[:, partition.first_points][:, blocks]) / scale_f,
         peak(e_g_meas - g_meas) / (1.0 + peak(g_meas)),
     )
 
@@ -434,12 +397,9 @@ def condexp_property_residuals(
     res["support"] = float(np.any((f_sparse > 0.0) & (ef_sparse == 0.0)))
 
     # <E f, g> = <f, E g> in the weighted inner product.
-    # One complex pair per sample, measured with Python's abs (np.abs of a
-    # complex number can differ from it in the last bit).
-    a = np.sum(ef * np.conj(g) * w, axis=1).tolist()
-    b = np.sum(f * np.conj(eg) * w, axis=1).tolist()
-    res["selfadjoint"] = max(0.0, *(abs(x - y) / (1.0 + abs(x) + abs(y))
-                                    for x, y in zip(a, b)))
+    a = np.sum(ef * np.conj(g) * w, axis=1)
+    b = np.sum(f * np.conj(eg) * w, axis=1)
+    res["selfadjoint"] = _worst(np.abs(a - b) / (1.0 + np.abs(a) + np.abs(b)))
 
     return res
 
@@ -474,7 +434,7 @@ def check_vanishing(ctx: CheckContext) -> list[CheckRecord]:
 
     # g supported off the kept blocks leaves M_g T below the rank cut.
     g_blocks = np.zeros(in_kept.size, dtype=complex)
-    g_blocks[~in_kept] = _random_phases(rng, (int((~in_kept).sum()),), 0.5, 2.0)
+    g_blocks[~in_kept] = _draw_values(rng, int((~in_kept).sum()), 0.5, 2.0)
     g1 = g_blocks[blocks]
     # g alive on a kept block keeps M_g T above the cut.
     gs = [g1]
@@ -605,26 +565,16 @@ def check_aluthge(ctx: CheckContext) -> list[CheckRecord]:
 def _eigvals_match_residual(expected: Sequence[complex],
                             computed: Sequence[complex]) -> float:
     """Set distance from expected to the computed numerical eigenvalues,
-    relative to 1 + the largest of them.
-
-    Each distance is np.hypot of the parts of a difference: bit for bit
-    Python's abs of a complex number, where np.abs can differ from it in
-    the last bit. As abs does, a modulus of finite parts beyond the float
-    range raises OverflowError, and a part that overflowed gives inf
-    without a warning."""
+    relative to 1 + the largest of them. A distance or modulus beyond the
+    float range raises ValueError."""
     e = np.asarray(expected, dtype=complex)
     c = np.asarray(computed, dtype=complex)
-    if not e.size and not c.size:
-        return 0.0
-    if not e.size or not c.size:
-        return 1.0
     with np.errstate(over="ignore"):
-        d = e[:, None] - c
-        dist, size = np.hypot(d.real, d.imag), np.hypot(c.real, c.imag)
-    if (np.isinf(dist) & np.isfinite(d)).any() or (np.isinf(size) & np.isfinite(c)).any():
-        raise OverflowError("absolute value too large")
+        dist, size = np.abs(e[:, None] - c), np.abs(c).max()
     gap = max(dist.min(axis=1).max(), dist.min(axis=0).max())
-    return float(gap / (1.0 + size.max()))
+    if not np.isfinite(gap) or not np.isfinite(size):
+        raise ValueError("an eigenvalue distance of E M_u is not finite")
+    return float(gap / (1.0 + size))
 
 
 def check_normality(ctx: CheckContext) -> list[CheckRecord]:
@@ -699,10 +649,10 @@ def check_reconstruction(ctx: CheckContext) -> list[CheckRecord]:
     if phi is None:
         return [ctx.skip("sm_reconstruction", "no point map on this instance")]
     rng = ctx.rng("reconstruction")
-    # Three seeded symbols, constant on the fibers by construction, drawn
-    # as one (3, K, 2) block for the K fibers.
+    # Three seeded symbols, constant on the fibers by construction: one
+    # value per fiber.
     fibers = phi.partition
-    symbols = _random_phases(rng, (3, fibers.block_count), 0.0, 4.0)[:, fibers.block_of]
+    symbols = _draw_values(rng, (3, fibers.block_count), 0.0, 4.0)[:, fibers.block_of]
     # f -> E_phi(u f), one matrix per symbol.
     direct = Sandwich(fibers, np.ones(phi.space.n), symbols).matrices()
     worst = op_deviations(phi.reconstruct(symbols), direct).max()

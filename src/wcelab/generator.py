@@ -70,9 +70,12 @@ def _random_partition(rng: np.random.Generator, n: int, k: int) -> list[list[int
     return [b.tolist() for b in np.split(order, ends)]
 
 
-def _draw_values(rng: np.random.Generator, size: int, lo: float, hi: float) -> np.ndarray:
-    mags = rng.uniform(lo, hi, size)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size)
+def _draw_values(rng: np.random.Generator, shape: int | tuple[int, ...], lo: float,
+                 hi: float) -> np.ndarray:
+    """uniform(lo, hi) magnitudes times exp(i uniform(0, 2 pi)) phases, in
+    the given shape: all magnitudes are drawn, then all phases."""
+    mags = rng.uniform(lo, hi, shape)
+    phases = rng.uniform(0.0, 2.0 * np.pi, shape)
     return mags * np.exp(1j * phases)
 
 

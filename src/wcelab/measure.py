@@ -154,9 +154,10 @@ class Partition:
         bincount for a whole stack. Real input gives real output, so
         aggregates like E(|u|^2) stay real and can be compared with
         thresholds; complex input is reduced as its (re, im) pairs, each
-        part into a bin of its own, so an overflowing part leaves the other
-        one finite. Each row is summed in point order, as a
-        single function would be. A block integral beyond the float range
+        part into a bin of its own and divided by the block mass, so an
+        overflowing part leaves the other one finite and a subnormal mass
+        gives no inf. Each row is summed in point order, as a single
+        function would be. A block integral beyond the float range
         gives a mean that is not finite, without a warning; callers that
         need finite means test for them.
         """
@@ -174,13 +175,8 @@ class Partition:
             bins = width * np.arange(rows).reshape(shape + (1,) * bins.ndim) + bins
         with np.errstate(over="ignore", invalid="ignore"):
             total = np.bincount(bins.ravel(), (x * w).ravel(), width * rows)
-            if not pairs:
-                return total.reshape(shape + (k,)) / self.block_masses
-            # Each part times 1 / mu(B): what numpy's complex division by
-            # the real mass computes, bit for bit, on finite parts; a part
-            # that overflowed leaves the other one finite.
-            means = total.reshape(shape + (k, 2)) * (1.0 / self.block_masses)[:, None]
-            return means.view(complex)[..., 0]
+            means = total.reshape(shape + (k, -1)) / self.block_masses[:, None]
+        return (means.view(complex) if pairs else means)[..., 0]
 
     def block_rms(self, values: np.ndarray) -> np.ndarray:
         """Root mean square sqrt(E|v|^2) over each block: one entry per

@@ -243,16 +243,13 @@ def _axiom_sets(
     """The set family and the intersection pairs of check_spectral_axioms.
 
     Returns a (n + n_random, n) boolean array, one row per set of target
-    points: the n singletons, then n_random random sets. The random sets
-    are drawn as one rng.random((n_random, n + 1)) block: per set, the n
-    draws of its points, then the draw of its threshold, mapped to
-    uniform(0.2, 0.8) as Generator.uniform maps it, 0.2 + (0.8 - 0.2) x.
-    So each set is the one rng.random(n) < rng.uniform(0.2, 0.8) gives.
-    Then max(n_random, 4) index pairs into that family, drawn as one
+    points: the n singletons, then n_random random sets, each point kept
+    below a threshold of its own set drawn from uniform(0.2, 0.8). Then
+    max(n_random, 4) index pairs into that family, drawn as one
     rng.integers call.
     """
-    r = rng.random((n_random, n + 1))
-    sets = np.vstack([np.eye(n, dtype=bool), r[:, :n] < 0.2 + (0.8 - 0.2) * r[:, n:]])
+    sets = np.vstack([np.eye(n, dtype=bool),
+                      rng.random((n_random, n)) < rng.uniform(0.2, 0.8, (n_random, 1))])
     pairs = rng.integers(0, len(sets), size=(max(n_random, 4), 2))
     return sets, pairs
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wcelab.generator import GeneratorConfig, gen_instance
+from wcelab.generator import GeneratorConfig, _draw_values, gen_instance
 from wcelab.instance_io import parse_instance
 from wcelab.measure import MeasurableFunction, Partition
 from wcelab.opalgebra import SvdOracle, op_deviations, spectral_norms
@@ -53,19 +53,10 @@ def perturb_nonmeasurable(instance, seed):
                        MeasurableFunction(instance.space, u_vals), instance.w)
 
 
-def random_complex(rng, n, cap=4.0):
-    return rng.uniform(0.0, cap, n) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, n))
-
-
-def random_blockwise(rng, partition, cap=4.0):
-    """A blockwise-constant symbol from one (magnitude, phase) pair per
-    block, drawn one uniform call after another: the per-symbol draw
-    sequence the checks' stacked draws reproduce."""
-    values = []
-    for _ in range(partition.block_count):
-        mag = rng.uniform(0.0, cap)
-        values.append(mag * np.exp(1j * rng.uniform(0.0, 2 * np.pi)))
-    return np.array(values)[partition.block_of]
+def random_complex(rng, shape, cap=4.0):
+    """Magnitudes in [0, cap) times uniform phases, drawn as the generator
+    and the checks draw their complex values."""
+    return _draw_values(rng, shape, 0.0, cap)
 
 
 def point_matrix(space, m):

@@ -4,6 +4,7 @@ Each test prints one line on success; together they certify the closed
 forms against the dense-linear-algebra oracles at desk scale.
 """
 
+import hashlib
 import json
 import time
 from collections import Counter
@@ -300,6 +301,12 @@ def test_criterion_10_determinism(tmp_path):
            for name in {r["name"] for r in records} | set(expected)}
     assert got == expected
     assert tuple(map(sum, zip(*got.values()))) == (7306, 0, 494)
+    # Every verdict of every instance, pinned by the sha256 of the sorted
+    # (digest, name, status) triples: a change that moves residual bytes
+    # must keep it. CI prints the same hash next to the report's.
+    triples = sorted((r["instance_digest"], r["name"], r["status"]) for r in records)
+    assert hashlib.sha256(json.dumps(triples).encode()).hexdigest() == \
+        "a5429053f4db16d8d803ffa4db131567191968439c5ea9c0d1378b3eb4ecd095"
     print(f"\nACCEPTANCE 10 determinism: PASS "
           f"(byte-identical reports, full suite in {elapsed:.1f} s)")
 

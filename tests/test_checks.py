@@ -5,6 +5,7 @@ reaching the spectral decomposition, and hard files (near T's rank cut,
 near normality, at extreme weights) on which no record may fail."""
 
 import json
+import math
 from functools import cached_property
 
 import numpy as np
@@ -16,6 +17,7 @@ from wcelab.checks import (
     CheckContext,
     calculus_test_functions,
     check_aluthge,
+    check_condexp,
     check_func_calc,
     check_measure_axioms,
     check_norm,
@@ -39,7 +41,7 @@ from wcelab.suite import run_suite
 from wcelab.wce import WceInstance, build_operator, closed_func_calc
 
 from conftest import (closed_calc, coarsest_partition, constant, edge_bundle, norm,
-                      random_blockwise)
+                      random_complex)
 
 _MODES = ({}, {"zero_blocks": True}, {"constant_u": True},
           {"measurable_u": True}, {"partial_isometry": True})
@@ -482,8 +484,8 @@ def reference_reconstruction(ctx):
     fp = phi.partition
     singletons = np.eye(phi.space.n, dtype=bool)
     worst = 0.0
-    for _ in range(3):
-        u = MeasurableFunction(phi.space, random_blockwise(rng, fp))
+    for symbol in random_complex(rng, (3, fp.block_count))[:, fp.block_of]:
+        u = MeasurableFunction(phi.space, symbol)
         rebuilt = sum((u.values[fiber[0]] * phi.values(singletons[s][None])[0]
                        for s, fiber in phi.fibers),
                       np.zeros((phi.space.n, phi.space.n), dtype=complex))
@@ -564,6 +566,25 @@ def test_func_calc_catches_one_perturbed_function(monkeypatch):
     bundle = gen_instance(GeneratorConfig(seed=12, n=10, block_count=3))
     status = {r.name: r.status for r in check_func_calc(CheckContext(bundle))}
     assert status == {"func_calc_gram": "fail", "func_calc_cogram": "pass"}
+
+
+def test_condexp_fails_on_a_planted_nan(monkeypatch):
+    original = checks.cond_exp_values
+
+    def planted(partition, values):
+        # E of every complex sample function reads NaN at point 0.
+        means = original(partition, values)
+        if np.iscomplexobj(values):
+            means[..., 0] = np.nan
+        return means
+
+    monkeypatch.setattr(checks, "cond_exp_values", planted)
+    bundle = gen_instance(GeneratorConfig(seed=12, n=10, block_count=3))
+    records = check_condexp(CheckContext(bundle))
+    nan = {r.name for r in records if math.isnan(r.residual)}
+    assert nan == {"ce_idempotent", "ce_range", "ce_module", "ce_jensen",
+                   "ce_hoelder", "ce_selfadjoint"}
+    assert {r.name for r in records if r.status == "fail"} == nan
 
 
 def faint_block_bundle():

@@ -15,7 +15,6 @@ from conftest import (
     generated_partitions,
     inner,
     point_matrix,
-    random_blockwise,
     random_complex,
 )
 
@@ -226,8 +225,10 @@ def test_cond_exp_matrix_is_cached_and_read_only():
 
 
 def per_sample_condexp_residuals(partition, rng, samples=3):
-    """The property suite one sample at a time: each sample drawn and
-    checked before the next, one block reduction per application of E."""
+    """The property suite one sample at a time: the samples drawn as the
+    check draws them (f and g, the blockwise-constant g, the shift, the
+    sparsity mask), then each checked before the next, one block reduction
+    per application of E."""
     space = partition.space
     w = space.weights
     first = np.unique(partition.block_of, return_index=True)[1]
@@ -235,12 +236,13 @@ def per_sample_condexp_residuals(partition, rng, samples=3):
     def ev(x):
         return cond_exp_values(partition, x)
 
+    fs, gs = random_complex(rng, (2, samples, space.n))
+    g_blocks = random_complex(rng, (samples, partition.block_count))[:, partition.block_of]
+    shifts = rng.uniform(0.05, 0.5, samples)
+    masks = rng.random((samples, space.n)) < 0.4
     res = {k: 0.0 for k in ("idempotent", "range", "module", "jensen",
                             "positive", "hoelder", "support", "selfadjoint")}
-    for _ in range(samples):
-        f = random_complex(rng, space.n)
-        g = random_complex(rng, space.n)
-        g_meas = random_blockwise(rng, partition)
+    for f, g, g_meas, shift, mask in zip(fs, gs, g_blocks, shifts, masks):
         ef = ev(f)
         scale_f = 1.0 + float(np.abs(f).max())
         res["idempotent"] = max(res["idempotent"],
@@ -262,7 +264,7 @@ def per_sample_condexp_residuals(partition, rng, samples=3):
         ef_nonneg = ev(f_nonneg).real
         res["positive"] = max(res["positive"],
                               float(-ef_nonneg.min()) / (1.0 + float(f_nonneg.max())))
-        f_pos = f_nonneg + rng.uniform(0.05, 0.5)
+        f_pos = f_nonneg + shift
         if float(ev(f_pos).real.min()) <= 0.0:
             res["positive"] = max(res["positive"], 1.0)
         for p, q in ((2.0, 2.0), (4.0, 4.0 / 3.0)):
@@ -271,14 +273,15 @@ def per_sample_condexp_residuals(partition, rng, samples=3):
             res["hoelder"] = max(res["hoelder"],
                                  float((left - right).max()) / (1.0 + float(right.max())))
         f_sparse = f_nonneg.copy()
-        f_sparse[rng.random(space.n) < 0.4] = 0.0
+        f_sparse[mask] = 0.0
         sf = set(np.flatnonzero(f_sparse != 0))
         sef = set(np.flatnonzero(ev(f_sparse) != 0))
         if not sf.issubset(sef):
             res["support"] = max(res["support"], 1.0)
-        a = complex(np.sum(ef * np.conj(g) * w))
-        b = complex(np.sum(f * np.conj(ev(g)) * w))
-        res["selfadjoint"] = max(res["selfadjoint"], abs(a - b) / (1.0 + abs(a) + abs(b)))
+        a = np.sum(ef * np.conj(g) * w)
+        b = np.sum(f * np.conj(ev(g)) * w)
+        res["selfadjoint"] = max(res["selfadjoint"],
+                                 float(np.abs(a - b) / (1.0 + np.abs(a) + np.abs(b))))
     return res
 
 

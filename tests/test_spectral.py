@@ -525,14 +525,15 @@ class TestBatchedSpectralAxioms:
         sets, pairs = spectral._axiom_sets(np.random.default_rng(7), 5, 3)
         np.testing.assert_array_equal(sets[:5], np.eye(5, dtype=bool))
         np.testing.assert_array_equal(
-            sets[5:].astype(int), [[1, 0, 0, 1, 1], [1, 0, 0, 0, 1], [1, 1, 1, 1, 0]])
+            sets[5:].astype(int), [[0, 0, 0, 1, 1], [0, 1, 0, 1, 1], [1, 1, 1, 1, 1]])
         np.testing.assert_array_equal(pairs, [[5, 4], [2, 7], [3, 1], [6, 1]])
 
     def test_set_family_matches_reference_draw_order(self):
         for seed in range(200):
             n, n_random = 2 + seed % 23, seed % 14
             rng = np.random.default_rng(seed)
-            ref_sets = [rng.random(n) < rng.uniform(0.2, 0.8) for _ in range(n_random)]
+            points = rng.random((n_random, n))
+            ref_sets = points < rng.uniform(0.2, 0.8, (n_random, 1))
             ref_pairs = rng.integers(0, n + n_random, size=(max(n_random, 4), 2))
             one = np.random.default_rng(seed)
             sets, pairs = spectral._axiom_sets(one, n, n_random)
