@@ -163,11 +163,11 @@ class CheckContext:
     """Everything a check needs for one instance.
 
     The matrix of T, its one SVD (its norm, polar factors, half-power
-    root, kernel gaps and both Gram calculi are read off it), the closed
-    polar pair and the matrix of its |T|, E M_u (an AvgMult, which caches
-    its matrix, the block spread of u, the eigenvalue groups and the
-    eigenvalues) and the one comparison of those eigenvalues with the
-    numerical ones are each computed once, on first use, and shared by
+    root, kernel gaps, both Gram calculi and T T* T - T are read off it),
+    the closed polar pair and the matrix of its |T|, E M_u (an AvgMult,
+    which caches its matrix, the block spread of u, the eigenvalue groups
+    and the eigenvalues) and the one comparison of those eigenvalues with
+    the numerical ones are each computed once, on first use, and shared by
     every check group. The point map caches its own fiber partition and
     fiber average. Every matrix is in the orthonormal basis of the
     weighted space (see Partition.cond_exp_matrix), so the adjoint is the
@@ -426,7 +426,6 @@ def check_norm(ctx: CheckContext) -> list[CheckRecord]:
 def check_vanishing(ctx: CheckContext) -> list[CheckRecord]:
     inst = ctx.instance
     rng = ctx.rng("vanishing")
-    t = ctx.t
     t_norm = ctx.svd.norm
     blocks = inst.partition.block_of
     in_kept = inst.kept[inst.partition.first_points]
@@ -442,7 +441,8 @@ def check_vanishing(ctx: CheckContext) -> list[CheckRecord]:
         pick = block_kept[int(rng.integers(0, block_kept.size))]
         g_pick = rng.uniform(0.5, 2.0)
         gs.append(np.where(blocks == pick, g_pick, 0.0))
-    norms = spectral_norms(np.stack([g[:, None] * t for g in gs]))
+    # The rows of M_g T where g = 0 are zero and carry no singular value.
+    norms = [float(spectral_norms((g[:, None] * ctx.t)[g != 0.0])) for g in gs]
 
     res1 = norms[0] / ((1.0 + t_norm) * (1.0 + float(np.abs(g1).max(initial=0.0))))
     records = [ctx.record("vanishing_disjoint", res1, RANK_TOL)]
@@ -466,14 +466,13 @@ def check_vanishing(ctx: CheckContext) -> list[CheckRecord]:
 
 
 def check_partial_isometry(ctx: CheckContext) -> list[CheckRecord]:
-    inst = ctx.instance
-    t = ctx.t
-    # The oracle side first: Gram products that overflow break the group
-    # down there, as in every group that needs them, and so does T T* T.
+    # The oracle side first: T T* T - T = L (Sigma^3 - Sigma) R*, read off
+    # T's singular values before the rank cut, so a faint block counts as in
+    # the criterion. Only a sigma^2 beyond the float range breaks it down.
+    sigma, scale = ctx.svd.sigma, max(1.0, ctx.svd.norm)
     with np.errstate(over="ignore", invalid="ignore"):
-        ttt = require_finite(require_finite(t @ t.conj().T) @ t)
-    residual = float(spectral_norms(ttt - t)) / max(1.0, ctx.svd.norm)
-    is_pi = partial_isometry_criterion(inst, ctx.tol)
+        residual = float(require_finite(sigma / scale * np.abs(sigma * sigma - 1.0)).max())
+    is_pi = partial_isometry_criterion(ctx.instance, ctx.tol)
     # Equivalence: when the criterion says partial isometry the oracle
     # residual must vanish, otherwise it must not.
     return [ctx.record("partial_isometry", residual, ctx.tol,
@@ -510,7 +509,6 @@ def check_polar(ctx: CheckContext) -> list[CheckRecord]:
     u_closed, abs_closed = ctx.polar_closed
     u_mat, abs_mat = u_closed.matrices(), ctx.abs_closed
     u_ref, abs_ref = ctx.polar
-    uu = u_closed.adjoint() @ u_closed
     u_svd, abs_svd = SvdOracle(u_mat), SvdOracle(abs_mat)
     # Each kernel gap is read against the norm of the reference kernel
     # projection: 1, or 0 when the reference has no kernel.
@@ -524,7 +522,8 @@ def check_polar(ctx: CheckContext) -> list[CheckRecord]:
         np.stack((abs_mat, u_mat, (u_closed @ abs_closed).matrices())),
         np.stack((abs_ref, u_ref, t)),
         np.array([t_norm, float(t_norm > 0.0), t_norm]))
-    proj_res = float(spectral_norms((uu @ uu).matrices() - uu.matrices()))
+    # U* U = R S^2 R* on closed U's SVD L S R*: (U* U)^2 - U* U is read off S.
+    proj_res = float(np.abs(u_svd.sigma ** 4 - u_svd.sigma ** 2).max())
     return [
         ctx.record("polar_abs", abs_res, ctx.tol),
         ctx.record("polar_isometry", iso_res, ctx.tol),

@@ -37,10 +37,6 @@ class Sandwich:
     left: np.ndarray
     right: np.ndarray
 
-    def adjoint(self) -> Sandwich:
-        """E* = E, so (M_a E M_b)* = M_conj(b) E M_conj(a) (weighted inner product)."""
-        return Sandwich(self.partition, np.conj(self.right), np.conj(self.left))
-
     def __matmul__(self, other: Sandwich) -> Sandwich:
         """E M_g E = M_E(g) E, so M_a E M_b M_c E M_d = M_{a E(b c)} E M_d (one partition).
         Symbols that overflow stay quiet here and raise in matrices()."""

@@ -15,6 +15,11 @@ from functools import cached_property
 import numpy as np
 
 
+def divide_parts(values: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """values / scale part by part: numpy's complex / real is inf at a subnormal scale."""
+    return (np.stack((values.real, values.imag), -1) / scale[..., None]).view(complex)[..., 0]
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteMeasureSpace:
     """n weighted points; weights[i] is the mass of point i.

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .condexp import Sandwich
-from .measure import FiniteMeasureSpace, MeasurableFunction, Partition
+from .measure import FiniteMeasureSpace, MeasurableFunction, Partition, divide_parts
 from .opalgebra import spectral_norms
 
 # Random sets, and additivity rounds, in check_spectral_axioms' family.
@@ -140,7 +140,7 @@ class AvgMult:
         rms = p.block_rms(self.u.values)
         if not np.isfinite(rms).all():
             raise ValueError("E(|u|^2) is not finite")
-        v = self.u.values / np.where(rms > 0.0, rms, 1.0)[p.block_of]
+        v = divide_parts(self.u.values, np.where(rms > 0.0, rms, 1.0)[p.block_of])
         step = v - p.block_means(v)[p.block_of]
         return np.stack((rms * np.sqrt(p.block_means(np.abs(step) ** 2)), rms))
 

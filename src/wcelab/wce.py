@@ -27,7 +27,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .condexp import Sandwich, cond_exp_values
-from .measure import FiniteMeasureSpace, MeasurableFunction, Partition
+from .measure import FiniteMeasureSpace, MeasurableFunction, Partition, divide_parts
 from .opalgebra import RANK_TOL
 
 
@@ -82,7 +82,8 @@ class WceInstance:
         sqrt(E(|w|^2)) on the kept blocks, 0 off them, as the two rows of a
         (2, n) array."""
         scale = np.where(self.kept, self.rms[:, self.partition.block_of], 1.0)
-        return np.where(self.kept, np.stack((self.u.values, self.w.values)) / scale, 0.0)
+        return np.where(self.kept, divide_parts(np.stack((self.u.values, self.w.values)),
+                                                scale), 0.0)
 
 
 def build_operator(inst: WceInstance) -> np.ndarray:

@@ -13,6 +13,8 @@ import pytest
 
 from wcelab import checks, opalgebra
 from wcelab.checks import (
+    BASIC_GROUPS,
+    CHECK_GROUPS,
     DEFAULT_TOL,
     CheckContext,
     calculus_test_functions,
@@ -120,10 +122,10 @@ def test_one_factorization_per_operator(monkeypatch):
 
 def test_polar_takes_no_dense_kernel_work(monkeypatch):
     # At n = 64, check_polar factors closed U and closed |T| (T's SVD is
-    # the context's, shared with every group) and takes four n x n norms:
-    # the abs/isometry/factorization stack and the projection residual.
-    # The kernels are compared on rank x nullity products, never as n x n
-    # projections.
+    # the context's, shared with every group) and takes three n x n norms:
+    # the abs/isometry/factorization stack. The projection residual is
+    # read off closed U's singular values, and the kernels are compared on
+    # rank x nullity products, never as n x n projections.
     n = 64
     ctx = CheckContext(gen_instance(GeneratorConfig(seed=3, n=n, block_count=9,
                                                     zero_blocks=True)))
@@ -138,7 +140,39 @@ def test_polar_takes_no_dense_kernel_work(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     assert all(r.status == "pass" for r in check_polar(ctx))
-    assert len(full) == 2 and len(values_only) == 4
+    assert len(full) == 2 and len(values_only) == 3
+
+
+def test_basic_groups_keep_their_svd_budget(tmp_path, monkeypatch):
+    # The n x n matrices each basic group sends to np.linalg.svd, as
+    # (full, values-only), on the first file of the dense n = 64 benchmark
+    # workload, the groups run in order on one context as verify runs
+    # them. norm takes T's one SVD; vanishing takes its norms on the
+    # support rows of g alone, partial_isometry reads T's singular values
+    # and polar_projection closed U's, so these three take no n x n SVD of
+    # their own.
+    n = 64
+    path = tmp_path / "dense.json"
+    assert main(["gen", "--seed", "100000", "--n", str(n), "--blocks", "2",
+                 "-o", str(path)]) == 0
+    ctx = CheckContext(parse_instance(path.read_text()))
+    counts = {}
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        square = sum(m.shape == (n, n) for m in a.reshape(-1, *a.shape[-2:]))
+        full, values_only = counts[group]
+        counts[group] = ((full + square, values_only) if kwargs.get("compute_uv", True)
+                         else (full, values_only + square))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for group in BASIC_GROUPS:
+        counts[group] = (0, 0)
+        assert all(r.status == "pass" for r in CHECK_GROUPS[group](ctx))
+    assert counts == {"condexp": (0, 0), "norm": (1, 0), "vanishing": (0, 0),
+                      "partial_isometry": (0, 0), "func_calc": (0, 4),
+                      "polar": (2, 3), "aluthge": (0, 2)}
 
 
 def test_polar_kernels_fail_on_a_rotated_kernel(monkeypatch):
@@ -177,6 +211,30 @@ def test_polar_kernels_fail_on_a_rotated_kernel(monkeypatch):
     assert planted_count >= 6
 
 
+def test_polar_projection_fails_on_a_scaled_block(monkeypatch):
+    # w_hat times 1.5 on one kept block gives the closed U the singular
+    # value 1.5 there, so U* U is no projection: polar_projection must read
+    # s^4 - s^2 = 2.8125 off closed U's singular values and fail.
+    bundle = gen_instance(GeneratorConfig(seed=5, n=12, block_count=3))
+    inst = bundle.instance
+    block_of = inst.partition.block_of
+    kept_block = block_of[np.flatnonzero(inst.kept)[0]]
+    closed_polar = checks.closed_polar
+
+    def planted(inst):
+        _, abs_t = closed_polar(inst)
+        u_hat, w_hat = inst.units
+        return Sandwich(inst.partition, np.where(block_of == kept_block, 1.5, 1.0) * w_hat,
+                        u_hat), abs_t
+
+    statuses = {r.name: r.status for r in check_polar(CheckContext(bundle))}
+    assert statuses["polar_projection"] == "pass"
+    monkeypatch.setattr(checks, "closed_polar", planted)
+    records = {r.name: r for r in check_polar(CheckContext(bundle))}
+    assert records["polar_projection"].status == "fail"
+    assert records["polar_projection"].residual == pytest.approx(1.5 ** 4 - 1.5 ** 2)
+
+
 def test_one_cond_exp_matrix_per_partition(monkeypatch):
     # E's matrix is built by one cached property, once per partition: the
     # instance's partition and the point map's fiber partition.
@@ -190,10 +248,11 @@ def test_one_cond_exp_matrix_per_partition(monkeypatch):
 
 
 def test_closed_identities_take_no_dense_products(monkeypatch):
-    # U |T|, U* U, (U* U)^2 and V^2 are formed in the Sandwich algebra and
-    # become one matrix each, not a product of two: check_polar builds U,
-    # |T|, U |T|, (U* U)^2 and U* U, check_aluthge the transform and V^2;
-    # the matrix of the closed |T| is built once for both.
+    # U |T| and V^2 are formed in the Sandwich algebra and become one
+    # matrix each, not a product of two: check_polar builds U, |T| and
+    # U |T| (U* U is read off the SVD of the closed U), check_aluthge the
+    # transform and V^2; the matrix of the closed |T| is built once for
+    # both.
     ctx = CheckContext(gen_instance(GeneratorConfig(seed=11, n=16, block_count=4)))
     _ = ctx.t
     built = []
@@ -205,9 +264,9 @@ def test_closed_identities_take_no_dense_products(monkeypatch):
 
     monkeypatch.setattr(Sandwich, "matrices", counting)
     assert all(r.status == "pass" for r in check_polar(ctx))
-    assert len(built) == 5
+    assert len(built) == 3
     assert all(r.status == "pass" for r in check_aluthge(ctx))
-    assert len(built) == 7
+    assert len(built) == 5
 
 
 def count_getter(monkeypatch, owner, name):
@@ -686,6 +745,25 @@ def test_partial_isometry_with_crossed_aggregates_passes():
     [record] = check_partial_isometry(ctx)
     assert record.bound == "upper"
     assert record.status == "pass"
+
+
+def test_partial_isometry_matches_dense_reference():
+    # The residual read off T's singular values is the dense
+    # ||T T* T - T|| / max(1, ||T||), kept only here, to 1e-13 on the scale
+    # max(1, residual), on the rotation seeds, the hard files and a partial
+    # isometry with a block at sigma = 1e-12: below the rank cut, that
+    # block is the whole residual.
+    bundles = [gen_instance(rotation_config(seed)) for seed in range(1, 201)]
+    bundles += [make() for make in HARD_BUNDLES.values()]
+    bundles.append(parse_instance(
+        '{"weights":[1,1,1,1],"partition":[[0,1],[2,3]],'
+        '"u":[[1,0],[1,0],[1e-12,0],[1e-12,0]],"w":[[1,0],[1,0],[1,0],[1,0]]}'))
+    for bundle in bundles:
+        ctx = CheckContext(bundle)
+        t = ctx.t
+        expected = norm(t @ t.conj().T @ t - t) / max(1.0, norm(t))
+        [record] = check_partial_isometry(ctx)
+        assert abs(record.residual - expected) <= 1e-13 * max(1.0, expected)
 
 
 @pytest.mark.parametrize("name", sorted(HARD_BUNDLES))

@@ -179,7 +179,8 @@ def random_sandwich(rng, partition):
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.integers(1, 24), st.integers(1, 24))
 def test_sandwich_algebra_matches_dense_products(seed, n, k):
-    # E M_g E = M_E(g) E and E* = E, checked against the dense products.
+    # E M_g E = M_E(g) E and E* = E, checked against the dense products
+    # and the dense conjugate transpose.
     rng = np.random.default_rng(seed)
     sp = FiniteMeasureSpace(rng.uniform(0.1, 10.0, n))
     labels = np.concatenate((np.arange(min(k, n)), rng.integers(0, min(k, n), n - min(k, n))))
@@ -188,7 +189,9 @@ def test_sandwich_algebra_matches_dense_products(seed, n, k):
     a, b = random_sandwich(rng, partition), random_sandwich(rng, partition)
     dense_a, dense_b = a.matrices(), b.matrices()
     assert deviation((a @ b).matrices(), dense_a @ dense_b) <= 1e-12
-    assert deviation(a.adjoint().matrices(), dense_a.conj().T) <= 1e-12
+    # E* = E, so (M_a E M_b)* = M_conj(b) E M_conj(a): the dense adjoint.
+    swapped = Sandwich(partition, np.conj(a.right), np.conj(a.left))
+    assert deviation(swapped.matrices(), dense_a.conj().T) <= 1e-12
 
 
 def test_sandwich_dense_is_the_scaled_cond_exp_matrix(rng):

@@ -411,8 +411,8 @@ class TestClosedPolar:
 
 
 def test_closed_forms_stay_factored_until_dense(monkeypatch):
-    # The closed forms and their products and adjoints build no operator
-    # matrix; matrices() builds one.
+    # The closed forms and their products build no operator matrix;
+    # matrices() builds one.
     built = []
     matrices = Sandwich.matrices
 
@@ -424,12 +424,16 @@ def test_closed_forms_stay_factored_until_dense(monkeypatch):
     monkeypatch.setattr(Sandwich, "matrices", counting)
     u_op, abs_t = closed_polar(inst)
     v = closed_abs_sqrt(inst)
-    uu = u_op.adjoint() @ u_op
-    products = (u_op @ abs_t, uu @ uu, v @ v, closed_aluthge(inst))
+    products = (u_op @ abs_t, v @ v, closed_aluthge(inst))
     assert built == []
     assert all(p.partition is inst.partition for p in products)
     products[0].matrices()
     assert len(built) == 1
+    # U* U is taken on the one matrix of U, with the dense conjugate transpose.
+    u_mat = u_op.matrices()
+    uu = u_mat.conj().T @ u_mat
+    assert deviation(uu @ uu, uu) < 1e-12
+    assert len(built) == 2
 
 
 class TestClosedAluthge:
