@@ -482,12 +482,15 @@ def check_partial_isometry(ctx: CheckContext) -> list[CheckRecord]:
 def check_func_calc(ctx: CheckContext) -> list[CheckRecord]:
     fns = tuple(f for _, f in calculus_test_functions())
     svd = ctx.svd
-    # T* T and T T* share their spectrum, so one table of function values
-    # serves both. Their eigenbases are orthonormal, so max_k |f(lambda_k)|
-    # is the norm of each oracle matrix.
+    # T* T and T T* share their spectrum, so one table of function values,
+    # at 0 and at the kept sigma_k^2, serves both. Their eigenbases are
+    # orthonormal, so max |f| over the spectrum is the norm of each oracle
+    # matrix; the spectrum holds 0 only when T has a kernel.
     values = svd.squares().tolist()
+    f0 = np.asarray([complex(f(0.0)) for f in fns])
     fvals = np.asarray([[f(v) for v in values] for f in fns], dtype=complex)
-    f_norms = np.abs(fvals).max(axis=1)
+    spectrum = fvals if svd.keep.all() else np.column_stack((fvals, f0))
+    f_norms = np.abs(spectrum).max(axis=1)
     # Taken with next(), not zip(): zip holds the last stack while the
     # generator builds the next one.
     closed_stacks = closed_func_calc(ctx.instance, fns)
@@ -495,7 +498,7 @@ def check_func_calc(ctx: CheckContext) -> list[CheckRecord]:
     for name, oracle_calc in (("func_calc_gram", svd.gram_calc),
                               ("func_calc_cogram", svd.cogram_calc)):
         closed = next(closed_stacks)
-        oracle = oracle_calc(fvals)
+        oracle = oracle_calc(fvals, f0)
         worst = max_op_deviation(np.subtract(closed, oracle, out=oracle), f_norms)
         # Free both stacks before the next closed form is built, or they
         # add a stack to the peak memory of its build.

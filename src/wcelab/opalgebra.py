@@ -112,28 +112,28 @@ class SvdOracle:
     Singular values at or below RANK_TOL * sigma_max count as kernel (all
     of them for the zero operator); keep marks the others. a* a and a a*
     are never formed: every function of them, the polar factor and its
-    root among them, is one calculus on the columns of R or of L
-    (gram_calc, cogram_calc); ker a, spanned by the columns of R the cut
-    drops, is compared through them (kernel_gap).
+    root among them, is one calculus on the kept columns R_k of R or L_k
+    of L, f(0) I + R_k diag(f(sigma_k^2) - f(0)) R_k* (gram_calc,
+    cogram_calc), so no kernel column, nor its rounding f(0) (I - R R*),
+    enters it. Its norm, max |f| over the spectrum, holds |f(0)| only when
+    a has a kernel. ker a, spanned by the columns of R the cut drops, is
+    compared through the kept ones (kernel_gap).
     """
 
     def __init__(self, a: np.ndarray) -> None:
         self.left, self.sigma, self.right_h = np.linalg.svd(a)
         self.norm = float(self.sigma[0]) if self.sigma.size else 0.0
         self.keep = self.sigma > RANK_TOL * self.norm
-        # A kernel singular value is rounding noise of order eps ||a||: no
-        # function of a may read it.
-        self._cut = np.where(self.keep, self.sigma, 0.0)
 
     def polar(self) -> tuple[np.ndarray, np.ndarray]:
         """Polar factors (U, P) of a = U P: P = (a* a)^(1/2), and U the
         partial isometry with ker U = ker P = ker a."""
         u = self.left[:, self.keep] @ self.right_h[self.keep, :]
-        return u, self.gram_calc(self._cut)
+        return u, self.gram_calc(self.sigma[self.keep])
 
     def root(self) -> np.ndarray:
         """P^(1/2) = (a* a)^(1/4), the half power of the positive factor."""
-        return self.gram_calc(np.sqrt(self._cut))
+        return self.gram_calc(np.sqrt(self.sigma[self.keep]))
 
     def kernel_gap(self, other: SvdOracle) -> float:
         """||K_self - K_other||, K the orthogonal projection onto the kernel,
@@ -150,19 +150,34 @@ class SvdOracle:
             other.right_h[other.keep] @ self.right_h[~self.keep].conj().T))
 
     def squares(self) -> np.ndarray:
-        """The spectrum sigma^2 of a* a and of a a*, in SVD order, cut to
-        zero on the kernel. A finite a whose Gram product overflows has no
-        spectrum an oracle can certify: ValueError, as for an a with
-        entries that overflow."""
+        """sigma_k^2 on the kept singular values, in SVD order: the spectrum
+        of a* a and of a a* off their kernel, where it is 0. A finite a
+        whose Gram product overflows has no spectrum an oracle can certify:
+        ValueError, as for an a with entries that overflow."""
         with np.errstate(over="ignore"):
-            return require_finite(self._cut ** 2)
+            return require_finite(self.sigma[self.keep] ** 2)
 
-    def gram_calc(self, values: np.ndarray) -> np.ndarray:
-        """R diag(values) R*: f(a* a) for values = f(squares()). A vector
-        of values gives one matrix, an (m, n) stack of them m matrices."""
-        return (self.right_h.conj().T * values[..., None, :]) @ self.right_h
+    def gram_calc(self, values: np.ndarray, f0: complex | np.ndarray = 0.0) -> np.ndarray:
+        """f(a* a) = f0 I + R_k diag(values - f0) R_k*, for values =
+        f(squares()) and f0 = f(0). A vector of values gives one matrix; an
+        (m, K) stack of them, with an (m,) vector f0, gives m matrices."""
+        rows = self.right_h[self.keep]
+        return _on_range(rows.conj().T, rows, values, f0)
 
-    def cogram_calc(self, values: np.ndarray) -> np.ndarray:
-        """L diag(values) L*: f(a a*) for values = f(squares()), shaped as
-        for gram_calc."""
-        return (self.left * values[..., None, :]) @ self.left.conj().T
+    def cogram_calc(self, values: np.ndarray, f0: complex | np.ndarray = 0.0) -> np.ndarray:
+        """f(a a*) = f0 I + L_k diag(values - f0) L_k*, shaped as for
+        gram_calc."""
+        cols = self.left[:, self.keep]
+        return _on_range(cols, cols.conj().T, values, f0)
+
+
+def _on_range(cols: np.ndarray, rows: np.ndarray, values: np.ndarray,
+              f0: complex | np.ndarray) -> np.ndarray:
+    """f0 I + cols diag(values - f0) rows for the n x K kept columns and
+    their K x n adjoint: f0 on the kernel, values on the kept range."""
+    f0 = np.asarray(f0)[..., None]
+    out = (cols * (values - f0)[..., None, :]) @ rows
+    if f0.any():
+        diag = np.arange(len(cols))
+        out[..., diag, diag] += f0
+    return out

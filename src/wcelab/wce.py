@@ -143,9 +143,12 @@ def closed_func_calc(
 
 def _on_gram_range(inst: WceInstance, coef: np.ndarray) -> Sandwich:
     """M_{coef conj(u_hat)} E M_{u_hat}: coef times the projection onto the
-    range of T* T."""
+    range of T* T. A product beyond the float range raises ValueError,
+    without a numpy warning, in Sandwich.matrices()."""
     u_hat = inst.units[0]
-    return Sandwich(inst.partition, coef * np.conj(u_hat), u_hat)
+    with np.errstate(over="ignore", invalid="ignore"):
+        left = coef * np.conj(u_hat)
+    return Sandwich(inst.partition, left, u_hat)
 
 
 def closed_polar(inst: WceInstance) -> tuple[Sandwich, Sandwich]:

@@ -57,6 +57,16 @@ def generated_bundles():
             for n in range(2, 65)]
 
 
+def oracle_table(svd, fns):
+    """The oracle side's table for check_func_calc: each f at the kept
+    sigma_k^2, f(0), and max |f| over the spectrum of T* T, which holds 0
+    only when T has a kernel."""
+    fvals = np.asarray([[f(v) for v in svd.squares().tolist()] for f in fns], dtype=complex)
+    f0 = np.asarray([complex(f(0.0)) for f in fns])
+    spectrum = fvals if svd.keep.all() else np.column_stack((fvals, f0))
+    return fvals, f0, np.abs(spectrum).max(axis=1)
+
+
 def eigen_sum(a, f):
     """sum_k f(lambda_k) v_k <v_k, .> for a positive operator, one rank-one
     term per eigenpair, from a fresh np.linalg.eigh; eigenvalues at or
@@ -150,7 +160,9 @@ def test_basic_groups_keep_their_svd_budget(tmp_path, monkeypatch):
     # them. norm takes T's one SVD; vanishing takes its norms on the
     # support rows of g alone, partial_isometry reads T's singular values
     # and polar_projection closed U's, so these three take no n x n SVD of
-    # their own.
+    # their own. func_calc's count turns on where its residual maxima fall,
+    # so its budget is the total over all 15 files of the workload
+    # (test_func_calc_prunes_svds_on_the_dense_files).
     n = 64
     path = tmp_path / "dense.json"
     assert main(["gen", "--seed", "100000", "--n", str(n), "--blocks", "2",
@@ -170,9 +182,9 @@ def test_basic_groups_keep_their_svd_budget(tmp_path, monkeypatch):
     for group in BASIC_GROUPS:
         counts[group] = (0, 0)
         assert all(r.status == "pass" for r in CHECK_GROUPS[group](ctx))
+    assert counts.pop("func_calc")[0] == 0
     assert counts == {"condexp": (0, 0), "norm": (1, 0), "vanishing": (0, 0),
-                      "partial_isometry": (0, 0), "func_calc": (0, 4),
-                      "polar": (2, 3), "aluthge": (0, 2)}
+                      "partial_isometry": (0, 0), "polar": (2, 3), "aluthge": (0, 2)}
 
 
 def test_polar_kernels_fail_on_a_rotated_kernel(monkeypatch):
@@ -384,10 +396,10 @@ def test_norms_already_held_are_not_taken_again(monkeypatch):
     assert all(r.status == "pass" for r in check_func_calc(fresh))
     fns = [f for _, f in calculus_test_functions()]
     oracles, residuals = [], []
-    fvals = np.asarray([[f(v) for v in fresh.svd.squares().tolist()] for f in fns], dtype=complex)
+    fvals, f0, _ = oracle_table(fresh.svd, fns)
     for closed, calc in zip(closed_func_calc(fresh.instance, fns),
                             (fresh.svd.gram_calc, fresh.svd.cogram_calc)):
-        oracle = calc(fvals)
+        oracle = calc(fvals, f0)
         oracles.extend(oracle)
         residuals.extend(closed - oracle)
     # The oracle side's norms are its largest |f(sigma_k^2)|, read off the
@@ -432,8 +444,8 @@ def test_held_norms_agree_with_svd_norms(monkeypatch, group, tol):
     oracles = []
 
     def spy_on(calc):
-        def spy_calc(self, values):
-            oracles.append(calc(self, values))
+        def spy_calc(self, values, f0=0.0):
+            oracles.append(calc(self, values, f0))
             return oracles[-1].copy()
         return spy_calc
 
@@ -460,9 +472,11 @@ def test_held_norms_agree_with_svd_norms(monkeypatch, group, tol):
 def test_func_calc_prunes_svds_on_the_dense_files(monkeypatch):
     # The 15 n = 64 instances of the dense benchmark workload (seeds
     # 100000..100014, 2..16 blocks, the modes cycling): residuals whose
-    # Frobenius bound cannot be the maximum take no SVD, so fewer than the
-    # 2 x 6 matrices per instance reach one, and every record is the one
-    # the maximum of op_deviations gives.
+    # Frobenius bound cannot be the maximum take no SVD, and every record is
+    # the one the maximum of op_deviations gives. The oracle's calculus
+    # lives on T's kept singular vectors, so f = 1 leaves an exact zero
+    # residual and no kernel rounding lifts the other bounds: at most 90 of
+    # the 2 x 6 matrices per instance reach an SVD.
     fns = [f for _, f in calculus_test_functions()]
     matrices = []
     svd = np.linalg.svd
@@ -475,17 +489,17 @@ def test_func_calc_prunes_svds_on_the_dense_files(monkeypatch):
         ctx = CheckContext(gen_instance(GeneratorConfig(
             seed=100_000 + i, n=64, block_count=2 + i % 15, **_MODES[i % 5])))
         expected = []
-        fvals = np.asarray([[f(v) for v in ctx.svd.squares().tolist()] for f in fns], dtype=complex)
+        fvals, f0, f_norms = oracle_table(ctx.svd, fns)
         for name, closed, calc in zip(
             ("func_calc_gram", "func_calc_cogram"), closed_func_calc(ctx.instance, fns),
             (ctx.svd.gram_calc, ctx.svd.cogram_calc),
         ):
-            worst = op_deviations(closed, calc(fvals), np.abs(fvals).max(axis=1)).max()
+            worst = op_deviations(closed, calc(fvals, f0), f_norms).max()
             expected.append(ctx.record(name, worst, 10 * ctx.tol))
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         assert check_func_calc(ctx) == expected
         monkeypatch.setattr(np.linalg, "svd", svd)
-    assert sum(matrices) < 15 * 2 * len(fns)
+    assert sum(matrices) <= 90
 
 
 def two_sided_deviation(a, b):
@@ -764,6 +778,69 @@ def test_partial_isometry_matches_dense_reference():
         expected = norm(t @ t.conj().T @ t - t) / max(1.0, norm(t))
         [record] = check_partial_isometry(ctx)
         assert abs(record.residual - expected) <= 1e-13 * max(1.0, expected)
+
+
+# T = M_u on three singleton blocks, sigma = (1, 2, 3): no kernel, so the
+# calculus never reads f(0), and exp(-t)'s norm is e^-1, not f(0) = 1.
+FULL_RANK_DOC = (
+    '{"weights":[1,2,3],"partition":[[0],[1],[2]],'
+    '"u":[[1,0],[0,2],[-3,0]],"w":[[1,0],[1,0],[1,0]]}')
+
+
+def test_thin_gram_calculus_matches_the_dense_one(monkeypatch):
+    # f(0) I + R_k diag(f(sigma_k^2) - f(0)) R_k* against the dense
+    # R diag(f(sigma^2)) R* over all n columns, kept only here, to rounding
+    # on the scale 1 + ||f||, on the rotation seeds, the hard files and a
+    # full-rank T; the norms check_func_calc holds are the dense matrices'
+    # spectral norms, f(0) among them only when T has a kernel.
+    held = []
+    original = checks.max_op_deviation
+
+    def spy(diff, b_norms):
+        held.append(np.array(b_norms))
+        return original(diff, b_norms)
+
+    monkeypatch.setattr(checks, "max_op_deviation", spy)
+    fns = [f for _, f in calculus_test_functions()]
+    bundles = [gen_instance(rotation_config(seed)) for seed in range(1, 201)]
+    bundles += [make() for make in HARD_BUNDLES.values()]
+    bundles.append(parse_instance(FULL_RANK_DOC))
+    for bundle in bundles:
+        ctx = CheckContext(bundle)
+        svd = ctx.svd
+        fvals, f0, _ = oracle_table(svd, fns)
+        spectrum = np.where(svd.keep, svd.sigma, 0.0) ** 2
+        dense = np.asarray([[f(v) for v in spectrum.tolist()] for f in fns], dtype=complex)
+        references = ((svd.right_h.conj().T * dense[:, None, :]) @ svd.right_h,
+                      (svd.left * dense[:, None, :]) @ svd.left.conj().T)
+        held.clear()
+        check_func_calc(ctx)
+        assert len(held) == 2
+        for thin, reference, norms in zip(
+                (svd.gram_calc(fvals, f0), svd.cogram_calc(fvals, f0)), references, held):
+            ref_norms = np.array([norm(m) for m in reference])
+            np.testing.assert_allclose(norms, ref_norms, rtol=1e-12, atol=1e-12)
+            assert all(norm(a - b) <= 1e-13 * (1.0 + size)
+                       for a, b, size in zip(thin, reference, ref_norms))
+    # The last file is the full-rank T: exp(-t)'s norm there is e^-1.
+    assert svd.keep.all() and held[0][-1] == pytest.approx(math.exp(-1.0), rel=1e-14)
+
+
+def test_func_calc_fails_a_calculus_without_f0_on_the_kernel(monkeypatch):
+    # A planted oracle that drops the f(0) I term, R_k diag(f(sigma_k^2))
+    # R_k*, is right on a full-rank T and wrong by f(0) on any kernel:
+    # exp(-t), with f(0) = 1, alone must fail both records there.
+    monkeypatch.setattr(checks, "calculus_test_functions",
+                        lambda: (("exp(-t)", lambda t: math.exp(-t)),))
+    on_range = opalgebra._on_range
+    monkeypatch.setattr(opalgebra, "_on_range",
+                        lambda cols, rows, values, f0: on_range(cols, rows, values, 0.0))
+    full_rank = CheckContext(parse_instance(FULL_RANK_DOC))
+    assert [r.status for r in check_func_calc(full_rank)] == ["pass", "pass"]
+    kernel = CheckContext(gen_instance(GeneratorConfig(seed=5, n=8, block_count=3,
+                                                       zero_blocks=True)))
+    assert not kernel.svd.keep.all()
+    assert [r.status for r in check_func_calc(kernel)] == ["fail", "fail"]
 
 
 @pytest.mark.parametrize("name", sorted(HARD_BUNDLES))

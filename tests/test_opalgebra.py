@@ -42,7 +42,8 @@ def gram_calcs(b, f):
     """(f(b* b), f(b b*)) from the SVD oracle of b."""
     oracle = SvdOracle(b)
     values = np.array([f(v) for v in oracle.squares().tolist()], dtype=complex)
-    return oracle.gram_calc(values), oracle.cogram_calc(values)
+    f0 = complex(f(0.0))
+    return oracle.gram_calc(values, f0), oracle.cogram_calc(values, f0)
 
 
 def power_iteration_norm(space, a, iters=2000, seed=3):
@@ -157,22 +158,23 @@ class TestOperatorNorm:
 
 
 class TestHermitianEig:
-    """The spectrum of a* a and a a* (squares()) on the columns of R and
-    of L, read off the SVD of a."""
+    """The spectrum of a* a and a a* off the kernel (squares()) on the
+    kept columns of R and of L, read off the SVD of a."""
 
     def test_identity_spectrum(self, space):
         np.testing.assert_allclose(SvdOracle(np.eye(space.n)).squares(), np.ones(space.n))
 
     def test_projection_spectrum_counts(self):
         # The averaging projection onto k blocks is its own Gram product:
-        # eigenvalue 1 with multiplicity k and 0 with multiplicity n - k;
-        # cross-checked by the trace.
+        # eigenvalue 1 with multiplicity k, the kept squares, and 0 with
+        # multiplicity n - k, the kernel; cross-checked by the trace.
         sp = FiniteMeasureSpace([1.0, 2.0, 0.5, 3.0, 1.5])
         p = Partition(sp, [[0, 1], [2, 4], [3]])
         e = p.cond_exp_matrix
-        values = SvdOracle(e).squares()
-        assert np.sum(np.abs(values - 1) < 1e-10) == 3
-        assert np.sum(values == 0.0) == 2
+        oracle = SvdOracle(e)
+        values = oracle.squares()
+        assert values.size == 3 and np.all(np.abs(values - 1) < 1e-10)
+        assert np.sum(~oracle.keep) == 2
         assert np.trace(e).real == pytest.approx(3.0)
 
     def test_diagonal(self):
@@ -313,9 +315,10 @@ class TestFuncCalcOracle:
 
 @pytest.mark.parametrize("n", [1, 2, 8, 64])
 def test_gram_calculi_of_a_stack(n):
-    # a of rank n // 2 (0 at n = 1): a stack of values on sigma gives,
-    # slice for slice, the calculus of each row, which is an eigh
-    # reference of a* a or a a* and f(0) on the kernel.
+    # a of rank n // 2 (0 at n = 1): a stack of values on the kept sigma
+    # with a vector of f(0) gives, slice for slice, the calculus of each
+    # row, which is an eigh reference of a* a or a a* and f(0) on the
+    # kernel.
     rng = np.random.default_rng(n)
     rank = n // 2
     left, right = (rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
@@ -324,18 +327,19 @@ def test_gram_calculi_of_a_stack(n):
     oracle = SvdOracle(a)
     fns = [f for _, f in calculus_test_functions()]
     values = oracle.squares().tolist()
+    assert len(values) == rank
     fvals = np.array([[f(v) for v in values] for f in fns], dtype=complex)
-    kernel_ind = (~oracle.keep).astype(float)
+    f0 = np.array([f(0.0) for f in fns], dtype=complex)
     for calc, product in ((oracle.gram_calc, adjoint(a) @ a),
                           (oracle.cogram_calc, a @ adjoint(a))):
-        stack = calc(fvals)
+        stack = calc(fvals, f0)
         assert stack.shape == (len(fns), n, n)
-        kernel = calc(kernel_ind)
+        kernel = calc(np.zeros(rank), 1.0)
         assert round(np.trace(kernel).real) == n - rank
         for k, f in enumerate(fns):
-            assert np.array_equal(stack[k], calc(fvals[k]))
+            assert np.array_equal(stack[k], calc(fvals[k], f0[k]))
             assert deviation(stack[k], psd_calc(product, f)) < 1e-10
-            f_norm = float(np.abs(fvals[k]).max())
+            f_norm = float(np.abs(np.append(fvals[k], f0[k])).max())
             assert norm(stack[k] @ kernel - f(0.0) * kernel) < 1e-12 * (1.0 + f_norm)
 
 
@@ -420,8 +424,10 @@ def test_svd_oracle_against_references(seed, n, data, real):
     values = oracle.squares()
     for product, calc in ((adjoint(a) @ a, oracle.gram_calc),
                           (a @ adjoint(a), oracle.cogram_calc)):
+        # The kept squares are the top of the spectrum, 0 the rest of it.
         ref = np.linalg.eigh(product)[0]
-        np.testing.assert_allclose(np.sort(values), ref, rtol=0.0, atol=1e-12 * scale ** 2)
+        np.testing.assert_allclose(np.concatenate((np.zeros(n - rank), np.sort(values))), ref,
+                                   rtol=0.0, atol=1e-12 * scale ** 2)
         assert norm(calc(values) - product) <= 1e-12 * scale ** 2
 
     u, p = oracle.polar()
