@@ -30,6 +30,7 @@ from .opalgebra import (
     SvdOracle,
     max_op_deviation,
     op_deviations,
+    reference_scale,
     require_finite,
     spectral_norms,
 )
@@ -356,7 +357,7 @@ def condexp_property_residuals(
                                abs_g ** 2.0, abs_g ** (4.0 / 3.0), f_sparse)))
     e_abs_f = {1: e_abs_f1, 2: e_abs_f2, 4: e_abs_f4}
     res: dict[str, float] = {}
-    scale_f = 1.0 + peak(f)
+    scale_f = reference_scale(peak(f))
 
     # E(E(f)) = E(f)
     res["idempotent"] = _worst(peak(ev(ef) - ef) / scale_f)
@@ -364,22 +365,22 @@ def condexp_property_residuals(
     # E(f) is blockwise constant; E fixes blockwise-constant functions.
     res["range"] = _worst(
         peak(ef - ef[:, partition.first_points][:, blocks]) / scale_f,
-        peak(e_g_meas - g_meas) / (1.0 + peak(g_meas)),
+        peak(e_g_meas - g_meas) / reference_scale(peak(g_meas)),
     )
 
     # E(f g) = E(f) g for blockwise-constant g.
     res["module"] = _worst(
-        peak(e_f_g_meas - ef * g_meas) / (1.0 + peak(f) * peak(g_meas))
+        peak(e_f_g_meas - ef * g_meas) / reference_scale(peak(f) * peak(g_meas))
     )
 
     # |E(f)|^p <= E(|f|^p) pointwise; E(|f|^p) serves Hoelder too.
     res["jensen"] = _worst(*(
-        (np.abs(ef) ** p - e_abs_f[p]).max(axis=1) / (1.0 + e_abs_f[p].max(axis=1))
+        (np.abs(ef) ** p - e_abs_f[p]).max(axis=1) / reference_scale(e_abs_f[p].max(axis=1))
         for p in (1, 2, 4)
     ))
 
     # f >= 0 implies E(f) >= 0; f > 0 implies E(f) > 0.
-    res["positive"] = _worst(-e_abs_f[1].min(axis=1) / (1.0 + abs_f.max(axis=1)))
+    res["positive"] = _worst(-e_abs_f[1].min(axis=1) / reference_scale(abs_f.max(axis=1)))
     if np.any(e_positive.min(axis=1) <= 0.0):
         res["positive"] = max(res["positive"], 1.0)
 
@@ -387,7 +388,7 @@ def condexp_property_residuals(
     left = np.abs(e_fg)
     right = [e_abs_f[p] ** (1 / p) * e_abs_g ** (1 / q)
              for p, q, e_abs_g in ((2, 2.0, e_abs_g2), (4, 4.0 / 3.0, e_abs_g43))]
-    res["hoelder"] = _worst(*((left - r).max(axis=1) / (1.0 + r.max(axis=1))
+    res["hoelder"] = _worst(*((left - r).max(axis=1) / reference_scale(r.max(axis=1))
                               for r in right))
 
     # Support growth: for f >= 0 with exact zeros, S(f) is contained in
@@ -399,7 +400,8 @@ def condexp_property_residuals(
     # <E f, g> = <f, E g> in the weighted inner product.
     a = np.sum(ef * np.conj(g) * w, axis=1)
     b = np.sum(f * np.conj(eg) * w, axis=1)
-    res["selfadjoint"] = _worst(np.abs(a - b) / (1.0 + np.abs(a) + np.abs(b)))
+    # Two-sided: |b| joins the scale of |a|.
+    res["selfadjoint"] = _worst(np.abs(a - b) / (reference_scale(np.abs(a)) + np.abs(b)))
 
     return res
 
@@ -419,7 +421,7 @@ def check_norm(ctx: CheckContext) -> list[CheckRecord]:
     # error as every other group that needs it.
     t_norm = ctx.svd.norm
     nf = norm_formula(ctx.instance)
-    residual = abs(nf - t_norm) / (1.0 + nf)
+    residual = abs(nf - t_norm) / reference_scale(t_norm)
     return [ctx.record("norm_formula", residual, ctx.tol)]
 
 
@@ -442,15 +444,17 @@ def check_vanishing(ctx: CheckContext) -> list[CheckRecord]:
         g_pick = rng.uniform(0.5, 2.0)
         gs.append(np.where(blocks == pick, g_pick, 0.0))
     # The rows of M_g T where g = 0 are zero and carry no singular value.
-    norms = [float(spectral_norms((g[:, None] * ctx.t)[g != 0.0])) for g in gs]
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = [float(spectral_norms((g[:, None] * ctx.t)[g != 0.0])) for g in gs]
 
-    res1 = norms[0] / ((1.0 + t_norm) * (1.0 + float(np.abs(g1).max(initial=0.0))))
+    res1 = norms[0] / (reference_scale(t_norm)
+                       * reference_scale(float(np.abs(g1).max(initial=0.0))))
     records = [ctx.record("vanishing_disjoint", res1, RANK_TOL)]
     if block_kept.size:
         # ||M_g T|| / (max|g| ||T||) is sigma_B / sigma_max on the picked
         # block: the rank cut seen from the kept side. Near the float limit
-        # both norms can overflow though ||T|| does not, and inf / inf reads
-        # nothing.
+        # M_g T and both norms can overflow though T does not, and inf / inf
+        # reads nothing.
         with np.errstate(invalid="ignore"):
             meets = norms[1] / (g_pick * t_norm)
         if math.isfinite(meets):
@@ -515,7 +519,7 @@ def check_polar(ctx: CheckContext) -> list[CheckRecord]:
     u_svd, abs_svd = SvdOracle(u_mat), SvdOracle(abs_mat)
     # Each kernel gap is read against the norm of the reference kernel
     # projection: 1, or 0 when the reference has no kernel.
-    kernel_res = max(a.kernel_gap(ref) / (1.0 + (~ref.keep).any())
+    kernel_res = max(a.kernel_gap(ref) / reference_scale((~ref.keep).any())
                      for a, ref in ((u_svd, abs_svd), (abs_svd, ctx.svd),
                                     (u_svd, ctx.svd)))
     # The oracle norms: ||T|| = || |T| ||, and the SVD partial isometry
@@ -567,8 +571,8 @@ def check_aluthge(ctx: CheckContext) -> list[CheckRecord]:
 def _eigvals_match_residual(expected: Sequence[complex],
                             computed: Sequence[complex]) -> float:
     """Set distance from expected to the computed numerical eigenvalues,
-    relative to 1 + the largest of them. A distance or modulus beyond the
-    float range raises ValueError."""
+    on the reference_scale of the largest of them. A distance or modulus
+    beyond the float range raises ValueError."""
     e = np.asarray(expected, dtype=complex)
     c = np.asarray(computed, dtype=complex)
     with np.errstate(over="ignore"):
@@ -576,22 +580,21 @@ def _eigvals_match_residual(expected: Sequence[complex],
     gap = max(dist.min(axis=1).max(), dist.min(axis=0).max())
     if not np.isfinite(gap) or not np.isfinite(size):
         raise ValueError("an eigenvalue distance of E M_u is not finite")
-    return float(gap / (1.0 + size))
+    return float(gap / reference_scale(size))
 
 
 def check_normality(ctx: CheckContext) -> list[CheckRecord]:
     m = ctx.avg_mult.matrix
     m_adj = m.conj().T
     # Entries that overflow fail the build of the products; numpy's
-    # overflow warning would only repeat that error. So does a scale
-    # 1 + ||E M_u||^2 beyond the float range: no residual can be read
-    # against it.
+    # overflow warning would only repeat that error. So does a scale of
+    # ||E M_u||^2 beyond the float range: no residual can be read against it.
     with np.errstate(over="ignore", invalid="ignore"):
         commutator = require_finite(m @ m_adj - m_adj @ m)
         # The closed norm is 0 exactly when u is blockwise constant.
         closed = float(np.prod(ctx.avg_mult.spread, axis=0).max())
         comm_norm, m_norm = spectral_norms(np.stack((commutator, m)))
-        scale = 1.0 + m_norm ** 2
+        scale = reference_scale(m_norm ** 2)
     if not np.isfinite(scale):
         raise ValueError("1 + ||E M_u||^2 is not finite")
     return [ctx.record("normality", abs(closed - comm_norm) / scale, ctx.tol)]
@@ -614,7 +617,7 @@ def check_spectral_decomp(ctx: CheckContext) -> list[CheckRecord]:
     p_norms = spectral_norms(p)
     proj_res = max(
         op_deviations(p @ p, p, p_norms).max(),
-        (spectral_norms(p - p.conj().transpose(0, 2, 1)) / (1.0 + p_norms)).max(),
+        (spectral_norms(p - p.conj().transpose(0, 2, 1)) / reference_scale(p_norms)).max(),
     )
     # One stack P_i P_j (j > i) per i; a stack of all pairs at once would
     # hold m^2 / 2 matrices.
@@ -622,7 +625,7 @@ def check_spectral_decomp(ctx: CheckContext) -> list[CheckRecord]:
                     for i in range(len(p) - 1)), default=0.0)
     total_rank = int(np.rint(np.trace(p, axis1=1, axis2=2).real).sum())
     recon = np.einsum("k,kij->ij", np.array(ctx.avg_mult.eigenvalues), p)
-    recon_res = op_deviations(recon[None], m[None])[0]
+    recon_res = op_deviations(recon[None], m[None], spectral_norms(m[None]))[0]
 
     return [
         ctx.record("sd_projections", proj_res, ctx.tol),
@@ -657,7 +660,7 @@ def check_reconstruction(ctx: CheckContext) -> list[CheckRecord]:
     symbols = _draw_values(rng, (3, fibers.block_count), 0.0, 4.0)[:, fibers.block_of]
     # f -> E_phi(u f), one matrix per symbol.
     direct = Sandwich(fibers, np.ones(phi.space.n), symbols).matrices()
-    worst = op_deviations(phi.reconstruct(symbols), direct).max()
+    worst = op_deviations(phi.reconstruct(symbols), direct, spectral_norms(direct)).max()
     return [ctx.record("sm_reconstruction", worst, AXIOM_TOL)]
 
 

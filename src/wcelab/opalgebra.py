@@ -23,6 +23,12 @@ import numpy as np
 RANK_TOL = 1e-10
 
 
+def reference_scale(size: float | np.ndarray) -> float | np.ndarray:
+    """1 + size: the one scale every residual and every --tol decision is
+    read against, for the size of its reference side."""
+    return 1.0 + size
+
+
 def require_finite(m: np.ndarray) -> np.ndarray:
     """m itself when every entry is finite; otherwise ValueError. A matrix
     whose entries overflowed is not an operator any oracle can certify."""
@@ -52,31 +58,20 @@ def spectral_norms(stack: np.ndarray) -> np.ndarray:
     return norms
 
 
-def op_deviations(a: np.ndarray, b: np.ndarray,
-                  b_norms: np.ndarray | None = None) -> np.ndarray:
-    """Slice-wise relative distance ||a_k - b_k|| / (1 + ||b_k||) of two
-    (k, n, n) stacks of operator matrices, with b the reference side. Real
-    stacks stay real, so their norms take real SVDs.
-
-    A caller that already holds the norms of b (read off an oracle's
-    eigenvalues or singular values) passes them as b_norms; otherwise they
-    are taken with one more batched spectral norm. The value is never
-    below the symmetric ||a - b|| / (1 + max(||a||, ||b||)), since
-    ||a|| <= ||b|| + ||a - b||.
-    """
-    diff = spectral_norms(a - b)
-    if b_norms is None:
-        b_norms = spectral_norms(b)
-    return diff / (1.0 + b_norms)
+def op_deviations(a: np.ndarray, b: np.ndarray, b_norms: np.ndarray) -> np.ndarray:
+    """Slice-wise distance ||a_k - b_k|| of two (k, n, n) stacks of operator
+    matrices on the reference_scale of b_norms, the norms of the reference
+    side b. Real stacks stay real, so their norms take real SVDs."""
+    return spectral_norms(a - b) / reference_scale(b_norms)
 
 
-# Relative slack on the Frobenius bound: far above the rounding of the
-# bound's sum and of LAPACK's largest singular value (both O(n eps)).
-_BOUND_SLACK = 1e-9
+# The Frobenius bound's factor, a slack of 1e-9: far above the rounding of
+# the bound's sum and of LAPACK's largest singular value (both O(n eps)).
+_BOUND_SLACK = 1.000000001
 
 
 def max_op_deviation(diff: np.ndarray, b_norms: np.ndarray) -> float:
-    """max_k ||d_k|| / (1 + ||b_k||) for a nonempty (k, m, n) stack of
+    """The largest op_deviations of a nonempty (k, m, n) stack of
     residuals d = a - b and the norms of the reference side b: bit for bit
     op_deviations(a, b, b_norms).max(), with fewer SVDs.
 
@@ -88,13 +83,13 @@ def max_op_deviation(diff: np.ndarray, b_norms: np.ndarray) -> float:
     a bound that is not finite (NaN or inf entries, a NaN or inf norm of b)
     sends the whole stack to spectral_norms instead.
     """
-    scale = 1.0 + b_norms
+    scale = reference_scale(b_norms)
     moduli = np.abs(diff)
     peaks = moduli.max(axis=(-2, -1))
     with np.errstate(invalid="ignore", over="ignore"):
         moduli /= np.where(peaks > 0.0, peaks, 1.0)[:, None, None]
         frobenius = peaks * np.sqrt(np.square(moduli, out=moduli).sum(axis=(-2, -1)))
-        bounds = frobenius * (1.0 + _BOUND_SLACK) / scale
+        bounds = frobenius * _BOUND_SLACK / scale
     if not np.isfinite(bounds).all():
         return (spectral_norms(diff) / scale).max()
     worst = -np.inf

@@ -29,7 +29,7 @@ import numpy as np
 
 from .condexp import Sandwich
 from .measure import FiniteMeasureSpace, MeasurableFunction, Partition, divide_parts
-from .opalgebra import spectral_norms
+from .opalgebra import reference_scale, spectral_norms
 
 # Random sets, and additivity rounds, in check_spectral_axioms' family.
 AXIOM_RANDOM_SETS = 12
@@ -149,8 +149,8 @@ class AvgMult:
         """The block means of u grouped into the distinct eigenvalues.
 
         Block means are taken in block order; a mean joins the first
-        representative (0, then earlier block means) within tol * (1 + max
-        |block mean|) and otherwise becomes a new representative.
+        representative (0, then earlier block means) within tol *
+        reference_scale(max |block mean|), else it becomes a new one.
         Returns the representatives, 0 first and the rest sorted by value,
         and the group index of every block. A block mean that is not finite
         (a block integral beyond the float range) would join no group, so it
@@ -159,7 +159,7 @@ class AvgMult:
         means = self.partition.block_means(self.u.values)
         if not np.all(np.isfinite(means)):
             raise ValueError("a block mean of u is not finite")
-        radius = self.tol * (1.0 + float(np.abs(means).max(initial=0.0)))
+        radius = self.tol * reference_scale(float(np.abs(means).max(initial=0.0)))
         reps = [0j]
         group = np.where(np.abs(means) <= radius, 0, -1)
         while (free := np.flatnonzero(group < 0)).size:
@@ -201,12 +201,12 @@ class AvgMult:
 
         On block B the decomposition misses E M_u by sqrt(E|u - E u|^2 +
         |E u - lambda_B|^2), lambda_B its eigenvalue; u counts as blockwise
-        constant when the largest of these is <= tol (1 + ||E M_u||), the
-        scale on which the reconstruction is compared.
+        constant when the largest of these is within tol on the
+        reference_scale of ||E M_u||, as the reconstruction is compared.
         """
         p = self.partition
         step, rms = self.spread
-        limit = self.tol * (1.0 + rms.max())
+        limit = self.tol * reference_scale(rms.max())
         # The spread alone bounds the miss from below.
         if step.max() > limit:
             return None

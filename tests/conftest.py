@@ -82,7 +82,7 @@ def adjoint(m):
 def deviation(a, b):
     """||a - b|| / (1 + ||b||) of two operator matrices: the one-slice case
     of op_deviations, b the reference side."""
-    return float(op_deviations(a[None], b[None])[0])
+    return float(op_deviations(a[None], b[None], spectral_norms(b[None]))[0])
 
 
 def kernel_projection(m):

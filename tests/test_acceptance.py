@@ -22,7 +22,7 @@ from wcelab.checks import (
 from wcelab.cli import main as cli_main
 from wcelab.generator import GeneratorConfig, gen_instance, rotation_config
 from wcelab.measure import MeasurableFunction
-from wcelab.opalgebra import SvdOracle, op_deviations
+from wcelab.opalgebra import SvdOracle, op_deviations, spectral_norms
 from wcelab.spectral import AvgMult, check_spectral_axioms, pushforward_density
 from wcelab.wce import (
     build_operator,
@@ -254,7 +254,8 @@ def test_criterion_8_spectral_measure():
                     1j * rng.uniform(0.0, 2 * np.pi))
         direct = np.stack([AvgMult(MeasurableFunction(space, vals), fp, DEFAULT_TOL).matrix
                            for vals in symbols])
-        assert op_deviations(phi.reconstruct(symbols), direct).max() <= 1e-9
+        assert op_deviations(phi.reconstruct(symbols), direct,
+                             spectral_norms(direct)).max() <= 1e-9
 
         h = pushforward_density(phi)
         mass = float(np.sum(h.values.real * space.weights))

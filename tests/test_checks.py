@@ -6,12 +6,13 @@ near normality, at extreme weights) on which no record may fail."""
 
 import json
 import math
+import sys
 from functools import cached_property
 
 import numpy as np
 import pytest
 
-from wcelab import checks, opalgebra
+from wcelab import checks, opalgebra, spectral
 from wcelab.checks import (
     BASIC_GROUPS,
     CHECK_GROUPS,
@@ -42,8 +43,8 @@ from wcelab.spectral import AvgMult, PointMap
 from wcelab.suite import run_suite
 from wcelab.wce import WceInstance, build_operator, closed_func_calc
 
-from conftest import (closed_calc, coarsest_partition, constant, edge_bundle, norm,
-                      random_complex)
+from conftest import (closed_calc, coarsest_partition, constant, edge_bundle,
+                      finest_partition, norm, random_complex)
 
 _MODES = ({}, {"zero_blocks": True}, {"constant_u": True},
           {"measurable_u": True}, {"partial_isometry": True})
@@ -434,9 +435,8 @@ def test_held_norms_agree_with_svd_norms(monkeypatch, group, tol):
     held = []
     original = checks.op_deviations
 
-    def spy(a, b, b_norms=None):
-        if b_norms is not None:
-            held.append((np.array(b), np.array(b_norms, dtype=float)))
+    def spy(a, b, b_norms):
+        held.append((np.array(b), np.array(b_norms, dtype=float)))
         return original(a, b, b_norms)
 
     # max_op_deviation gets the residuals, written over the oracle stack,
@@ -897,3 +897,78 @@ def test_eigenvalue_match_sees_both_directions(expected, computed):
     # both cases.
     assert _eigvals_match_residual(expected, computed) > 0.3
     assert _eigvals_match_residual(computed, computed) == 0.0
+
+
+# Every record by the scale its residual is read against. The reference
+# rule is opalgebra.reference_scale; the others are partial_isometry's
+# max(1, ||T||), the ratios vanishing_meets and sm_mass_conservation take to
+# their own sizes, the unscaled norms, and the 0/1 answers.
+REFERENCE_SCALED = {
+    "ce_idempotent", "ce_range", "ce_module", "ce_jensen", "ce_positive",
+    "ce_hoelder", "ce_selfadjoint", "norm_formula", "vanishing_disjoint",
+    "func_calc_gram", "func_calc_cogram", "polar_abs", "polar_isometry",
+    "polar_factorization", "polar_kernels", "aluthge_closed", "aluthge_root",
+    "normality", "spectrum", "sd_projections", "sd_reconstruction",
+    "sd_eigs_match", "sm_reconstruction",
+}
+
+
+def test_the_reference_scale_is_one_rule(monkeypatch):
+    # Doubling the rule in every module that binds reference_scale moves
+    # every record on that rule (unless it reads exactly 0) and both --tol
+    # decisions about E M_u, and nothing else: a scale written out at its
+    # site, or a record that reads the rule by mistake, shows.
+    # A block below T's rank cut, so vanishing_disjoint reads a residual.
+    four = FiniteMeasureSpace([1.0] * 4)
+    below_cut = InstanceBundle(WceInstance(
+        Partition(four, [[0, 1], [2, 3]]),
+        MeasurableFunction(four, [1.0, 1.0, 1e-12, 1e-12]), constant(four, 1.0)))
+    bundles = [below_cut, *generated_bundles()[:12:3], *spectral_bundles()[2:12:3]]
+    # The two --tol decisions about E M_u, each 1.5 tol on the reference
+    # scale from its threshold: block means 3e-8 apart, and a block spread
+    # of 3e-8, on a scale of about 2.
+    space = FiniteMeasureSpace([1.0, 1.0])
+    near = AvgMult(MeasurableFunction(space, [1.0, 1.0 + 3e-8]),
+                   finest_partition(space), DEFAULT_TOL)
+    spread = AvgMult(MeasurableFunction(space, [1.0, 1.0 + 6e-8]),
+                     coarsest_partition(space), DEFAULT_TOL)
+
+    def residuals():
+        out = {}
+        for bundle in bundles:
+            ctx = CheckContext(bundle)
+            for group in CHECK_GROUPS.values():
+                out.update(((r.instance_digest, r.name), r.residual) for r in group(ctx))
+        return out
+
+    before = residuals()
+    assert len(near.eigenvalues) == 2 and spread.projections() is None
+    rule = opalgebra.reference_scale
+    modules = [m for name, m in sys.modules.items() if name.startswith("wcelab")
+               and getattr(m, "reference_scale", None) is rule]
+    assert {opalgebra, checks, spectral} <= set(modules)
+    for module in modules:
+        monkeypatch.setattr(module, "reference_scale", lambda size: 2 * (1.0 + size))
+    after = residuals()
+    near, spread = (AvgMult(a.u, a.partition, a.tol) for a in (near, spread))
+    assert len(near.eigenvalues) == 1 and spread.projections() is not None
+    assert after.keys() == before.keys()
+    measured = {name for (_, name), res in before.items() if res is not None}
+    assert measured == {name for names in checks.RECORDS.values() for name in names}
+    moved = set()
+    for (digest, name), res in before.items():
+        new = after[digest, name]
+        if name not in REFERENCE_SCALED or res in (None, 0.0):
+            assert new == res, (digest, name)
+            continue
+        moved.add(name)
+        if name == "ce_selfadjoint":
+            # Two-sided: |b| joins the scale of |a|, and only that doubles.
+            assert new != res, (digest, name)
+        else:
+            # Each reference scale the residual reads halves it exactly;
+            # vanishing_disjoint reads those of ||T|| and of max |g|.
+            halvings = 2 if name == "vanishing_disjoint" else 1
+            assert new == res / 2 ** halvings, (digest, name)
+    # ce_positive and sm_reconstruction read exactly 0 on these bundles.
+    assert moved == REFERENCE_SCALED - {"ce_positive", "sm_reconstruction"}

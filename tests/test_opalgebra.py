@@ -459,7 +459,7 @@ def test_op_deviations_is_one_sided(seed, k, n, gap):
     a = b + gap * stack()
     if seed % 5 == 0:
         b[0] = 0.0
-    dev = op_deviations(a, b)
+    dev = op_deviations(a, b, spectral_norms(b))
 
     def norm2(m):
         return float(np.linalg.norm(m, 2))
