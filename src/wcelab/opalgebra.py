@@ -65,39 +65,26 @@ def op_deviations(a: np.ndarray, b: np.ndarray, b_norms: np.ndarray) -> np.ndarr
     return spectral_norms(a - b) / reference_scale(b_norms)
 
 
-# The Frobenius bound's factor, a slack of 1e-9: far above the rounding of
-# the bound's sum and of LAPACK's largest singular value (both O(n eps)).
-_BOUND_SLACK = 1.000000001
+def frame_norms(frames: np.ndarray, shifts: np.ndarray, cores: np.ndarray) -> np.ndarray:
+    """||s_k I + F C_k F*|| for an n x p frame F, an (m,) vector of shifts
+    s_k and an (m, p, p) stack of cores C_k, with no n x n matrix formed: m
+    norms, or (..., m) for a (..., n, p) stack of frames, against which
+    (..., m) shifts and (..., m, p, p) cores broadcast.
 
-
-def max_op_deviation(diff: np.ndarray, b_norms: np.ndarray) -> float:
-    """The largest op_deviations of a nonempty (k, m, n) stack of
-    residuals d = a - b and the norms of the reference side b: bit for bit
-    op_deviations(a, b, b_norms).max(), with fewer SVDs.
-
-    Since ||d_k|| <= ||d_k||_F, a slice whose Frobenius bound is not above
-    the largest deviation found so far cannot be the maximum. The exact
-    norms are taken through spectral_norms one slice at a time, in
-    decreasing bound order, until that happens. Each slice's moduli are
-    divided by their largest one first, so no square under- or overflows;
-    a bound that is not finite (NaN or inf entries, a NaN or inf norm of b)
-    sends the whole stack to spectral_norms instead.
-    """
-    scale = reference_scale(b_norms)
-    moduli = np.abs(diff)
-    peaks = moduli.max(axis=(-2, -1))
-    with np.errstate(invalid="ignore", over="ignore"):
-        moduli /= np.where(peaks > 0.0, peaks, 1.0)[:, None, None]
-        frobenius = peaks * np.sqrt(np.square(moduli, out=moduli).sum(axis=(-2, -1)))
-        bounds = frobenius * _BOUND_SLACK / scale
-    if not np.isfinite(bounds).all():
-        return (spectral_norms(diff) / scale).max()
-    worst = -np.inf
-    for k in np.argsort(bounds)[::-1]:
-        if bounds[k] <= worst:
-            break
-        worst = max(worst, spectral_norms(diff[k]) / scale[k])
-    return worst
+    One Householder QR F = Z S, Z with q = min(n, p) orthonormal columns
+    (orthonormal for a rank-deficient F too), splits each operator into
+    s_k I_q + S C_k S* on range Z and s_k I on its complement. So its norm
+    is the largest singular value of the q x q matrix, from one batched
+    SVD, and at least |s_k| when q < n. A non-finite shift or q x q entry
+    raises ValueError, as require_finite does."""
+    s = np.linalg.qr(frames, mode="r")[..., None, :, :]
+    q = s.shape[-2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        small = s @ cores @ s.conj().swapaxes(-1, -2) + shifts[..., None, None] * np.eye(q)
+    norms = spectral_norms(require_finite(small))
+    if q < frames.shape[-2]:
+        norms = np.maximum(norms, np.abs(require_finite(shifts)))
+    return norms
 
 
 class SvdOracle:
@@ -106,12 +93,13 @@ class SvdOracle:
 
     Singular values at or below RANK_TOL * sigma_max count as kernel (all
     of them for the zero operator); keep marks the others. a* a and a a*
-    are never formed: every function of them, the polar factor and its
-    root among them, is one calculus on the kept columns R_k of R or L_k
-    of L, f(0) I + R_k diag(f(sigma_k^2) - f(0)) R_k* (gram_calc,
-    cogram_calc), so no kernel column, nor its rounding f(0) (I - R R*),
-    enters it. Its norm, max |f| over the spectrum, holds |f(0)| only when
-    a has a kernel. ker a, spanned by the columns of R the cut drops, is
+    are never formed: every function of them lives on the kept columns R_k
+    of R or L_k of L, f(0) I + R_k diag(f(sigma_k^2) - f(0)) R_k*, so no
+    kernel column, nor its rounding f(0) (I - R R*), enters it. The polar
+    factor and its root are such calculi with f(0) = 0 (gram_calc); any
+    other f is handed out as its factors (calc_frames), for frame_norms to
+    compare. Its norm, max |f| over the spectrum, holds |f(0)| only when a
+    has a kernel. ker a, spanned by the columns of R the cut drops, is
     compared through the kept ones (kernel_gap).
     """
 
@@ -152,27 +140,17 @@ class SvdOracle:
         with np.errstate(over="ignore"):
             return require_finite(self.sigma[self.keep] ** 2)
 
-    def gram_calc(self, values: np.ndarray, f0: complex | np.ndarray = 0.0) -> np.ndarray:
-        """f(a* a) = f0 I + R_k diag(values - f0) R_k*, for values =
-        f(squares()) and f0 = f(0). A vector of values gives one matrix; an
-        (m, K) stack of them, with an (m,) vector f0, gives m matrices."""
+    def gram_calc(self, values: np.ndarray) -> np.ndarray:
+        """f(a* a) = R_k diag(values) R_k* for values = f(squares()) of an f
+        with f(0) = 0."""
         rows = self.right_h[self.keep]
-        return _on_range(rows.conj().T, rows, values, f0)
+        return (rows.conj().T * values) @ rows
 
-    def cogram_calc(self, values: np.ndarray, f0: complex | np.ndarray = 0.0) -> np.ndarray:
-        """f(a a*) = f0 I + L_k diag(values - f0) L_k*, shaped as for
-        gram_calc."""
-        cols = self.left[:, self.keep]
-        return _on_range(cols, cols.conj().T, values, f0)
-
-
-def _on_range(cols: np.ndarray, rows: np.ndarray, values: np.ndarray,
-              f0: complex | np.ndarray) -> np.ndarray:
-    """f0 I + cols diag(values - f0) rows for the n x K kept columns and
-    their K x n adjoint: f0 on the kernel, values on the kept range."""
-    f0 = np.asarray(f0)[..., None]
-    out = (cols * (values - f0)[..., None, :]) @ rows
-    if f0.any():
-        diag = np.arange(len(cols))
-        out[..., diag, diag] += f0
-    return out
+    def calc_frames(self, values: np.ndarray,
+                    f0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """f(a* a) and f(a a*) as (f(0), kept vectors, values - f(0)):
+        f0 I + R_k diag(values - f0) R_k* and the same on L_k, for an (m, K)
+        stack of values = f(squares()) and the (m,) vector f0 = f(0). The
+        kept vectors are the (2, n, K) stack [R_k, L_k]."""
+        vectors = np.stack((self.right_h[self.keep].conj().T, self.left[:, self.keep]))
+        return f0, vectors, values - f0[:, None]

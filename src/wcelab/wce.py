@@ -22,13 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .condexp import Sandwich, cond_exp_values
 from .measure import FiniteMeasureSpace, MeasurableFunction, Partition, divide_parts
-from .opalgebra import RANK_TOL
+from .opalgebra import RANK_TOL, require_finite
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,30 +115,28 @@ def partial_isometry_criterion(inst: WceInstance, tol: float) -> bool:
 
 def closed_func_calc(
     inst: WceInstance, fns: Sequence[Callable[[float], complex]]
-) -> Iterator[np.ndarray]:
-    """f(T* T), then f(T T*), in closed form, each as one (m, n, n) stack
-    over fns: f(X) = f(0) I + M_{(f o sigma^2 - f(0)) conj(r)} E M_r, with
-    r = u_hat for X = T* T and r = conj(w_hat) for X = T T*.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """f(T* T) and f(T T*) in closed form over fns, as (f(0), V, c):
+    f(X) = f(0) I + V diag(c) V*, with c = f(sigma_B^2) - f(0) on the kept
+    blocks B and V's unit columns v_B = conj(r) q_B, q_B = sqrt(mu /
+    mu(B)) chi_B, where r = u_hat for X = T* T and r = conj(w_hat) for
+    X = T T*; V is the (2, n, K) stack of the two. E is the sum of the
+    q_B q_B*, so M_{c conj(r)} E M_r is that sum of c_B v_B v_B*.
 
-    Each f is evaluated at 0 and once per block (sigma is blockwise
-    constant), for both products. A sigma^2 or f(sigma^2) beyond the float
-    range raises ValueError, without a numpy warning, in Sandwich.matrices().
+    Each f is evaluated at 0 and once per kept block, for both products. A
+    sigma^2 or f(sigma^2) beyond the float range raises ValueError.
     """
     partition = inst.partition
     f0 = np.asarray([complex(f(0.0)) for f in fns])
+    blocks = np.flatnonzero(inst.kept[partition.first_points])
     # Python floats: a square beyond the float range is inf, without a warning.
-    p = [s * s for s in inst.sigma[partition.first_points].tolist()]
-    fp = np.asarray([[f(v) for v in p] for f in fns], dtype=complex)[:, partition.block_of]
-    diag = np.arange(inst.space.n)
-    for r in (inst.units[0], np.conj(inst.units[1])):
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = (fp - f0[:, None]) * np.conj(r)
-        stack = Sandwich(partition, d, r).matrices()
-        stack[:, diag, diag] += f0[:, None]
-        yield stack
-        # Drop this frame's reference: a stack the caller has let go of is
-        # freed before the next one is built.
-        del stack
+    p = [s * s for s in inst.sigma[partition.first_points[blocks]].tolist()]
+    fp = np.asarray([[f(v) for v in p] for f in fns], dtype=complex).reshape(len(fns), -1)
+    c = require_finite(fp - f0[:, None])
+    b = partition.block_of
+    q = (b[:, None] == blocks) * np.sqrt(inst.space.weights / partition.block_masses[b])[:, None]
+    u_hat, w_hat = inst.units
+    return f0, np.stack((np.conj(u_hat), w_hat))[:, :, None] * q, c
 
 
 def _on_gram_range(inst: WceInstance, coef: np.ndarray) -> Sandwich:

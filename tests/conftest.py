@@ -116,10 +116,20 @@ def declared_normal(u, partition, tol=1e-8):
     return AvgMult(u, partition, tol).projections() is not None
 
 
+def frame_matrices(f0, frames, coef):
+    """The dense matrices f0_k I + F diag(coef_k) F* that a calculus handed
+    out as (f(0), frame F, coefficients) stands for, one per row of coef:
+    (m, n, n), or (..., m, n, n) for a (..., n, K) stack of frames."""
+    vectors = frames[..., None, :, :]
+    eye = np.eye(frames.shape[-2])
+    return (f0[:, None, None] * eye
+            + (vectors * coef[:, None, :]) @ vectors.conj().swapaxes(-1, -2))
+
+
 def closed_calc(inst, f):
-    """One function's closed calculus, (f(T* T), f(T T*)): the only slice
-    of each stack closed_func_calc builds for the tuple (f,)."""
-    return tuple(stack[0] for stack in closed_func_calc(inst, (f,)))
+    """One function's closed calculus, (f(T* T), f(T T*)): the dense
+    matrices of the factors closed_func_calc gives for the tuple (f,)."""
+    return tuple(frame_matrices(*closed_func_calc(inst, (f,)))[:, 0])
 
 
 def pinned_record_names(workload):

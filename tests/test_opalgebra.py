@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from wcelab.checks import calculus_test_functions
 from wcelab.condexp import cond_exp_values
 from wcelab.measure import FiniteMeasureSpace, Partition
-from wcelab.opalgebra import SvdOracle, max_op_deviation, op_deviations, spectral_norms
+from wcelab.opalgebra import SvdOracle, frame_norms, op_deviations, spectral_norms
 
 from conftest import (
     adjoint,
     coarsest_partition,
     deviation,
+    frame_matrices,
     inner,
     kernel_projection,
     l2_norm,
@@ -39,11 +40,12 @@ def eig_calc(a, f):
 
 
 def gram_calcs(b, f):
-    """(f(b* b), f(b b*)) from the SVD oracle of b."""
+    """(f(b* b), f(b b*)): the dense matrices of the factors the SVD oracle
+    of b hands out."""
     oracle = SvdOracle(b)
-    values = np.array([f(v) for v in oracle.squares().tolist()], dtype=complex)
-    f0 = complex(f(0.0))
-    return oracle.gram_calc(values, f0), oracle.cogram_calc(values, f0)
+    values = np.array([[f(v) for v in oracle.squares().tolist()]], dtype=complex)
+    f0 = np.array([complex(f(0.0))])
+    return tuple(frame_matrices(*oracle.calc_frames(values, f0))[:, 0])
 
 
 def power_iteration_norm(space, a, iters=2000, seed=3):
@@ -281,7 +283,7 @@ class TestPolarOracle:
 
 
 class TestFuncCalcOracle:
-    """gram_calc and cogram_calc: f(b* b) and f(b b*) from the SVD of b."""
+    """calc_frames: f(b* b) and f(b b*) from the SVD of b."""
 
     def test_identity_function(self, space, rng):
         b = random_operator(rng, space)
@@ -330,14 +332,17 @@ def test_gram_calculi_of_a_stack(n):
     assert len(values) == rank
     fvals = np.array([[f(v) for v in values] for f in fns], dtype=complex)
     f0 = np.array([f(0.0) for f in fns], dtype=complex)
-    for calc, product in ((oracle.gram_calc, adjoint(a) @ a),
-                          (oracle.cogram_calc, a @ adjoint(a))):
-        stack = calc(fvals, f0)
-        assert stack.shape == (len(fns), n, n)
-        kernel = calc(np.zeros(rank), 1.0)
+    _, vectors, coef = oracle.calc_frames(fvals, f0)
+    assert vectors.shape == (2, n, rank) and coef.shape == (len(fns), rank)
+    kernels = frame_matrices(*oracle.calc_frames(np.zeros((1, rank)), np.ones(1)))[:, 0]
+    for k, f in enumerate(fns):
+        # The row of one function alone is the stack's row, bit for bit.
+        _, one_vectors, one_coef = oracle.calc_frames(fvals[k:k + 1], f0[k:k + 1])
+        assert np.array_equal(one_vectors, vectors) and np.array_equal(one_coef[0], coef[k])
+    for stack, kernel, product in zip(frame_matrices(f0, vectors, coef), kernels,
+                                      (adjoint(a) @ a, a @ adjoint(a))):
         assert round(np.trace(kernel).real) == n - rank
         for k, f in enumerate(fns):
-            assert np.array_equal(stack[k], calc(fvals[k], f0[k]))
             assert deviation(stack[k], psd_calc(product, f)) < 1e-10
             f_norm = float(np.abs(np.append(fvals[k], f0[k])).max())
             assert norm(stack[k] @ kernel - f(0.0) * kernel) < 1e-12 * (1.0 + f_norm)
@@ -422,13 +427,14 @@ def test_svd_oracle_against_references(seed, n, data, real):
     assert int(oracle.keep.sum()) == rank
 
     values = oracle.squares()
-    for product, calc in ((adjoint(a) @ a, oracle.gram_calc),
-                          (a @ adjoint(a), oracle.cogram_calc)):
+    calcs = frame_matrices(*oracle.calc_frames(values[None], np.zeros(1)))[:, 0]
+    for product, calc in zip((adjoint(a) @ a, a @ adjoint(a)), calcs):
         # The kept squares are the top of the spectrum, 0 the rest of it.
         ref = np.linalg.eigh(product)[0]
         np.testing.assert_allclose(np.concatenate((np.zeros(n - rank), np.sort(values))), ref,
                                    rtol=0.0, atol=1e-12 * scale ** 2)
-        assert norm(calc(values) - product) <= 1e-12 * scale ** 2
+        assert norm(calc - product) <= 1e-12 * scale ** 2
+    assert norm(oracle.gram_calc(values) - adjoint(a) @ a) <= 1e-12 * scale ** 2
 
     u, p = oracle.polar()
     assert norm(u @ p - a) <= 1e-12 * scale
@@ -492,92 +498,104 @@ def test_spectral_norms_match_numpy_norm_bit_for_bit(seed, k, n, zero_share, rea
         assert spectral_norms(m) == norm
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.sampled_from([1, 2, 8, 64]),
-       st.booleans(),
-       st.lists(st.sampled_from(["zero", "-zero", "nan", "inf", "tie", "huge", "tiny"]),
-                max_size=6))
-def test_max_op_deviation_is_op_deviations_max_bit_for_bit(seed, k, n, real, kinds):
-    # Random stacks with special slices mixed in: exact and -0.0 residuals,
-    # NaN and inf entries, tied slices, and slices scaled by 2^1000 or
-    # 2^-1000, whose squares over- or underflow. The pruned maximum is
-    # op_deviations(...).max(), bit for bit, or raises what it raises.
-    rng = np.random.default_rng(seed)
-    shape = (k, n, n)
-    a = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, (k, 1, 1))
-    b = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, (k, 1, 1))
-    if not real:
-        a = a + 1j * rng.normal(size=shape)
-        b = b + 1j * rng.normal(size=shape)
-    exponents = np.zeros(k, dtype=int)
-    for kind, s in zip(kinds, rng.integers(0, k, len(kinds))):
-        if kind == "zero":
-            a[s] = b[s]
-        elif kind == "-zero":
-            a[s], b[s] = (-0.0 if real else complex(-0.0, -0.0)), 0.0
-        elif kind in ("nan", "inf"):
-            a[s, rng.integers(n), rng.integers(n)] = np.nan if kind == "nan" else np.inf
-        elif kind == "tie":
-            t = rng.integers(k)
-            a[s], b[s], exponents[s] = a[t], b[t], exponents[t]
-        else:
-            exponents[s] = 1000 if kind == "huge" else -1000
-    scale = np.ldexp(1.0, exponents)[:, None, None]
-    # A complex inf entry times the real scale is inf * 0 in the imaginary
-    # part: NaN there, as numpy's complex product gives it.
-    with np.errstate(invalid="ignore"):
-        a, b = a * scale, b * scale
-    b_norms = spectral_norms(b)
-    with np.errstate(invalid="ignore"):
-        diff = a - b
-    try:
-        with np.errstate(invalid="ignore"):
-            want = op_deviations(a, b, b_norms).max()
-    except np.linalg.LinAlgError:
-        with pytest.raises(np.linalg.LinAlgError), np.errstate(invalid="ignore"):
-            max_op_deviation(diff, b_norms)
-        return
-    with np.errstate(invalid="ignore"):
-        got = max_op_deviation(diff, b_norms)
-    if np.isnan(want):
-        assert np.isnan(got)
-    else:
-        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+def dense_frame_norms(frame, shifts, cores):
+    """||s_k I + F C_k F*|| from the dense n x n matrices, kept only here."""
+    dense = shifts[:, None, None] * np.eye(len(frame)) + frame @ cores @ adjoint(frame)
+    return np.linalg.norm(dense, 2, axis=(1, 2))
 
 
-def test_max_op_deviation_takes_exact_norms_of_the_candidates_only(monkeypatch):
-    # One dominant residual: its Frobenius bound is above the others', and
-    # its exact norm is above their bounds, so it alone reaches an SVD.
-    svd_inputs = []
-    svd = np.linalg.svd
+@pytest.mark.parametrize("n, width, shift", [
+    (8, 3, 0.0), (8, 3, 0.7 - 0.2j),    # p < n: the complement holds |s|
+    (8, 8, 0.0), (8, 8, -1.5),          # p = n: no complement
+    (8, 13, 0.3j),                      # wider than n
+    (8, 0, 0.0), (8, 0, 2.0),           # an empty frame: |s| alone
+    (1, 1, 0.5), (1, 4, 0.0), (64, 12, 1e-3),
+])
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_frame_norms_match_dense_norms(n, width, shift, real):
+    # Random frames and stacks of cores, general (not self-adjoint), the
+    # residual shapes of func_calc among them: the norms read on the frame
+    # are the dense matrices' to 1e-13 relative.
+    rng = np.random.default_rng(17 * n + width)
 
-    def spying_svd(x, *args, **kwargs):
-        svd_inputs.append(x)
-        return svd(x, *args, **kwargs)
+    def draw(*shape):
+        x = rng.normal(size=shape)
+        return x if real else x + 1j * rng.normal(size=shape)
 
-    rng = np.random.default_rng(5)
-    diff = rng.normal(size=(6, 16, 16)) + 1j * rng.normal(size=(6, 16, 16))
-    diff[4] *= 1e3
-    b_norms = rng.uniform(0.0, 2.0, 6)
-    want = op_deviations(diff, np.zeros_like(diff), b_norms).max()
-    monkeypatch.setattr(np.linalg, "svd", spying_svd)
-    assert max_op_deviation(diff, b_norms) == want
-    assert len(svd_inputs) == 1 and np.array_equal(svd_inputs[0], diff[4])
+    frame, cores = draw(n, width), draw(4, width, width)
+    shifts = np.array([shift, 0.0, -shift, 2.0 * shift]).real if real else np.array(
+        [shift, 0.0, -shift, 2.0 * shift], dtype=complex)
+    # One diagonal core with a cancelling pair, as closed minus oracle.
+    diagonal = draw(width // 2)
+    cores[1] = np.diag(np.concatenate((diagonal, -diagonal, draw(width % 2))))
+    got = frame_norms(frame, shifts, cores)
+    np.testing.assert_allclose(got, dense_frame_norms(frame, shifts, cores), rtol=1e-13, atol=0.0)
 
 
-@pytest.mark.parametrize("n", [2, 8, 64])
-@pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
-def test_max_op_deviation_finds_a_rank_one_maximum(n, dtype):
-    # A rank-one matrix has ||d|| = ||d||_F, so its bound is tight: a
-    # multiple of the identity just below it in norm, but with the larger
-    # bound, must not prune it.
+def test_frame_norms_of_a_stack_of_frames():
+    # A (3, n, p) stack of frames with (3, m) shifts and one (m, p, p)
+    # stack of cores gives, frame by frame, the norms of each frame alone.
+    rng = np.random.default_rng(9)
+    frames = rng.normal(size=(3, 10, 4)) + 1j * rng.normal(size=(3, 10, 4))
+    cores = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+    shifts = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
+    got = frame_norms(frames, shifts, cores)
+    assert got.shape == (3, 5)
+    for frame, s, norms in zip(frames, shifts, got):
+        np.testing.assert_allclose(norms, frame_norms(frame, s, cores), rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(norms, dense_frame_norms(frame, s, cores), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.25])
+def test_frame_norms_of_a_rank_deficient_frame(shift):
+    # F = [A, A, 0] has rank 3 in 10 columns of an n = 12 space: the QR's Z
+    # is orthonormal all the same, so a residual that cancels on range A
+    # reads |s| up to the rounding of the cancelled terms, and one that does
+    # not reads the dense norm.
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(12, 3)) + 1j * rng.normal(size=(12, 3))
+    frame = np.hstack((a, a, np.zeros((12, 4))))
+    c = rng.normal(size=3)
+    cancelling = np.diag(np.concatenate((c, -c, np.zeros(4))))
+    cores = np.stack((cancelling, np.diag(rng.normal(size=10)).astype(complex)))
+    shifts = np.array([shift, shift])
+    got = frame_norms(frame, shifts, cores)
+    rounding = 1e-14 * np.abs(c).max() * norm(a) ** 2
+    np.testing.assert_allclose(got, dense_frame_norms(frame, shifts, cores), rtol=1e-13,
+                               atol=rounding)
+    assert got[0] == pytest.approx(shift, abs=rounding)
+
+
+@pytest.mark.parametrize("n, width", [(8, 3), (8, 0), (2, 1)])
+def test_frame_norms_hold_the_shift_off_the_frame(n, width):
+    # s (I - Q Q*) for orthonormal Q: 0 on the frame, so its norm |s| is
+    # on the complement alone, as f(0) on the kernel of a Gram calculus.
     rng = np.random.default_rng(n)
-    x, y = rng.normal(size=(2, n)).astype(dtype)
-    rank_one = np.outer(x, y)
-    top = np.linalg.norm(rank_one, 2)
-    diff = np.stack((np.eye(n, dtype=dtype) * (top * (1 - 1e-12)), rank_one))
-    b_norms = np.zeros(2)
-    assert max_op_deviation(diff, b_norms) == top == op_deviations(diff, 0 * diff, b_norms).max()
+    q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0][:, :width]
+    shifts = np.array([1.0, -0.5j])
+    cores = -shifts[:, None, None] * np.eye(width)
+    np.testing.assert_allclose(frame_norms(q, shifts, cores), [1.0, 0.5], rtol=1e-15)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("width", [0, 3, 8])
+def test_frame_norms_reject_non_finite_cores_and_shifts(bad, width):
+    # A NaN or inf core or shift is no operator: the ValueError of
+    # require_finite, and no numpy warning.
+    rng = np.random.default_rng(width)
+    frame = rng.normal(size=(8, width))
+    cores = rng.normal(size=(2, width, width)).astype(complex)
+    shifts = np.array([0.5, 0.0], dtype=complex)
+    cases = [(cores, np.array([bad, 0.0], dtype=complex))]
+    if width:
+        bad_cores = cores.copy()
+        bad_cores[1, 0, width - 1] = bad
+        cases.append((bad_cores, shifts))
+    for c, s in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="operator entries must be finite"):
+                frame_norms(frame, s, c)
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 64])

@@ -26,6 +26,7 @@ from conftest import (
     constant,
     deviation,
     finest_partition,
+    frame_matrices,
     kernel_projection,
     norm,
     point_matrix,
@@ -237,56 +238,61 @@ def zeroed_block_instance(rng, n):
 
 
 def test_stacked_calculus_matches_per_function_reference():
-    # Bit for bit from n = 2 on. At n = 1 numpy merges the (m, 1) products
-    # of the stack into one length-m loop, which it runs through its SIMD
-    # complex multiply, while a single function's length-1 product takes
-    # the scalar one; the two differ in the last bit of f(0) + core.
+    # Each function's row of the stacked factors is its factors alone, bit
+    # for bit, and the factors' dense matrices are the sandwich M_d E M_r
+    # plus f(0) I to rounding: E is the sum of the q_B q_B* over the blocks.
     rng = np.random.default_rng(2610)
+    eps = np.finfo(float).eps
+    fns = tuple(f for _, f in calculus_test_functions())
     for n in range(1, 25):
         for _ in range(3):
             inst = zeroed_block_instance(rng, n)
-            fns = tuple(f for _, f in calculus_test_functions())
-            stacks = closed_func_calc(inst, fns)
-            for stack, r in zip(stacks, (inst.units[0], np.conj(inst.units[1]))):
-                assert stack.shape == (len(fns), n, n)
-                for k, f in enumerate(fns):
+            kept = np.unique(inst.partition.block_of[inst.kept]).size
+            f0, frames, coef = closed_func_calc(inst, fns)
+            assert frames.shape == (2, n, kept) and coef.shape == (len(fns), kept)
+            dense = frame_matrices(f0, frames, coef)
+            for k, f in enumerate(fns):
+                one_f0, one_frames, one_coef = closed_func_calc(inst, (f,))
+                assert one_f0[0] == f0[k] and np.array_equal(one_frames, frames)
+                assert np.array_equal(one_coef[0], coef[k])
+                for stack, r in zip(dense, (inst.units[0], np.conj(inst.units[1]))):
                     reference = per_function_calc(inst, f, r)
-                    if n == 1:
-                        scale = 1.0 + abs(f(0.0)) + float(np.abs(reference).max())
-                        np.testing.assert_allclose(stack[k], reference, rtol=0,
-                                                   atol=4 * np.finfo(float).eps * scale)
-                    else:
-                        assert np.array_equal(stack[k], reference)
+                    scale = 1.0 + abs(f(0.0)) + float(np.abs(reference).max())
+                    np.testing.assert_allclose(stack[k], reference, rtol=0,
+                                               atol=8 * eps * scale)
 
 
 def test_closed_calculus_evaluates_each_function_once_per_block():
     # f(T* T) and f(T T*) share one table: f(0) once and f(sigma_B^2) once
-    # per block, 1 + K calls for K blocks.
+    # per kept block, 1 + K calls for K kept blocks.
     inst = random_instance(25, n=64, block_count=3)
+    assert inst.kept.all()
     calls = []
 
     def counting(t_):
         calls.append(t_)
         return t_
 
-    assert len(list(closed_func_calc(inst, (counting,)))) == 2
+    f0, frames, coef = closed_func_calc(inst, (counting,))
+    assert frames.shape == (2, 64, 3) and coef.shape == (1, 3)
     assert len(calls) == 1 + inst.partition.block_count == 4
 
 
 def test_stacked_calculus_rejects_non_finite_entries():
     inst = random_instance(21)
-    fns = (lambda t_: 1.0, lambda t_: math.nan if t_ > 0.0 else 0.0)
-    with pytest.raises(ValueError, match="operator entries must be finite"):
-        next(closed_func_calc(inst, fns))
-    # u_hat = 1 and w_hat = 1000 at the light point: f(T* T) holds f(1) =
-    # 1e306, and f(T T*) overflows there.
+    for bad in (math.nan, math.inf):
+        fns = (lambda t_: 1.0, lambda t_: bad if t_ > 0.0 else 0.0)
+        with pytest.raises(ValueError, match="operator entries must be finite"):
+            closed_func_calc(inst, fns)
+    # u_hat = 1 and w_hat = 1000 at the light point: f(T* T) and f(T T*)
+    # hold f(1) = 1e306 times a unit vector's v v*, so their factors and
+    # matrices are finite, though 1e306 times w_hat is not.
     sp = FiniteMeasureSpace([1.0, 1e6])
     lopsided = WceInstance(coarsest_partition(sp), constant(sp, 1.0),
                            MeasurableFunction(sp, [1.0, 0.0]))
-    stacks = closed_func_calc(lopsided, (lambda t_: 1e306 if t_ > 0.0 else 0.0,))
-    assert np.isfinite(next(stacks)).all()
-    with pytest.raises(ValueError, match="operator entries must be finite"):
-        next(stacks)
+    f0, frames, coef = closed_func_calc(lopsided, (lambda t_: 1e306 if t_ > 0.0 else 0.0,))
+    assert [norm(frame) for frame in frames] == pytest.approx([1.0, 1.0], rel=1e-15)
+    assert np.isfinite(frame_matrices(f0, frames, coef)).all()
 
 
 # |v|^2 and its block mean overflow, and so does the root mean square: the
@@ -320,7 +326,7 @@ def test_closed_forms_raise_on_an_overflowing_aggregate_before_using_it():
     w = MeasurableFunction(sp, RMS_OVERFLOW)
     fns = tuple(f for _, f in calculus_test_functions())
     for closed in (closed_polar, closed_abs_sqrt, closed_aluthge, norm_formula,
-                   lambda inst: next(closed_func_calc(inst, fns))):
+                   lambda inst: closed_func_calc(inst, fns)):
         with np.errstate(all="raise"):
             with pytest.raises(ValueError, match=r"E\(\|w\|\^2\) is not finite"):
                 closed(WceInstance(part, u, w))
