@@ -33,7 +33,6 @@ from .suite import VerificationReport, run_suite
 from .wce import (
     WceInstance,
     build_operator,
-    closed_abs_sqrt,
     closed_aluthge,
     closed_func_calc,
     closed_polar,

@@ -32,13 +32,13 @@ from .opalgebra import (
     op_deviations,
     reference_scale,
     require_finite,
+    singular_values,
     spectral_norms,
 )
 from .spectral import AvgMult, check_spectral_axioms, pushforward_density
 from .wce import (
     WceInstance,
     build_operator,
-    closed_abs_sqrt,
     closed_aluthge,
     closed_func_calc,
     closed_polar,
@@ -109,7 +109,7 @@ RECORDS: dict[str, dict[str, str]] = {
         "sd_orthogonality": "spectral projections are pairwise orthogonal",
         "sd_reconstruction": "sum of lambda_n P_n reassembles E M_u",
         "sd_rank_sum": "projection ranks add up to the dimension",
-        "sd_eigs_match": "decomposition eigenvalues match the spectrum",
+        "sd_eigs_match": "each eigenvalue is tr(P M) / tr(P) on its spectral projection P",
     },
     "measure_axioms": {
         "sm_proj_ambient": "each measure value is an orthogonal projection (ambient)",
@@ -163,13 +163,13 @@ class CheckRecord:
 class CheckContext:
     """Everything a check needs for one instance.
 
-    The matrix of T, its one SVD (its norm, polar factors, half-power
-    root, kernel gaps, both Gram calculi and T T* T - T are read off it),
-    the closed polar pair and the matrix of its |T|, E M_u (an AvgMult,
+    The matrix of T, its one SVD (its norm, polar factor, half-power root,
+    kept singular vectors, both Gram calculi and T T* T - T are read off
+    it), the closed polar pair as its kept-block frames, the one QR of
+    those frames next to T's kept singular vectors, and E M_u (an AvgMult,
     which caches its matrix, the block spread of u, the eigenvalue groups
-    and the eigenvalues) and the one comparison of those eigenvalues with
-    the numerical ones are each computed once, on first use, and shared by
-    every check group. The point map caches its own fiber partition and
+    and the eigenvalues) are each computed once, on first use, and shared
+    by every check group. The point map caches its own fiber partition and
     fiber average. Every matrix is in the orthonormal basis of the
     weighted space (see Partition.cond_exp_matrix), so the adjoint is the
     conjugate transpose.
@@ -215,19 +215,21 @@ class CheckContext:
         return SvdOracle(self.t)
 
     @cached_property
-    def polar(self) -> tuple[np.ndarray, np.ndarray]:
-        """SVD polar factors (U, |T|) of T."""
-        return self.svd.polar()
-
-    @cached_property
-    def polar_closed(self) -> tuple[Sandwich, Sandwich]:
-        """The closed polar pair (U, |T|)."""
+    def polar_closed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The closed polar pair as its kept-block frames (v, l, sigma_B)."""
         return closed_polar(self.instance)
 
     @cached_property
-    def abs_closed(self) -> np.ndarray:
-        """The matrix of the closed |T|, shared by polar and aluthge."""
-        return self.polar_closed[1].matrices()
+    def frame_factors(self) -> np.ndarray:
+        """The R factors S_g of W_g = [v, R_k] and S_c of W_c = [l, L_k],
+        the closed frames next to T's kept singular vectors, as one (2, q,
+        K + k) stack from one batched QR W = Z S, Z with q = min(n, K + k)
+        orthonormal columns. Every operator that lives on these frames,
+        each func_calc, polar and aluthge residual, has its norm read off a
+        q x q matrix built from them."""
+        v, l, _ = self.polar_closed
+        frames = np.concatenate((np.stack((v, l)), self.svd.vectors), axis=2)
+        return np.linalg.qr(frames, mode="r")
 
     @cached_property
     def avg_mult(self) -> AvgMult:
@@ -235,20 +237,6 @@ class CheckContext:
         spread and eigenvalue groups serve normality, spectrum and
         spectral_decomp."""
         return AvgMult(self.instance.u, self.instance.partition, self.tol)
-
-    @cached_property
-    def spectrum_residual(self) -> float:
-        """The set distance between E M_u's eigenvalues and the numerical
-        eigenvalues of its matrix, read by spectrum and sd_eigs_match. The
-        groups are built first, so a block mean beyond the float range is
-        the reason a breakdown names. LAPACK returns NaN, without an error,
-        for a matrix whose norm leaves the float range; such eigenvalues
-        raise ValueError."""
-        expected = self.avg_mult.eigenvalues
-        eigvals = np.linalg.eigvals(self.avg_mult.matrix)
-        if not np.isfinite(eigvals).all():
-            raise ValueError("eigenvalues of E M_u are not finite")
-        return _eigvals_match_residual(expected, eigvals)
 
     def record(
         self, name: str, residual: float, tol: float, bound: str = "upper"
@@ -504,39 +492,52 @@ def check_func_calc(ctx: CheckContext) -> list[CheckRecord]:
     spectrum = fvals if svd.keep.all() else np.column_stack((fvals, f0))
     scale = reference_scale(np.abs(spectrum).max(axis=1))
     # Closed minus oracle is (f0_c - f0_o) I + W diag(c, -g) W* on the
-    # frame W = [V, R_k] of each product: each residual's norm is read on
-    # W, never as an n x n matrix.
-    f0_c, v, c = closed_func_calc(ctx.instance, fns)
-    f0_o, r, g = svd.calc_frames(fvals, f0)
+    # frame W = [V, R_k] of each product, the context's W_g and W_c: each
+    # residual's norm is read off W's held R factor, never as an n x n
+    # matrix.
+    f0_c, _, c = closed_func_calc(ctx.instance, fns)
+    f0_o, _, g = svd.calc_frames(fvals, f0)
     coef = np.concatenate((c, -g), axis=1)
     cores = coef[:, :, None] * np.eye(coef.shape[1])
-    worst = (frame_norms(np.concatenate((v, r), axis=2), f0_c - f0_o, cores) / scale).max(axis=1)
+    norms = frame_norms(ctx.frame_factors, ctx.instance.space.n, f0_c - f0_o, cores)
+    worst = (norms / scale).max(axis=1)
     return [ctx.record(name, res, 10 * ctx.tol) for name, res in zip(RECORDS["func_calc"], worst)]
 
 
 def check_polar(ctx: CheckContext) -> list[CheckRecord]:
-    t = ctx.t
-    u_closed, abs_closed = ctx.polar_closed
-    u_mat, abs_mat = u_closed.matrices(), ctx.abs_closed
-    u_ref, abs_ref = ctx.polar
-    u_svd, abs_svd = SvdOracle(u_mat), SvdOracle(abs_mat)
-    # Each kernel gap is read against the norm of the reference kernel
-    # projection: 1, or 0 when the reference has no kernel.
-    kernel_res = max(a.kernel_gap(ref) / reference_scale((~ref.keep).any())
-                     for a, ref in ((u_svd, abs_svd), (abs_svd, ctx.svd),
-                                    (u_svd, ctx.svd)))
-    # The oracle norms: ||T|| = || |T| ||, and the SVD partial isometry
-    # has norm 1 unless T = 0.
-    t_norm = ctx.svd.norm
-    abs_res, iso_res, fact_res = op_deviations(
-        np.stack((abs_mat, u_mat, (u_closed @ abs_closed).matrices())),
-        np.stack((abs_ref, u_ref, t)),
-        np.array([t_norm, float(t_norm > 0.0), t_norm]))
+    svd = ctx.svd
+    v, l, sigma = ctx.polar_closed
+    s_g, s_c = ctx.frame_factors
+    t_norm, k = svd.norm, int(svd.keep.sum())
+    closed, oracle = np.ones(sigma.size), np.ones(k)
+    # On W_g = Z_g S_g and W_c = Z_c S_c, closed |T| minus the oracle's
+    # R_k diag(sigma_k) R_k* is Z_g S_g diag(sigma_B, -sigma_k) S_g* Z_g*,
+    # closed U minus L_k R_k* is Z_c S_c diag(1, -1) S_g* Z_g*, closed U is
+    # Z_c S_c diag(1, 0) S_g* Z_g*, and P_v - R_k R_k* (the two kernels'
+    # complements) is Z_g S_g diag(1, -1) S_g* Z_g*: one q x q matrix each.
+    small = np.stack([(left * np.concatenate(d)) @ s_g.conj().T for left, d in (
+        (s_g, (sigma, -svd.sigma[svd.keep])), (s_c, (closed, -oracle)),
+        (s_c, (closed, 0.0 * oracle)), (s_g, (closed, -oracle)))])
+    abs_s, iso_s, u_s, kernel_s = singular_values(require_finite(small))
     # U* U = R S^2 R* on closed U's SVD L S R*: (U* U)^2 - U* U is read off S.
-    proj_res = float(np.abs(u_svd.sigma ** 4 - u_svd.sigma ** 2).max())
+    proj_res = float(np.abs(u_s ** 4 - u_s ** 2).max(initial=0.0))
+    # Closed U and |T| share v, so ker U = ker |T| by construction; their
+    # kernel and ker T have the same dimension only when closed U, closed
+    # |T| and T have one rank. Then ||K_T - K_|T||| = ||P_v - R_k R_k*|| is
+    # the sine of the largest principal angle (Bjorck and Golub 1973),
+    # read against the norm of T's kernel projection: 1, or 0 with none.
+    u_rank = int((u_s > RANK_TOL * u_s.max(initial=0.0)).sum())
+    gap = kernel_s.max(initial=0.0) if u_rank == sigma.size == k else 1.0
+    kernel_res = gap / reference_scale((~svd.keep).any())
+    # U |T| = sum_B sigma_B l_B v_B* against T itself, whose sub-cut tail is
+    # part of the reference.
+    with np.errstate(over="ignore", invalid="ignore"):
+        fact = require_finite((l * sigma) @ v.conj().T)
+    fact_res = op_deviations(fact[None], ctx.t[None], np.array([t_norm]))[0]
     return [
-        ctx.record("polar_abs", abs_res, ctx.tol),
-        ctx.record("polar_isometry", iso_res, ctx.tol),
+        ctx.record("polar_abs", abs_s.max(initial=0.0) / reference_scale(t_norm), ctx.tol),
+        ctx.record("polar_isometry",
+                   iso_s.max(initial=0.0) / reference_scale(float(t_norm > 0.0)), ctx.tol),
         ctx.record("polar_factorization", fact_res, ctx.tol),
         ctx.record("polar_projection", proj_res, ctx.tol),
         ctx.record("polar_kernels", kernel_res, 10 * ctx.tol),
@@ -544,26 +545,27 @@ def check_polar(ctx: CheckContext) -> list[CheckRecord]:
 
 
 def check_aluthge(ctx: CheckContext) -> list[CheckRecord]:
-    inst = ctx.instance
     svd = ctx.svd
-    u_ref, _ = ctx.polar
     root = svd.root()
-    oracle = root @ u_ref @ root
+    oracle = root @ svd.polar() @ root
     # On the kept singular vectors the oracle is R_k C R_k* with the
     # rank x rank core C = S (R_k* L_k) S, S = Sigma_k^(1/2), and R_k has
     # orthonormal columns, so ||C|| is the oracle's norm.
     s = np.sqrt(svd.sigma[svd.keep])
     core = s[:, None] * (svd.right_h[svd.keep] @ svd.left[:, svd.keep]) * s
-    closed = closed_aluthge(inst)
-    v = closed_abs_sqrt(inst)
-    # || |T| || = ||T|| is the reference norm of the closed |T|.
-    closed_res, root_res = op_deviations(
-        np.stack((closed.matrices(), (v @ v).matrices())),
-        np.stack((oracle, ctx.abs_closed)),
-        np.array([float(spectral_norms(core)), ctx.svd.norm]))
+    closed_res = op_deviations(closed_aluthge(ctx.instance).matrices()[None], oracle[None],
+                               spectral_norms(core)[None])[0]
+    # The closed half-power factor is V diag(sqrt(sigma_B)) V*, so its square
+    # less the closed |T| is V (D V* V D - D^2) V*, D = diag(sqrt(sigma_B)),
+    # V = Z_g S_g[:, :K] (W_g's leading K columns), read against || |T| ||.
+    v, _, sigma = ctx.polar_closed
+    half = np.sqrt(sigma)
+    s_v = ctx.frame_factors[0][:, :sigma.size]
+    c = half[:, None] * (v.conj().T @ v) * half - np.diag(sigma)
+    root_norm = spectral_norms(require_finite(s_v @ c @ s_v.conj().T))
     return [
         ctx.record("aluthge_closed", closed_res, ctx.tol),
-        ctx.record("aluthge_root", root_res, ctx.tol),
+        ctx.record("aluthge_root", root_norm / reference_scale(svd.norm), ctx.tol),
     ]
 
 
@@ -604,7 +606,15 @@ def check_normality(ctx: CheckContext) -> list[CheckRecord]:
 
 
 def check_spectrum(ctx: CheckContext) -> list[CheckRecord]:
-    return [ctx.record("spectrum", ctx.spectrum_residual, ctx.tol)]
+    # The groups are built first, so a block mean beyond the float range is
+    # the reason a breakdown names. LAPACK returns NaN, without an error,
+    # for a matrix whose norm leaves the float range; such eigenvalues
+    # raise ValueError.
+    expected = ctx.avg_mult.eigenvalues
+    eigvals = np.linalg.eigvals(ctx.avg_mult.matrix)
+    if not np.isfinite(eigvals).all():
+        raise ValueError("eigenvalues of E M_u are not finite")
+    return [ctx.record("spectrum", _eigvals_match_residual(expected, eigvals), ctx.tol)]
 
 
 def check_spectral_decomp(ctx: CheckContext) -> list[CheckRecord]:
@@ -613,7 +623,6 @@ def check_spectral_decomp(ctx: CheckContext) -> list[CheckRecord]:
         return [ctx.skip(name, "u is not blockwise constant, E M_u is not normal")
                 for name in RECORDS["spectral_decomp"]]
     m = ctx.avg_mult.matrix
-    n = ctx.instance.space.n
 
     # ||P|| is taken once and is the reference norm of both projection
     # identities.
@@ -626,16 +635,23 @@ def check_spectral_decomp(ctx: CheckContext) -> list[CheckRecord]:
     # hold m^2 / 2 matrices.
     orth_res = max((spectral_norms(p[i] @ p[i + 1:]).max()
                     for i in range(len(p) - 1)), default=0.0)
-    total_rank = int(np.rint(np.trace(p, axis1=1, axis2=2).real).sum())
-    recon = np.einsum("k,kij->ij", np.array(ctx.avg_mult.eigenvalues), p)
+    traces = np.trace(p, axis1=1, axis2=2).real
+    total_rank = int(np.rint(traces).sum())
+    eigenvalues = np.array(ctx.avg_mult.eigenvalues)
+    recon = np.einsum("k,kij->ij", eigenvalues, p)
     recon_res = op_deviations(recon[None], m[None], spectral_norms(m[None]))[0]
-
+    # M acts on range P_k as lambda_k, so tr(P_k M) / tr(P_k) is lambda_k
+    # read off the dense M, on the reference scale of the largest |lambda|.
+    # The real P_k meet M's parts apart: einsum casts mixed dtypes in buffers.
+    real, imag = (np.einsum("kij,ji->k", p, part) for part in (m.real, m.imag))
+    rayleigh = (real + 1j * imag) / traces
+    eigs_res = np.abs(rayleigh - eigenvalues).max() / reference_scale(np.abs(eigenvalues).max())
     return [
         ctx.record("sd_projections", proj_res, ctx.tol),
         ctx.record("sd_orthogonality", orth_res, ctx.tol),
         ctx.record("sd_reconstruction", recon_res, ctx.tol),
-        ctx.record("sd_rank_sum", float(abs(total_rank - n)), 0.5),
-        ctx.record("sd_eigs_match", ctx.spectrum_residual, ctx.tol),
+        ctx.record("sd_rank_sum", float(abs(total_rank - ctx.instance.space.n)), 0.5),
+        ctx.record("sd_eigs_match", eigs_res, ctx.tol),
     ]
 
 

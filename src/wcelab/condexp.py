@@ -37,13 +37,6 @@ class Sandwich:
     left: np.ndarray
     right: np.ndarray
 
-    def __matmul__(self, other: Sandwich) -> Sandwich:
-        """E M_g E = M_E(g) E, so M_a E M_b M_c E M_d = M_{a E(b c)} E M_d (one partition).
-        Symbols that overflow stay quiet here and raise in matrices()."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            middle = cond_exp_values(self.partition, self.right * other.left)
-            return Sandwich(self.partition, self.left * middle, other.right)
-
     def matrices(self) -> np.ndarray:
         """left[..., i] E[i, j] right[..., j] with E's orthonormal-basis
         matrix (diagonal multipliers commute with the frame change): one

@@ -15,6 +15,8 @@ nothing about conditional-expectation structure.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 # Relative singular-value cutoff: the one cut for every rank, support and
@@ -37,25 +39,30 @@ def require_finite(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def spectral_norms(stack: np.ndarray) -> np.ndarray:
-    """Spectral norms of a (..., m, n) stack of matrices, the one
-    spectral-norm path of the package, bit for bit np.linalg.norm(., 2).
-
-    A slice with no nonzero entry (-0.0 included) gets exactly 0.0, the
-    value LAPACK gives it, and never reaches LAPACK; the live slices,
-    NaN and inf ones among them, go to one batched
-    np.linalg.svd(., compute_uv=False). A stack with no zero slice goes to
-    it as it is, uncopied; only a stack with one is gathered. Empty
-    matrices, such as the Aluthge core of T = 0, have norm 0."""
-    if 0 in stack.shape[-2:]:
-        return np.zeros(stack.shape[:-2])
+def singular_values(stack: np.ndarray) -> np.ndarray:
+    """Singular values, largest first, of a (..., m, n) stack of matrices:
+    (..., min(m, n)), the one singular-value path of the package. A slice
+    with no nonzero entry (-0.0 included) gets exactly zeros, the values
+    LAPACK gives it, without reaching LAPACK; the live slices, NaN and inf
+    ones among them, go to one batched np.linalg.svd(., compute_uv=False),
+    which takes a stack with no zero slice as it is, uncopied."""
     live = stack.any(axis=(-2, -1))
     if live.all():
-        return np.linalg.svd(stack, compute_uv=False)[..., 0]
-    norms = np.zeros(stack.shape[:-2])
+        return np.linalg.svd(stack, compute_uv=False)
+    values = np.zeros(stack.shape[:-2] + (min(stack.shape[-2:]),))
     if live.any():
-        norms[live] = np.linalg.svd(stack[live], compute_uv=False)[:, 0]
-    return norms
+        values[live] = np.linalg.svd(stack[live], compute_uv=False)
+    return values
+
+
+def spectral_norms(stack: np.ndarray) -> np.ndarray:
+    """Spectral norms of a (..., m, n) stack of matrices, the one
+    spectral-norm path of the package, bit for bit np.linalg.norm(., 2):
+    the largest of singular_values. Empty matrices, such as the Aluthge
+    core of T = 0, have norm 0."""
+    if 0 in stack.shape[-2:]:
+        return np.zeros(stack.shape[:-2])
+    return singular_values(stack)[..., 0]
 
 
 def op_deviations(a: np.ndarray, b: np.ndarray, b_norms: np.ndarray) -> np.ndarray:
@@ -65,24 +72,27 @@ def op_deviations(a: np.ndarray, b: np.ndarray, b_norms: np.ndarray) -> np.ndarr
     return spectral_norms(a - b) / reference_scale(b_norms)
 
 
-def frame_norms(frames: np.ndarray, shifts: np.ndarray, cores: np.ndarray) -> np.ndarray:
+def frame_norms(factors: np.ndarray, n: int, shifts: np.ndarray,
+                cores: np.ndarray) -> np.ndarray:
     """||s_k I + F C_k F*|| for an n x p frame F, an (m,) vector of shifts
     s_k and an (m, p, p) stack of cores C_k, with no n x n matrix formed: m
     norms, or (..., m) for a (..., n, p) stack of frames, against which
     (..., m) shifts and (..., m, p, p) cores broadcast.
 
-    One Householder QR F = Z S, Z with q = min(n, p) orthonormal columns
-    (orthonormal for a rank-deficient F too), splits each operator into
+    F is passed as the R factor S of its Householder QR F = Z S, the
+    (..., q, p) np.linalg.qr(F, mode="r"), Z with q = min(n, p) orthonormal
+    columns (orthonormal for a rank-deficient F too), so a caller that
+    holds S reads every operator on F off it. S splits each operator into
     s_k I_q + S C_k S* on range Z and s_k I on its complement. So its norm
     is the largest singular value of the q x q matrix, from one batched
     SVD, and at least |s_k| when q < n. A non-finite shift or q x q entry
     raises ValueError, as require_finite does."""
-    s = np.linalg.qr(frames, mode="r")[..., None, :, :]
+    s = factors[..., None, :, :]
     q = s.shape[-2]
     with np.errstate(over="ignore", invalid="ignore"):
         small = s @ cores @ s.conj().swapaxes(-1, -2) + shifts[..., None, None] * np.eye(q)
     norms = spectral_norms(require_finite(small))
-    if q < frames.shape[-2]:
+    if q < n:
         norms = np.maximum(norms, np.abs(require_finite(shifts)))
     return norms
 
@@ -92,15 +102,16 @@ class SvdOracle:
     a = L diag(sigma) R*; the one factorization path of the oracles.
 
     Singular values at or below RANK_TOL * sigma_max count as kernel (all
-    of them for the zero operator); keep marks the others. a* a and a a*
-    are never formed: every function of them lives on the kept columns R_k
-    of R or L_k of L, f(0) I + R_k diag(f(sigma_k^2) - f(0)) R_k*, so no
-    kernel column, nor its rounding f(0) (I - R R*), enters it. The polar
-    factor and its root are such calculi with f(0) = 0 (gram_calc); any
-    other f is handed out as its factors (calc_frames), for frame_norms to
-    compare. Its norm, max |f| over the spectrum, holds |f(0)| only when a
-    has a kernel. ker a, spanned by the columns of R the cut drops, is
-    compared through the kept ones (kernel_gap).
+    of them for the zero operator); keep marks the others, and vectors
+    holds the kept columns R_k of R and L_k of L. a* a and a a* are never
+    formed: every function of them lives on those columns, f(0) I + R_k
+    diag(f(sigma_k^2) - f(0)) R_k*, so no kernel column, nor its rounding
+    f(0) (I - R R*), enters it. The root of the positive factor is such a
+    calculus with f(0) = 0 (gram_calc); any other f is handed out as its
+    factors (calc_frames), for frame_norms to compare. Its norm, max |f|
+    over the spectrum, holds |f(0)| only when a has a kernel. The polar
+    factor |a| and ker a are compared on the kept vectors themselves, which
+    span the orthogonal complement of ker a.
     """
 
     def __init__(self, a: np.ndarray) -> None:
@@ -108,29 +119,19 @@ class SvdOracle:
         self.norm = float(self.sigma[0]) if self.sigma.size else 0.0
         self.keep = self.sigma > RANK_TOL * self.norm
 
-    def polar(self) -> tuple[np.ndarray, np.ndarray]:
-        """Polar factors (U, P) of a = U P: P = (a* a)^(1/2), and U the
-        partial isometry with ker U = ker P = ker a."""
-        u = self.left[:, self.keep] @ self.right_h[self.keep, :]
-        return u, self.gram_calc(self.sigma[self.keep])
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        """The kept singular vectors as one (2, n, K) stack [R_k, L_k]."""
+        return np.stack((self.right_h[self.keep].conj().T, self.left[:, self.keep]))
+
+    def polar(self) -> np.ndarray:
+        """The polar factor U = L_k R_k* of a = U |a|: the partial isometry
+        with ker U = ker a."""
+        return self.left[:, self.keep] @ self.right_h[self.keep, :]
 
     def root(self) -> np.ndarray:
-        """P^(1/2) = (a* a)^(1/4), the half power of the positive factor."""
+        """|a|^(1/2) = (a* a)^(1/4), the half power of the positive factor."""
         return self.gram_calc(np.sqrt(self.sigma[self.keep]))
-
-    def kernel_gap(self, other: SvdOracle) -> float:
-        """||K_self - K_other||, K the orthogonal projection onto the kernel,
-        read off the two SVDs and never formed.
-
-        Projections of different rank are at distance exactly 1. For equal
-        ranks ||P - Q|| = ||(I - Q) P||, the sine of the largest principal
-        angle between the kernels (Bjorck and Golub 1973): the norm of the
-        rank x nullity product of other's kept right singular vectors with
-        self's kernel ones, empty (gap 0) for a full-rank or zero a."""
-        if self.keep.sum() != other.keep.sum():
-            return 1.0
-        return float(spectral_norms(
-            other.right_h[other.keep] @ self.right_h[~self.keep].conj().T))
 
     def squares(self) -> np.ndarray:
         """sigma_k^2 on the kept singular values, in SVD order: the spectrum
@@ -152,5 +153,4 @@ class SvdOracle:
         f0 I + R_k diag(values - f0) R_k* and the same on L_k, for an (m, K)
         stack of values = f(squares()) and the (m,) vector f0 = f(0). The
         kept vectors are the (2, n, K) stack [R_k, L_k]."""
-        vectors = np.stack((self.right_h[self.keep].conj().T, self.left[:, self.keep]))
-        return f0, vectors, values - f0[:, None]
+        return f0, self.vectors, values - f0[:, None]

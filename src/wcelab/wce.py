@@ -8,9 +8,10 @@ symbols u_hat = u / sqrt(E(|u|^2)), w_hat = w / sqrt(E(|w|^2)). Its
 norm, polar decomposition, Aluthge transform, and the functional calculus
 of the two Gram-type products are written in sigma and the unit symbols,
 never as quotients of aggregates, so they hold at every scale where sigma
-and the entries of T are floats. This module builds them as factored
-M_a E M_b values (Sandwich) whose matrices, with the matrix of T, the
-oracles in opalgebra certify.
+and the entries of T are floats. This module builds the polar pair and
+the calculus on the kept blocks' unit frames, and the Aluthge transform as
+a factored M_a E M_b value (Sandwich); the oracles in opalgebra certify
+them against the matrix of T.
 
 Every closed form lives on the kept blocks: those whose sigma_B exceeds
 RANK_TOL times the largest, the cut SvdOracle makes on the singular
@@ -113,64 +114,55 @@ def partial_isometry_criterion(inst: WceInstance, tol: float) -> bool:
     return dev <= tol * max(1.0, float(sigma.max(initial=0.0)))
 
 
+def closed_polar(inst: WceInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form polar decomposition T = U |T| on the K kept blocks B, as
+    the frames (v, l, sigma): T = sum_B sigma_B l_B v_B*, U = sum_B l_B v_B*
+    and |T| = sum_B sigma_B v_B v_B*, with the (K,) kept sigma_B and the
+    n x K frames of unit columns v_B = conj(u_hat) q_B and l_B = w_hat q_B,
+    q_B = sqrt(mu / mu(B)) chi_B. E is the sum of the q_B q_B*, so U =
+    M_{w_hat} E M_{u_hat} and |T| = M_{sigma conj(u_hat)} E M_{u_hat}.
+
+    The columns of each frame have disjoint supports, so U is a partial
+    isometry, and U, |T| and T share one kernel, the complement of span v:
+    the decomposition is the unique one.
+    """
+    partition = inst.partition
+    blocks = np.flatnonzero(inst.kept[partition.first_points])
+    b = partition.block_of
+    q = (b[:, None] == blocks) * np.sqrt(inst.space.weights / partition.block_masses[b])[:, None]
+    u_hat, w_hat = inst.units
+    return (np.conj(u_hat)[:, None] * q, w_hat[:, None] * q,
+            inst.sigma[partition.first_points[blocks]])
+
+
 def closed_func_calc(
     inst: WceInstance, fns: Sequence[Callable[[float], complex]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """f(T* T) and f(T T*) in closed form over fns, as (f(0), V, c):
     f(X) = f(0) I + V diag(c) V*, with c = f(sigma_B^2) - f(0) on the kept
-    blocks B and V's unit columns v_B = conj(r) q_B, q_B = sqrt(mu /
-    mu(B)) chi_B, where r = u_hat for X = T* T and r = conj(w_hat) for
-    X = T T*; V is the (2, n, K) stack of the two. E is the sum of the
-    q_B q_B*, so M_{c conj(r)} E M_r is that sum of c_B v_B v_B*.
+    blocks B and V the (2, n, K) stack of closed_polar's frames v (for
+    X = T* T) and l (for X = T T*): T* T = sum_B sigma_B^2 v_B v_B* and
+    T T* = sum_B sigma_B^2 l_B l_B*.
 
     Each f is evaluated at 0 and once per kept block, for both products. A
     sigma^2 or f(sigma^2) beyond the float range raises ValueError.
     """
-    partition = inst.partition
     f0 = np.asarray([complex(f(0.0)) for f in fns])
-    blocks = np.flatnonzero(inst.kept[partition.first_points])
+    v, l, sigma = closed_polar(inst)
     # Python floats: a square beyond the float range is inf, without a warning.
-    p = [s * s for s in inst.sigma[partition.first_points[blocks]].tolist()]
-    fp = np.asarray([[f(v) for v in p] for f in fns], dtype=complex).reshape(len(fns), -1)
+    p = [s * s for s in sigma.tolist()]
+    fp = np.asarray([[f(x) for x in p] for f in fns], dtype=complex).reshape(len(fns), -1)
     c = require_finite(fp - f0[:, None])
-    b = partition.block_of
-    q = (b[:, None] == blocks) * np.sqrt(inst.space.weights / partition.block_masses[b])[:, None]
-    u_hat, w_hat = inst.units
-    return f0, np.stack((np.conj(u_hat), w_hat))[:, :, None] * q, c
-
-
-def _on_gram_range(inst: WceInstance, coef: np.ndarray) -> Sandwich:
-    """M_{coef conj(u_hat)} E M_{u_hat}: coef times the projection onto the
-    range of T* T. A product beyond the float range raises ValueError,
-    without a numpy warning, in Sandwich.matrices()."""
-    u_hat = inst.units[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        left = coef * np.conj(u_hat)
-    return Sandwich(inst.partition, left, u_hat)
-
-
-def closed_polar(inst: WceInstance) -> tuple[Sandwich, Sandwich]:
-    """Closed-form polar decomposition T = U |T|, returned as (U, |T|):
-    U = M_{w_hat} E M_{u_hat} and |T| = M_{sigma conj(u_hat)} E M_{u_hat}.
-
-    U is a partial isometry sharing the kernel of |T| and T (the unit
-    symbols are zero off the kept blocks), which makes the decomposition
-    the unique one.
-    """
-    u_hat, w_hat = inst.units
-    return Sandwich(inst.partition, w_hat, u_hat), _on_gram_range(inst, inst.sigma)
-
-
-def closed_abs_sqrt(inst: WceInstance) -> Sandwich:
-    """Closed-form square root of |T|, M_{sqrt(sigma) conj(u_hat)} E M_{u_hat}:
-    positive, and it squares to |T|. It is the half-power factor entering
-    the Aluthge transform."""
-    return _on_gram_range(inst, np.sqrt(inst.sigma))
+    return f0, np.stack((v, l)), c
 
 
 def closed_aluthge(inst: WceInstance) -> Sandwich:
     """Closed-form Aluthge transform |T|^(1/2) U |T|^(1/2), M_{sigma
     E(u_hat w_hat) conj(u_hat)} E M_{u_hat}; |E(u_hat w_hat)| <= 1, so no
-    coefficient leaves the float range."""
+    coefficient leaves the float range. A product beyond the float range
+    raises ValueError, without a numpy warning, in Sandwich.matrices()."""
     u_hat, w_hat = inst.units
-    return _on_gram_range(inst, inst.sigma * cond_exp_values(inst.partition, u_hat * w_hat))
+    coef = inst.sigma * cond_exp_values(inst.partition, u_hat * w_hat)
+    with np.errstate(over="ignore", invalid="ignore"):
+        left = coef * np.conj(u_hat)
+    return Sandwich(inst.partition, left, u_hat)

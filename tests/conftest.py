@@ -10,7 +10,7 @@ from wcelab.instance_io import parse_instance
 from wcelab.measure import MeasurableFunction, Partition
 from wcelab.opalgebra import SvdOracle, op_deviations, spectral_norms
 from wcelab.spectral import AvgMult
-from wcelab.wce import WceInstance, closed_func_calc
+from wcelab.wce import WceInstance, closed_func_calc, closed_polar
 
 
 def finest_partition(space):
@@ -130,6 +130,14 @@ def closed_calc(inst, f):
     """One function's closed calculus, (f(T* T), f(T T*)): the dense
     matrices of the factors closed_func_calc gives for the tuple (f,)."""
     return tuple(frame_matrices(*closed_func_calc(inst, (f,)))[:, 0])
+
+
+def closed_polar_matrices(inst):
+    """The dense closed (U, |T|, |T|^(1/2)) that closed_polar's frames
+    stand for: l v*, v diag(sigma) v* and v diag(sqrt(sigma)) v*."""
+    v, l, sigma = closed_polar(inst)
+    v_adj = v.conj().T
+    return l @ v_adj, (v * sigma) @ v_adj, (v * np.sqrt(sigma)) @ v_adj
 
 
 def pinned_record_names(workload):

@@ -26,9 +26,7 @@ from wcelab.opalgebra import SvdOracle, op_deviations, spectral_norms
 from wcelab.spectral import AvgMult, check_spectral_axioms, pushforward_density
 from wcelab.wce import (
     build_operator,
-    closed_abs_sqrt,
     closed_aluthge,
-    closed_polar,
     norm_formula,
     partial_isometry_criterion,
 )
@@ -37,6 +35,7 @@ from conftest import (
     adjoint,
     declared_normal,
     closed_calc,
+    closed_polar_matrices,
     deviation,
     generated_partitions,
     kernel_projection,
@@ -74,16 +73,14 @@ def test_criterion_2_polar_decomposition(family200):
     worst_op, worst_ker = 0.0, 0.0
     for inst in family200:
         t = build_operator(inst)
-        u_op, abs_t = closed_polar(inst)
-        dev_abs = deviation(abs_t.matrices(), psd_root(adjoint(t) @ t))
-        u_ref, _ = SvdOracle(t).polar()
-        dev_u = deviation(u_op.matrices(), u_ref)
-        dev_fact = deviation((u_op @ abs_t).matrices(), t)
+        u_op, abs_t, _ = closed_polar_matrices(inst)
+        dev_abs = deviation(abs_t, psd_root(adjoint(t) @ t))
+        dev_u = deviation(u_op, SvdOracle(t).polar())
+        dev_fact = deviation(u_op @ abs_t, t)
         assert dev_abs <= 1e-8
         assert dev_u <= 1e-8
         assert dev_fact <= 1e-8
-        kernels = [kernel_projection(x)
-                   for x in (u_op.matrices(), abs_t.matrices(), t)]
+        kernels = [kernel_projection(x) for x in (u_op, abs_t, t)]
         dev_ker = max(
             deviation(kernels[0], kernels[1]),
             deviation(kernels[1], kernels[2]),
@@ -100,11 +97,10 @@ def test_criterion_3_aluthge(family200):
     worst = 0.0
     for inst in family200:
         t = build_operator(inst)
-        u_ref, p_ref = SvdOracle(t).polar()
-        half = psd_root(p_ref)
-        dev_main = deviation(closed_aluthge(inst).matrices(), half @ u_ref @ half)
-        v = closed_abs_sqrt(inst)
-        dev_root = deviation((v @ v).matrices(), closed_polar(inst)[1].matrices())
+        half = psd_root(psd_root(adjoint(t) @ t))
+        dev_main = deviation(closed_aluthge(inst).matrices(), half @ SvdOracle(t).polar() @ half)
+        _, abs_t, root = closed_polar_matrices(inst)
+        dev_root = deviation(root @ root, abs_t)
         assert dev_main <= 1e-8
         assert dev_root <= 1e-8
         worst = max(worst, dev_main, dev_root)

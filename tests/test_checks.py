@@ -44,7 +44,8 @@ from wcelab.suite import run_suite
 from wcelab.wce import WceInstance, build_operator
 
 from conftest import (closed_calc, coarsest_partition, constant, edge_bundle,
-                      finest_partition, frame_matrices, norm, random_complex)
+                      finest_partition, frame_matrices, kernel_projection, norm,
+                      random_complex)
 
 _MODES = ({}, {"zero_blocks": True}, {"constant_u": True},
           {"measurable_u": True}, {"partial_isometry": True})
@@ -149,36 +150,36 @@ def test_one_factorization_per_operator(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     for group in (check_func_calc, check_polar, check_aluthge):
         assert all(r.status == "pass" for r in group(ctx))
-    # T's norm, polar factors, half-power root, kernel and both Gram
-    # calculi come from one SVD of T; no Gram product is factored.
+    # T's norm, polar factor, half-power root, kept vectors and both Gram
+    # calculi come from one SVD of T; no Gram product is factored, and the
+    # closed U and |T| are compared on their frames, never factored.
     assert sum(a is t for a in full_svds) == 1
     assert eighs == []
-    # The other full SVDs are closed U and closed |T|, whose kernels
-    # polar_kernels compares.
-    assert len(full_svds) == 3
+    assert len(full_svds) == 1
 
 
 def test_polar_takes_no_dense_kernel_work(monkeypatch):
-    # At n = 64, check_polar factors closed U and closed |T| (T's SVD is
-    # the context's, shared with every group) and takes three n x n norms:
-    # the abs/isometry/factorization stack. The projection residual is
-    # read off closed U's singular values, and the kernels are compared on
-    # rank x nullity products, never as n x n projections.
+    # At n = 64, check_polar factors nothing (T's SVD and the frames' QR
+    # are the context's, shared with every group) and takes one n x n norm,
+    # the factorization's against T. Closed |T|, closed U, U* U and the
+    # kernels are read off one batched SVD of four q x q matrices on the
+    # frames [v, R_k] and [l, L_k], q = K + k < n, never as n x n matrices.
     n = 64
     ctx = CheckContext(gen_instance(GeneratorConfig(seed=3, n=n, block_count=9,
                                                     zero_blocks=True)))
-    assert ctx.svd.keep.any()
+    ctx.frame_factors
+    q = 2 * int(ctx.svd.keep.sum())
+    assert 0 < q < n
     full, values_only = [], []
     svd = np.linalg.svd
 
     def counting_svd(a, *args, **kwargs):
-        square = [m for m in a.reshape(-1, *a.shape[-2:]) if m.shape == (n, n)]
-        (full if kwargs.get("compute_uv", True) else values_only).extend(square)
+        (full if kwargs.get("compute_uv", True) else values_only).append(a.shape)
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     assert all(r.status == "pass" for r in check_polar(ctx))
-    assert len(full) == 2 and len(values_only) == 3
+    assert full == [] and sorted(values_only) == [(1, n, n), (4, q, q)]
 
 
 def test_basic_groups_keep_their_svd_budget(tmp_path, monkeypatch):
@@ -188,8 +189,10 @@ def test_basic_groups_keep_their_svd_budget(tmp_path, monkeypatch):
     # them. norm takes T's one SVD; vanishing takes its norms on the
     # support rows of g alone, partial_isometry reads T's singular values
     # and polar_projection closed U's, so these three take no n x n SVD of
-    # their own. func_calc reads each residual on its thin frame of kept
-    # vectors, so it takes no n x n SVD either.
+    # their own. func_calc, polar and aluthge read their residuals on the
+    # thin frames of kept vectors, so only the two against dense
+    # references, polar_factorization's against T and aluthge_closed's
+    # against root U root, take one values-only n x n SVD each.
     n = 64
     path = tmp_path / "dense.json"
     assert main(["gen", "--seed", "100000", "--n", str(n), "--blocks", "2",
@@ -210,68 +213,141 @@ def test_basic_groups_keep_their_svd_budget(tmp_path, monkeypatch):
         counts[group] = (0, 0)
         assert all(r.status == "pass" for r in CHECK_GROUPS[group](ctx))
     assert counts == {"condexp": (0, 0), "norm": (1, 0), "vanishing": (0, 0),
-                      "partial_isometry": (0, 0), "func_calc": (0, 0), "polar": (2, 3),
-                      "aluthge": (0, 2)}
+                      "partial_isometry": (0, 0), "func_calc": (0, 0), "polar": (0, 1),
+                      "aluthge": (0, 1)}
+
+
+def planted_frames(monkeypatch, plant):
+    """Replace the closed polar frames (v, l, sigma) every check reads with
+    plant(v, l, sigma)."""
+    closed_polar = checks.closed_polar
+    monkeypatch.setattr(checks, "closed_polar", lambda inst: plant(*closed_polar(inst)))
 
 
 def test_polar_kernels_fail_on_a_rotated_kernel(monkeypatch):
-    # A non-constant phase on u_hat over one kept block of two or more
-    # points keeps the rank of the closed U but turns its kernel away from
-    # ker T: polar_kernels must see the principal angle and fail.
-    closed_polar = checks.closed_polar
+    # A non-constant phase on v over one kept block of two or more points
+    # keeps the closed frames orthonormal and every rank, but turns span v,
+    # the complement of ker U = ker |T|, away from the complement of ker T:
+    # polar_kernels must see the principal angle and fail.
     planted_count = 0
     for seed in range(8):
         bundle = gen_instance(GeneratorConfig(seed=seed, n=12, block_count=3,
                                               zero_blocks=seed % 2 == 1))
-        inst = bundle.instance
-        block_of = inst.partition.block_of
-        picks = [b for b in range(block_of.max() + 1)
-                 if (block_of == b).sum() >= 2 and inst.kept[block_of == b].all()]
+        # The frames' columns are the kept blocks in block order.
+        block_of = bundle.instance.partition.block_of
+        picks = [(k, b) for k, b in enumerate(np.unique(block_of[bundle.instance.kept]))
+                 if (block_of == b).sum() >= 2]
         if not picks:
             continue
-        phase = np.where(block_of == picks[0], np.exp(1j * np.arange(inst.space.n)), 1.0)
-
-        def planted(inst):
-            _, abs_t = closed_polar(inst)
-            u_hat, w_hat = inst.units
-            return Sandwich(inst.partition, w_hat, u_hat * phase), abs_t
-
+        column, block = picks[0]
         statuses = {r.name: r.status for r in check_polar(CheckContext(bundle))}
         assert statuses["polar_kernels"] == "pass"
+
+        def rotate(v, l, sigma):
+            v = v.copy()
+            v[:, column] *= np.where(block_of == block, np.exp(1j * np.arange(v.shape[0])), 1.0)
+            return v, l, sigma
+
         with monkeypatch.context() as m:
-            m.setattr(checks, "closed_polar", planted)
+            planted_frames(m, rotate)
             ctx = CheckContext(bundle)
-            statuses = {r.name: r.status for r in check_polar(ctx)}
-        assert statuses["polar_kernels"] == "fail"
+            records = {r.name: r for r in check_polar(ctx)}
+        assert records["polar_kernels"].status == "fail"
         # The rank is kept, so the gap is a principal angle, not a mismatch.
-        planted_u = SvdOracle(ctx.polar_closed[0].matrices())
-        assert planted_u.keep.sum() == ctx.svd.keep.sum()
+        assert ctx.polar_closed[2].size == ctx.svd.keep.sum()
+        assert records["polar_kernels"].residual < 1.0 / (1.0 + (~ctx.svd.keep).any())
         planted_count += 1
     assert planted_count >= 6
 
 
 def test_polar_projection_fails_on_a_scaled_block(monkeypatch):
-    # w_hat times 1.5 on one kept block gives the closed U the singular
-    # value 1.5 there, so U* U is no projection: polar_projection must read
+    # l_B times 1.5 on one kept block gives the closed U the singular value
+    # 1.5 there, so U* U is no projection: polar_projection must read
     # s^4 - s^2 = 2.8125 off closed U's singular values and fail.
     bundle = gen_instance(GeneratorConfig(seed=5, n=12, block_count=3))
-    inst = bundle.instance
-    block_of = inst.partition.block_of
-    kept_block = block_of[np.flatnonzero(inst.kept)[0]]
-    closed_polar = checks.closed_polar
-
-    def planted(inst):
-        _, abs_t = closed_polar(inst)
-        u_hat, w_hat = inst.units
-        return Sandwich(inst.partition, np.where(block_of == kept_block, 1.5, 1.0) * w_hat,
-                        u_hat), abs_t
-
     statuses = {r.name: r.status for r in check_polar(CheckContext(bundle))}
     assert statuses["polar_projection"] == "pass"
-    monkeypatch.setattr(checks, "closed_polar", planted)
+    planted_frames(monkeypatch, lambda v, l, sigma: (v, l * np.where(
+        np.arange(sigma.size) == 0, 1.5, 1.0), sigma))
     records = {r.name: r for r in check_polar(CheckContext(bundle))}
     assert records["polar_projection"].status == "fail"
     assert records["polar_projection"].residual == pytest.approx(1.5 ** 4 - 1.5 ** 2)
+
+
+def test_polar_abs_fails_on_a_doubled_sigma():
+    # sigma_B times 2 in the closed |T| on a single instance at scale 1, with
+    # no other instance to compare it with: polar_abs must fail, and the
+    # closed U, which does not read sigma, still passes.
+    bundle = gen_instance(GeneratorConfig(seed=7, n=10, block_count=3))
+    ctx = CheckContext(bundle)
+    assert all(r.status == "pass" for r in check_polar(ctx))
+    v, l, sigma = ctx.polar_closed
+    ctx.polar_closed = v, l, 2.0 * sigma
+    statuses = {r.name: r.status for r in check_polar(ctx)}
+    assert statuses["polar_abs"] == statuses["polar_factorization"] == "fail"
+    assert statuses["polar_isometry"] == statuses["polar_projection"] == "pass"
+
+
+def test_polar_isometry_fails_on_a_phase_of_one_block(monkeypatch):
+    # A constant phase e^(i theta) on one l_B leaves closed U a partial
+    # isometry on the same kernel but not T's polar factor: polar_isometry
+    # must fail while polar_projection and polar_kernels pass.
+    bundle = gen_instance(GeneratorConfig(seed=5, n=12, block_count=3))
+    phase = np.exp(0.5j)
+    planted_frames(monkeypatch, lambda v, l, sigma: (v, l * np.where(
+        np.arange(sigma.size) == 0, phase, 1.0), sigma))
+    statuses = {r.name: r.status for r in check_polar(CheckContext(bundle))}
+    assert statuses["polar_isometry"] == "fail"
+    assert statuses["polar_projection"] == statuses["polar_kernels"] == "pass"
+
+
+def test_polar_kernels_read_one_on_a_rank_mismatch(monkeypatch):
+    # A zero l_B drops a rank of the closed U alone: span v and T's kept
+    # vectors still agree, so only the rank test can see that ker U is no
+    # longer ker T. The gap is then 1, on the scale of T's kernel projection.
+    for seed, zero_blocks in ((5, False), (6, True)):
+        bundle = gen_instance(GeneratorConfig(seed=seed, n=12, block_count=3,
+                                              zero_blocks=zero_blocks))
+        with monkeypatch.context() as m:
+            planted_frames(m, lambda v, l, sigma: (v, l * (np.arange(sigma.size) != 0), sigma))
+            ctx = CheckContext(bundle)
+            records = {r.name: r for r in check_polar(ctx)}
+        assert records["polar_kernels"].status == "fail"
+        assert records["polar_kernels"].residual == 1.0 / (1.0 + (~ctx.svd.keep).any())
+
+
+def test_polar_kernels_read_zero_without_kernel_angles():
+    # T = 0 has empty frames: no angle, and polar_kernels reads exactly 0.
+    # A full-rank T has no kernel on either side: the gap is rounding.
+    records = {r.name: r for r in check_polar(CheckContext(zero_operator_bundle()))}
+    assert all(r.status == "pass" for r in records.values())
+    assert records["polar_kernels"].residual == 0.0
+    ctx = CheckContext(parse_instance(FULL_RANK_DOC))
+    records = {r.name: r for r in check_polar(ctx)}
+    assert ctx.svd.keep.all() and all(r.status == "pass" for r in records.values())
+    assert records["polar_kernels"].residual <= 1e-15
+
+
+def test_one_qr_per_context(monkeypatch):
+    # func_calc, polar and aluthge read their frames off one batched QR of
+    # [v, R_k] and [l, L_k], taken once per context, in whichever group runs
+    # first.
+    calls = []
+    qr = np.linalg.qr
+
+    def counting_qr(a, *args, **kwargs):
+        calls.append(a.shape)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    for seed, order in ((11, (check_func_calc, check_polar, check_aluthge)),
+                        (12, (check_aluthge, check_polar, check_func_calc))):
+        ctx = CheckContext(gen_instance(GeneratorConfig(seed=seed, n=16, block_count=4)))
+        for group in order:
+            assert all(r.status == "pass" for r in group(ctx))
+        k = int(ctx.svd.keep.sum())
+        assert calls == [(2, 16, 2 * k)]
+        calls.clear()
 
 
 def test_one_cond_exp_matrix_per_partition(monkeypatch):
@@ -287,11 +363,10 @@ def test_one_cond_exp_matrix_per_partition(monkeypatch):
 
 
 def test_closed_identities_take_no_dense_products(monkeypatch):
-    # U |T| and V^2 are formed in the Sandwich algebra and become one
-    # matrix each, not a product of two: check_polar builds U, |T| and
-    # U |T| (U* U is read off the SVD of the closed U), check_aluthge the
-    # transform and V^2; the matrix of the closed |T| is built once for
-    # both.
+    # check_polar reads the closed U and |T| on their frames and forms U |T|
+    # as one n x K by K x n product, so it builds no Sandwich matrix;
+    # check_aluthge builds the one of the closed transform, and reads the
+    # square of the half-power factor on the frames too.
     ctx = CheckContext(gen_instance(GeneratorConfig(seed=11, n=16, block_count=4)))
     _ = ctx.t
     built = []
@@ -303,9 +378,9 @@ def test_closed_identities_take_no_dense_products(monkeypatch):
 
     monkeypatch.setattr(Sandwich, "matrices", counting)
     assert all(r.status == "pass" for r in check_polar(ctx))
-    assert len(built) == 3
+    assert len(built) == 0
     assert all(r.status == "pass" for r in check_aluthge(ctx))
-    assert len(built) == 5
+    assert len(built) == 1
 
 
 def count_getter(monkeypatch, owner, name):
@@ -355,9 +430,10 @@ def test_spectral_decomp_tests_normality_once(monkeypatch, measurable_u):
 def test_full_suite_does_the_spectral_work_once(monkeypatch, tmp_path):
     # Over the rotation seeds 1..40 with --full: E M_u's block spread,
     # eigenvalue groups, numerical eigenvalues and eigenvalue set distance
-    # are each taken once per instance, sd_eigs_match reads the spectrum
-    # residual, and no all-zero slice of a stack reaches LAPACK (the measure
-    # axioms' additivity and empty set residuals are exact zeros).
+    # are each taken once per instance, sd_eigs_match reads a residual of
+    # its own, not the spectrum's, and no all-zero slice of a stack reaches
+    # LAPACK (the measure axioms' additivity and empty set residuals are
+    # exact zeros).
     builds = {name: count_getter(monkeypatch, AvgMult, name) for name in ("spread", "groups")}
     eigvals = count_calls(monkeypatch, np.linalg, "eigvals")
     distances = count_calls(monkeypatch, checks, "_eigvals_match_residual")
@@ -381,7 +457,7 @@ def test_full_suite_does_the_spectral_work_once(monkeypatch, tmp_path):
             residuals.setdefault(r["instance_digest"], {})[r["name"]] = r["residual"]
     decomposed = [pair for pair in residuals.values() if len(pair) == 2]
     assert len(residuals) == 40 and decomposed
-    assert all(pair["sd_eigs_match"] == pair["spectrum"] for pair in decomposed)
+    assert any(pair["sd_eigs_match"] != pair["spectrum"] for pair in decomposed)
 
 
 def test_norms_already_held_are_not_taken_again(monkeypatch):
@@ -494,9 +570,8 @@ def test_func_calc_prunes_svds_on_the_dense_files(monkeypatch):
         shapes.append(a.shape[-2:])
         return svd(a, *args, **kwargs)
 
-    for i in range(15):
-        ctx = CheckContext(gen_instance(GeneratorConfig(
-            seed=100_000 + i, n=64, block_count=2 + i % 15, **_MODES[i % 5])))
+    for bundle in dense_bundles():
+        ctx = CheckContext(bundle)
         # T's one SVD is the context's, taken before func_calc runs.
         ctx.svd
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
@@ -847,6 +922,78 @@ def test_thin_gram_calculus_matches_the_dense_one(monkeypatch):
                                        rtol=1e-12, atol=1e-12)
     # The last file is the full-rank T: exp(-t)'s norm there is e^-1.
     assert svd.keep.all() and held[0][-1] == pytest.approx(math.exp(-1.0), rel=1e-14)
+
+
+def dense_polar_residuals(ctx):
+    """The polar records read on frames and aluthge_root, from dense n x n
+    matrices, kept only here: the closed U = M_{w_hat} E M_{u_hat}, |T| =
+    M_{sigma conj(u_hat)} E M_{u_hat} and half-power factor as Sandwich
+    matrices, against the oracle's L_k R_k* and R_k diag(sigma_k) R_k*,
+    each norm from an n x n SVD, and the three kernels as dense
+    projections."""
+    inst, svd, t_norm = ctx.instance, ctx.svd, ctx.svd.norm
+    u_hat, w_hat = inst.units
+    u_c, abs_c, root_c = Sandwich(inst.partition, np.stack(
+        (w_hat, inst.sigma * np.conj(u_hat), np.sqrt(inst.sigma) * np.conj(u_hat))),
+        u_hat).matrices()
+    rows = svd.right_h[svd.keep]
+    u_o, abs_o = svd.left[:, svd.keep] @ rows, (rows.conj().T * svd.sigma[svd.keep]) @ rows
+    s = np.linalg.svd(u_c, compute_uv=False)
+    kernels = [kernel_projection(m) for m in (u_c, abs_c, ctx.t)]
+    gaps = [norm(kernels[i] - kernels[j]) for i, j in ((0, 1), (1, 2), (0, 2))]
+    return {
+        "polar_abs": norm(abs_c - abs_o) / (1.0 + t_norm),
+        "polar_isometry": norm(u_c - u_o) / (1.0 + (t_norm > 0.0)),
+        "polar_projection": float(np.abs(s ** 4 - s ** 2).max()),
+        "polar_kernels": max(gaps) / (1.0 + (~svd.keep).any()),
+        "aluthge_root": norm(root_c @ root_c - abs_c) / (1.0 + t_norm),
+    }
+
+
+def dense_bundles():
+    """The 15 n = 64 instances of the dense benchmark workload's first
+    slot: seeds 100000..100014, 2..16 blocks, the modes cycling."""
+    return [gen_instance(GeneratorConfig(seed=100_000 + i, n=64, block_count=2 + i % 15,
+                                         **_MODES[i % 5])) for i in range(15)]
+
+
+def test_thin_polar_matches_the_dense_one():
+    # Each polar record read on the frames [v, R_k] and [l, L_k], and
+    # aluthge_root on [v], against the dense reference to 1e-14 absolute on
+    # the rotation seeds, the hard files and the dense n = 64 files.
+    bundles = [gen_instance(rotation_config(seed)) for seed in range(1, 201)]
+    bundles += [make() for make in HARD_BUNDLES.values()] + dense_bundles()
+    for bundle in bundles:
+        ctx = CheckContext(bundle)
+        records = [r for group in (check_polar, check_aluthge) for r in group(ctx)]
+        expected = dense_polar_residuals(ctx)
+        assert all(r.status == "pass" for r in records)
+        assert all(abs(r.residual - expected[r.name]) <= 1e-14
+                   for r in records if r.name in expected), bundle
+
+
+def test_sd_eigs_match_fails_on_swapped_eigenvalues(monkeypatch):
+    # Two eigenvalues swapped against their projections: the spectrum as a
+    # set is unchanged, so spectrum passes, but tr(P_k M) / tr(P_k) no
+    # longer reads lambda_k, and sd_eigs_match must fail.
+    original = AvgMult.eigenvalues.func
+
+    def swapped(self):
+        values = list(original(self))
+        values[0], values[1] = values[1], values[0]
+        return tuple(values)
+
+    ctx = CheckContext(gen_instance(GeneratorConfig(seed=4, n=10, block_count=4,
+                                                    measurable_u=True)))
+    assert len(ctx.avg_mult.eigenvalues) >= 2
+    assert all(r.status == "pass" for r in check_spectral_decomp(ctx))
+    prop = cached_property(swapped)
+    prop.__set_name__(AvgMult, "eigenvalues")
+    monkeypatch.setattr(AvgMult, "eigenvalues", prop)
+    ctx = CheckContext(ctx.bundle)
+    statuses = {r.name: r.status for r in check_spectral_decomp(ctx)}
+    assert statuses["sd_eigs_match"] == "fail"
+    assert [r.status for r in check_spectrum(ctx)] == ["pass"]
 
 
 def test_func_calc_fails_a_calculus_without_f0_on_the_kernel(monkeypatch):

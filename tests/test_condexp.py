@@ -188,7 +188,9 @@ def test_sandwich_algebra_matches_dense_products(seed, n, k):
     partition = Partition(sp, [np.flatnonzero(labels == b) for b in range(min(k, n))])
     a, b = random_sandwich(rng, partition), random_sandwich(rng, partition)
     dense_a, dense_b = a.matrices(), b.matrices()
-    assert deviation((a @ b).matrices(), dense_a @ dense_b) <= 1e-12
+    # M_a E M_b M_c E M_d = M_{a E(b c)} E M_d.
+    product = Sandwich(partition, a.left * cond_exp_values(partition, a.right * b.left), b.right)
+    assert deviation(product.matrices(), dense_a @ dense_b) <= 1e-12
     # E* = E, so (M_a E M_b)* = M_conj(b) E M_conj(a): the dense adjoint.
     swapped = Sandwich(partition, np.conj(a.right), np.conj(a.left))
     assert deviation(swapped.matrices(), dense_a.conj().T) <= 1e-12

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from wcelab.checks import calculus_test_functions
 from wcelab.condexp import cond_exp_values
 from wcelab.measure import FiniteMeasureSpace, Partition
-from wcelab.opalgebra import SvdOracle, frame_norms, op_deviations, spectral_norms
+from wcelab.opalgebra import (SvdOracle, frame_norms, op_deviations, singular_values,
+                              spectral_norms)
 
 from conftest import (
     adjoint,
@@ -238,15 +239,22 @@ class TestPositiveSqrt:
         a = adjoint(b) @ b
         oracle = SvdOracle(b)
         root = oracle.root()
-        _, p = oracle.polar()
+        p = oracle.gram_calc(oracle.sigma[oracle.keep])
         assert deviation(root @ root, p) < 1e-12
         assert deviation(p @ p, a) < 1e-12
         assert norm(root @ a - a @ root) < 1e-10 * (1 + norm(a))
 
 
+def polar_pair(a):
+    """The SVD polar factor of a and the positive factor R_k diag(sigma_k)
+    R_k* of the same SVD."""
+    oracle = SvdOracle(a)
+    return oracle.polar(), oracle.gram_calc(oracle.sigma[oracle.keep])
+
+
 class TestPolarOracle:
     def test_identity(self, space):
-        u, p = SvdOracle(np.eye(space.n)).polar()
+        u, p = polar_pair(np.eye(space.n))
         np.testing.assert_allclose(u, np.eye(space.n), atol=1e-13)
         np.testing.assert_allclose(p, np.eye(space.n), atol=1e-13)
 
@@ -255,13 +263,13 @@ class TestPolarOracle:
         part = Partition(space, [[0, 2], [1, 3]])
         e = part.cond_exp_matrix
         three_e = 3.0 * e
-        u, p = SvdOracle(three_e).polar()
+        u, p = polar_pair(three_e)
         assert deviation(p, three_e) < 1e-12
         assert deviation(u, e) < 1e-12
 
     def test_zero(self, space):
         oracle = SvdOracle(np.zeros((space.n, space.n)))
-        u, p = oracle.polar()
+        u, p = polar_pair(np.zeros((space.n, space.n)))
         assert oracle.norm == 0.0
         assert norm(u) == 0.0
         assert norm(p) == 0.0
@@ -270,7 +278,7 @@ class TestPolarOracle:
     def test_factorization_and_kernels(self, space, rng):
         for _ in range(5):
             a = random_operator(rng, space)
-            u, p = SvdOracle(a).polar()
+            u, p = polar_pair(a)
             assert deviation(u @ p, a) < 1e-12
             assert deviation(p, psd_root(adjoint(a) @ a)) < 1e-11
             uu = adjoint(u) @ u
@@ -375,8 +383,10 @@ def operator_of_rank(rng, n, rank):
 
 
 class TestKernelGap:
-    """kernel_gap: ||K_a - K_b|| of the kernel projections, read off the
-    two SVDs without forming either projection."""
+    """||K_a - K_b|| of the kernel projections as polar_kernels reads it:
+    P_A - P_B for the kept singular vectors A of a and B of b, which span
+    the kernels' complements, is [A, B] diag(1, -1) [A, B]*, read on the
+    frame [A, B] without forming either projection."""
 
     @pytest.mark.parametrize("n", [2, 12, 64])
     def test_matches_dense_projections(self, rng, n):
@@ -386,24 +396,11 @@ class TestKernelGap:
         a = operator_of_rank(rng, n, n // 2)
         pairs.append((a, a + 1e-6 * a @ rng.normal(size=(n, n))))
         for a, b in pairs:
-            gap = SvdOracle(a).kernel_gap(SvdOracle(b))
+            kept = [SvdOracle(m).vectors[0] for m in (a, b)]
+            signs = np.concatenate([np.full(k.shape[1], sign) for k, sign in zip(kept, (1, -1))])
+            gap = framed_norms(np.hstack(kept), np.zeros(1), np.diag(signs)[None])[0]
             dense = norm(kernel_projection(a) - kernel_projection(b))
             assert abs(gap - dense) <= 1e-14
-
-    def test_rank_mismatch_is_exactly_one(self, rng):
-        n = 8
-        oracles = [SvdOracle(operator_of_rank(rng, n, r)) for r in (0, 3, 5, n)]
-        for i, a in enumerate(oracles):
-            for b in oracles[i + 1:]:
-                assert a.kernel_gap(b) == b.kernel_gap(a) == 1.0
-
-    def test_zero_and_full_rank_are_exactly_zero(self, rng):
-        n = 8
-        zeros = [SvdOracle(np.zeros((n, n))), SvdOracle(np.zeros((n, n)))]
-        full = [SvdOracle(operator_of_rank(rng, n, n)) for _ in range(2)]
-        for a, b in (zeros, full):
-            assert a.kernel_gap(b) == a.kernel_gap(a) == 0.0
-
 
 
 @settings(max_examples=120, deadline=None)
@@ -436,7 +433,7 @@ def test_svd_oracle_against_references(seed, n, data, real):
         assert norm(calc - product) <= 1e-12 * scale ** 2
     assert norm(oracle.gram_calc(values) - adjoint(a) @ a) <= 1e-12 * scale ** 2
 
-    u, p = oracle.polar()
+    u, p = polar_pair(a)
     assert norm(u @ p - a) <= 1e-12 * scale
     uu = adjoint(u) @ u
     assert norm(uu @ uu - uu) <= 1e-12
@@ -504,6 +501,12 @@ def dense_frame_norms(frame, shifts, cores):
     return np.linalg.norm(dense, 2, axis=(1, 2))
 
 
+def framed_norms(frame, shifts, cores):
+    """frame_norms on the R factor of frame's QR, as a caller that holds it
+    passes it."""
+    return frame_norms(np.linalg.qr(frame, mode="r"), frame.shape[-2], shifts, cores)
+
+
 @pytest.mark.parametrize("n, width, shift", [
     (8, 3, 0.0), (8, 3, 0.7 - 0.2j),    # p < n: the complement holds |s|
     (8, 8, 0.0), (8, 8, -1.5),          # p = n: no complement
@@ -528,7 +531,7 @@ def test_frame_norms_match_dense_norms(n, width, shift, real):
     # One diagonal core with a cancelling pair, as closed minus oracle.
     diagonal = draw(width // 2)
     cores[1] = np.diag(np.concatenate((diagonal, -diagonal, draw(width % 2))))
-    got = frame_norms(frame, shifts, cores)
+    got = framed_norms(frame, shifts, cores)
     np.testing.assert_allclose(got, dense_frame_norms(frame, shifts, cores), rtol=1e-13, atol=0.0)
 
 
@@ -539,10 +542,10 @@ def test_frame_norms_of_a_stack_of_frames():
     frames = rng.normal(size=(3, 10, 4)) + 1j * rng.normal(size=(3, 10, 4))
     cores = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
     shifts = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
-    got = frame_norms(frames, shifts, cores)
+    got = framed_norms(frames, shifts, cores)
     assert got.shape == (3, 5)
     for frame, s, norms in zip(frames, shifts, got):
-        np.testing.assert_allclose(norms, frame_norms(frame, s, cores), rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(norms, framed_norms(frame, s, cores), rtol=1e-15, atol=0.0)
         np.testing.assert_allclose(norms, dense_frame_norms(frame, s, cores), rtol=1e-13, atol=0.0)
 
 
@@ -559,7 +562,7 @@ def test_frame_norms_of_a_rank_deficient_frame(shift):
     cancelling = np.diag(np.concatenate((c, -c, np.zeros(4))))
     cores = np.stack((cancelling, np.diag(rng.normal(size=10)).astype(complex)))
     shifts = np.array([shift, shift])
-    got = frame_norms(frame, shifts, cores)
+    got = framed_norms(frame, shifts, cores)
     rounding = 1e-14 * np.abs(c).max() * norm(a) ** 2
     np.testing.assert_allclose(got, dense_frame_norms(frame, shifts, cores), rtol=1e-13,
                                atol=rounding)
@@ -574,7 +577,7 @@ def test_frame_norms_hold_the_shift_off_the_frame(n, width):
     q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0][:, :width]
     shifts = np.array([1.0, -0.5j])
     cores = -shifts[:, None, None] * np.eye(width)
-    np.testing.assert_allclose(frame_norms(q, shifts, cores), [1.0, 0.5], rtol=1e-15)
+    np.testing.assert_allclose(framed_norms(q, shifts, cores), [1.0, 0.5], rtol=1e-15)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -595,7 +598,7 @@ def test_frame_norms_reject_non_finite_cores_and_shifts(bad, width):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="operator entries must be finite"):
-                frame_norms(frame, s, c)
+                framed_norms(frame, s, c)
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 64])
@@ -631,6 +634,38 @@ def test_only_live_slices_reach_one_svd(monkeypatch, n, dtype):
     assert spectral_norms(np.zeros((3, n, n), dtype=dtype)).tolist() == [0.0] * 3
     assert spectral_norms(np.full((n, n), -0.0, dtype=dtype)) == 0.0
     assert svd_inputs == []
+
+
+@pytest.mark.parametrize("shape", [(3, 5, 5), (3, 4, 7), (6, 3)])
+def test_singular_values_match_lapack(monkeypatch, shape):
+    # Every singular value, largest first, bit for bit LAPACK's; a zero
+    # slice gets zeros without reaching it, and spectral_norms is the
+    # largest of them.
+    rng = np.random.default_rng(len(shape))
+    stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    expected = np.linalg.svd(stack, compute_uv=False)
+    np.testing.assert_array_equal(singular_values(stack), expected)
+    np.testing.assert_array_equal(spectral_norms(stack), expected[..., 0])
+    if stack.ndim == 3:
+        stack[1] = 0.0
+        sent = count_svd_inputs(monkeypatch)
+        values = singular_values(stack)
+        assert values[1].tolist() == [0.0] * min(shape[1:])
+        np.testing.assert_array_equal(values[[0, 2]], expected[[0, 2]])
+        assert [a.shape[0] for a in sent] == [2]
+
+
+def count_svd_inputs(monkeypatch):
+    """Record every stack np.linalg.svd is given; returns the list."""
+    sent = []
+    svd = np.linalg.svd
+
+    def spying_svd(a, *args, **kwargs):
+        sent.append(a)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spying_svd)
+    return sent
 
 
 def test_empty_matrices_have_norm_zero():

@@ -11,7 +11,6 @@ from wcelab.opalgebra import SvdOracle
 from wcelab.wce import (
     WceInstance,
     build_operator,
-    closed_abs_sqrt,
     closed_aluthge,
     closed_func_calc,
     closed_polar,
@@ -22,6 +21,7 @@ from wcelab.wce import (
 from conftest import (
     adjoint,
     closed_calc,
+    closed_polar_matrices,
     coarsest_partition,
     constant,
     deviation,
@@ -325,7 +325,7 @@ def test_closed_forms_raise_on_an_overflowing_aggregate_before_using_it():
     u = MeasurableFunction(sp, [1.0, 2.0])
     w = MeasurableFunction(sp, RMS_OVERFLOW)
     fns = tuple(f for _, f in calculus_test_functions())
-    for closed in (closed_polar, closed_abs_sqrt, closed_aluthge, norm_formula,
+    for closed in (closed_polar, closed_aluthge, norm_formula,
                    lambda inst: closed_func_calc(inst, fns)):
         with np.errstate(all="raise"):
             with pytest.raises(ValueError, match=r"E\(\|w\|\^2\) is not finite"):
@@ -341,12 +341,12 @@ def test_closed_forms_hold_where_only_the_aggregate_overflows():
     with np.errstate(all="raise"):
         t = build_operator(inst)
         svd = SvdOracle(t)
-        u_op, abs_t = closed_polar(inst)
-        v = closed_abs_sqrt(inst)
+        u_op, abs_t, root = closed_polar_matrices(inst)
+        abs_ref = svd.gram_calc(svd.sigma[svd.keep])
         assert norm_formula(inst) == pytest.approx(svd.norm, rel=1e-15)
-        assert deviation(abs_t.matrices(), svd.polar()[1]) <= 1e-15 * svd.norm
-        assert deviation(u_op.matrices(), svd.polar()[0]) <= 1e-15
-        assert deviation((v @ v).matrices(), abs_t.matrices()) <= 1e-15 * svd.norm
+        assert deviation(abs_t, abs_ref) <= 1e-15 * svd.norm
+        assert deviation(u_op, svd.polar()) <= 1e-15
+        assert deviation(root @ root, abs_t) <= 1e-15 * svd.norm
 
 
 @pytest.mark.parametrize("a, b", [(-17, -17), (40, 0), (-565, 0), (332, -332),
@@ -354,7 +354,7 @@ def test_closed_forms_hold_where_only_the_aggregate_overflows():
 def test_closed_forms_are_exactly_homogeneous(a, b):
     # T(2^a u, 2^b w) = 2^(a+b) T. The block RMS is taken over the block's
     # largest part, which scales exactly, so sigma scales by exactly
-    # 2^(a+b), the unit symbols do not move, and so neither does U.
+    # 2^(a+b), the unit symbols do not move, and so neither do the frames.
     inst = random_instance(61, zero_blocks=True)
 
     def scaled(f, e):
@@ -364,28 +364,27 @@ def test_closed_forms_are_exactly_homogeneous(a, b):
     assert np.array_equal(big.sigma, np.ldexp(inst.sigma, a + b))
     assert np.array_equal(big.kept, inst.kept)
     assert np.array_equal(big.units, inst.units)
-    (u_op, abs_t), (big_u, big_abs) = closed_polar(inst), closed_polar(big)
-    assert np.array_equal(big_u.matrices(), u_op.matrices())
-    assert np.array_equal(big_abs.matrices(),
-                          np.ldexp(abs_t.matrices().view(float), a + b).view(complex))
+    (v, l, sigma), (big_v, big_l, big_sigma) = closed_polar(inst), closed_polar(big)
+    assert np.array_equal(big_v, v) and np.array_equal(big_l, l)
+    assert np.array_equal(big_sigma, np.ldexp(sigma, a + b))
 
 
 class TestClosedPolar:
     def test_projection_polar(self):
         inst = ones_instance([1.0, 2.0, 0.5], blocks=[[0, 1], [2]])
         e = inst.partition.cond_exp_matrix
-        u_op, abs_t = closed_polar(inst)
-        assert deviation(u_op.matrices(), e) < 1e-13
-        assert deviation(abs_t.matrices(), e) < 1e-13
+        u_op, abs_t, _ = closed_polar_matrices(inst)
+        assert deviation(u_op, e) < 1e-13
+        assert deviation(abs_t, e) < 1e-13
 
     def test_example_matrices(self, example_instance):
         sp = example_instance.space
-        u_op, abs_t = closed_polar(example_instance)
+        u_op, abs_t, _ = closed_polar_matrices(example_instance)
         np.testing.assert_allclose(
-            point_matrix(sp, abs_t.matrices()), [[math.sqrt(3) / 2, 0], [0, 0]], atol=1e-14
+            point_matrix(sp, abs_t), [[math.sqrt(3) / 2, 0], [0, 0]], atol=1e-14
         )
         np.testing.assert_allclose(
-            point_matrix(sp, u_op.matrices()), [[0, 0], [1 / math.sqrt(3), 0]], atol=1e-14
+            point_matrix(sp, u_op), [[0, 0], [1 / math.sqrt(3), 0]], atol=1e-14
         )
 
     def test_zero_symbol(self):
@@ -395,30 +394,31 @@ class TestClosedPolar:
             constant(sp, 0.0),
             MeasurableFunction(sp, [1, 2]),
         )
-        u_op, abs_t = closed_polar(inst)
-        assert norm(u_op.matrices()) == 0.0
-        assert norm(abs_t.matrices()) == 0.0
+        v, l, sigma = closed_polar(inst)
+        assert v.shape == l.shape == (2, 0) and sigma.shape == (0,)
+        u_op, abs_t, _ = closed_polar_matrices(inst)
+        assert norm(u_op) == 0.0
+        assert norm(abs_t) == 0.0
 
     @pytest.mark.parametrize("seed", [41, 42, 43, 44])
     def test_certification(self, seed):
         inst = random_instance(seed, zero_blocks=(seed % 2 == 0))
         t = build_operator(inst)
-        u_op, abs_t = closed_polar(inst)
+        u_op, abs_t, _ = closed_polar_matrices(inst)
         gram = adjoint(t) @ t
-        assert deviation(abs_t.matrices(), psd_root(gram)) < 1e-8
-        u_ref, _ = SvdOracle(t).polar()
-        assert deviation(u_op.matrices(), u_ref) < 1e-8
-        assert deviation((u_op @ abs_t).matrices(), t) < 1e-8
-        kernels = [kernel_projection(x)
-                   for x in (u_op.matrices(), abs_t.matrices(), t)]
+        assert deviation(abs_t, psd_root(gram)) < 1e-8
+        assert deviation(u_op, SvdOracle(t).polar()) < 1e-8
+        assert deviation(u_op @ abs_t, t) < 1e-8
+        kernels = [kernel_projection(x) for x in (u_op, abs_t, t)]
         for i in range(3):
             for j in range(i + 1, 3):
                 assert deviation(kernels[i], kernels[j]) < 1e-7
 
 
 def test_closed_forms_stay_factored_until_dense(monkeypatch):
-    # The closed forms and their products build no operator matrix;
-    # matrices() builds one.
+    # The closed polar pair is a pair of n x K frames and builds no
+    # operator matrix; the Aluthge transform is a Sandwich, and matrices()
+    # builds its one matrix.
     built = []
     matrices = Sandwich.matrices
 
@@ -428,18 +428,19 @@ def test_closed_forms_stay_factored_until_dense(monkeypatch):
 
     inst = random_instance(45)
     monkeypatch.setattr(Sandwich, "matrices", counting)
-    u_op, abs_t = closed_polar(inst)
-    v = closed_abs_sqrt(inst)
-    products = (u_op @ abs_t, v @ v, closed_aluthge(inst))
-    assert built == []
-    assert all(p.partition is inst.partition for p in products)
-    products[0].matrices()
+    v, l, sigma = closed_polar(inst)
+    kept = np.unique(inst.partition.block_of[inst.kept]).size
+    assert v.shape == l.shape == (inst.space.n, kept) and sigma.shape == (kept,)
+    aluthge = closed_aluthge(inst)
+    assert built == [] and aluthge.partition is inst.partition
+    aluthge.matrices()
     assert len(built) == 1
-    # U* U is taken on the one matrix of U, with the dense conjugate transpose.
-    u_mat = u_op.matrices()
+    # Each frame has orthonormal columns, so U = l v* is a partial isometry.
+    for frame in (v, l):
+        np.testing.assert_allclose(frame.conj().T @ frame, np.eye(kept), atol=1e-15)
+    u_mat = l @ v.conj().T
     uu = u_mat.conj().T @ u_mat
     assert deviation(uu @ uu, uu) < 1e-12
-    assert len(built) == 2
 
 
 class TestClosedAluthge:
@@ -471,10 +472,9 @@ class TestClosedAluthge:
     def test_certification(self, seed):
         inst = random_instance(seed, zero_blocks=(seed % 2 == 1))
         t = build_operator(inst)
-        u_ref, p_ref = SvdOracle(t).polar()
-        half = psd_root(p_ref)
-        oracle = half @ u_ref @ half
+        half = psd_root(psd_root(adjoint(t) @ t))
+        oracle = half @ SvdOracle(t).polar() @ half
         assert deviation(closed_aluthge(inst).matrices(), oracle) < 1e-8
-        v = closed_abs_sqrt(inst)
-        assert deviation((v @ v).matrices(), closed_polar(inst)[1].matrices()) < 1e-8
+        _, abs_t, root = closed_polar_matrices(inst)
+        assert deviation(root @ root, abs_t) < 1e-8
 
