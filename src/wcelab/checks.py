@@ -39,7 +39,6 @@ from .spectral import AvgMult, check_spectral_axioms, pushforward_density
 from .wce import (
     WceInstance,
     build_operator,
-    closed_aluthge,
     closed_func_calc,
     closed_polar,
     norm_formula,
@@ -163,9 +162,9 @@ class CheckRecord:
 class CheckContext:
     """Everything a check needs for one instance.
 
-    The matrix of T, its one SVD (its norm, polar factor, half-power root,
-    kept singular vectors, both Gram calculi and T T* T - T are read off
-    it), the closed polar pair as its kept-block frames, the one QR of
+    The matrix of T, its one SVD (its norm, kept singular vectors, both
+    Gram calculi and T T* T - T are read off it), the closed polar pair as
+    its kept-block frames, the one QR of
     those frames next to T's kept singular vectors, and E M_u (an AvgMult,
     which caches its matrix, the block spread of u, the eigenvalue groups
     and the eigenvalues) are each computed once, on first use, and shared
@@ -546,24 +545,33 @@ def check_polar(ctx: CheckContext) -> list[CheckRecord]:
 
 def check_aluthge(ctx: CheckContext) -> list[CheckRecord]:
     svd = ctx.svd
-    root = svd.root()
-    oracle = root @ svd.polar() @ root
-    # The oracle is formed from T's SVD, so its rounding is proportional to
-    # ||T||, not to its own norm, which is 0 for a nilpotent T: the residual
-    # is read on ||T||'s scale.
-    closed_res = op_deviations(closed_aluthge(ctx.instance).matrices()[None], oracle[None],
-                               np.array([svd.norm]))[0]
+    v, l, sigma = ctx.polar_closed
+    s_g = ctx.frame_factors[0]
+    s_v, s_r = s_g[:, :sigma.size], s_g[:, sigma.size:]
+    # The closed transform |T|^(1/2) U |T|^(1/2) is v diag(sigma_B E(u_hat
+    # w_hat)_B) v*, E(u_hat w_hat)_B = v_B* l_B on the unit frames, so no
+    # coefficient multiplies E's matrix; the oracle root U root is R_k C R_k*
+    # with the core C = S (R_k* L_k) S, S = Sigma_k^(1/2). Their difference
+    # is W_g diag(sigma_B E(u_hat w_hat)_B, -C) W_g* on W_g = Z_g S_g. The
+    # oracle rounds in proportion to ||T||, and is 0 for a nilpotent T, so
+    # the residual is read on ||T||'s scale.
+    r_k, l_k = svd.vectors
+    s = np.sqrt(svd.sigma[svd.keep])
+    core = s[:, None] * (r_k.conj().T @ l_k) * s
+    coef = sigma * np.einsum("ik,ik->k", v.conj(), l)
     # The closed half-power factor is V diag(sqrt(sigma_B)) V*, so its square
     # less the closed |T| is V (D V* V D - D^2) V*, D = diag(sqrt(sigma_B)),
     # V = Z_g S_g[:, :K] (W_g's leading K columns), read against || |T| ||.
-    v, _, sigma = ctx.polar_closed
     half = np.sqrt(sigma)
-    s_v = ctx.frame_factors[0][:, :sigma.size]
     c = half[:, None] * (v.conj().T @ v) * half - np.diag(sigma)
-    root_norm = spectral_norms(require_finite(s_v @ c @ s_v.conj().T))
+    with np.errstate(over="ignore", invalid="ignore"):
+        small = np.stack(((s_v * coef) @ s_v.conj().T - s_r @ core @ s_r.conj().T,
+                          s_v @ c @ s_v.conj().T))
+    closed_norm, root_norm = spectral_norms(require_finite(small))
+    scale = reference_scale(svd.norm)
     return [
-        ctx.record("aluthge_closed", closed_res, ctx.tol),
-        ctx.record("aluthge_root", root_norm / reference_scale(svd.norm), ctx.tol),
+        ctx.record("aluthge_closed", closed_norm / scale, ctx.tol),
+        ctx.record("aluthge_root", root_norm / scale, ctx.tol),
     ]
 
 

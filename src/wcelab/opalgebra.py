@@ -106,11 +106,10 @@ class SvdOracle:
     holds the kept columns R_k of R and L_k of L. a* a and a a* are never
     formed: every function of them lives on those columns, f(0) I + R_k
     diag(f(sigma_k^2) - f(0)) R_k*, so no kernel column, nor its rounding
-    f(0) (I - R R*), enters it. The root of the positive factor is such a
-    calculus with f(0) = 0 (gram_calc); any other f is handed out as its
-    factors (calc_frames), for frame_norms to compare. Its norm, max |f|
-    over the spectrum, holds |f(0)| only when a has a kernel. The polar
-    factor |a| and ker a are compared on the kept vectors themselves, which
+    f(0) (I - R R*), enters it. Every f is handed out as its factors
+    (calc_frames), for frame_norms to compare. Its norm, max |f| over the
+    spectrum, holds |f(0)| only when a has a kernel. The polar factor L_k
+    R_k*, |a| and ker a are compared on the kept vectors themselves, which
     span the orthogonal complement of ker a.
     """
 
@@ -124,15 +123,6 @@ class SvdOracle:
         """The kept singular vectors as one (2, n, K) stack [R_k, L_k]."""
         return np.stack((self.right_h[self.keep].conj().T, self.left[:, self.keep]))
 
-    def polar(self) -> np.ndarray:
-        """The polar factor U = L_k R_k* of a = U |a|: the partial isometry
-        with ker U = ker a."""
-        return self.left[:, self.keep] @ self.right_h[self.keep, :]
-
-    def root(self) -> np.ndarray:
-        """|a|^(1/2) = (a* a)^(1/4), the half power of the positive factor."""
-        return self.gram_calc(np.sqrt(self.sigma[self.keep]))
-
     def squares(self) -> np.ndarray:
         """sigma_k^2 on the kept singular values, in SVD order: the spectrum
         of a* a and of a a* off their kernel, where it is 0. A finite a
@@ -140,12 +130,6 @@ class SvdOracle:
         ValueError, as for an a with entries that overflow."""
         with np.errstate(over="ignore"):
             return require_finite(self.sigma[self.keep] ** 2)
-
-    def gram_calc(self, values: np.ndarray) -> np.ndarray:
-        """f(a* a) = R_k diag(values) R_k* for values = f(squares()) of an f
-        with f(0) = 0."""
-        rows = self.right_h[self.keep]
-        return (rows.conj().T * values) @ rows
 
     def calc_frames(self, values: np.ndarray,
                     f0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

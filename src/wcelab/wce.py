@@ -9,9 +9,10 @@ norm, polar decomposition, Aluthge transform, and the functional calculus
 of the two Gram-type products are written in sigma and the unit symbols,
 never as quotients of aggregates, so they hold at every scale where sigma
 and the entries of T are floats. This module builds the polar pair and
-the calculus on the kept blocks' unit frames, and the Aluthge transform as
-a factored M_a E M_b value (Sandwich); the oracles in opalgebra certify
-them against the matrix of T.
+the calculus on the kept blocks' unit frames v and l; the Aluthge
+transform is v diag(sigma_B E(u_hat w_hat)_B) v* on the same frames, with
+E(u_hat w_hat)_B = v_B* l_B. The oracles in opalgebra certify them against
+the matrix of T.
 
 Every closed form lives on the kept blocks: those whose sigma_B exceeds
 RANK_TOL times the largest, the cut SvdOracle makes on the singular
@@ -27,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .condexp import Sandwich, cond_exp_values
+from .condexp import Sandwich
 from .measure import FiniteMeasureSpace, MeasurableFunction, Partition, divide_parts
 from .opalgebra import RANK_TOL, require_finite
 
@@ -124,7 +125,9 @@ def closed_polar(inst: WceInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
     The columns of each frame have disjoint supports, so U is a partial
     isometry, and U, |T| and T share one kernel, the complement of span v:
-    the decomposition is the unique one.
+    the decomposition is the unique one. For the same reason v_B* l_C = 0
+    unless B = C, and v_B* l_B = E(u_hat w_hat)_B, so the Aluthge transform
+    |T|^(1/2) U |T|^(1/2) is v diag(sigma_B v_B* l_B) v*.
     """
     partition = inst.partition
     blocks = np.flatnonzero(inst.kept[partition.first_points])
@@ -155,14 +158,3 @@ def closed_func_calc(
     c = require_finite(fp - f0[:, None])
     return f0, np.stack((v, l)), c
 
-
-def closed_aluthge(inst: WceInstance) -> Sandwich:
-    """Closed-form Aluthge transform |T|^(1/2) U |T|^(1/2), M_{sigma
-    E(u_hat w_hat) conj(u_hat)} E M_{u_hat}; |E(u_hat w_hat)| <= 1, so no
-    coefficient leaves the float range. A product beyond the float range
-    raises ValueError, without a numpy warning, in Sandwich.matrices()."""
-    u_hat, w_hat = inst.units
-    coef = inst.sigma * cond_exp_values(inst.partition, u_hat * w_hat)
-    with np.errstate(over="ignore", invalid="ignore"):
-        left = coef * np.conj(u_hat)
-    return Sandwich(inst.partition, left, u_hat)

@@ -140,6 +140,33 @@ def closed_polar_matrices(inst):
     return l @ v_adj, (v * sigma) @ v_adj, (v * np.sqrt(sigma)) @ v_adj
 
 
+def closed_aluthge_matrix(inst):
+    """The dense closed Aluthge transform |T|^(1/2) U |T|^(1/2) that
+    closed_polar's frames stand for: v diag(sigma_B v_B* l_B) v*, with
+    v_B* l_B = E(u_hat w_hat)_B."""
+    v, l, sigma = closed_polar(inst)
+    return (v * (sigma * np.einsum("ik,ik->k", v.conj(), l))) @ v.conj().T
+
+
+def oracle_gram_calc(oracle, values):
+    """f(a* a) = R_k diag(values) R_k* on an SvdOracle's kept right singular
+    vectors, for values = f(sigma_k^2) of an f with f(0) = 0."""
+    rows = oracle.right_h[oracle.keep]
+    return (rows.conj().T * values) @ rows
+
+
+def oracle_polar(oracle):
+    """The polar factor U = L_k R_k* of an SvdOracle's a = U |a|: the
+    partial isometry with ker U = ker a."""
+    return oracle.left[:, oracle.keep] @ oracle.right_h[oracle.keep]
+
+
+def oracle_root(oracle):
+    """|a|^(1/2) = (a* a)^(1/4) from an SvdOracle: the oracle_gram_calc of
+    the kept sqrt(sigma_k)."""
+    return oracle_gram_calc(oracle, np.sqrt(oracle.sigma[oracle.keep]))
+
+
 def pinned_record_names(workload):
     """The record names the benchmark's verdict table for workload pins
     (perfbench/expected/<workload>.json): a list kept apart from the

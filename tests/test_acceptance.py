@@ -26,7 +26,6 @@ from wcelab.opalgebra import SvdOracle, op_deviations, spectral_norms
 from wcelab.spectral import AvgMult, check_spectral_axioms, pushforward_density
 from wcelab.wce import (
     build_operator,
-    closed_aluthge,
     norm_formula,
     partial_isometry_criterion,
 )
@@ -34,12 +33,14 @@ from wcelab.wce import (
 from conftest import (
     adjoint,
     declared_normal,
+    closed_aluthge_matrix,
     closed_calc,
     closed_polar_matrices,
     deviation,
     generated_partitions,
     kernel_projection,
     norm,
+    oracle_polar,
     pinned_record_names,
     psd_calc,
     psd_root,
@@ -75,7 +76,7 @@ def test_criterion_2_polar_decomposition(family200):
         t = build_operator(inst)
         u_op, abs_t, _ = closed_polar_matrices(inst)
         dev_abs = deviation(abs_t, psd_root(adjoint(t) @ t))
-        dev_u = deviation(u_op, SvdOracle(t).polar())
+        dev_u = deviation(u_op, oracle_polar(SvdOracle(t)))
         dev_fact = deviation(u_op @ abs_t, t)
         assert dev_abs <= 1e-8
         assert dev_u <= 1e-8
@@ -98,7 +99,7 @@ def test_criterion_3_aluthge(family200):
     for inst in family200:
         t = build_operator(inst)
         half = psd_root(psd_root(adjoint(t) @ t))
-        dev_main = deviation(closed_aluthge(inst).matrices(), half @ SvdOracle(t).polar() @ half)
+        dev_main = deviation(closed_aluthge_matrix(inst), half @ oracle_polar(SvdOracle(t)) @ half)
         _, abs_t, root = closed_polar_matrices(inst)
         dev_root = deviation(root @ root, abs_t)
         assert dev_main <= 1e-8

@@ -150,9 +150,9 @@ def test_one_factorization_per_operator(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     for group in (check_func_calc, check_polar, check_aluthge):
         assert all(r.status == "pass" for r in group(ctx))
-    # T's norm, polar factor, half-power root, kept vectors and both Gram
-    # calculi come from one SVD of T; no Gram product is factored, and the
-    # closed U and |T| are compared on their frames, never factored.
+    # T's norm, kept vectors and both Gram calculi come from one SVD of T;
+    # no Gram product is factored, and the closed U, |T| and Aluthge
+    # transform are compared on their frames, never factored.
     assert sum(a is t for a in full_svds) == 1
     assert eighs == []
     assert len(full_svds) == 1
@@ -190,9 +190,8 @@ def test_basic_groups_keep_their_svd_budget(tmp_path, monkeypatch):
     # support rows of g alone, partial_isometry reads T's singular values
     # and polar_projection closed U's, so these three take no n x n SVD of
     # their own. func_calc, polar and aluthge read their residuals on the
-    # thin frames of kept vectors, so only the two against dense
-    # references, polar_factorization's against T and aluthge_closed's
-    # against root U root, take one values-only n x n SVD each.
+    # thin frames of kept vectors, so only polar_factorization's, against
+    # T itself, takes one values-only n x n SVD.
     n = 64
     path = tmp_path / "dense.json"
     assert main(["gen", "--seed", "100000", "--n", str(n), "--blocks", "2",
@@ -214,7 +213,7 @@ def test_basic_groups_keep_their_svd_budget(tmp_path, monkeypatch):
         assert all(r.status == "pass" for r in CHECK_GROUPS[group](ctx))
     assert counts == {"condexp": (0, 0), "norm": (1, 0), "vanishing": (0, 0),
                       "partial_isometry": (0, 0), "func_calc": (0, 0), "polar": (0, 1),
-                      "aluthge": (0, 1)}
+                      "aluthge": (0, 0)}
 
 
 def planted_frames(monkeypatch, plant):
@@ -286,6 +285,49 @@ def test_polar_abs_fails_on_a_doubled_sigma():
     statuses = {r.name: r.status for r in check_polar(ctx)}
     assert statuses["polar_abs"] == statuses["polar_factorization"] == "fail"
     assert statuses["polar_isometry"] == statuses["polar_projection"] == "pass"
+
+
+def test_aluthge_closed_fails_on_a_phase_of_one_block():
+    # A phase e^(0.5i) on one E(u_hat w_hat)_B = v_B* l_B, on a block where
+    # sigma_B |E(u_hat w_hat)_B| >= 1e-3 ||T||, on a single instance at scale
+    # 1: the closed transform moves by |e^(0.5i) - 1| sigma_B |E(u_hat
+    # w_hat)_B| and aluthge_closed must fail, while aluthge_root, which does
+    # not read l, passes.
+    bundle = gen_instance(GeneratorConfig(seed=5, n=12, block_count=3))
+    ctx = CheckContext(bundle)
+    assert all(r.status == "pass" for r in check_aluthge(ctx))
+    v, l, sigma = ctx.polar_closed
+    size = sigma * np.abs(np.einsum("ik,ik->k", v.conj(), l))
+    pick = int(np.argmax(size))
+    assert size[pick] >= 1e-3 * ctx.svd.norm
+    planted = CheckContext(bundle)
+    planted.polar_closed = v, l * np.where(np.arange(sigma.size) == pick, np.exp(0.5j), 1.0), sigma
+    statuses = {r.name: r.status for r in check_aluthge(planted)}
+    assert statuses == {"aluthge_closed": "fail", "aluthge_root": "pass"}
+
+
+def test_aluthge_takes_no_dense_work(monkeypatch):
+    # At n = 64 check_aluthge factors nothing (T's SVD and the frames' QR
+    # are the context's) and forms no n x n matrix: the closed transform
+    # less root U root and the square of the half-power factor less |T| are
+    # q x q matrices on W_g = [v, R_k], q = K + k < n, read off one
+    # values-only SVD of their (2, q, q) stack.
+    n = 64
+    ctx = CheckContext(gen_instance(GeneratorConfig(seed=5, n=n, block_count=9,
+                                                    zero_blocks=True)))
+    ctx.frame_factors
+    q = 2 * int(ctx.svd.keep.sum())
+    assert 0 < q < n
+    full, values_only = [], []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        (full if kwargs.get("compute_uv", True) else values_only).append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    assert all(r.status == "pass" for r in check_aluthge(ctx))
+    assert full == [] and values_only == [(2, q, q)]
 
 
 def test_polar_isometry_fails_on_a_phase_of_one_block(monkeypatch):
@@ -365,8 +407,8 @@ def test_one_cond_exp_matrix_per_partition(monkeypatch):
 def test_closed_identities_take_no_dense_products(monkeypatch):
     # check_polar reads the closed U and |T| on their frames and forms U |T|
     # as one n x K by K x n product, so it builds no Sandwich matrix;
-    # check_aluthge builds the one of the closed transform, and reads the
-    # square of the half-power factor on the frames too.
+    # check_aluthge reads the closed transform and the square of the
+    # half-power factor on the frames too, so it builds none either.
     ctx = CheckContext(gen_instance(GeneratorConfig(seed=11, n=16, block_count=4)))
     _ = ctx.t
     built = []
@@ -380,7 +422,7 @@ def test_closed_identities_take_no_dense_products(monkeypatch):
     assert all(r.status == "pass" for r in check_polar(ctx))
     assert len(built) == 0
     assert all(r.status == "pass" for r in check_aluthge(ctx))
-    assert len(built) == 1
+    assert len(built) == 0
 
 
 def count_getter(monkeypatch, owner, name):

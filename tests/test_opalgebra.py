@@ -21,6 +21,9 @@ from conftest import (
     kernel_projection,
     l2_norm,
     norm,
+    oracle_gram_calc,
+    oracle_polar,
+    oracle_root,
     point_matrix,
     psd_calc,
     psd_root,
@@ -217,20 +220,21 @@ class TestHermitianEig:
 
 
 class TestPositiveSqrt:
-    """root(): the half power of the positive polar factor."""
+    """oracle_root: the half power of the positive polar factor, read off
+    the SVD oracle's kept singular vectors."""
 
     def test_identity(self, space):
-        root = SvdOracle(np.eye(space.n)).root()
+        root = oracle_root(SvdOracle(np.eye(space.n)))
         np.testing.assert_allclose(root, np.eye(space.n), atol=1e-14)
 
     def test_scaled_identity(self, space):
-        root = SvdOracle(4.0 * np.eye(space.n)).root()
+        root = oracle_root(SvdOracle(4.0 * np.eye(space.n)))
         np.testing.assert_allclose(root, 2.0 * np.eye(space.n), atol=1e-13)
 
     def test_projection_is_own_root(self, space):
         p = Partition(space, [[0, 1, 3], [2]])
         e = p.cond_exp_matrix
-        root = SvdOracle(e).root()
+        root = oracle_root(SvdOracle(e))
         assert deviation(root, e) < 1e-12
         assert deviation(root @ root, e) < 1e-12
 
@@ -238,8 +242,8 @@ class TestPositiveSqrt:
         b = random_operator(rng, space)
         a = adjoint(b) @ b
         oracle = SvdOracle(b)
-        root = oracle.root()
-        p = oracle.gram_calc(oracle.sigma[oracle.keep])
+        root = oracle_root(oracle)
+        p = oracle_gram_calc(oracle, oracle.sigma[oracle.keep])
         assert deviation(root @ root, p) < 1e-12
         assert deviation(p @ p, a) < 1e-12
         assert norm(root @ a - a @ root) < 1e-10 * (1 + norm(a))
@@ -249,7 +253,7 @@ def polar_pair(a):
     """The SVD polar factor of a and the positive factor R_k diag(sigma_k)
     R_k* of the same SVD."""
     oracle = SvdOracle(a)
-    return oracle.polar(), oracle.gram_calc(oracle.sigma[oracle.keep])
+    return oracle_polar(oracle), oracle_gram_calc(oracle, oracle.sigma[oracle.keep])
 
 
 class TestPolarOracle:
@@ -273,7 +277,7 @@ class TestPolarOracle:
         assert oracle.norm == 0.0
         assert norm(u) == 0.0
         assert norm(p) == 0.0
-        assert norm(oracle.root()) == 0.0
+        assert norm(oracle_root(oracle)) == 0.0
 
     def test_factorization_and_kernels(self, space, rng):
         for _ in range(5):
@@ -431,13 +435,13 @@ def test_svd_oracle_against_references(seed, n, data, real):
         np.testing.assert_allclose(np.concatenate((np.zeros(n - rank), np.sort(values))), ref,
                                    rtol=0.0, atol=1e-12 * scale ** 2)
         assert norm(calc - product) <= 1e-12 * scale ** 2
-    assert norm(oracle.gram_calc(values) - adjoint(a) @ a) <= 1e-12 * scale ** 2
+    assert norm(oracle_gram_calc(oracle, values) - adjoint(a) @ a) <= 1e-12 * scale ** 2
 
     u, p = polar_pair(a)
     assert norm(u @ p - a) <= 1e-12 * scale
     uu = adjoint(u) @ u
     assert norm(uu @ uu - uu) <= 1e-12
-    root = oracle.root()
+    root = oracle_root(oracle)
     assert norm(root @ root - p) <= 1e-12 * scale
     assert norm(kernel_projection(a) - (np.eye(n) - uu)) <= 1e-12
     if rank == 0:

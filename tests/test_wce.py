@@ -11,7 +11,6 @@ from wcelab.opalgebra import SvdOracle
 from wcelab.wce import (
     WceInstance,
     build_operator,
-    closed_aluthge,
     closed_func_calc,
     closed_polar,
     norm_formula,
@@ -20,6 +19,7 @@ from wcelab.wce import (
 
 from conftest import (
     adjoint,
+    closed_aluthge_matrix,
     closed_calc,
     closed_polar_matrices,
     coarsest_partition,
@@ -29,6 +29,8 @@ from conftest import (
     frame_matrices,
     kernel_projection,
     norm,
+    oracle_gram_calc,
+    oracle_polar,
     point_matrix,
     psd_calc,
     psd_root,
@@ -325,7 +327,7 @@ def test_closed_forms_raise_on_an_overflowing_aggregate_before_using_it():
     u = MeasurableFunction(sp, [1.0, 2.0])
     w = MeasurableFunction(sp, RMS_OVERFLOW)
     fns = tuple(f for _, f in calculus_test_functions())
-    for closed in (closed_polar, closed_aluthge, norm_formula,
+    for closed in (closed_polar, norm_formula,
                    lambda inst: closed_func_calc(inst, fns)):
         with np.errstate(all="raise"):
             with pytest.raises(ValueError, match=r"E\(\|w\|\^2\) is not finite"):
@@ -342,10 +344,10 @@ def test_closed_forms_hold_where_only_the_aggregate_overflows():
         t = build_operator(inst)
         svd = SvdOracle(t)
         u_op, abs_t, root = closed_polar_matrices(inst)
-        abs_ref = svd.gram_calc(svd.sigma[svd.keep])
+        abs_ref = oracle_gram_calc(svd, svd.sigma[svd.keep])
         assert norm_formula(inst) == pytest.approx(svd.norm, rel=1e-15)
         assert deviation(abs_t, abs_ref) <= 1e-15 * svd.norm
-        assert deviation(u_op, svd.polar()) <= 1e-15
+        assert deviation(u_op, oracle_polar(svd)) <= 1e-15
         assert deviation(root @ root, abs_t) <= 1e-15 * svd.norm
 
 
@@ -407,7 +409,7 @@ class TestClosedPolar:
         u_op, abs_t, _ = closed_polar_matrices(inst)
         gram = adjoint(t) @ t
         assert deviation(abs_t, psd_root(gram)) < 1e-8
-        assert deviation(u_op, SvdOracle(t).polar()) < 1e-8
+        assert deviation(u_op, oracle_polar(SvdOracle(t))) < 1e-8
         assert deviation(u_op @ abs_t, t) < 1e-8
         kernels = [kernel_projection(x) for x in (u_op, abs_t, t)]
         for i in range(3):
@@ -417,8 +419,8 @@ class TestClosedPolar:
 
 def test_closed_forms_stay_factored_until_dense(monkeypatch):
     # The closed polar pair is a pair of n x K frames and builds no
-    # operator matrix; the Aluthge transform is a Sandwich, and matrices()
-    # builds its one matrix.
+    # operator matrix, and the Aluthge transform lives on the same frames:
+    # neither builds a Sandwich matrix.
     built = []
     matrices = Sandwich.matrices
 
@@ -431,10 +433,8 @@ def test_closed_forms_stay_factored_until_dense(monkeypatch):
     v, l, sigma = closed_polar(inst)
     kept = np.unique(inst.partition.block_of[inst.kept]).size
     assert v.shape == l.shape == (inst.space.n, kept) and sigma.shape == (kept,)
-    aluthge = closed_aluthge(inst)
-    assert built == [] and aluthge.partition is inst.partition
-    aluthge.matrices()
-    assert len(built) == 1
+    closed_aluthge_matrix(inst)
+    assert built == []
     # Each frame has orthonormal columns, so U = l v* is a partial isometry.
     for frame in (v, l):
         np.testing.assert_allclose(frame.conj().T @ frame, np.eye(kept), atol=1e-15)
@@ -447,7 +447,7 @@ class TestClosedAluthge:
     def test_projection_fixed_point(self):
         inst = ones_instance([1.0, 2.0, 0.5], blocks=[[0, 1], [2]])
         e = inst.partition.cond_exp_matrix
-        assert deviation(closed_aluthge(inst).matrices(), e) < 1e-13
+        assert deviation(closed_aluthge_matrix(inst), e) < 1e-13
 
     def test_example_matrix(self):
         # mu = (1, 3), u = w = (2, 0): E(u w) = E(|u|^2) = 1, so the
@@ -456,7 +456,7 @@ class TestClosedAluthge:
         f = MeasurableFunction(sp, [2, 0])
         inst = WceInstance(coarsest_partition(sp), f, f)
         np.testing.assert_allclose(
-            point_matrix(sp, closed_aluthge(inst).matrices()), [[1, 0], [0, 0]], atol=1e-14
+            point_matrix(sp, closed_aluthge_matrix(inst)), [[1, 0], [0, 0]], atol=1e-14
         )
 
     def test_zero_symbol(self):
@@ -466,15 +466,15 @@ class TestClosedAluthge:
             constant(sp, 0.0),
             MeasurableFunction(sp, [1, 2]),
         )
-        assert norm(closed_aluthge(inst).matrices()) == 0.0
+        assert norm(closed_aluthge_matrix(inst)) == 0.0
 
     @pytest.mark.parametrize("seed", [51, 52, 53])
     def test_certification(self, seed):
         inst = random_instance(seed, zero_blocks=(seed % 2 == 1))
         t = build_operator(inst)
         half = psd_root(psd_root(adjoint(t) @ t))
-        oracle = half @ SvdOracle(t).polar() @ half
-        assert deviation(closed_aluthge(inst).matrices(), oracle) < 1e-8
+        oracle = half @ oracle_polar(SvdOracle(t)) @ half
+        assert deviation(closed_aluthge_matrix(inst), oracle) < 1e-8
         _, abs_t, root = closed_polar_matrices(inst)
         assert deviation(root @ root, abs_t) < 1e-8
 
