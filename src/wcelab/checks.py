@@ -491,10 +491,10 @@ def check_func_calc(ctx: CheckContext) -> list[CheckRecord]:
     spectrum = fvals if svd.keep.all() else np.column_stack((fvals, f0))
     scale = reference_scale(np.abs(spectrum).max(axis=1))
     # Closed minus oracle is (f0_c - f0_o) I + W diag(c, -g) W* on the
-    # frame W = [V, R_k] of each product, the context's W_g and W_c: each
-    # residual's norm is read off W's held R factor, never as an n x n
-    # matrix.
-    f0_c, _, c = closed_func_calc(ctx.instance, fns)
+    # frame of each product, the context's W_g = [v, R_k] and W_c = [l,
+    # L_k]: each residual's norm is read off W's held R factor, never as an
+    # n x n matrix.
+    f0_c, c = closed_func_calc(ctx.polar_closed[2], fns)
     f0_o, _, g = svd.calc_frames(fvals, f0)
     coef = np.concatenate((c, -g), axis=1)
     cores = coef[:, :, None] * np.eye(coef.shape[1])

@@ -139,22 +139,19 @@ def closed_polar(inst: WceInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def closed_func_calc(
-    inst: WceInstance, fns: Sequence[Callable[[float], complex]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """f(T* T) and f(T T*) in closed form over fns, as (f(0), V, c):
-    f(X) = f(0) I + V diag(c) V*, with c = f(sigma_B^2) - f(0) on the kept
-    blocks B and V the (2, n, K) stack of closed_polar's frames v (for
-    X = T* T) and l (for X = T T*): T* T = sum_B sigma_B^2 v_B v_B* and
-    T T* = sum_B sigma_B^2 l_B l_B*.
+    sigma: np.ndarray, fns: Sequence[Callable[[float], complex]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """f(T* T) and f(T T*) in closed form over fns, as (f(0), c) for the
+    (K,) kept sigma_B of closed_polar: f(T* T) = f(0) I + v diag(c) v* and
+    f(T T*) = f(0) I + l diag(c) l* on its frames, with c = f(sigma_B^2) -
+    f(0), since T* T = sum_B sigma_B^2 v_B v_B* and T T* = sum_B sigma_B^2
+    l_B l_B*.
 
     Each f is evaluated at 0 and once per kept block, for both products. A
     sigma^2 or f(sigma^2) beyond the float range raises ValueError.
     """
     f0 = np.asarray([complex(f(0.0)) for f in fns])
-    v, l, sigma = closed_polar(inst)
     # Python floats: a square beyond the float range is inf, without a warning.
     p = [s * s for s in sigma.tolist()]
     fp = np.asarray([[f(x) for x in p] for f in fns], dtype=complex).reshape(len(fns), -1)
-    c = require_finite(fp - f0[:, None])
-    return f0, np.stack((v, l)), c
-
+    return f0, require_finite(fp - f0[:, None])

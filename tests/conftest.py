@@ -126,10 +126,19 @@ def frame_matrices(f0, frames, coef):
             + (vectors * coef[:, None, :]) @ vectors.conj().swapaxes(-1, -2))
 
 
+def closed_calc_factors(inst, fns):
+    """The closed calculus over fns as (f(0), V, c), for frame_matrices:
+    closed_func_calc's (f(0), c) on the kept sigma_B, and V the (2, n, K)
+    stack of closed_polar's frames v (for T* T) and l (for T T*)."""
+    v, l, sigma = closed_polar(inst)
+    f0, c = closed_func_calc(sigma, fns)
+    return f0, np.stack((v, l)), c
+
+
 def closed_calc(inst, f):
     """One function's closed calculus, (f(T* T), f(T T*)): the dense
-    matrices of the factors closed_func_calc gives for the tuple (f,)."""
-    return tuple(frame_matrices(*closed_func_calc(inst, (f,)))[:, 0])
+    matrices of the factors closed_calc_factors gives for the tuple (f,)."""
+    return tuple(frame_matrices(*closed_calc_factors(inst, (f,)))[:, 0])
 
 
 def closed_polar_matrices(inst):

@@ -12,7 +12,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from wcelab import checks, opalgebra, spectral
+from wcelab import checks, opalgebra, spectral, wce
 from wcelab.checks import (
     BASIC_GROUPS,
     CHECK_GROUPS,
@@ -390,6 +390,25 @@ def test_one_qr_per_context(monkeypatch):
         k = int(ctx.svd.keep.sum())
         assert calls == [(2, 16, 2 * k)]
         calls.clear()
+
+
+def test_one_closed_polar_per_context(monkeypatch):
+    # The closed frames are built once per context and every basic group
+    # reads them there: closed_func_calc takes their kept sigma_B, not the
+    # instance, so it builds no frames of its own.
+    calls = []
+    closed_polar = wce.closed_polar
+
+    def counting(inst):
+        calls.append(inst)
+        return closed_polar(inst)
+
+    monkeypatch.setattr(checks, "closed_polar", counting)
+    monkeypatch.setattr(wce, "closed_polar", counting)
+    ctx = CheckContext(gen_instance(GeneratorConfig(seed=11, n=16, block_count=4)))
+    for group in BASIC_GROUPS:
+        assert all(r.status == "pass" for r in CHECK_GROUPS[group](ctx))
+    assert calls == [ctx.instance]
 
 
 def test_one_cond_exp_matrix_per_partition(monkeypatch):
@@ -778,15 +797,15 @@ def test_one_measure_table_per_instance(monkeypatch):
 def test_func_calc_catches_one_perturbed_function(monkeypatch):
     original = checks.closed_func_calc
 
-    def perturbed(inst, fns):
-        f0, frames, coef = original(inst, fns)
+    def perturbed(sigma, fns):
+        f0, coef = original(sigma, fns)
         # Only the f(T* T) slice of the constant function 1, f(0) I, is
         # perturbed: f(0) becomes one row per product.
         f0 = np.stack((f0, f0))
         for k, f in enumerate(fns):
             if f(0.0) == f(3.0) == 1.0:
                 f0[0, k] *= 1.0 + 1e-6
-        return f0, frames, coef
+        return f0, coef
 
     monkeypatch.setattr(checks, "closed_func_calc", perturbed)
     bundle = gen_instance(GeneratorConfig(seed=12, n=10, block_count=3))

@@ -19,9 +19,9 @@ from wcelab.condexp import Sandwich
 from wcelab.generator import GeneratorConfig, gen_instance, rotation_config
 from wcelab.instance_io import InstanceBundle, instance_digest, serialize_instance
 from wcelab.measure import FiniteMeasureSpace, MeasurableFunction, Partition
-from wcelab.wce import WceInstance, closed_func_calc
+from wcelab.wce import WceInstance
 
-from conftest import frame_matrices, generated_partitions, random_complex
+from conftest import closed_calc_factors, frame_matrices, generated_partitions, random_complex
 from test_checks import HARD_BUNDLES
 
 
@@ -136,7 +136,7 @@ def test_first_points_are_the_first_index_of_each_block():
 
 
 def per_point_func_calc(inst, fns, r):
-    """One product of closed_func_calc with every test function evaluated
+    """One product of the closed calculus with every test function evaluated
     at every point."""
     f0 = np.asarray([complex(f(0.0)) for f in fns])
     fp = np.asarray([[f(s * s) for s in inst.sigma.tolist()] for f in fns], dtype=complex)
@@ -156,7 +156,7 @@ def test_func_calc_per_block_equals_per_point():
     bundles = rotation_bundles() + [make() for make in HARD_BUNDLES.values()]
     for bundle in bundles:
         inst = bundle.instance
-        for stack, r in zip(frame_matrices(*closed_func_calc(inst, fns)),
+        for stack, r in zip(frame_matrices(*closed_calc_factors(inst, fns)),
                             (inst.units[0], np.conj(inst.units[1]))):
             reference = per_point_func_calc(inst, fns, r)
             scale = 1.0 + np.abs(reference).max(axis=(1, 2), keepdims=True)

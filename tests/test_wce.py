@@ -11,7 +11,6 @@ from wcelab.opalgebra import SvdOracle
 from wcelab.wce import (
     WceInstance,
     build_operator,
-    closed_func_calc,
     closed_polar,
     norm_formula,
     partial_isometry_criterion,
@@ -21,6 +20,7 @@ from conftest import (
     adjoint,
     closed_aluthge_matrix,
     closed_calc,
+    closed_calc_factors,
     closed_polar_matrices,
     coarsest_partition,
     constant,
@@ -250,11 +250,11 @@ def test_stacked_calculus_matches_per_function_reference():
         for _ in range(3):
             inst = zeroed_block_instance(rng, n)
             kept = np.unique(inst.partition.block_of[inst.kept]).size
-            f0, frames, coef = closed_func_calc(inst, fns)
+            f0, frames, coef = closed_calc_factors(inst, fns)
             assert frames.shape == (2, n, kept) and coef.shape == (len(fns), kept)
             dense = frame_matrices(f0, frames, coef)
             for k, f in enumerate(fns):
-                one_f0, one_frames, one_coef = closed_func_calc(inst, (f,))
+                one_f0, one_frames, one_coef = closed_calc_factors(inst, (f,))
                 assert one_f0[0] == f0[k] and np.array_equal(one_frames, frames)
                 assert np.array_equal(one_coef[0], coef[k])
                 for stack, r in zip(dense, (inst.units[0], np.conj(inst.units[1]))):
@@ -275,7 +275,7 @@ def test_closed_calculus_evaluates_each_function_once_per_block():
         calls.append(t_)
         return t_
 
-    f0, frames, coef = closed_func_calc(inst, (counting,))
+    f0, frames, coef = closed_calc_factors(inst, (counting,))
     assert frames.shape == (2, 64, 3) and coef.shape == (1, 3)
     assert len(calls) == 1 + inst.partition.block_count == 4
 
@@ -285,14 +285,14 @@ def test_stacked_calculus_rejects_non_finite_entries():
     for bad in (math.nan, math.inf):
         fns = (lambda t_: 1.0, lambda t_: bad if t_ > 0.0 else 0.0)
         with pytest.raises(ValueError, match="operator entries must be finite"):
-            closed_func_calc(inst, fns)
+            closed_calc_factors(inst, fns)
     # u_hat = 1 and w_hat = 1000 at the light point: f(T* T) and f(T T*)
     # hold f(1) = 1e306 times a unit vector's v v*, so their factors and
     # matrices are finite, though 1e306 times w_hat is not.
     sp = FiniteMeasureSpace([1.0, 1e6])
     lopsided = WceInstance(coarsest_partition(sp), constant(sp, 1.0),
                            MeasurableFunction(sp, [1.0, 0.0]))
-    f0, frames, coef = closed_func_calc(lopsided, (lambda t_: 1e306 if t_ > 0.0 else 0.0,))
+    f0, frames, coef = closed_calc_factors(lopsided, (lambda t_: 1e306 if t_ > 0.0 else 0.0,))
     assert [norm(frame) for frame in frames] == pytest.approx([1.0, 1.0], rel=1e-15)
     assert np.isfinite(frame_matrices(f0, frames, coef)).all()
 
@@ -328,7 +328,7 @@ def test_closed_forms_raise_on_an_overflowing_aggregate_before_using_it():
     w = MeasurableFunction(sp, RMS_OVERFLOW)
     fns = tuple(f for _, f in calculus_test_functions())
     for closed in (closed_polar, norm_formula,
-                   lambda inst: closed_func_calc(inst, fns)):
+                   lambda inst: closed_calc_factors(inst, fns)):
         with np.errstate(all="raise"):
             with pytest.raises(ValueError, match=r"E\(\|w\|\^2\) is not finite"):
                 closed(WceInstance(part, u, w))
