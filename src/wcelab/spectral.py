@@ -295,11 +295,10 @@ def check_spectral_axioms(phi: PointMap, seed: int = 0) -> dict[str, float]:
 
     The family is drawn once and both frames are checked on it. The draws
     from the seeded generator come in a fixed order: the random sets and
-    the intersection pairs (see _axiom_sets), then for each of the
-    AXIOM_RANDOM_SETS additivity rounds the index of the whole set, the
-    number of pieces, and the piece of every point, as three rng.integers
-    calls. The pieces of every round are built from these draws after the
-    last of them.
+    the intersection pairs (see _axiom_sets), then, for the
+    AXIOM_RANDOM_SETS additivity rounds at once, the index of each round's
+    whole set, each round's number of pieces, and the piece of every point
+    in every round, as three rng.integers calls.
     """
     n = phi.space.n
     rng = np.random.default_rng(seed)
@@ -311,19 +310,16 @@ def check_spectral_axioms(phi: PointMap, seed: int = 0) -> dict[str, float]:
     i, j = np.vstack([pairs, [[0, k + 1], [0, k]]]).T
     meets = family[i] & family[j]
 
-    wholes, counts, assignment = [], [], []
-    for _ in range(AXIOM_RANDOM_SETS):
-        wholes.append(int(rng.integers(0, k)))
-        counts.append(int(rng.integers(2, 5)))
-        assignment.append(rng.integers(0, counts[-1], size=n))
+    wholes = rng.integers(0, k, size=AXIOM_RANDOM_SETS)
+    counts = rng.integers(2, 5, size=AXIOM_RANDOM_SETS)
+    assignment = rng.integers(0, counts[:, None], size=(AXIOM_RANDOM_SETS, n))
     # Every round's pieces come from one gather and go into one measure
     # call: round r owns the rows starts[r]:starts[r] + counts[r] of the
     # piece stack, and row starts[r] + p is the piece p of its whole set.
     round_of = np.repeat(np.arange(AXIOM_RANDOM_SETS), counts)
     starts = np.cumsum(counts) - counts
     piece = np.arange(len(round_of)) - starts[round_of]
-    pieces = sets[np.take(wholes, round_of)] & (
-        np.take(assignment, round_of, axis=0) == piece[:, None])
+    pieces = sets[wholes[round_of]] & (assignment[round_of] == piece[:, None])
 
     # One frame's stacks are freed before the next frame's are built: each
     # extra stack raises the peak memory. For the same reason the residuals

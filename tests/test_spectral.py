@@ -398,10 +398,12 @@ def reference_spectral_axioms(phi, on_subspace, n_random=12, seed=0):
         inter_res = max(inter_res, dist(lhs, rhs))
 
     add_res = 0.0
-    for _ in range(max(n_random, 4)):
-        whole = sets[int(rng.integers(0, len(sets)))]
-        parts = int(rng.integers(2, 5))
-        assignment = rng.integers(0, parts, size=n)
+    rounds = max(n_random, 4)
+    wholes = rng.integers(0, len(sets), size=rounds)
+    counts = rng.integers(2, 5, size=rounds)
+    assignments = rng.integers(0, counts[:, None], size=(rounds, n))
+    for index, parts, assignment in zip(wholes, counts, assignments):
+        whole = sets[int(index)]
         pieces = [frozenset(i for i in whole if assignment[i] == p) for p in range(parts)]
         total = sum((rep(set_value(phi, p)) for p in pieces), np.zeros((dim, dim), complex))
         add_res = max(add_res, dist(rep(set_value(phi, whole)), total))
@@ -495,13 +497,12 @@ def per_frame_spectral_axioms(phi, on_subspace, n_random=12, seed=0, grown=False
     full_res = max_norm(values[k + 1:] - np.eye(dim))
     i, j = np.vstack([pairs, [[0, k + 1], [0, k]]]).T
     inter_res = max_norm(measure(family[i] & family[j]) - values[i] @ values[j])
-    wholes, pieces = [], []
-    for _ in range(max(n_random, 4)):
-        whole = int(rng.integers(0, k))
-        parts = int(rng.integers(2, 5))
-        assignment = rng.integers(0, parts, size=n)
-        wholes.append(whole)
-        pieces.append(sets[whole] & (assignment[None, :] == np.arange(parts)[:, None]))
+    rounds = max(n_random, 4)
+    wholes = rng.integers(0, k, size=rounds)
+    counts = rng.integers(2, 5, size=rounds)
+    assignments = rng.integers(0, counts[:, None], size=(rounds, n))
+    pieces = [sets[whole] & (assignment[None, :] == np.arange(parts)[:, None])
+              for whole, parts, assignment in zip(wholes, counts, assignments)]
     starts = np.cumsum([0] + [len(p) for p in pieces[:-1]])
     sums = np.add.reduceat(measure(np.vstack(pieces)), starts, axis=0)
     add_res = max_norm(sums - values[wholes])
