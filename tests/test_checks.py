@@ -45,7 +45,7 @@ from wcelab.wce import WceInstance, build_operator
 
 from conftest import (closed_calc, coarsest_partition, constant, edge_bundle,
                       finest_partition, frame_matrices, kernel_projection, norm,
-                      random_complex)
+                      oracle_polar, oracle_root, random_complex)
 
 _MODES = ({}, {"zero_blocks": True}, {"constant_u": True},
           {"measurable_u": True}, {"partial_isometry": True})
@@ -996,9 +996,8 @@ def dense_aluthge(ctx):
     coef = inst.sigma * cond_exp_values(inst.partition, u_hat * w_hat)
     with np.errstate(over="ignore", invalid="ignore"):
         closed = Sandwich(inst.partition, coef * np.conj(u_hat), u_hat).matrices()
-    rows = svd.right_h[svd.keep]
-    root = (rows.conj().T * np.sqrt(svd.sigma[svd.keep])) @ rows
-    return closed, root @ (svd.left[:, svd.keep] @ rows) @ root
+    root = oracle_root(svd)
+    return closed, root @ oracle_polar(svd) @ root
 
 
 def dense_polar_residuals(ctx):
