@@ -29,6 +29,7 @@ from .opalgebra import (
     RANK_TOL,
     SvdOracle,
     frame_norms,
+    frame_qr,
     op_deviations,
     reference_scale,
     require_finite,
@@ -93,7 +94,8 @@ RECORDS: dict[str, dict[str, str]] = {
     },
     "aluthge": {
         "aluthge_closed": "closed Aluthge transform equals |T|^(1/2) U |T|^(1/2)",
-        "aluthge_root": "the closed half-power factor squares to |T|",
+        "aluthge_root": "the closed half-power factor equals |T|^(1/2) read off the SVD "
+                        "of T, and squares to the closed |T|",
     },
     "normality": {
         "normality": "||[E M_u, (E M_u)*]|| is the largest sqrt(E|u - E u|^2) "
@@ -160,19 +162,11 @@ class CheckRecord:
 
 @dataclass
 class CheckContext:
-    """Everything a check needs for one instance.
-
-    The matrix of T, its one SVD (its norm, kept singular vectors, both
-    Gram calculi and T T* T - T are read off it), the closed polar pair as
-    its kept-block frames, the one QR of those frames next to T's kept
-    singular vectors, and E M_u (an AvgMult, which caches its matrix, the
-    block spread of u, the eigenvalue groups and the eigenvalues) are each
-    computed once, on first use, and shared by every check group. The
-    point map caches its own fiber partition and fiber average. Every matrix is in the orthonormal basis of the
-    weighted space (see Partition.cond_exp_matrix), so the adjoint is the
-    conjugate transpose.
-    The oracles still see only these dense matrices, never the partition.
-    """
+    """Everything a check needs for one instance, each built once, on first
+    use, and shared by every group: T's matrix, its one SVD, the closed
+    polar frames and the one QR of them next to T's kept singular vectors,
+    and the same for E M_u, T with w = 1. Every matrix is in the weighted
+    space's orthonormal basis; the oracles see only the matrices."""
 
     bundle: InstanceBundle
     tol: float = DEFAULT_TOL
@@ -219,22 +213,38 @@ class CheckContext:
 
     @cached_property
     def frame_factors(self) -> np.ndarray:
-        """The R factors S_g of W_g = [v, R_k] and S_c of W_c = [l, L_k],
-        the closed frames next to T's kept singular vectors, as one (2, q,
-        K + k) stack from one batched QR W = Z S, Z with q = min(n, K + k)
-        orthonormal columns. Every operator that lives on these frames,
-        each func_calc, polar and aluthge residual, has its norm read off a
-        q x q matrix built from them."""
+        """The R factors S_g of W_g = [v, R_k] and S_c of W_c = [l, L_k], a
+        (2, q, K + k) stack, q = min(n, K + k): each func_calc, polar and
+        aluthge residual is read off a q x q matrix built from them."""
         v, l, _ = self.polar_closed
-        frames = np.concatenate((np.stack((v, l)), self.svd.vectors), axis=2)
-        return np.linalg.qr(frames, mode="r")
+        return frame_qr(np.stack((v, l)), self.svd.vectors)
 
     @cached_property
     def avg_mult(self) -> AvgMult:
-        """E M_u, f -> E(u f), at the run's tolerance: its matrix, block
-        spread and eigenvalue groups serve normality, spectrum and
-        spectral_decomp."""
+        """E M_u at the run's tolerance: the closed side of its three groups."""
         return AvgMult(self.instance.u, self.instance.partition, self.tol)
+
+    @cached_property
+    def avg_mult_svd(self) -> SvdOracle:
+        """The one factorization of E M_u's matrix, the oracle of its groups."""
+        return SvdOracle(build_operator(self.avg_mult.instance))
+
+    @cached_property
+    def avg_mult_core(self) -> np.ndarray:
+        """The K x K core Sigma_k R_k* L_k of E M_u's SVD, with E M_u's nonzero
+        eigenvalues. LAPACK's SVD of a matrix whose norm leaves the float
+        range returns NaN without an error; no eigenvalue is read off it."""
+        svd = self.avg_mult_svd
+        if not np.isfinite(svd.sigma).all():
+            raise ValueError("eigenvalues of E M_u are not finite")
+        r_k, l_k = svd.vectors
+        return svd.sigma[svd.keep][:, None] * (r_k.conj().T @ l_k)
+
+    @cached_property
+    def avg_mult_factors(self) -> np.ndarray:
+        """The R factor S of W = [q, R_k, L_k], every unit block column next to
+        E M_u's kept singular vectors, that normality and spectral_decomp read."""
+        return frame_qr(self.instance.partition.unit_columns, *self.avg_mult_svd.vectors)
 
     def record(
         self, name: str, residual: float, tol: float, bound: str = "upper"
@@ -558,19 +568,23 @@ def check_aluthge(ctx: CheckContext) -> list[CheckRecord]:
     s = np.sqrt(svd.sigma[svd.keep])
     core = s[:, None] * (r_k.conj().T @ l_k) * s
     coef = sigma * np.einsum("ik,ik->k", v.conj(), l)
-    # The closed half-power factor is V diag(sqrt(sigma_B)) V*, so its square
-    # less the closed |T| is V (D V* V D - D^2) V*, D = diag(sqrt(sigma_B)),
-    # V = Z_g S_g[:, :K] (W_g's leading K columns), read against || |T| ||.
+    # The closed half-power factor is V D V*, D = diag(sqrt(sigma_B)), V =
+    # Z_g S_g[:, :K]: its square less the closed |T| is V (D V* V D - D^2)
+    # V*, read against || |T| ||, and it less the oracle's R_k S R_k* is
+    # W_g diag(sqrt(sigma_B), -S) W_g*, read on sqrt(||T||), as the root is
+    # homogeneous of degree 1/2.
     half = np.sqrt(sigma)
     c = half[:, None] * (v.conj().T @ v) * half - np.diag(sigma)
     with np.errstate(over="ignore", invalid="ignore"):
         small = np.stack(((s_v * coef) @ s_v.conj().T - s_r @ core @ s_r.conj().T,
-                          s_v @ c @ s_v.conj().T))
-    closed_norm, root_norm = spectral_norms(require_finite(small))
+                          s_v @ c @ s_v.conj().T,
+                          (s_g * np.concatenate((half, -s))) @ s_g.conj().T))
+    closed_norm, square_norm, root_norm = spectral_norms(require_finite(small))
     scale = reference_scale(svd.norm)
     return [
         ctx.record("aluthge_closed", closed_norm / scale, ctx.tol),
-        ctx.record("aluthge_root", root_norm / scale, ctx.tol),
+        ctx.record("aluthge_root", max(square_norm / scale,
+                                       root_norm / reference_scale(math.sqrt(svd.norm))), ctx.tol),
     ]
 
 
@@ -594,68 +608,80 @@ def _eigvals_match_residual(expected: Sequence[complex],
 
 
 def check_normality(ctx: CheckContext) -> list[CheckRecord]:
-    m = ctx.avg_mult.matrix
-    m_adj = m.conj().T
-    # Entries that overflow fail the build of the products; numpy's
-    # overflow warning would only repeat that error. So does a scale of
-    # ||E M_u||^2 beyond the float range: no residual can be read against it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        commutator = require_finite(m @ m_adj - m_adj @ m)
-        # The closed norm is 0 exactly when u is blockwise constant.
-        closed = float(np.prod(ctx.avg_mult.spread, axis=0).max())
-        comm_norm, m_norm = spectral_norms(np.stack((commutator, m)))
-        scale = reference_scale(m_norm ** 2)
-    if not np.isfinite(scale):
-        raise ValueError("1 + ||E M_u||^2 is not finite")
+    # The oracle first: a sigma or sigma_k^2 that is not finite leaves no
+    # [M, M*] = L_k Sigma^2 L_k* - R_k Sigma^2 R_k* on W to read, nor scale.
+    svd, avg_mult = ctx.avg_mult_svd, ctx.avg_mult
+    require_finite(svd.sigma)
+    squares = svd.squares()
+    core = np.diag(np.concatenate((np.zeros(avg_mult.partition.block_count), -squares, squares)))
+    comm_norm = frame_norms(ctx.avg_mult_factors, ctx.instance.space.n, np.zeros(1), core[None])[0]
+    with np.errstate(over="ignore"):
+        closed = float((avg_mult.instance.rms[0] * avg_mult.spread).max())
+    scale = reference_scale(squares.max(initial=0.0))
     return [ctx.record("normality", abs(closed - comm_norm) / scale, ctx.tol)]
 
 
 def check_spectrum(ctx: CheckContext) -> list[CheckRecord]:
-    # The groups are built first, so a block mean beyond the float range is
-    # the reason a breakdown names. LAPACK returns NaN, without an error,
-    # for a matrix whose norm leaves the float range; such eigenvalues
-    # raise ValueError.
+    # The groups first, so a block mean beyond the float range is the reason
+    # a breakdown names; 0 is an eigenvalue exactly when the rank is below n.
     expected = ctx.avg_mult.eigenvalues
-    eigvals = np.linalg.eigvals(ctx.avg_mult.matrix)
-    if not np.isfinite(eigvals).all():
-        raise ValueError("eigenvalues of E M_u are not finite")
+    eigvals = np.linalg.eigvals(ctx.avg_mult_core)
+    eigvals = np.append(eigvals, [0.0] * (not ctx.avg_mult_svd.keep.all()))
     return [ctx.record("spectrum", _eigvals_match_residual(expected, eigvals), ctx.tol)]
 
 
 def check_spectral_decomp(ctx: CheckContext) -> list[CheckRecord]:
-    p = ctx.avg_mult.projections()
-    if p is None:
+    avg_mult = ctx.avg_mult
+    if not avg_mult.normal:
         return [ctx.skip(name, "u is not blockwise constant, E M_u is not normal")
                 for name in RECORDS["spectral_decomp"]]
-    m = ctx.avg_mult.matrix
-
-    # ||P|| is taken once and is the reference norm of both projection
-    # identities.
-    p_norms = spectral_norms(p)
-    proj_res = max(
-        op_deviations(p @ p, p, p_norms).max(),
-        (spectral_norms(p - p.conj().transpose(0, 2, 1)) / reference_scale(p_norms)).max(),
-    )
-    # One stack P_i P_j (j > i) per i; a stack of all pairs at once would
-    # hold m^2 / 2 matrices.
-    orth_res = max((spectral_norms(p[i] @ p[i + 1:]).max()
-                    for i in range(len(p) - 1)), default=0.0)
-    traces = np.trace(p, axis1=1, axis2=2).real
-    total_rank = int(np.rint(traces).sum())
-    eigenvalues = np.array(ctx.avg_mult.eigenvalues)
-    recon = np.einsum("k,kij->ij", eigenvalues, p)
-    recon_res = op_deviations(recon[None], m[None], spectral_norms(m[None]))[0]
-    # M acts on range P_k as lambda_k, so tr(P_k M) / tr(P_k) is lambda_k
-    # read off the dense M, on the reference scale of the largest |lambda|.
-    # The real P_k meet M's parts apart: einsum casts mixed dtypes in buffers.
-    real, imag = (np.einsum("kij,ji->k", p, part) for part in (m.real, m.imag))
-    rayleigh = (real + 1j * imag) / traces
+    svd, s = ctx.avg_mult_svd, ctx.avg_mult_factors
+    n, k = ctx.instance.space.n, int(svd.keep.sum())
+    reps, group = avg_mult.groups
+    s_q, s_r, s_l = np.split(s, [group.size, group.size + k], axis=1)
+    # Each projection is read as its q x q part on W = Z S (off range Z the
+    # two sides agree): closed, Q Q* per nonzero group and their complement
+    # for 0; oracle, cut at the grouping radius on eigenvalues over scale,
+    # L_k N N* L_k* for the kernel N of core - lambda I, and for 0 I - R R*
+    # over the singular vectors above the radius.
+    eigenvalues = np.array(avg_mult.eigenvalues)
+    lam = eigenvalues / avg_mult.scale
+    _, kernel_values, vh = np.linalg.svd(ctx.avg_mult_core / avg_mult.scale
+                                         - lam[:len(reps) - 1, None, None] * np.eye(k))
+    near = kernel_values <= ctx.tol
+    frames = (s_l @ vh.conj().swapaxes(-1, -2)) * near[:, None, :]
+    levels = group == np.arange(1, len(reps))[:, None]
+    closed = (s_q * levels[:, None, :]) @ s_q.conj().T
+    oracle = frames @ frames.conj().swapaxes(-1, -2)
+    # The closed ranks, the kernel's last, and the oracle's rank sum.
+    ranks, rank_sum = np.append(levels.sum(axis=1), n - np.count_nonzero(group)), near.sum()
+    if avg_mult.has_kernel:
+        eye, above = np.eye(len(s)), svd.sigma[svd.keep] / avg_mult.scale > ctx.tol
+        closed = np.concatenate((closed, [eye - closed.sum(axis=0)]))
+        oracle = np.concatenate((oracle, [eye - (s_r * above) @ s_r.conj().T]))
+        rank_sum += n - np.count_nonzero(above)
+    # Within e of a normal operator a projection moves by e / gap, gap its
+    # eigenvalue's distance to the others (Davis and Kahan 1970), and normal
+    # bounds e by tol (1 + ||E M_u||). So the projections, and the oracle's
+    # [sum lambda P, sum P] = sum_{i != j} (lambda_i - lambda_j) P_i P_j, 0
+    # exactly when they are pairwise orthogonal, are read on (1 + ||E
+    # M_u||) / gap; a lone eigenvalue's projection is the whole space.
+    gap = np.sort(np.abs(lam[:, None] - lam), axis=1)[:, 1] if lam.size > 1 else np.zeros(1)
+    ratio = avg_mult.scale / reference_scale(svd.norm)
+    weighted, total = (lam[:, None, None] * oracle).sum(axis=0), oracle.sum(axis=0)
+    # E M_u = L_k Sigma_k R_k* lives on range Z.
+    m = (s_l * svd.sigma[svd.keep]) @ s_r.conj().T
+    recon = (s_q * np.array(reps)[group]) @ s_q.conj().T
+    *proj, orth, recon_norm = spectral_norms(np.concatenate((
+        closed - oracle, [weighted @ total - total @ weighted, recon - m])))
+    # M acts on range P_k as lambda_k, so tr(P_k M) / tr(P_k) is lambda_k.
+    rayleigh = (closed * m.T).sum(axis=(1, 2)) / ranks[:len(closed)]
     eigs_res = np.abs(rayleigh - eigenvalues).max() / reference_scale(np.abs(eigenvalues).max())
     return [
-        ctx.record("sd_projections", proj_res, ctx.tol),
-        ctx.record("sd_orthogonality", orth_res, ctx.tol),
-        ctx.record("sd_reconstruction", recon_res, ctx.tol),
-        ctx.record("sd_rank_sum", float(abs(total_rank - ctx.instance.space.n)), 0.5),
+        ctx.record("sd_projections", (np.array(proj) * gap).max() * ratio, ctx.tol),
+        ctx.record("sd_orthogonality", orth * ratio, ctx.tol),
+        ctx.record("sd_reconstruction", recon_norm / reference_scale(svd.norm), ctx.tol),
+        ctx.record("sd_rank_sum", float(abs(rank_sum - n)), 0.5),
         ctx.record("sd_eigs_match", eigs_res, ctx.tol),
     ]
 

@@ -44,10 +44,10 @@ class Sandwich:
         (m, n) stack of symbols. Entries that overflow raise ValueError,
         without a numpy warning.
 
-        This is the one place a symbol multiplies E's matrix: T, E M_u and
-        its spectral projections, the reconstruction's E_phi M_u and every
-        closed form become matrices here. Only the spectral measure's 0/1
-        column masks (PointMap.values) multiply it by hand."""
+        This is the one place a symbol multiplies E's matrix: T (E M_u is T
+        with w = 1) and the reconstruction's E_phi M_u become matrices here.
+        Only the spectral measure's 0/1 column masks (PointMap.values) and
+        the unit block columns (Partition.unit_columns) scale it by hand."""
         with np.errstate(over="ignore", invalid="ignore"):
             m = (self.left[..., :, None] * self.partition.cond_exp_matrix
                  * self.right[..., None, :])

@@ -136,6 +136,16 @@ class Partition:
         return m
 
     @cached_property
+    def unit_columns(self) -> np.ndarray:
+        """The n x block count frame of unit block columns q_B = sqrt(mu /
+        mu(B)) chi_B in the orthonormal basis; E is the sum of the q_B q_B*."""
+        b = self.block_of
+        q = (b[:, None] == np.arange(self.block_count)) * np.sqrt(
+            self.space.weights / self.block_masses[b])[:, None]
+        q.setflags(write=False)
+        return q
+
+    @cached_property
     def first_points(self) -> np.ndarray:
         """Index of the first (lowest) point of every block, in block order."""
         first = np.fromiter((b[0] for b in self.blocks), dtype=np.intp,

@@ -79,10 +79,9 @@ def frame_norms(factors: np.ndarray, n: int, shifts: np.ndarray,
     norms, or (..., m) for a (..., n, p) stack of frames, against which
     (..., m) shifts and (..., m, p, p) cores broadcast.
 
-    F is passed as the R factor S of its Householder QR F = Z S, the
-    (..., q, p) np.linalg.qr(F, mode="r"), Z with q = min(n, p) orthonormal
-    columns (orthonormal for a rank-deficient F too), so a caller that
-    holds S reads every operator on F off it. S splits each operator into
+    F is passed as the (..., q, p) R factor S of its QR F = Z S
+    (frame_qr), Z with q = min(n, p) orthonormal columns even for a
+    rank-deficient F. S splits each operator into
     s_k I_q + S C_k S* on range Z and s_k I on its complement. So its norm
     is the largest singular value of the q x q matrix, from one batched
     SVD, and at least |s_k| when q < n. A non-finite shift or q x q entry
@@ -95,6 +94,11 @@ def frame_norms(factors: np.ndarray, n: int, shifts: np.ndarray,
     if q < n:
         norms = np.maximum(norms, np.abs(require_finite(shifts)))
     return norms
+
+
+def frame_qr(*frames: np.ndarray) -> np.ndarray:
+    """The R factor S of the frames side by side, [F_1, F_2, ...] = Z S."""
+    return np.linalg.qr(np.concatenate(frames, axis=-1), mode="r")
 
 
 class SvdOracle:

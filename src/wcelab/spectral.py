@@ -2,21 +2,17 @@
 multiplication operators, plus projection-valued measures induced by
 point maps.
 
-The operator studied here sends f to E(u f): multiplication by a symbol
-u followed by block averaging. It is normal exactly when u is blockwise
-constant, its spectrum is the set of block means of u, with 0 unless the
-operator is invertible (every point its own block, no block mean within
-tol of 0), and in the normal case it diagonalizes over projections of the form
-"indicator of a level set of u, then average". AvgMult holds the operator
-and the closed data these are read off, each built once.
+E M_u, f -> E(u f), is T = M_w E M_u with w = 1. It is normal exactly
+when u is blockwise constant; its spectrum is the set of block means of u,
+with 0 unless every point is its own block and no block mean is within tol
+of 0; a normal one decomposes over Q Q*, Q the unit block columns of a
+level set of u. AvgMult holds these closed data, each built once.
 
-A point map phi on the space (PointMap) induces the fiber partition
-(preimages of single points), the pushforward density, and the
-projection-valued set function S -> E_phi M_{indicator of preimage(S)},
-where E_phi averages over fibers. The axioms of a spectral measure are checked both on the
-ambient space and compressed to the subspace of fiber-measurable
-functions, because the identity axiom can only hold on the latter when
-phi is not injective.
+A point map phi (PointMap) induces the fiber partition, the pushforward
+density, and the set function S -> E_phi M_{chi of preimage(S)}, E_phi the
+fiber average, whose spectral-measure axioms are checked on the ambient
+space and on the fiber-measurable functions, where alone the identity
+axiom holds when phi is not injective.
 """
 
 from __future__ import annotations
@@ -27,9 +23,9 @@ from typing import Callable
 
 import numpy as np
 
-from .condexp import Sandwich
 from .measure import FiniteMeasureSpace, MeasurableFunction, Partition, divide_parts
 from .opalgebra import reference_scale, spectral_norms
+from .wce import WceInstance
 
 # Random sets, and additivity rounds, in check_spectral_axioms' family.
 AXIOM_RANDOM_SETS = 12
@@ -101,65 +97,52 @@ class PointMap:
 
 @dataclass(frozen=True, eq=False)
 class AvgMult:
-    """E M_u, the operator f -> E(u f), with its matrix, the block spread
-    of u, the eigenvalue groups of its block means at tol and its
-    eigenvalues cached on first use.
-
-    Each is built once, whichever of has_kernel, eigenvalues and
-    projections() reads it first; projections() reads the spread, and
-    the groups only once the spread has passed, so a symbol whose block
-    mean is not finite but that is plainly not blockwise constant is never
-    grouped.
-    """
+    """E M_u, f -> E(u f), and the closed data its spectral checks read,
+    each cached on first use."""
 
     u: MeasurableFunction
     partition: Partition
     tol: float
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        """The matrix of f -> E(u f), the sandwich M_1 E M_u."""
-        return Sandwich(self.partition, np.ones(self.partition.space.n),
-                        self.u.values).matrices()
+    def instance(self) -> WceInstance:
+        """E M_u as T with w = 1; rms[0] is sqrt(E|u|^2) on each block."""
+        ones = MeasurableFunction(self.partition.space, np.ones(self.partition.space.n))
+        return WceInstance(self.partition, self.u, ones)
 
     @cached_property
     def spread(self) -> np.ndarray:
-        """Per block, sqrt(E|u - E u|^2) and sqrt(E|u|^2), as the two rows
-        of a (2, block count) array.
-
-        On block B, E M_u is the rank-one q_B b_B* with |q_B| = 1 and
-        b_B = conj(u) q_B, so the second row is ||E M_u|| on B, the first is
-        ||E M_u - E M_{E u}|| on B, and their product is the norm of the
-        commutator [E M_u, (E M_u)*] on B: it is 0 exactly when u is
-        constant on B. The second row is Partition.block_rms; the first is
-        taken on u over its block's RMS, which has RMS 1, and scaled back,
-        so no square or block integral overflows. An RMS beyond the float
-        range leaves no spread to measure, so it raises ValueError.
-        """
+        """sqrt(E|u - E u|^2) on each block B: times instance.rms[0] it is
+        ||[E M_u, (E M_u)*]|| on B. Taken on u over its block RMS, so no
+        square overflows; an RMS beyond the float range raises ValueError."""
         p = self.partition
-        rms = p.block_rms(self.u.values)
-        if not np.isfinite(rms).all():
-            raise ValueError("E(|u|^2) is not finite")
+        rms = self.instance.rms[0]
         v = divide_parts(self.u.values, np.where(rms > 0.0, rms, 1.0)[p.block_of])
         step = v - p.block_means(v)[p.block_of]
-        return np.stack((rms * np.sqrt(p.block_means(np.abs(step) ** 2)), rms))
+        return rms * np.sqrt(p.block_means(np.abs(step) ** 2))
 
     @cached_property
-    def groups(self) -> tuple[list[complex], np.ndarray]:
-        """The block means of u grouped into the distinct eigenvalues.
-
-        Block means are taken in block order; a mean joins the first
-        representative (0, then earlier block means) within tol *
-        reference_scale(max |block mean|), else it becomes a new one.
-        Returns the representatives, 0 first and the rest sorted by value,
-        and the group index of every block. A block mean that is not finite
-        (a block integral beyond the float range) would join no group, so it
-        raises ValueError.
-        """
+    def means(self) -> np.ndarray:
+        """The block means E(u)_B; ValueError where one is not finite (a
+        block integral beyond the float range), as it joins no group."""
         means = self.partition.block_means(self.u.values)
         if not np.all(np.isfinite(means)):
             raise ValueError("a block mean of u is not finite")
-        radius = self.tol * reference_scale(float(np.abs(means).max(initial=0.0)))
+        return means
+
+    @cached_property
+    def scale(self) -> float:
+        """reference_scale(max |E(u)_B|); the groups' radius is tol * scale."""
+        return reference_scale(float(np.abs(self.means).max(initial=0.0)))
+
+    @cached_property
+    def groups(self) -> tuple[list[complex], np.ndarray]:
+        """The block means grouped into the eigenvalues: in block order a
+        mean joins the first representative (0, then earlier means) within
+        tol * scale, else it becomes one. Returns the representatives, 0
+        first and the rest sorted by value, and every block's group."""
+        means = self.means
+        radius = self.tol * self.scale
         reps = [0j]
         group = np.where(np.abs(means) <= radius, 0, -1)
         while (free := np.flatnonzero(group < 0)).size:
@@ -183,43 +166,25 @@ class AvgMult:
 
     @cached_property
     def eigenvalues(self) -> tuple[complex, ...]:
-        """The spectrum: the nonzero representatives, sorted by value as
-        groups holds them, then 0 when has_kernel; the order of
-        projections() too."""
+        """The spectrum, in the order of the spectral projections: the
+        nonzero representatives as groups sorts them, then 0 when
+        has_kernel."""
         reps, _ = self.groups
         return (*reps[1:], 0j) if self.has_kernel else tuple(reps[1:])
 
-    def projections(self) -> np.ndarray | None:
-        """The spectral projections of the normal operator, one real
-        (m, n, n) stack in the order of eigenvalues, or None when u is not
-        blockwise constant at tol.
-
-        For each distinct nonzero value lambda of u the projection is
-        "restrict to the blocks where u = lambda, then average",
-        E M_{chi_lambda}; the kernel projection (eigenvalue 0) is the
-        complement of all of them and is included only when has_kernel.
-
-        On block B the decomposition misses E M_u by sqrt(E|u - E u|^2 +
-        |E u - lambda_B|^2), lambda_B its eigenvalue; u counts as blockwise
-        constant when the largest of these is within tol on the
-        reference_scale of ||E M_u||, as the reconstruction is compared.
-        """
-        p = self.partition
-        step, rms = self.spread
-        limit = self.tol * reference_scale(rms.max())
+    @cached_property
+    def normal(self) -> bool:
+        """Whether u is blockwise constant at tol: the decomposition misses
+        E M_u on B by sqrt(E|u - E u|^2 + |E u - lambda_B|^2), within tol on
+        the reference_scale of ||E M_u||. The spread goes first, so a symbol
+        plainly not constant is never grouped."""
+        limit = self.tol * reference_scale(self.instance.rms[0].max())
         # The spread alone bounds the miss from below.
-        if step.max() > limit:
-            return None
+        if self.spread.max() > limit:
+            return False
         reps, group = self.groups
-        offset = np.abs(p.block_means(self.u.values) - np.array(reps)[group])
-        if np.hypot(step, offset).max() > limit:
-            return None
-        # The level sets are disjoint, so the sum of the stack is exact.
-        levels = group[p.block_of][None, :] == np.arange(1, len(reps))[:, None]
-        stack = Sandwich(p, np.ones(p.space.n), levels).matrices()
-        if not self.has_kernel:
-            return stack
-        return np.concatenate((stack, np.eye(p.space.n)[None] - stack.sum(axis=0)))
+        offset = np.abs(self.means - np.array(reps)[group])
+        return bool(np.hypot(self.spread, offset).max() <= limit)
 
 
 def pushforward_density(phi: PointMap) -> MeasurableFunction:
@@ -227,14 +192,6 @@ def pushforward_density(phi: PointMap) -> MeasurableFunction:
     w = phi.space.weights
     h = np.bincount(phi.images, w, phi.space.n)
     return MeasurableFunction(phi.space, h / w)
-
-
-def _fiber_basis(fp: Partition) -> np.ndarray:
-    """Orthonormal basis of the fiber-measurable functions, as columns: the
-    normalized indicators of the fiber partition's blocks, sqrt(mu) chi_B /
-    sqrt(mu(B)) in the orthonormal-basis frame."""
-    indicators = fp.block_of[:, None] == np.arange(fp.block_count)[None, :]
-    return indicators * fp.space.sqrt_weights[:, None] / np.sqrt(fp.block_masses)[None, :]
 
 
 def _axiom_sets(
@@ -268,7 +225,7 @@ def _frame_measure(
     """
     if not on_subspace:
         return phi.values
-    basis = _fiber_basis(phi.partition)
+    basis = phi.partition.unit_columns
     rows = basis.T @ phi.partition.cond_exp_matrix
     images = phi.image_index
 

@@ -131,8 +131,7 @@ def closed_polar(inst: WceInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """
     partition = inst.partition
     blocks = np.flatnonzero(inst.kept[partition.first_points])
-    b = partition.block_of
-    q = (b[:, None] == blocks) * np.sqrt(inst.space.weights / partition.block_masses[b])[:, None]
+    q = partition.unit_columns[:, blocks]
     u_hat, w_hat = inst.units
     return (np.conj(u_hat)[:, None] * q, w_hat[:, None] * q,
             inst.sigma[partition.first_points[blocks]])

@@ -112,8 +112,29 @@ def psd_root(a, snap=1e-10):
 
 def declared_normal(u, partition, tol=1e-8):
     """Whether E M_u's decomposition, at tol, takes u for blockwise
-    constant (has projections)."""
-    return AvgMult(u, partition, tol).projections() is not None
+    constant."""
+    return AvgMult(u, partition, tol).normal
+
+
+def e_times_u(u, partition):
+    """The dense matrix of E M_u, f -> E(u f): E's matrix with its columns
+    scaled by u."""
+    return partition.cond_exp_matrix * u.values[None, :]
+
+
+def closed_projections(avg_mult):
+    """The dense closed spectral projections of a normal AvgMult, in the
+    order of its eigenvalues: Q Q* for the unit block columns Q of each
+    nonzero group, then, when it has a kernel, the complement of all of
+    them."""
+    partition = avg_mult.partition
+    reps, group = avg_mult.groups
+    q = partition.unit_columns
+    stack = np.array([(q * (group == g)) @ q.T for g in range(1, len(reps))]
+                     ).reshape(-1, partition.space.n, partition.space.n)
+    if avg_mult.has_kernel:
+        stack = np.concatenate((stack, (np.eye(partition.space.n) - stack.sum(axis=0))[None]))
+    return stack
 
 
 def frame_matrices(f0, frames, coef):

@@ -23,7 +23,7 @@ from wcelab.cli import main as cli_main
 from wcelab.generator import GeneratorConfig, gen_instance, rotation_config
 from wcelab.measure import MeasurableFunction
 from wcelab.opalgebra import SvdOracle, op_deviations, spectral_norms
-from wcelab.spectral import AvgMult, check_spectral_axioms, pushforward_density
+from wcelab.spectral import check_spectral_axioms, pushforward_density
 from wcelab.wce import (
     build_operator,
     norm_formula,
@@ -37,6 +37,7 @@ from conftest import (
     closed_calc,
     closed_polar_matrices,
     deviation,
+    e_times_u,
     generated_partitions,
     kernel_projection,
     norm,
@@ -217,7 +218,7 @@ def test_criterion_7_spectral_decomposition():
             (inst, True),
             (perturb_nonmeasurable(inst, seed), False),
         ):
-            m = AvgMult(candidate.u, candidate.partition, DEFAULT_TOL).matrix
+            m = e_times_u(candidate.u, candidate.partition)
             adj = adjoint(m)
             commutator = norm(m @ adj - adj @ m)
             oracle_normal = commutator <= 1e-8 * (1.0 + norm(m) ** 2)
@@ -249,7 +250,7 @@ def test_criterion_8_spectral_measure():
             for b in fp.blocks:
                 vals[list(b)] = rng.uniform(0.0, 4.0) * np.exp(
                     1j * rng.uniform(0.0, 2 * np.pi))
-        direct = np.stack([AvgMult(MeasurableFunction(space, vals), fp, DEFAULT_TOL).matrix
+        direct = np.stack([e_times_u(MeasurableFunction(space, vals), fp)
                            for vals in symbols])
         assert op_deviations(phi.reconstruct(symbols), direct,
                              spectral_norms(direct)).max() <= 1e-9

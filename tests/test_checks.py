@@ -43,9 +43,9 @@ from wcelab.spectral import AvgMult, PointMap
 from wcelab.suite import run_suite
 from wcelab.wce import WceInstance, build_operator
 
-from conftest import (closed_calc, coarsest_partition, constant, edge_bundle,
-                      finest_partition, frame_matrices, kernel_projection, norm,
-                      oracle_polar, oracle_root, random_complex)
+from conftest import (closed_calc, closed_projections, coarsest_partition, constant,
+                      e_times_u, edge_bundle, finest_partition, frame_matrices,
+                      kernel_projection, norm, oracle_polar, oracle_root, random_complex)
 
 _MODES = ({}, {"zero_blocks": True}, {"constant_u": True},
           {"measurable_u": True}, {"partial_isometry": True})
@@ -309,9 +309,10 @@ def test_aluthge_closed_fails_on_a_phase_of_one_block():
 def test_aluthge_takes_no_dense_work(monkeypatch):
     # At n = 64 check_aluthge factors nothing (T's SVD and the frames' QR
     # are the context's) and forms no n x n matrix: the closed transform
-    # less root U root and the square of the half-power factor less |T| are
-    # q x q matrices on W_g = [v, R_k], q = K + k < n, read off one
-    # values-only SVD of their (2, q, q) stack.
+    # less root U root, the square of the half-power factor less |T| and
+    # the factor less the oracle's |T|^(1/2) are q x q matrices on W_g = [v,
+    # R_k], q = K + k < n, read off one values-only SVD of their (3, q, q)
+    # stack.
     n = 64
     ctx = CheckContext(gen_instance(GeneratorConfig(seed=5, n=n, block_count=9,
                                                     zero_blocks=True)))
@@ -327,7 +328,7 @@ def test_aluthge_takes_no_dense_work(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     assert all(r.status == "pass" for r in check_aluthge(ctx))
-    assert full == [] and values_only == [(2, q, q)]
+    assert full == [] and values_only == [(3, q, q)]
 
 
 def test_polar_isometry_fails_on_a_phase_of_one_block(monkeypatch):
@@ -466,9 +467,9 @@ def count_calls(monkeypatch, owner, name):
     calls = []
     original = getattr(owner, name)
 
-    def counting(a, *args):
+    def counting(a, *args, **kwargs):
         calls.append(a)
-        return original(a, *args)
+        return original(a, *args, **kwargs)
 
     monkeypatch.setattr(owner, name, counting)
     return calls
@@ -489,13 +490,16 @@ def test_spectral_decomp_tests_normality_once(monkeypatch, measurable_u):
 
 
 def test_full_suite_does_the_spectral_work_once(monkeypatch, tmp_path):
-    # Over the rotation seeds 1..40 with --full: E M_u's block spread,
-    # eigenvalue groups, numerical eigenvalues and eigenvalue set distance
-    # are each taken once per instance, sd_eigs_match reads a residual of
-    # its own, not the spectrum's, and no all-zero slice of a stack reaches
-    # LAPACK (the measure axioms' additivity and empty set residuals are
-    # exact zeros).
-    builds = {name: count_getter(monkeypatch, AvgMult, name) for name in ("spread", "groups")}
+    # Over the rotation seeds 1..40 with --full: E M_u as T with w = 1, its
+    # block spread, eigenvalue groups, SVD, frame QR, the eigenvalues of its
+    # K x K core and the eigenvalue set distance are each taken once per
+    # instance, sd_eigs_match reads a residual of its own, not the
+    # spectrum's, and no all-zero slice of a stack reaches LAPACK (the
+    # measure axioms' additivity and empty set residuals are exact zeros).
+    builds = {name: count_getter(monkeypatch, AvgMult, name)
+              for name in ("instance", "spread", "groups")}
+    factors = count_getter(monkeypatch, CheckContext, "avg_mult_factors")
+    factored = count_calls(monkeypatch, checks, "SvdOracle")
     eigvals = count_calls(monkeypatch, np.linalg, "eigvals")
     distances = count_calls(monkeypatch, checks, "_eigvals_match_residual")
     zero_slices = []
@@ -509,8 +513,12 @@ def test_full_suite_does_the_spectral_work_once(monkeypatch, tmp_path):
     monkeypatch.setattr(np.linalg, "svd", spying_svd)
     report = tmp_path / "r.json"
     assert main(["suite", "--seeds", "1..40", "--full", "--report", str(report)]) == 0
-    assert {name: len(calls) for name, calls in builds.items()} == {"spread": 40, "groups": 40}
+    assert {name: len(calls) for name, calls in builds.items()} == {
+        "instance": 40, "spread": 40, "groups": 40}
+    # T's SVD and E M_u's, once each.
+    assert len(factors) == 40 and len(factored) == 80
     assert len(eigvals) == len(distances) == 40
+    assert all(a.shape[0] < 24 or a.shape[0] == a.shape[1] for a in eigvals)
     assert zero_slices == []
     residuals = {}
     for r in json.loads(report.read_text())["records"]:
@@ -587,9 +595,9 @@ def zero_operator_bundle():
 ])
 def test_held_norms_agree_with_svd_norms(monkeypatch, group, tol):
     # Every reference norm a check holds instead of taking it (the singular
-    # values, ranks read off traces), as it passes it to op_deviations or
-    # reads func_calc's scale, is the spectral norm of that reference
-    # matrix.
+    # values), as it passes it to op_deviations, reads func_calc's scale or
+    # reads spectral_decomp's 1 + ||E M_u||, is the spectral norm of that
+    # reference matrix.
     held = []
     original = checks.op_deviations
 
@@ -611,7 +619,12 @@ def test_held_norms_agree_with_svd_norms(monkeypatch, group, tol):
     monkeypatch.setattr(opalgebra.SvdOracle, "calc_frames", spy_frames)
     bundles = generated_bundles() + [zero_operator_bundle()]
     for bundle in bundles:
-        group(CheckContext(bundle))
+        ctx = CheckContext(bundle)
+        group(ctx)
+        if group is check_spectral_decomp and "avg_mult_svd" in vars(ctx):
+            inst = ctx.instance
+            held.append((e_times_u(inst.u, inst.partition)[None],
+                         np.array([ctx.avg_mult_svd.norm])))
     held.extend((side, norms) for triple, norms in zip(frames, scales)
                 for side in frame_matrices(*triple))
     assert len(held) >= len(bundles) // 3
@@ -650,45 +663,51 @@ def two_sided_deviation(a, b):
     return norm(a - b) / (1.0 + max(norm(a), norm(b)))
 
 
-def reference_spectral_decomp(inst):
-    """The per-eigenvalue loop: the projections one at a time, five norms
-    per projection, one norm per pair of projections."""
+def reference_spectral_decomp(inst, tol=DEFAULT_TOL):
+    """The per-eigenvalue loop on dense n x n matrices, kept only here: the
+    closed projections E M_chi of each level set and their complement, the
+    oracle's as the kernel of E M_u - lambda I from one n x n SVD per
+    eigenvalue, cut at the grouping radius. Then per eigenvalue ||P_c -
+    P_o|| gap / (1 + ||E M_u||), per pair (lambda_i - lambda_j) (P_i P_j -
+    P_j P_i) over the oracle's, the reconstruction against E M_u itself, the
+    oracle's ranks and tr(P M) / tr(P) on the closed P."""
     n = inst.space.n
     e_matrix = inst.partition.cond_exp_matrix
-    avg_mult = AvgMult(inst.u, inst.partition, DEFAULT_TOL)
+    avg_mult = AvgMult(inst.u, inst.partition, tol)
     reps, group = avg_mult.groups
+    radius = tol * avg_mult.scale
     point_group = group[inst.partition.block_of]
-    eigenvalues, projections = [], []
-    accumulated = np.zeros((n, n), dtype=complex)
-    for g in sorted(range(1, len(reps)), key=lambda g: (reps[g].real, reps[g].imag)):
+    m = e_times_u(inst.u, inst.partition)
+    m_scale = 1.0 + norm(m)
+    eigenvalues, closed, oracle = [], [], []
+    accumulated = np.zeros((n, n))
+    for g in range(1, len(reps)):
         p = (point_group == g)[:, None] * e_matrix
-        eigenvalues.append(reps[g])
-        projections.append(p)
         accumulated += p
-    kernel = np.eye(n, dtype=complex) - accumulated
-    if float(np.trace(kernel).real) > 0.5:
+        eigenvalues.append(reps[g])
+        closed.append(p)
+    if avg_mult.has_kernel:
         eigenvalues.append(0j)
-        projections.append(kernel)
-
-    m = avg_mult.matrix
-    proj_res, total_rank = 0.0, 0
-    recon = np.zeros((n, n), dtype=complex)
-    for lam, p in zip(eigenvalues, projections):
-        proj_res = max(proj_res, two_sided_deviation(p @ p, p),
-                       norm(p - p.conj().T) / (1.0 + norm(p)))
-        total_rank += round(float(np.trace(p).real))
-        recon += lam * p
-    orth_res = 0.0
-    for i in range(len(projections)):
-        for j in range(i + 1, len(projections)):
-            orth_res = max(orth_res, norm(projections[i] @ projections[j]))
+        closed.append(np.eye(n) - accumulated)
+    for lam in eigenvalues:
+        _, sv, vh = np.linalg.svd(m - lam * np.eye(n))
+        kernel = vh[sv <= radius]
+        oracle.append(kernel.conj().T @ kernel)
+    proj_res, orth, recon = 0.0, np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
+    for i, (lam, p_c, p_o) in enumerate(zip(eigenvalues, closed, oracle)):
+        gap = min((abs(lam - mu) for j, mu in enumerate(eigenvalues) if j != i), default=0.0)
+        proj_res = max(proj_res, norm(p_c - p_o) * gap / m_scale)
+        recon += lam * p_c
+        for j in range(i + 1, len(eigenvalues)):
+            orth += (lam - eigenvalues[j]) * (p_o @ oracle[j] - oracle[j] @ p_o)
+    rayleigh = [np.trace(p @ m) / np.trace(p) for p in closed]
     return {
         "sd_projections": proj_res,
-        "sd_orthogonality": orth_res,
-        "sd_reconstruction": two_sided_deviation(recon, m),
-        "sd_rank_sum": float(abs(total_rank - n)),
-        "sd_eigs_match": checks._eigvals_match_residual(
-            eigenvalues, [complex(z) for z in np.linalg.eigvals(m)]),
+        "sd_orthogonality": norm(orth) / m_scale,
+        "sd_reconstruction": norm(recon - m) / m_scale,
+        "sd_rank_sum": float(abs(sum(round(float(np.trace(p).real)) for p in oracle) - n)),
+        "sd_eigs_match": max(abs(r - lam) for r, lam in zip(rayleigh, eigenvalues))
+                         / (1.0 + max(abs(lam) for lam in eigenvalues)),
     }
 
 
@@ -705,7 +724,7 @@ def reference_reconstruction(ctx):
         rebuilt = sum((u.values[fiber[0]] * phi.values(singletons[s][None])[0]
                        for s, fiber in phi.fibers),
                       np.zeros((phi.space.n, phi.space.n), dtype=complex))
-        worst = max(worst, two_sided_deviation(rebuilt, AvgMult(u, fp, DEFAULT_TOL).matrix))
+        worst = max(worst, two_sided_deviation(rebuilt, e_times_u(u, fp)))
     return worst
 
 
@@ -729,31 +748,95 @@ def test_spectral_decomp_matches_per_eigenvalue_reference():
             assert rec.residual == pytest.approx(expected[rec.name], rel=0, abs=1e-13)
 
 
-def test_sd_projections_fail_an_oblique_projection(monkeypatch):
-    # S P S^-1, S = I + 1e-3 N with N real antisymmetric, in place of one
-    # spectral projection: idempotent to rounding but not self-adjoint, so
-    # only the self-adjointness half of sd_projections can fail it.
-    original = AvgMult.projections
-    planted = []
+def test_sd_records_fail_on_swapped_closed_projections():
+    # Two closed projections swapped, on a single instance at scale 1: the
+    # blocks of the first two nonzero eigenvalues trade groups after the
+    # decomposition is decided, so each closed Q Q* stands for the other
+    # eigenvalue. sd_projections, sd_reconstruction and sd_eigs_match must
+    # fail; the oracle's projections, and so sd_orthogonality and
+    # sd_rank_sum, do not move.
+    bundle = gen_instance(GeneratorConfig(seed=4, n=10, block_count=4, measurable_u=True))
+    assert all(r.status == "pass" for r in check_spectral_decomp(CheckContext(bundle)))
+    ctx = CheckContext(bundle)
+    assert ctx.avg_mult.normal
+    reps, group = ctx.avg_mult.groups
+    assert len(reps) >= 3
+    swapped = np.where(group == 1, 2, np.where(group == 2, 1, group))
+    vars(ctx.avg_mult)["groups"] = reps, swapped
+    statuses = {r.name: r.status for r in check_spectral_decomp(ctx)}
+    assert statuses == {"sd_projections": "fail", "sd_orthogonality": "pass",
+                        "sd_reconstruction": "fail", "sd_rank_sum": "pass",
+                        "sd_eigs_match": "fail"}
 
-    def oblique(self):
-        p = original(self)
-        n = p.shape[-1]
-        a = np.random.default_rng(n).normal(size=(n, n))
-        s = np.eye(n) + 1e-3 * (a - a.T)
-        p[0] = s @ p[0] @ np.linalg.inv(s)
-        planted.append(p[0])
-        return p
 
-    monkeypatch.setattr(AvgMult, "projections", oblique)
-    for seed in range(5):
-        ctx = CheckContext(gen_instance(GeneratorConfig(seed=seed, n=10, block_count=3,
-                                                        measurable_u=True)))
-        statuses = {r.name: r.status for r in check_spectral_decomp(ctx)}
-        p = planted.pop()
-        assert norm(p @ p - p) <= 1e-13 * (1.0 + norm(p))
-        assert norm(p - p.conj().T) > 1e-6
-        assert statuses["sd_projections"] == "fail"
+def test_spectrum_fails_on_a_moved_block_mean():
+    # One block mean of u moved by a relative 1e-6 in the closed groups, on
+    # a single instance at scale 1: the decomposition still holds on the
+    # closed side, but its eigenvalue is no eigenvalue of E M_u, so spectrum
+    # and sd_eigs_match must fail.
+    bundle = gen_instance(GeneratorConfig(seed=4, n=10, block_count=4, measurable_u=True))
+    ctx = CheckContext(bundle)
+    records = [r for group in (check_spectrum, check_spectral_decomp) for r in group(ctx)]
+    assert all(r.status == "pass" for r in records)
+    means = ctx.avg_mult.means.copy()
+    means[np.argmax(np.abs(means))] *= 1.0 + 1e-6
+    planted = CheckContext(bundle)
+    vars(planted.avg_mult)["means"] = means
+    assert planted.avg_mult.normal
+    statuses = {r.name: r.status for group in (check_spectrum, check_spectral_decomp)
+                for r in group(planted)}
+    assert statuses["spectrum"] == statuses["sd_eigs_match"] == "fail"
+
+
+def test_avg_mult_groups_take_no_dense_work(monkeypatch):
+    # At n = 64, normality, spectrum and spectral_decomp take one n x n SVD,
+    # E M_u's own, with its vectors. The eigenvalues are those of the K x K
+    # core, the kernels of core - lambda I are K x K SVDs, and every
+    # residual is read off q x q matrices on W = [q, R_k, L_k], q = 4 + 2K <
+    # n, from the one QR of W: no n x n eigvals, no other n x n SVD, and no
+    # einsum or Sandwich beyond E M_u's own matrix.
+    n = 64
+    ctx = CheckContext(gen_instance(GeneratorConfig(seed=5, n=n, block_count=4,
+                                                    measurable_u=True)))
+    full, values_only = [], []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        (full if kwargs.get("compute_uv", True) else values_only).append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    eigvals = count_calls(monkeypatch, np.linalg, "eigvals")
+    qrs = count_calls(monkeypatch, np.linalg, "qr")
+    einsums = count_calls(monkeypatch, np, "einsum")
+    sandwiches = count_calls(monkeypatch, Sandwich, "matrices")
+    records = [r for group in (check_normality, check_spectrum, check_spectral_decomp)
+               for r in group(ctx)]
+    assert all(r.status == "pass" for r in records) and len(records) == 7
+    k = int(ctx.avg_mult_svd.keep.sum())
+    q = 4 + 2 * k
+    assert q < n
+    assert full[0] == (n, n) and all(shape[-2:] == (k, k) for shape in full[1:])
+    assert len(full) == 2 and all(max(shape[-2:]) <= q for shape in values_only)
+    assert [a.shape for a in eigvals] == [(k, k)]
+    assert [a.shape for a in qrs] == [(n, q)]
+    assert einsums == [] and len(sandwiches) == 1
+
+
+def test_aluthge_root_fails_on_a_scaled_half_power():
+    # sqrt(sigma_B) times 1 + 1e-6 in the closed half-power factor on one
+    # block, on a single instance at scale 1: its square is the planted
+    # closed |T| to rounding, so only the comparison with the oracle's
+    # |T|^(1/2) can see it, and aluthge_root must fail.
+    bundle = gen_instance(GeneratorConfig(seed=7, n=10, block_count=3))
+    ctx = CheckContext(bundle)
+    assert all(r.status == "pass" for r in check_aluthge(ctx))
+    v, l, sigma = ctx.polar_closed
+    planted = CheckContext(bundle)
+    planted.polar_closed = v, l, sigma * np.where(np.arange(sigma.size) == 0, (1 + 1e-6) ** 2, 1.0)
+    records = {r.name: r for r in check_aluthge(planted)}
+    assert records["aluthge_root"].status == "fail"
+    assert records["aluthge_root"].residual > 1e-7
 
 
 def test_reconstruction_matches_per_round_reference():
@@ -765,11 +848,15 @@ def test_reconstruction_matches_per_round_reference():
 
 
 def test_one_avg_mult_operator_per_instance(monkeypatch):
-    # normality, spectrum and spectral_decomp share one matrix of E M_u,
-    # one eigvals of it and one set distance from the eigenvalues, whether
-    # or not the decomposition skips.
-    built = count_getter(monkeypatch, AvgMult, "matrix")
-    factored = count_calls(monkeypatch, np.linalg, "eigvals")
+    # normality, spectrum and spectral_decomp share one E M_u as T with w =
+    # 1, one matrix of it, one SVD of that, one QR of the frame [q, R_k,
+    # L_k], one eigvals of the K x K core and one set distance from the
+    # eigenvalues, whether or not the decomposition skips.
+    instances = count_getter(monkeypatch, AvgMult, "instance")
+    built = count_calls(monkeypatch, checks, "build_operator")
+    factored = count_calls(monkeypatch, checks, "SvdOracle")
+    qrs = count_calls(monkeypatch, np.linalg, "qr")
+    eigvals = count_calls(monkeypatch, np.linalg, "eigvals")
     compared = count_calls(monkeypatch, checks, "_eigvals_match_residual")
     for measurable_u, statuses in ((True, {"pass"}), (False, {"pass", "skip"})):
         ctx = CheckContext(gen_instance(GeneratorConfig(seed=23, n=12, block_count=4,
@@ -777,10 +864,12 @@ def test_one_avg_mult_operator_per_instance(monkeypatch):
         records = [r for group in (check_normality, check_spectrum, check_spectral_decomp)
                    for r in group(ctx)]
         assert {r.status for r in records} == statuses
-        assert built == [ctx.avg_mult]
-        assert len(factored) == 1 and factored[0] is ctx.avg_mult.matrix
+        k = int(ctx.avg_mult_svd.keep.sum())
+        assert instances == [ctx.avg_mult] and built == [ctx.avg_mult.instance]
+        assert len(factored) == 1 and [a.shape for a in qrs] == [(12, 4 + 2 * k)]
+        assert [a.shape for a in eigvals] == [(k, k)]
         assert compared == [ctx.avg_mult.eigenvalues]
-        del built[:], factored[:], compared[:]
+        del instances[:], built[:], factored[:], qrs[:], eigvals[:], compared[:]
 
 
 def test_one_measure_table_per_instance(monkeypatch):
@@ -1006,8 +1095,9 @@ def dense_polar_residuals(ctx):
     M_{sigma conj(u_hat)} E M_{u_hat} and half-power factor as Sandwich
     matrices, against the oracle's L_k R_k* and R_k diag(sigma_k) R_k*,
     the closed Aluthge transform against root U root on ||T||'s scale
-    (dense_aluthge), each norm from an n x n SVD, and the three kernels as
-    dense projections."""
+    (dense_aluthge), the half-power factor against its square's closed |T|
+    and the oracle's |T|^(1/2) on sqrt(||T||)'s scale, each norm from an n x
+    n SVD, and the three kernels as dense projections."""
     inst, svd, t_norm = ctx.instance, ctx.svd, ctx.svd.norm
     u_hat, w_hat = inst.units
     u_c, abs_c, root_c = Sandwich(inst.partition, np.stack(
@@ -1025,7 +1115,8 @@ def dense_polar_residuals(ctx):
         "polar_projection": float(np.abs(s ** 4 - s ** 2).max()),
         "polar_kernels": max(gaps) / (1.0 + (~svd.keep).any()),
         "aluthge_closed": norm(aluthge_c - aluthge_o) / (1.0 + t_norm),
-        "aluthge_root": norm(root_c @ root_c - abs_c) / (1.0 + t_norm),
+        "aluthge_root": max(norm(root_c @ root_c - abs_c) / (1.0 + t_norm),
+                            norm(root_c - oracle_root(svd)) / (1.0 + math.sqrt(t_norm))),
     }
 
 
@@ -1166,7 +1257,9 @@ def test_eigenvalue_match_sees_both_directions(expected, computed):
 
 
 # Every record by the scale its residual is read against. The reference
-# rule is opalgebra.reference_scale; the others are partial_isometry's
+# rule is opalgebra.reference_scale (sd_projections and sd_orthogonality
+# read it with an eigenvalue gap, aluthge_root on sqrt(||T||) as well); the
+# others are partial_isometry's
 # max(1, ||T||), the ratios vanishing_meets and sm_mass_conservation take to
 # their own sizes, the unscaled norms, and the 0/1 answers.
 REFERENCE_SCALED = {
@@ -1174,7 +1267,7 @@ REFERENCE_SCALED = {
     "ce_hoelder", "ce_selfadjoint", "norm_formula", "vanishing_disjoint",
     "func_calc_gram", "func_calc_cogram", "polar_abs", "polar_isometry",
     "polar_factorization", "polar_kernels", "aluthge_closed", "aluthge_root",
-    "normality", "spectrum", "sd_projections", "sd_reconstruction",
+    "normality", "spectrum", "sd_projections", "sd_orthogonality", "sd_reconstruction",
     "sd_eigs_match", "sm_reconstruction",
 }
 
@@ -1208,7 +1301,7 @@ def test_the_reference_scale_is_one_rule(monkeypatch):
         return out
 
     before = residuals()
-    assert len(near.eigenvalues) == 2 and spread.projections() is None
+    assert len(near.eigenvalues) == 2 and not spread.normal
     rule = opalgebra.reference_scale
     modules = [m for name, m in sys.modules.items() if name.startswith("wcelab")
                and getattr(m, "reference_scale", None) is rule]
@@ -1217,7 +1310,7 @@ def test_the_reference_scale_is_one_rule(monkeypatch):
         monkeypatch.setattr(module, "reference_scale", lambda size: 2 * (1.0 + size))
     after = residuals()
     near, spread = (AvgMult(a.u, a.partition, a.tol) for a in (near, spread))
-    assert len(near.eigenvalues) == 1 and spread.projections() is not None
+    assert len(near.eigenvalues) == 1 and spread.normal
     assert after.keys() == before.keys()
     measured = {name for (_, name), res in before.items() if res is not None}
     assert measured == {name for names in checks.RECORDS.values() for name in names}

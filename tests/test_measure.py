@@ -120,21 +120,23 @@ class TestSupport:
 
 class TestIsMeasurable:
     """f is measurable for a partition when it is constant on every block:
-    its spread sqrt(E|f - E f|^2) (spectral.AvgMult.spread) is 0 there."""
+    its spread sqrt(E|f - E f|^2) (spectral.AvgMult.spread) is 0 there.
+    Its block RMS sqrt(E|f|^2) is that of E M_f as T with w = 1
+    (AvgMult.instance.rms[0])."""
 
     def test_blockwise_constant(self):
         sp = FiniteMeasureSpace([1.0] * 4)
         p = Partition(sp, [[0, 1], [2, 3]])
         f = MeasurableFunction(sp, [5, 5, 7, 7])
-        spread, rms = AvgMult(f, p, 1e-8).spread
-        np.testing.assert_array_equal(spread, [0.0, 0.0])
-        np.testing.assert_allclose(rms, [5.0, 7.0], rtol=1e-15)
+        avg_mult = AvgMult(f, p, 1e-8)
+        np.testing.assert_array_equal(avg_mult.spread, [0.0, 0.0])
+        np.testing.assert_allclose(avg_mult.instance.rms[0], [5.0, 7.0], rtol=1e-15)
 
     def test_varies_on_block(self):
         sp = FiniteMeasureSpace([1.0] * 4)
         p = Partition(sp, [[0, 1], [2, 3]])
         f = MeasurableFunction(sp, [5, 6, 7, 7])
-        spread, _ = AvgMult(f, p, 1e-8).spread
+        spread = AvgMult(f, p, 1e-8).spread
         np.testing.assert_allclose(spread, [0.5, 0.0], rtol=1e-15, atol=0)
         assert not declared_normal(f, p)
 
@@ -184,7 +186,8 @@ class TestIsMeasurable:
             assert not np.isfinite(p.block_means(f.values)).any()
             with pytest.raises(ValueError, match="not finite"):
                 AvgMult(f, p, 1e-8).eigenvalues
-            spread, rms = AvgMult(f, p, 1e-8).spread
+            avg_mult = AvgMult(f, p, 1e-8)
+            spread, rms = avg_mult.spread, avg_mult.instance.rms[0]
         np.testing.assert_allclose(spread, [0.0 if second > 0 else 1e300])
         np.testing.assert_allclose(rms, [1e300])
 

@@ -67,3 +67,16 @@ def test_family_gives_no_false_fail(family, tol, passed, skipped):
     assert failed == []
     statuses = Counter(r.status for r in report.records)
     assert statuses == {"pass": passed, "skip": skipped}
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-6, 1e-4])
+def test_projection_records_read_the_near_normal_miss(family, tol):
+    # sd_projections and sd_orthogonality read the oracle's projections of
+    # an E M_u within tol of normal on the Davis-Kahan scale (1 + ||E M_u||)
+    # / gap: the family's steps put the worst of each above a tenth of tol,
+    # so neither reads only rounding, and at most tol, so neither fails.
+    report = run_suite(family, ("spectral_decomp",), tol)
+    for name in ("sd_projections", "sd_orthogonality"):
+        worst = max(r.residual for r in report.records
+                    if r.name == name and r.residual is not None)
+        assert 0.1 * tol < worst <= tol, name

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from wcelab import spectral
-from wcelab.checks import DEFAULT_TOL, RECORDS, CheckContext, check_measure_axioms
+from wcelab.checks import (
+    DEFAULT_TOL,
+    RECORDS,
+    CheckContext,
+    check_measure_axioms,
+    check_spectral_decomp,
+)
 from wcelab.generator import GeneratorConfig, gen_instance
+from wcelab.instance_io import InstanceBundle
 from wcelab.measure import FiniteMeasureSpace, MeasurableFunction, Partition
 from wcelab.spectral import (
     AvgMult,
@@ -15,9 +22,11 @@ from wcelab.spectral import (
 )
 
 from conftest import (
+    closed_projections,
     constant,
     declared_normal,
     deviation,
+    e_times_u,
     finest_partition,
     inner,
     norm,
@@ -64,7 +73,7 @@ def reconstructed(phi, u):
 
 
 def commutator_norm(u, partition):
-    m = AvgMult(u, partition, TOL).matrix
+    m = e_times_u(u, partition)
     adj = m.conj().T
     return norm(m @ adj - adj @ m)
 
@@ -95,11 +104,11 @@ class TestNormality:
             inst = gen_instance(GeneratorConfig(seed=seed, n=3 + seed % 12,
                                                 block_count=1 + seed % 3)).instance
             avg_mult = AvgMult(inst.u, inst.partition, TOL)
-            spread, rms = avg_mult.spread
+            spread, rms = avg_mult.spread, avg_mult.instance.rms[0]
             closed = float((spread * rms).max())
             assert closed == pytest.approx(commutator_norm(inst.u, inst.partition),
                                            rel=1e-12)
-            m_norm = norm(avg_mult.matrix)
+            m_norm = norm(e_times_u(inst.u, inst.partition))
             assert float(rms.max()) == pytest.approx(m_norm, rel=1e-12)
 
     @pytest.mark.parametrize("scale", [1e160, 1e-200])
@@ -109,7 +118,8 @@ class TestNormality:
         sp, p = uniform4
         u = MeasurableFunction(sp, scale * np.array([1, 3, 2, 2]))
         with np.errstate(over="raise", under="raise"):
-            spread, rms = AvgMult(u, p, TOL).spread
+            avg_mult = AvgMult(u, p, TOL)
+            spread, rms = avg_mult.spread, avg_mult.instance.rms[0]
         np.testing.assert_allclose(spread, [scale, 0.0], rtol=1e-14)
         np.testing.assert_allclose(rms, [np.sqrt(5.0) * scale, 2.0 * scale], rtol=1e-14)
 
@@ -126,7 +136,7 @@ class TestSpectrum:
         u = MeasurableFunction(sp, [1, 3, 0, 8])
         spec = set(AvgMult(u, p, TOL).eigenvalues)
         assert spec == {0j, 2 + 0j, 4 + 0j}
-        eigs = np.linalg.eigvals(AvgMult(u, p, TOL).matrix)
+        eigs = np.linalg.eigvals(e_times_u(u, p))
         for z in spec:
             assert min(abs(z - e) for e in eigs) < 1e-12
         for e in eigs:
@@ -146,7 +156,8 @@ class TestSpectrum:
             u = MeasurableFunction(sp, values)
             avg_mult = AvgMult(u, finest_partition(sp), TOL)
             assert set(avg_mult.eigenvalues) == spectrum
-            assert len(avg_mult.eigenvalues) == len(avg_mult.projections())
+            assert avg_mult.normal
+            assert len(avg_mult.eigenvalues) == len(closed_projections(avg_mult))
 
 
     def test_zero_rule_matches_pointwise_reference(self):
@@ -168,7 +179,10 @@ class TestSpectrum:
                 nonzero = sorted((z for z in spectrum if z != 0),
                                  key=lambda z: (z.real, z.imag))
                 assert list(spectrum) == nonzero + ([] if invertible else [0j])
-                assert len(avg_mult.projections()) == len(spectrum)
+                assert avg_mult.normal
+                # The decomposition takes 0 by the same rule, on both sides.
+                ctx = CheckContext(InstanceBundle(avg_mult.instance), tol)
+                assert all(r.status == "pass" for r in check_spectral_decomp(ctx))
 
 
 class TestSpectralDecomposition:
@@ -181,7 +195,7 @@ class TestSpectralDecomposition:
         expected = np.zeros((4, 4))
         expected[0, :2] = 0.5
         expected[1, :2] = 0.5
-        stack = avg_mult.projections()
+        stack = closed_projections(avg_mult)
         np.testing.assert_allclose(stack[0], expected, atol=1e-14)
         for proj in stack[:2]:
             assert round(float(np.trace(proj).real)) == 1
@@ -192,14 +206,14 @@ class TestSpectralDecomposition:
         u = constant(sp, 3.0)
         avg_mult = AvgMult(u, p, TOL)
         assert [complex(z) for z in avg_mult.eigenvalues] == [3 + 0j, 0j]
-        assert deviation(avg_mult.projections()[0], p.cond_exp_matrix) < 1e-13
+        assert deviation(closed_projections(avg_mult)[0], p.cond_exp_matrix) < 1e-13
 
     def test_zero_symbol(self, uniform4):
         sp, p = uniform4
         u = constant(sp, 0.0)
         avg_mult = AvgMult(u, p, TOL)
         assert [complex(z) for z in avg_mult.eigenvalues] == [0j]
-        np.testing.assert_allclose(avg_mult.projections()[0], np.eye(4), atol=1e-14)
+        np.testing.assert_allclose(closed_projections(avg_mult)[0], np.eye(4), atol=1e-14)
 
     def test_invariants_on_random_instances(self, rng):
         for seed in range(60, 70):
@@ -207,11 +221,12 @@ class TestSpectralDecomposition:
                 seed=seed, n=6 + seed % 8, block_count=2 + seed % 3,
                 measurable_u=True)).instance
             avg_mult = AvgMult(inst.u, inst.partition, TOL)
-            projs = avg_mult.projections()
+            assert avg_mult.normal
+            projs = closed_projections(avg_mult)
             # The projections, the kernel's included, are real.
             assert projs.dtype == np.float64
             assert len(projs) == len(avg_mult.eigenvalues)
-            m = avg_mult.matrix
+            m = e_times_u(inst.u, inst.partition)
             n = inst.space.n
             recon = np.zeros((n, n), dtype=complex)
             total_rank = 0
@@ -233,7 +248,7 @@ class TestSpectralDecomposition:
 
     def test_rejects_nonnormal(self, uniform4):
         sp, p = uniform4
-        assert AvgMult(MeasurableFunction(sp, [1, 2, 3, 4]), p, TOL).projections() is None
+        assert not AvgMult(MeasurableFunction(sp, [1, 2, 3, 4]), p, TOL).normal
 
 
 class TestPointMapBasics:
@@ -468,7 +483,7 @@ def per_frame_spectral_axioms(phi, on_subspace, n_random=12, seed=0, grown=False
     images = phi.image_index
     frame = phi.partition.cond_exp_matrix
     if on_subspace:
-        basis = spectral._fiber_basis(phi.partition)
+        basis = phi.partition.unit_columns
         dim = basis.shape[1]
         rows = basis.T @ frame
 
@@ -628,14 +643,14 @@ class TestReconstruction:
         expected = 3 * set_value(phi, (0,)) + 7 * set_value(phi, (2,))
         rebuilt = reconstructed(phi, u)
         np.testing.assert_allclose(rebuilt, expected, atol=1e-14)
-        direct = AvgMult(u, phi.partition, TOL).matrix
+        direct = e_times_u(u, phi.partition)
         assert deviation(rebuilt, direct) < 1e-13
 
     def test_perturbed_fiber_average_fails(self, monkeypatch):
         sp = FiniteMeasureSpace([1.0, 2.0, 1.5, 0.5, 3.0])
         phi = PointMap(sp, (1, 1, 1, 4, 4))
         u = MeasurableFunction(sp, [2.0, 2.0, 2.0, -1.0 + 1.0j, -1.0 + 1.0j])
-        direct = AvgMult(u, phi.partition, TOL).matrix
+        direct = e_times_u(u, phi.partition)
         assert deviation(reconstructed(phi, u), direct) < 1e-13
         perturb_fiber_average(monkeypatch)
         # phi caches its fiber partition: a new point map gets a new one.

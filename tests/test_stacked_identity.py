@@ -2,10 +2,11 @@
 here: each helper that makes one numpy call where a loop over draws,
 points, eigenvalues or blocks once ran must give exactly the loop's values
 (np.array_equal, or == on floats), and must leave a seeded generator where
-the loop left it. Two exceptions: the eigenvalue set distance, whose
-np.abs may differ from the loop's Python abs in the last bit, and the
-closed calculus, whose thin factors stand for the per-point sandwich to
-rounding."""
+the loop left it. Three exceptions: the eigenvalue set distance, whose
+np.abs may differ from the loop's Python abs in the last bit, the closed
+calculus, whose thin factors stand for the per-point sandwich to
+rounding, and the closed spectral projections of E M_u, whose unit block
+columns stand for E's level sets to rounding."""
 
 import json
 import math
@@ -19,9 +20,10 @@ from wcelab.condexp import Sandwich
 from wcelab.generator import GeneratorConfig, gen_instance, rotation_config
 from wcelab.instance_io import InstanceBundle, instance_digest, serialize_instance
 from wcelab.measure import FiniteMeasureSpace, MeasurableFunction, Partition
-from wcelab.wce import WceInstance
+from wcelab.wce import WceInstance, build_operator
 
-from conftest import closed_calc_factors, frame_matrices, generated_partitions, random_complex
+from conftest import (closed_calc_factors, closed_projections, frame_matrices,
+                      generated_partitions, random_complex)
 from test_checks import HARD_BUNDLES
 
 
@@ -177,33 +179,49 @@ def spectral_bundles():
 
 
 def test_avg_mult_matrix_is_e_times_u():
-    for bundle in spectral_bundles():
-        inst = bundle.instance
-        matrix = spectral.AvgMult(inst.u, inst.partition, checks.DEFAULT_TOL).matrix
-        expected = inst.partition.cond_exp_matrix * inst.u.values[None, :]
-        assert matrix.dtype == expected.dtype and np.array_equal(matrix, expected)
-
-
-def test_projection_stack_is_e_times_level_indicators():
-    decomposed = 0
+    # E M_u is T with w = 1: build_operator of AvgMult.instance is E's matrix
+    # with its columns scaled by u, and the instance's block RMS of u is
+    # that of u alone, bit for bit.
     for bundle in spectral_bundles():
         inst = bundle.instance
         avg_mult = spectral.AvgMult(inst.u, inst.partition, checks.DEFAULT_TOL)
-        stack = avg_mult.projections()
-        if stack is None:
+        matrix = build_operator(avg_mult.instance)
+        expected = inst.partition.cond_exp_matrix * inst.u.values[None, :]
+        assert matrix.dtype == expected.dtype and np.array_equal(matrix, expected)
+        assert np.array_equal(avg_mult.instance.rms[0], inst.partition.block_rms(inst.u.values))
+
+
+def test_projection_stack_is_e_times_level_indicators():
+    # The unit block columns are the per-point loop's sqrt(mu_i / mu(B)) on
+    # each block, bit for bit; the closed projections Q Q* they give each
+    # group, and the kernel's complement, are E times the group's level
+    # indicator to rounding.
+    decomposed = 0
+    for bundle in spectral_bundles():
+        inst = bundle.instance
+        partition = inst.partition
+        blocks = np.arange(partition.block_count)
+        columns = partition.unit_columns
+        weights, masses = inst.space.weights, partition.block_masses
+        loop = np.zeros((inst.space.n, partition.block_count))
+        for i, b in enumerate(partition.block_of):
+            loop[i, b] = math.sqrt(weights[i] / masses[b])
+        assert np.array_equal(columns, loop)
+        avg_mult = spectral.AvgMult(inst.u, partition, checks.DEFAULT_TOL)
+        if not avg_mult.normal:
             continue
         decomposed += 1
         reps, group = avg_mult.groups
-        e = inst.partition.cond_exp_matrix
+        e = partition.cond_exp_matrix
         projections = []
         for lam in avg_mult.eigenvalues[:len(reps) - 1]:
-            level = np.array([reps[group[b]] == lam for b in inst.partition.block_of])
+            level = np.array([reps[group[b]] == lam for b in partition.block_of])
             projections.append(level[:, None] * e)
         expected = np.array(projections).reshape(-1, *e.shape)
         if avg_mult.has_kernel:
             kernel = np.eye(inst.space.n) - expected.sum(axis=0)
             expected = np.concatenate((expected, kernel[None]))
-        assert stack.dtype == expected.dtype and np.array_equal(stack, expected)
+        np.testing.assert_allclose(closed_projections(avg_mult), expected, rtol=0, atol=1e-15)
     assert decomposed > 60
 
 

@@ -161,8 +161,9 @@ class TestCli:
 
     def test_verify_overflowing_instance_fails_its_groups(self, tmp_path, monkeypatch):
         # A failed build of T is not cached: each of the six groups that
-        # needs T tries it and raises the same error. The edge table pins
-        # the records this file gives.
+        # needs T tries it and raises the same error. E M_u, T with w = 1,
+        # builds once for its three groups. The edge table pins the records
+        # this file gives.
         builds = []
 
         def counting_build(inst):
@@ -171,7 +172,8 @@ class TestCli:
 
         monkeypatch.setattr(checks, "build_operator", counting_build)
         assert main(["verify", str(edge_file(tmp_path, "operator-inf"))]) == 1
-        assert len(builds) == 6
+        ones = [inst for inst in builds if (inst.w.values == 1.0).all()]
+        assert len(builds) == 7 and len(ones) == 1
 
     def test_verify_nonfinite_block_mean_fails_in_time(self, tmp_path):
         # A NaN block mean joined no eigenvalue group, so the grouping loop
