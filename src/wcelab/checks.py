@@ -626,7 +626,8 @@ def check_spectrum(ctx: CheckContext) -> list[CheckRecord]:
     # a breakdown names; 0 is an eigenvalue exactly when the rank is below n.
     expected = ctx.avg_mult.eigenvalues
     eigvals = np.linalg.eigvals(ctx.avg_mult_core)
-    eigvals = np.append(eigvals, [0.0] * (not ctx.avg_mult_svd.keep.all()))
+    if not ctx.avg_mult_svd.keep.all():
+        eigvals = np.append(eigvals, 0.0)
     return [ctx.record("spectrum", _eigvals_match_residual(expected, eigvals), ctx.tol)]
 
 
@@ -653,12 +654,12 @@ def check_spectral_decomp(ctx: CheckContext) -> list[CheckRecord]:
     levels = group == np.arange(1, len(reps))[:, None]
     closed = (s_q * levels[:, None, :]) @ s_q.conj().T
     oracle = frames @ frames.conj().swapaxes(-1, -2)
-    # The closed ranks, the kernel's last, and the oracle's rank sum.
-    ranks, rank_sum = np.append(levels.sum(axis=1), n - np.count_nonzero(group)), near.sum()
+    closed_ranks, rank_sum = levels.sum(axis=1), near.sum()
     if avg_mult.has_kernel:
         eye, above = np.eye(len(s)), svd.sigma[svd.keep] / avg_mult.scale > ctx.tol
         closed = np.concatenate((closed, [eye - closed.sum(axis=0)]))
         oracle = np.concatenate((oracle, [eye - (s_r * above) @ s_r.conj().T]))
+        closed_ranks = np.append(closed_ranks, n - np.count_nonzero(group))
         rank_sum += n - np.count_nonzero(above)
     # Within e of a normal operator a projection moves by e / gap, gap its
     # eigenvalue's distance to the others (Davis and Kahan 1970), and normal
@@ -675,7 +676,7 @@ def check_spectral_decomp(ctx: CheckContext) -> list[CheckRecord]:
     *proj, orth, recon_norm = spectral_norms(np.concatenate((
         closed - oracle, [weighted @ total - total @ weighted, recon - m])))
     # M acts on range P_k as lambda_k, so tr(P_k M) / tr(P_k) is lambda_k.
-    rayleigh = (closed * m.T).sum(axis=(1, 2)) / ranks[:len(closed)]
+    rayleigh = (closed * m.T).sum(axis=(1, 2)) / closed_ranks
     eigs_res = np.abs(rayleigh - eigenvalues).max() / reference_scale(np.abs(eigenvalues).max())
     return [
         ctx.record("sd_projections", (np.array(proj) * gap).max() * ratio, ctx.tol),
