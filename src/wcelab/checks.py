@@ -642,25 +642,26 @@ def check_spectral_decomp(ctx: CheckContext) -> list[CheckRecord]:
     s_q, s_r, s_l = np.split(s, [group.size, group.size + k], axis=1)
     # Each projection is read as its q x q part on W = Z S (off range Z the
     # two sides agree): closed, Q Q* per nonzero group and their complement
-    # for 0; oracle, cut at the grouping radius on eigenvalues over scale,
-    # L_k N N* L_k* for the kernel N of core - lambda I, and for 0 I - R R*
-    # over the singular vectors above the radius.
+    # for 0; oracle, cut at the grouping radius on eigenvalues over scale: I
+    # - R R* over the singular vectors above the radius for 0, L N N* L* on
+    # those alone, N the kernel of core - lambda I, for lambda != 0.
     eigenvalues = np.array(avg_mult.eigenvalues)
     lam = eigenvalues / avg_mult.scale
-    _, kernel_values, vh = np.linalg.svd(ctx.avg_mult_core / avg_mult.scale
-                                         - lam[:len(reps) - 1, None, None] * np.eye(k))
+    above = int(np.count_nonzero(svd.sigma[svd.keep] / avg_mult.scale > ctx.tol))
+    _, kernel_values, vh = np.linalg.svd(ctx.avg_mult_core[:above, :above] / avg_mult.scale
+                                         - lam[:len(reps) - 1, None, None] * np.eye(above))
     near = kernel_values <= ctx.tol
-    frames = (s_l @ vh.conj().swapaxes(-1, -2)) * near[:, None, :]
+    frames = (s_l[:, :above] @ vh.conj().swapaxes(-1, -2)) * near[:, None, :]
     levels = group == np.arange(1, len(reps))[:, None]
     closed = (s_q * levels[:, None, :]) @ s_q.conj().T
     oracle = frames @ frames.conj().swapaxes(-1, -2)
     closed_ranks, rank_sum = levels.sum(axis=1), near.sum()
     if avg_mult.has_kernel:
-        eye, above = np.eye(len(s)), svd.sigma[svd.keep] / avg_mult.scale > ctx.tol
+        eye = np.eye(len(s))
         closed = np.concatenate((closed, [eye - closed.sum(axis=0)]))
-        oracle = np.concatenate((oracle, [eye - (s_r * above) @ s_r.conj().T]))
+        oracle = np.concatenate((oracle, [eye - s_r[:, :above] @ s_r[:, :above].conj().T]))
         closed_ranks = np.append(closed_ranks, n - np.count_nonzero(group))
-        rank_sum += n - np.count_nonzero(above)
+        rank_sum += n - above
     # Within e of a normal operator a projection moves by e / gap, gap its
     # eigenvalue's distance to the others (Davis and Kahan 1970), and normal
     # bounds e by tol (1 + ||E M_u||). So the projections, and the oracle's

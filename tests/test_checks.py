@@ -990,6 +990,11 @@ MEAN_ZERO_DOC = (
 NEAR_MERGE_DOC = (
     '{"weights":[1,1,1,1],"partition":[[0,1],[2,3]],'
     '"u":[[1,0],[1,0],[1.000000038,0],[1,0]],"w":[[1,0],[1,0],[1,0],[1,0]]}')
+# A spectrum at the scale of tol 1e-8: the mean 6e-9 is within the grouping
+# radius of 0, and so the kernel's, and also of the eigenvalue 1.5e-8.
+TOL_LEVEL_DOC = (
+    '{"weights":[1,1],"partition":[[0],[1]],'
+    '"u":[[6e-9,0],[1.5e-8,0]],"w":[[1,0],[1,0]]}')
 
 # The first six files sit near T's rank cut: faint blocks, crossed
 # aggregates, a faint singular value and a small norm. A cut on the
@@ -1007,6 +1012,7 @@ HARD_BUNDLES = {
     "extreme_weight": lambda: parse_instance(EXTREME_WEIGHT_DOC),
     "mean_zero": lambda: parse_instance(MEAN_ZERO_DOC),
     "near_merge": lambda: parse_instance(NEAR_MERGE_DOC),
+    "tol_level": lambda: parse_instance(TOL_LEVEL_DOC),
 }
 
 
@@ -1209,7 +1215,9 @@ def test_hard_file_gives_no_false_fail(name):
     # near_normal, extreme_weight and mean_zero a normality decided on a
     # scale of its own fails normality or sd_reconstruction, and on
     # near_merge one decided before the block means are grouped fails
-    # sd_reconstruction.
+    # sd_reconstruction. On tol_level an oracle that let the kernel of core -
+    # lambda I claim a direction of ker E M_u counts it twice and fails
+    # sd_projections and sd_rank_sum.
     bundle = HARD_BUNDLES[name]()
     for tol in (1e-8, 1e-7, 1e-5):
         assert failing_records(run_suite([bundle], tol=tol)) == []
