@@ -640,22 +640,23 @@ def check_spectral_decomp(ctx: CheckContext) -> list[CheckRecord]:
     n, k = ctx.instance.space.n, int(svd.keep.sum())
     reps, group = avg_mult.groups
     s_q, s_r, s_l = np.split(s, [group.size, group.size + k], axis=1)
-    # Each projection is read as its q x q part on W = Z S (off range Z the
-    # two sides agree): closed, Q Q* per nonzero group and their complement
-    # for 0; oracle, cut at the grouping radius on eigenvalues over scale: I
-    # - R R* over the singular vectors above the radius for 0, L N N* L* on
-    # those alone, N the kernel of core - lambda I, for lambda != 0.
+    # Projections are read as their q x q part on W = Z S: closed, Q Q* per
+    # group; oracle, cut at the radius on eigenvalues over scale, by the
+    # groups' rule: 0 takes I - R R* over the singular vectors above the
+    # radius, each lambda in turn the kernel of core - lambda I left to it.
     eigenvalues = np.array(avg_mult.eigenvalues)
     lam = eigenvalues / avg_mult.scale
     above = int(np.count_nonzero(svd.sigma[svd.keep] / avg_mult.scale > ctx.tol))
-    _, kernel_values, vh = np.linalg.svd(ctx.avg_mult_core[:above, :above] / avg_mult.scale
-                                         - lam[:len(reps) - 1, None, None] * np.eye(above))
-    near = kernel_values <= ctx.tol
-    frames = (s_l[:, :above] @ vh.conj().swapaxes(-1, -2)) * near[:, None, :]
+    core, free = ctx.avg_mult_core[:above, :above] / avg_mult.scale, np.eye(above)
+    frames = [None] * (len(reps) - 1)
+    for g in np.argsort([np.flatnonzero(group == r)[0] for r in range(1, len(reps))]):
+        _, kernel_values, vh = np.linalg.svd((core - lam[g] * np.eye(above)) @ free)
+        near = kernel_values <= ctx.tol
+        frames[g], free = s_l[:, :above] @ free @ vh[near].conj().T, free @ vh[~near].conj().T
     levels = group == np.arange(1, len(reps))[:, None]
     closed = (s_q * levels[:, None, :]) @ s_q.conj().T
-    oracle = frames @ frames.conj().swapaxes(-1, -2)
-    closed_ranks, rank_sum = levels.sum(axis=1), near.sum()
+    oracle = np.array([f @ f.conj().T for f in frames]).reshape(-1, len(s), len(s))
+    closed_ranks, rank_sum = levels.sum(axis=1), above - free.shape[1]
     if avg_mult.has_kernel:
         eye = np.eye(len(s))
         closed = np.concatenate((closed, [eye - closed.sum(axis=0)]))

@@ -791,10 +791,11 @@ def test_spectrum_fails_on_a_moved_block_mean():
 def test_avg_mult_groups_take_no_dense_work(monkeypatch):
     # At n = 64, normality, spectrum and spectral_decomp take one n x n SVD,
     # E M_u's own, with its vectors. The eigenvalues are those of the K x K
-    # core, the kernels of core - lambda I are K x K SVDs, and every
-    # residual is read off q x q matrices on W = [q, R_k, L_k], q = 4 + 2K <
-    # n, from the one QR of W: no n x n eigvals, no other n x n SVD, and no
-    # einsum or Sandwich beyond E M_u's own matrix.
+    # core, the kernels of core - lambda I are K x f SVDs, f <= K, one per
+    # nonzero eigenvalue, and every residual is read off q x q matrices on
+    # W = [q, R_k, L_k], q = 4 + 2K < n, from the one QR of W: no n x n
+    # eigvals, no other n x n SVD, and no einsum or Sandwich beyond E M_u's
+    # own matrix.
     n = 64
     ctx = CheckContext(gen_instance(GeneratorConfig(seed=5, n=n, block_count=4,
                                                     measurable_u=True)))
@@ -816,8 +817,9 @@ def test_avg_mult_groups_take_no_dense_work(monkeypatch):
     k = int(ctx.avg_mult_svd.keep.sum())
     q = 4 + 2 * k
     assert q < n
-    assert full[0] == (n, n) and all(shape[-2:] == (k, k) for shape in full[1:])
-    assert len(full) == 2 and all(max(shape[-2:]) <= q for shape in values_only)
+    assert full[0] == (n, n) and all(shape[0] == k >= shape[1] for shape in full[1:])
+    assert len(full) == 1 + sum(z != 0 for z in ctx.avg_mult.eigenvalues)
+    assert all(max(shape[-2:]) <= q for shape in values_only)
     assert [a.shape for a in eigvals] == [(k, k)]
     assert [a.shape for a in qrs] == [(n, q)]
     assert einsums == [] and len(sandwiches) == 1
@@ -990,11 +992,14 @@ MEAN_ZERO_DOC = (
 NEAR_MERGE_DOC = (
     '{"weights":[1,1,1,1],"partition":[[0,1],[2,3]],'
     '"u":[[1,0],[1,0],[1.000000038,0],[1,0]],"w":[[1,0],[1,0],[1,0],[1,0]]}')
-# A spectrum at the scale of tol 1e-8: the mean 6e-9 is within the grouping
-# radius of 0, and so the kernel's, and also of the eigenvalue 1.5e-8.
+# A spectrum at the scale of tol 1e-8, where one mean lies within the
+# grouping radius of two eigenvalues: 6e-9 of 0 (so it is the kernel's) and
+# of 9.38e-9 + 3.86e-9i, and 3.87e-9 + 1.159e-8i of 1.384e-8i (whose group it
+# joins, formed first) and of 9.38e-9 + 3.86e-9i.
 TOL_LEVEL_DOC = (
-    '{"weights":[1,1],"partition":[[0],[1]],'
-    '"u":[[6e-9,0],[1.5e-8,0]],"w":[[1,0],[1,0]]}')
+    '{"weights":[1,1,1,1],"partition":[[0],[1],[2],[3]],'
+    '"u":[[0,1.384e-8],[3.87e-9,1.159e-8],[9.38e-9,3.86e-9],[6e-9,0]],'
+    '"w":[[1,0],[1,0],[1,0],[1,0]]}')
 
 # The first six files sit near T's rank cut: faint blocks, crossed
 # aggregates, a faint singular value and a small norm. A cut on the
@@ -1215,9 +1220,9 @@ def test_hard_file_gives_no_false_fail(name):
     # near_normal, extreme_weight and mean_zero a normality decided on a
     # scale of its own fails normality or sd_reconstruction, and on
     # near_merge one decided before the block means are grouped fails
-    # sd_reconstruction. On tol_level an oracle that let the kernel of core -
-    # lambda I claim a direction of ker E M_u counts it twice and fails
-    # sd_projections and sd_rank_sum.
+    # sd_reconstruction. On tol_level an oracle whose eigenvalues do not
+    # claim their directions in turn, as the groups do, counts a direction
+    # twice and fails sd_projections and sd_rank_sum.
     bundle = HARD_BUNDLES[name]()
     for tol in (1e-8, 1e-7, 1e-5):
         assert failing_records(run_suite([bundle], tol=tol)) == []
